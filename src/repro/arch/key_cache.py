@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.arch.config import StrixConfig
 from repro.errors import UnknownKeyPolicyError
 from repro.params import TFHEParameters
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.arch.interconnect import InterconnectModel
@@ -225,15 +226,14 @@ class PinnedTenantPolicy(LRUEvictionPolicy):
         return super().victim(device, unpinned)
 
 
-_KEY_POLICIES: dict[str, Callable[[], KeyEvictionPolicy]] = {
-    policy.name: policy
-    for policy in (LRUEvictionPolicy, LFUEvictionPolicy, PinnedTenantPolicy)
-}
+_KEY_POLICIES: Registry[KeyEvictionPolicy] = Registry(
+    UnknownKeyPolicyError,
+    KeyEvictionPolicy,
+    (LRUEvictionPolicy, LFUEvictionPolicy, PinnedTenantPolicy),
+)
 
-
-def list_key_policies() -> list[str]:
-    """Names of all key-cache eviction policies, sorted."""
-    return sorted(_KEY_POLICIES)
+#: Names of all key-cache eviction policies, sorted.
+list_key_policies = _KEY_POLICIES.names
 
 
 def get_key_policy(policy: "str | KeyEvictionPolicy") -> KeyEvictionPolicy:
@@ -242,13 +242,7 @@ def get_key_policy(policy: "str | KeyEvictionPolicy") -> KeyEvictionPolicy:
     Raises :class:`~repro.errors.UnknownKeyPolicyError` — the shared
     did-you-mean shape — for unknown names.
     """
-    if isinstance(policy, KeyEvictionPolicy):
-        return policy
-    try:
-        factory = _KEY_POLICIES[policy]
-    except KeyError:
-        raise UnknownKeyPolicyError(policy, list_key_policies()) from None
-    return factory()
+    return _KEY_POLICIES.get(policy)
 
 
 @dataclass

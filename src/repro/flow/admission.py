@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import UnknownAdmissionPolicyError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serve.queue import RequestQueue
@@ -229,16 +230,14 @@ class TenantQuotaPolicy(AdmissionPolicy):
         return _ADMIT
 
 
-_POLICIES: dict[str, type[AdmissionPolicy]] = {
-    RejectNewestPolicy.name: RejectNewestPolicy,
-    ShedOldestPolicy.name: ShedOldestPolicy,
-    TenantQuotaPolicy.name: TenantQuotaPolicy,
-}
+_POLICIES: Registry[AdmissionPolicy] = Registry(
+    UnknownAdmissionPolicyError,
+    AdmissionPolicy,
+    (RejectNewestPolicy, ShedOldestPolicy, TenantQuotaPolicy),
+)
 
-
-def list_admission_policies() -> list[str]:
-    """Registered admission-policy names."""
-    return sorted(_POLICIES)
+#: Registered admission-policy names, sorted.
+list_admission_policies = _POLICIES.names
 
 
 def get_admission_policy(policy: "str | AdmissionPolicy") -> AdmissionPolicy:
@@ -248,11 +247,4 @@ def get_admission_policy(policy: "str | AdmissionPolicy") -> AdmissionPolicy:
     names — the shared did-you-mean shape, still a ``ValueError`` for
     argument-validation callers.
     """
-    if isinstance(policy, AdmissionPolicy):
-        return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
-        raise UnknownAdmissionPolicyError(
-            policy, list_admission_policies()
-        ) from None
+    return _POLICIES.get(policy)

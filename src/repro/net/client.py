@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.flow.retry import (
     CircuitBreaker,
@@ -60,6 +60,15 @@ class NetError(Exception):
         self.reply = reply
 
 
+class _Pending(NamedTuple):
+    """One SUBMIT awaiting its reply; ``credited`` if that reply frees a credit."""
+
+    request: Request
+    sent_at: float
+    future: asyncio.Future
+    credited: bool
+
+
 class AsyncNetClient:
     """One connection to a :class:`~repro.net.server.NetServer`.
 
@@ -76,8 +85,7 @@ class AsyncNetClient:
         self._write_lock = asyncio.Lock()
         self._next_id = 0
         self._next_nonce = 0
-        #: request id -> (submitted request, send time, outcome future)
-        self._pending: dict[int, tuple[Request, float, asyncio.Future]] = {}
+        self._pending: dict[int, _Pending] = {}
         self._pings: dict[int, tuple[float, asyncio.Future]] = {}
         self._hello: asyncio.Future | None = None
         self._drained: asyncio.Future | None = None
@@ -210,7 +218,7 @@ class AsyncNetClient:
                 # lock; release only what we still own.)
                 entry = self._pending.pop(request.request_id, None)
                 if entry is not None:
-                    self._release_credit(entry[3])
+                    self._release_credit(entry.credited)
             raise
         return await future
 
@@ -273,11 +281,6 @@ class AsyncNetClient:
                 breaker.record_success()
             return outcome
 
-    async def submit_request(self, request: Request) -> RequestOutcome:
-        """Submit an existing request (timestamps included) and await it."""
-        future = self.submit_nowait(request)
-        return await future
-
     def submit_nowait(self, request: Request) -> asyncio.Future:
         """Send a trace request without waiting; returns the outcome future.
 
@@ -291,11 +294,6 @@ class AsyncNetClient:
         self._write_raw(data)
         return future
 
-    async def _send_submit(self, request: Request, payload: bytes) -> asyncio.Future:
-        future = self._register(request)
-        await self._send(MessageType.SUBMIT, payload)
-        return future
-
     def _register(self, request: Request, credited: bool = False) -> asyncio.Future:
         if self._closed:
             raise ConnectionError("the client is closed")
@@ -303,7 +301,7 @@ class AsyncNetClient:
             raise ValueError(f"request id {request.request_id} is already in flight")
         self._next_id = max(self._next_id, request.request_id)
         future = asyncio.get_running_loop().create_future()
-        self._pending[request.request_id] = (request, time.perf_counter(), future, credited)
+        self._pending[request.request_id] = _Pending(request, time.perf_counter(), future, credited)
         return future
 
     # -- credits -----------------------------------------------------------------
@@ -444,16 +442,16 @@ class AsyncNetClient:
         entry = self._pending.pop(message.request_id, None)
         if entry is None:
             return
-        request, sent_at, future, credited = entry
-        self._release_credit(credited)
+        self._release_credit(entry.credited)
+        future = entry.future
         if future.cancelled():
             # A timed-out submit abandoned this request but kept its
             # credit held (the server still counted it in flight); this
             # late reply is the release point, never an RTT sample.
             return
-        self.rtts_s.append(time.perf_counter() - sent_at)
+        self.rtts_s.append(time.perf_counter() - entry.sent_at)
         if not future.done():
-            future.set_result(message.to_outcome(request))
+            future.set_result(message.to_outcome(entry.request))
 
     def _handle_busy(self, busy: protocol.BusyReply) -> None:
         """A BUSY reply: the server shed or refused this request."""
@@ -461,10 +459,9 @@ class AsyncNetClient:
         entry = self._pending.pop(busy.request_id, None)
         if entry is None:
             return
-        _, _, future, credited = entry
-        self._release_credit(credited)
-        if not future.done():
-            future.set_exception(
+        self._release_credit(entry.credited)
+        if not entry.future.done():
+            entry.future.set_exception(
                 ServerBusyError(busy.reason, retry_after_s=busy.retry_after_s)
             )
 
@@ -473,10 +470,9 @@ class AsyncNetClient:
         if reply.request_id:
             entry = self._pending.pop(reply.request_id, None)
             if entry is not None:
-                _, _, future, credited = entry
-                self._release_credit(credited)
-                if not future.done():
-                    future.set_exception(error)
+                self._release_credit(entry.credited)
+                if not entry.future.done():
+                    entry.future.set_exception(error)
                 return
         if self._hello is not None and not self._hello.done():
             self._hello.set_exception(error)
@@ -484,10 +480,10 @@ class AsyncNetClient:
         self._fail_pending(error)
 
     def _fail_pending(self, error: Exception) -> None:
-        for _, _, future, credited in self._pending.values():
-            self._release_credit(credited)
-            if not future.done():
-                future.set_exception(error)
+        for entry in self._pending.values():
+            self._release_credit(entry.credited)
+            if not entry.future.done():
+                entry.future.set_exception(error)
         self._pending.clear()
         for _, future in self._pings.values():
             if not future.done():

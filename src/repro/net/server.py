@@ -10,12 +10,12 @@ modes:
   its ``RESULT`` frames as its batches complete.  This is what a deployment
   looks like: N concurrent connections feeding one adaptive batcher.
 * ``mode="replay"`` — the deterministic path: ``SUBMIT`` frames carry trace
-  timestamps and feed the incremental replay
-  (:meth:`repro.serve.Server.replay_offer`), so a recorded trace pushed
-  through the socket produces *bit-for-bit* the outcomes the in-process
-  :meth:`~repro.serve.Server.simulate` produces — the equality the test
-  suite enforces.  ``DRAIN`` flushes everything still batched and answers
-  ``DRAINED`` when the last ``RESULT`` is out.
+  timestamps and each is one :meth:`~repro.serve.server.ServingRun.offer`
+  to a run on the simulated clock — the very engine the in-process
+  :meth:`~repro.serve.Server.simulate` drives, so a recorded trace pushed
+  through the socket produces *bit-for-bit* its outcomes — the equality the
+  test suite enforces.  ``DRAIN`` flushes everything still batched and
+  answers ``DRAINED`` when the last ``RESULT`` is out.
 
 Error handling is connection-scoped and typed: a corrupted checksum, an
 unsupported protocol version, an unknown message type or a malformed payload
@@ -34,8 +34,7 @@ from typing import Any
 from repro.flow.control import DeadlineExceededError, RequestRejectedError
 from repro.net import codec, protocol
 from repro.net.protocol import ErrorCode, Frame, FrameDecoder, MessageType, ProtocolError
-from repro.serve.request import Request
-from repro.serve.server import ServeReport, Server
+from repro.serve.server import ServeReport, Server, ServingRun
 
 #: Bytes per read of the per-connection read loop.
 _READ_CHUNK = 64 * 1024
@@ -131,13 +130,9 @@ class NetServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._submit_tasks: set[asyncio.Task] = set()
         self._epoch = 0.0
-        self._entered_live = False
-        self._replay_open = False
-        #: Shed/expired requests the serving core dropped during the replay
-        #: offer being processed — collected by the server's ``drop_hook``
-        #: (a synchronous callback) and flushed as BUSY frames right after,
-        #: so a client awaiting a dropped request gets an answer, not a hang.
-        self._replay_drops: list[tuple[Request, str]] = []
+        #: The serving run behind the socket, in either mode (``None``
+        #: before :meth:`start` and after :meth:`aclose`).
+        self._run: ServingRun | None = None
         #: Replay request id -> the connection that submitted it.  A later
         #: connection's offer can release another connection's outcomes
         #: (or shed its queued work); replies must reach the submitter,
@@ -175,11 +170,9 @@ class NetServer:
         self._epoch = loop.time()
         if self.mode == "live":
             await self.server.__aenter__()
-            self._entered_live = True
+            self._run = self.server.active_run
         else:
-            self.server.replay_begin()
-            self._replay_open = True
-            self.server.drop_hook = self._on_replay_drop
+            self._run = self.server.begin_run(self.label)
         self._listener = await asyncio.start_server(self._on_connection, self._host, self._port)
         return self.address
 
@@ -197,25 +190,20 @@ class NetServer:
         self._listener.close()
         await self._listener.wait_closed()
         self._listener = None
-        wire = None
-        if self._entered_live:
-            # Exiting the async context drains the batcher, which resolves
+        if self.mode == "live":
+            # Closing the async context drains the batcher, which resolves
             # every pending submission future; the per-submit tasks then
             # write their RESULT frames before we cut the connections.
-            await self.server.__aexit__(None, None, None)
-            self._entered_live = False
+            await self.server.aclose()
             if self._submit_tasks:
                 await asyncio.gather(*list(self._submit_tasks), return_exceptions=True)
             base = self.server.last_async_report
             if base is not None:
                 wire = {**base.wire, **self.stats.to_dict()}
                 self.last_report = replace(base, label=self.label, wire=wire)
-        if self._replay_open:
-            self._replay_open = False
-            self.server.drop_hook = None
-            self.last_report = self.server.replay_finish(
-                label=self.label, wire=self.stats.to_dict()
-            )
+        else:
+            self.last_report = self._run.finish(wire=self.stats.to_dict())
+        self._run = None
         for connection in list(self._connections):
             connection.closing = True
             connection.writer.close()
@@ -339,21 +327,19 @@ class NetServer:
         if self.mode == "replay":
             if message.arrival_s is None:
                 raise ValueError("replay-mode SUBMIT frames must carry a trace timestamp")
-            self._replay_owners[message.request_id] = connection
             try:
-                outcomes = self.server.replay_offer(message.to_request())
+                self._run.offer(message.to_request())
+                self._replay_owners[message.request_id] = connection
             except RequestRejectedError as rejected:
-                self._replay_owners.pop(message.request_id, None)
-                await self._send_busy(
-                    connection, message.request_id, rejected.retry_after_s, str(rejected)
-                )
-                outcomes = []
-            for outcome in outcomes:
-                request_id = outcome.request.request_id
-                await self._send_result(
-                    self._replay_owner(request_id, connection), request_id, outcome
-                )
-            await self._flush_replay_drops(connection)
+                await self._send_failure(connection, message.request_id, rejected)
+            except (ValueError, KeyError) as error:
+                # An unknown kind or model, or an arrival out of order: this
+                # request's mistake, answered under its id — and before it
+                # has an owner entry to leak.
+                defect = ProtocolError(ErrorCode.BAD_MESSAGE, str(error))
+                await self._send_error(connection, defect, request_id=message.request_id)
+                return
+            await self._answer_resolved(connection)
         else:
             if (
                 self.credit_window is not None
@@ -365,9 +351,7 @@ class NetServer:
                 await self._send_busy(
                     connection,
                     message.request_id,
-                    self.server.flow.retry_after_s(
-                        self.server.queue, self.server.config.max_batch_delay_s
-                    ),
+                    self._run.retry_after_s(),
                     f"in-flight window of {self.credit_window} is exhausted",
                 )
                 return
@@ -385,27 +369,9 @@ class NetServer:
                 model=message.model,
                 deadline_s=message.deadline_s,
             )
-        except RequestRejectedError as rejected:
-            connection.inflight -= 1
-            await self._send_busy(
-                connection, message.request_id, rejected.retry_after_s, str(rejected)
-            )
-            return
-        except DeadlineExceededError as expired:
-            connection.inflight -= 1
-            await self._send_error(
-                connection,
-                ProtocolError(ErrorCode.DEADLINE_EXCEEDED, str(expired)),
-                request_id=message.request_id,
-            )
-            return
         except Exception as error:  # noqa: BLE001 - surfaced as a typed reply
             connection.inflight -= 1
-            await self._send_error(
-                connection,
-                ProtocolError(ErrorCode.SERVER_ERROR, str(error)),
-                request_id=message.request_id,
-            )
+            await self._send_failure(connection, message.request_id, error)
             return
         # Decrement before computing the piggy-backed credit count so the
         # RESULT advertises the capacity this very reply just freed.
@@ -417,12 +383,8 @@ class NetServer:
 
     async def _handle_drain(self, connection: _Connection) -> None:
         if self.mode == "replay":
-            for outcome in self.server.replay_drain():
-                request_id = outcome.request.request_id
-                await self._send_result(
-                    self._replay_owner(request_id, connection), request_id, outcome
-                )
-            await self._flush_replay_drops(connection)
+            self._run.drain()
+            await self._answer_resolved(connection)
         await self._send(connection, MessageType.DRAINED, b"")
 
     async def _handle_stats(self, connection: _Connection) -> None:
@@ -440,58 +402,39 @@ class NetServer:
 
     # -- replies -----------------------------------------------------------------
 
-    def _replay_owner(self, request_id: int, fallback: _Connection) -> _Connection:
-        """The connection that submitted ``request_id`` (forgotten once used).
+    async def _answer_resolved(self, connection: _Connection) -> None:
+        """Answer everything the replay step just resolved or dropped.
 
-        ``fallback`` covers requests that never went through a SUBMIT frame
-        on this server (there are none today, but an unknown id must not
-        crash the read loop).
+        Outcomes earn their RESULT; a dropped request earns the reply its
+        typed error maps to (:meth:`_send_failure`), so a client never
+        hangs on work that will not produce a RESULT.  Each reply goes to
+        the request's owner in ``_replay_owners``; an id nobody submitted
+        here (there are none today) falls back to ``connection`` rather
+        than crash the read loop.
         """
-        return self._replay_owners.pop(request_id, fallback)
+        outcomes, drops = self._run.resolved()
+        for outcome in outcomes:
+            request_id = outcome.request.request_id
+            owner = self._replay_owners.pop(request_id, connection)
+            await self._send_result(owner, request_id, outcome)
+        for request, error in drops:
+            owner = self._replay_owners.pop(request.request_id, connection)
+            await self._send_failure(owner, request.request_id, error)
 
-    def _on_replay_drop(self, request: Request, reason: str) -> None:
-        """Collect a shed/expired replay request for a typed reply.
-
-        The serving core drops synchronously inside ``replay_offer`` /
-        ``replay_drain``; the frames go out right after, once the event
-        loop is back in the handler's async context.
-        """
-        self._replay_drops.append((request, reason))
-
-    async def _flush_replay_drops(self, connection: _Connection) -> None:
-        """Answer every request the replay step just shed or expired.
-
-        Shed work earns a BUSY (with the controller's retry hint); expired
-        work earns a typed DEADLINE_EXCEEDED error — the same split the
-        live path's :meth:`_submit_live` produces, so a client sees one
-        vocabulary across both modes and never hangs on dropped work.
-        Each reply goes to the connection that *submitted* the victim —
-        a shed victim's offer may have come down a different connection
-        than the offer that triggered the shed.
-        """
-        if not self._replay_drops:
+    async def _send_failure(
+        self, connection: _Connection, request_id: int, error: Exception
+    ) -> None:
+        """The typed reply for a request that ends without a RESULT — one
+        vocabulary across both modes: rejected or shed work earns a BUSY
+        carrying the retry hint, expired work a DEADLINE_EXCEEDED error,
+        anything else (work lost to a device fault, a serving crash) a
+        SERVER_ERROR."""
+        if isinstance(error, RequestRejectedError):
+            await self._send_busy(connection, request_id, error.retry_after_s, str(error))
             return
-        drops, self._replay_drops = self._replay_drops, []
-        for request, reason in drops:
-            owner = self._replay_owner(request.request_id, connection)
-            if reason == "expired":
-                await self._send_error(
-                    owner,
-                    ProtocolError(
-                        ErrorCode.DEADLINE_EXCEEDED,
-                        f"request {request.request_id} missed its deadline before dispatch",
-                    ),
-                    request_id=request.request_id,
-                )
-            else:
-                await self._send_busy(
-                    owner,
-                    request.request_id,
-                    self.server.flow.retry_after_s(
-                        self.server.queue, self.server.config.max_batch_delay_s
-                    ),
-                    f"request {request.request_id} was {reason} to admit newer work",
-                )
+        expired = isinstance(error, DeadlineExceededError)
+        code = ErrorCode.DEADLINE_EXCEEDED if expired else ErrorCode.SERVER_ERROR
+        await self._send_error(connection, ProtocolError(code, str(error)), request_id=request_id)
 
     async def _send_busy(
         self, connection: _Connection, request_id: int, retry_after_s: float, reason: str
@@ -527,10 +470,7 @@ class NetServer:
             # number their own); replay stamps the simulated completion so
             # deterministic traces keep deterministic spans, live stamps
             # the wall clock the rest of the async span already uses.
-            if self.mode == "replay":
-                reply_s = outcome.completed_s
-            else:
-                reply_s = asyncio.get_running_loop().time() - self.server._async_epoch
+            reply_s = outcome.completed_s if self.mode == "replay" else self._run.now()
             tracer.on_reply(outcome.request.request_id, reply_s)
 
     async def _send_error(

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.errors import UnknownNameError
 from repro.params import TFHEParameters
+from repro.registry import Registry
 from repro.runtime.result import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -60,7 +61,7 @@ class UnknownBackendError(UnknownNameError):
     kind = "backend"
 
 
-_REGISTRY: dict[str, Callable[..., Backend]] = {}
+_REGISTRY: Registry[Backend] = Registry(UnknownBackendError)
 
 
 def register_backend(name: str, factory: Callable[..., Backend]) -> None:
@@ -71,19 +72,13 @@ def register_backend(name: str, factory: Callable[..., Backend]) -> None:
     an existing name replaces the factory (deliberate: tests and downstream
     deployments swap implementations in).
     """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _REGISTRY[name] = factory
+    _REGISTRY.register(name, factory)
 
 
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (no-op when absent)."""
-    _REGISTRY.pop(name, None)
-
-
-def list_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_REGISTRY)
+#: Remove a backend from the registry (no-op when absent).
+unregister_backend = _REGISTRY.unregister
+#: Names of all registered backends, sorted.
+list_backends = _REGISTRY.names
 
 
 def get_backend(name: str, **factory_options: Any) -> Backend:
@@ -92,8 +87,4 @@ def get_backend(name: str, **factory_options: Any) -> Backend:
     Raises :class:`UnknownBackendError` (a ``KeyError``) listing the known
     names — plus a did-you-mean suggestion — when ``name`` is unknown.
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise UnknownBackendError(name, list_backends()) from None
-    return factory(**factory_options)
+    return _REGISTRY.get(name, **factory_options)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import UnknownCostModelError
 from repro.params import TFHEParameters
+from repro.registry import Registry
 from repro.sim.graph import ComputationGraph, ComputationNode
 from repro.sim.scheduler import StrixScheduler
 
@@ -316,14 +317,12 @@ class EventDrivenCostModel(CostModel):
         )
 
 
-_COST_MODELS: dict[str, Callable[[], CostModel]] = {
-    model.name: model for model in (AnalyticalCostModel, EventDrivenCostModel)
-}
+_COST_MODELS: Registry[CostModel] = Registry(
+    UnknownCostModelError, CostModel, (AnalyticalCostModel, EventDrivenCostModel)
+)
 
-
-def list_cost_models() -> list[str]:
-    """Names of all registered cost models, sorted."""
-    return sorted(_COST_MODELS)
+#: Names of all registered cost models, sorted.
+list_cost_models = _COST_MODELS.names
 
 
 def get_cost_model(model: "str | CostModel") -> CostModel:
@@ -332,10 +331,4 @@ def get_cost_model(model: "str | CostModel") -> CostModel:
     Raises :class:`~repro.errors.UnknownCostModelError` — the shared
     did-you-mean shape — for unknown names.
     """
-    if isinstance(model, CostModel):
-        return model
-    try:
-        factory = _COST_MODELS[model]
-    except KeyError:
-        raise UnknownCostModelError(model, list_cost_models()) from None
-    return factory()
+    return _COST_MODELS.get(model)

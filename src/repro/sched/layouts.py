@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import UnknownLayoutError
 from repro.params import TFHEParameters
+from repro.registry import Registry
 from repro.sched.memo import LruCache
 from repro.runtime.result import RunResult
 from repro.runtime.workload import WorkloadLike, as_graph, as_netlist
@@ -758,15 +759,12 @@ class ElasticLayout(PlacementLayout):
         return _run_data_parallel(cluster, workload, params, instances, self.name)
 
 
-_LAYOUTS: dict[str, Callable[[], PlacementLayout]] = {
-    layout.name: layout
-    for layout in (DataParallelLayout, PipelineLayout, ElasticLayout)
-}
+_LAYOUTS: Registry[PlacementLayout] = Registry(
+    UnknownLayoutError, PlacementLayout, (DataParallelLayout, PipelineLayout, ElasticLayout)
+)
 
-
-def list_layouts() -> list[str]:
-    """Names of all placement layouts, sorted."""
-    return sorted(_LAYOUTS)
+#: Names of all placement layouts, sorted.
+list_layouts = _LAYOUTS.names
 
 
 def get_layout(layout: "str | PlacementLayout") -> PlacementLayout:
@@ -775,10 +773,4 @@ def get_layout(layout: "str | PlacementLayout") -> PlacementLayout:
     Raises :class:`~repro.errors.UnknownLayoutError` — the shared
     did-you-mean shape — for unknown names.
     """
-    if isinstance(layout, PlacementLayout):
-        return layout
-    try:
-        factory = _LAYOUTS[layout]
-    except KeyError:
-        raise UnknownLayoutError(layout, list_layouts()) from None
-    return factory()
+    return _LAYOUTS.get(layout)

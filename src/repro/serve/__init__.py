@@ -9,9 +9,11 @@ from many tenants.  This package is the layer in between::
                   per-tenant       or deadline)        policy, aggregation)
                   accounting)
 
-* :class:`Server` — the facade: per-tenant key/session management, a
-  synchronous trace-replay path (:meth:`Server.simulate`) and an
-  ``asyncio`` submission path (:meth:`Server.submit_async`);
+* :class:`Server` — the facade: per-tenant key/session management and the
+  entry points that feed a :class:`ServingRun`, the one serving engine —
+  a whole trace (:meth:`Server.simulate`) or a streamed one
+  (:meth:`Server.begin_run`) on the simulated clock, ``asyncio``
+  submissions (:meth:`Server.submit_async`) on the wall clock;
 * :class:`StrixCluster` — N simulated Strix devices with round-robin /
   least-loaded / affinity / key-affinity sharding, aggregating per-device
   results into one cluster-level :class:`~repro.runtime.result.RunResult`.
@@ -98,7 +100,14 @@ from repro.serve.metrics import (
 )
 from repro.serve.queue import QueueOverflowError, RequestQueue
 from repro.serve.request import Request, RequestKind, RequestOutcome, pbs_per_item
-from repro.serve.server import Server, ServeConfig, ServeReport, TenantState
+from repro.serve.server import (
+    RunActiveError,
+    Server,
+    ServeConfig,
+    ServeReport,
+    ServingRun,
+    TenantState,
+)
 from repro.serve.sharding import (
     AffinityPolicy,
     KeyAffinityPolicy,
@@ -140,11 +149,13 @@ __all__ = [
     "RequestQueue",
     "RequestRejectedError",
     "RoundRobinPolicy",
+    "RunActiveError",
     "ServeConfig",
     "ServeMetrics",
     "ServeReport",
     "ServeSnapshot",
     "Server",
+    "ServingRun",
     "ShardingPolicy",
     "StrixCluster",
     "StrixClusterBackend",

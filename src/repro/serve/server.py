@@ -1,23 +1,29 @@
-"""The serving facade: multi-tenant submission over queue → batcher → cluster.
+"""The serving facade: one run, two clocks.
 
-:class:`Server` is the front door of :mod:`repro.serve`.  It owns one
-:class:`~repro.serve.cluster.StrixCluster`, one
-:class:`~repro.serve.queue.RequestQueue` feeding one
-:class:`~repro.serve.batcher.AdaptiveBatcher`, and a per-tenant
-:class:`~repro.runtime.session.Session` cache for key material.  Three ways
-in:
+:class:`Server` is the front door of :mod:`repro.serve`: one
+:class:`~repro.serve.cluster.StrixCluster`, the flow controller, the metrics
+registry and a per-tenant :class:`~repro.runtime.session.Session` cache.
+Serving itself is one engine, :class:`ServingRun` — a fresh queue, batcher
+and metrics collector around the only arrival loop (fire due deadlines →
+admit → shed → push → poll → dispatch) and the only report assembly.  A
+server has at most one active run, ``server.queue`` / ``server.batcher`` are
+that run's, and the entry points differ only in who feeds it on which clock:
 
-* :meth:`submit` + :meth:`simulate` — the offline path: build (or generate)
-  a trace of timestamped requests and replay it in simulated time, getting a
-  :class:`ServeReport` with p50/p99 latency, throughput, queue depth and
-  per-device utilization;
+* :meth:`Server.simulate` — a whole trace on the *simulated* clock: time
+  jumps from arrival to arrival and every batcher deadline in between fires
+  at exactly its due time, so the :class:`ServeReport` (p50/p99 latency,
+  throughput, queue depth, device utilization) is a pure function of the
+  trace;
+* :meth:`Server.begin_run` — the same run held open by a caller who offers
+  requests as they arrive (:mod:`repro.net` replay mode: one
+  :meth:`ServingRun.offer` per SUBMIT frame), bit for bit :meth:`simulate`;
 * ``async with Server(...) as server: await server.submit_async(...)`` —
-  the online path: submissions batch on the wall clock (flush on full or
-  deadline) and each awaiting caller receives its own
-  :class:`~repro.serve.request.RequestOutcome` when its batch completes;
-* :meth:`run` — bypass the queue entirely and execute one large workload
-  sharded across the cluster (equivalent to
-  ``run(workload, backend="strix-cluster")``).
+  the same run on the *wall* clock: the event loop stamps arrivals, a
+  background flusher fires deadlines as real time reaches them, and each
+  caller's future resolves when its batch completes.
+
+:meth:`Server.run` bypasses serving and executes one large workload sharded
+across the cluster (``run(workload, backend="strix-cluster")``).
 """
 
 from __future__ import annotations
@@ -132,8 +138,8 @@ class ServeConfig:
         Overload admission policy name (``"reject-newest"`` /
         ``"shed-oldest"`` / ``"tenant-quota"``) or
         :class:`~repro.flow.AdmissionPolicy` instance, applied per arrival
-        at serving time (``simulate`` / ``replay_offer`` /
-        ``submit_async``) against ``queue_capacity`` / ``tenant_capacity``.
+        at serving time (inside :meth:`ServingRun.offer`, whichever entry
+        point feeds it) against ``queue_capacity`` / ``tenant_capacity``.
         ``None`` (default) admits everything and stays byte-identical to
         the pre-flow-subsystem behaviour.  See ``docs/overload.md``.
     queue_capacity:
@@ -244,6 +250,270 @@ class ServeReport:
         return body
 
 
+class RunActiveError(RuntimeError):
+    """The server already has an active serving run (one at a time)."""
+
+
+class ServingRun:
+    """One pass of requests through queue → batcher → cluster, on one clock.
+
+    The :class:`Server` entry points create it and pick the clock, the one
+    seam between them.  ``clock=None`` is the *simulated* clock: time is the
+    arrival of the request being offered, :meth:`offer` first fires every
+    batcher deadline due before it at its due time, and :meth:`drain` fires
+    the rest the same way.  A callable returning seconds since the run
+    began is the *wall* clock: deadlines are left to the caller's flusher
+    (:meth:`flush`), awaiting submitters register in :attr:`futures`, and
+    :meth:`drain` flushes whatever is queued *now*.
+
+    Every request offered ends exactly one way: an outcome (collected in
+    :attr:`metrics`), a refusal (raised by :meth:`offer` to its caller alone)
+    or a drop — shed, expired, or lost to a fault.  A registered future
+    receives the outcome or the drop's typed error; :meth:`resolved` hands
+    the caller streaming a simulated run both kinds since it last asked.
+    """
+
+    def __init__(self, server: "Server", label: str, clock: Callable[[], float] | None = None):
+        server._require_idle()
+        if server.queue:
+            raise RuntimeError(
+                "the server has queued sync submissions; simulate() or "
+                "discard them before starting another run"
+            )
+        self.server = server
+        self.label = label
+        self.clock = clock
+        server.cluster.reset_serving_state()
+        server.flow.reset()
+        # Fresh queue/batcher so the report's flush and depth stats are not
+        # polluted by earlier runs on this server.
+        self.queue = server.queue = server._make_queue()
+        self.batcher = server.batcher = server._make_batcher(self._expire)
+        self.metrics = MetricsCollector(server.batch_capacity)
+        #: Request id -> the future awaiting its outcome (wall-clock runs).
+        self.futures: dict[int, asyncio.Future] = {}
+        #: The crash that killed the run's flushing, once :meth:`fail` ran.
+        self.error: Exception | None = None
+        self._drops: list[tuple[Request, type[Exception], str]] = []
+        self._emitted = 0
+        self._last_arrival = 0.0
+        self._last_completion = 0.0
+        server.active_run = self
+
+    def now(self) -> float:
+        """The run's current time: the wall clock, else the serving clock."""
+        return self.clock() if self.clock is not None else self.server._clock
+
+    def retry_after_s(self) -> float:
+        """Deterministic backoff hint for a rejection at the current backlog."""
+        return self.server.flow.retry_after_s(self.queue, self.server.config.max_batch_delay_s)
+
+    # -- the arrival loop -------------------------------------------------------------
+
+    def offer(self, request: Request) -> None:
+        """Feed the run one request — the body of the only arrival loop.
+
+        A simulated run takes requests in non-decreasing ``arrival_s`` order
+        (:class:`ValueError` otherwise, before the request is counted or
+        admitted: dispatching into the past would report negative queueing
+        delays).  With admission control installed a rejected offer raises
+        :class:`~repro.flow.RequestRejectedError` after counting it and
+        advancing the clock — the request *arrived*, it just was not served.
+        A refusal (that, or the bounded queue overflowing with admission
+        off) concerns this caller only; a crash while flushing the batches
+        the arrival made due goes through :meth:`fail` first.
+        """
+        server = self.server
+        if server.active_run is not self:
+            raise RuntimeError(f"run {self.label!r} is closed; begin a new one")
+        arrival = request.arrival_s
+        if self.clock is None:
+            if arrival < self._last_arrival:
+                raise ValueError(
+                    f"request {request.request_id} arrives at {arrival}, before "
+                    f"the previous offer ({self._last_arrival}); a simulated run "
+                    "takes requests in non-decreasing arrival_s order"
+                )
+            self._fire_deadlines(arrival)
+            server._clock = max(server._clock, arrival)
+        self._last_arrival = arrival
+        admitted, victims, reason = server.flow.try_admit(self.queue, request)
+        if not admitted:
+            raise self._error(request, RequestRejectedError, f"rejected: {reason}")
+        for victim in victims:
+            self._drop(victim, RequestRejectedError, "was shed to admit newer work")
+        self.queue.push(request)
+        self._serve(self.batcher.poll, arrival)  # flush(arrival), minus its hop
+
+    def flush(self, now: float) -> None:
+        """Dispatch every batch due at ``now`` (the wall-clock flusher's step)."""
+        self._serve(self.batcher.poll, now)
+
+    def drain(self) -> None:
+        """Empty the queue: the end-of-trace step, also allowed mid-stream.
+
+        On the simulated clock every queued request flushes at its deadline;
+        on the wall clock everything still queued flushes now.
+        """
+        if self.clock is None:
+            self._fire_deadlines(None)
+        else:
+            self._serve(self.batcher.drain, self.clock())
+
+    def _fire_deadlines(self, until: float | None) -> None:
+        """Flush every deadline due before ``until`` (all of them when ``None``)."""
+        while True:
+            deadline = self.batcher.next_deadline(self.queue)
+            if deadline is None or (until is not None and deadline > until):
+                return
+            self.flush(deadline)
+
+    def _serve(self, take: Callable[[RequestQueue, float], list[Batch]], now: float) -> None:
+        """Dispatch what ``take`` (the batcher's ``poll`` or ``drain``) flushes at
+        ``now``; a crash in there reaches every awaiter (:meth:`fail`) before it propagates."""
+        try:
+            for batch in take(self.queue, now):
+                self._dispatch(batch)
+        except Exception as error:  # noqa: BLE001 - fanned out to awaiters
+            self.fail(error)
+            raise
+
+    def _dispatch(self, batch: Batch) -> None:
+        """Send one batch to the cluster and record its outcomes."""
+        server = self.server
+        dispatch = server.cluster.dispatch(batch, batch.created_s, server.params)
+        self._last_completion = max(self._last_completion, dispatch.end_s)
+        if dispatch.lost:
+            # The batch died with its device and the on_death policy did
+            # not replay it: no outcomes, no tenant accounting, no serving
+            # counters — the loss is charged to the fault injector, which
+            # the report's availability block and the conservation law
+            # (completed + lost == submitted) read it back from.
+            for request in batch.requests:
+                self._drop(request, RequestLostError, "was lost to a device fault")
+            return
+        for request in batch.requests:
+            server._account(request)
+        outcomes = [
+            RequestOutcome(
+                request=request,
+                batch_id=batch.batch_id,
+                device=dispatch.device,
+                dispatched_s=dispatch.start_s,
+                completed_s=dispatch.end_s,
+            )
+            for request in batch.requests
+        ]
+        self.metrics.record_batch(batch, outcomes, dispatch.breakdown)
+        server._requests_total.inc(len(batch.requests))
+        server._batches_total.inc()
+        server._items_total.inc(batch.total_items)
+        server._pbs_total.inc(batch.total_pbs)
+        for outcome in outcomes:
+            server._latency_hist.observe(outcome.latency_s)
+            server._queue_delay_hist.observe(outcome.queue_delay_s)
+        if self.futures:  # simulated runs never register any
+            for outcome in outcomes:
+                future = self.futures.pop(outcome.request.request_id, None)
+                if future is not None and not future.done():
+                    future.set_result(outcome)
+
+    # -- drops and failures -----------------------------------------------------------
+
+    def _error(self, request: Request, kind: type[Exception], what: str) -> Exception:
+        """The typed error owed to the submitter of a request ``what`` happened to."""
+        hint = {"retry_after_s": self.retry_after_s()} if kind is RequestRejectedError else {}
+        return kind(f"request {request.request_id} (tenant {request.tenant!r}) {what}", **hint)
+
+    def _expire(self, request: Request) -> None:
+        """The batcher dropped ``request`` as past its deadline."""
+        self.server.flow.note_expired(request)
+        self._drop(request, DeadlineExceededError, "expired before batching")
+
+    def _drop(self, request: Request, kind: type[Exception], what: str) -> None:
+        """An admitted request will never produce an outcome.  Its submitter
+        is owed a typed error: on the simulated clock :meth:`resolved` builds
+        it if somebody asks (a whole-trace :meth:`Server.simulate` never
+        does), on the wall clock the awaiting future gets it now (nobody
+        reads drops back there, so a long-lived server keeps none)."""
+        if self.clock is None:
+            self._drops.append((request, kind, what))
+            return
+        future = self.futures.pop(request.request_id, None)
+        if future is not None and not future.done():
+            future.set_exception(self._error(request, kind, what))
+
+    def fail(self, error: Exception) -> None:
+        """A flush crashed (e.g. a user-supplied policy raising in
+        ``select``): propagate it to every pending future — an awaiting
+        submitter must re-raise it, not hang on a future nobody will
+        resolve — and remember it so later submissions fail fast."""
+        self.error = error
+        for future in self.futures.values():
+            if not future.done():
+                future.set_exception(error)
+        self.futures.clear()
+
+    def resolved(self) -> tuple[list[RequestOutcome], list[tuple[Request, Exception]]]:
+        """Outcomes completed, and (on the simulated clock) requests dropped,
+        each with the typed error its submitter is owed, since the last call."""
+        outcomes = self.metrics.outcomes[self._emitted :]
+        self._emitted = len(self.metrics.outcomes)
+        drops = [(drop[0], self._error(*drop)) for drop in self._drops]
+        self._drops.clear()
+        return outcomes, drops
+
+    # -- the report -------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Detach from the server so another run can begin (idempotent)."""
+        if self.server.active_run is self:
+            self.server.active_run = None
+            # The batcher outlives the run as ``server.batcher``; unhooking
+            # it breaks the server → batcher → run cycle, so a finished
+            # run's collector is freed with its last reference instead of
+            # waiting for a garbage-collection pass.
+            self.batcher.on_expired = None
+
+    def finish(self, wire: dict[str, Any] | None = None) -> ServeReport:
+        """Drain, close the run and fold it into a :class:`ServeReport`.
+
+        ``wire`` (frame/byte counters, measured RTT percentiles) is carried
+        through to :attr:`ServeReport.wire` when the requests came over a
+        transport.
+        """
+        try:
+            self.drain()
+        finally:  # even when the drain crashes, so the server stays usable
+            self.close()
+        server, cluster = self.server, self.server.cluster
+        # Completions never precede arrivals, so the second term only
+        # matters when the last arrivals were rejected or dropped.
+        horizon = max(self._last_completion, self._last_arrival)
+        summary = self.metrics.summarize(
+            horizon_s=horizon,
+            flush_reasons=self.batcher.flush_reasons,
+            peak_queue_depth=self.queue.peak_depth,
+            device_utilization=cluster.device_utilization(horizon),
+            key_cache=cluster.key_cache_stats,
+            stage_plan_cache=cluster.layout.plan_cache_stats,
+            cost_cache=cluster.cost_cache_stats,
+            availability=cluster.faults.availability(horizon),
+            overload=server.flow.overload(),
+        )
+        return ServeReport(
+            label=self.label,
+            parameter_set=server.params.name,
+            devices=len(cluster),
+            policy=cluster.policy.name,
+            layout=cluster.layout.name,
+            cost_model=cluster.cost_model.name,
+            metrics=summary,
+            outcomes=list(self.metrics.outcomes),
+            wire=dict(wire or {}),
+        )
+
+
 class Server:
     """Multi-tenant FHE serving over a sharded Strix cluster."""
 
@@ -279,13 +549,8 @@ class Server:
             queue_capacity=config.queue_capacity,
             tenant_capacity=config.tenant_capacity,
         )
-        #: Called with ``(request, "shed" | "expired")`` for every admitted
-        #: request later dropped without an outcome — the
-        #: :class:`~repro.net.NetServer` hooks this to send a reply for
-        #: work that will never produce a RESULT frame.
-        self.drop_hook: Callable[[Request, str], None] | None = None
         #: Always-on unified metrics registry (see :mod:`repro.obs`):
-        #: serving counters/histograms fed by :meth:`_dispatch` plus live
+        #: serving counters/histograms fed by every dispatched batch plus live
         #: views over the subsystems' historical counter dicts — which stay
         #: the single source of truth, so :class:`ServeReport` is untouched.
         self.registry = MetricsRegistry()
@@ -308,7 +573,7 @@ class Server:
             "serve_queue_delay_seconds", "Arrival-to-dispatch queueing delay"
         )
         # Views close over self (not the current queue/batcher objects):
-        # simulate/replay/async re-create both, and the view must follow.
+        # every run re-creates both, and the view must follow.
         self.registry.register_view(
             "serve_queue",
             lambda: {
@@ -363,25 +628,32 @@ class Server:
         # Process-wide, not per-server: the negacyclic transform cache is
         # shared by every scalar and vectorized kernel in the process.
         register_transform_cache_view(self.registry)
+        # Between runs these hold what sync submit() staged; every
+        # ServingRun installs its own fresh pair.
         self.queue = self._make_queue()
         self.batcher = self._make_batcher()
+        #: The run currently serving (``None`` between runs).
+        self.active_run: ServingRun | None = None
         self._tenants: dict[str, TenantState] = {}
         self._request_counter = 0
         self._clock = 0.0
-        # Async-mode state (created by __aenter__).
-        self._async_futures: dict[int, asyncio.Future] = {}
-        self._async_metrics: MetricsCollector | None = None
-        self._async_epoch = 0.0
-        self._async_error: Exception | None = None
+        # The async context's flusher task and its wake-up event.
         self._wake: asyncio.Event | None = None
         self._flusher: asyncio.Task | None = None
-        #: Metrics of the last completed async context (set by :meth:`aclose`).
+        #: Report of the last completed async context (set by :meth:`aclose`).
         self.last_async_report: ServeReport | None = None
-        # Incremental-replay state (created by replay_begin).
-        self._replay_metrics: MetricsCollector | None = None
-        self._replay_emitted = 0
-        self._replay_last_completion = 0.0
-        self._replay_last_arrival = 0.0
+
+    def _require_idle(self) -> None:
+        """Refuse to start a run, or stage sync work, while a run is active:
+        runs share the cluster and the request-id space, and ``queue`` /
+        ``batcher`` are the active run's."""
+        run = self.active_run
+        if run is not None:
+            kind = "simulated run" if run.clock is None else "async context"
+            raise RunActiveError(
+                f"this server already has an active {kind} ({run.label!r}); "
+                "finish it first — one run at a time"
+            )
 
     def _make_queue(self) -> RequestQueue:
         """A fresh queue carrying the installed tracer (if any).
@@ -396,7 +668,7 @@ class Server:
             capacity=None if self.flow.enabled else self.config.queue_capacity,
         )
 
-    def _make_batcher(self) -> AdaptiveBatcher:
+    def _make_batcher(self, on_expired: Callable[[Request], None] | None = None) -> AdaptiveBatcher:
         """A fresh batcher honouring the configured QoS discipline."""
         return AdaptiveBatcher(
             self.batch_capacity,
@@ -404,46 +676,7 @@ class Server:
             qos=self.config.qos,
             tenant_weights=self.config.tenant_weights,
             observer=self.tracer,
-            on_expired=self._note_expired,
-        )
-
-    def _note_expired(self, request: Request) -> None:
-        """The batcher dropped ``request`` as past its deadline: count it,
-        fail its awaiting future (async path) and tell the wire hook."""
-        self.flow.note_expired(request)
-        future = self._async_futures.pop(request.request_id, None)
-        if future is not None and not future.done():
-            future.set_exception(
-                DeadlineExceededError(
-                    f"request {request.request_id} (tenant {request.tenant!r}) "
-                    f"expired before batching (deadline {request.deadline_s})"
-                )
-            )
-        if self.drop_hook is not None:
-            self.drop_hook(request, "expired")
-
-    def _drop_shed(self, victims: list[Request]) -> None:
-        """Fan the shed verdict out to each victim's awaiters and the wire."""
-        for request in victims:
-            future = self._async_futures.pop(request.request_id, None)
-            if future is not None and not future.done():
-                future.set_exception(
-                    RequestRejectedError(
-                        f"request {request.request_id} (tenant "
-                        f"{request.tenant!r}) was shed to admit newer work"
-                    )
-                )
-            if self.drop_hook is not None:
-                self.drop_hook(request, "shed")
-
-    def _reject(self, request: Request, reason: str) -> RequestRejectedError:
-        """The typed rejection for ``request``, carrying the retry hint."""
-        return RequestRejectedError(
-            f"request {request.request_id} (tenant {request.tenant!r}) "
-            f"rejected: {reason}",
-            retry_after_s=self.flow.retry_after_s(
-                self.queue, self.config.max_batch_delay_s
-            ),
+            on_expired=on_expired,
         )
 
     # -- observability ------------------------------------------------------------
@@ -456,9 +689,8 @@ class Server:
         :mod:`repro.net` front-end additionally reports reply times.
         Tracing is *pure observation* — batching, placement and the
         resulting :class:`ServeReport` are byte-identical with it on or
-        off — and survives the fresh queues/batchers that
-        :meth:`simulate`, :meth:`replay_begin` and the async context
-        create.  Pass an existing :class:`~repro.obs.Tracer` to share one
+        off — and survives the fresh queue/batcher every run creates.
+        Pass an existing :class:`~repro.obs.Tracer` to share one
         across servers; call :meth:`disable_tracing` to detach.
         """
         if tracer is None:
@@ -494,8 +726,8 @@ class Server:
     ) -> ServeSnapshot:
         """A point-in-time reading of the serving state.
 
-        ``now_s`` defaults to the wall clock of the active async context
-        (requires a running event loop) or the serving clock otherwise;
+        ``now_s`` defaults to the active run's clock — the wall clock
+        inside an async context, the serving clock otherwise;
         ``window`` bounds the trailing outcomes the per-tenant p99 is
         computed over.  ``window_s`` additionally bounds them in *time*:
         only outcomes completed after ``now_s - window_s`` count, so a
@@ -503,17 +735,10 @@ class Server:
         inheriting a stale percentile from its last burst forever.  This
         is the feed :meth:`watch` yields periodically.
         """
+        run = self.active_run
         if now_s is None:
-            if self._async_metrics is not None:
-                now_s = asyncio.get_running_loop().time() - self._async_epoch
-            else:
-                now_s = self._clock
-        collector = (
-            self._async_metrics
-            if self._async_metrics is not None
-            else self._replay_metrics
-        )
-        outcomes = collector.outcomes if collector is not None else []
+            now_s = run.now() if run is not None else self._clock
+        outcomes = run.metrics.outcomes if run is not None else []
         recent = outcomes[-window:] if window > 0 else []
         if window_s is not None:
             cutoff = now_s - window_s
@@ -553,16 +778,12 @@ class Server:
         ``interval_s`` while the async context is active.
 
         The live tap: per-tenant p99 over the trailing ``window`` outcomes,
-        queue backlog and device utilization — the feed an online
-        controller (ROADMAP item 5) consumes.  The generator ends when the
-        ``async with`` block closes.
+        queue backlog and device utilization — what a dashboard or an
+        autoscaler would poll.  The generator ends when the ``async with``
+        block closes.
         """
-        if self._async_metrics is None:
-            raise RuntimeError(
-                "watch() needs an active async context: "
-                "use `async with Server(...) as server`"
-            )
-        while self._async_metrics is not None:
+        run = self._async_run("watch()")
+        while self.active_run is run:
             yield self.snapshot(window=window, window_s=window_s)
             await asyncio.sleep(interval_s)
 
@@ -609,19 +830,10 @@ class Server:
         ``deadline_s`` after its arrival and the batcher drops it unserved
         past that.  Sync submission only *stages* work for
         :meth:`simulate` — admission-policy decisions happen at serving
-        time inside the simulation's arrival loop, exactly as they do for
-        :meth:`replay_offer` and :meth:`submit_async`.
+        time inside :meth:`ServingRun.offer`, exactly as they do for a
+        streamed run and :meth:`submit_async`.
         """
-        if self._async_metrics is not None:
-            raise RuntimeError(
-                "sync submit() cannot run inside an active async context; "
-                "use submit_async (the paths share queue and clock)"
-            )
-        if self._replay_metrics is not None:
-            raise RuntimeError(
-                "sync submit() cannot run inside an active replay; "
-                "use replay_offer (the paths share queue and clock)"
-            )
+        self._require_idle()
         arrival = self._clock if at is None else at
         self._clock = max(self._clock, arrival)
         request = Request.make(
@@ -634,7 +846,7 @@ class Server:
             deadline_s=None if deadline_s is None else arrival + deadline_s,
         )
         # Staged, not pushed: the queue's capacity bound applies to runtime
-        # depth inside simulate()'s arrival loop, not to trace length.
+        # depth inside the run's arrival loop, not to trace length.
         self.queue.stage(request)
         return request
 
@@ -651,7 +863,7 @@ class Server:
         state.items += request.items
         state.pbs += request.total_pbs
 
-    # -- offline simulation --------------------------------------------------------
+    # -- serving runs on the simulated clock --------------------------------------
 
     def simulate(
         self, trace: Iterable[Request] | None = None, label: str = "trace"
@@ -660,248 +872,45 @@ class Server:
 
         ``trace`` defaults to whatever :meth:`submit` queued; an explicit
         trace (e.g. from :mod:`repro.apps.traffic`) replaces the queue
-        contents.  Simulated time advances from arrival to arrival, firing
-        deadline flushes in between; every flushed batch goes to the device
-        the sharding policy picks and occupies it for the batch's service
-        time.
-
-        Not usable while an async context is active: both paths share the
-        queue, batcher and cluster, and request ids would collide.
+        contents.  The trace is sorted by arrival and offered to one
+        :class:`ServingRun` on the simulated clock: time advances from
+        arrival to arrival, firing deadline flushes in between; every
+        flushed batch goes to the device the sharding policy picks and
+        occupies it for the batch's service time.  Requests the admission
+        policy rejects are counted in the report's ``overload`` block and
+        the trace moves on.
         """
-        if self._async_metrics is not None:
-            raise RuntimeError(
-                "simulate() cannot run inside an active async context; "
-                "exit the `async with` block first"
-            )
-        if self._replay_metrics is not None:
-            raise RuntimeError(
-                "simulate() cannot run inside an active replay; "
-                "replay_finish() it first (the paths share queue and batcher)"
-            )
-        if trace is not None:
-            pending = sorted(trace, key=lambda request: request.arrival_s)
-        else:
-            pending = []
-            while self.queue:
-                pending.append(self.queue.pop())
-            pending.sort(key=lambda request: request.arrival_s)
-        self.queue = self._make_queue()
+        self._require_idle()
+        staged = []
+        while self.queue:
+            staged.append(self.queue.pop())
+        if trace is None:
+            trace = staged
+        run = ServingRun(self, label)
+        try:
+            for request in sorted(trace, key=lambda request: request.arrival_s):
+                try:
+                    run.offer(request)
+                except RequestRejectedError:
+                    pass
+            return run.finish()
+        finally:
+            # A crash mid-trace (e.g. a user policy raising in ``select``)
+            # must leave the server able to start its next run.
+            run.close()
 
-        self.cluster.reset_serving_state()
-        self.batcher = self._make_batcher()
-        self.flow.reset()
-        metrics = MetricsCollector(self.batch_capacity)
-        last_completion = 0.0
-        last_arrival = pending[-1].arrival_s if pending else 0.0
-
-        for request in pending:
-            last_completion = max(
-                last_completion, self._fire_deadlines(request.arrival_s, metrics)
-            )
-            self._clock = max(self._clock, request.arrival_s)
-            admitted, victims, _reason = self.flow.try_admit(self.queue, request)
-            if not admitted:
-                continue
-            self._drop_shed(victims)
-            self.queue.push(request)
-            for batch in self.batcher.poll(self.queue, request.arrival_s):
-                last_completion = max(
-                    last_completion, self._dispatch(batch, metrics)
-                )
-        last_completion = max(self._fire_deadlines(None, metrics), last_completion)
-
-        horizon = max(last_completion, last_arrival)
-        summary = metrics.summarize(
-            horizon_s=horizon,
-            flush_reasons=self.batcher.flush_reasons,
-            peak_queue_depth=self.queue.peak_depth,
-            device_utilization=self.cluster.device_utilization(horizon),
-            key_cache=self.cluster.key_cache_stats,
-            stage_plan_cache=self.cluster.layout.plan_cache_stats,
-            cost_cache=self.cluster.cost_cache_stats,
-            availability=self.cluster.faults.availability(horizon),
-            overload=self.flow.overload(),
-        )
-        return ServeReport(
-            label=label,
-            parameter_set=self.params.name,
-            devices=len(self.cluster),
-            policy=self.cluster.policy.name,
-            layout=self.cluster.layout.name,
-            cost_model=self.cluster.cost_model.name,
-            metrics=summary,
-            outcomes=list(metrics.outcomes),
-        )
-
-    def _fire_deadlines(self, until: float | None, metrics: MetricsCollector) -> float:
-        """Flush every deadline due before ``until`` (all of them when ``None``)."""
-        last_completion = 0.0
-        while True:
-            deadline = self.batcher.next_deadline(self.queue)
-            if deadline is None or (until is not None and deadline > until):
-                return last_completion
-            for batch in self.batcher.poll(self.queue, deadline):
-                last_completion = max(last_completion, self._dispatch(batch, metrics))
-
-    def _dispatch(self, batch: Batch, metrics: MetricsCollector) -> float:
-        """Send one batch to the cluster and record its outcomes."""
-        dispatch = self.cluster.dispatch(batch, batch.created_s, self.params)
-        if dispatch.lost:
-            # The batch died with its device and the on_death policy did
-            # not replay it: no outcomes, no tenant accounting, no serving
-            # counters — the loss is charged to the fault injector, which
-            # the report's availability block and the conservation law
-            # (completed + lost == submitted) read it back from.
-            self._fail_lost_futures(batch)
-            return dispatch.end_s
-        for request in batch.requests:
-            self._account(request)
-        outcomes = [
-            RequestOutcome(
-                request=request,
-                batch_id=batch.batch_id,
-                device=dispatch.device,
-                dispatched_s=dispatch.start_s,
-                completed_s=dispatch.end_s,
-            )
-            for request in batch.requests
-        ]
-        metrics.record_batch(batch, outcomes, dispatch.breakdown)
-        self._requests_total.inc(len(batch.requests))
-        self._batches_total.inc()
-        self._items_total.inc(batch.total_items)
-        self._pbs_total.inc(batch.total_pbs)
-        for outcome in outcomes:
-            self._latency_hist.observe(outcome.latency_s)
-            self._queue_delay_hist.observe(outcome.queue_delay_s)
-        self._resolve_futures(outcomes)
-        return dispatch.end_s
-
-    # -- incremental replay --------------------------------------------------------
-
-    def replay_begin(self) -> None:
-        """Start an incremental trace replay (the streaming twin of :meth:`simulate`).
+    def begin_run(self, label: str = "run") -> ServingRun:
+        """Open a streamed run: :meth:`simulate` for callers without the
+        whole trace in hand.
 
         The network front-end receives a recorded trace one request at a
-        time, so it cannot hand :meth:`simulate` a complete list — instead
-        it opens a replay, :meth:`replay_offer`\\ s each request as its
-        frame arrives (in arrival order) and :meth:`replay_drain`\\ s at the
-        end.  Processing one offer is *exactly* one iteration of
-        :meth:`simulate`'s loop, so a full offer/drain pass over a sorted
-        trace produces bit-for-bit the outcomes and metrics the in-process
-        path produces: framing changes latency, never results.
+        time: it calls :meth:`ServingRun.offer` per frame (in arrival
+        order), answers what :meth:`ServingRun.resolved` reports after each
+        and ends with :meth:`ServingRun.finish`.  Same engine, so the same
+        outcomes and metrics bit for bit: framing changes latency, never
+        results.
         """
-        if self._async_metrics is not None:
-            raise RuntimeError(
-                "a replay cannot start inside an active async context; "
-                "exit the `async with` block first"
-            )
-        if self.queue:
-            raise RuntimeError(
-                "the server has queued sync submissions; simulate() or "
-                "discard them before starting a replay"
-            )
-        self.cluster.reset_serving_state()
-        self.queue = self._make_queue()
-        self.batcher = self._make_batcher()
-        self.flow.reset()
-        self._replay_metrics = MetricsCollector(self.batch_capacity)
-        self._replay_emitted = 0
-        self._replay_last_completion = 0.0
-        self._replay_last_arrival = 0.0
-
-    def _require_replay(self) -> MetricsCollector:
-        if self._replay_metrics is None:
-            raise RuntimeError("no replay is active; call replay_begin() first")
-        return self._replay_metrics
-
-    def _new_replay_outcomes(self, metrics: MetricsCollector) -> list[RequestOutcome]:
-        fresh = metrics.outcomes[self._replay_emitted :]
-        self._replay_emitted = len(metrics.outcomes)
-        return list(fresh)
-
-    def replay_offer(self, request: Request) -> list[RequestOutcome]:
-        """Feed the replay one request; returns every outcome it resolved.
-
-        Requests must arrive in non-decreasing ``arrival_s`` order (the
-        order :meth:`simulate` sorts into); the returned outcomes cover any
-        deadline flushes due before this arrival plus any capacity flushes
-        it triggered — possibly none, when the request merely joins a
-        batch still filling.
-
-        With admission control installed a rejected offer raises
-        :class:`~repro.flow.RequestRejectedError` (after counting it and
-        advancing the replay clock — the request *arrived*, it just was
-        not served), exactly mirroring the decision :meth:`simulate` makes
-        for the same trace position.
-        """
-        metrics = self._require_replay()
-        self._replay_last_completion = max(
-            self._replay_last_completion,
-            self._fire_deadlines(request.arrival_s, metrics),
-        )
-        self._clock = max(self._clock, request.arrival_s)
-        self._replay_last_arrival = max(self._replay_last_arrival, request.arrival_s)
-        admitted, victims, reason = self.flow.try_admit(self.queue, request)
-        if not admitted:
-            raise self._reject(request, reason)
-        self._drop_shed(victims)
-        self.queue.push(request)
-        for batch in self.batcher.poll(self.queue, request.arrival_s):
-            self._replay_last_completion = max(
-                self._replay_last_completion, self._dispatch(batch, metrics)
-            )
-        return self._new_replay_outcomes(metrics)
-
-    def replay_drain(self) -> list[RequestOutcome]:
-        """Fire every outstanding deadline; returns the outcomes it resolved.
-
-        The end-of-trace step (:meth:`simulate` does the same before
-        summarizing): every queued request still waiting flushes at its
-        deadline.  The replay stays open, so a drain mid-stream is allowed
-        — it just empties the queue at the current deadlines.
-        """
-        metrics = self._require_replay()
-        self._replay_last_completion = max(
-            self._fire_deadlines(None, metrics), self._replay_last_completion
-        )
-        return self._new_replay_outcomes(metrics)
-
-    def replay_finish(
-        self, label: str = "replay", wire: dict[str, Any] | None = None
-    ) -> ServeReport:
-        """Drain, close the replay and fold it into a :class:`ServeReport`.
-
-        ``wire`` (frame/byte counters, measured RTT percentiles) is carried
-        through to :attr:`ServeReport.wire` when the replay came over a
-        transport.
-        """
-        metrics = self._require_replay()
-        self.replay_drain()
-        self._replay_metrics = None
-        horizon = max(self._replay_last_completion, self._replay_last_arrival)
-        summary = metrics.summarize(
-            horizon_s=horizon,
-            flush_reasons=self.batcher.flush_reasons,
-            peak_queue_depth=self.queue.peak_depth,
-            device_utilization=self.cluster.device_utilization(horizon),
-            key_cache=self.cluster.key_cache_stats,
-            stage_plan_cache=self.cluster.layout.plan_cache_stats,
-            cost_cache=self.cluster.cost_cache_stats,
-            availability=self.cluster.faults.availability(horizon),
-            overload=self.flow.overload(),
-        )
-        return ServeReport(
-            label=label,
-            parameter_set=self.params.name,
-            devices=len(self.cluster),
-            policy=self.cluster.policy.name,
-            layout=self.cluster.layout.name,
-            cost_model=self.cluster.cost_model.name,
-            metrics=summary,
-            outcomes=list(metrics.outcomes),
-            wire=dict(wire or {}),
-        )
+        return ServingRun(self, label)
 
     # -- sharded one-shot execution ---------------------------------------------------
 
@@ -919,40 +928,27 @@ class Server:
             workload, params=params if params is not None else self.params, **options
         )
 
-    # -- async path --------------------------------------------------------------------
+    # -- the serving run on the wall clock --------------------------------------------
 
     async def __aenter__(self) -> "Server":
-        if self._async_metrics is not None:
-            raise RuntimeError(
-                "this server already has an active async context; "
-                "one `async with` block at a time"
-            )
-        if self._replay_metrics is not None:
-            raise RuntimeError(
-                "an async context cannot open inside an active replay; "
-                "replay_finish() it first"
-            )
-        if self.queue:
-            raise RuntimeError(
-                "the server has queued sync submissions; simulate() or "
-                "discard them before entering an async context"
-            )
         loop = asyncio.get_running_loop()
-        self._async_epoch = loop.time()
-        self._async_metrics = MetricsCollector(self.batch_capacity)
-        self._async_error = None
+        epoch = loop.time()
+        run = ServingRun(self, "async", clock=lambda: loop.time() - epoch)
+        self.last_async_report = None
         self._wake = asyncio.Event()
-        # Fresh queue/batcher so the async report's flush and depth stats
-        # are not polluted by earlier simulations on this server.
-        self.queue = self._make_queue()
-        self.batcher = self._make_batcher()
-        self.cluster.reset_serving_state()
-        self.flow.reset()
-        self._flusher = loop.create_task(self._flush_loop())
+        self._flusher = loop.create_task(self._flush_loop(run, self._wake))
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.aclose()
+
+    def _async_run(self, what: str) -> ServingRun:
+        run = self.active_run
+        if run is None or run.clock is None:
+            raise RuntimeError(
+                f"{what} needs an active async context: use `async with Server(...) as server`"
+            )
+        return run
 
     async def submit_async(
         self,
@@ -977,19 +973,14 @@ class Server:
         queued submission shed later fails its await with the same error —
         a caller never hangs on dropped work.
         """
-        if self._async_metrics is None:
-            raise RuntimeError(
-                "async submission needs an active async context: "
-                "use `async with Server(...) as server`"
-            )
-        if self._async_error is not None:
+        run = self._async_run("async submission")
+        if run.error is not None:
             # The flusher died; accepting new work would hang the caller.
             raise RuntimeError(
                 "the serving flush loop has crashed; no further submissions "
                 "will be processed"
-            ) from self._async_error
-        loop = asyncio.get_running_loop()
-        now = loop.time() - self._async_epoch
+            ) from run.error
+        now = run.now()
         request = Request.make(
             self._next_request_id(),
             tenant,
@@ -999,19 +990,18 @@ class Server:
             model=model,
             deadline_s=None if deadline_s is None else now + deadline_s,
         )
-        admitted, victims, reason = self.flow.try_admit(self.queue, request)
-        if not admitted:
-            raise self._reject(request, reason)
-        future: asyncio.Future = loop.create_future()
-        self._async_futures[request.request_id] = future
-        self._drop_shed(victims)
-        self.queue.push(request)
-        if self.queue.queued_items >= self.batch_capacity:
-            try:
-                self._flush_async(now)
-            except Exception as error:  # noqa: BLE001 - fanned out to awaiters
-                self._fail_pending_futures(error)
-        elif self._wake is not None:
+        future = asyncio.get_running_loop().create_future()
+        run.futures[request.request_id] = future
+        try:
+            run.offer(request)
+        except Exception:
+            if run.error is None:
+                # Refused before it was queued (admission, or the bounded
+                # queue overflowing): this caller's problem alone.
+                del run.futures[request.request_id]
+                raise
+            # Else a flush crashed: fail() gave that to every awaiter, this one included.
+        if run.queue:
             self._wake.set()  # tell the flusher a deadline now exists
         return await future
 
@@ -1025,50 +1015,17 @@ class Server:
                 pass
             except Exception:  # noqa: BLE001 - already delivered to awaiters
                 # A flush crash was fanned out to the pending futures when it
-                # happened; re-raising here would skip the state cleanup below
+                # happened; re-raising here would skip closing the run below
                 # and wedge the server permanently.
                 pass
             self._flusher = None
-        if self._async_metrics is not None:
-            loop = asyncio.get_running_loop()
-            now = loop.time() - self._async_epoch
-            metrics = self._async_metrics
-            try:
-                for batch in self.batcher.drain(self.queue, now):
-                    self._dispatch(batch, metrics)
-            except Exception as error:  # noqa: BLE001 - fanned out to awaiters
-                self._fail_pending_futures(error)
-                raise
-            finally:
-                self._async_metrics = None
-                self._wake = None
-                horizon = max(
-                    (outcome.completed_s for outcome in metrics.outcomes),
-                    default=now,
-                )
-                self.last_async_report = ServeReport(
-                    label="async",
-                    parameter_set=self.params.name,
-                    devices=len(self.cluster),
-                    policy=self.cluster.policy.name,
-                    layout=self.cluster.layout.name,
-                    cost_model=self.cluster.cost_model.name,
-                    metrics=metrics.summarize(
-                        horizon_s=horizon,
-                        flush_reasons=self.batcher.flush_reasons,
-                        peak_queue_depth=self.queue.peak_depth,
-                        device_utilization=self.cluster.device_utilization(horizon),
-                        key_cache=self.cluster.key_cache_stats,
-                        stage_plan_cache=self.cluster.layout.plan_cache_stats,
-                        cost_cache=self.cluster.cost_cache_stats,
-                        availability=self.cluster.faults.availability(horizon),
-                        overload=self.flow.overload(),
-                    ),
-                    outcomes=list(metrics.outcomes),
-                )
+        run = self.active_run
+        if run is not None and run.clock is not None:
+            self.last_async_report = run.finish()
 
-    async def _flush_loop(self) -> None:
-        """Fire deadline flushes on the wall clock.
+    @staticmethod
+    async def _flush_loop(run: ServingRun, wake: asyncio.Event) -> None:
+        """Fire the run's deadline flushes on the wall clock.
 
         Event-driven, not polling: with an empty queue the loop parks on an
         ``asyncio.Event`` that :meth:`submit_async` sets on arrival (zero
@@ -1077,58 +1034,18 @@ class Server:
         flushes pop from the front), so sleeping to it never misses a flush.
 
         A crash anywhere in a flush (e.g. a user-supplied policy raising in
-        ``select``) must not die silently: every awaiting submitter would
-        hang forever on a future nobody will resolve.  The exception is
-        propagated to all pending futures instead, so ``await
+        ``select``) ends this task, but not silently: the run has handed it
+        to every pending future (:meth:`ServingRun.fail`), so ``await
         submit_async(...)`` re-raises it at the call sites.
         """
-        loop = asyncio.get_running_loop()
-        wake = self._wake
-        assert wake is not None
         while True:
-            deadline = self.batcher.next_deadline(self.queue)
+            deadline = run.batcher.next_deadline(run.queue)
             if deadline is None:
                 wake.clear()
                 await wake.wait()
                 continue
-            now = loop.time() - self._async_epoch
+            now = run.now()
             if now < deadline:
                 await asyncio.sleep(deadline - now)
-                now = loop.time() - self._async_epoch
-            try:
-                due = self.batcher.next_deadline(self.queue)
-                if due is not None and now >= due:
-                    self._flush_async(now)
-            except Exception as error:  # noqa: BLE001 - fanned out to awaiters
-                self._fail_pending_futures(error)
-                raise
-
-    def _fail_pending_futures(self, error: Exception) -> None:
-        self._async_error = error
-        for future in self._async_futures.values():
-            if not future.done():
-                future.set_exception(error)
-        self._async_futures.clear()
-
-    def _flush_async(self, now: float) -> None:
-        assert self._async_metrics is not None
-        for batch in self.batcher.poll(self.queue, now):
-            self._dispatch(batch, self._async_metrics)
-
-    def _resolve_futures(self, outcomes: list[RequestOutcome]) -> None:
-        for outcome in outcomes:
-            future = self._async_futures.pop(outcome.request.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(outcome)
-
-    def _fail_lost_futures(self, batch: Batch) -> None:
-        """Raise :class:`RequestLostError` into awaiters of a lost batch."""
-        for request in batch.requests:
-            future = self._async_futures.pop(request.request_id, None)
-            if future is not None and not future.done():
-                future.set_exception(
-                    RequestLostError(
-                        f"request {request.request_id} (tenant "
-                        f"{request.tenant!r}) was lost to a device fault"
-                    )
-                )
+                now = run.now()
+            run.flush(now)  # a no-op when the sleep woke early

@@ -28,6 +28,7 @@ import abc
 import zlib
 
 from repro.errors import UnknownPolicyError
+from repro.registry import Registry
 from repro.serve.batcher import Batch
 
 
@@ -178,20 +179,14 @@ class KeyAffinityPolicy(ShardingPolicy):
         return min(candidates, key=busy_until.__getitem__)
 
 
-_POLICIES: dict[str, type[ShardingPolicy]] = {
-    policy.name: policy
-    for policy in (
-        RoundRobinPolicy,
-        LeastLoadedPolicy,
-        AffinityPolicy,
-        KeyAffinityPolicy,
-    )
-}
+_POLICIES: Registry[ShardingPolicy] = Registry(
+    UnknownPolicyError,
+    ShardingPolicy,
+    (RoundRobinPolicy, LeastLoadedPolicy, AffinityPolicy, KeyAffinityPolicy),
+)
 
-
-def list_policies() -> list[str]:
-    """Names of all sharding policies, sorted."""
-    return sorted(_POLICIES)
+#: Names of all sharding policies, sorted.
+list_policies = _POLICIES.names
 
 
 def get_policy(policy: str | ShardingPolicy) -> ShardingPolicy:
@@ -202,9 +197,4 @@ def get_policy(policy: str | ShardingPolicy) -> ShardingPolicy:
     plain-sentence rendering), still a ``ValueError`` for historical
     callers.
     """
-    if isinstance(policy, ShardingPolicy):
-        return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
-        raise UnknownPolicyError(policy, list_policies()) from None
+    return _POLICIES.get(policy)

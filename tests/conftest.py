@@ -7,11 +7,17 @@ per session and shared.  Tests never mutate the contexts' key material.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.arch.accelerator import StrixAccelerator
+from repro.faults import FaultSchedule
+from repro.flow import RequestRejectedError
+from repro.net.loadgen import replay_trace
 from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
+from repro.serve import Server
 from repro.tfhe.context import TFHEContext
 
 
@@ -41,3 +47,70 @@ def small_context() -> TFHEContext:
 def strix() -> StrixAccelerator:
     """The default Strix accelerator model (TvLP=8, CLP=4, folded FFT)."""
     return StrixAccelerator()
+
+
+def ledger(report) -> dict[str, int]:
+    """How every submitted request of ``report`` ended, by fate."""
+    overload, availability = report.metrics.overload, report.metrics.availability
+    return {
+        "completed": report.metrics.requests,
+        "lost": availability.get("requests_lost", 0),
+        "rejected": overload.get("rejected", 0),
+        "shed": overload.get("shed", 0),
+        "expired": overload.get("expired", 0),
+    }
+
+
+def _serve_three_ways(trace, deadline=False, death=False, **options):
+    """Serve ``trace`` through all three simulated-clock entries and assert
+    they agree: ``simulate(trace)`` ≡ ``begin_run``/``offer``*/``finish`` ≡
+    the trace over loopback TCP, on outcomes and on ``to_dict()`` (the wire
+    run adds only its ``wire`` block and the BUSY frames it counted), with
+    every request accounted for exactly once in all three.
+
+    ``deadline`` gives every request a budget just under the batcher's
+    flush delay, so the head of each deadline-flushed batch expires;
+    ``death`` kills the device serving the middle request halfway through
+    that batch with ``on_death="drop"``, so it is lost.  Returns
+    ``(in_process_report, wire_report)``.
+    """
+    if deadline:
+        trace = [replace(r, deadline_s=r.arrival_s + 0.0019) for r in trace]
+    if death:
+        served = Server(**options).simulate(trace).outcomes
+        victim = served[len(served) // 2]
+        midway = (victim.dispatched_s + victim.completed_s) / 2
+        options.update(
+            faults=FaultSchedule.of(FaultSchedule.death(victim.device, midway)),
+            on_death="drop",
+        )
+    local = Server(**options).simulate(trace, label="three-ways")
+    run = Server(**options).begin_run(label="three-ways")
+    for request in sorted(trace, key=lambda r: r.arrival_s):
+        try:
+            run.offer(request)
+        except RequestRejectedError:
+            pass
+    run.drain()
+    streamed = run.finish()
+    wire = replay_trace(trace, label="three-ways", **options)
+
+    assert streamed.outcomes == local.outcomes
+    assert streamed.to_dict() == local.to_dict()
+    wired = wire.to_dict()
+    assert wired.pop("wire")
+    wired.get("overload", {}).pop("busy_replies", None)
+    assert wire.outcomes == local.outcomes
+    assert wired == local.to_dict()
+    for report in (local, streamed, wire):
+        assert sum(ledger(report).values()) == len(trace)
+    fates = ledger(local)
+    assert (fates["expired"] > 0) == deadline
+    assert (fates["lost"] > 0) == death
+    return local, wire
+
+
+@pytest.fixture
+def serve_three_ways():
+    """:func:`_serve_three_ways`, for the in-process ≡ TCP equality tests."""
+    return _serve_three_ways

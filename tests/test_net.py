@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.apps.traffic import bursty_trace, steady_trace
 from repro.net import codec, protocol
 from repro.net.client import AsyncNetClient, NetClient, NetError
-from repro.net.loadgen import closed_loop, replay_trace
+from repro.net.loadgen import closed_loop
 from repro.net.protocol import (
     HEADER,
     MAGIC,
@@ -40,7 +40,6 @@ from repro.net.protocol import (
 from repro.net.server import NetServer
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.serve.request import Request
-from repro.serve.server import Server
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.serialization import lwe_to_bytes
 
@@ -290,18 +289,24 @@ class _ThreadedServer:
 
 
 class TestLoopbackReplay:
-    def test_wire_replay_is_bit_for_bit_with_simulation(self):
+    @pytest.mark.parametrize("death", [False, True], ids=["ok", "death"])
+    @pytest.mark.parametrize("deadline", [False, True], ids=["nodl", "dl"])
+    @pytest.mark.parametrize("qos", ["fifo", "fair"])
+    def test_wire_replay_is_bit_for_bit_with_simulation(
+        self, serve_three_ways, qos, deadline, death
+    ):
         trace = bursty_trace(1500.0, 0.2, seed=11, tenants=5)
-        reference = Server(devices=4, params="I").simulate(list(trace), label="net-replay")
-        report = replay_trace(trace, devices=4, params="I", label="net-replay")
-        assert report.outcomes == reference.outcomes
+        reference, report = serve_three_ways(
+            trace, deadline, death, devices=4, params="I", qos=qos
+        )
         assert report.metrics == reference.metrics
-        wired, in_process = report.to_dict(), reference.to_dict()
-        assert wired.pop("wire")  # only the wire block differs
-        assert wired == in_process
         assert report.wire["connections"] == 1
         assert report.wire["frames_received"] == len(trace) + 2  # hello + submits + drain
-        assert report.wire["errors_sent"] == 0
+        # Without admission control nothing is BUSY: every request that did
+        # not complete is answered by exactly one typed ERROR.
+        unserved = len(trace) - reference.metrics.requests
+        assert report.wire["errors_sent"] == unserved
+        assert report.wire.get("client_dropped", 0) == unserved
 
     def test_replay_drain_returns_every_outcome(self):
         trace = steady_trace(rate_rps=600.0, duration_s=0.1, seed=2)
@@ -324,6 +329,47 @@ class TestLoopbackReplay:
         assert {o.request.request_id for o in outcomes} == {
             r.request_id for r in trace
         }
+
+    def test_out_of_order_submit_gets_bad_message_and_replay_keeps_serving(self):
+        early, late = (
+            Request.make(index, "t0", "bootstrap", items=2, arrival_s=arrival)
+            for index, arrival in ((1, 0.010), (2, 0.001))
+        )
+
+        async def scenario():
+            async with NetServer(mode="replay", devices=1, params="I") as net:
+                client = await AsyncNetClient.connect(*net.address)
+                first = client.submit_nowait(early)
+                with pytest.raises(NetError) as excinfo:
+                    await asyncio.wait_for(client.submit_nowait(late), timeout=5.0)
+                assert excinfo.value.reply.code == ErrorCode.BAD_MESSAGE
+                assert "non-decreasing" in excinfo.value.reply.message
+                await client.drain()
+                outcome = await first
+                await client.close()
+            return outcome, net.last_report
+
+        outcome, report = asyncio.run(scenario())
+        # The time-travelling request was never served; the rest of the
+        # replay is untouched by it (no negative queueing delay).
+        assert [o.request.request_id for o in report.outcomes] == [1]
+        assert outcome.queue_delay_s >= 0.0 and report.metrics.queue_delay.p50_s >= 0.0
+
+    def test_invalid_submit_leaves_no_owner_entry(self):
+        async def scenario():
+            async with NetServer(mode="replay", devices=1, params="I") as net:
+                reader, writer = await asyncio.open_connection(*net.address)
+                payload = codec.encode_submit(
+                    7, "t0", "inference", 1, arrival_s=0.001, model="NN-9000"
+                )
+                writer.write(encode_frame(MessageType.SUBMIT, payload))
+                (event,) = await _recv_events(reader, FrameDecoder())
+                reply = _error_reply(event)
+                assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 7)
+                assert net._replay_owners == {}
+                writer.close()
+
+        asyncio.run(scenario())
 
 
 # -- typed error replies, server keeps serving --------------------------------------

@@ -258,10 +258,11 @@ class TestSnapshots:
             key=lambda r: r.arrival_s,
         )
         server = Server(devices=2)
-        server.replay_begin()
+        run = server.begin_run(label="snap")
         resolved = 0
         for request in trace[: len(trace) // 2]:
-            resolved += len(server.replay_offer(request))
+            run.offer(request)
+            resolved += len(run.resolved()[0])
         snapshot = server.snapshot()
         assert isinstance(snapshot, ServeSnapshot)
         assert snapshot.requests_done == resolved
@@ -270,8 +271,8 @@ class TestSnapshots:
         as_dict = snapshot.to_dict()
         assert as_dict["requests_done"] == resolved
         assert isinstance(as_dict["device_utilization"], dict)
-        report = server.replay_finish(label="snap")
-        final = server.snapshot()  # replay closed: the collector is gone
+        report = run.finish()
+        final = server.snapshot()  # run closed: the collector is gone
         assert len(report.outcomes) == len(trace) // 2
         assert final.requests_done == 0 and final.queue_depth == 0
 

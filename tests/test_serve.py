@@ -22,6 +22,7 @@ from repro.serve import (
     Request,
     RequestQueue,
     RoundRobinPolicy,
+    RunActiveError,
     ServeConfig,
     Server,
     percentile,
@@ -198,10 +199,10 @@ def test_snapshot_window_s_drops_idle_tenants():
         make_request(3, items=4, arrival_s=0.090, tenant="hot"),
     ]
     server = Server(devices=2)
-    server.replay_begin()
+    run = server.begin_run(label="window")
     for request in trace:
-        server.replay_offer(request)
-    server.replay_drain()
+        run.offer(request)
+    run.drain()
     stale = server.snapshot(now_s=0.1)
     assert set(stale.tenant_p99_s) == {"cold", "hot"}  # cold is inherited
     fresh = server.snapshot(now_s=0.1, window_s=0.05)
@@ -210,7 +211,7 @@ def test_snapshot_window_s_drops_idle_tenants():
     # A window wide enough to cover everything changes nothing.
     wide = server.snapshot(now_s=0.1, window_s=10.0)
     assert wide.tenant_p99_s == stale.tenant_p99_s
-    server.replay_finish(label="window")
+    run.finish()
 
 
 # -- traffic generators -------------------------------------------------------------
@@ -402,6 +403,67 @@ def test_sync_paths_refused_inside_async_context():
     asyncio.run(scenario())
 
 
+def test_second_run_while_one_is_active_names_the_active_run():
+    """One run at a time, whichever entry point asks: a single typed error."""
+    server = Server(devices=1, params="I")
+    first = server.begin_run(label="first")
+    first.offer(make_request(1, items=2, arrival_s=0.001))
+
+    async def enter():
+        async with server:
+            pass
+
+    for start in (
+        lambda: server.begin_run(label="second"),
+        lambda: server.simulate([make_request(2, items=2)]),
+        lambda: server.submit("t0", "bootstrap", items=2),
+        lambda: asyncio.run(enter()),
+    ):
+        with pytest.raises(RunActiveError, match="simulated run \\('first'\\)"):
+            start()
+    # The refused starts disturbed nothing: the first run still holds its
+    # request, and finishing it frees the server for the next run.
+    assert server.active_run is first and server.queue is first.queue
+    assert [o.request.request_id for o in first.finish().outcomes] == [1]
+    assert server.active_run is None
+    assert server.simulate([make_request(3, items=2)]).metrics.requests == 1
+    with pytest.raises(RuntimeError, match="closed"):
+        first.offer(make_request(4, items=2, arrival_s=0.002))
+
+
+def test_simulated_run_refuses_out_of_order_offers():
+    """Dispatching into the past would report negative queueing delays."""
+    server = Server(devices=1, params="I")
+    run = server.begin_run()
+    run.offer(make_request(1, items=2, arrival_s=0.010))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        run.offer(make_request(2, items=2, arrival_s=0.001))
+    run.offer(make_request(3, items=2, arrival_s=0.010))  # ties are in order
+    report = run.finish()
+    # The refused offer was never counted, admitted or served.
+    assert [o.request.request_id for o in report.outcomes] == [1, 3]
+    assert report.metrics.queue_delay.p50_s >= 0.0
+    assert server.queue.total_enqueued == 2
+
+
+def test_simulate_crashing_mid_trace_leaves_the_server_reusable():
+    class ExplodesOnce(RoundRobinPolicy):
+        armed = True
+
+        def select(self, busy_until, batch, resident=None):
+            if self.armed:
+                self.armed = False
+                raise RuntimeError("boom")
+            return super().select(busy_until, batch, resident)
+
+    trace = [make_request(index, items=2, arrival_s=index * 1e-3) for index in range(6)]
+    server = Server(devices=1, params="I", policy=ExplodesOnce(), batch_capacity=4)
+    with pytest.raises(RuntimeError, match="boom"):
+        server.simulate(trace)
+    assert server.active_run is None
+    assert server.simulate(trace).metrics.requests == len(trace)
+
+
 def test_async_report_stats_do_not_inherit_sync_history():
     server = Server(devices=1, params="I", max_batch_delay_s=1e-3)
     sync_report = server.simulate(
@@ -559,7 +621,7 @@ def test_server_remains_usable_after_a_crashed_async_context():
         return server
 
     server = asyncio.run(scenario())
-    assert server._async_metrics is None  # context fully closed
+    assert server.active_run is None  # context fully closed
     # Sync paths work again; a dispatch through the broken policy still
     # raises its own error, but the server is not wedged in async mode.
     with pytest.raises(RuntimeError, match="boom"):
@@ -585,6 +647,34 @@ def test_async_submission_after_flusher_crash_raises_instead_of_hanging():
                 await server.submit_async("t0", "bootstrap", items=1)
 
     asyncio.run(scenario())
+
+
+def test_async_refused_submission_fails_only_its_caller():
+    """A submit the bounded queue (or a raising admission policy) refuses is
+    that caller's error: it must not be fanned out to the requests already
+    waiting, nor mark the run crashed for everyone after it."""
+    from repro.serve import QueueOverflowError
+
+    async def scenario():
+        server = Server(
+            devices=1, params="I", queue_capacity=2, max_batch_delay_s=30.0
+        )
+        async with server:
+            waiting = [
+                asyncio.ensure_future(server.submit_async("t0", "bootstrap"))
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0)  # both are queued, far from their deadline
+            with pytest.raises(QueueOverflowError):
+                await server.submit_async("t1", "bootstrap")
+            run = server.active_run
+            assert run.error is None and len(run.futures) == 2
+            assert not any(future.done() for future in waiting)
+        return await asyncio.gather(*waiting), server.last_async_report
+
+    outcomes, report = asyncio.run(scenario())
+    assert [outcome.request.tenant for outcome in outcomes] == ["t0", "t0"]
+    assert report.metrics.requests == 2
 
 
 # -- per-tenant QoS (weighted fair queuing) -----------------------------------------
