@@ -28,6 +28,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],  # np.fft.*(out=) and in-place transforms
     extras_require={"test": ["pytest"]},
 )

@@ -13,15 +13,37 @@ the whole batch instead of paying it per ciphertext.
 suite in ``tests/test_batch_kernels.py`` and by the deterministic
 ``kernel/*`` records in ``BENCH_sim.json`` — is that element ``i`` of every
 batched result equals the scalar kernel applied to element ``i``, exactly,
-not approximately.  Integer steps are exact by construction; the two
-floating-point steps reuse the *same* numpy primitives as the scalar path
-(`np.fft` applied along the last axis, ``einsum`` with an added batch
-subscript), which numpy evaluates per-row with an identical reduction
-order, so even the float intermediates agree to the last bit.  The one
-control-flow divergence — the scalar loop *skips* blind-rotation iterations
-whose switched mask element is zero — is harmless: a zero exponent makes the
-CMux difference exactly zero, which decomposes to all-zero digits and an
-exactly-zero external product, leaving the accumulator untouched.
+not approximately.  Integer steps are exact by construction (the rotation is
+a signed permutation, the digits are masked bit fields, reductions commute
+with the additions between them).  The floating-point steps of blind
+rotation run in place in one per-call workspace, and stay equal to the
+scalar path's allocating ones for three reasons:
+
+* *Power-of-two scale folding is exact.*  The transform's
+  ``ifft(norm="forward")`` and precomputed ``untwist / half`` replace
+  ``ifft(...) * half`` and ``fft(...) / half * untwist``; multiplying a
+  double by a power of two only changes its exponent, so both orders round
+  identically.  Scalar and batched kernels call the same ``forward`` /
+  ``inverse`` (``tests/test_fft_transforms.py`` pins them to the unfused
+  formulas).
+* *Slot assignment is* ``a + 1j*b``.  Writing digit ``u`` into the real slot
+  and digit ``u + N/2`` into the imaginary slot of a complex buffer (what
+  :func:`~repro.tfhe.decomposition.decompose_folded` and the transform's
+  ``fold`` both do) yields the value the complex arithmetic would, up to
+  the sign of a zero — and a signed zero cannot survive the final ``round``.
+* ``einsum`` *is kept.*  The Fourier-domain multiply-accumulate is the same
+  numpy primitive as the scalar ``"rf,rcf->cf"`` contraction with a batch
+  subscript (and ``out=``), which reduces over the row axis in the same
+  order.  An explicit ``multiply`` / ``+=`` chain over the rows was measured
+  **not** bit-equal to it (about half the entries differ in the last bit);
+  one ``einsum("brf,rf->bf", out=)`` per output polynomial was equal, and
+  a little faster, but not by enough to pay for a second spelling.
+
+The one control-flow divergence — the scalar loop *skips* blind-rotation
+iterations whose switched mask element is zero — is harmless: a zero
+exponent makes the CMux difference exactly zero, which decomposes to
+all-zero digits and an exactly-zero external product, leaving the
+accumulator untouched.
 """
 
 from __future__ import annotations
@@ -35,7 +57,7 @@ from repro.params import TFHEParameters
 from repro.tfhe import torus
 from repro.tfhe.batch.types import GlweBatch, LweBatch
 from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
-from repro.tfhe.decomposition import decompose, decompose_rows
+from repro.tfhe.decomposition import decompose, decompose_folded
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.polynomial import get_transform
 
@@ -70,36 +92,22 @@ def batch_modulus_switch(
     return masks.astype(np.int64), bodies.astype(np.int64)
 
 
-#: Cached ``arange(N)`` rows, keyed by degree — the gather runs once per
-#: blind-rotation iteration, so the index template is worth reusing.
-_GATHER_POSITIONS: dict[int, np.ndarray] = {}
+def _refresh_windows(windows: np.ndarray) -> None:
+    """Complete ``[a, ?, ?]`` to ``[a, -a, a]`` along the last axis.
 
-
-def _monomial_gather(polys: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Per-element ``X^exponent`` rotation *without* the modular reduction.
-
-    The rotation is a signed permutation — linear in the coefficients — so
-    callers that reduce later (or whose next step reduces anyway) can skip
-    the per-step ``mod q`` pass over the stack.  ``polys`` has shape
-    ``(B, ..., N)``; ``exponents`` has shape ``(B,)``.
+    ``X^e * a`` for ``e`` in ``[0, 2N)`` is then the contiguous slice
+    ``[s, s + N)`` with ``s = -e mod 2N``: stepping left past coefficient 0
+    re-enters at the top negated (``X^N = -1``), and past ``-a`` comes
+    ``a`` again (``X^2N = 1``).
     """
-    n = polys.shape[-1]
-    two_n = 2 * n
-    positions = _GATHER_POSITIONS.get(n)
-    if positions is None:
-        positions = _GATHER_POSITIONS[n] = np.arange(n, dtype=np.int64)
-    # Source index of output coefficient j is (j - e) mod 2N; indices in
-    # [N, 2N) wrap negacyclically and re-enter negated.  The ring degree is
-    # a power of two, so the reduction is a bitwise mask.
-    delta = positions[None, :] - exponents[:, None]  # (B, N)
-    source = delta & (two_n - 1) if two_n & (two_n - 1) == 0 else np.mod(delta, two_n)
-    wrap = source >= n
-    source = np.where(wrap, source - n, source)
-    middle = (1,) * (polys.ndim - 2)
-    index = np.broadcast_to(source.reshape(polys.shape[0], *middle, n), polys.shape)
-    gathered = np.take_along_axis(polys, index, axis=-1)
-    gathered *= np.where(wrap, -1, 1).reshape(polys.shape[0], *middle, n)
-    return gathered
+    n = windows.shape[-1] // 3
+    np.negative(windows[..., :n], out=windows[..., n : 2 * n])
+    windows[..., 2 * n :] = windows[..., :n]
+
+
+def _window_starts(exponents: np.ndarray, n: int) -> np.ndarray:
+    """Start of each element's ``X^exponent`` slice (any integer exponents)."""
+    return np.mod(-np.asarray(exponents, dtype=np.int64), 2 * n)
 
 
 def batch_monomial_multiply(
@@ -114,37 +122,23 @@ def batch_monomial_multiply(
     :func:`repro.tfhe.polynomial.monomial_multiply`.
     """
     polys = np.asarray(polys, dtype=np.int64)
-    exponents = np.asarray(exponents, dtype=np.int64)
-    return torus.reduce(_monomial_gather(polys, exponents), q)
+    n = polys.shape[-1]
+    starts = _window_starts(exponents, n)
+    if starts.shape != polys.shape[:1]:
+        raise ValueError(
+            f"expected one exponent per batch element, shape {polys.shape[:1]}, "
+            f"got {starts.shape}"
+        )
+    windows = np.empty(polys.shape[:-1] + (3 * n,), dtype=np.int64)
+    windows[..., :n] = polys
+    _refresh_windows(windows)
+    rotated = np.empty(polys.shape, dtype=np.int64)
+    for element, start in enumerate(starts.tolist()):
+        rotated[element] = windows[element, ..., start : start + n]
+    return torus.reduce(rotated, q, out=rotated)
 
 
-# -- the external-product core ---------------------------------------------------
-
-
-def _batch_external_product(
-    diff: np.ndarray, key_spectra: np.ndarray, params: TFHEParameters
-) -> np.ndarray:
-    """External product of a ``(B, k+1, N)`` GLWE stack against one GGSW.
-
-    The batch twin of one CMux refresh: decompose the stack, transform the
-    digit polynomials, multiply-accumulate against the key spectra and
-    transform back.  ``einsum`` carries an extra batch subscript but reduces
-    over the row axis in the same order as the scalar ``"rf,rcf->cf"``
-    contraction, keeping the complex accumulation bit-identical.
-    """
-    transform = get_transform(params.N)
-    batch_size = diff.shape[0]
-    rows = (params.k + 1) * params.lb
-    # decompose_rows emits (B, k+1, lb, N) — already the poly-major row
-    # order of decompose_polynomial_list — so flattening to the row matrix
-    # is a contiguous, copy-free reshape.  The transform's fold step
-    # performs the float64 conversion, bit-identical to an explicit astype.
-    digits = decompose_rows(diff, params.lb, params.log2_base_pbs, params.q_bits)
-    digit_polys = digits.reshape(batch_size, rows, params.N)
-    digit_spectra = transform.forward(digit_polys)
-    accumulated = np.einsum("brf,rcf->bcf", digit_spectra, key_spectra)
-    result = transform.inverse(accumulated)
-    return torus.reduce(np.round(result).astype(np.int64), params.q)
+# -- blind rotation ---------------------------------------------------------------
 
 
 def batch_blind_rotate(
@@ -157,39 +151,79 @@ def batch_blind_rotate(
 
     One shared test vector, ``B`` encrypted phases: the batch twin of
     :func:`repro.tfhe.blind_rotate.blind_rotate`.  Each of the ``n``
-    iterations rotates the whole accumulator stack by the per-element
-    switched mask exponent and refreshes it with one batched CMux against
-    the iteration's GGSW.
+    iterations is one batched CMux — Rotator, Decomposer, folded FFT, VMA,
+    IFFT, Accumulator — streamed through one workspace that is allocated
+    here, reused by every iteration with ``out=`` and dropped on return
+    (about 9 MB at set I x 64, under 100 KB at SMALL x 1).
     """
+    if batch.params != params:
+        raise ValueError(
+            f"batch parameter set {batch.params.name!r} does not match {params.name!r}"
+        )
     if len(bootstrapping_key) != batch.dimension:
         raise ValueError(
             f"bootstrapping key has {len(bootstrapping_key)} entries but the "
             f"ciphertexts have dimension {batch.dimension}"
         )
+    test_vector = np.asarray(test_vector, dtype=np.int64)
+    if test_vector.shape != (params.N,):
+        raise ValueError(f"body must have shape ({params.N},), got {test_vector.shape}")
     masks_2n, bodies_2n = batch_modulus_switch(batch, params)
-    batch_size = len(batch)
-    # The accumulator is carried *unreduced*: the rotation is a signed
-    # permutation and each CMux adds a canonical-range product, so every
-    # intermediate stays within ``(n + 1) * q`` — far inside int64 — and one
-    # reduction per iteration (the CMux difference, which feeds the digit
-    # decomposition and therefore must be canonical) replaces four.  The
-    # final GlweBatch construction reduces once; modular arithmetic makes
-    # the result bit-identical to the scalar step-by-step reductions.
-    accumulator = np.zeros((batch_size, params.k + 1, params.N), dtype=np.int64)
-    initial = np.broadcast_to(
-        np.asarray(test_vector, dtype=np.int64), (batch_size, params.N)
+    batch_size, n_poly, half = len(batch), params.N, params.N // 2
+    polys, levels = params.k + 1, params.lb
+    transform = get_transform(n_poly)
+
+    # The accumulator lives in the first third of the rotation windows and is
+    # carried *unreduced*: the rotation is a signed permutation and each CMux
+    # adds a canonical-range product, so every intermediate stays within
+    # ``(n + 1) * q`` — far inside int64.  The CMux difference is not reduced
+    # either (decompose_folded reads only its low q_bits bits); the only
+    # reduction per iteration is the one on the product.  The final GlweBatch
+    # construction reduces once; modular arithmetic makes the result
+    # bit-identical to the scalar step-by-step reductions.
+    windows = np.empty((batch_size, polys, 3 * n_poly), dtype=np.int64)
+    accumulator = windows[..., :n_poly]
+    accumulator[:, : params.k] = 0
+    accumulator[:, params.k] = batch_monomial_multiply(
+        np.broadcast_to(test_vector, (batch_size, n_poly)), -bodies_2n, params.q
     )
-    accumulator[:, params.k, :] = _monomial_gather(initial, -bodies_2n)
-    for index in range(batch.dimension):
-        exponents = masks_2n[:, index]
-        if not exponents.any():
-            continue  # every element skips, exactly like the scalar loop
-        rotated = _monomial_gather(accumulator, exponents)
-        diff = torus.reduce(rotated - accumulator, params.q)
-        product = _batch_external_product(
-            diff, bootstrapping_key[index].spectra, params
+    difference = np.empty((batch_size, polys, n_poly), dtype=np.int64)
+    digits = np.empty((batch_size, polys, levels, n_poly), dtype=np.int64)
+    # Digits, their spectra and the twisted values in between share one
+    # folded buffer; so do the key products, their inverse transform and the
+    # coefficients rounded out of its real / imaginary slots.
+    spectra = np.empty((batch_size, polys * levels, half), dtype=np.complex128)
+    folded_digits = spectra.reshape(batch_size, polys, levels, half)
+    product = np.empty((batch_size, polys, half), dtype=np.complex128)
+    product_slots = product.view(np.float64).reshape(batch_size, polys, half, 2)
+
+    starts = _window_starts(masks_2n, n_poly).T.tolist()
+    # An iteration whose exponents are all zero is skipped, exactly like the
+    # scalar loop; a zero exponent next to non-zero ones needs no skip — its
+    # difference, digits and product are exactly zero.
+    for index in np.flatnonzero(masks_2n.any(axis=0)).tolist():
+        _refresh_windows(windows)
+        for element, start in enumerate(starts[index]):
+            np.subtract(
+                windows[element, :, start : start + n_poly],
+                accumulator[element],
+                out=difference[element],
+            )
+        decompose_folded(
+            difference,
+            levels,
+            params.log2_base_pbs,
+            params.q_bits,
+            out=folded_digits,
+            scratch=digits,
         )
-        accumulator += product
+        transform.forward(spectra, out=spectra, folded=True)
+        np.einsum("brf,rcf->bcf", spectra, bootstrapping_key[index].spectra, out=product)
+        transform.inverse(product, out=product, folded=True)
+        np.rint(product_slots[..., 0], out=difference[..., :half], casting="unsafe")
+        np.rint(product_slots[..., 1], out=difference[..., half:], casting="unsafe")
+        torus.reduce(difference, params.q, out=difference)
+        accumulator += difference
     return GlweBatch(accumulator[:, : params.k], accumulator[:, params.k], params)
 
 

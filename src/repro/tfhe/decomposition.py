@@ -68,12 +68,58 @@ def decompose_rows(
     digit polynomials of one input polynomial are adjacent — the row order
     the external product feeds to the FFT.  Emitting this layout directly
     saves the transpose copy that reordering :func:`decompose`'s
-    level-major output would cost on every blind-rotation iteration of the
-    vectorized kernels.
+    level-major output would cost on every external product.  (The
+    vectorized kernels go one step further: :func:`decompose_folded`.)
     """
     shifted, base, half_base = _carry_folded_gamma(values, levels, log2_base, q_bits)
     shifts = (np.arange(levels - 1, -1, -1, dtype=np.int64) * log2_base)[:, None]
     return ((shifted[..., None, :] >> shifts) & (base - 1)) - half_base
+
+
+def decompose_folded(
+    values: np.ndarray,
+    levels: int,
+    log2_base: int,
+    q_bits: int = 32,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Signed digits written straight into the folded complex layout.
+
+    The digits of :func:`decompose_rows`, but stored the way the folded FFT
+    (:meth:`repro.fft.folding.FoldedNegacyclicTransform.fold`) wants them:
+    for ``values`` of shape ``(..., N)`` the result is ``complex128`` of
+    shape ``(..., levels, N/2)`` holding digit coefficient ``u`` in the real
+    slot and ``u + N/2`` in the imaginary slot of point ``u`` — no integer
+    digit array, float conversion or ``a + 1j*b`` pass in between.
+
+    Only the low ``q_bits`` bits of each value are read (every digit is a
+    masked bit field below bit ``q_bits`` and the rounding carry out of the
+    top digit is discarded), so any ``int64`` representative modulo ``q``
+    decomposes like the canonical one.  ``values`` is left untouched;
+    ``out`` and ``scratch`` (``int64``, shape ``(..., levels, N)``) let a
+    loop reuse its buffers and are allocated when omitted.
+    """
+    addend, dropped_bits = _carry_addend(levels, log2_base, q_bits)
+    values = np.asarray(values, dtype=np.int64)
+    half = values.shape[-1] // 2
+    if scratch is None:
+        scratch = np.empty(values.shape[:-1] + (levels, values.shape[-1]), dtype=np.int64)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (levels, half), dtype=np.complex128)
+    # Level 0 holds the sum and is shifted last (in place), so no level
+    # reads a row that an earlier one has already overwritten.
+    summed = scratch[..., 0, :]
+    np.add(values, addend, out=summed)
+    for level in range(levels - 1, -1, -1):
+        shift = dropped_bits + (levels - 1 - level) * log2_base
+        np.right_shift(summed, shift, out=scratch[..., level, :])
+    base = 1 << log2_base
+    np.bitwise_and(scratch, base - 1, out=scratch)
+    slots = out.view(np.float64).reshape(out.shape + (2,))
+    np.subtract(scratch[..., :half], base >> 1, out=slots[..., 0])
+    np.subtract(scratch[..., half:], base >> 1, out=slots[..., 1])
+    return out
 
 
 def _carry_folded_gamma(
@@ -81,30 +127,37 @@ def _carry_folded_gamma(
 ) -> tuple[np.ndarray, int, int]:
     """Rounded ``gamma`` with every balancing carry pre-applied.
 
-    Rounds to the closest multiple of ``q / B^levels`` (an integer gamma in
-    ``[0, B^levels)``) and adds ``B/2 * (1 + B + .. + B^(levels-1))``, which
-    applies all the digit-balancing carries at once: each signed digit then
-    comes out of one shift/mask/offset, bit-identical to propagating the
-    carries level by level but without the sequential loop (this is the hot
-    inner step of both the scalar and the batched external product).  The
-    sum stays below ``2 * B^levels``, far inside int64.
+    Each signed digit then comes out of one shift/mask/offset, bit-identical
+    to propagating the carries level by level but without the sequential
+    loop (this is the hot inner step of the scalar external product and of
+    keyswitching).  The sum stays below ``2 * B^levels``, far inside int64.
     """
-    if levels * log2_base > q_bits:
-        raise ValueError(
-            f"decomposition keeps {levels * log2_base} bits which exceeds the "
-            f"{q_bits}-bit modulus"
-        )
-    values = np.asarray(values, dtype=np.int64)
+    addend, dropped_bits = _carry_addend(levels, log2_base, q_bits)
     base = 1 << log2_base
-    half_base = base >> 1
+    gamma = (np.asarray(values, dtype=np.int64) + addend) >> dropped_bits
+    return gamma, base, base >> 1
+
+
+def _carry_addend(levels: int, log2_base: int, q_bits: int) -> tuple[int, int]:
+    """``(addend, dropped_bits)`` of the carry-folded rounding.
+
+    ``(value + addend) >> dropped_bits`` rounds to the closest multiple of
+    ``q / B^levels`` (an integer gamma in ``[0, B^levels)``) and adds
+    ``B/2 * (1 + B + .. + B^(levels-1))``, which applies all the
+    digit-balancing carries at once.  The carry offset rides in the addend
+    pre-shifted by ``dropped_bits`` — a multiple of the shift, so the shift
+    moves it out exactly.
+    """
     kept_bits = levels * log2_base
+    if kept_bits > q_bits:
+        raise ValueError(
+            f"decomposition keeps {kept_bits} bits which exceeds the {q_bits}-bit modulus"
+        )
+    base = 1 << log2_base
     dropped_bits = q_bits - kept_bits
-    if dropped_bits > 0:
-        gamma = (values + (1 << (dropped_bits - 1))) >> dropped_bits
-    else:
-        gamma = values
-    offset = half_base * (((1 << kept_bits) - 1) // (base - 1))
-    return gamma + offset, base, half_base
+    offset = (base >> 1) * (((1 << kept_bits) - 1) // (base - 1))
+    rounding = 1 << (dropped_bits - 1) if dropped_bits else 0
+    return (offset << dropped_bits) + rounding, dropped_bits
 
 
 def recompose(

@@ -75,7 +75,7 @@ class GgswCiphertext:
         """Pre-transform every row polynomial to the folded Fourier domain."""
         transform = polynomial.get_transform(self.params.N)
         centered = torus.to_signed(self.rows, self.params.q)
-        spectra = transform.forward(centered.astype(np.float64))
+        spectra = transform.forward(centered)
         return FourierGgswCiphertext(spectra, self.params)
 
 
@@ -116,7 +116,7 @@ class FourierGgswCiphertext:
         digit_polys = decompose_polynomial_list(
             stacked, params.lb, params.log2_base_pbs, params.q_bits
         )
-        digit_spectra = transform.forward(digit_polys.astype(np.float64))
+        digit_spectra = transform.forward(digit_polys)
 
         # (rows, N/2) x (rows, k+1, N/2) summed over rows -> (k+1, N/2)
         accumulated = np.einsum("rf,rcf->cf", digit_spectra, self.spectra)

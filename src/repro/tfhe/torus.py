@@ -15,20 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def reduce(values: np.ndarray | int, q: int) -> np.ndarray | int:
+def reduce(values: np.ndarray | int, q: int, out: np.ndarray | None = None) -> np.ndarray | int:
     """Reduce values into the canonical torus range ``[0, q)``.
 
     For a power-of-two modulus the reduction is a bitwise mask: on two's
     complement ``int64`` values ``x & (q - 1)`` equals the floored
     ``np.mod(x, q)`` bit for bit (negative inputs included), and skips the
     integer division — this is the hot reduction of the vectorized kernels.
+    ``out`` (arrays only) receives the result and may be ``values`` itself.
     """
     if np.isscalar(values) or isinstance(values, (int, np.integer)):
         return int(values) % q
     values = np.asarray(values, dtype=np.int64)
     if q & (q - 1) == 0:
-        return values & (q - 1)
-    return np.mod(values, q)
+        return np.bitwise_and(values, q - 1, out=out)
+    return np.mod(values, q, out=out)
 
 
 def to_signed(values: np.ndarray | int, q: int) -> np.ndarray | int:

@@ -33,6 +33,7 @@ from repro.tfhe.batch import (
     KERNEL_BACKENDS,
     GlweBatch,
     LweBatch,
+    batch_blind_rotate,
     batch_gate,
     batch_keyswitch,
     batch_monomial_multiply,
@@ -40,11 +41,14 @@ from repro.tfhe.batch import (
     batch_sample_extract,
     resolve_kernels,
 )
+from repro.tfhe.blind_rotate import blind_rotate, make_test_vector
 from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.context import TFHEContext
+from repro.tfhe.decomposition import decompose, decompose_folded
 from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.keyswitch import keyswitch
 from repro.tfhe.lut import relu_lut
+from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.polynomial import monomial_multiply
 from repro.tfhe.serialization import (
     LWE_BATCH_WIRE_MAGIC,
@@ -56,8 +60,8 @@ from repro.tfhe.serialization import (
 #: epoch shape; SMALL covers ``k > 1`` with smaller batches to keep the
 #: scalar comparison loop fast.
 SWEEPS = [
-    (TOY_PARAMETERS, (1, 2, 7, 64)),
-    (SMALL_PARAMETERS, (1, 2, 7)),
+    (TOY_PARAMETERS, (1, 2, 3, 7, 64)),
+    (SMALL_PARAMETERS, (1, 2, 3, 7)),
 ]
 
 
@@ -84,6 +88,29 @@ def _assert_batch_equals_scalars(batch: LweBatch, scalars) -> None:
     for index, scalar in enumerate(scalars):
         np.testing.assert_array_equal(batch.masks[index], scalar.mask)
         assert int(batch.bodies[index]) == scalar.body
+
+
+def _with_edge_exponents(ciphertexts, params):
+    """The same ciphertexts with mask columns forced onto the rotation's edges.
+
+    After the modulus switch column 0 is zero for *every* element (the
+    iteration both loops skip), column 1 is zero for all but the first
+    element, columns 2 and 3 cycle through ``0 / N / 2N-1`` element by
+    element and column 4 is ``N`` (pure negation) everywhere; the remaining
+    columns keep their fresh values.
+    """
+    step = params.q // (2 * params.N)
+    edges = (0, params.N, 2 * params.N - 1)
+    forced = []
+    for index, ciphertext in enumerate(ciphertexts):
+        mask = ciphertext.mask.copy()
+        mask[0] = 0
+        mask[1] = step if index == 0 else 0
+        mask[2] = edges[index % 3] * step
+        mask[3] = edges[(index + 1) % 3] * step
+        mask[4] = params.N * step
+        forced.append(LweCiphertext(mask, ciphertext.body, params))
+    return forced
 
 
 # -- the registry knob -----------------------------------------------------------
@@ -174,28 +201,72 @@ class TestBitForBitEquality:
         def function(m: int) -> int:
             return (3 * m + 1) % p
 
+        test_vector = make_test_vector(function, params)
         for batch_size in batch_sizes:
             messages = rng.integers(0, p, size=batch_size)
-            ciphertexts = [context.encrypt(int(m)) for m in messages]
-            batched = batch_programmable_bootstrap(
-                LweBatch.from_ciphertexts(ciphertexts),
-                function,
+            fresh = [context.encrypt(int(m)) for m in messages]
+            for ciphertexts in (fresh, _with_edge_exponents(fresh, params)):
+                stacked = LweBatch.from_ciphertexts(ciphertexts)
+                accumulators = batch_blind_rotate(
+                    test_vector, stacked, keys.bootstrapping_key, params
+                )
+                for index, ciphertext in enumerate(ciphertexts):
+                    scalar = blind_rotate(test_vector, ciphertext, keys.bootstrapping_key, params)
+                    np.testing.assert_array_equal(accumulators.masks[index], scalar.mask)
+                    np.testing.assert_array_equal(accumulators.bodies[index], scalar.body)
+                batched = batch_programmable_bootstrap(
+                    stacked, function, keys.bootstrapping_key, params, keys.keyswitching_key
+                )
+                scalars = [
+                    programmable_bootstrap(
+                        ct, function, keys.bootstrapping_key, params, keys.keyswitching_key
+                    )
+                    for ct in ciphertexts
+                ]
+                _assert_batch_equals_scalars(batched.ciphertexts, [s.ciphertext for s in scalars])
+                _assert_batch_equals_scalars(batched.extracted, [s.extracted for s in scalars])
+
+    def test_all_zero_exponents_leave_the_test_vector_alone(self, toy_context):
+        """Every iteration skipped: the accumulator is the trivial GLWE, rotated."""
+        params = TOY_PARAMETERS
+        keys = toy_context.server_keys
+        test_vector = make_test_vector(lambda m: m, params)
+        bodies = np.array([0, params.q // 4, params.q - 1])
+        stacked = LweBatch(np.zeros((3, params.n), dtype=np.int64), bodies, params)
+        accumulators = batch_blind_rotate(test_vector, stacked, keys.bootstrapping_key, params)
+        assert not accumulators.masks.any()
+        for index, ciphertext in enumerate(stacked.to_ciphertexts()):
+            scalar = blind_rotate(test_vector, ciphertext, keys.bootstrapping_key, params)
+            np.testing.assert_array_equal(accumulators.bodies[index], scalar.body)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (1,), (TOY_PARAMETERS.N // 2,), (1, TOY_PARAMETERS.N)],
+        ids=["0-d", "length-1", "half-length", "2-d"],
+    )
+    def test_blind_rotate_rejects_a_misshapen_test_vector(self, toy_context, shape):
+        """The scalar path's contract: no silent broadcast over the coefficients."""
+        params = TOY_PARAMETERS
+        keys = toy_context.server_keys
+        ciphertext = toy_context.encrypt(1)
+        test_vector = np.full(shape, params.q // 8, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"body must have shape \(128,\)"):
+            blind_rotate(test_vector, ciphertext, keys.bootstrapping_key, params)
+        with pytest.raises(ValueError, match=r"body must have shape \(128,\)"):
+            batch_blind_rotate(
+                test_vector,
+                LweBatch.from_ciphertexts([ciphertext]),
                 keys.bootstrapping_key,
                 params,
-                keys.keyswitching_key,
             )
-            scalars = [
-                programmable_bootstrap(
-                    ct, function, keys.bootstrapping_key, params, keys.keyswitching_key
-                )
-                for ct in ciphertexts
-            ]
-            _assert_batch_equals_scalars(
-                batched.ciphertexts, [s.ciphertext for s in scalars]
-            )
-            _assert_batch_equals_scalars(
-                batched.extracted, [s.extracted for s in scalars]
-            )
+
+    def test_blind_rotate_rejects_a_batch_of_another_parameter_set(self, toy_context):
+        keys = toy_context.server_keys
+        ciphertext = toy_context.encrypt(1)
+        mislabeled = LweBatch(ciphertext.mask[None, :], [ciphertext.body], SMALL_PARAMETERS)
+        test_vector = make_test_vector(lambda m: m, TOY_PARAMETERS)
+        with pytest.raises(ValueError, match="parameter set 'SMALL' does not match 'TOY'"):
+            batch_blind_rotate(test_vector, mislabeled, keys.bootstrapping_key, TOY_PARAMETERS)
 
     def test_batch_of_one_equals_scalar_exactly(self, toy_context):
         keys = toy_context.server_keys
@@ -233,6 +304,56 @@ class TestBitForBitEquality:
                     polys[index], int(exponents[index]), params.q
                 )
                 np.testing.assert_array_equal(rotated[index], expected)
+
+    @pytest.mark.parametrize("degree", [128, 256])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_monomial_multiply_every_exponent(self, degree, k):
+        """One batch element per exponent in ``[-2N, 2N]``, ``k + 1`` polynomials each."""
+        q = TOY_PARAMETERS.q
+        rng = np.random.default_rng([degree, k])
+        exponents = np.arange(-2 * degree, 2 * degree + 1)
+        polys = rng.integers(0, q, size=(len(exponents), k + 1, degree), dtype=np.int64)
+        kept = polys.copy()
+        rotated = batch_monomial_multiply(polys, exponents, q)
+        np.testing.assert_array_equal(polys, kept)
+        for index, exponent in enumerate(exponents):
+            expected = monomial_multiply(polys[index], int(exponent), q)
+            np.testing.assert_array_equal(rotated[index], expected)
+
+    def test_monomial_multiply_wants_one_exponent_per_element(self):
+        polys = np.zeros((3, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="one exponent per batch element"):
+            batch_monomial_multiply(polys, np.array([1, 2]), TOY_PARAMETERS.q)
+
+    @pytest.mark.parametrize(
+        "levels,log2_base,q_bits",
+        [(2, 10, 32), (3, 8, 32), (4, 8, 32), (2, 16, 32), (1, 4, 32), (3, 4, 12)],
+        ids=["set-I", "toy", "no-bits-dropped", "wide-base", "one-level", "q12-exact"],
+    )
+    def test_decompose_folded_matches_decompose(self, levels, log2_base, q_bits):
+        """Folded-layout digits == ``decompose``; the last level's shift is 0
+        when no bits are dropped (``levels * log2_base == q_bits``)."""
+        rng = np.random.default_rng([levels, log2_base])
+        q = 1 << q_bits
+        degree = 16
+        values = rng.integers(0, q, size=(5, 2, degree), dtype=np.int64)
+        values[0, 0, :4] = (0, q - 1, q // 2, q // 2 - 1)
+        kept = values.copy()
+        digits = decompose(values, levels, log2_base, q_bits)  # (levels, 5, 2, N)
+        expected = np.moveaxis(digits, 0, -2)  # (5, 2, levels, N)
+
+        folded = decompose_folded(values, levels, log2_base, q_bits)
+        assert folded.dtype == np.complex128 and folded.shape == (5, 2, levels, degree // 2)
+        np.testing.assert_array_equal(folded.real, expected[..., : degree // 2])
+        np.testing.assert_array_equal(folded.imag, expected[..., degree // 2 :])
+        np.testing.assert_array_equal(values, kept)
+
+        # Reused buffers, and representatives that were never reduced mod q.
+        out = np.empty_like(folded)
+        scratch = np.empty((5, 2, levels, degree), dtype=np.int64)
+        shifted = values + q * rng.integers(-500, 500, size=values.shape)
+        assert decompose_folded(shifted, levels, log2_base, q_bits, out, scratch) is out
+        np.testing.assert_array_equal(out, folded)
 
     def test_keyswitch_matches_scalar(self, small_context):
         """The int-exact keyswitch contraction: batched == scalar on k > 1."""
@@ -375,6 +496,24 @@ class TestSessionKernels:
         for scalar, vector in zip(scalar_out, vector_out):
             np.testing.assert_array_equal(scalar.mask, vector.mask)
             assert scalar.body == vector.body
+
+    def test_consecutive_calls_share_no_memory(self, session):
+        """Per-call workspace: a later, larger call must not touch an earlier result."""
+        p = session.params.message_modulus
+        ciphertexts = session.encrypt_batch([0, 1, 2, 3, 1, 2, 0])
+        session.kernels = "vectorized"
+        try:
+            first = session.bootstrap_batch(ciphertexts[:3], lambda m: (m + 1) % p)
+            snapshot = [(ct.mask.copy(), ct.body) for ct in first]
+            second = session.bootstrap_batch(ciphertexts, lambda m: (2 * m) % p)
+        finally:
+            session.kernels = "scalar"
+        for ciphertext, (mask, body) in zip(first, snapshot):
+            np.testing.assert_array_equal(ciphertext.mask, mask)
+            assert ciphertext.body == body
+            assert not any(np.shares_memory(ciphertext.mask, other.mask) for other in second)
+        assert session.decrypt_batch(first) == [1, 2, 3]
+        assert session.decrypt_batch(second) == [0, 2, 0, 2, 2, 0, 0]
 
     def test_lut_and_gate_batches_identical_across_backends(self, session):
         lut = relu_lut(session.params)

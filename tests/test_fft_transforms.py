@@ -167,6 +167,109 @@ class TestFoldedTransform:
             FoldedNegacyclicTransform(96)
 
 
+def _frozen_forward(coefficients: np.ndarray, degree: int) -> np.ndarray:
+    """The forward transform as it was written before ``out=`` / ``folded=``."""
+    half = degree // 2
+    coeffs = np.asarray(coefficients, dtype=np.float64)
+    fold = coeffs[..., :half] + 1j * coeffs[..., half:]
+    twist = np.exp(1j * np.pi * np.arange(half) / degree)
+    return np.fft.ifft(fold * twist, axis=-1) * half
+
+
+def _frozen_inverse(spectrum: np.ndarray, degree: int) -> np.ndarray:
+    """The inverse transform as it was written before ``out=`` / ``folded=``."""
+    half = degree // 2
+    untwist = np.conj(np.exp(1j * np.pi * np.arange(half) / degree))
+    x = np.asarray(spectrum, dtype=np.complex128)
+    folded = np.fft.fft(x, axis=-1) / half * untwist
+    return np.concatenate([np.real(folded), np.imag(folded)], axis=-1)
+
+
+#: Digit-range and key-range coefficient magnitudes of the external product.
+MAGNITUDES = {"digits": 1 << 9, "key": 1 << 31}
+
+
+class TestFoldedTransformFrozenFormula:
+    """``forward`` / ``inverse`` equal the pre-``out=`` formulas, value for value.
+
+    The scalar kernels are the oracle the vectorized kernels are held to, so
+    the oracle itself is pinned here: same complex values (``array_equal``,
+    not ``allclose``) with and without ``out=``, folded or not.
+    """
+
+    @pytest.mark.parametrize("degree", [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("magnitude", MAGNITUDES.values(), ids=MAGNITUDES.keys())
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+    def test_every_calling_form(self, degree, magnitude, stack):
+        rng = np.random.default_rng([degree, magnitude, len(stack)])
+        transform = FoldedNegacyclicTransform(degree)
+        half = degree // 2
+        coefficients = rng.integers(-magnitude, magnitude + 1, size=stack + (degree,))
+        coefficients[..., 0] = magnitude  # the range's edge is always present
+        coefficients[..., -1] = -magnitude
+
+        expected = _frozen_forward(coefficients, degree)
+        assert np.array_equal(transform.forward(coefficients), expected)
+        assert np.array_equal(transform.forward(coefficients.astype(np.float64)), expected)
+        out = np.empty(stack + (half,), dtype=np.complex128)
+        assert transform.forward(coefficients, out=out) is out
+        assert np.array_equal(out, expected)
+        folded = transform.fold(coefficients)
+        kept = folded.copy()
+        assert np.array_equal(transform.forward(folded, folded=True), expected)
+        assert np.array_equal(folded, kept), "forward modified its input"
+        assert transform.forward(folded, out=folded, folded=True) is folded  # in place
+        assert np.array_equal(folded, expected)
+
+        # A spectrum of external-product size: digit spectra times key spectra.
+        spectrum = expected * _frozen_forward(coefficients[..., ::-1], degree)
+        kept = spectrum.copy()
+        expected = _frozen_inverse(spectrum, degree)
+        assert np.array_equal(transform.inverse(spectrum), expected)
+        out = np.empty(stack + (degree,), dtype=np.float64)
+        assert transform.inverse(spectrum, out=out) is out
+        assert np.array_equal(out, expected)
+        as_folded = transform.inverse(spectrum, folded=True)
+        assert np.array_equal(transform.unfold(as_folded), expected)
+        assert np.array_equal(spectrum, kept), "inverse modified its input"
+        # Only when the spectrum is itself the destination is it overwritten.
+        assert transform.inverse(spectrum, out=spectrum, folded=True) is spectrum
+        assert np.array_equal(spectrum, as_folded)
+
+    def test_out_of_wrong_shape_or_dtype_raises(self):
+        transform = FoldedNegacyclicTransform(16)
+        coefficients = np.arange(32).reshape(2, 16)
+        spectrum = transform.forward(coefficients)
+        bad_forward = [
+            np.empty((2, 16), dtype=np.complex128),  # coefficient-sized
+            np.empty((8,), dtype=np.complex128),  # would broadcast
+            np.empty((2, 8), dtype=np.complex64),
+            np.empty((2, 8), dtype=np.float64),
+            [[0j] * 8] * 2,  # not an array
+        ]
+        for out in bad_forward:
+            with pytest.raises(ValueError, match="out must be a complex128 array"):
+                transform.forward(coefficients, out=out)
+            with pytest.raises(ValueError, match="out must be a complex128 array"):
+                transform.inverse(spectrum, out=out, folded=True)
+        for out in (
+            np.empty((2, 8), dtype=np.float64),
+            np.empty((2, 16), dtype=np.int64),
+            np.empty((2, 16), dtype=np.complex128),
+        ):
+            with pytest.raises(ValueError, match="out must be a float64 array"):
+                transform.inverse(spectrum, out=out)
+
+    def test_folded_input_of_wrong_length_raises(self):
+        transform = FoldedNegacyclicTransform(16)
+        with pytest.raises(ValueError, match="length 8"):
+            transform.forward(np.zeros(16, dtype=np.complex128), folded=True)
+        with pytest.raises(ValueError, match="length 8"):
+            transform.inverse(np.zeros(16, dtype=np.complex128), folded=True)
+        with pytest.raises(ValueError, match="length 16"):
+            transform.forward(np.zeros(8))
+
+
 class TestTransformProperties:
     @given(
         data=st.lists(st.integers(min_value=-(2 ** 20), max_value=2 ** 20), min_size=16, max_size=16),
