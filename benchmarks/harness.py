@@ -1,10 +1,8 @@
 """Perf-trajectory harness: run benchmark callables, write ``BENCH_*.json``.
 
-The pytest-benchmark files under ``benchmarks/`` print timings but leave no
-machine-readable trail, so there was nothing to compare across PRs.  This
-harness is that trail: a :class:`BenchReport` collects named records (timed
-callables or externally computed metrics) and writes one ``BENCH_<suite>.json``
-at the repository root — the artifact CI uploads and future PRs diff against.
+A :class:`BenchReport` collects named records (timed callables or externally
+computed metrics) and writes one ``BENCH_<suite>.json`` at the repository
+root — the artifact CI uploads and future PRs diff against.
 
 Schema (version 1)::
 

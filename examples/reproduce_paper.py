@@ -1,9 +1,8 @@
 """Reproduce every table and figure of the paper's evaluation in one run.
 
 Writes the rendered results to ``examples/results/`` and prints a short
-paper-vs-reproduced summary at the end.  This is the scripted counterpart of
-``pytest benchmarks/ --benchmark-only`` for readers who want the numbers
-without the timing harness.
+paper-vs-reproduced summary at the end; ``tests/test_analysis.py`` asserts
+the same numbers against the paper's.
 
 Run with:  python examples/reproduce_paper.py
 """

@@ -11,15 +11,15 @@ Layering, bottom up:
 * :mod:`repro.net.server` — the asyncio TCP front-end wrapping
   :class:`repro.serve.Server` (live wall-clock mode and deterministic trace
   replay).
-* :mod:`repro.net.client` — async and blocking clients with per-message
-  round-trip capture.
+* :mod:`repro.net.client` — one client (asyncio) with per-message
+  round-trip capture, and a blocking facade that runs it call by call.
 * :mod:`repro.net.loadgen` — closed-loop load generation over loopback
   sockets, feeding :mod:`repro.apps.traffic` traces to a real server.
 
 Overload protection (see :mod:`repro.flow`) is wired through every layer:
 WELCOME can advertise a per-connection credit window, RESULT piggy-backs
 replenished credits, a saturated server answers BUSY with a deterministic
-retry-after hint, and the clients turn those into typed
+retry-after hint, and the client turns those into typed
 :class:`~repro.flow.retry.ServerBusyError` /
 :class:`~repro.flow.retry.RequestTimeoutError` raises plus a
 retry-with-backoff loop (:meth:`AsyncNetClient.submit_with_retry`).

@@ -1,16 +1,21 @@
-"""Client libraries for the serving front-end: async-first, with a sync twin.
+"""The wire client: one protocol state machine, plus a blocking facade over it.
 
-:class:`AsyncNetClient` is the real client: one connection, a background
-reader task, and any number of in-flight submissions multiplexed by request
-id.  ``await client.submit(...)`` is the closed-loop call — it returns the
+:class:`AsyncNetClient` is the client: one connection, a background reader
+task, and any number of in-flight submissions multiplexed by request id.
+``await client.submit(...)`` is the closed-loop call — it returns the
 :class:`~repro.serve.request.RequestOutcome` when the server's ``RESULT``
 frame lands and records the round-trip time of every such call.
 ``submit_nowait`` is the streaming variant trace replay needs: it returns a
 future immediately so a whole trace can be pushed down the pipe before the
-first result comes back.
+first result comes back.  Replies without a request id (``WELCOME``,
+``PONG``, ``DRAINED``, ``STATS_REPLY``) go through one reply table, a FIFO
+of waiting futures per reply type: a connection answers its control frames
+in order.  However the reader ends, everything still owed a reply fails with
+a typed error and later sends fail fast — a call never hangs.
 
-:class:`NetClient` is the blocking wrapper for scripts and docs: plain
-sockets, one outstanding request at a time, no event loop required.
+:class:`NetClient` is that client run to completion, call by call, on a
+private event loop — the blocking face for scripts and docs, with no
+protocol state of its own.
 
 Typed ``ERROR`` replies surface as :class:`NetError` — carrying the decoded
 :class:`~repro.net.protocol.ErrorReply` — never as silently dropped
@@ -21,16 +26,16 @@ retry-after hint, a per-request ``timeout_s`` raises
 :meth:`AsyncNetClient.submit_with_retry` folds both into a capped,
 seeded-jitter backoff loop guarded by a circuit breaker (see
 :mod:`repro.flow.retry`).  When the server's WELCOME advertises a credit
-window the async client self-limits: a ``submit`` past the window parks on
-a credit instead of earning a BUSY round trip.
+window the client self-limits: a ``submit`` past the window parks on a
+credit instead of earning a BUSY round trip.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import time
-from typing import Any, NamedTuple
+from collections import defaultdict, deque
+from typing import Any, Coroutine, NamedTuple
 
 from repro.flow.retry import (
     CircuitBreaker,
@@ -39,17 +44,26 @@ from repro.flow.retry import (
     ServerBusyError,
 )
 from repro.net import codec, protocol
-from repro.net.codec import ResultMessage
 from repro.net.protocol import (
     PROTOCOL_VERSION,
+    ErrorCode,
     ErrorReply,
     Frame,
     FrameDecoder,
     MessageType,
     Pong,
     ProtocolError,
+    Welcome,
 )
 from repro.serve.request import Request, RequestOutcome
+
+#: Replies that carry no request id, and how each one's payload decodes.
+_CONTROL_REPLIES = {
+    MessageType.WELCOME: protocol.decode_welcome,
+    MessageType.PONG: protocol.decode_pong,
+    MessageType.DRAINED: lambda payload: None,
+    MessageType.STATS_REPLY: protocol.decode_stats,
+}
 
 
 class NetError(Exception):
@@ -76,6 +90,9 @@ class AsyncNetClient:
     negotiation before returning.  Every ``submit`` / ``ping`` round trip
     is timed; :attr:`rtts_s` and :attr:`ping_rtts_s` accumulate the
     samples the load generator turns into wire-level percentiles.
+
+    The constructor takes the two streams and starts the reader task, so
+    it must run inside the event loop that owns them.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
@@ -86,19 +103,18 @@ class AsyncNetClient:
         self._next_id = 0
         self._next_nonce = 0
         self._pending: dict[int, _Pending] = {}
-        self._pings: dict[int, tuple[float, asyncio.Future]] = {}
-        self._hello: asyncio.Future | None = None
-        self._drained: asyncio.Future | None = None
-        self._stats: asyncio.Future | None = None
-        self._reader_task: asyncio.Task | None = None
+        #: The reply table: per control-reply type, the futures waiting for
+        #: one, in the order their requests went onto the wire.
+        self._replies: defaultdict[int, deque[asyncio.Future]] = defaultdict(deque)
         self._closed = False
+        #: Why the reader ended (``None`` while it runs); sends fail fast after.
+        self._lost: Exception | None = None
         self.negotiated_version: int | None = None
         #: In-flight window the server's WELCOME advertised (``None`` when
         #: the server runs without credit-based flow control).
         self.credit_window: int | None = None
         self._inflight = 0
         self._credit_free = asyncio.Event()
-        self._credit_free.set()
         #: Times a ``submit`` had to park waiting for a credit.
         self.credit_stalls = 0
         #: Last credit count the server piggy-backed on a RESULT frame
@@ -119,6 +135,7 @@ class AsyncNetClient:
         self.frames_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     @classmethod
     async def connect(
@@ -130,13 +147,12 @@ class AsyncNetClient:
         """Open a connection and negotiate a protocol version."""
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer)
-        client._reader_task = asyncio.get_running_loop().create_task(client._read_loop())
-        loop = asyncio.get_running_loop()
-        client._hello = loop.create_future()
-        await client._send(MessageType.HELLO, protocol.encode_hello(versions))
-        welcome = await client._hello
-        client.negotiated_version = welcome.version
-        client.credit_window = welcome.credit_window
+        try:
+            await client.hello(versions)
+        except BaseException:
+            # A refused HELLO must not leak the reader task and the socket.
+            await client.close()
+            raise
         return client
 
     # -- requests ----------------------------------------------------------------
@@ -177,8 +193,6 @@ class AsyncNetClient:
             ciphertexts=ciphertexts,
             deadline_s=deadline_s,
         )
-        if timeout_s is None:
-            return await self._deliver(request, payload)
         try:
             return await asyncio.wait_for(self._deliver(request, payload), timeout_s)
         except asyncio.TimeoutError:
@@ -191,36 +205,30 @@ class AsyncNetClient:
         """Acquire a credit, send the SUBMIT frame, await the RESULT.
 
         Cancellation (how :meth:`submit`'s per-request timeout lands here)
-        is credit-exact: before the frame hits the wire the registration is
-        unwound completely; after it, the pending entry stays and keeps its
-        credit until the server's reply arrives — the server still counts
-        the request in flight, so releasing early would let the two
-        windows drift apart and earn BUSY round trips later.
+        is credit-exact: before the frame hits the wire nothing is
+        registered and the credit is handed back; after it, the pending
+        entry stays and keeps its credit until the server's reply arrives
+        — the server still counts the request in flight, so releasing
+        early would let the two windows drift apart and earn BUSY round
+        trips later.
         """
         await self._acquire_credit()
-        try:
-            future = self._register(request, credited=True)
-        except BaseException:
-            self._release_credit(True)
-            raise
-        data = protocol.encode_frame(MessageType.SUBMIT, payload)
-        sent = False
+        future = None
         try:
             async with self._write_lock:
-                self._write_raw(data)
-                sent = True
+                future = self._send_submit(request, payload, credited=True)
                 await self._writer.drain()
+            return await future
         except BaseException:
-            if not sent:
+            if future is None:
                 # The frame never reached the wire, so no reply will ever
-                # release this entry — unwind it here.  (The reader may
-                # have already failed and released it while we awaited the
-                # lock; release only what we still own.)
-                entry = self._pending.pop(request.request_id, None)
-                if entry is not None:
-                    self._release_credit(entry.credited)
+                # release the credit taken above.
+                self._release_credit(True)
+            else:
+                # Abandoned on the wire (a no-op once the future is done):
+                # its late reply frees the credit but is no RTT sample.
+                future.cancel()
             raise
-        return await future
 
     async def submit_with_retry(
         self,
@@ -289,16 +297,17 @@ class AsyncNetClient:
         batcher releases them.
         """
         payload = codec.submit_from_request(request, with_arrival=True)
-        future = self._register(request)
-        data = protocol.encode_frame(MessageType.SUBMIT, payload)
-        self._write_raw(data)
-        return future
+        return self._send_submit(request, payload, credited=False)
 
-    def _register(self, request: Request, credited: bool = False) -> asyncio.Future:
-        if self._closed:
-            raise ConnectionError("the client is closed")
+    def _send_submit(self, request: Request, payload: bytes, credited: bool) -> asyncio.Future:
+        """Write one SUBMIT frame and register its reply, in one synchronous step.
+
+        Nothing is registered unless the frame was written, so a send that
+        fails (closed client, lost connection) leaves no entry behind.
+        """
         if request.request_id in self._pending:
             raise ValueError(f"request id {request.request_id} is already in flight")
+        self._write_frame(MessageType.SUBMIT, payload)
         self._next_id = max(self._next_id, request.request_id)
         future = asyncio.get_running_loop().create_future()
         self._pending[request.request_id] = _Pending(request, time.perf_counter(), future, credited)
@@ -323,21 +332,48 @@ class AsyncNetClient:
         self._inflight -= 1
         self._credit_free.set()
 
+    # -- control calls -----------------------------------------------------------
+
+    async def _call(self, msg_type: MessageType, payload: bytes, reply_type: MessageType) -> Any:
+        """Send one control frame and await the reply the server owes for it.
+
+        The waiter joins its FIFO after the write and under the write
+        lock, so queue order is wire order and a caller cancelled while
+        waiting for the lock leaves nothing behind.  A caller that gives
+        up later (timeout, cancellation, a failed ``drain``) leaves its
+        waiter queued but cancelled: the reply still arrives, consumes that
+        slot and is dropped — which is what keeps the FIFO aligned.
+        """
+        future = asyncio.get_running_loop().create_future()
+        try:
+            async with self._write_lock:
+                self._write_frame(msg_type, payload)
+                self._replies[reply_type].append(future)
+                await self._writer.drain()
+            return await future
+        finally:
+            future.cancel()  # a no-op once the reply (or a failure) has landed
+
+    async def hello(self, versions: tuple[int, ...] = (PROTOCOL_VERSION,)) -> Welcome:
+        """Negotiate the protocol version (:meth:`connect` does this for you)."""
+        offer = protocol.encode_hello(versions)
+        welcome = await self._call(MessageType.HELLO, offer, MessageType.WELCOME)
+        self.negotiated_version = welcome.version
+        self.credit_window = welcome.credit_window
+        return welcome
+
     async def ping(self) -> Pong:
         """Round-trip latency echo; the RTT lands in :attr:`ping_rtts_s`."""
         self._next_nonce += 1
-        nonce = self._next_nonce
-        sent_at = time.perf_counter()
-        future = asyncio.get_running_loop().create_future()
-        self._pings[nonce] = (sent_at, future)
-        await self._send(MessageType.PING, protocol.encode_ping(nonce, sent_at))
-        return await future
+        ping = protocol.encode_ping(self._next_nonce, time.perf_counter())
+        pong = await self._call(MessageType.PING, ping, MessageType.PONG)
+        # The PONG echoes the send time, so no per-ping state is kept.
+        self.ping_rtts_s.append(time.perf_counter() - pong.client_s)
+        return pong
 
     async def drain(self) -> None:
         """Ask the server to flush everything batched; returns on ``DRAINED``."""
-        self._drained = asyncio.get_running_loop().create_future()
-        await self._send(MessageType.DRAIN, b"")
-        await self._drained
+        await self._call(MessageType.DRAIN, b"", MessageType.DRAINED)
 
     async def stats(self) -> dict[str, float]:
         """Scrape the server's metrics registry over the wire.
@@ -346,9 +382,7 @@ class AsyncNetClient:
         :meth:`~repro.serve.server.Server.metrics` produced when the
         ``STATS`` frame was handled.
         """
-        self._stats = asyncio.get_running_loop().create_future()
-        await self._send(MessageType.STATS, b"")
-        return await self._stats
+        return await self._call(MessageType.STATS, b"", MessageType.STATS_REPLY)
 
     async def close(self) -> None:
         """Close the connection and stop the reader task."""
@@ -360,13 +394,11 @@ class AsyncNetClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-        self._fail_pending(ConnectionError("connection closed"))
+        self._reader_task.cancel()
+        try:
+            await self._reader_task
+        except asyncio.CancelledError:
+            pass
 
     async def __aenter__(self) -> "AsyncNetClient":
         return self
@@ -376,130 +408,123 @@ class AsyncNetClient:
 
     # -- transport ---------------------------------------------------------------
 
-    async def _send(self, msg_type: MessageType, payload: bytes) -> None:
-        data = protocol.encode_frame(msg_type, payload)
-        async with self._write_lock:
-            self._write_raw(data)
-            await self._writer.drain()
-
-    def _write_raw(self, data: bytes) -> None:
+    def _write_frame(self, msg_type: MessageType, payload: bytes) -> None:
+        """Queue one frame on the socket — or fail fast, before anything is owed."""
         if self._closed:
             raise ConnectionError("the client is closed")
+        if self._lost is not None:
+            raise ConnectionError(f"the connection is down: {self._lost}")
+        data = protocol.encode_frame(msg_type, payload)
         self._writer.write(data)
         self.frames_sent += 1
         self.bytes_sent += len(data)
 
     async def _read_loop(self) -> None:
+        """Route replies until the stream ends, then fail everything still owed."""
+        error: Exception = ConnectionError("connection closed")  # cancelled by close()
         try:
             while True:
                 data = await self._reader.read(64 * 1024)
                 if not data:
-                    self._fail_pending(ConnectionError("server closed the connection"))
+                    error = ConnectionError("server closed the connection")
                     return
                 self.bytes_received += len(data)
                 for event in self._decoder.feed(data):
-                    if isinstance(event, ProtocolError):
-                        self._fail_pending(event)
-                        if event.fatal:
-                            return
-                    else:
+                    if isinstance(event, Frame):
                         self.frames_received += 1
-                        self._handle_frame(event)
+                        try:
+                            self._handle_frame(event)
+                            continue
+                        except ValueError as defect:
+                            # CRC-valid but unparseable: whose reply it was
+                            # is unknowable, so it counts against everyone.
+                            event = ProtocolError(
+                                ErrorCode.BAD_MESSAGE, f"{event.type_name} reply: {defect}"
+                            )
+                    if event.fatal:
+                        error = event
+                        return
+                    self._fail_owed(event)
         except (ConnectionResetError, BrokenPipeError):
-            self._fail_pending(ConnectionError("connection lost"))
-        except asyncio.CancelledError:
-            raise
+            error = ConnectionError("connection lost")
+        finally:
+            self._lost = error
+            self._fail_owed(error)
 
     def _handle_frame(self, frame: Frame) -> None:
+        """Resolve the future one reply answers (``ValueError``: payload does not parse)."""
         msg_type = frame.msg_type
         if msg_type == MessageType.RESULT:
-            self._handle_result(codec.decode_result(frame.payload))
+            message = codec.decode_result(frame.payload)
+            if message.credits is not None:
+                self.server_credits = message.credits
+            entry = self._settle(message.request_id)
+            if entry is not None:  # abandoned work is never an RTT sample
+                self.rtts_s.append(time.perf_counter() - entry.sent_at)
+                entry.future.set_result(message.to_outcome(entry.request))
         elif msg_type == MessageType.BUSY:
-            self._handle_busy(protocol.decode_busy(frame.payload))
+            # The server shed or refused this request.
+            busy = protocol.decode_busy(frame.payload)
+            self.busy_replies += 1
+            entry = self._settle(busy.request_id)
+            if entry is not None:
+                entry.future.set_exception(
+                    ServerBusyError(busy.reason, retry_after_s=busy.retry_after_s)
+                )
         elif msg_type == MessageType.ERROR:
-            self._handle_error(protocol.decode_error(frame.payload))
-        elif msg_type == MessageType.WELCOME:
-            if self._hello is not None and not self._hello.done():
-                self._hello.set_result(protocol.decode_welcome(frame.payload))
-        elif msg_type == MessageType.PONG:
-            pong = protocol.decode_pong(frame.payload)
-            entry = self._pings.pop(pong.nonce, None)
-            if entry is not None:
-                sent_at, future = entry
-                self.ping_rtts_s.append(time.perf_counter() - sent_at)
+            reply = protocol.decode_error(frame.payload)
+            if reply.request_id:
+                entry = self._settle(reply.request_id)
+                if entry is not None:
+                    entry.future.set_exception(NetError(reply))
+            else:
+                # Answers no request in particular (a refused HELLO, a frame
+                # the server could not read): everyone waiting hears it.
+                self._fail_owed(NetError(reply))
+        elif msg_type in _CONTROL_REPLIES:
+            value = _CONTROL_REPLIES[msg_type](frame.payload)
+            waiters = self._replies[msg_type]
+            if waiters:
+                future = waiters.popleft()
                 if not future.done():
-                    future.set_result(pong)
-        elif msg_type == MessageType.DRAINED:
-            if self._drained is not None and not self._drained.done():
-                self._drained.set_result(None)
-        elif msg_type == MessageType.STATS_REPLY:
-            if self._stats is not None and not self._stats.done():
-                self._stats.set_result(protocol.decode_stats(frame.payload))
+                    future.set_result(value)
 
-    def _handle_result(self, message: ResultMessage) -> None:
-        if message.credits is not None:
-            self.server_credits = message.credits
-        entry = self._pending.pop(message.request_id, None)
+    def _settle(self, request_id: int) -> _Pending | None:
+        """Take the entry a reply answers off the books and free its credit.
+
+        Returns it only while its future still waits: a cancelled one is a
+        timed-out submit that kept its credit held (the server still counted
+        it in flight) — this late reply is the release point, nothing more.
+        """
+        entry = self._pending.pop(request_id, None)
         if entry is None:
-            return
+            return None
         self._release_credit(entry.credited)
-        future = entry.future
-        if future.cancelled():
-            # A timed-out submit abandoned this request but kept its
-            # credit held (the server still counted it in flight); this
-            # late reply is the release point, never an RTT sample.
-            return
-        self.rtts_s.append(time.perf_counter() - entry.sent_at)
-        if not future.done():
-            future.set_result(message.to_outcome(entry.request))
+        return None if entry.future.done() else entry
 
-    def _handle_busy(self, busy: protocol.BusyReply) -> None:
-        """A BUSY reply: the server shed or refused this request."""
-        self.busy_replies += 1
-        entry = self._pending.pop(busy.request_id, None)
-        if entry is None:
-            return
-        self._release_credit(entry.credited)
-        if not entry.future.done():
-            entry.future.set_exception(
-                ServerBusyError(busy.reason, retry_after_s=busy.retry_after_s)
-            )
-
-    def _handle_error(self, reply: ErrorReply) -> None:
-        error = NetError(reply)
-        if reply.request_id:
-            entry = self._pending.pop(reply.request_id, None)
-            if entry is not None:
-                self._release_credit(entry.credited)
-                if not entry.future.done():
-                    entry.future.set_exception(error)
-                return
-        if self._hello is not None and not self._hello.done():
-            self._hello.set_exception(error)
-            return
-        self._fail_pending(error)
-
-    def _fail_pending(self, error: Exception) -> None:
+    def _fail_owed(self, error: Exception) -> None:
+        """Fail every future still owed a reply — submits and control calls alike."""
         for entry in self._pending.values():
             self._release_credit(entry.credited)
             if not entry.future.done():
                 entry.future.set_exception(error)
         self._pending.clear()
-        for _, future in self._pings.values():
-            if not future.done():
-                future.set_exception(error)
-        self._pings.clear()
-        for waiter in (self._hello, self._drained, self._stats):
-            if waiter is not None and not waiter.done():
-                waiter.set_exception(error)
+        for waiters in self._replies.values():
+            for future in waiters:
+                if not future.done():
+                    future.set_exception(error)
+            waiters.clear()
 
 
 class NetClient:
-    """Blocking client: plain sockets, one outstanding request at a time.
+    """Blocking facade: an :class:`AsyncNetClient` run to completion, call by call.
 
     The simple face of the protocol for scripts and documentation —
-    ``connect``, ``submit``, ``ping``, ``close`` — with the same typed
-    :class:`NetError` failures as the async client.
+    ``connect``, ``submit``, ``ping``, ``close`` — with the async client's
+    typed failures, because it *is* the async client, driven on a private
+    event loop.  ``timeout`` bounds every call as a whole (builtin
+    ``TimeoutError``).  Not for use inside a running event loop: use
+    :class:`AsyncNetClient` there.
     """
 
     def __init__(
@@ -509,26 +534,31 @@ class NetClient:
         timeout: float = 10.0,
         versions: tuple[int, ...] = (PROTOCOL_VERSION,),
     ):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._decoder = FrameDecoder()
-        self._frames: list[Frame] = []
-        self._next_id = 0
-        self._next_nonce = 0
-        self._closed = False
-        #: Request ids abandoned by a timed-out ``submit``; their late
-        #: RESULT/BUSY/ERROR frames are discarded on sight so a stale
-        #: reply is never returned as a *newer* request's outcome.
-        self._abandoned: set[int] = set()
-        #: Round-trip seconds of every ``submit`` and ``ping`` call.
-        self.rtts_s: list[float] = []
         self._timeout = timeout
-        self._send(MessageType.HELLO, protocol.encode_hello(versions))
-        frame = self._expect(MessageType.WELCOME)
-        welcome = protocol.decode_welcome(frame.payload)
-        self.negotiated_version = welcome.version
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._run(AsyncNetClient.connect(host, port, versions), timeout)
+        except BaseException:
+            self._loop.close()
+            raise
+        self.negotiated_version = self._client.negotiated_version
         #: In-flight window the server's WELCOME advertised (informational
         #: here: the blocking client never has more than one in flight).
-        self.credit_window = welcome.credit_window
+        self.credit_window = self._client.credit_window
+        #: Round-trip seconds of every ``submit`` call (the async client's list).
+        self.rtts_s = self._client.rtts_s
+
+    def _run(self, call: Coroutine, timeout: float | None) -> Any:
+        """Drive one client call to completion, bounded as a whole by ``timeout``."""
+        try:
+            return self._loop.run_until_complete(asyncio.wait_for(call, timeout))
+        except asyncio.TimeoutError as error:
+            # ``submit``'s own RequestTimeoutError is a TimeoutError too (and
+            # since Python 3.11 so is asyncio's): only the bare outer timeout
+            # is translated, into the builtin on every Python version.
+            if type(error) is not asyncio.TimeoutError:
+                raise
+            raise TimeoutError(f"no reply from the server within {timeout}s") from None
 
     def submit(
         self,
@@ -543,113 +573,34 @@ class NetClient:
         """Submit live work and block until its outcome arrives.
 
         ``deadline_s`` is the relative server-side latency budget;
-        ``timeout_s`` bounds this call client-side and raises
+        ``timeout_s`` (default: the connection's ``timeout``) bounds this
+        call client-side and raises
         :class:`~repro.flow.retry.RequestTimeoutError` when it runs out.
         A BUSY reply (shed or refused work) raises
         :class:`~repro.flow.retry.ServerBusyError` with the server's
         retry-after hint.
         """
-        self._next_id += 1
-        request = Request.make(self._next_id, tenant, kind, items, model=model)
-        payload = codec.encode_submit(
-            request.request_id, tenant, request.kind.value, items,
-            model=model, ciphertexts=ciphertexts, deadline_s=deadline_s,
-        )
-        started = time.perf_counter()
-        if timeout_s is not None:
-            self._sock.settimeout(timeout_s)
-        try:
-            self._send(MessageType.SUBMIT, payload)
-            frame = self._expect(MessageType.RESULT, request_id=request.request_id)
-        except socket.timeout:
-            # The server may still answer later; remember the id so the
-            # stale reply is discarded instead of desynchronizing the
-            # one-outstanding-request stream.
-            self._abandoned.add(request.request_id)
-            raise RequestTimeoutError(
-                f"request {request.request_id} timed out after {timeout_s}s "
-                "waiting for its RESULT"
-            ) from None
-        finally:
-            if timeout_s is not None:
-                self._sock.settimeout(self._timeout)
-        self.rtts_s.append(time.perf_counter() - started)
-        return codec.decode_result(frame.payload).to_outcome(request)
+        bound = self._timeout if timeout_s is None else timeout_s
+        call = self._client.submit(tenant, kind, items, model, ciphertexts, deadline_s, bound)
+        return self._run(call, None)
 
     def ping(self) -> float:
         """One latency echo; returns the round-trip time in seconds."""
-        self._next_nonce += 1
-        started = time.perf_counter()
-        self._send(MessageType.PING, protocol.encode_ping(self._next_nonce, started))
-        self._expect(MessageType.PONG)
-        rtt = time.perf_counter() - started
-        self.rtts_s.append(rtt)
-        return rtt
+        self._run(self._client.ping(), self._timeout)
+        return self._client.ping_rtts_s[-1]
 
     def stats(self) -> dict[str, float]:
         """Scrape the server's metrics registry over the wire."""
-        self._send(MessageType.STATS, b"")
-        frame = self._expect(MessageType.STATS_REPLY)
-        return protocol.decode_stats(frame.payload)
+        return self._run(self._client.stats(), self._timeout)
 
     def close(self) -> None:
-        """Close the socket."""
-        if not self._closed:
-            self._closed = True
-            self._sock.close()
+        """Close the connection and the private event loop."""
+        if not self._loop.is_closed():
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
 
     def __enter__(self) -> "NetClient":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    # -- transport ---------------------------------------------------------------
-
-    def _send(self, msg_type: MessageType, payload: bytes) -> None:
-        self._sock.sendall(protocol.encode_frame(msg_type, payload))
-
-    def _expect(self, msg_type: MessageType, request_id: int | None = None) -> Frame:
-        """Read frames until the awaited reply arrives.
-
-        ``request_id`` correlates RESULT frames: a RESULT for any other id
-        belongs to a request a timed-out ``submit`` abandoned and is
-        discarded, never returned as the *current* call's outcome.  Late
-        BUSY/ERROR replies for abandoned ids are likewise dropped instead
-        of raising against the wrong request.
-        """
-        while True:
-            frame = self._next_frame()
-            if frame.msg_type == MessageType.ERROR:
-                reply = protocol.decode_error(frame.payload)
-                if reply.request_id and reply.request_id in self._abandoned:
-                    self._abandoned.discard(reply.request_id)
-                    continue
-                raise NetError(reply)
-            if frame.msg_type == MessageType.BUSY:
-                busy = protocol.decode_busy(frame.payload)
-                if busy.request_id in self._abandoned:
-                    self._abandoned.discard(busy.request_id)
-                    continue
-                raise ServerBusyError(busy.reason, retry_after_s=busy.retry_after_s)
-            if frame.msg_type == MessageType.RESULT:
-                result_id = codec.decode_result(frame.payload).request_id
-                if result_id != request_id:
-                    self._abandoned.discard(result_id)
-                    continue
-                return frame
-            if frame.msg_type == msg_type:
-                return frame
-            # Any other frame (e.g. a stray PONG) is skipped.
-
-    def _next_frame(self) -> Frame:
-        while True:
-            if self._frames:
-                return self._frames.pop(0)
-            data = self._sock.recv(64 * 1024)
-            if not data:
-                raise ConnectionError("server closed the connection")
-            for event in self._decoder.feed(data):
-                if isinstance(event, ProtocolError):
-                    raise event
-                self._frames.append(event)

@@ -64,7 +64,7 @@ def run(
     options:
         Additional backend-specific keywords (e.g. ``outputs=`` for the
         reference backend).  The ``"strix-cluster"`` backend understands
-        five cluster-shaping options, all string-registered with
+        three cluster-shaping options, all string-registered with
         did-you-mean errors:
 
         * ``devices=N`` — number of simulated Strix chips (default 4);
@@ -74,14 +74,7 @@ def run(
         * ``layout=`` — placement layout: ``"data-parallel"`` (per-node
           ciphertext splits), ``"pipeline"`` (stage-per-device with
           inter-stage transfers) or ``"elastic"`` (autoscaled active
-          subset) — see :mod:`repro.sched.layouts`;
-        * ``cost_model=`` — serving batch pricing: ``"analytical"``
-          (closed-form epoch stream) or ``"event"`` (cycle-level
-          scheduler on the batch's real graph) — see
-          :mod:`repro.sched.cost`;
-        * ``cost_cache_capacity=`` — entries of the schedule cache that
-          memoizes event-model pricing by batch shape (``0`` disables;
-          memoized pricing is bit-for-bit) — see :mod:`repro.sched.memo`.
+          subset) — see :mod:`repro.sched.layouts`.
 
         ``run("NN-100", backend="strix-cluster", devices=4,
         layout="pipeline")`` is the canonical multi-device call.

@@ -8,10 +8,9 @@ the PR 1 facade targets it transparently::
     result = run("NN-20", backend="strix-cluster", devices=4)
     deep = run("NN-100", backend="strix-cluster", devices=4, layout="pipeline")
 
-``devices`` / ``policy`` / ``layout`` / ``cost_model`` ride along as run
-options (every other backend ignores them), so the same call site scales
-from one chip to a rack and from data-parallel sharding to stage-per-device
-pipelining.
+``devices`` / ``policy`` / ``layout`` ride along as run options (every
+other backend ignores them), so the same call site scales from one chip to
+a rack and from data-parallel sharding to stage-per-device pipelining.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.runtime.backend import Backend, register_backend
 from repro.runtime.result import RunResult
 from repro.runtime.session import Session
 from repro.runtime.workload import WorkloadLike
-from repro.sched.cost import CostModel
 from repro.sched.layouts import PlacementLayout
 from repro.serve.cluster import CLUSTER_BACKEND_NAME, StrixCluster
 from repro.serve.sharding import ShardingPolicy
@@ -42,21 +40,13 @@ class StrixClusterBackend(Backend):
         config: StrixClusterConfig | None = None,
         device_config: StrixConfig | None = None,
         layout: str | PlacementLayout = "data-parallel",
-        cost_model: str | CostModel = "analytical",
-        cost_cache_capacity: int | None = None,
     ):
-        # Remembered so per-call reshapes default to the configured value
-        # (an explicit 0 here must not be silently re-enabled by a
-        # devices=/policy= override later).
-        self.cost_cache_capacity = cost_cache_capacity
         self.cluster = StrixCluster(
             devices=devices,
             policy=policy,
             config=config,
             device_config=device_config,
             layout=layout,
-            cost_model=cost_model,
-            cost_cache_capacity=cost_cache_capacity,
         )
 
     def run(
@@ -70,16 +60,13 @@ class StrixClusterBackend(Backend):
         devices: int | None = None,
         policy: str | ShardingPolicy | None = None,
         layout: str | PlacementLayout | None = None,
-        cost_model: str | CostModel | None = None,
-        cost_cache_capacity: int | None = None,
         **options: Any,
     ) -> RunResult:
         """Shard ``workload`` across the cluster's devices.
 
-        ``devices`` / ``policy`` / ``layout`` / ``cost_model`` /
-        ``cost_cache_capacity`` given at the call site re-shape the cluster
-        for this run (the registry instantiates the backend with defaults,
-        so per-call overrides are how
+        ``devices`` / ``policy`` / ``layout`` given at the call site
+        re-shape the cluster for this run (the registry instantiates the
+        backend with defaults, so per-call overrides are how
         ``run(..., devices=4, layout="pipeline")`` works); ``inputs``
         is ignored — the cluster is a performance model, use the
         ``"reference"`` backend for functional execution.
@@ -89,28 +76,16 @@ class StrixClusterBackend(Backend):
             (devices is not None and devices != len(cluster.devices))
             or policy is not None
             or layout is not None
-            or cost_model is not None
-            or cost_cache_capacity is not None
         )
         if reshaped:
             resolved_devices = devices if devices is not None else len(cluster.devices)
             cluster = StrixCluster(
                 devices=resolved_devices,
                 # Pass the instances through (not their registry names) so
-                # custom policy/layout/cost-model objects survive per-call
-                # reshaping.  An already-wrapped ScheduleCache instance is
-                # reused as-is (the cluster never double-wraps).
+                # custom policy/layout objects survive per-call reshaping.
                 policy=policy if policy is not None else cluster.policy,
                 config=cluster.config.with_devices(resolved_devices),
                 layout=layout if layout is not None else cluster.layout,
-                cost_model=(
-                    cost_model if cost_model is not None else cluster.cost_model
-                ),
-                cost_cache_capacity=(
-                    cost_cache_capacity
-                    if cost_cache_capacity is not None
-                    else self.cost_cache_capacity
-                ),
             )
         return cluster.run(workload, params=params, instances=instances)
 

@@ -14,8 +14,7 @@ from repro.analysis.tables import (
     render_area_power_table,
 )
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
-from repro.params import DEEP_NN_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_II
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS
+from repro.params import PARAM_SET_I, PARAM_SET_II
 
 
 class TestFig1Breakdown:
@@ -24,6 +23,8 @@ class TestFig1Breakdown:
         assert report.gate_shares["pbs"] == pytest.approx(0.65, abs=0.10)
         assert report.gate_shares["keyswitch"] == pytest.approx(0.30, abs=0.10)
         assert report.pbs_shares["blind_rotation"] == pytest.approx(0.98, abs=0.02)
+        shares = report.blind_rotation_shares
+        assert shares["fft"] == max(shares.values())
 
     def test_render_mentions_components(self):
         text = cpu_workload_breakdown(PARAM_SET_I).render()
@@ -69,6 +70,9 @@ class TestTable3AreaPower:
         cost = area_power_table()
         assert cost.total_area_mm2 == pytest.approx(141.37, rel=0.03)
         assert cost.total_power_w == pytest.approx(77.14, rel=0.05)
+        assert cost.core_area_mm2 == pytest.approx(9.38, rel=0.03)
+        scratchpad, phy = cost.component("Global scratchpad"), cost.component("HBM2 PHY")
+        assert scratchpad.area_mm2 > phy.area_mm2
 
     def test_render(self):
         text = render_area_power_table(area_power_table())
@@ -88,6 +92,11 @@ class TestTable5Comparison:
         assert table.speedup_over("Concrete", "I") == pytest.approx(1067, rel=0.15)
         assert table.speedup_over("NuFHE", "I") == pytest.approx(37, rel=0.15)
         assert table.speedup_over("Matcha", "I") == pytest.approx(7.4, rel=0.10)
+
+    def test_strix_rows_carry_the_headline_numbers(self, table):
+        assert table.strix_row("I").latency_ms < 0.25
+        assert table.strix_row("I").throughput_pbs_per_s > 70000
+        assert table.strix_row("IV").throughput_pbs_per_s > 2000
 
     def test_strix_fastest_on_every_set(self, table):
         for name in ("I", "II", "III", "IV"):
@@ -151,6 +160,7 @@ class TestTable7Tradeoff:
         assert not by_clp[2].memory_bound
         assert not by_clp[4].memory_bound
         assert by_clp[16].memory_bound and by_clp[32].memory_bound
+        assert by_clp[32].required_bandwidth_gbps > 1000
         assert by_clp[32].throughput_pbs_per_s < by_clp[4].throughput_pbs_per_s / 2
 
     def test_low_clp_has_higher_latency(self, study):
@@ -165,12 +175,7 @@ class TestTable7Tradeoff:
 class TestFig7DeepNN:
     @pytest.fixture(scope="class")
     def deepnn(self):
-        # Restrict to one model to keep the test fast; the full sweep runs in
-        # the benchmark harness.
-        return deep_nn_benchmark(
-            models={"NN-20": ZAMA_DEEP_NN_MODELS["NN-20"]},
-            parameter_sets=DEEP_NN_PARAMETER_SETS,
-        )
+        return deep_nn_benchmark()  # the full sweep: three models x three degrees
 
     def test_strix_always_fastest(self, deepnn):
         for result in deepnn.results:
@@ -183,8 +188,10 @@ class TestFig7DeepNN:
         assert 5 <= gpu_low and gpu_high <= 25
 
     def test_time_grows_with_polynomial_degree(self, deepnn):
-        times = {result.polynomial_degree: result.strix_time_ms for result in deepnn.results}
-        assert times[1024] < times[2048] < times[4096]
+        nn20 = {r.polynomial_degree: r for r in deepnn.results if r.model == "NN-20"}
+        assert nn20[1024].strix_time_ms < nn20[2048].strix_time_ms < nn20[4096].strix_time_ms
+        # ... and so does the advantage over the CPU.
+        assert nn20[4096].speedup_vs_cpu >= nn20[1024].speedup_vs_cpu
 
     def test_render(self, deepnn):
         text = deepnn.render()

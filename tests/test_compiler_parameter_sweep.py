@@ -112,6 +112,14 @@ class TestParameterSweep:
         throughputs = [point.throughput_pbs_per_s for point in sorted(lb2, key=lambda p: p.polynomial_degree)]
         assert throughputs == sorted(throughputs, reverse=True)
 
+    def test_default_grid_throughput_decreases_with_degree_at_every_level(self):
+        points = parameter_sweep().points
+        for levels in sorted({point.decomposition_levels for point in points}):
+            column = [point for point in points if point.decomposition_levels == levels]
+            column.sort(key=lambda point: point.polynomial_degree)
+            throughputs = [point.throughput_pbs_per_s for point in column]
+            assert len(column) > 1 and throughputs == sorted(throughputs, reverse=True)
+
     def test_throughput_decreases_with_levels(self, sweep):
         n1024 = {point.decomposition_levels: point for point in sweep.by_degree(1024)}
         assert n1024[2].throughput_pbs_per_s > n1024[3].throughput_pbs_per_s

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro import run
 from repro.params import PARAM_SET_I, PARAM_SET_II
 from repro.sched import (
     DEFAULT_COST_CACHE_CAPACITY,
@@ -304,42 +303,3 @@ def test_capacity_knob_wins_over_prebuilt_cache():
     assert isinstance(resized.cost_model, ScheduleCache)
     assert resized.cost_model.capacity == 9
     assert resized.cost_model.inner is memo.inner
-
-
-def test_backend_reshape_keeps_configured_cost_cache_capacity(monkeypatch):
-    from repro.serve import backend as backend_module
-
-    backend = backend_module.StrixClusterBackend(
-        devices=2, cost_model="event", cost_cache_capacity=0
-    )
-    assert isinstance(backend.cluster.cost_model, EventDrivenCostModel)
-
-    captured = {}
-    real_cluster = backend_module.StrixCluster
-
-    class SpyCluster(real_cluster):
-        def __init__(self, *args, **kwargs):
-            captured.update(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(backend_module, "StrixCluster", SpyCluster)
-    # A devices= reshape must not silently re-enable memoization the
-    # backend was configured without...
-    backend.run("NN-20", devices=1)
-    assert captured["cost_cache_capacity"] == 0
-    # ...while a per-call capacity still overrides for that run.
-    backend.run("NN-20", devices=1, cost_cache_capacity=4)
-    assert captured["cost_cache_capacity"] == 4
-    assert isinstance(backend.cluster.cost_model, EventDrivenCostModel)
-
-
-def test_backend_run_accepts_cost_cache_capacity():
-    result = run(
-        "NN-20",
-        backend="strix-cluster",
-        devices=2,
-        cost_model="event",
-        cost_cache_capacity=16,
-    )
-    assert result.backend == "strix-cluster"
-    assert result.latency_s > 0

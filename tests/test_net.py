@@ -11,18 +11,24 @@ Three layers of coverage, mirroring the module's own layering:
   over loopback TCP is **bit-for-bit** the in-process simulation, corrupt
   frames earn typed ``ERROR`` replies while the server keeps serving, live
   mode serves concurrent connections with measured round trips.
+
+Between the last two sits the client's state machine on its own:
+:class:`AsyncNetClient` driven over an in-memory stream, no socket anywhere.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.traffic import bursty_trace, steady_trace
+from repro.flow.retry import RequestTimeoutError
 from repro.net import codec, protocol
 from repro.net.client import AsyncNetClient, NetClient, NetError
 from repro.net.loadgen import closed_loop
@@ -285,6 +291,255 @@ class _ThreadedServer:
         self._thread.join(5.0)
 
 
+class _ScriptedPeer:
+    """One TCP connection answered by a script instead of a server.
+
+    The peer completes the HELLO itself, then runs ``script(conn, frames)``
+    with the accepted socket and an iterator over the client's frames — the
+    place to be slow, silent or out of step in ways ``NetServer`` never is.
+    """
+
+    def __init__(self, script):
+        self._script = script
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        conn, _peer = self._listener.accept()
+        with conn:
+            frames = self._frames(conn)
+            try:
+                next(frames)  # HELLO
+                conn.sendall(encode_frame(MessageType.WELCOME, protocol.encode_welcome()))
+                self._script(conn, frames)
+            except (OSError, StopIteration):
+                pass  # the client hung up first
+
+    @staticmethod
+    def _frames(conn):
+        decoder = FrameDecoder()
+        while data := conn.recv(64 * 1024):
+            yield from decoder.feed(data)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._listener.close()
+        self._thread.join(5.0)
+        assert not self._thread.is_alive(), "the scripted peer is still waiting"
+
+
+# -- the client state machine, without sockets --------------------------------------
+
+
+class _RecordingWriter:
+    """The write half of a connection that goes nowhere but remembers every byte."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+    def frames(self, msg_type):
+        """Every frame of ``msg_type`` the client has written so far."""
+        return [f for f in FrameDecoder().feed(bytes(self.data)) if f.msg_type == msg_type]
+
+
+class _Wire:
+    """An :class:`AsyncNetClient` whose peer is the test itself."""
+
+    def __init__(self):
+        self.reader = asyncio.StreamReader()
+        self.writer = _RecordingWriter()
+        self.client = AsyncNetClient(self.reader, self.writer)
+
+    async def reply(self, msg_type, payload=b""):
+        """Deliver one reply frame a byte at a time, the reader running in between."""
+        for byte in encode_frame(msg_type, payload):
+            self.reader.feed_data(bytes([byte]))
+            await asyncio.sleep(0)
+        await asyncio.sleep(0)
+
+    async def welcome(self, credit_window=None):
+        hello = asyncio.ensure_future(self.client.hello())
+        await self.reply(MessageType.WELCOME, protocol.encode_welcome(1, credit_window))
+        return await hello
+
+    async def pong(self, index):
+        """Answer the ``index``-th PING the client wrote, echoing it as a server does."""
+        nonce, client_s = protocol.decode_ping(self.writer.frames(MessageType.PING)[index].payload)
+        await self.reply(MessageType.PONG, protocol.encode_pong(nonce, client_s, 0.0))
+
+
+async def _settled(*awaitables):
+    """Run them to the end, or fail the test: nothing here may wait forever."""
+    tasks = [asyncio.ensure_future(awaitable) for awaitable in awaitables]
+    _done, pending = await asyncio.wait(tasks, timeout=2.0)
+    for task in pending:
+        task.cancel()
+    assert not pending, f"{len(pending)} of {len(tasks)} calls never got an answer"
+    return [task.exception() or task.result() for task in tasks]
+
+
+def _result_payload(request_id):
+    return codec.encode_result(request_id, 0, 0, 0.0, 0.0, 0.1)
+
+
+class TestClientStateMachine:
+    @pytest.mark.parametrize("late", ["RESULT", "BUSY", "ERROR"])
+    def test_late_reply_for_a_timed_out_id_is_swallowed(self, late):
+        payload = {
+            "RESULT": _result_payload(1),
+            "BUSY": protocol.encode_busy(1, 0.1, "late shed"),
+            "ERROR": protocol.encode_error(ErrorCode.DEADLINE_EXCEEDED, "late", request_id=1),
+        }[late]
+
+        async def scenario():
+            wire = _Wire()
+            client = wire.client
+            assert (await wire.welcome(credit_window=1)).credit_window == 1
+            with pytest.raises(RequestTimeoutError):
+                await client.submit("t0", "bootstrap", timeout_s=0.01)
+            # The abandoned request holds the only credit: the next submit parks.
+            second = asyncio.ensure_future(client.submit("t0", "bootstrap"))
+            await asyncio.sleep(0.01)
+            assert len(wire.writer.frames(MessageType.SUBMIT)) == 1 and client.credit_stalls == 1
+            # Its late reply frees the credit, is nobody's outcome and no RTT sample ...
+            await wire.reply(MessageType[late], payload)
+            assert len(wire.writer.frames(MessageType.SUBMIT)) == 2
+            assert client.rtts_s == [] and not second.done()
+            assert client.busy_replies == (late == "BUSY")
+            # ... and the next RESULT reaches its own future.
+            await wire.reply(MessageType.RESULT, _result_payload(2))
+            (outcome,) = await _settled(second)
+            assert outcome.request.request_id == 2 and len(client.rtts_s) == 1
+            await client.close()
+
+        asyncio.run(scenario())
+
+    def test_reply_fifo_stays_aligned_after_a_cancelled_ping(self):
+        async def scenario():
+            wire = _Wire()
+            await wire.welcome()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(wire.client.ping(), 0.01)
+            second = asyncio.ensure_future(wire.client.ping())
+            await asyncio.sleep(0)
+            await wire.pong(0)  # the stale one: consumed, answers nobody
+            assert not second.done() and wire.client.ping_rtts_s == []
+            await wire.pong(1)
+            (pong,) = await _settled(second)
+            assert pong.nonce == 2 and len(wire.client.ping_rtts_s) == 1
+            await wire.client.close()
+
+        asyncio.run(scenario())
+
+    def test_error_without_an_id_fails_the_hello_or_everyone_waiting(self):
+        refusal = protocol.encode_error(ErrorCode.UNSUPPORTED_VERSION, "no common version")
+        garbled = protocol.encode_error(ErrorCode.BAD_CHECKSUM, "crc mismatch")
+
+        async def scenario():
+            wire = _Wire()
+            hello = asyncio.ensure_future(wire.client.hello((9,)))
+            await wire.reply(MessageType.ERROR, refusal)
+            (error,) = await _settled(hello)
+            assert isinstance(error, NetError)
+            assert error.reply.code == ErrorCode.UNSUPPORTED_VERSION
+            assert wire.client.negotiated_version is None
+            await wire.client.close()
+
+            wire = _Wire()
+            await wire.welcome()
+            submitted = wire.client.submit_nowait(Request.make(1, "t0", "bootstrap"))
+            scrape = asyncio.ensure_future(wire.client.stats())
+            await asyncio.sleep(0)
+            await wire.reply(MessageType.ERROR, garbled)
+            errors = await _settled(submitted, scrape)
+            assert [type(e) for e in errors] == [NetError, NetError]
+            # Frame-local on the server's side, so the connection keeps serving.
+            ping = asyncio.ensure_future(wire.client.ping())
+            await asyncio.sleep(0)
+            await wire.pong(0)
+            assert (await _settled(ping))[0].nonce == 1
+            await wire.client.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("call", ["stats", "drain"])
+    def test_concurrent_control_calls_are_each_answered(self, call):
+        reply_type = {"stats": MessageType.STATS_REPLY, "drain": MessageType.DRAINED}[call]
+        payloads = {
+            "stats": [protocol.encode_stats({"n": 1.0}), protocol.encode_stats({"n": 2.0})],
+            "drain": [b"", b""],
+        }[call]
+
+        async def scenario():
+            wire = _Wire()
+            await wire.welcome()
+            calls = [asyncio.ensure_future(getattr(wire.client, call)()) for _ in range(2)]
+            await asyncio.sleep(0)
+            for payload in payloads:
+                await wire.reply(reply_type, payload)
+            answers = await _settled(*calls)
+            if call == "stats":  # in wire order: first caller, first reply
+                assert answers == [{"n": 1.0}, {"n": 2.0}]
+            await wire.client.close()
+
+        asyncio.run(scenario())
+
+    def test_unparseable_reply_payload_fails_everything_owed_with_a_typed_error(self):
+        async def scenario():
+            wire = _Wire()
+            await wire.welcome()
+            submitted = wire.client.submit_nowait(Request.make(1, "t0", "bootstrap"))
+            drain = asyncio.ensure_future(wire.client.drain())
+            await asyncio.sleep(0)
+            await wire.reply(MessageType.RESULT, b"CRC-valid, but no RESULT")
+            for error in await _settled(submitted, drain):
+                assert isinstance(error, ProtocolError) and error.code == ErrorCode.BAD_MESSAGE
+            # The reader survived it: the frame boundary was never in doubt.
+            ping = asyncio.ensure_future(wire.client.ping())
+            await asyncio.sleep(0)
+            await wire.pong(0)
+            await _settled(ping)
+            await wire.client.close()
+
+        asyncio.run(scenario())
+
+    def test_sending_after_the_peer_closed_fails_fast_and_registers_nothing(self):
+        async def scenario():
+            wire = _Wire()
+            client = wire.client
+            await wire.welcome()
+            in_flight = client.submit_nowait(Request.make(1, "t0", "bootstrap"))
+            wire.reader.feed_eof()
+            (error,) = await _settled(in_flight)
+            assert isinstance(error, ConnectionError)
+            written = len(wire.writer.data)
+            with pytest.raises(ConnectionError):
+                client.submit_nowait(Request.make(2, "t0", "bootstrap"))
+            for call in (client.submit("t0", "bootstrap"), client.ping(), client.stats()):
+                (error,) = await _settled(call)
+                assert isinstance(error, ConnectionError)
+            assert len(wire.writer.data) == written  # nothing went into the void
+            await client.close()
+
+        asyncio.run(scenario())
+
+
 # -- deterministic replay over real sockets -----------------------------------------
 
 
@@ -481,11 +736,31 @@ class TestLoopbackErrors:
         async def scenario():
             async with NetServer(mode="live", devices=1, params="I") as net:
                 host, port = net.address
+                before = asyncio.all_tasks()
                 with pytest.raises(NetError) as excinfo:
                     await AsyncNetClient.connect(host, port, versions=(9,))
                 assert excinfo.value.reply.code == ErrorCode.UNSUPPORTED_VERSION
+                # The refused client is closed, not leaked: no reader task
+                # survives it and the server sees the connection go away.
+                assert asyncio.all_tasks() - before - net._conn_tasks == set()
+                for _ in range(100):
+                    if not net._connections:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not net._connections
 
         self._scenario(scenario())
+
+    def test_sync_client_refused_hello_is_typed_and_leaks_nothing(self):
+        with _ThreadedServer(mode="live", devices=1, params="I") as served:
+            with pytest.raises(NetError) as excinfo:
+                NetClient(*served.address, versions=(9,))
+            assert excinfo.value.reply.code == ErrorCode.UNSUPPORTED_VERSION
+            for _ in range(100):
+                if not served.net._connections:
+                    break
+                time.sleep(0.01)
+            assert not served.net._connections
 
     def test_unknown_model_is_rejected_per_request(self):
         # The client library refuses to build such a request locally, so the
@@ -540,7 +815,61 @@ class TestLiveServing:
                 outcome = client.submit("tenant0", "bootstrap", 8)
                 assert outcome.request.items == 8
                 assert outcome.completed_s >= outcome.dispatched_s
-                assert len(client.rtts_s) == 2
+                assert len(client.rtts_s) == 1  # submit samples; pings are separate
+
+    def test_sync_ping_after_a_timed_out_submit_returns_its_own_rtt(self):
+        options = dict(mode="live", devices=1, params="I", batch_capacity=64)
+        with _ThreadedServer(max_batch_delay_s=0.15, **options) as served:
+            with NetClient(*served.address) as client:
+                with pytest.raises(RequestTimeoutError):
+                    client.submit("t0", "bootstrap", timeout_s=0.01)
+                started = time.perf_counter()
+                rtt = client.ping()
+                assert 0.0 < rtt <= time.perf_counter() - started
+                # The late RESULT is still owed; it reaches nobody, and the
+                # next submit gets its own outcome.
+                outcome = client.submit("t0", "bootstrap", timeout_s=5.0)
+                assert outcome.request.request_id == 2 and len(client.rtts_s) == 1
+
+    def test_sync_connection_timeout_is_the_builtin_timeout_error(self):
+        silent = threading.Event()
+        with _ScriptedPeer(lambda conn, frames: silent.wait(5.0)) as peer:
+            with NetClient(*peer.address, timeout=0.05) as client:
+                with pytest.raises(TimeoutError) as excinfo:
+                    client.stats()
+                # Exactly the builtin on every Python: not asyncio's class
+                # (3.10), not a per-request RequestTimeoutError.
+                assert type(excinfo.value) is TimeoutError
+                silent.set()
+
+    def test_sync_stale_pong_is_not_the_next_pings_reply(self):
+        def script(conn, frames):
+            for delay_s in (0.5, 0.15):  # the first PONG comes after the client gave up
+                nonce, client_s = protocol.decode_ping(next(frames).payload)
+                time.sleep(delay_s)
+                pong = protocol.encode_pong(nonce, client_s, 0.0)
+                conn.sendall(encode_frame(MessageType.PONG, pong))
+
+        with _ScriptedPeer(script) as peer:
+            with NetClient(*peer.address, timeout=0.4) as client:
+                with pytest.raises(TimeoutError):
+                    client.ping()
+                # Sent at 0.4 s; the stale PONG lands at 0.5 s, its own at 0.65 s.
+                assert client.ping() > 0.2
+
+    def test_sync_timeout_bounds_the_call_not_each_read(self):
+        def script(conn, frames):
+            request_id = codec.decode_submit(next(frames).payload).request_id
+            for byte in encode_frame(MessageType.RESULT, _result_payload(request_id)):
+                conn.sendall(bytes([byte]))  # 60 bytes, 0.6 s: every read is prompt
+                time.sleep(0.01)
+
+        with _ScriptedPeer(script) as peer:
+            with NetClient(*peer.address) as client:
+                started = time.perf_counter()
+                with pytest.raises(RequestTimeoutError):
+                    client.submit("t0", "bootstrap", timeout_s=0.1)
+                assert time.perf_counter() - started < 0.4
 
     def test_concurrent_connections_multiplex(self):
         async def scenario():

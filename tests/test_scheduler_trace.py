@@ -94,9 +94,8 @@ class TestOccupancyTrace:
             assert expected in rows
 
     def test_wide_units_highly_utilized(self, trace):
-        assert trace.utilization["fft"] > 0.8
-        assert trace.utilization["vma"] > 0.8
-        assert trace.utilization["decomposer"] > 0.8
+        for unit in ("decomposer", "fft", "vma", "ifft", "accumulator"):
+            assert trace.utilization[unit] > 0.8, unit
 
     def test_rotator_about_half_utilized(self, trace):
         assert 0.3 < trace.utilization["rotator"] < 0.7
