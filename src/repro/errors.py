@@ -90,19 +90,8 @@ class UnknownAdmissionPolicyError(UnknownNameError, ValueError):
 
     Also a ``ValueError``: admission is an argument-validation surface
     (``Server(admission=...)``) and its callers match on ``ValueError``
-    like the sharding-policy and kernel knobs.
+    like the sharding-policy knob.
     """
 
     kind = "admission policy"
     kind_plural = "admission policies"
-
-
-class UnknownKernelError(UnknownNameError, ValueError):
-    """Unknown kernel-backend name (``"scalar"`` / ``"vectorized"``).
-
-    Also a ``ValueError``: the kernels knob is an argument-validation
-    surface (``Session(kernels=...)``, ``run(..., kernels=...)``) and its
-    callers match on ``ValueError`` like every other bad-argument path.
-    """
-
-    kind = "kernel backend"

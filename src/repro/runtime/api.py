@@ -60,7 +60,8 @@ def run(
     inputs:
         Primary-input values for functional execution (reference backend).
     instances:
-        Netlist replication factor — the batching knob.
+        Netlist replication factor — the batching knob (the reference
+        backend runs all instances as one stack through the batch kernels).
     options:
         Additional backend-specific keywords (e.g. ``outputs=`` for the
         reference backend).  The ``"strix-cluster"`` backend understands

@@ -4,7 +4,10 @@ Interprets a :class:`~repro.sim.compiler.Netlist` operation by operation with
 the actual gates / PBS / linear arithmetic of :mod:`repro.tfhe` — every gate
 output is a real bootstrap.  This is the ground truth the performance
 backends are modeled against: the same netlist the simulator costs can be
-decrypted and checked here.
+decrypted and checked here.  All instances of a run travel together: each
+wire carries one stack of ciphertexts and each operation runs once over it
+through the batch kernels of :mod:`repro.tfhe.batch` (one instance is a
+batch of one).
 """
 
 from __future__ import annotations
@@ -17,15 +20,10 @@ import numpy as np
 from repro.params import TFHEParameters
 from repro.runtime.backend import Backend, register_backend
 from repro.runtime.result import RunResult
-from repro.runtime.session import _GATE_METHODS, Session
+from repro.runtime.session import Session
 from repro.runtime.workload import WorkloadLike, as_netlist
 from repro.sim.compiler import Netlist, Operation
-from repro.tfhe.batch import (
-    LweBatch,
-    batch_gate,
-    batch_programmable_bootstrap,
-    resolve_kernels,
-)
+from repro.tfhe.batch import LweBatch, batch_gate, batch_programmable_bootstrap
 from repro.tfhe.context import ServerKeys
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
@@ -63,24 +61,18 @@ class ReferenceBackend(Backend):
         inputs: Mapping[str, Any] | Sequence[Mapping[str, Any]] | None = None,
         instances: int = 1,
         outputs: Sequence[str] | None = None,
-        kernels: str | None = None,
         **options: Any,
     ) -> RunResult:
         """Execute a netlist functionally and decrypt its outputs.
 
-        ``inputs`` maps primary-input wires to plaintext values (``bool`` for
-        the gate encoding, ``int`` for the message encoding) or to
-        pre-encrypted ciphertexts; missing wires default to ``False``.  Pass
-        a list of mappings to execute several independent instances — the
-        batch the accelerator would fold into one epoch.
-
-        ``kernels`` selects the execution backend for the instance batch:
-        ``"scalar"`` interprets instances one by one with the per-ciphertext
-        kernels, ``"vectorized"`` stacks all instances and runs each
-        operation once through the batch kernels of :mod:`repro.tfhe.batch`
-        (bit-for-bit equal server-side, so decrypted outputs are identical).
-        ``None`` (default) inherits the session's ``kernels`` setting, which
-        is ``"scalar"`` unless the caller opted in.
+        ``inputs`` maps primary-input wires to plaintext values (``bool`` /
+        ``numpy.bool_`` for the gate encoding, ``int`` for the message
+        encoding) or to pre-encrypted ciphertexts; missing wires default to
+        ``False``.  Pass a list of mappings to execute several independent
+        instances — the batch the accelerator would fold into one epoch.
+        Across instances a wire keeps one encoding (pre-encrypted
+        ciphertexts take the encoding of the plaintext values they share
+        the wire with).
         """
         netlist = as_netlist(workload, params)
         if session is None:
@@ -91,9 +83,6 @@ class ReferenceBackend(Backend):
                 f"the workload's {netlist.params.name!r}"
             )
         session.generate_server_keys()
-        effective_kernels = (
-            session.kernels if kernels is None else resolve_kernels(kernels)
-        )
 
         if inputs is None:
             input_batches: list[Mapping[str, Any]] = [{}] * max(instances, 1)
@@ -115,15 +104,12 @@ class ReferenceBackend(Backend):
         }
 
         start = time.perf_counter()
-        if effective_kernels == "vectorized" and input_batches:
-            decrypted = self._execute_batch(
-                netlist, session, input_batches, output_wires, luts
-            )
-        else:
-            decrypted = [
-                self._execute_instance(netlist, session, instance_inputs, output_wires, luts)
-                for instance_inputs in input_batches
-            ]
+        # An empty list of mappings is zero instances (an empty stack is not a batch).
+        decrypted = (
+            self._execute(netlist, session, input_batches, output_wires, luts)
+            if input_batches
+            else []
+        )
         elapsed = time.perf_counter() - start
 
         pbs_count = netlist.pbs_count() * len(input_batches)
@@ -134,97 +120,12 @@ class ReferenceBackend(Backend):
             latency_s=elapsed,
             pbs_count=pbs_count,
             outputs=decrypted,
-            details={
-                "instances": len(input_batches),
-                "wall_clock": True,
-                "kernels": effective_kernels,
-            },
+            details={"instances": len(input_batches), "wall_clock": True},
         )
 
     # -- interpreter ----------------------------------------------------------------
 
-    def _execute_instance(
-        self,
-        netlist: Netlist,
-        session: Session,
-        inputs: Mapping[str, Any],
-        output_wires: Sequence[str],
-        luts: Mapping[int, LookUpTable],
-    ) -> dict[str, int | bool]:
-        values: dict[str, LweCiphertext] = {}
-        tags: dict[str, str] = {}
-        for wire in netlist.primary_inputs:
-            value = inputs.get(wire, False)
-            if isinstance(value, LweCiphertext):
-                values[wire], tags[wire] = value, _ANY
-            elif isinstance(value, bool):
-                values[wire], tags[wire] = session.encrypt_boolean(value), _BOOLEAN
-            else:
-                values[wire], tags[wire] = session.encrypt(int(value)), _MESSAGE
-
-        for index, operation in enumerate(netlist.operations):
-            values[operation.output], tags[operation.output] = self._apply(
-                operation, session, values, tags, luts.get(index)
-            )
-
-        result: dict[str, int | bool] = {}
-        for wire in output_wires:
-            if wire not in values:
-                raise KeyError(f"requested output wire {wire!r} was never produced")
-            if tags[wire] == _BOOLEAN:
-                result[wire] = session.decrypt_boolean(values[wire])
-            else:
-                result[wire] = session.decrypt(values[wire])
-        return result
-
-    def _apply(
-        self,
-        operation: Operation,
-        session: Session,
-        values: dict[str, LweCiphertext],
-        tags: dict[str, str],
-        lut: LookUpTable | None,
-    ) -> tuple[LweCiphertext, str]:
-        operands = [values[wire] for wire in operation.inputs]
-        # Gates work in the ±q/8 boolean encoding; LUT and linear operations
-        # in the integer message encoding.  A wire crossing domains would
-        # decode to garbage silently — the one thing a ground-truth backend
-        # must never do — so mixing is rejected loudly.  Untyped passthrough
-        # ciphertexts (tag "any") are the caller's responsibility.
-        wrong_tag = _MESSAGE if operation.kind == "gate" else _BOOLEAN
-        mismatched = [w for w in operation.inputs if tags[w] == wrong_tag]
-        if mismatched:
-            raise ValueError(
-                f"{operation.kind} operation {operation.output!r} consumes "
-                f"{wrong_tag}-encoded wire(s) {mismatched}; gates use the ±q/8 "
-                "boolean encoding while lut/linear operations use the integer "
-                "message encoding — the two cannot be mixed on one wire"
-            )
-        if operation.kind == "gate":
-            method = getattr(session.gates(), _GATE_METHODS[operation.name])
-            return method(*operands), _BOOLEAN
-        if operation.kind == "lut":
-            accumulator = operands[0]
-            for operand in operands[1:]:
-                accumulator = accumulator + operand
-            return session.apply_lut(accumulator, lut), _MESSAGE
-        if operation.kind == "linear":
-            coefficients = operation.coefficients or (1,) * len(operands)
-            accumulator: LweCiphertext | None = None
-            for coefficient, operand in zip(coefficients, operands):
-                if coefficient == 0:
-                    continue
-                term = operand if coefficient == 1 else operand.scalar_multiply(int(coefficient))
-                accumulator = term if accumulator is None else accumulator + term
-            if accumulator is None:
-                accumulator = LweCiphertext.trivial(0, operands[0].dimension, session.params)
-            tag = tags[operation.inputs[0]] if operation.inputs else _MESSAGE
-            return accumulator, tag
-        raise ValueError(f"unknown operation kind {operation.kind!r}")
-
-    # -- batched interpreter ---------------------------------------------------------
-
-    def _execute_batch(
+    def _execute(
         self,
         netlist: Netlist,
         session: Session,
@@ -236,10 +137,9 @@ class ReferenceBackend(Backend):
 
         Each wire carries one :class:`LweBatch` holding every instance's
         ciphertext, and each operation runs once over the whole stack.  The
-        batch kernels are bit-for-bit equal to the scalar interpreter, so
-        the decrypted outputs match ``_execute_instance`` exactly (only the
-        RNG *order* of input encryption differs: wire-major here versus
-        instance-major in the scalar loop).
+        batch kernels are bit-for-bit equal to the per-ciphertext ones, so
+        an N-instance run decrypts to the same outputs as N one-instance
+        runs (inputs are encrypted wire by wire, instance by instance).
         """
         keys = session.generate_server_keys()
         values: dict[str, LweBatch] = {}
@@ -252,22 +152,25 @@ class ReferenceBackend(Backend):
                 if isinstance(value, LweCiphertext):
                     ciphertexts.append(value)
                     wire_tags.add(_ANY)
-                elif isinstance(value, bool):
-                    ciphertexts.append(session.encrypt_boolean(value))
+                elif isinstance(value, (bool, np.bool_)):
+                    ciphertexts.append(session.encrypt_boolean(bool(value)))
                     wire_tags.add(_BOOLEAN)
                 else:
                     ciphertexts.append(session.encrypt(int(value)))
                     wire_tags.add(_MESSAGE)
-            if len(wire_tags) != 1:
+            # Untyped ciphertexts take the encoding of the plaintext values
+            # they share the wire with — the caller vouches for them.
+            typed = wire_tags - {_ANY}
+            if len(typed) > 1:
                 raise ValueError(
-                    f"vectorized kernels need one encoding per wire, but input wire "
-                    f"{wire!r} mixes {sorted(wire_tags)} across instances"
+                    f"a stack of instances needs one encoding per wire, but input wire "
+                    f"{wire!r} mixes {sorted(typed)} across instances"
                 )
             values[wire] = LweBatch.from_ciphertexts(ciphertexts)
-            tags[wire] = wire_tags.pop()
+            tags[wire] = typed.pop() if typed else _ANY
 
         for index, operation in enumerate(netlist.operations):
-            values[operation.output], tags[operation.output] = self._apply_batch(
+            values[operation.output], tags[operation.output] = self._apply(
                 operation, session, keys, values, tags, luts.get(index)
             )
 
@@ -284,7 +187,7 @@ class ReferenceBackend(Backend):
                 result[wire] = value
         return results
 
-    def _apply_batch(
+    def _apply(
         self,
         operation: Operation,
         session: Session,
@@ -294,9 +197,11 @@ class ReferenceBackend(Backend):
         lut: LookUpTable | None,
     ) -> tuple[LweBatch, str]:
         operands = [values[wire] for wire in operation.inputs]
-        # Same encoding-domain policy as the scalar interpreter: gates work in
-        # the ±q/8 boolean encoding, lut/linear in the message encoding, and a
-        # wire crossing domains is rejected loudly.
+        # Gates work in the ±q/8 boolean encoding; LUT and linear operations
+        # in the integer message encoding.  A wire crossing domains would
+        # decode to garbage silently — the one thing a ground-truth backend
+        # must never do — so mixing is rejected loudly.  Untyped passthrough
+        # ciphertexts (tag "any") are the caller's responsibility.
         wrong_tag = _MESSAGE if operation.kind == "gate" else _BOOLEAN
         mismatched = [w for w in operation.inputs if tags[w] == wrong_tag]
         if mismatched:

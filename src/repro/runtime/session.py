@@ -27,7 +27,6 @@ from repro.tfhe.batch import (
     batch_gate,
     batch_phase,
     batch_programmable_bootstrap,
-    resolve_kernels,
 )
 from repro.tfhe.bootstrap import BootstrapResult
 from repro.tfhe.context import ServerKeys, TFHEContext
@@ -50,15 +49,17 @@ class Session:
         Strix model used to size batches (device/core batch geometry) and as
         the default simulation target; defaults to the paper's configuration.
     kernels:
-        Kernel backend for the batch APIs: ``"scalar"`` (default) loops the
-        per-ciphertext reference kernels, ``"vectorized"`` stacks each epoch
-        into arrays and runs the bit-for-bit equal batch kernels of
-        :mod:`repro.tfhe.batch`.  Unknown names raise
-        :class:`repro.errors.UnknownKernelError` with a did-you-mean
-        suggestion.  Server-side results are identical either way; only
-        ``encrypt*_batch`` consumes the session RNG in a different order
-        (bulk draws), so vectorized encryptions are equally valid but not
-        byte-identical to a scalar-order transcript.
+        Not a choice any more: ``"vectorized"`` is the default and the only
+        legal value (anything else is a ``ValueError``).  Every batch API
+        stacks each epoch into arrays and runs the batch kernels of
+        :mod:`repro.tfhe.batch`; the scalar reference kernels they are held
+        to bit for bit are the per-ciphertext API (:meth:`encrypt` /
+        :meth:`decrypt` / :meth:`programmable_bootstrap` / :meth:`apply_lut`
+        / :meth:`gates`).  The keyword survives only because the frozen
+        benchmark still passes it.  Server-side results equal the
+        per-ciphertext API exactly; only ``encrypt*_batch`` consumes the
+        session RNG in a different order (bulk draws), so batch encryptions
+        are equally valid but not byte-identical to a per-ciphertext loop.
     """
 
     def __init__(
@@ -66,12 +67,17 @@ class Session:
         params: TFHEParameters | str = TOY_PARAMETERS,
         seed: int | None = None,
         accelerator: StrixAccelerator | None = None,
-        kernels: str = "scalar",
+        kernels: str = "vectorized",
     ):
+        if kernels != "vectorized":
+            raise ValueError(
+                f"kernels={kernels!r} is not selectable: the batch APIs always run the "
+                "batch kernels; the scalar reference kernels are the per-ciphertext API "
+                "(encrypt / decrypt / programmable_bootstrap / apply_lut / gates())"
+            )
         resolved = resolve_params(params)
         self.context = TFHEContext(resolved, seed=seed)
         self.accelerator = accelerator or StrixAccelerator()
-        self.kernels = resolve_kernels(kernels)
         self._gates: GateBootstrapper | None = None
 
     # -- key material ------------------------------------------------------------
@@ -151,103 +157,87 @@ class Session:
         return self.context.apply_lut(ciphertext, lut)
 
     # -- batch API ------------------------------------------------------------------
+    #
+    # Every method takes any iterable, materialises it once, and runs the
+    # stacked kernels of :mod:`repro.tfhe.batch`; an empty batch returns
+    # ``[]`` before reaching them (an empty :class:`LweBatch` is rejected).
 
     def encrypt_batch(self, messages: Iterable[int]) -> list[LweCiphertext]:
         """Encrypt a batch of integer messages."""
         messages = list(messages)
-        if self.kernels == "scalar" or not messages:
-            return [self.context.encrypt(message) for message in messages]
+        if not messages:
+            return []
         values = encoding.encode_array(np.asarray(messages, dtype=np.int64), self.params)
         batch = batch_encrypt(values, self.context.lwe_key.bits, self.params, self.context.rng)
         return batch.to_ciphertexts()
 
     def decrypt_batch(self, ciphertexts: Iterable[LweCiphertext]) -> list[int]:
-        """Decrypt a batch of integer ciphertexts."""
+        """Decrypt a batch of integer ciphertexts.
+
+        The batch is one stack, so every ciphertext must share one LWE
+        dimension (``n``, or ``k*N`` for un-keyswitched PBS outputs); a mix
+        raises a ``ValueError`` naming the dimensions — decrypt each group
+        with its own call.
+        """
         ciphertexts = list(ciphertexts)
-        if self.kernels == "scalar" or not ciphertexts:
-            return [self.context.decrypt(ciphertext) for ciphertext in ciphertexts]
-        batch = LweBatch.from_ciphertexts(ciphertexts)
-        phases = batch_phase(batch, self._key_bits_for(batch.dimension))
-        decoded = encoding.decode_array(phases, self.params)
+        if not ciphertexts:
+            return []
+        decoded = encoding.decode_array(self._phases(ciphertexts), self.params)
         return [int(value) for value in np.mod(decoded, self.params.message_modulus)]
 
     def encrypt_boolean_batch(self, values: Iterable[bool]) -> list[LweCiphertext]:
         """Encrypt a batch of booleans."""
         values = list(values)
-        if self.kernels == "scalar" or not values:
-            return [self.context.encrypt_boolean(value) for value in values]
+        if not values:
+            return []
         eighth = self.params.q // 8
         encoded = np.where(np.asarray(values, dtype=bool), eighth, self.params.q - eighth)
         batch = batch_encrypt(encoded, self.context.lwe_key.bits, self.params, self.context.rng)
         return batch.to_ciphertexts()
 
     def decrypt_boolean_batch(self, ciphertexts: Iterable[LweCiphertext]) -> list[bool]:
-        """Decrypt a batch of boolean ciphertexts."""
+        """Decrypt a batch of boolean ciphertexts (one LWE dimension, as above)."""
         ciphertexts = list(ciphertexts)
-        if self.kernels == "scalar" or not ciphertexts:
-            return [self.context.decrypt_boolean(ciphertext) for ciphertext in ciphertexts]
-        batch = LweBatch.from_ciphertexts(ciphertexts)
-        phases = batch_phase(batch, self._key_bits_for(batch.dimension))
-        signed = torus.to_signed(phases, self.params.q)
+        if not ciphertexts:
+            return []
+        signed = torus.to_signed(self._phases(ciphertexts), self.params.q)
         return [bool(value) for value in signed > 0]
 
     def bootstrap_batch(
         self,
-        ciphertexts: Sequence[LweCiphertext],
+        ciphertexts: Iterable[LweCiphertext],
         function: Callable[[int], int],
         keyswitch: bool = True,
     ) -> list[LweCiphertext]:
         """Bootstrap a batch of ciphertexts through the same function.
 
         Ciphertexts are processed in epoch-sized chunks (``batch_capacity``),
-        mirroring how the accelerator would schedule them.  With the
-        ``"vectorized"`` backend each chunk runs as one pass through the
-        stacked-array PBS chain; results are bit-for-bit identical to the
-        scalar loop.
+        mirroring how the accelerator would schedule them: each chunk is one
+        pass through the stacked-array PBS chain, bit-for-bit identical to
+        :meth:`programmable_bootstrap` applied element by element.
         """
         refreshed: list[LweCiphertext] = []
-        if self.kernels == "vectorized" and ciphertexts:
-            keys = self.generate_server_keys()
-            for epoch in self.iter_epochs(ciphertexts):
-                result = batch_programmable_bootstrap(
-                    LweBatch.from_ciphertexts(list(epoch)),
-                    function,
-                    keys.bootstrapping_key,
-                    self.params,
-                    keys.keyswitching_key if keyswitch else None,
-                )
-                refreshed.extend(result.ciphertexts.to_ciphertexts())
-            return refreshed
-        for epoch in self.iter_epochs(ciphertexts):
-            for ciphertext in epoch:
-                result = self.context.programmable_bootstrap(ciphertext, function, keyswitch)
-                refreshed.append(result.ciphertext)
+        for epoch in self.iter_epochs(list(ciphertexts)):
+            keys = self.generate_server_keys()  # cached; an empty batch needs none
+            result = batch_programmable_bootstrap(
+                LweBatch.from_ciphertexts(epoch),
+                function,
+                keys.bootstrapping_key,
+                self.params,
+                keys.keyswitching_key if keyswitch else None,
+            )
+            refreshed.extend(result.ciphertexts.to_ciphertexts())
         return refreshed
 
     def apply_lut_batch(
-        self, ciphertexts: Sequence[LweCiphertext], lut: LookUpTable
+        self, ciphertexts: Iterable[LweCiphertext], lut: LookUpTable
     ) -> list[LweCiphertext]:
         """Apply one LUT across a batch of ciphertexts (one PBS each)."""
-        applied: list[LweCiphertext] = []
-        if self.kernels == "vectorized" and ciphertexts:
-            keys = self.generate_server_keys()
-            entries = lut.entries
-            for epoch in self.iter_epochs(ciphertexts):
-                result = batch_programmable_bootstrap(
-                    LweBatch.from_ciphertexts(list(epoch)),
-                    lambda m: int(entries[m % len(entries)]),
-                    keys.bootstrapping_key,
-                    lut.params,
-                    keys.keyswitching_key,
-                )
-                applied.extend(result.ciphertexts.to_ciphertexts())
-            return applied
-        for epoch in self.iter_epochs(ciphertexts):
-            applied.extend(self.context.apply_lut(ciphertext, lut) for ciphertext in epoch)
-        return applied
+        entries = lut.entries
+        return self.bootstrap_batch(ciphertexts, lambda m: int(entries[m % len(entries)]))
 
     def gate_batch(
-        self, gate: str, *operand_batches: Sequence[LweCiphertext]
+        self, gate: str, *operand_batches: Iterable[LweCiphertext]
     ) -> list[LweCiphertext]:
         """Vectorized gate application: ``gate_batch("and", lhs, rhs)``.
 
@@ -261,22 +251,25 @@ class Session:
             )
         if not operand_batches:
             raise ValueError("gate_batch needs at least one operand batch")
-        lengths = {len(batch) for batch in operand_batches}
+        operands = [list(batch) for batch in operand_batches]
+        lengths = {len(batch) for batch in operands}
         if len(lengths) != 1:
             raise ValueError(f"operand batches have mismatched lengths: {sorted(lengths)}")
-        if self.kernels == "vectorized" and lengths != {0}:
-            keys = self.generate_server_keys()
-            stacked = tuple(
-                LweBatch.from_ciphertexts(list(batch)) for batch in operand_batches
-            )
-            result = batch_gate(
-                gate, stacked, keys.bootstrapping_key, keys.keyswitching_key, self.params
-            )
-            return result.to_ciphertexts()
-        method = getattr(self.gates(), _GATE_METHODS[gate])
-        return [method(*operands) for operands in zip(*operand_batches)]
+        if lengths == {0}:
+            return []
+        keys = self.generate_server_keys()
+        stacked = tuple(LweBatch.from_ciphertexts(batch) for batch in operands)
+        result = batch_gate(
+            gate, stacked, keys.bootstrapping_key, keys.keyswitching_key, self.params
+        )
+        return result.to_ciphertexts()
 
     # -- internals -----------------------------------------------------------------
+
+    def _phases(self, ciphertexts: list[LweCiphertext]) -> np.ndarray:
+        """Noisy phases of a non-empty batch under the key matching its dimension."""
+        batch = LweBatch.from_ciphertexts(ciphertexts)
+        return batch_phase(batch, self._key_bits_for(batch.dimension))
 
     def _key_bits_for(self, dimension: int) -> np.ndarray:
         """Secret-key bit vector matching an LWE dimension (``n`` or ``k*N``)."""
@@ -298,16 +291,3 @@ class Session:
 
         return run_workload(workload, backend=backend, session=self, **options)
 
-
-#: Gate name -> :class:`GateBootstrapper` method name.
-_GATE_METHODS = {
-    "not": "not_",
-    "and": "and_",
-    "or": "or_",
-    "nand": "nand",
-    "nor": "nor",
-    "xor": "xor",
-    "xnor": "xnor",
-    "andny": "andny",
-    "mux": "mux",
-}

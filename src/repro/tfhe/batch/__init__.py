@@ -1,22 +1,18 @@
 """Vectorized batch kernels for the functional TFHE tier.
 
-This package is the ``"vectorized"`` kernel backend: stacked-array
-(:class:`LweBatch` / :class:`GlweBatch`) implementations of the hot PBS
-chain — blind rotation, sample extraction, keyswitching, gate bootstrap —
-that are **bit-for-bit equal** to the scalar reference in
+Stacked-array (:class:`LweBatch` / :class:`GlweBatch`) implementations of
+the hot PBS chain — blind rotation, sample extraction, keyswitching, gate
+bootstrap — that are **bit-for-bit equal** to the scalar reference in
 :mod:`repro.tfhe` while amortizing numpy dispatch over the whole batch.
 
-The backend is selected through the shared registry shape: pass
-``kernels="vectorized"`` to :class:`repro.runtime.session.Session` or
-:meth:`repro.runtime.reference.ReferenceBackend.run`; unknown names raise
-:class:`repro.errors.UnknownKernelError` with a did-you-mean suggestion.
-The default everywhere is ``"scalar"``, so existing traces and BENCH
-records are untouched.
+These are the one implementation behind every batch API of
+:class:`repro.runtime.session.Session` and behind the reference backend
+(one ciphertext is a batch of one); nothing selects them.  The scalar
+kernels stay as the oracle, reachable through the per-ciphertext API.
 """
 
 from __future__ import annotations
 
-from repro.errors import UnknownKernelError
 from repro.tfhe.batch.gates import BATCH_GATES, batch_gate
 from repro.tfhe.batch.kernels import (
     BatchBootstrapResult,
@@ -33,28 +29,10 @@ from repro.tfhe.batch.kernels import (
 )
 from repro.tfhe.batch.types import GlweBatch, LweBatch
 
-#: Registered kernel backends, in registry (and documentation) order.
-KERNEL_BACKENDS = ("scalar", "vectorized")
-
-
-def resolve_kernels(name: str) -> str:
-    """Validate a kernel-backend name against the registry.
-
-    Returns the name unchanged when registered; raises
-    :class:`~repro.errors.UnknownKernelError` (a ``KeyError`` *and*
-    ``ValueError``) with the registered names and a did-you-mean
-    suggestion otherwise.
-    """
-    if name not in KERNEL_BACKENDS:
-        raise UnknownKernelError(name, list(KERNEL_BACKENDS))
-    return name
-
-
 __all__ = [
     "BATCH_GATES",
     "BatchBootstrapResult",
     "GlweBatch",
-    "KERNEL_BACKENDS",
     "LweBatch",
     "batch_blind_rotate",
     "batch_bootstrap_to_sign",
@@ -67,5 +45,4 @@ __all__ = [
     "batch_phase",
     "batch_programmable_bootstrap",
     "batch_sample_extract",
-    "resolve_kernels",
 ]

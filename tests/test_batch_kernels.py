@@ -5,17 +5,20 @@ of every batched kernel result must equal the scalar kernel applied to
 element ``i`` — same masks, same bodies, to the last bit.  This suite
 enforces that with seeded randomized sweeps across parameter sets and batch
 sizes, covers the degenerate shapes (empty batches raise, batch-1 equals
-scalar exactly), and exercises the ``kernels`` knob end to end through
-:class:`~repro.runtime.session.Session` and the reference backend, the
-transform-instance registry, and the stacked wire codecs.
+scalar exactly), holds every batch API of
+:class:`~repro.runtime.session.Session` to its per-ciphertext API (the scalar
+oracle: slow reference, fast path, element-wise equality) and an N-instance
+reference-backend run to N one-instance runs, and covers the
+transform-instance registry and the stacked wire codecs.
 """
 
 from __future__ import annotations
 
+import keyword
+
 import numpy as np
 import pytest
 
-from repro.errors import UnknownKernelError
 from repro.fft import (
     clear_transform_caches,
     get_folded_transform,
@@ -30,7 +33,6 @@ from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, full_adder_netlist
 from repro.tfhe.batch import (
     BATCH_GATES,
-    KERNEL_BACKENDS,
     GlweBatch,
     LweBatch,
     batch_blind_rotate,
@@ -39,7 +41,6 @@ from repro.tfhe.batch import (
     batch_monomial_multiply,
     batch_programmable_bootstrap,
     batch_sample_extract,
-    resolve_kernels,
 )
 from repro.tfhe.blind_rotate import blind_rotate, make_test_vector
 from repro.tfhe.bootstrap import programmable_bootstrap
@@ -111,37 +112,6 @@ def _with_edge_exponents(ciphertexts, params):
         mask[4] = params.N * step
         forced.append(LweCiphertext(mask, ciphertext.body, params))
     return forced
-
-
-# -- the registry knob -----------------------------------------------------------
-
-
-class TestKernelRegistry:
-    def test_registered_backends(self):
-        assert KERNEL_BACKENDS == ("scalar", "vectorized")
-        for name in KERNEL_BACKENDS:
-            assert resolve_kernels(name) == name
-
-    def test_unknown_name_gets_did_you_mean(self):
-        with pytest.raises(UnknownKernelError) as excinfo:
-            resolve_kernels("vectorised")
-        message = str(excinfo.value)
-        assert "kernel backend" in message
-        assert "did you mean 'vectorized'" in message
-        # Matches both historical catch styles of the other registries.
-        assert isinstance(excinfo.value, KeyError)
-        assert isinstance(excinfo.value, ValueError)
-
-    def test_session_validates_the_knob(self):
-        with pytest.raises(UnknownKernelError, match="scalar"):
-            Session("TOY", kernels="simd")
-
-    def test_reference_backend_validates_the_knob(self):
-        netlist = Netlist(TOY_PARAMETERS, name="tiny")
-        netlist.add_input("a")
-        netlist.add_gate("not", "b", "a")
-        with pytest.raises(UnknownKernelError, match="vectorized"):
-            run(netlist, backend="reference", kernels="avx2")
 
 
 # -- stacked containers ----------------------------------------------------------
@@ -461,53 +431,113 @@ class TestBatchGates:
             )
 
 
-# -- the Session knob -------------------------------------------------------------
+# -- Session batch APIs vs. the per-ciphertext oracle -------------------------------
+
+#: ``(parameter set, batch size)``: 64 is the paper's epoch-level gate batch
+#: (TOY only, the per-ciphertext loop is the slow side of every comparison).
+SESSION_CASES = [
+    pytest.param(name, size, id=f"{name}-{size}")
+    for name, sizes in (("TOY", (1, 3, 64)), ("SMALL", (1, 3)))
+    for size in sizes
+]
+
+
+@pytest.fixture(scope="module")
+def sessions() -> dict[str, Session]:
+    return {name: Session(name, seed=99) for name in ("TOY", "SMALL")}
+
+
+def _oracle_gate(session: Session, gate: str):
+    """The per-ciphertext method of a gate name (``and`` -> ``gates().and_``)."""
+    return getattr(session.gates(), gate + "_" if keyword.iskeyword(gate) else gate)
 
 
 class TestSessionKernels:
-    @pytest.fixture(scope="class")
-    def session(self) -> Session:
-        sess = Session("TOY", seed=99)
-        sess.generate_server_keys()
-        return sess
+    """Batch API = batch kernels, per-ciphertext API = scalar oracle, equal bit for bit."""
 
-    def test_default_is_scalar(self, session):
-        assert session.kernels == "scalar"
+    @pytest.fixture(scope="class")
+    def session(self, sessions) -> Session:
+        return sessions["TOY"]
+
+    def test_kernels_keyword_has_one_value(self):
+        assert Session("TOY", seed=5, kernels="vectorized").params is TOY_PARAMETERS
+        with pytest.raises(ValueError, match="per-ciphertext API"):
+            Session("TOY", kernels="scalar")
+        assert not hasattr(Session("TOY", seed=5), "kernels")
 
     def test_vectorized_round_trips(self):
-        sess = Session("TOY", seed=5, kernels="vectorized")
+        sess = Session("TOY", seed=5)
         messages = [0, 1, 2, 3, 1]
         assert sess.decrypt_batch(sess.encrypt_batch(messages)) == messages
         values = [True, False, True]
         assert sess.decrypt_boolean_batch(sess.encrypt_boolean_batch(values)) == values
         assert sess.encrypt_batch([]) == []
         assert sess.decrypt_batch([]) == []
+        assert sess.bootstrap_batch([], lambda m: m) == []
+        assert sess.gate_batch("and", [], []) == []
 
-    def test_bootstrap_batch_identical_across_backends(self, session):
+    @pytest.mark.parametrize("name, size", SESSION_CASES)
+    def test_encrypt_and_decrypt_batches_equal_oracle(self, sessions, name, size):
+        session = sessions[name]
+        rng = np.random.default_rng([size, 1])
+        messages = [int(m) for m in rng.integers(0, session.params.message_modulus, size)]
+        bits = [bool(b) for b in rng.integers(0, 2, size)]
+        # Bulk draws reorder the RNG stream, so encryption is held to the
+        # oracle through decryption: each side decrypts what the other made.
+        assert [session.decrypt(ct) for ct in session.encrypt_batch(messages)] == messages
+        assert session.decrypt_batch([session.encrypt(m) for m in messages]) == messages
+        encrypted_bits = session.encrypt_boolean_batch(bits)
+        assert [session.decrypt_boolean(ct) for ct in encrypted_bits] == bits
+        assert session.decrypt_boolean_batch([session.encrypt_boolean(b) for b in bits]) == bits
+
+    @pytest.mark.parametrize("name, size", SESSION_CASES)
+    def test_bootstrap_and_lut_batches_equal_oracle(self, sessions, name, size):
+        session = sessions[name]
         p = session.params.message_modulus
-        ciphertexts = session.encrypt_batch([0, 1, 2, 3])
-        session.kernels = "scalar"
-        scalar_out = session.bootstrap_batch(ciphertexts, lambda m: (m + 1) % p)
-        session.kernels = "vectorized"
-        try:
-            vector_out = session.bootstrap_batch(ciphertexts, lambda m: (m + 1) % p)
-        finally:
-            session.kernels = "scalar"
-        for scalar, vector in zip(scalar_out, vector_out):
-            np.testing.assert_array_equal(scalar.mask, vector.mask)
-            assert scalar.body == vector.body
+        rng = np.random.default_rng([size, 2])
+        ciphertexts = [session.encrypt(int(m)) for m in rng.integers(0, p, size)]
+
+        def function(m: int) -> int:
+            return (3 * m + 1) % p
+
+        for keyswitch in (True, False):
+            fast = session.bootstrap_batch(ciphertexts, function, keyswitch=keyswitch)
+            oracle = [
+                session.programmable_bootstrap(ct, function, keyswitch).ciphertext
+                for ct in ciphertexts
+            ]
+            _assert_batch_equals_scalars(LweBatch.from_ciphertexts(fast), oracle)
+            # keyswitch=False leaves k*N-dimensional ciphertexts: the other key.
+            assert session.decrypt_batch(fast) == [session.decrypt(ct) for ct in oracle]
+        lut = relu_lut(session.params)
+        _assert_batch_equals_scalars(
+            LweBatch.from_ciphertexts(session.apply_lut_batch(ciphertexts, lut)),
+            [session.apply_lut(ct, lut) for ct in ciphertexts],
+        )
+
+    @pytest.mark.parametrize("gate", sorted(GateBootstrapper.PBS_COST))
+    @pytest.mark.parametrize("name, size", SESSION_CASES)
+    def test_gate_batch_equals_oracle(self, sessions, name, size, gate):
+        session = sessions[name]
+        rng = np.random.default_rng([size, 3])
+        arity = {"not": 1, "mux": 3}.get(gate, 2)
+        operands = [
+            [session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)]
+            for _ in range(arity)
+        ]
+        method = _oracle_gate(session, gate)
+        _assert_batch_equals_scalars(
+            LweBatch.from_ciphertexts(session.gate_batch(gate, *operands)),
+            [method(*row) for row in zip(*operands)],
+        )
 
     def test_consecutive_calls_share_no_memory(self, session):
         """Per-call workspace: a later, larger call must not touch an earlier result."""
         p = session.params.message_modulus
         ciphertexts = session.encrypt_batch([0, 1, 2, 3, 1, 2, 0])
-        session.kernels = "vectorized"
-        try:
-            first = session.bootstrap_batch(ciphertexts[:3], lambda m: (m + 1) % p)
-            snapshot = [(ct.mask.copy(), ct.body) for ct in first]
-            second = session.bootstrap_batch(ciphertexts, lambda m: (2 * m) % p)
-        finally:
-            session.kernels = "scalar"
+        first = session.bootstrap_batch(ciphertexts[:3], lambda m: (m + 1) % p)
+        snapshot = [(ct.mask.copy(), ct.body) for ct in first]
+        second = session.bootstrap_batch(ciphertexts, lambda m: (2 * m) % p)
         for ciphertext, (mask, body) in zip(first, snapshot):
             np.testing.assert_array_equal(ciphertext.mask, mask)
             assert ciphertext.body == body
@@ -515,34 +545,49 @@ class TestSessionKernels:
         assert session.decrypt_batch(first) == [1, 2, 3]
         assert session.decrypt_batch(second) == [0, 2, 0, 2, 2, 0, 0]
 
-    def test_lut_and_gate_batches_identical_across_backends(self, session):
-        lut = relu_lut(session.params)
-        ciphertexts = session.encrypt_batch([0, 1, 2, 3])
-        lhs = session.encrypt_boolean_batch([True, False, True])
-        rhs = session.encrypt_boolean_batch([True, True, False])
-        session.kernels = "scalar"
-        scalar_lut = session.apply_lut_batch(ciphertexts, lut)
-        scalar_gate = session.gate_batch("xor", lhs, rhs)
-        session.kernels = "vectorized"
-        try:
-            vector_lut = session.apply_lut_batch(ciphertexts, lut)
-            vector_gate = session.gate_batch("xor", lhs, rhs)
-        finally:
-            session.kernels = "scalar"
-        for scalar, vector in zip(scalar_lut + scalar_gate, vector_lut + vector_gate):
-            np.testing.assert_array_equal(scalar.mask, vector.mask)
-            assert scalar.body == vector.body
+    def test_server_side_batches_take_any_iterable(self, session):
+        messages, bits = [0, 1, 2], [True, False, True]
+        ciphertexts = session.encrypt_batch(messages)
+        encrypted_bits = session.encrypt_boolean_batch(bits)
+        refreshed = session.bootstrap_batch((ct for ct in ciphertexts), lambda m: m)
+        assert session.decrypt_batch(refreshed) == messages
+        applied = session.apply_lut_batch(iter(ciphertexts), relu_lut(session.params))
+        assert session.decrypt_batch(applied) == [0, 1, 0]
+        negated = session.gate_batch("nand", iter(encrypted_bits), iter(encrypted_bits))
+        assert session.decrypt_boolean_batch(negated) == [False, True, False]
+
+    def test_wrong_operand_count_is_the_kernels_value_error(self, session):
+        lhs = session.encrypt_boolean_batch([True, False])
+        with pytest.raises(ValueError, match="gate 'and' takes 2 operands, got 1"):
+            session.gate_batch("and", lhs)
+
+    def test_decrypt_batch_rejects_mixed_dimensions(self, session):
+        narrow = session.encrypt(1)
+        wide = session.programmable_bootstrap(narrow, lambda m: m, keyswitch=False).ciphertext
+        dimensions = f"{session.params.n}, {session.params.k * session.params.N}"
+        with pytest.raises(ValueError, match=rf"mixed dimensions: \[{dimensions}\]"):
+            session.decrypt_batch([narrow, wide])
+        assert session.decrypt_batch([narrow]) == session.decrypt_batch([wide]) == [1]
 
 
-# -- the reference-backend knob ----------------------------------------------------
+# -- the reference backend: N instances are one stack --------------------------------
 
 
 class TestReferenceBackendKernels:
     @pytest.fixture(scope="class")
     def session(self) -> Session:
-        sess = Session("TOY", seed=77)
-        sess.generate_server_keys()
-        return sess
+        return Session("TOY", seed=77)
+
+    @staticmethod
+    def _assert_stack_equals_single_runs(netlist, session, inputs) -> list:
+        stacked = run(netlist, backend="reference", session=session, inputs=inputs)
+        single = [
+            run(netlist, backend="reference", session=session, inputs=one).outputs[0]
+            for one in inputs
+        ]
+        assert stacked.outputs == single
+        assert stacked.details == {"instances": len(inputs), "wall_clock": True}
+        return stacked.outputs
 
     def test_adder_outputs_identical(self, session):
         netlist = full_adder_netlist(TOY_PARAMETERS, bits=2)
@@ -556,17 +601,10 @@ class TestReferenceBackendKernels:
             }
             for a, b in cases
         ]
-        scalar = run(netlist, backend="reference", session=session, inputs=inputs)
-        vector = run(
-            netlist,
-            backend="reference",
-            session=session,
-            inputs=inputs,
-            kernels="vectorized",
-        )
-        assert scalar.outputs == vector.outputs
-        assert scalar.details["kernels"] == "scalar"
-        assert vector.details["kernels"] == "vectorized"
+        outputs = self._assert_stack_equals_single_runs(netlist, session, inputs)
+        assert [out["axb0"] + 2 * out["s1"] + 4 * out["c1"] for out in outputs] == [
+            a + b for a, b in cases
+        ]
 
     def test_lut_linear_outputs_identical(self, session):
         p = TOY_PARAMETERS.message_modulus
@@ -576,21 +614,29 @@ class TestReferenceBackendKernels:
         combined = netlist.add_linear("combined", (a, b), coefficients=(1, 2))
         netlist.add_lut("out", combined, function=lambda m: (m * m) % p)
         inputs = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
-        scalar = run(netlist, backend="reference", session=session, inputs=inputs)
-        vector = run(
-            netlist, backend="reference", session=session, inputs=inputs,
-            kernels="vectorized",
-        )
-        assert scalar.outputs == vector.outputs
+        outputs = self._assert_stack_equals_single_runs(netlist, session, inputs)
+        assert outputs == [{"out": 1}, {"out": 0}, {"out": 1}]
 
-    def test_session_kernels_are_inherited(self):
-        sess = Session("TOY", seed=31, kernels="vectorized")
-        netlist = Netlist(TOY_PARAMETERS, name="inherit")
-        a = netlist.add_input("a")
-        netlist.add_gate("not", "b", a)
-        result = run(netlist, backend="reference", session=sess, inputs={"a": True})
-        assert result.details["kernels"] == "vectorized"
-        assert result.outputs == [{"b": False}]
+    def test_numpy_bools_are_booleans(self, session):
+        netlist = Netlist(TOY_PARAMETERS, name="and")
+        netlist.add_gate("and", "out", netlist.add_input("a"), netlist.add_input("b"))
+        bits = np.array([True, True, False])
+        result = run(
+            netlist,
+            backend="reference",
+            session=session,
+            inputs=[{"a": bits[0], "b": bits[1]}, {"a": bits[1], "b": bits[2]}],
+        )
+        assert result.outputs == [{"out": True}, {"out": False}]
+
+    def test_pre_encrypted_ciphertexts_share_a_wire_with_plaintext(self, session):
+        netlist = Netlist(TOY_PARAMETERS, name="mixed-any")
+        netlist.add_gate("not", "b", netlist.add_input("a"))
+        inputs = [{"a": session.encrypt_boolean(True)}, {"a": False}]
+        result = run(
+            netlist, backend="reference", session=session, inputs=inputs, outputs=["a", "b"]
+        )
+        assert result.outputs == [{"a": True, "b": False}, {"a": False, "b": True}]
 
     def test_mixed_encodings_on_one_wire_rejected(self, session):
         netlist = Netlist(TOY_PARAMETERS, name="mixed")
@@ -602,7 +648,6 @@ class TestReferenceBackendKernels:
                 backend="reference",
                 session=session,
                 inputs=[{"a": True}, {"a": 2}],
-                kernels="vectorized",
             )
 
 
