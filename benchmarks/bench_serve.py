@@ -269,7 +269,7 @@ def bench_cost_cache(report: BenchReport, duration_s: float, seed: int) -> None:
     The trace repeats a handful of batch shapes (bootstrap bursts plus
     NN-20/NN-50 inferences), the steady-traffic case the schedule cache
     exists for.  ``cold`` disables memoization (``cost_cache_capacity=0``),
-    so every flushed batch pays a full discrete-event simulation — the
+    so every flushed batch pays a full cycle-level simulation — the
     pre-cache serving cost of ``cost_model="event"``.  ``warm`` serves the
     same trace with a warmed cache, so every batch prices as a dictionary
     lookup.  Model outputs are identical by construction; the deterministic

@@ -7,7 +7,7 @@ Streaming Core (HSC) with its six-stage PBS pipeline and keyswitch cluster,
 the two-level scratchpad hierarchy with a multicast NoC, and the HBM
 interface.  The top-level :class:`repro.arch.accelerator.StrixAccelerator`
 combines these into latency / throughput / bandwidth estimates for any TFHE
-parameter set, and drives the discrete-event simulation in :mod:`repro.sim`.
+parameter set, and drives the cycle-level simulation in :mod:`repro.sim`.
 """
 
 from repro.arch.config import (

@@ -5,7 +5,7 @@ to a TFHE parameter set and answers the evaluation questions of Section VI:
 PBS latency and throughput (Table V), required external bandwidth and the
 compute-/memory-bound boundary (Table VII), epoch scheduling with two-level
 batching, and end-to-end execution-time estimates for workload graphs
-(Fig. 7) via the discrete-event simulator of :mod:`repro.sim`.
+(Fig. 7) via the cycle-level simulator of :mod:`repro.sim`.
 """
 
 from __future__ import annotations

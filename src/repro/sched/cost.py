@@ -65,56 +65,23 @@ class BatchCost:
     breakdown: dict[str, float] = field(default_factory=dict)
 
 
-def _classify_requests(batch: "Batch") -> tuple[int, int, list]:
-    """One classification shared by the lowering and its cache signature.
-
-    Buckets the batch's requests exactly the way :func:`batch_graph`
-    coalesces them: total PBS-free items (→ one LINEAR node), total
-    fixed-cost PBS (→ one fused PBS+KS node), and the model-carrying
-    requests that each expand to a per-request layer subgraph.  Both
-    :func:`batch_graph` and :func:`batch_mix_signature` consume these
-    buckets, so the cache key cannot drift from the graph it stands for.
-
-    Model-carrying requests come back sorted by ``(model, items)`` — the
-    order the signature records them in.  The sort is what makes the
-    signature → schedule mapping a *function*: the cycle-level scheduler
-    books shared resources in graph insertion order, so two batches whose
-    inference requests arrived in different orders would otherwise lower
-    to differently-ordered graphs and schedule to (slightly) different
-    makespans despite equal signatures.  Sorting is stable, so batches
-    whose model requests already share one ``(model, items)`` shape — every
-    trace the benchmarks replay — are lowered exactly as before.
-    """
-    linear_items = 0
-    simple_pbs = 0
-    model_requests = []
-    for request in batch.requests:
-        if request.pbs_per_item == 0:
-            linear_items += request.items
-        elif request.model is None:
-            simple_pbs += request.total_pbs
-        else:
-            model_requests.append(request)
-    model_requests.sort(key=lambda request: (request.model, request.items))
-    return linear_items, simple_pbs, model_requests
-
-
 def batch_mix_signature(batch: "Batch") -> tuple:
     """Canonical request-mix signature of a serving batch.
 
     Two batches with equal signatures lower (via :func:`batch_graph`) to
     structurally identical computation graphs — identical node kinds,
     ciphertext counts, per-ciphertext operations, dependencies *and node
-    order* — because both functions bucket requests through the same
-    :func:`_classify_requests` (which sorts model requests into signature
-    order).  Request ids, tenants and arrival times deliberately do not
-    appear: they never influence the graph shape, so the pipeline layout's
-    stage-plan cache and the event model's schedule cache
+    order* — because both functions read the same
+    :attr:`~repro.serve.batcher.Batch.request_mix` buckets (model requests
+    sorted into signature order, classified once per batch).  Request ids,
+    tenants and arrival times deliberately do not appear: they never
+    influence the graph shape, so the pipeline layout's stage-plan cache
+    and the event model's schedule cache
     (:class:`repro.sched.memo.ScheduleCache`) can key on this signature
     and reuse one partition / one priced schedule across every batch of
     the same shape.
     """
-    linear_items, simple_pbs, model_requests = _classify_requests(batch)
+    linear_items, simple_pbs, model_requests = batch.request_mix
     models = tuple((request.model, request.items) for request in model_requests)
     return (linear_items, simple_pbs, models)
 
@@ -164,7 +131,7 @@ def batch_graph(batch: "Batch", params: TFHEParameters) -> ComputationGraph:
     template (:func:`_model_template`) rather than rebuilt node by node —
     lowering is on the serving hot path, once per event-priced dispatch.
     """
-    linear_items, simple_pbs, model_requests = _classify_requests(batch)
+    linear_items, simple_pbs, model_requests = batch.request_mix
     graph = ComputationGraph(params, name=f"batch-{batch.batch_id}")
     if linear_items:
         graph.add_linear_layer("linear", linear_items, params.n)
@@ -290,7 +257,7 @@ class EventDrivenCostModel(CostModel):
     scheduler-visible effects — per-epoch keyswitch overlap, epoch
     fragmentation across a model's dependency levels, and linear work
     overlapping blind rotation on its own resource — at the cost of one
-    discrete-event simulation per batch.
+    scheduler run per batch.
     """
 
     name = "event"

@@ -2,7 +2,7 @@
 
 The event-driven cost model is the faithful one — keyswitch overlap and
 epoch fragmentation only show up when the cycle-level scheduler runs the
-batch's real graph — but one discrete-event simulation per flushed batch
+batch's real graph — but one cycle-level simulation per flushed batch
 is what kept the serving tier on the closed-form analytical default.
 Serving traffic, however, repeats a handful of batch *shapes*: the adaptive
 batcher flushes at a fixed capacity over a stationary request mix, so the
@@ -87,12 +87,11 @@ class LruCache:
 
     def get_or_compute(self, key, compute: "Callable[[], object]"):
         """The cached value for ``key``, computing (and caching) on miss."""
-        value = self._entries.get(key)
+        value = self._entries.pop(key, None)
         if value is not None:
             self.hits += 1
             # Move-to-back keeps eviction order LRU (dicts preserve
             # insertion order; the front is always the coldest entry).
-            del self._entries[key]
             self._entries[key] = value
             return value
         self.misses += 1

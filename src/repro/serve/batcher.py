@@ -32,6 +32,7 @@ completion tracking without saving any cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from repro.serve.queue import RequestQueue
@@ -55,6 +56,11 @@ class Batch:
     injector's retry path replays a batch whose device died under it as a
     copy with ``attempt`` incremented, so retries are distinguishable in
     traces without a new identity.
+
+    The derived totals below are computed on first read and kept (the
+    batch is frozen and its requests are a tuple); they are not fields, so
+    ``==``, ``repr`` and ``dataclasses.replace`` see only the five fields
+    and a replaced copy derives its own.
     """
 
     batch_id: int
@@ -67,20 +73,53 @@ class Batch:
         if not self.requests:
             raise ValueError("a batch must contain at least one request")
 
-    @property
+    @cached_property
     def total_items(self) -> int:
         """Batchable items across the batch's requests."""
         return sum(request.items for request in self.requests)
 
-    @property
+    @cached_property
     def total_pbs(self) -> int:
         """Bootstraps the batch costs on the accelerator."""
         return sum(request.total_pbs for request in self.requests)
 
-    @property
-    def tenants(self) -> set[str]:
+    @cached_property
+    def tenants(self) -> frozenset[str]:
         """Distinct tenants sharing the batch."""
-        return {request.tenant for request in self.requests}
+        return frozenset(request.tenant for request in self.requests)
+
+    @cached_property
+    def request_mix(self) -> tuple[int, int, tuple[Request, ...]]:
+        """The requests bucketed the way the cost models lower them.
+
+        Total PBS-free items (→ one LINEAR node), total fixed-cost PBS (→
+        one fused PBS+KS node), and the model-carrying requests that each
+        expand to a per-request layer subgraph, sorted by ``(model, items)``.
+        :func:`repro.sched.cost.batch_graph` and its cache signature
+        :func:`repro.sched.cost.batch_mix_signature` both read these buckets,
+        so the key cannot drift from the graph it stands for.
+
+        The sort is what makes the signature → schedule mapping a
+        *function*: the cycle-level scheduler books shared resources in
+        graph insertion order, so two batches whose inference requests
+        arrived in different orders would otherwise lower to
+        differently-ordered graphs and schedule to (slightly) different
+        makespans despite equal signatures.  Sorting is stable, so batches
+        whose model requests already share one ``(model, items)`` shape —
+        every trace the benchmarks replay — are lowered in arrival order.
+        """
+        linear_items = 0
+        simple_pbs = 0
+        model_requests = []
+        for request in self.requests:
+            if request.pbs_per_item == 0:
+                linear_items += request.items
+            elif request.model is None:
+                simple_pbs += request.total_pbs
+            else:
+                model_requests.append(request)
+        model_requests.sort(key=lambda request: (request.model, request.items))
+        return linear_items, simple_pbs, tuple(model_requests)
 
     def fill_fraction(self, capacity: int) -> float:
         """Occupancy of the batch relative to a capacity (may exceed 1)."""

@@ -17,12 +17,17 @@ Observation never affects queueing.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.serve.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs.trace import Tracer
+
+
+#: The ``(sequence, request)`` pair at the head of a tenant's deque.
+_HEAD = itemgetter(0)
 
 
 class QueueOverflowError(RuntimeError):
@@ -65,6 +70,9 @@ class RequestQueue:
         #: Per-tenant FIFO of ``(sequence, request)``; arrival order across
         #: tenants is recovered by comparing head sequence numbers.
         self._by_tenant: dict[str, deque[tuple[int, Request]]] = {}
+        #: The globally oldest request; ``None`` = not known (empty queue, or
+        #: it was popped and nobody has asked since).
+        self._oldest: Request | None = None
         self._sequence = 0
         self._depth = 0
         self.total_enqueued = 0
@@ -105,11 +113,16 @@ class RequestQueue:
         }
 
     def oldest(self) -> Request | None:
-        """The longest-waiting request, or ``None`` when empty."""
-        head = self._oldest_tenant()
-        if head is None:
-            return None
-        return self._by_tenant[head][0][1]
+        """The longest-waiting request, or ``None`` when empty.
+
+        Scanned once per head: a push behind a known head cannot change it,
+        so only :meth:`_pop_head` taking that head forgets the answer.
+        """
+        if self._oldest is None and self._by_tenant:
+            # Emptied subqueues are deleted, so every deque here has a head;
+            # sequence numbers are unique, so the tuples compare on them alone.
+            self._oldest = min(map(_HEAD, self._by_tenant.values()))[1]
+        return self._oldest
 
     def oldest_for_tenant(self, tenant: str) -> Request | None:
         """The longest-waiting request of one tenant, or ``None``."""
@@ -125,19 +138,6 @@ class RequestQueue:
             for tenant, pending in self._by_tenant.items()
             if pending
         }
-
-    def _oldest_tenant(self) -> str | None:
-        """Tenant whose head request arrived first (``None`` when empty)."""
-        best: str | None = None
-        best_sequence = -1
-        for tenant, pending in self._by_tenant.items():
-            if not pending:
-                continue
-            sequence = pending[0][0]
-            if best is None or sequence < best_sequence:
-                best = tenant
-                best_sequence = sequence
-        return best
 
     # -- mutation ---------------------------------------------------------------
 
@@ -164,6 +164,8 @@ class RequestQueue:
         self._append(request)
 
     def _append(self, request: Request) -> None:
+        if not self._by_tenant:
+            self._oldest = request
         self._by_tenant.setdefault(request.tenant, deque()).append(
             (self._sequence, request)
         )
@@ -178,10 +180,10 @@ class RequestQueue:
 
     def pop(self) -> Request:
         """Dequeue the oldest request across all tenants."""
-        tenant = self._oldest_tenant()
-        if tenant is None:
+        oldest = self.oldest()
+        if oldest is None:
             raise IndexError("pop from an empty request queue")
-        return self._pop_head(tenant)
+        return self._pop_head(oldest.tenant)
 
     def pop_for_tenant(self, tenant: str) -> Request:
         """Dequeue one tenant's oldest request (the fair-queuing pop)."""
@@ -193,6 +195,8 @@ class RequestQueue:
         _, request = self._by_tenant[tenant].popleft()
         if not self._by_tenant[tenant]:
             del self._by_tenant[tenant]
+        if request is self._oldest:
+            self._oldest = None
         self._depth -= 1
         self._queued_items -= request.items
         self._queued_pbs -= request.total_pbs

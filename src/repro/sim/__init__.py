@@ -11,8 +11,9 @@ This package reproduces that simulator:
 * :mod:`repro.sim.graph` — computational graphs of PBS / keyswitch / linear
   nodes and helpers to build them from applications.
 * :mod:`repro.sim.fragments` — blind-rotation fragment accounting (Eq. 1–2).
-* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a small discrete-event
-  engine with explicit resources (cores, HBM).
+* :mod:`repro.sim.engine` — the serially reusable ``Resource`` the epoch
+  scheduler books (one per HSC, keyswitch cluster, linear unit), and with
+  :mod:`repro.sim.events` a small stand-alone discrete-event engine over it.
 * :mod:`repro.sim.scheduler` — the epoch scheduler that maps graph nodes onto
   a :class:`~repro.arch.accelerator.StrixAccelerator` (or a baseline platform
   model) and reports end-to-end execution time.

@@ -1,11 +1,15 @@
-"""A small discrete-event simulation engine.
+"""Serially reusable resources and a small discrete-event engine.
 
-The engine keeps a time-ordered event heap plus a set of named serially
-reusable resources (HSCs, the HBM interface, the host link).  Work is
-expressed as *activities*: a request to occupy a resource for a duration as
-soon as it is free.  The engine records every completed activity on a
-timeline so callers can compute makespan, per-resource utilization and
-produce the Gantt-style traces used by the Fig. 8 reproduction.
+:class:`Resource` is the booking primitive of the epoch scheduler
+(:mod:`repro.sim.scheduler`): occupy one HSC, the keyswitch cluster or the
+linear unit for a duration as soon as it is free.  The scheduler holds its
+resources directly and reads makespan and utilization off them.
+
+:class:`SimulationEngine` wraps the same resources by name, adds a
+time-ordered event heap and records every activity as a
+:class:`~repro.sim.events.TimelineEntry`.  No module under ``src/`` drives
+it — it is kept for its public API — and the Fig. 8 occupancy traces come
+from :class:`repro.arch.hsc.BusyInterval`, not from this timeline.
 """
 
 from __future__ import annotations
@@ -95,18 +99,19 @@ class SimulationEngine:
             event = heapq.heappop(self._events)
             self.now = event.time
             event.action()
-        if self.timeline:
-            self.now = max(self.now, max(entry.end for entry in self.timeline))
+        self.now = max(self.now, self.makespan)
         return self.now
 
     # -- results --------------------------------------------------------------------
 
     @property
     def makespan(self) -> float:
-        """Completion time of the last recorded activity."""
-        if not self.timeline:
-            return 0.0
-        return max(entry.end for entry in self.timeline)
+        """Completion time of the last activity (0.0 before the first).
+
+        A resource's reservations never end earlier than the one before, so
+        the latest ``free_at`` is the largest ``end`` on the timeline.
+        """
+        return max((resource.free_at for resource in self._resources.values()), default=0.0)
 
     def utilization(self, resource_name: str) -> float:
         """Busy fraction of a resource over the makespan."""

@@ -18,6 +18,7 @@ scheduler.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,8 +67,13 @@ class FragmentPlan:
         return self.ciphertexts / (self.num_passes * self.batch_size)
 
 
+@functools.lru_cache(maxsize=4096)
 def plan_fragments(ciphertexts: int, batch_size: int) -> FragmentPlan:
-    """Split ``ciphertexts`` into blind-rotation passes of at most ``batch_size``."""
+    """Split ``ciphertexts`` into blind-rotation passes of at most ``batch_size``.
+
+    Memoized: the epoch scheduler plans every PBS node of every graph, and
+    serving traffic repeats a few node widths; plans are immutable.
+    """
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     sizes = []

@@ -150,19 +150,12 @@ class ComputationGraph:
         return clone
 
     def topological_order(self) -> list[ComputationNode]:
-        """Nodes in an order where every dependency precedes its dependents."""
-        resolved: list[ComputationNode] = []
-        seen: set[str] = set()
-        remaining = {name: set(node.depends_on) for name, node in self._nodes.items()}
-        while remaining:
-            ready = [name for name, deps in remaining.items() if deps <= seen]
-            if not ready:
-                raise ValueError("computation graph contains a dependency cycle")
-            for name in ready:
-                resolved.append(self._nodes[name])
-                seen.add(name)
-                del remaining[name]
-        return resolved
+        """Nodes in an order where every dependency precedes its dependents.
+
+        The dependency :meth:`levels` one after the other, so nodes of one
+        level keep their insertion order.
+        """
+        return [node for level in self.levels() for node in level]
 
     def total_pbs(self) -> int:
         """Total programmable bootstraps across the graph."""
@@ -181,16 +174,37 @@ class ComputationGraph:
         )
 
     def levels(self) -> list[list[ComputationNode]]:
-        """Group nodes into dependency levels (all of a level can run together)."""
+        """Group nodes into dependency levels (all of a level can run together).
+
+        Kahn's algorithm, linear in nodes plus dependencies: a node's level
+        is one more than that of the last dependency to resolve, and the
+        queue resolves levels in order.  Each level lists its nodes in
+        insertion order.  A dependency that is not a node of the graph can
+        never resolve, so it is reported like a cycle.
+        """
+        nodes = self._nodes
+        dependents: dict[str, list[str]] = {name: [] for name in nodes}
+        unresolved: dict[str, int] = {}
         level_of: dict[str, int] = {}
-        ordered = self.topological_order()
-        for node in ordered:
-            if node.depends_on:
-                level_of[node.name] = 1 + max(level_of[dep] for dep in node.depends_on)
-            else:
-                level_of[node.name] = 0
-        depth = max(level_of.values()) + 1 if level_of else 0
+        for name, node in nodes.items():
+            # A dependency listed twice is counted twice and released twice.
+            unresolved[name] = len(node.depends_on)
+            if not node.depends_on:
+                level_of[name] = 0
+            for dependency in node.depends_on:
+                if dependency in dependents:
+                    dependents[dependency].append(name)
+        queue = list(level_of)
+        for name in queue:  # grows while it is walked
+            for dependent in dependents[name]:
+                unresolved[dependent] -= 1
+                if not unresolved[dependent]:
+                    level_of[dependent] = level_of[name] + 1
+                    queue.append(dependent)
+        if len(queue) != len(nodes):
+            raise ValueError("computation graph contains a dependency cycle")
+        depth = level_of[queue[-1]] + 1 if queue else 0
         grouped: list[list[ComputationNode]] = [[] for _ in range(depth)]
-        for node in ordered:
-            grouped[level_of[node.name]].append(node)
+        for name, node in nodes.items():
+            grouped[level_of[name]].append(node)
         return grouped

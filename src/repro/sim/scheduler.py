@@ -4,9 +4,10 @@ Workloads are scheduled "in a series of epochs, with each epoch containing a
 maximum number of LWEs equal to the product of device-level and core-level
 batch sizes" (Section IV-C).  The scheduler walks the computation graph in
 dependency order, splits every PBS node into epochs, runs the blind rotation
-of each epoch on the HSC resources of the discrete-event engine and lets the
-keyswitching of one epoch hide behind the blind rotation of the next.
-Linear nodes are charged to a (cheap) vector unit on the host interface.
+of each epoch on one serially reusable :class:`~repro.sim.engine.Resource`
+per HSC and lets the keyswitching of one epoch hide behind the blind rotation
+of the next.  Linear nodes are charged to a (cheap) vector unit on the host
+interface.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import Resource
 from repro.sim.fragments import plan_fragments
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
 
@@ -61,21 +62,43 @@ class ScheduleResult:
         return self.total_pbs / self.total_time_s
 
 
-@dataclass(frozen=True)
-class _HotPathConstants:
-    """Loop invariants of the epoch-scheduling hot path for one parameter set.
+class _EpochTimings:
+    """Epoch capacity and per-epoch durations of one parameter set on one chip.
 
-    Every field is a pure function of ``(params, config)``; hoisting them
-    out of the per-node / per-epoch / per-core loops (and memoizing them per
-    parameter set) changes no arithmetic — the same values feed the same
-    expressions — so schedules stay bit-for-bit identical.
+    Everything here is a pure function of ``(params, config)``: it is
+    computed once and looked up from the per-node / per-epoch / per-core
+    loops.  That changes no arithmetic — the same expressions give the same
+    values — so schedules stay bit-for-bit those of recomputing each one.
     """
 
-    epoch_capacity: int
-    iteration_latency_cycles: int
-    initiation_interval: int
-    keyswitch_cycles: int
-    clock_hz: float
+    def __init__(self, accelerator: StrixAccelerator, params: TFHEParameters):
+        self._accelerator = accelerator
+        self._params = params
+        self.epoch_capacity = accelerator.config.tvlp * accelerator.core.core_batch_size(params)
+        self._epochs: dict[int, tuple[tuple[float, ...], float]] = {}
+
+    def epoch(self, lwes: int) -> tuple[tuple[float, ...], float]:
+        """Blind-rotation seconds per active core, and keyswitch seconds.
+
+        An epoch fills the cores round-robin, so the active cores are a
+        prefix of the core list; at most ``epoch_capacity`` sizes exist.
+        """
+        timing = self._epochs.get(lwes)
+        if timing is None:
+            accelerator, params = self._accelerator, self._params
+            plan = accelerator.plan_epoch(params, lwes)
+            lone_lwe = params.n * accelerator.iteration_latency_cycles(params)
+            per_streamed_lwe = params.n * accelerator.pipeline_timing(params).initiation_interval
+            clock_hz = accelerator.config.clock_hz
+            timing = self._epochs[lwes] = (
+                tuple(
+                    (lone_lwe if core_lwes == 1 else core_lwes * per_streamed_lwe) / clock_hz
+                    for core_lwes in plan.lwes_per_core
+                    if core_lwes
+                ),
+                plan.keyswitch_cycles / clock_hz,
+            )
+        return timing
 
 
 class StrixScheduler:
@@ -90,7 +113,7 @@ class StrixScheduler:
         self.accelerator = accelerator
         self.config = accelerator.config
         self._linear_macs_per_second = self.linear_macs_per_second(self.config)
-        self._constants: dict[TFHEParameters, _HotPathConstants] = {}
+        self._timings: dict[TFHEParameters, _EpochTimings] = {}
 
     @classmethod
     def linear_macs_per_second(cls, config) -> float:
@@ -107,40 +130,32 @@ class StrixScheduler:
     def run(self, graph: ComputationGraph) -> ScheduleResult:
         """Execute a computation graph and return its schedule."""
         params = graph.params
-        engine = SimulationEngine()
-        for core in range(self.config.tvlp):
-            engine.add_resource(f"hsc{core}")
-        engine.add_resource("keyswitch")
-        engine.add_resource("linear")
+        timings = self._timings.get(params)
+        if timings is None:
+            timings = self._timings[params] = _EpochTimings(self.accelerator, params)
+        cores = [Resource(f"hsc{core}") for core in range(self.config.tvlp)]
+        keyswitch = Resource("keyswitch")
+        linear = Resource("linear")
 
         finish_time: dict[str, float] = {}
         node_schedules: list[NodeSchedule] = []
         total_epochs = 0
 
         for node in graph.topological_order():
-            ready = max((finish_time[dep] for dep in node.depends_on), default=0.0)
+            ready = max(map(finish_time.__getitem__, node.depends_on), default=0.0)
             if node.kind is NodeKind.LINEAR:
-                end, epochs = self._schedule_linear(engine, node, ready)
+                operations = node.ciphertexts * max(node.operations_per_ciphertext, 1)
+                _, end = linear.reserve(ready, operations / self._linear_macs_per_second)
+                epochs = 0
             else:
-                end, epochs = self._schedule_pbs_node(engine, node, params, ready)
+                end, epochs = self._schedule_pbs_node(cores, keyswitch, node, timings, ready)
             finish_time[node.name] = end
             total_epochs += epochs
-            node_schedules.append(
-                NodeSchedule(
-                    node=node.name,
-                    kind=node.kind.value,
-                    start_s=ready,
-                    end_s=end,
-                    epochs=epochs,
-                )
-            )
+            node_schedules.append(NodeSchedule(node.name, node.kind.value, ready, end, epochs))
 
-        makespan = engine.makespan
-        utilization = {
-            name: engine.utilization(name)
-            for name in engine.resources
-            if name.startswith("hsc")
-        }
+        # A resource's reservations never end earlier than the one before,
+        # so the latest `free_at` is the end of the last activity overall.
+        makespan = max(resource.free_at for resource in (*cores, keyswitch, linear))
         return ScheduleResult(
             workload=graph.name,
             parameter_set=params.name,
@@ -148,91 +163,43 @@ class StrixScheduler:
             node_schedules=node_schedules,
             total_pbs=graph.total_pbs(),
             total_epochs=total_epochs,
-            core_utilization=utilization,
+            core_utilization={
+                core.name: core.busy_time / makespan if makespan > 0 else 0.0
+                for core in cores
+            },
         )
 
     # -- internals -------------------------------------------------------------
 
-    def _hot_path_constants(self, params: TFHEParameters) -> _HotPathConstants:
-        """The per-parameter-set loop invariants (computed once, memoized)."""
-        constants = self._constants.get(params)
-        if constants is None:
-            accelerator = self.accelerator
-            constants = _HotPathConstants(
-                epoch_capacity=(
-                    self.config.tvlp * accelerator.core.core_batch_size(params)
-                ),
-                iteration_latency_cycles=accelerator.iteration_latency_cycles(params),
-                initiation_interval=(
-                    accelerator.pipeline_timing(params).initiation_interval
-                ),
-                keyswitch_cycles=accelerator.core.keyswitch_cycles(params),
-                clock_hz=self.config.clock_hz,
-            )
-            self._constants[params] = constants
-        return constants
-
-    def _schedule_linear(
-        self, engine: SimulationEngine, node: ComputationNode, ready: float
-    ) -> tuple[float, int]:
-        operations = node.ciphertexts * max(node.operations_per_ciphertext, 1)
-        duration = operations / self._linear_macs_per_second
-        entry = engine.schedule_activity("linear", duration, ready, label=node.name)
-        return entry.end, 0
-
     def _schedule_pbs_node(
         self,
-        engine: SimulationEngine,
+        cores: list[Resource],
+        keyswitch: Resource,
         node: ComputationNode,
-        params: TFHEParameters,
+        timings: _EpochTimings,
         ready: float,
     ) -> tuple[float, int]:
-        # Everything that depends only on (params, config) — pipeline timing,
-        # iteration latency, keyswitch cost, epoch capacity, the clock — is
-        # hoisted out of the epoch/core loops below; `plan_epoch` is memoized
-        # on the accelerator.  Same expressions, same values: schedules are
-        # bit-for-bit identical to the unhoisted ones.
-        accelerator = self.accelerator
-        hot = self._hot_path_constants(params)
-        plan = plan_fragments(node.ciphertexts, hot.epoch_capacity)
+        plan = plan_fragments(node.ciphertexts, timings.epoch_capacity)
         wants_keyswitch = node.kind in (NodeKind.PBS_KS, NodeKind.KEYSWITCH)
-        n = params.n
 
         node_end = ready
         for epoch_index, epoch_lwes in enumerate(plan.fragment_sizes):
-            epoch_plan = accelerator.plan_epoch(params, epoch_lwes)
+            durations, keyswitch_duration = timings.epoch(epoch_lwes)
             epoch_end = ready
-            for core_index, core_lwes in enumerate(epoch_plan.lwes_per_core):
-                if core_lwes == 0:
-                    continue
-                if core_lwes == 1:
-                    cycles = n * hot.iteration_latency_cycles
-                else:
-                    cycles = n * core_lwes * hot.initiation_interval
-                duration = cycles / hot.clock_hz
-                entry = engine.schedule_activity(
-                    f"hsc{core_index}",
-                    duration,
-                    ready,
-                    label=f"{node.name}/epoch{epoch_index}",
-                )
-                epoch_end = max(epoch_end, entry.end)
+            for core, duration in zip(cores, durations):
+                _, end = core.reserve(ready, duration)
+                if end > epoch_end:
+                    epoch_end = end
 
             if wants_keyswitch:
-                ks_cycles = max(epoch_plan.lwes_per_core) * hot.keyswitch_cycles
-                ks_duration = ks_cycles / hot.clock_hz
-                ks_entry = engine.schedule_activity(
-                    "keyswitch",
-                    ks_duration,
-                    epoch_end,
-                    label=f"{node.name}/ks{epoch_index}",
-                )
+                _, keyswitch_end = keyswitch.reserve(epoch_end, keyswitch_duration)
                 # Keyswitching of this epoch overlaps the next epoch's blind
                 # rotation; only the final epoch's keyswitch extends the node.
                 if epoch_index == plan.num_passes - 1:
-                    epoch_end = ks_entry.end
+                    epoch_end = keyswitch_end
 
-            node_end = max(node_end, epoch_end)
+            if epoch_end > node_end:
+                node_end = epoch_end
             # Successive epochs of the same node serialize naturally on the
             # HSC resources, so `ready` (the dependency bound) is unchanged.
 

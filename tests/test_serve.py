@@ -8,8 +8,11 @@ Cluster/sharding/backends are covered in ``test_serve_cluster.py``.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.traffic import (
     TRAFFIC_PATTERNS,
@@ -28,6 +31,7 @@ from repro.serve import (
     percentile,
 )
 from repro.params import TOY_PARAMETERS
+from repro.serve.batcher import Batch
 from repro.serve.metrics import LatencySummary
 from repro.sim.compiler import full_adder_netlist
 
@@ -80,7 +84,74 @@ def test_queue_fifo_order_and_accounting():
     assert queue.tenant_depths == {}
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("push"), st.sampled_from("abc")),
+            st.tuples(st.just("pop"), st.none()),
+            st.tuples(st.just("pop_for_tenant"), st.sampled_from("abc")),
+            st.tuples(st.just("oldest"), st.none()),
+        ),
+        max_size=40,
+    )
+)
+def test_remembered_queue_head_equals_a_full_scan(steps):
+    """``oldest()`` is remembered between pops; a plain arrival-ordered list
+    is the slow reference for every interleaving of pushes, FIFO pops,
+    per-tenant pops (the fair batcher's, and shed-oldest's victims) and reads."""
+    queue, reference = RequestQueue(), []
+    for request_id, (step, tenant) in enumerate(steps):
+        if step == "push":
+            request = make_request(request_id, tenant=tenant)
+            queue.push(request)
+            reference.append(request)
+        elif step == "pop" and reference:
+            assert queue.pop() is reference.pop(0)
+        elif step == "pop_for_tenant" and any(r.tenant == tenant for r in reference):
+            victim = next(r for r in reference if r.tenant == tenant)
+            assert queue.oldest_for_tenant(tenant) is victim
+            assert queue.pop_for_tenant(tenant) is victim
+            reference.remove(victim)
+        assert queue.oldest() is (reference[0] if reference else None)
+        assert len(queue) == len(reference)
+    assert [queue.pop() for _ in reference] == reference
+    assert queue.oldest() is None
+    with pytest.raises(IndexError):
+        queue.pop()
+
+
 # -- adaptive batcher -------------------------------------------------------------
+
+
+def test_batch_totals_are_derived_once_and_a_replayed_copy_derives_its_own():
+    requests = (
+        make_request(1, items=4, tenant="a"),
+        make_request(2, items=3, tenant="b", kind="encrypt"),
+        Request.make(3, "a", "inference", items=2, model="NN-20"),
+    )
+    batch = Batch(batch_id=7, requests=requests, created_s=0.5, flush_reason="full")
+    assert batch.total_items == 9
+    assert batch.total_pbs == 4 + 2 * requests[2].pbs_per_item
+    assert batch.tenants == {"a", "b"}
+    assert batch.request_mix == (3, 4, (requests[2],))
+    assert batch.tenants is batch.tenants  # computed once, kept
+    assert batch.fill_fraction(18) == 0.5
+
+    # The fault injector replays a batch as a copy with `attempt` bumped: the
+    # kept totals are not fields, so they neither travel with the copy nor
+    # show up in ==, repr or hash — the copy derives its own.
+    replayed = replace(batch, attempt=1)
+    assert "total_items" not in vars(replayed) and "tenants" not in vars(replayed)
+    assert replayed.total_items == 9 and replayed.tenants == {"a", "b"}
+    assert replayed != batch and replace(replayed, attempt=0) == batch
+    assert hash(replace(replayed, attempt=0)) == hash(batch)
+    assert repr(batch) == repr(Batch(7, requests, 0.5, "full"))
+    assert "total_items" not in repr(batch)
+
+    shorter = replace(batch, requests=requests[:1])
+    assert (shorter.total_items, shorter.total_pbs, shorter.tenants) == (4, 4, {"a"})
+    assert shorter.request_mix == (0, 4, ())
 
 
 def test_batcher_empty_queue_flushes_nothing():
