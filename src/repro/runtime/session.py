@@ -103,6 +103,8 @@ class Session:
         return self._gates
 
     # -- batch geometry (Section IV-C) --------------------------------------------
+    # The *modeled* accelerator's geometry sizes an epoch; how the host kernels
+    # cut one over this machine's cores is their business and independent of it.
 
     @property
     def device_batch_size(self) -> int:
@@ -243,7 +245,8 @@ class Session:
 
         Every operand batch must have the same length; element ``i`` of the
         result is the gate applied to the ``i``-th element of every batch
-        (three batches for ``"mux"``, one for ``"not"``).
+        (three batches for ``"mux"``, one for ``"not"``), computed one
+        epoch-sized chunk (``batch_capacity``) of every batch at a time.
         """
         if gate not in GateBootstrapper.PBS_COST:
             raise ValueError(
@@ -255,14 +258,15 @@ class Session:
         lengths = {len(batch) for batch in operands}
         if len(lengths) != 1:
             raise ValueError(f"operand batches have mismatched lengths: {sorted(lengths)}")
-        if lengths == {0}:
-            return []
-        keys = self.generate_server_keys()
-        stacked = tuple(LweBatch.from_ciphertexts(batch) for batch in operands)
-        result = batch_gate(
-            gate, stacked, keys.bootstrapping_key, keys.keyswitching_key, self.params
-        )
-        return result.to_ciphertexts()
+        bsk = ksk = None
+        if operands[0] and GateBootstrapper.PBS_COST[gate]:  # ``not`` negates: no keys
+            keys = self.generate_server_keys()
+            bsk, ksk = keys.bootstrapping_key, keys.keyswitching_key
+        results: list[LweCiphertext] = []
+        for epoch in zip(*map(self.iter_epochs, operands)):  # aligned epoch-sized chunks
+            stacked = tuple(LweBatch.from_ciphertexts(chunk) for chunk in epoch)
+            results += batch_gate(gate, stacked, bsk, ksk, self.params).to_ciphertexts()
+        return results
 
     # -- internals -----------------------------------------------------------------
 

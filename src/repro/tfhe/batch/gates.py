@@ -38,8 +38,8 @@ BATCH_GATES = tuple(_GATE_COMBINATIONS) + ("not", "mux")
 def batch_gate(
     gate: str,
     operands: tuple[LweBatch, ...],
-    bootstrapping_key: BootstrappingKey,
-    keyswitching_key: KeySwitchingKey,
+    bootstrapping_key: BootstrappingKey | None,
+    keyswitching_key: KeySwitchingKey | None,
     params: TFHEParameters,
 ) -> LweBatch:
     """Evaluate ``gate`` element-wise across aligned operand batches.
@@ -47,7 +47,8 @@ def batch_gate(
     ``operands`` holds one :class:`LweBatch` per gate input (1 for ``not``,
     2 for the binary gates, 3 for ``mux`` as ``(select, if_true,
     if_false)``), all of the same length.  Returns the batch of gate
-    outputs, freshly bootstrapped for every gate except ``not``.
+    outputs, freshly bootstrapped for every gate except ``not`` (the one
+    gate that reads neither key, so both may be ``None`` for it).
     """
     sizes = {len(operand) for operand in operands}
     if len(sizes) > 1:

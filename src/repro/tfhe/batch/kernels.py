@@ -17,7 +17,7 @@ not approximately.  Integer steps are exact by construction (the rotation is
 a signed permutation, the digits are masked bit fields, reductions commute
 with the additions between them).  The floating-point steps of blind
 rotation run in place in one per-call workspace, and stay equal to the
-scalar path's allocating ones for three reasons:
+scalar path's allocating ones for four reasons:
 
 * *Power-of-two scale folding is exact.*  The transform's
   ``ifft(norm="forward")`` and precomputed ``untwist / half`` replace
@@ -38,6 +38,10 @@ scalar path's allocating ones for three reasons:
   **not** bit-equal to it (about half the entries differ in the last bit);
   one ``einsum("brf,rf->bf", out=)`` per output polynomial was equal, and
   a little faster, but not by enough to pay for a second spelling.
+* *Sub-batches share nothing writable.*  Blind rotation runs one contiguous
+  sub-batch per available core, each on its own thread in its own slice of
+  the workspace; elements never interact and the key and the twiddles are
+  only read, so element ``i`` comes out the same bits whatever the cut.
 
 The one control-flow divergence — the scalar loop *skips* blind-rotation
 iterations whose switched mask element is zero — is harmless: a zero
@@ -48,11 +52,14 @@ accumulator untouched.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.fft.folding import FoldedNegacyclicTransform
 from repro.params import TFHEParameters
 from repro.tfhe import torus
 from repro.tfhe.batch.types import GlweBatch, LweBatch
@@ -155,6 +162,12 @@ def batch_blind_rotate(
     IFFT, Accumulator — streamed through one workspace that is allocated
     here, reused by every iteration with ``out=`` and dropped on return
     (about 9 MB at set I x 64, under 100 KB at SMALL x 1).
+
+    The paper's outer batching level (Section IV-C): the batch axis is cut into
+    contiguous sub-batches — never more than the process has cores, none of
+    several below ``MIN_SUB_BATCH_DIGITS`` of work — each running its ``n``
+    iterations in its slice of that workspace, the first on the calling thread,
+    the others on threads that end with the call; one sub-batch starts none.
     """
     if batch.params != params:
         raise ValueError(
@@ -171,7 +184,6 @@ def batch_blind_rotate(
     masks_2n, bodies_2n = batch_modulus_switch(batch, params)
     batch_size, n_poly, half = len(batch), params.N, params.N // 2
     polys, levels = params.k + 1, params.lb
-    transform = get_transform(n_poly)
 
     # The accumulator lives in the first third of the rotation windows and is
     # carried *unreduced*: the rotation is a signed permutation and each CMux
@@ -193,10 +205,54 @@ def batch_blind_rotate(
     # folded buffer; so do the key products, their inverse transform and the
     # coefficients rounded out of its real / imaginary slots.
     spectra = np.empty((batch_size, polys * levels, half), dtype=np.complex128)
-    folded_digits = spectra.reshape(batch_size, polys, levels, half)
     product = np.empty((batch_size, polys, half), dtype=np.complex128)
-    product_slots = product.view(np.float64).reshape(batch_size, polys, half, 2)
+    workspace = (windows, difference, digits, spectra, product, masks_2n)
+    shared = (workspace, get_transform(n_poly), bootstrapping_key, params)
+    first, *rest = _sub_batches(batch_size, polys * levels * n_poly)
+    if not rest:  # batch 1, one core, a small set: not even an executor (~30 us) is built
+        _cmux_iterations(first, *shared)
+    else:
+        with ThreadPoolExecutor(len(rest)) as pool:  # gone, threads and all, on exit
+            pending = [pool.submit(_cmux_iterations, part, *shared) for part in rest]
+            _cmux_iterations(first, *shared)
+        for sub_batch in pending:
+            sub_batch.result()  # raises what it raised, now that every thread has stopped
+    return GlweBatch(accumulator[:, : params.k], accumulator[:, params.k], params)
 
+
+#: Fewest digit coefficients (``(k+1) * lb * N`` per ciphertext) in a sub-batch of
+#: a split call: with less, the interpreter lock makes two threads slower than
+#: one (table in ``docs/performance.md``).  Too large only forgoes a gain.
+MIN_SUB_BATCH_DIGITS = 1 << 16
+
+
+def _available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _sub_batches(batch_size: int, digits_per_element: int) -> list[slice]:
+    """``[0, batch_size)`` cut in order: at most one part per core, none of several too small."""
+    fewest_elements = -(-MIN_SUB_BATCH_DIGITS // digits_per_element)
+    parts = max(1, min(_available_cores(), batch_size // fewest_elements))
+    bounds = [batch_size * part // parts for part in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _cmux_iterations(
+    part: slice,
+    workspace: tuple[np.ndarray, ...],
+    transform: FoldedNegacyclicTransform,
+    bootstrapping_key: BootstrappingKey,
+    params: TFHEParameters,
+) -> None:
+    """All ``n`` CMux iterations of sub-batch ``part``, inside its slices of the workspace."""
+    windows, difference, digits, spectra, product, masks_2n = (a[part] for a in workspace)
+    n_poly, half, polys, levels = params.N, params.N // 2, params.k + 1, params.lb
+    accumulator = windows[..., :n_poly]
+    folded_digits = spectra.reshape(-1, polys, levels, half)
+    product_slots = product.view(np.float64).reshape(-1, polys, half, 2)
     starts = _window_starts(masks_2n, n_poly).T.tolist()
     # An iteration whose exponents are all zero is skipped, exactly like the
     # scalar loop; a zero exponent next to non-zero ones needs no skip — its
@@ -224,7 +280,6 @@ def batch_blind_rotate(
         np.rint(product_slots[..., 1], out=difference[..., half:], casting="unsafe")
         torus.reduce(difference, params.q, out=difference)
         accumulator += difference
-    return GlweBatch(accumulator[:, : params.k], accumulator[:, params.k], params)
 
 
 def batch_sample_extract(glwe_batch: GlweBatch) -> LweBatch:

@@ -8,16 +8,28 @@ sizes, covers the degenerate shapes (empty batches raise, batch-1 equals
 scalar exactly), holds every batch API of
 :class:`~repro.runtime.session.Session` to its per-ciphertext API (the scalar
 oracle: slow reference, fast path, element-wise equality) and an N-instance
-reference-backend run to N one-instance runs, and covers the
-transform-instance registry and the stacked wire codecs.
+reference-backend run to N one-instance runs, holds blind rotation to the
+same bits however its batch axis is cut into per-core sub-batches, and covers
+the transform-instance registry and the stacked wire codecs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import keyword
+import sys
+import threading
+import time
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch.accelerator import StrixAccelerator
+from repro.arch.config import STRIX_DEFAULT
 
 from repro.fft import (
     clear_transform_caches,
@@ -27,7 +39,7 @@ from repro.fft import (
     transform_cache_stats,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
+from repro.params import PARAM_SET_I, SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.runtime.api import run
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, full_adder_netlist
@@ -41,8 +53,9 @@ from repro.tfhe.batch import (
     batch_monomial_multiply,
     batch_programmable_bootstrap,
     batch_sample_extract,
+    kernels,
 )
-from repro.tfhe.blind_rotate import blind_rotate, make_test_vector
+from repro.tfhe.blind_rotate import blind_rotate, make_constant_test_vector, make_test_vector
 from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.decomposition import decompose, decompose_folded
@@ -531,6 +544,47 @@ class TestSessionKernels:
             [method(*row) for row in zip(*operands)],
         )
 
+    def test_gate_batch_is_cut_into_epochs(self, monkeypatch):
+        """One more gate than an epoch holds: chunked like ``bootstrap_batch``, same bits."""
+        tiny = StrixAccelerator(
+            dataclasses.replace(STRIX_DEFAULT, tvlp=1, local_scratchpad_mb=4 / 1024)
+        )
+        session = Session("TOY", seed=31, accelerator=tiny)
+        size = session.batch_capacity + 1
+        assert size == 4
+        rng = np.random.default_rng(31)
+        operands = [
+            [session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)] for _ in range(3)
+        ]
+        real_switch, bootstrapped = kernels.batch_modulus_switch, []
+
+        def recording_switch(batch, params):
+            bootstrapped.append(len(batch))
+            return real_switch(batch, params)
+
+        monkeypatch.setattr(kernels, "batch_modulus_switch", recording_switch)
+        arities = {"nand": 2, "mux": 3, "not": 1}
+        fast = {gate: session.gate_batch(gate, *operands[:n]) for gate, n in arities.items()}
+        monkeypatch.undo()
+        # nand per chunk, then mux as a whole per chunk (and, andny, or); not never bootstraps.
+        assert bootstrapped == [3, 1, 3, 3, 3, 1, 1, 1]
+        for gate, n in arities.items():
+            method = _oracle_gate(session, gate)
+            _assert_batch_equals_scalars(
+                LweBatch.from_ciphertexts(fast[gate]), [method(*row) for row in zip(*operands[:n])]
+            )
+
+    def test_not_generates_no_server_keys(self):
+        session = Session("TOY", seed=32)
+        bits = session.encrypt_boolean_batch([True, False, True])
+        negated = session.gate_batch("not", bits)
+        assert session.context._server_keys is None
+        assert session.gate_batch("and", [], []) == [] and session.context._server_keys is None
+        assert session.decrypt_boolean_batch(negated) == [False, True, False]
+        _assert_batch_equals_scalars(
+            LweBatch.from_ciphertexts(negated), [session.gates().not_(ct) for ct in bits]
+        )
+
     def test_consecutive_calls_share_no_memory(self, session):
         """Per-call workspace: a later, larger call must not touch an earlier result."""
         p = session.params.message_modulus
@@ -568,6 +622,262 @@ class TestSessionKernels:
         with pytest.raises(ValueError, match=rf"mixed dimensions: \[{dimensions}\]"):
             session.decrypt_batch([narrow, wide])
         assert session.decrypt_batch([narrow]) == session.decrypt_batch([wide]) == [1]
+
+
+# -- device-level batching: one sub-batch per core -----------------------------------
+
+
+def _cut(size: int, cuts) -> list[slice]:
+    """``[0, size)`` cut at ``cuts``, as the contiguous slices ``_sub_batches`` returns."""
+    bounds = [0, *sorted(cuts), size]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rotate_cut(test_vector, stacked, bootstrapping_key, parts: list[slice]) -> GlweBatch:
+    """``batch_blind_rotate`` with its batch axis cut exactly into ``parts``."""
+    with mock.patch.object(kernels, "_sub_batches", lambda size, digits: parts):
+        return batch_blind_rotate(test_vector, stacked, bootstrapping_key, stacked.params)
+
+
+def _assert_glwe_batches_equal(left: GlweBatch, right: GlweBatch) -> None:
+    np.testing.assert_array_equal(left.masks, right.masks)
+    np.testing.assert_array_equal(left.bodies, right.bodies)
+
+
+def _assert_rotations_equal_scalars(rotated: GlweBatch, scalars: dict) -> None:
+    """Elements of a blind-rotated batch against ``{index: scalar blind rotation}``."""
+    for index, scalar in scalars.items():
+        np.testing.assert_array_equal(rotated.masks[index], scalar.mask)
+        np.testing.assert_array_equal(rotated.bodies[index], scalar.body)
+
+
+def _batch_with_exponents(params, exponents, seed: int) -> LweBatch:
+    """A batch whose modulus-switched masks are exactly ``exponents`` (any bodies)."""
+    exponents = np.asarray(exponents, dtype=np.int64)
+    bodies = np.random.default_rng(seed).integers(0, params.q, size=len(exponents))
+    return LweBatch(exponents * (params.q // (2 * params.N)), bodies, params)
+
+
+@pytest.fixture
+def forced_parts(monkeypatch):
+    """``forced_parts(count)``: the partition rule sees ``count`` cores and no minimum."""
+
+    def force(count: int) -> None:
+        monkeypatch.setattr(kernels, "_available_cores", lambda: count)
+        monkeypatch.setattr(kernels, "MIN_SUB_BATCH_DIGITS", 1)
+
+    return force
+
+
+class TestSubBatches:
+    """Split == unsplit == the scalar oracle, bit for bit, whatever the cut."""
+
+    #: Pool sizes: every Hypothesis batch is a prefix, so the oracle runs once.
+    POOL = {"TOY": 9, "SMALL": 5}
+
+    @pytest.fixture(scope="class")
+    def pools(self, toy_context, small_context):
+        """Per set: test vector, edge-laden ciphertexts and their scalar blind rotations."""
+        pools = {}
+        for name, context in (("TOY", toy_context), ("SMALL", small_context)):
+            params = context.params
+            test_vector = make_test_vector(lambda m: (3 * m + 1) % params.message_modulus, params)
+            fresh = [context.encrypt(m % params.message_modulus) for m in range(self.POOL[name])]
+            ciphertexts = _with_edge_exponents(fresh, params)
+            key = context.server_keys.bootstrapping_key
+            oracle = [blind_rotate(test_vector, ct, key, params) for ct in ciphertexts]
+            pools[name] = (test_vector, ciphertexts, oracle, key)
+        return pools
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_contiguous_cut_equals_unsplit_and_oracle(self, pools, data):
+        name = data.draw(st.sampled_from(sorted(self.POOL)))
+        test_vector, ciphertexts, oracle, key = pools[name]
+        size = data.draw(st.integers(1, self.POOL[name]))
+        cuts = data.draw(st.sets(st.integers(1, size - 1)) if size > 1 else st.just(set()))
+        stacked = LweBatch.from_ciphertexts(ciphertexts[:size])
+        unsplit = _rotate_cut(test_vector, stacked, key, _cut(size, ()))
+        split = _rotate_cut(test_vector, stacked, key, _cut(size, cuts))
+        _assert_glwe_batches_equal(split, unsplit)
+        _assert_rotations_equal_scalars(split, dict(enumerate(oracle[:size])))
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_forced_even_cuts_switch_the_modulus_once(
+        self, pools, forced_parts, monkeypatch, count
+    ):
+        """The real rule with ``count`` cores: that many sub-batches, one modulus switch."""
+        test_vector, ciphertexts, oracle, key = pools["TOY"]
+        stacked = LweBatch.from_ciphertexts(ciphertexts)
+        forced_parts(count)
+        real_switch, real_loop = kernels.batch_modulus_switch, kernels._cmux_iterations
+        switches, ran_on = [], {}
+
+        def recording_switch(batch, params):
+            switches.append(len(batch))
+            return real_switch(batch, params)
+
+        def recording_loop(part, *shared):
+            ran_on[part.start] = threading.get_ident()
+            real_loop(part, *shared)
+
+        monkeypatch.setattr(kernels, "batch_modulus_switch", recording_switch)
+        monkeypatch.setattr(kernels, "_cmux_iterations", recording_loop)
+        rotated = batch_blind_rotate(test_vector, stacked, key, TOY_PARAMETERS)
+        assert switches == [len(stacked)]
+        assert sorted(ran_on) == [len(stacked) * part // count for part in range(count)]
+        caller = ran_on.pop(0)  # the first sub-batch runs on the calling thread, no other does
+        assert caller == threading.get_ident() and caller not in ran_on.values()
+        _assert_rotations_equal_scalars(rotated, dict(enumerate(oracle)))
+
+    def test_the_zero_column_skip_applies_per_sub_batch(self, toy_context):
+        """Column 3 is all zero in the first sub-batch only: it skips, the second does not."""
+        params = TOY_PARAMETERS
+        key = toy_context.server_keys.bootstrapping_key
+        exponents = np.random.default_rng(5).integers(1, 2 * params.N, size=(5, params.n))
+        exponents[:2, 3] = 0
+        stacked = _batch_with_exponents(params, exponents, seed=6)
+        test_vector = make_test_vector(lambda m: m, params)
+        transform = kernels.get_transform(params.N)
+        real_forward, forwards = transform.forward, []
+
+        def recording_forward(values, **kwargs):
+            forwards.append(len(values))
+            return real_forward(values, **kwargs)
+
+        with mock.patch.object(transform, "forward", recording_forward):
+            split = _rotate_cut(test_vector, stacked, key, _cut(5, {2}))
+        assert sorted(forwards) == [2] * (params.n - 1) + [3] * params.n
+        _assert_glwe_batches_equal(split, _rotate_cut(test_vector, stacked, key, _cut(5, ())))
+        scalars = [blind_rotate(test_vector, ct, key, params) for ct in stacked.to_ciphertexts()]
+        _assert_rotations_equal_scalars(split, dict(enumerate(scalars)))
+
+    @pytest.mark.parametrize("failing_part", [0, 1], ids=["calling-thread", "worker-thread"])
+    def test_a_failing_sub_batch_raises_after_every_thread_stopped(
+        self, toy_context, failing_part
+    ):
+        """Only one sub-batch reaches the misshapen key entry; the call raises its error."""
+        params = TOY_PARAMETERS
+        key = toy_context.server_keys.bootstrapping_key
+        entries = list(key.ggsw_list)
+        entries[3] = SimpleNamespace(spectra=np.zeros((5, 5, 5)))
+        broken = dataclasses.replace(key, ggsw_list=entries)
+        exponents = np.random.default_rng(7).integers(1, 2 * params.N, size=(4, params.n))
+        healthy = slice(2, 4) if failing_part == 0 else slice(0, 2)
+        exponents[healthy, 3] = 0  # this sub-batch skips entry 3, the other one does not
+        stacked = _batch_with_exponents(params, exponents, seed=8)
+        test_vector = make_test_vector(lambda m: m, params)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            _rotate_cut(test_vector, stacked, broken, _cut(4, {2}))
+        assert threading.active_count() == threads_before
+        _rotate_cut(test_vector, stacked, key, _cut(4, {2}))  # and the next call is fine
+
+    def test_concurrent_session_calls_each_get_the_oracles_bits(self, sessions, forced_parts):
+        """More user threads than cores, each call itself split, a hurried interpreter."""
+        session = sessions["TOY"]
+        rng = np.random.default_rng(9)
+        inputs = [
+            [[session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, 6)] for _ in range(2)]
+            for _ in range(3)
+        ]
+        nand = session.gates().nand
+        oracle = [[nand(a, b) for a, b in zip(*pair)] for pair in inputs]
+        forced_parts(2)
+        results: dict[int, list[LweCiphertext]] = {}
+
+        def call(user: int) -> None:
+            for _ in range(3):
+                results[user] = session.gate_batch("nand", *inputs[user])
+
+        users = [threading.Thread(target=call, args=(user,)) for user in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for user in users:
+                user.start()
+            for user in users:
+                user.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(user.is_alive() for user in users)
+        for user, expected in enumerate(oracle):
+            _assert_batch_equals_scalars(LweBatch.from_ciphertexts(results[user]), expected)
+
+    @given(
+        size=st.integers(1, 5000),
+        digits=st.integers(1, 1 << 18),
+        cores=st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_partition_rule(self, size, digits, cores):
+        with mock.patch.object(kernels, "_available_cores", lambda: cores):
+            parts = kernels._sub_batches(size, digits)
+        assert parts[0].start == 0 and parts[-1].stop == size
+        assert all(left.stop == right.start for left, right in zip(parts, parts[1:]))
+        assert all(part.start < part.stop and part.step is None for part in parts)
+        assert len(parts) <= cores
+        if len(parts) > 1:
+            fewest = min(part.stop - part.start for part in parts)
+            assert fewest * digits >= kernels.MIN_SUB_BATCH_DIGITS
+        # As many parts as the cores and the minimum allow: no gain is forgone either.
+        affordable = size // -(-kernels.MIN_SUB_BATCH_DIGITS // digits)
+        assert len(parts) == max(1, min(cores, affordable))
+
+    def test_the_partition_rule_on_the_measured_sets(self, monkeypatch):
+        """One core or one ciphertext never split; the thresholds of docs/performance.md."""
+        digits = {
+            params.name: (params.k + 1) * params.lb * params.N
+            for params in (TOY_PARAMETERS, SMALL_PARAMETERS, PARAM_SET_I)
+        }
+        monkeypatch.setattr(kernels, "_available_cores", lambda: 1)
+        assert kernels._sub_batches(4096, digits["I"]) == [slice(0, 4096)]
+        monkeypatch.setattr(kernels, "_available_cores", lambda: 2)
+        assert kernels._sub_batches(1, 1 << 30) == [slice(0, 1)]
+        for name, below, at in (("TOY", 171, 172), ("SMALL", 57, 58), ("I", 31, 32)):
+            assert kernels._sub_batches(below, digits[name]) == [slice(0, below)]
+            assert kernels._sub_batches(at, digits[name]) == [slice(0, at // 2), slice(at // 2, at)]
+        assert kernels._sub_batches(64, digits["I"]) == [slice(0, 32), slice(32, 64)]
+        monkeypatch.setattr(kernels, "_available_cores", lambda: 8)
+        assert len(kernels._sub_batches(64, digits["I"])) == 4  # 16 ciphertexts each: the minimum
+
+    def test_the_core_count_is_the_affinity_mask(self, monkeypatch):
+        assert kernels._available_cores() >= 1
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert kernels._available_cores() == 3
+        monkeypatch.delattr(kernels.os, "sched_getaffinity")
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: None)
+        assert kernels._available_cores() == 1
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(kernels._available_cores() < 2, reason="one core: nothing is split")
+    def test_set_I_batch64_split_is_faster_and_equal(self, monkeypatch):
+        """Slow reference (one core's loop), fast path (this machine's cores), equality."""
+        params = PARAM_SET_I
+        context = TFHEContext(params, seed=18)
+        key = context.generate_server_keys().bootstrapping_key
+        rng = np.random.default_rng(18)
+        masks = rng.integers(0, params.q, size=(64, params.n))
+        stacked = LweBatch(masks, rng.integers(0, params.q, size=64), params)
+        test_vector = make_constant_test_vector(params.q // 8, params)
+
+        def timed() -> tuple[float, GlweBatch]:
+            start = time.perf_counter()
+            rotated = batch_blind_rotate(test_vector, stacked, key, params)
+            return time.perf_counter() - start, rotated
+
+        monkeypatch.setattr(kernels, "_available_cores", lambda: 1)
+        unsplit_s, unsplit = timed()
+        monkeypatch.undo()
+        assert len(kernels._sub_batches(64, 4096)) > 1
+        (split_s, split), (again_s, _) = timed(), timed()  # the first split call can be slow
+        _assert_glwe_batches_equal(split, unsplit)
+        ciphertexts = stacked.to_ciphertexts()
+        ends = (0, 31, 32, 63)  # of both sub-batches, on two cores
+        _assert_rotations_equal_scalars(
+            split, {i: blind_rotate(test_vector, ciphertexts[i], key, params) for i in ends}
+        )
+        assert min(split_s, again_s) < unsplit_s
 
 
 # -- the reference backend: N instances are one stack --------------------------------
