@@ -6,14 +6,10 @@ generated file against the version a previous commit recorded and fails when
 any shared record drifted beyond a tolerance — the perf-trajectory check the
 ROADMAP asks CI to run.
 
-Records fall into two classes:
-
-* **model outputs** (simulated latencies, throughputs, percentiles) are
-  deterministic — any drift is a real behaviour change and is judged against
-  ``--tolerance``;
-* **wall-clock timings** (records with ``timed: true``, written by
-  ``BenchReport.time``) are noisy across runners and are judged against the
-  much looser ``--timed-tolerance`` (or skipped with ``--skip-timed``).
+Every record is a deterministic model output (simulated latencies,
+throughputs, percentiles, counters, bit-exactness flags): any drift is a real
+behaviour change, and one ``--tolerance`` judges them all.  Wall-clock numbers
+are not in these files — ``benchmarks/observatory/`` measures them.
 
 Usage::
 
@@ -34,10 +30,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: Relative drift tolerated on deterministic model records.
+#: Relative drift tolerated on a record.
 DEFAULT_TOLERANCE = 0.05
-#: Relative drift tolerated on wall-clock (``timed``) records.
-DEFAULT_TIMED_TOLERANCE = 2.0
 
 
 def load_records(document: dict) -> dict[str, dict]:
@@ -75,10 +69,7 @@ def relative_drift(current: float, baseline: float) -> float:
 
 
 def compare(
-    current: dict[str, dict],
-    baseline: dict[str, dict],
-    tolerance: float,
-    timed_tolerance: float | None,
+    current: dict[str, dict], baseline: dict[str, dict], tolerance: float
 ) -> tuple[list[str], list[str]]:
     """Diff two record sets; returns ``(violations, notes)``."""
     violations: list[str] = []
@@ -91,18 +82,12 @@ def compare(
             notes.append(f"record {name} disappeared from the current run")
             continue
         new, old = current[name], baseline[name]
-        timed = bool(new.get("timed") or old.get("timed"))
-        if timed and timed_tolerance is None:
-            notes.append(f"skipping wall-clock record {name}")
-            continue
-        budget = timed_tolerance if timed else tolerance
         drift = relative_drift(float(new["value"]), float(old["value"]))
         line = (
             f"{name}: {old['value']:.6g} -> {new['value']:.6g} "
-            f"({drift:+.1%} drift, budget {budget:.0%}"
-            f"{', wall-clock' if timed else ''})"
+            f"({drift:+.1%} drift, budget {tolerance:.0%})"
         )
-        if drift > budget:
+        if drift > tolerance:
             violations.append(line)
         else:
             notes.append(f"ok {line}")
@@ -131,18 +116,7 @@ def main() -> int:
         "--tolerance",
         type=float,
         default=DEFAULT_TOLERANCE,
-        help="relative drift allowed on deterministic records",
-    )
-    parser.add_argument(
-        "--timed-tolerance",
-        type=float,
-        default=DEFAULT_TIMED_TOLERANCE,
-        help="relative drift allowed on wall-clock records",
-    )
-    parser.add_argument(
-        "--skip-timed",
-        action="store_true",
-        help="ignore wall-clock records entirely",
+        help="relative drift allowed on a record",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="also print records within budget"
@@ -159,12 +133,7 @@ def main() -> int:
         return 0
     baseline = load_records(baseline_document)
 
-    violations, notes = compare(
-        current,
-        baseline,
-        tolerance=args.tolerance,
-        timed_tolerance=None if args.skip_timed else args.timed_tolerance,
-    )
+    violations, notes = compare(current, baseline, tolerance=args.tolerance)
     if args.verbose:
         for note in notes:
             print(f"[check_regression] {note}")

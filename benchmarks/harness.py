@@ -1,12 +1,16 @@
-"""Perf-trajectory harness: run benchmark callables, write ``BENCH_*.json``.
+"""Bench-record harness: collect named records, write ``BENCH_*.json``.
 
-A :class:`BenchReport` collects named records (timed callables or externally
-computed metrics) and writes one ``BENCH_<suite>.json`` at the repository
-root — the artifact CI uploads and future PRs diff against.
+A :class:`BenchReport` collects the named model outputs a generator computes
+and writes one ``BENCH_<suite>.json`` at the repository root — the artifact
+``check_regression.py`` diffs against the previous commit.  It reads no
+clock: the records are a function of the code, so regenerating an artifact
+(under the same interpreter version, which the header names) leaves it
+byte-identical unless the model moved.  Wall-clock numbers are
+``benchmarks/observatory/``'s job.
 
 Schema (version 1)::
 
-    {"schema": 1, "suite": "serve", "created_unix": ..., "python": "3.12.3",
+    {"schema": 1, "suite": "serve", "python": "3.12.3",
      "records": [{"name": ..., "value": ..., "unit": ..., ...extras}]}
 """
 
@@ -15,9 +19,8 @@ from __future__ import annotations
 import json
 import platform
 import sys
-import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 #: Repository root (``benchmarks/`` lives directly under it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,34 +41,14 @@ class BenchReport:
         self.records: list[dict[str, Any]] = []
 
     def add(self, name: str, value: float, unit: str, **extra: Any) -> None:
-        """Record one named metric (timings, throughputs, percentiles...)."""
+        """Record one named model output (latencies, throughputs, counters...)."""
         self.records.append({"name": name, "value": value, "unit": unit, **extra})
-
-    def time(
-        self, name: str, fn: Callable[[], Any], repeats: int = 3, **extra: Any
-    ) -> float:
-        """Time ``fn`` (best of ``repeats``), record it, return the seconds.
-
-        The record carries ``timed: true`` so cross-commit comparisons
-        (``check_regression.py``) can tell wall-clock measurements — noisy
-        across runners — from deterministic model outputs.
-        """
-        best = min(self._once(fn) for _ in range(max(1, repeats)))
-        self.add(name, best, "s", timed=True, **extra)
-        return best
-
-    @staticmethod
-    def _once(fn: Callable[[], Any]) -> float:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
 
     def to_dict(self) -> dict[str, Any]:
         """The full JSON document."""
         return {
             "schema": 1,
             "suite": self.suite,
-            "created_unix": int(time.time()),
             "python": platform.python_version(),
             "records": self.records,
         }

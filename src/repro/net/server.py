@@ -320,25 +320,26 @@ class NetServer:
 
     async def _handle_submit(self, connection: _Connection, frame: Frame) -> None:
         message = codec.decode_submit(frame.payload)
-        if message.ciphertexts is not None:
-            # Validate the attached LWE batch before accepting the work;
-            # a corrupt or params-mismatched batch is the client's error.
+        try:
+            # Validate the attached LWE batch (if any) before accepting the work.
             message.decode_ciphertexts(self.server.params)
-        if self.mode == "replay":
-            if message.arrival_s is None:
-                raise ValueError("replay-mode SUBMIT frames must carry a trace timestamp")
-            try:
+            if self.mode == "replay":
+                if message.arrival_s is None:
+                    raise ValueError("replay-mode SUBMIT frames must carry a trace timestamp")
                 self._run.offer(message.to_request())
                 self._replay_owners[message.request_id] = connection
-            except RequestRejectedError as rejected:
-                await self._send_failure(connection, message.request_id, rejected)
-            except (ValueError, KeyError) as error:
-                # An unknown kind or model, or an arrival out of order: this
-                # request's mistake, answered under its id — and before it
-                # has an owner entry to leak.
-                defect = ProtocolError(ErrorCode.BAD_MESSAGE, str(error))
-                await self._send_error(connection, defect, request_id=message.request_id)
-                return
+        except RequestRejectedError as rejected:
+            await self._send_failure(connection, message.request_id, rejected)
+        except (ValueError, KeyError) as error:
+            # A corrupt or params-mismatched attachment, an unknown kind or
+            # model, an arrival missing or out of order: this request's
+            # mistake, answered under its id (an id-0 ERROR would fail every
+            # other request pending on the connection) — and before it has
+            # an owner entry to leak.
+            defect = ProtocolError(ErrorCode.BAD_MESSAGE, str(error))
+            await self._send_error(connection, defect, request_id=message.request_id)
+            return
+        if self.mode == "replay":
             await self._answer_resolved(connection)
         else:
             if (

@@ -118,11 +118,12 @@ class DeviceShardResult:
 class PlacementLayout(abc.ABC):
     """Strategy for placing serving batches and one-shot workloads.
 
-    Subclasses implement :meth:`dispatch` (the serving path) and
-    :meth:`run_workload` (the one-shot path).  Key residency is *not* layout
-    state: every layout funnels its dispatch targets through the cluster's
-    :class:`~repro.arch.key_cache.KeyResidencyManager`, so budgets, eviction
-    and the hit/miss counters behave identically under every layout.
+    Subclasses implement :meth:`dispatch` (the serving path) and may
+    override :meth:`run_workload` (the one-shot path).  Key residency is
+    *not* layout state: every layout funnels its dispatch targets through
+    the cluster's :class:`~repro.arch.key_cache.KeyResidencyManager`, so
+    budgets, eviction and the hit/miss counters behave identically under
+    every layout.
     """
 
     #: Registry name of the layout.
@@ -138,7 +139,6 @@ class PlacementLayout(abc.ABC):
     ) -> Dispatch:
         """Execute ``batch`` on the cluster, updating device busy horizons."""
 
-    @abc.abstractmethod
     def run_workload(
         self,
         cluster: "StrixCluster",
@@ -146,7 +146,24 @@ class PlacementLayout(abc.ABC):
         params: "TFHEParameters | str | None",
         instances: int,
     ) -> RunResult:
-        """Execute one large workload across the cluster."""
+        """Execute one large workload across the cluster.
+
+        The default is the data-parallel run: every node of the workload is
+        sharded across all devices (only ``pipeline`` places it otherwise).
+        """
+        if isinstance(workload, Netlist) and instances > 1:
+            resolved = as_netlist(workload, params)
+            shards = _shard_netlist(cluster, resolved, instances)
+            # compile_netlist names the full graph f"{name}-x{instances}";
+            # match it without compiling the whole replicated netlist again.
+            name = f"{resolved.name}-x{instances}"
+            workload_params = resolved.params
+        else:
+            full_graph = as_graph(workload, params, instances)
+            shards = _shard_graph(cluster, full_graph)
+            name = full_graph.name
+            workload_params = full_graph.params
+        return _run_shards(cluster, name, workload_params, shards, self.name)
 
     def reset(self) -> None:
         """Clear placement state between simulations (default: stateless)."""
@@ -344,29 +361,6 @@ def _run_shards(
     )
 
 
-def _run_data_parallel(
-    cluster: "StrixCluster",
-    workload: WorkloadLike,
-    params: "TFHEParameters | str | None",
-    instances: int,
-    layout: str,
-) -> RunResult:
-    """Shard one workload across all devices (the data-parallel run path)."""
-    if isinstance(workload, Netlist) and instances > 1:
-        resolved = as_netlist(workload, params)
-        shards = _shard_netlist(cluster, resolved, instances)
-        # compile_netlist names the full graph f"{name}-x{instances}";
-        # match it without compiling the whole replicated netlist again.
-        name = f"{resolved.name}-x{instances}"
-        workload_params = resolved.params
-    else:
-        full_graph = as_graph(workload, params, instances)
-        shards = _shard_graph(cluster, full_graph)
-        name = full_graph.name
-        workload_params = full_graph.params
-    return _run_shards(cluster, name, workload_params, shards, layout)
-
-
 class DataParallelLayout(PlacementLayout):
     """Every device runs every layer; one batch occupies one device."""
 
@@ -388,15 +382,6 @@ class DataParallelLayout(PlacementLayout):
         return self._dispatch_to_device(
             cluster, batch, now, params, index, cluster.devices[index].busy_until
         )
-
-    def run_workload(
-        self,
-        cluster: "StrixCluster",
-        workload: WorkloadLike,
-        params: "TFHEParameters | str | None",
-        instances: int,
-    ) -> RunResult:
-        return _run_data_parallel(cluster, workload, params, instances, self.name)
 
 
 class PipelineLayout(PlacementLayout):
@@ -748,15 +733,6 @@ class ElasticLayout(PlacementLayout):
             self._effective_busy(cluster, index),
             extra_breakdown={"active_devices": float(len(self._active))},
         )
-
-    def run_workload(
-        self,
-        cluster: "StrixCluster",
-        workload: WorkloadLike,
-        params: "TFHEParameters | str | None",
-        instances: int,
-    ) -> RunResult:
-        return _run_data_parallel(cluster, workload, params, instances, self.name)
 
 
 _LAYOUTS: Registry[PlacementLayout] = Registry(

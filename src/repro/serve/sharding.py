@@ -4,17 +4,18 @@ Two decisions are delegated to a policy:
 
 * :meth:`ShardingPolicy.partition` — splitting one large workload's
   ciphertexts across **all** devices (data-parallel sharding of a
-  computation graph);
+  computation graph); the base class's balanced split is the one value
+  in use, a policy may override it;
 * :meth:`ShardingPolicy.select` — picking **one** device for a flushed
   serving batch (each batch is a single device's epoch stream).
 
-Four policies ship: ``round-robin`` (balanced splits, rotating dispatch),
-``least-loaded`` (dispatch to the device that frees up first, partition by
-available headroom), ``affinity`` (tenant-sticky dispatch so a tenant's
-bootstrapping keys stay resident on one device's HBM) and ``key-affinity``
-(dispatch to the least-loaded device *currently holding* the tenant's
-keys, read from the cluster's key-residency manager — the policy that
-stays cheap when a finite key-memory budget starts evicting).
+Four policies ship: ``round-robin`` (rotating dispatch), ``least-loaded``
+(dispatch to the device that frees up first), ``affinity`` (tenant-sticky
+dispatch so a tenant's bootstrapping keys stay resident on one device's
+HBM) and ``key-affinity`` (dispatch to the least-loaded device *currently
+holding* the tenant's keys, read from the cluster's key-residency manager —
+the policy that stays cheap when a finite key-memory budget starts
+evicting).
 
 Dispatch decisions may consult key residency: the placement layout passes
 ``select`` a ``resident`` mask — one flag per candidate device, true where
@@ -32,29 +33,26 @@ from repro.registry import Registry
 from repro.serve.batcher import Batch
 
 
-def _balanced_split(items: int, devices: int, offset: int = 0) -> list[int]:
-    """Split ``items`` into ``devices`` near-equal shares.
-
-    The remainder lands on consecutive devices starting at ``offset`` so
-    repeated splits (one per graph node) do not pile every leftover
-    ciphertext onto device 0.
-    """
-    base, remainder = divmod(items, devices)
-    return [
-        base + (1 if (index - offset) % devices < remainder else 0)
-        for index in range(devices)
-    ]
-
-
 class ShardingPolicy(abc.ABC):
     """Strategy for partitioning and dispatching work across devices."""
 
     #: Registry name of the policy.
     name: str = ""
 
-    @abc.abstractmethod
     def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        """Per-device item counts for sharding one workload (sums to ``items``)."""
+        """Per-device item counts for sharding one workload (sums to ``items``).
+
+        The default — what every shipped policy uses, since identical
+        devices have identical throughput and one workload has no tenant
+        axis — is ``devices`` near-equal shares.  The remainder lands on
+        consecutive devices starting at ``offset`` so repeated splits (one
+        per graph node) do not pile every leftover ciphertext onto device 0.
+        """
+        base, remainder = divmod(items, devices)
+        return [
+            base + (1 if (index - offset) % devices < remainder else 0)
+            for index in range(devices)
+        ]
 
     @abc.abstractmethod
     def select(
@@ -76,15 +74,12 @@ class ShardingPolicy(abc.ABC):
 
 
 class RoundRobinPolicy(ShardingPolicy):
-    """Balanced partitioning; dispatch cycles through the devices in order."""
+    """Dispatch cycles through the devices in order."""
 
     name = "round-robin"
 
     def __init__(self) -> None:
         self._next = 0
-
-    def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        return _balanced_split(items, devices, offset)
 
     def select(
         self,
@@ -101,18 +96,13 @@ class RoundRobinPolicy(ShardingPolicy):
 
 
 class LeastLoadedPolicy(ShardingPolicy):
-    """Dispatch to the device that frees up first; partition evenly.
+    """Dispatch to the device that frees up first.
 
-    For partitioning, identical devices have identical throughput, so the
-    headroom-weighted split degenerates to the balanced split; the policy
-    earns its name on the dispatch path, where device busy horizons diverge
-    under uneven batch sizes.
+    The policy earns its name on the dispatch path, where device busy
+    horizons diverge under uneven batch sizes.
     """
 
     name = "least-loaded"
-
-    def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        return _balanced_split(items, devices, offset)
 
     def select(
         self,
@@ -128,15 +118,10 @@ class AffinityPolicy(ShardingPolicy):
 
     Keeps a tenant's bootstrapping/keyswitching keys resident in a single
     device's HBM instead of replicating them cluster-wide.  Multi-tenant
-    batches follow the first (oldest) request's tenant.  Partitioning a
-    single large workload has no tenant axis, so it falls back to the
-    balanced split.
+    batches follow the first (oldest) request's tenant.
     """
 
     name = "affinity"
-
-    def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        return _balanced_split(items, devices, offset)
 
     def select(
         self,
@@ -163,9 +148,6 @@ class KeyAffinityPolicy(ShardingPolicy):
     """
 
     name = "key-affinity"
-
-    def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        return _balanced_split(items, devices, offset)
 
     def select(
         self,

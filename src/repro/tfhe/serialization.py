@@ -72,37 +72,39 @@ LWE_WIRE_MAGIC = b"LWE1"
 _LWE_WIRE_HEADER = struct.Struct("!4sHII")
 
 
-def lwe_to_bytes(ciphertexts: list[LweCiphertext]) -> bytes:
+def lwe_to_bytes(ciphertexts: "list[LweCiphertext] | LweBatch") -> bytes:
     """Encode a batch of LWE ciphertexts as one contiguous byte string.
 
     The bytes-level sibling of :func:`save_lwe_ciphertexts` for transports
     that are not files — network frames, shared memory, message queues.  The
-    layout is deliberately raw (no compression, fixed little-endian
-    ``int64`` arrays) so the encoding is byte-deterministic and the size is
+    layout is deliberately raw (no compression; after the header and the
+    parameter-set name, every mask row as little-endian ``int64``, then
+    every body) so the encoding is byte-deterministic and the size is
     exactly ``header + count * (dimension + 1) * 8`` — the quantity the
-    serving tier's interconnect model already reasons about.
+    serving tier's interconnect model already reasons about.  It is how an
+    :class:`~repro.tfhe.batch.LweBatch` already holds its data, so a batch
+    encodes without restacking and to the same bytes as its
+    ``to_ciphertexts()`` list.
     """
-    if not ciphertexts:
+    if isinstance(ciphertexts, LweBatch):
+        batch = ciphertexts
+    elif not ciphertexts:
         raise ValueError("cannot encode an empty ciphertext batch")
-    params = ciphertexts[0].params
-    dimensions = {ct.dimension for ct in ciphertexts}
-    if len(dimensions) != 1:
-        raise ValueError(f"ciphertexts have mixed dimensions: {sorted(dimensions)}")
-    name = params.name.encode("utf-8")
-    masks = np.stack([ct.mask for ct in ciphertexts]).astype("<i8", copy=False)
-    bodies = np.array([ct.body for ct in ciphertexts], dtype="<i8")
-    header = _LWE_WIRE_HEADER.pack(
-        LWE_WIRE_MAGIC, len(name), len(ciphertexts), ciphertexts[0].dimension
-    )
+    else:
+        batch = LweBatch.from_ciphertexts(ciphertexts)
+    name = batch.params.name.encode("utf-8")
+    header = _LWE_WIRE_HEADER.pack(LWE_WIRE_MAGIC, len(name), len(batch), batch.dimension)
+    masks = batch.masks.astype("<i8", copy=False)
+    bodies = batch.bodies.astype("<i8", copy=False)
     return header + name + masks.tobytes() + bodies.tobytes()
 
 
-def lwe_from_bytes(data: bytes, params: TFHEParameters) -> list[LweCiphertext]:
-    """Decode a batch encoded by :func:`lwe_to_bytes`.
+def _parse_lwe_bytes(data: bytes, params: TFHEParameters) -> tuple[np.ndarray, np.ndarray]:
+    """``(masks, bodies)`` views of shape ``(count, dim)`` / ``(count,)`` over ``data``.
 
-    Rejects wrong magic, a parameter-set mismatch and truncated or oversized
-    payloads with :class:`ValueError` — the checks the network codec relies
-    on to turn corrupt frames into typed protocol errors.
+    Owns every check on the encoding: wrong magic, a parameter-set mismatch
+    and truncated or oversized payloads raise :class:`ValueError` — what the
+    network codec relies on to turn corrupt frames into typed protocol errors.
     """
     view = memoryview(data)
     if len(view) < _LWE_WIRE_HEADER.size:
@@ -125,71 +127,21 @@ def lwe_from_bytes(data: bytes, params: TFHEParameters) -> list[LweCiphertext]:
         view, dtype="<i8", count=count * dimension, offset=offset
     ).reshape(count, dimension)
     bodies = np.frombuffer(view, dtype="<i8", count=count, offset=offset + count * dimension * 8)
+    return masks, bodies
+
+
+def lwe_from_bytes(data: bytes, params: TFHEParameters) -> list[LweCiphertext]:
+    """Decode the bytes of :func:`lwe_to_bytes` into scalar ciphertexts."""
+    masks, bodies = _parse_lwe_bytes(data, params)
     return [
-        LweCiphertext(masks[index], int(bodies[index]), params) for index in range(count)
+        LweCiphertext(masks[index], int(bodies[index]), params) for index in range(len(bodies))
     ]
 
 
-# -- stacked LWE batches, bytes level ---------------------------------------------
-
-#: Leading magic of the stacked :class:`~repro.tfhe.batch.LweBatch` encoding.
-LWE_BATCH_WIRE_MAGIC = b"LWB1"
-
-#: Fixed header of the stacked encoding: magic, parameter-set name length,
-#: batch size, LWE dimension — the same fields as the per-ciphertext wire
-#: header, so the two formats are distinguishable by magic alone.
-_LWE_BATCH_WIRE_HEADER = struct.Struct("!4sHII")
-
-
-def lwe_batch_to_bytes(batch: LweBatch) -> bytes:
-    """Encode an :class:`~repro.tfhe.batch.LweBatch` as one byte string.
-
-    The stacked sibling of :func:`lwe_to_bytes`: instead of restacking a
-    list of scalar ciphertexts, the batch's existing ``(batch, dim)`` mask
-    array and ``(batch,)`` body vector are laid out as **one** contiguous
-    little-endian ``(batch, dim + 1)`` ``int64`` array (each row is a mask
-    followed by its body), so encoding a vectorized pipeline's output is a
-    single copy.  The size is exactly ``header + batch * (dim + 1) * 8``.
-    """
-    params = batch.params
-    name = params.name.encode("utf-8")
-    stacked = np.empty((len(batch), batch.dimension + 1), dtype="<i8")
-    stacked[:, :-1] = batch.masks
-    stacked[:, -1] = batch.bodies
-    header = _LWE_BATCH_WIRE_HEADER.pack(
-        LWE_BATCH_WIRE_MAGIC, len(name), len(batch), batch.dimension
-    )
-    return header + name + stacked.tobytes()
-
-
 def lwe_batch_from_bytes(data: bytes, params: TFHEParameters) -> LweBatch:
-    """Decode an :class:`~repro.tfhe.batch.LweBatch` from :func:`lwe_batch_to_bytes`.
-
-    Applies the same defensive checks as :func:`lwe_from_bytes`: wrong
-    magic, parameter-set mismatch and truncated or oversized payloads all
-    raise :class:`ValueError`.
-    """
-    view = memoryview(data)
-    if len(view) < _LWE_BATCH_WIRE_HEADER.size:
-        raise ValueError("LWE batch bytes are truncated before the header ends")
-    magic, name_length, count, dimension = _LWE_BATCH_WIRE_HEADER.unpack_from(view, 0)
-    if magic != LWE_BATCH_WIRE_MAGIC:
-        raise ValueError(f"bad stacked LWE batch magic {bytes(magic)!r}")
-    offset = _LWE_BATCH_WIRE_HEADER.size
-    if len(view) < offset + name_length:
-        raise ValueError("LWE batch bytes are truncated inside the parameter name")
-    stored_name = bytes(view[offset : offset + name_length]).decode("utf-8")
-    _check_params_match(stored_name, params)
-    offset += name_length
-    expected = offset + count * (dimension + 1) * 8
-    if len(view) != expected:
-        raise ValueError(
-            f"LWE batch has {len(view)} bytes but the header implies {expected}"
-        )
-    stacked = np.frombuffer(
-        view, dtype="<i8", count=count * (dimension + 1), offset=offset
-    ).reshape(count, dimension + 1)
-    return LweBatch(stacked[:, :-1], stacked[:, -1], params)
+    """Decode the bytes of :func:`lwe_to_bytes` into one stacked batch."""
+    masks, bodies = _parse_lwe_bytes(data, params)
+    return LweBatch(masks, bodies, params)
 
 
 # -- evaluation keys ---------------------------------------------------------------

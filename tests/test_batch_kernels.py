@@ -10,7 +10,7 @@ scalar exactly), holds every batch API of
 oracle: slow reference, fast path, element-wise equality) and an N-instance
 reference-backend run to N one-instance runs, holds blind rotation to the
 same bits however its batch axis is cut into per-core sub-batches, and covers
-the transform-instance registry and the stacked wire codecs.
+the transform-instance registry and the ``LWE1`` byte codec's stacked side.
 """
 
 from __future__ import annotations
@@ -64,11 +64,7 @@ from repro.tfhe.keyswitch import keyswitch
 from repro.tfhe.lut import relu_lut
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.polynomial import monomial_multiply
-from repro.tfhe.serialization import (
-    LWE_BATCH_WIRE_MAGIC,
-    lwe_batch_from_bytes,
-    lwe_batch_to_bytes,
-)
+from repro.tfhe.serialization import LWE_WIRE_MAGIC, lwe_batch_from_bytes, lwe_to_bytes
 
 #: (parameter set, batch sizes swept).  TOY covers the paper's batch-64
 #: epoch shape; SMALL covers ``k > 1`` with smaller batches to keep the
@@ -1020,7 +1016,7 @@ class TestTransformRegistry:
             clear_transform_caches()
 
 
-# -- stacked wire codecs -----------------------------------------------------------
+# -- the LWE1 byte codec, stacked side ---------------------------------------------
 
 
 class TestBatchCodecs:
@@ -1035,24 +1031,28 @@ class TestBatchCodecs:
 
     def test_round_trip_is_exact(self):
         batch = self._batch()
-        decoded = lwe_batch_from_bytes(lwe_batch_to_bytes(batch), TOY_PARAMETERS)
+        decoded = lwe_batch_from_bytes(lwe_to_bytes(batch), TOY_PARAMETERS)
         np.testing.assert_array_equal(decoded.masks, batch.masks)
         np.testing.assert_array_equal(decoded.bodies, batch.bodies)
 
+    def test_batch_and_its_ciphertext_list_encode_to_the_same_bytes(self):
+        batch = self._batch()
+        assert lwe_to_bytes(batch) == lwe_to_bytes(batch.to_ciphertexts())
+
     def test_size_is_header_plus_one_contiguous_array(self):
         batch = self._batch(3)
-        encoded = lwe_batch_to_bytes(batch)
+        encoded = lwe_to_bytes(batch)
         header = 14 + len(TOY_PARAMETERS.name.encode("utf-8"))
         assert len(encoded) == header + 3 * (TOY_PARAMETERS.n + 1) * 8
-        assert encoded.startswith(LWE_BATCH_WIRE_MAGIC)
+        assert encoded.startswith(LWE_WIRE_MAGIC)
 
     def test_parameter_mismatch_rejected(self):
-        encoded = lwe_batch_to_bytes(self._batch())
+        encoded = lwe_to_bytes(self._batch())
         with pytest.raises(ValueError, match="parameter set"):
             lwe_batch_from_bytes(encoded, SMALL_PARAMETERS)
 
     def test_corruption_rejected(self):
-        encoded = lwe_batch_to_bytes(self._batch())
+        encoded = lwe_to_bytes(self._batch())
         with pytest.raises(ValueError, match="magic"):
             lwe_batch_from_bytes(b"XXXX" + encoded[4:], TOY_PARAMETERS)
         with pytest.raises(ValueError, match="truncated"):

@@ -800,6 +800,47 @@ class TestLoopbackErrors:
 
         self._scenario(scenario())
 
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_bad_attachment_fails_only_its_own_request(self, mode):
+        wrong = lwe_to_bytes([LweCiphertext.trivial(0, 8, TOY_PARAMETERS)])
+
+        async def scenario():
+            options = dict(devices=1, params="I", max_batch_delay_s=0.05)
+            async with NetServer(mode=mode, **options) as net:
+                client = await AsyncNetClient.connect(*net.address)
+                # Still pending when the defective SUBMIT behind it is judged.
+                valid = client.submit_nowait(Request.make(1, "t0", "bootstrap", arrival_s=0.001))
+                with pytest.raises(NetError) as excinfo:
+                    await client.submit("t0", "bootstrap", 1, ciphertexts=wrong)
+                reply = excinfo.value.reply
+                assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 2)
+                assert "'TOY'" in reply.message
+                # The connection keeps serving, and the request pipelined
+                # ahead of the bad one still gets its RESULT.
+                assert (await client.ping()).nonce > 0
+                await client.drain()
+                outcome = await asyncio.wait_for(valid, timeout=5.0)
+                assert outcome.request.request_id == 1
+                await client.close()
+
+        self._scenario(scenario())
+
+    def test_replay_submit_without_timestamp_is_rejected_per_request(self):
+        async def scenario():
+            async with NetServer(mode="replay", devices=1, params="I") as net:
+                client = await AsyncNetClient.connect(*net.address)
+                valid = client.submit_nowait(Request.make(1, "t0", "bootstrap", arrival_s=0.001))
+                with pytest.raises(NetError) as excinfo:
+                    await client.submit("t0", "bootstrap", 1)  # live-style: no arrival
+                reply = excinfo.value.reply
+                assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 2)
+                assert net._replay_owners.keys() == {1}
+                await client.drain()
+                assert (await asyncio.wait_for(valid, timeout=5.0)).request.request_id == 1
+                await client.close()
+
+        self._scenario(scenario())
+
 
 # -- live serving -------------------------------------------------------------------
 
