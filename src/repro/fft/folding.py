@@ -69,7 +69,7 @@ class FoldedNegacyclicTransform:
     def unfold(self, folded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Invert :meth:`fold`, returning a length-``N`` real array."""
         values = self._folded(folded)
-        out = _checked_out(out, values.shape[:-1] + (self.degree,), np.float64)
+        out = checked_out(out, values.shape[:-1] + (self.degree,), np.float64)
         out[..., : self.half] = values.real
         out[..., self.half :] = values.imag
         return out
@@ -103,7 +103,7 @@ class FoldedNegacyclicTransform:
         values = self._folded(coefficients) if folded else self.fold(coefficients)
         if out is None and not folded:
             out = values  # fold()'s fresh array: nobody else holds it
-        out = _checked_out(out, values.shape, np.complex128)
+        out = checked_out(out, values.shape, np.complex128)
         # Evaluation at mu_j = exp(i*pi*(4j+1)/N):
         #   X_j = sum_u x_u * mu_j^u
         #       = sum_u (x_u * e^{i*pi*u/N}) * e^{2*pi*i*j*u/(N/2)}
@@ -128,7 +128,7 @@ class FoldedNegacyclicTransform:
         which case it is overwritten with the result.
         """
         values = self._folded(spectrum)
-        work = _checked_out(out, values.shape, np.complex128) if folded else None
+        work = checked_out(out, values.shape, np.complex128) if folded else None
         work = np.fft.fft(values, axis=-1, out=work)
         np.multiply(work, self._untwist_scaled, out=work)
         return work if folded else self.unfold(work, out=out)
@@ -141,11 +141,15 @@ class FoldedNegacyclicTransform:
         return np.round(product).astype(np.int64)
 
 
-def _checked_out(out: np.ndarray | None, shape: tuple[int, ...], dtype: type) -> np.ndarray:
-    """``out`` if it has exactly ``shape`` and ``dtype``, else a fresh array."""
+def checked_out(
+    out: np.ndarray | None, shape: tuple[int, ...], dtype: type, name: str = "out"
+) -> np.ndarray:
+    """``out`` if it has exactly ``shape`` and ``dtype``, a fresh array if it is ``None``."""
     if out is None:
         return np.empty(shape, dtype=dtype)
     if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
         got = f"{out.dtype.name} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
-        raise ValueError(f"out must be a {np.dtype(dtype).name} array of shape {shape}, got {got}")
+        raise ValueError(
+            f"{name} must be a {np.dtype(dtype).name} array of shape {shape}, got {got}"
+        )
     return out

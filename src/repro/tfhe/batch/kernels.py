@@ -15,9 +15,10 @@ suite in ``tests/test_batch_kernels.py`` and by the deterministic
 batched result equals the scalar kernel applied to element ``i``, exactly,
 not approximately.  Integer steps are exact by construction (the rotation is
 a signed permutation, the digits are masked bit fields, reductions commute
-with the additions between them).  The floating-point steps of blind
-rotation run in place in one per-call workspace, and stay equal to the
-scalar path's allocating ones for four reasons:
+with the additions between them).  Blind rotation runs in place in one
+per-call workspace whose integer arrays are 32-bit torus words, keyswitching
+contracts in ``float64``, and both stay equal to the scalar path's allocating
+``int64`` steps for six reasons:
 
 * *Power-of-two scale folding is exact.*  The transform's
   ``ifft(norm="forward")`` and precomputed ``untwist / half`` replace
@@ -42,6 +43,22 @@ scalar path's allocating ones for four reasons:
   sub-batch per available core, each on its own thread in its own slice of
   the workspace; elements never interact and the key and the twiddles are
   only read, so element ``i`` comes out the same bits whatever the cut.
+* *32-bit wrap-around is the reduction.*  Every defined set has
+  ``q = 2**32`` (and any ``q_bits <= 32`` divides it), so ``uint32``
+  arithmetic — add, subtract, negate, the truncating copy of a rounded
+  ``int64`` product — computes modulo a multiple of ``q``: the canonical
+  representative at ``q_bits == 32``, one the final reduction maps to it
+  otherwise.  The decomposer reads only the low ``q_bits`` bits anyway.  The
+  word is derived from ``params.q_bits`` (wider moduli fall back to ``int64``,
+  whose wrap is ``2**64``); no caller chooses it and no public array carries
+  it — results are canonical ``int64`` as everywhere else.
+* *The keyswitch GEMM cannot round.*  Digits (at most ``B_ks / 2``) and
+  table entries (below ``q``) convert to ``float64`` exactly, and the rows
+  are contracted in chunks short enough that even the sum of the products'
+  absolute values stays below ``2**53``.  Every partial sum any BLAS kernel
+  can form — whatever its blocking, summation order or use of fused
+  multiply-add — is then an exactly representable integer, so the result is
+  the integer sum, which is what the ``int64`` ``einsum`` computed.
 
 The one control-flow divergence — the scalar loop *skips* blind-rotation
 iterations whose switched mask element is zero — is harmless: a zero
@@ -64,7 +81,7 @@ from repro.params import TFHEParameters
 from repro.tfhe import torus
 from repro.tfhe.batch.types import GlweBatch, LweBatch
 from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
-from repro.tfhe.decomposition import decompose, decompose_folded
+from repro.tfhe.decomposition import decompose, plan_decompose_folded
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.polynomial import get_transform
 
@@ -99,17 +116,25 @@ def batch_modulus_switch(
     return masks.astype(np.int64), bodies.astype(np.int64)
 
 
-def _refresh_windows(windows: np.ndarray) -> None:
-    """Complete ``[a, ?, ?]`` to ``[a, -a, a]`` along the last axis.
+def _rotation_windows(windows: np.ndarray) -> np.ndarray:
+    """Every ``X^e * a`` of ``windows = [a, -a, a]`` (last axis ``3N``), as a read-only view.
 
-    ``X^e * a`` for ``e`` in ``[0, 2N)`` is then the contiguous slice
-    ``[s, s + N)`` with ``s = -e mod 2N``: stepping left past coefficient 0
-    re-enters at the top negated (``X^N = -1``), and past ``-a`` comes
-    ``a`` again (``X^2N = 1``).
+    ``X^e * a`` for ``e`` in ``[0, 2N)`` is the contiguous slice ``[s, s + N)``
+    with ``s = -e mod 2N``: stepping left past coefficient 0 re-enters at the
+    top negated (``X^N = -1``), and past ``-a`` comes ``a`` again
+    (``X^2N = 1``).  The view has shape ``(..., 2N + 1, N)`` — one row per
+    slice start — and costs nothing until it is indexed; one fancy index
+    ``view[arange(B), :, starts]`` then rotates a whole batch, each element
+    by its own exponent.
     """
     n = windows.shape[-1] // 3
-    np.negative(windows[..., :n], out=windows[..., n : 2 * n])
-    windows[..., 2 * n :] = windows[..., :n]
+    step = windows.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        windows,
+        shape=windows.shape[:-1] + (2 * n + 1, n),
+        strides=windows.strides[:-1] + (step, step),
+        writeable=False,
+    )
 
 
 def _window_starts(exponents: np.ndarray, n: int) -> np.ndarray:
@@ -138,7 +163,8 @@ def batch_monomial_multiply(
         )
     windows = np.empty(polys.shape[:-1] + (3 * n,), dtype=np.int64)
     windows[..., :n] = polys
-    _refresh_windows(windows)
+    np.negative(polys, out=windows[..., n : 2 * n])
+    windows[..., 2 * n :] = polys
     rotated = np.empty(polys.shape, dtype=np.int64)
     for element, start in enumerate(starts.tolist()):
         rotated[element] = windows[element, ..., start : start + n]
@@ -161,7 +187,9 @@ def batch_blind_rotate(
     iterations is one batched CMux — Rotator, Decomposer, folded FFT, VMA,
     IFFT, Accumulator — streamed through one workspace that is allocated
     here, reused by every iteration with ``out=`` and dropped on return
-    (about 9 MB at set I x 64, under 100 KB at SMALL x 1).
+    (about 7 MB at set I x 64, under 100 KB at SMALL x 1; the one array an
+    iteration does allocate is the Rotator's gather, ``4 * (k+1) * N`` bytes
+    per ciphertext).
 
     The paper's outer batching level (Section IV-C): the batch axis is cut into
     contiguous sub-batches — never more than the process has cores, none of
@@ -185,28 +213,30 @@ def batch_blind_rotate(
     batch_size, n_poly, half = len(batch), params.N, params.N // 2
     polys, levels = params.k + 1, params.lb
 
-    # The accumulator lives in the first third of the rotation windows and is
-    # carried *unreduced*: the rotation is a signed permutation and each CMux
-    # adds a canonical-range product, so every intermediate stays within
-    # ``(n + 1) * q`` — far inside int64.  The CMux difference is not reduced
-    # either (decompose_folded reads only its low q_bits bits); the only
-    # reduction per iteration is the one on the product.  The final GlweBatch
-    # construction reduces once; modular arithmetic makes the result
+    # The integer side of the loop runs in the unsigned word of the modulus:
+    # ``q`` divides ``2**32``, so the word's wrap-around *is* the reduction
+    # mod ``q`` (``np.negative`` is negation mod ``q``, a sum needs no mask)
+    # and no iteration reduces anything.  The accumulator lives in the first
+    # third of the rotation windows; the GlweBatch built from it reduces once
+    # (a no-op at ``q_bits == 32``), and modular arithmetic makes the result
     # bit-identical to the scalar step-by-step reductions.
-    windows = np.empty((batch_size, polys, 3 * n_poly), dtype=np.int64)
+    word = np.uint32 if params.q_bits <= 32 else np.int64
+    windows = np.empty((batch_size, polys, 3 * n_poly), dtype=word)
     accumulator = windows[..., :n_poly]
     accumulator[:, : params.k] = 0
     accumulator[:, params.k] = batch_monomial_multiply(
         np.broadcast_to(test_vector, (batch_size, n_poly)), -bodies_2n, params.q
     )
-    difference = np.empty((batch_size, polys, n_poly), dtype=np.int64)
-    digits = np.empty((batch_size, polys, levels, n_poly), dtype=np.int64)
+    difference = np.empty((batch_size, polys, n_poly), dtype=word)
+    digits = np.empty((batch_size, polys, levels, n_poly), dtype=word)
     # Digits, their spectra and the twisted values in between share one
-    # folded buffer; so do the key products, their inverse transform and the
-    # coefficients rounded out of its real / imaginary slots.
+    # folded buffer; so do the key products and their inverse transform, whose
+    # real / imaginary slots are rounded into ``rounded`` — 64 bits wide,
+    # because a product coefficient reaches 2**53 before it wraps into the word.
     spectra = np.empty((batch_size, polys * levels, half), dtype=np.complex128)
     product = np.empty((batch_size, polys, half), dtype=np.complex128)
-    workspace = (windows, difference, digits, spectra, product, masks_2n)
+    rounded = np.empty((batch_size, polys, n_poly), dtype=np.int64)
+    workspace = (windows, difference, digits, spectra, product, rounded, masks_2n)
     shared = (workspace, get_transform(n_poly), bootstrapping_key, params)
     first, *rest = _sub_batches(batch_size, polys * levels * n_poly)
     if not rest:  # batch 1, one core, a small set: not even an executor (~30 us) is built
@@ -217,7 +247,8 @@ def batch_blind_rotate(
             _cmux_iterations(first, *shared)
         for sub_batch in pending:
             sub_batch.result()  # raises what it raised, now that every thread has stopped
-    return GlweBatch(accumulator[:, : params.k], accumulator[:, params.k], params)
+    canonical = accumulator.astype(np.int64)  # a copy: nothing returned aliases the workspace
+    return GlweBatch(canonical[:, : params.k], canonical[:, params.k], params)
 
 
 #: Fewest digit coefficients (``(k+1) * lb * N`` per ciphertext) in a sub-batch of
@@ -247,39 +278,49 @@ def _cmux_iterations(
     bootstrapping_key: BootstrappingKey,
     params: TFHEParameters,
 ) -> None:
-    """All ``n`` CMux iterations of sub-batch ``part``, inside its slices of the workspace."""
-    windows, difference, digits, spectra, product, masks_2n = (a[part] for a in workspace)
+    """All ``n`` CMux iterations of sub-batch ``part``, inside its slices of the workspace.
+
+    Everything an iteration does not change — views, index arrays, the
+    decomposer's plan, the key spectra — is bound before the loop; the
+    transform's ``forward`` / ``inverse`` stay per-iteration attribute lookups,
+    so whoever wraps them for the length of a call sees every iteration.
+    """
+    windows, difference, digits, spectra, product, rounded, masks_2n = (
+        a[part] for a in workspace
+    )
     n_poly, half, polys, levels = params.N, params.N // 2, params.k + 1, params.lb
     accumulator = windows[..., :n_poly]
-    folded_digits = spectra.reshape(-1, polys, levels, half)
+    negated, repeated = windows[..., n_poly : 2 * n_poly], windows[..., 2 * n_poly :]
+    rotations, elements = _rotation_windows(windows), np.arange(len(windows))
+    starts = list(_window_starts(masks_2n, n_poly).T)
+    decompose_difference = plan_decompose_folded(
+        difference,
+        levels,
+        params.log2_base_pbs,
+        params.q_bits,
+        out=spectra.reshape(-1, polys, levels, half),
+        scratch=digits,
+    )
     product_slots = product.view(np.float64).reshape(-1, polys, half, 2)
-    starts = _window_starts(masks_2n, n_poly).T.tolist()
+    real, imaginary = product_slots[..., 0], product_slots[..., 1]
+    rounded_low, rounded_high = rounded[..., :half], rounded[..., half:]
+    key_spectra = [entry.spectra for entry in bootstrapping_key]
     # An iteration whose exponents are all zero is skipped, exactly like the
     # scalar loop; a zero exponent next to non-zero ones needs no skip — its
     # difference, digits and product are exactly zero.
     for index in np.flatnonzero(masks_2n.any(axis=0)).tolist():
-        _refresh_windows(windows)
-        for element, start in enumerate(starts[index]):
-            np.subtract(
-                windows[element, :, start : start + n_poly],
-                accumulator[element],
-                out=difference[element],
-            )
-        decompose_folded(
-            difference,
-            levels,
-            params.log2_base_pbs,
-            params.q_bits,
-            out=folded_digits,
-            scratch=digits,
-        )
+        np.negative(accumulator, out=negated)
+        np.copyto(repeated, accumulator)
+        # The Rotator: X^e * acc for the whole sub-batch is one gather.
+        np.subtract(rotations[elements, :, starts[index]], accumulator, out=difference)
+        decompose_difference()
         transform.forward(spectra, out=spectra, folded=True)
-        np.einsum("brf,rcf->bcf", spectra, bootstrapping_key[index].spectra, out=product)
+        np.einsum("brf,rcf->bcf", spectra, key_spectra[index], out=product)
         transform.inverse(product, out=product, folded=True)
-        np.rint(product_slots[..., 0], out=difference[..., :half], casting="unsafe")
-        np.rint(product_slots[..., 1], out=difference[..., half:], casting="unsafe")
-        torus.reduce(difference, params.q, out=difference)
-        accumulator += difference
+        np.rint(real, out=rounded_low, casting="unsafe")
+        np.rint(imaginary, out=rounded_high, casting="unsafe")
+        np.copyto(difference, rounded, casting="unsafe")  # keeps the low bits: mod 2**32
+        np.add(accumulator, difference, out=accumulator)
 
 
 def batch_sample_extract(glwe_batch: GlweBatch) -> LweBatch:
@@ -307,9 +348,10 @@ def batch_keyswitch(
 ) -> LweBatch:
     """Switch a batch of extracted ciphertexts back to the ``n``-dim key.
 
-    The batch twin of :func:`repro.tfhe.keyswitch.keyswitch`; the digit and
-    contraction arithmetic is pure ``int64``, so equality with the scalar
-    path is exact by construction.
+    The batch twin of :func:`repro.tfhe.keyswitch.keyswitch`; the digits are
+    pure ``int64`` and the contraction is an integer sum that no partial
+    result of :func:`_contract_exactly` can round, so equality with the
+    scalar path is exact by construction.
     """
     input_dim = params.k * params.N
     if batch.dimension != input_dim:
@@ -318,12 +360,46 @@ def batch_keyswitch(
             f"got {batch.dimension}"
         )
     digits = decompose(batch.masks, params.lk, params.log2_base_ks, params.q_bits)
-    # digits: (lk, B, k*N); table: (k*N, lk, n+1); contract over level and
-    # input coefficient in one step.
-    combination = np.einsum("lbj,jlc->bc", digits, keyswitching_key.ciphertexts)
+    # digits: (lk, B, k*N); table: (k*N, lk, n+1).  One row per (input
+    # coefficient, level) on both sides, in the table's own order.
+    rows = np.moveaxis(digits, 0, -1).reshape(len(batch), input_dim * params.lk)
+    table = keyswitching_key.ciphertexts.reshape(input_dim * params.lk, params.n + 1)
+    combination = _contract_exactly(rows, table, params.base_ks // 2, params.q)
     masks = torus.reduce(-combination[:, : params.n], params.q)
     bodies = np.mod(batch.bodies - combination[:, params.n], params.q)
     return LweBatch(masks, bodies, params)
+
+
+#: Most bytes of keyswitching table converted to ``float64`` at a time: 512-row
+#: chunks at set I run as fast as one 12 MB conversion and leave the peak alone.
+_TABLE_CHUNK_BYTES = 1 << 21
+
+
+def _contract_exactly(
+    digits: np.ndarray, table: np.ndarray, digit_bound: int, q: int
+) -> np.ndarray:
+    """``digits @ table`` over integers, computed by ``float64`` GEMMs that cannot round.
+
+    ``digits`` is ``(B, rows)`` with ``|digit| <= digit_bound``, ``table`` is
+    ``(rows, columns)`` with entries in ``[0, q)``.  The rows are cut into chunks
+    short enough that the absolute values of a chunk's products sum to less
+    than ``2**53``: every partial sum a BLAS kernel can form, in whatever
+    order, fused or not, is then an integer ``float64`` holds exactly.  Chunk
+    results are accumulated in ``int64``.
+    """
+    rows, columns = table.shape
+    exact_rows = (1 << 53) // (digit_bound * q)
+    if not exact_rows:
+        raise ValueError(
+            f"one digit (up to {digit_bound}) times one entry below {q} exceeds float64's 2**53"
+        )
+    chunk = min(exact_rows, max(1, _TABLE_CHUNK_BYTES // (8 * columns)))
+    total = np.zeros((len(digits), columns), dtype=np.int64)
+    for lo in range(0, rows, chunk):
+        left = digits[:, lo : lo + chunk].astype(np.float64)
+        right = table[lo : lo + chunk].astype(np.float64)
+        total += (left @ right).astype(np.int64)  # exact; only the int64 total may pass 2**53
+    return total
 
 
 # -- full bootstraps -------------------------------------------------------------
@@ -414,7 +490,7 @@ def batch_phase(batch: LweBatch, key_bits: np.ndarray) -> np.ndarray:
     """Noisy phases ``b - <a, s>`` of a batch, shape ``(B,)``.
 
     Exact ``int64`` arithmetic, identical to the scalar
-    :meth:`repro.tfhe.lwe.LweCiphertext.phase` element for element.
+    :meth:`repro.tfhe.lwe.LweCiphertext.phase` on every element.
     """
     key_bits = np.asarray(key_bits, dtype=np.int64)
     if key_bits.shape[0] != batch.dimension:

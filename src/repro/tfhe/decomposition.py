@@ -18,8 +18,11 @@ in wrap-around distance, which is exactly the bound the paper states.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from repro.fft.folding import checked_out
 from repro.params import TFHEParameters
 
 
@@ -95,31 +98,69 @@ def decompose_folded(
 
     Only the low ``q_bits`` bits of each value are read (every digit is a
     masked bit field below bit ``q_bits`` and the rounding carry out of the
-    top digit is discarded), so any ``int64`` representative modulo ``q``
-    decomposes like the canonical one.  ``values`` is left untouched;
-    ``out`` and ``scratch`` (``int64``, shape ``(..., levels, N)``) let a
-    loop reuse its buffers and are allocated when omitted.
+    top digit is discarded), so any representative modulo ``q`` decomposes
+    like the canonical one.  The arithmetic runs in the *word* of ``values``:
+    ``uint32`` stays ``uint32`` (the blind-rotation workspace, whose
+    wrap-around is the reduction), anything else is read as ``int64``.
+    ``values`` is left untouched; ``out`` and ``scratch`` (the word, shape
+    ``(..., levels, N)``) let a caller reuse its buffers and are allocated
+    when omitted.
+    """
+    return plan_decompose_folded(values, levels, log2_base, q_bits, out, scratch)()
+
+
+def plan_decompose_folded(
+    values: np.ndarray,
+    levels: int,
+    log2_base: int,
+    q_bits: int = 32,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> Callable[[], np.ndarray]:
+    """:func:`decompose_folded` bound to its buffers, for a loop that refills ``values``.
+
+    Everything that does not depend on the contents of ``values`` happens
+    here, once: the buffers are checked, the addend, shifts and mask become
+    scalars of the word, the level rows, coefficient halves and complex slots
+    become views.  Each call of the returned function then decomposes whatever
+    ``values`` holds at that moment into ``out`` and returns ``out``.
     """
     addend, dropped_bits = _carry_addend(levels, log2_base, q_bits)
-    values = np.asarray(values, dtype=np.int64)
-    half = values.shape[-1] // 2
-    if scratch is None:
-        scratch = np.empty(values.shape[:-1] + (levels, values.shape[-1]), dtype=np.int64)
-    if out is None:
-        out = np.empty(values.shape[:-1] + (levels, half), dtype=np.complex128)
+    values = np.asarray(values)
+    if values.dtype != np.uint32:
+        values = np.asarray(values, dtype=np.int64)
+    word = values.dtype.type
+    if q_bits > 8 * values.itemsize:
+        raise ValueError(f"a {q_bits}-bit modulus does not fit {values.dtype.name} values")
+    degree = values.shape[-1]
+    half = degree // 2
+    scratch = checked_out(scratch, values.shape[:-1] + (levels, degree), word, "scratch")
+    out = checked_out(out, values.shape[:-1] + (levels, half), np.complex128)
+    slots = out.view(np.float64).reshape(out.shape + (2,))
+    real, imaginary = slots[..., 0], slots[..., 1]
+    low, high = scratch[..., :half], scratch[..., half:]
     # Level 0 holds the sum and is shifted last (in place), so no level
     # reads a row that an earlier one has already overwritten.
     summed = scratch[..., 0, :]
-    np.add(values, addend, out=summed)
-    for level in range(levels - 1, -1, -1):
-        shift = dropped_bits + (levels - 1 - level) * log2_base
-        np.right_shift(summed, shift, out=scratch[..., level, :])
-    base = 1 << log2_base
-    np.bitwise_and(scratch, base - 1, out=scratch)
-    slots = out.view(np.float64).reshape(out.shape + (2,))
-    np.subtract(scratch[..., :half], base >> 1, out=slots[..., 0])
-    np.subtract(scratch[..., half:], base >> 1, out=slots[..., 1])
-    return out
+    shifted = [
+        (word(dropped_bits + (levels - 1 - level) * log2_base), scratch[..., level, :])
+        for level in range(levels - 1, -1, -1)
+    ]
+    addend, mask = word(addend), word((1 << log2_base) - 1)
+    # A float offset selects the float64 loop (the word may be unsigned, where
+    # ``field - B/2`` would wrap); a digit field of ``log2_base`` bits converts exactly.
+    half_base = float((1 << log2_base) >> 1)
+
+    def apply() -> np.ndarray:
+        np.add(values, addend, out=summed)
+        for shift, row in shifted:
+            np.right_shift(summed, shift, out=row)
+        np.bitwise_and(scratch, mask, out=scratch)
+        np.subtract(low, half_base, out=real)
+        np.subtract(high, half_base, out=imaginary)
+        return out
+
+    return apply
 
 
 def _carry_folded_gamma(

@@ -8,6 +8,12 @@ uniform and Gaussian sampling, rounding) shared by every ciphertext type.
 All arrays use ``int64`` with values kept in the canonical range ``[0, q)``.
 Using a signed 64-bit container for 32-bit torus values keeps intermediate
 sums (e.g. LWE dot products with binary keys) exact without extra care.
+
+The one exception is the blind-rotation workspace of
+:func:`repro.tfhe.batch.kernels.batch_blind_rotate`, whose integer arrays are
+``uint32`` words so that wrap-around does the reduction; it is internal to one
+call, and every public array — arguments and results alike — is still
+canonical ``int64``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ scalar exactly), holds every batch API of
 :class:`~repro.runtime.session.Session` to its per-ciphertext API (the scalar
 oracle: slow reference, fast path, element-wise equality) and an N-instance
 reference-backend run to N one-instance runs, holds blind rotation to the
-same bits however its batch axis is cut into per-core sub-batches, and covers
-the transform-instance registry and the ``LWE1`` byte codec's stacked side.
+same bits however its batch axis is cut into per-core sub-batches and to the
+previous ``int64`` loop kept here as a frozen slow reference, holds the
+keyswitch GEMM to integer references where it is hardest, and covers the
+transform-instance registry and the ``LWE1`` byte codec's stacked side.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from repro.fft import (
     transform_cache_stats,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.params import PARAM_SET_I, SMALL_PARAMETERS, TOY_PARAMETERS
+from repro.params import PARAM_SET_I, PARAM_SET_IV, SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.runtime.api import run
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, full_adder_netlist
+from repro.tfhe import torus
 from repro.tfhe.batch import (
     BATCH_GATES,
     GlweBatch,
@@ -106,11 +109,14 @@ def _with_edge_exponents(ciphertexts, params):
     After the modulus switch column 0 is zero for *every* element (the
     iteration both loops skip), column 1 is zero for all but the first
     element, columns 2 and 3 cycle through ``0 / N / 2N-1`` element by
-    element and column 4 is ``N`` (pure negation) everywhere; the remaining
-    columns keep their fresh values.
+    element, column 4 is ``N`` (pure negation) everywhere and column 5 cycles
+    through ``1 / N-1 / N+1``; the remaining columns keep their fresh values.
+    Three elements or more therefore meet every window start next to a seam
+    of ``[acc, -acc, acc]``: 0, 1, ``N-1``, ``N``, ``N+1`` and ``2N-1``.
     """
     step = params.q // (2 * params.N)
     edges = (0, params.N, 2 * params.N - 1)
+    seams = (1, params.N - 1, params.N + 1)
     forced = []
     for index, ciphertext in enumerate(ciphertexts):
         mask = ciphertext.mask.copy()
@@ -119,8 +125,65 @@ def _with_edge_exponents(ciphertexts, params):
         mask[2] = edges[index % 3] * step
         mask[3] = edges[(index + 1) % 3] * step
         mask[4] = params.N * step
+        mask[5] = seams[index % 3] * step
         forced.append(LweCiphertext(mask, ciphertext.body, params))
     return forced
+
+
+def _frozen_int64_cmux(test_vector, batch: LweBatch, bootstrapping_key, params) -> np.ndarray:
+    """The blind rotation of PR 19, ``int64`` throughout: the frozen slow reference.
+
+    Its workspace set-up and the body of its ``_cmux_iterations`` verbatim (the
+    ``_refresh_windows`` helper inlined), over the whole batch on the calling
+    thread: one ``np.subtract`` per ciphertext for the Rotator, a mask per
+    iteration for the reduction.  Returns the ``(B, k+1, N)`` accumulator the
+    way that loop carried it — *unreduced* — so a test can see that its values
+    do leave ``[0, 2**32)``, which is what the 32-bit loop's wrap-around has to
+    get right.
+    """
+    masks_2n, bodies_2n = kernels.batch_modulus_switch(batch, params)
+    batch_size, n_poly, half = len(batch), params.N, params.N // 2
+    polys, levels = params.k + 1, params.lb
+    windows = np.empty((batch_size, polys, 3 * n_poly), dtype=np.int64)
+    accumulator = windows[..., :n_poly]
+    accumulator[:, : params.k] = 0
+    accumulator[:, params.k] = batch_monomial_multiply(
+        np.broadcast_to(test_vector, (batch_size, n_poly)), -bodies_2n, params.q
+    )
+    difference = np.empty((batch_size, polys, n_poly), dtype=np.int64)
+    digits = np.empty((batch_size, polys, levels, n_poly), dtype=np.int64)
+    spectra = np.empty((batch_size, polys * levels, half), dtype=np.complex128)
+    product = np.empty((batch_size, polys, half), dtype=np.complex128)
+    transform = kernels.get_transform(n_poly)
+
+    folded_digits = spectra.reshape(-1, polys, levels, half)
+    product_slots = product.view(np.float64).reshape(-1, polys, half, 2)
+    starts = kernels._window_starts(masks_2n, n_poly).T.tolist()
+    for index in np.flatnonzero(masks_2n.any(axis=0)).tolist():
+        np.negative(windows[..., :n_poly], out=windows[..., n_poly : 2 * n_poly])
+        windows[..., 2 * n_poly :] = windows[..., :n_poly]
+        for element, start in enumerate(starts[index]):
+            np.subtract(
+                windows[element, :, start : start + n_poly],
+                accumulator[element],
+                out=difference[element],
+            )
+        decompose_folded(
+            difference,
+            levels,
+            params.log2_base_pbs,
+            params.q_bits,
+            out=folded_digits,
+            scratch=digits,
+        )
+        transform.forward(spectra, out=spectra, folded=True)
+        np.einsum("brf,rcf->bcf", spectra, bootstrapping_key[index].spectra, out=product)
+        transform.inverse(product, out=product, folded=True)
+        np.rint(product_slots[..., 0], out=difference[..., :half], casting="unsafe")
+        np.rint(product_slots[..., 1], out=difference[..., half:], casting="unsafe")
+        torus.reduce(difference, params.q, out=difference)
+        accumulator += difference
+    return accumulator.copy()
 
 
 # -- stacked containers ----------------------------------------------------------
@@ -304,14 +367,37 @@ class TestBitForBitEquality:
         with pytest.raises(ValueError, match="one exponent per batch element"):
             batch_monomial_multiply(polys, np.array([1, 2]), TOY_PARAMETERS.q)
 
+    @pytest.mark.parametrize("degree", [8, 128])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_rotation_view_gathers_every_exponent(self, degree, k):
+        """One fancy index into the ``[a, -a, a]`` view == ``monomial_multiply``, ``uint32``."""
+        q = 1 << 32
+        rng = np.random.default_rng([degree, k, 20])
+        exponents = np.arange(2 * degree)
+        polys = rng.integers(0, q, size=(len(exponents), k + 1, degree), dtype=np.uint32)
+        windows = np.concatenate([polys, np.negative(polys), polys], axis=-1)
+        view = kernels._rotation_windows(windows)
+        assert view.shape == (len(exponents), k + 1, 2 * degree + 1, degree)
+        assert not view.flags.writeable and np.shares_memory(view, windows)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0] = 1
+        np.testing.assert_array_equal(view[..., 2 * degree, :], polys)  # the last start, in bounds
+        starts = kernels._window_starts(exponents, degree)
+        assert sorted(starts.tolist()) == list(range(2 * degree))
+        gathered = view[np.arange(len(exponents)), :, starts]
+        assert gathered.dtype == np.uint32 and gathered.shape == polys.shape
+        for exponent in exponents.tolist():
+            expected = monomial_multiply(polys[exponent].astype(np.int64), exponent, q)
+            np.testing.assert_array_equal(gathered[exponent], expected)
+
     @pytest.mark.parametrize(
         "levels,log2_base,q_bits",
         [(2, 10, 32), (3, 8, 32), (4, 8, 32), (2, 16, 32), (1, 4, 32), (3, 4, 12)],
         ids=["set-I", "toy", "no-bits-dropped", "wide-base", "one-level", "q12-exact"],
     )
     def test_decompose_folded_matches_decompose(self, levels, log2_base, q_bits):
-        """Folded-layout digits == ``decompose``; the last level's shift is 0
-        when no bits are dropped (``levels * log2_base == q_bits``)."""
+        """Folded-layout digits == ``decompose``, in both words; the last level's
+        shift is 0 when no bits are dropped (``levels * log2_base == q_bits``)."""
         rng = np.random.default_rng([levels, log2_base])
         q = 1 << q_bits
         degree = 16
@@ -327,12 +413,22 @@ class TestBitForBitEquality:
         np.testing.assert_array_equal(folded.imag, expected[..., degree // 2 :])
         np.testing.assert_array_equal(values, kept)
 
-        # Reused buffers, and representatives that were never reduced mod q.
-        out = np.empty_like(folded)
-        scratch = np.empty((5, 2, levels, degree), dtype=np.int64)
-        shifted = values + q * rng.integers(-500, 500, size=values.shape)
-        assert decompose_folded(shifted, levels, log2_base, q_bits, out, scratch) is out
-        np.testing.assert_array_equal(out, folded)
+        # Reused buffers, and representatives that were never reduced mod q, in
+        # either word: ``int64`` ones reach 500 multiples of q to both sides,
+        # ``uint32`` ones are what those wrap to mod 2**32 (the canonical value
+        # itself at q_bits == 32, a genuinely unreduced one at q_bits == 12).
+        unreduced = values + q * rng.integers(-500, 500, size=values.shape)
+        for word in (np.int64, np.uint32):
+            shifted = unreduced.astype(word)
+            assert q_bits == 32 or (shifted >= q).any()
+            given = shifted.copy()
+            out = np.empty_like(folded)
+            scratch = np.empty((5, 2, levels, degree), dtype=word)
+            assert decompose_folded(shifted, levels, log2_base, q_bits, out, scratch) is out
+            np.testing.assert_array_equal(out, folded)
+            np.testing.assert_array_equal(shifted, given)
+            fresh = decompose_folded(shifted, levels, log2_base, q_bits)  # allocates the word
+            np.testing.assert_array_equal(fresh, folded)
 
     def test_keyswitch_matches_scalar(self, small_context):
         """The int-exact keyswitch contraction: batched == scalar on k > 1."""
@@ -372,6 +468,75 @@ class TestBitForBitEquality:
             scalar = glwe.sample_extract(0)
             np.testing.assert_array_equal(extracted.masks[index], scalar.mask)
             assert int(extracted.bodies[index]) == scalar.body
+
+
+class TestExactContraction:
+    """The keyswitch GEMM against integer references, where float64 is closest to rounding."""
+
+    @staticmethod
+    def _worst_digits(rows: int, bound: int) -> np.ndarray:
+        """All ``+bound``, all ``-bound`` and alternating: every sum of magnitudes is maximal."""
+        signs = np.ones((3, rows), dtype=np.int64)
+        signs[1] = -1
+        signs[2, ::2] = -1
+        return signs * bound
+
+    def test_worst_case_at_set_IV_row_count_equals_python_ints(self):
+        """65,536 rows of ``B_ks/2 * (q - 1)``: one GEMM whose sums reach 2**51."""
+        params = PARAM_SET_IV
+        rows = params.k * params.N * params.lk
+        bound = params.base_ks // 2
+        digits = self._worst_digits(rows, bound)
+        table = np.full((rows, 4), params.q - 1, dtype=np.int64)
+        combination = kernels._contract_exactly(digits, table, bound, params.q)
+        assert combination.dtype == np.int64
+        assert int(combination[0, 0]) == rows * bound * (params.q - 1) > 1 << 50
+        reference = digits.astype(object) @ table.astype(object)
+        assert (combination.astype(object) == reference).all()
+
+    def test_a_bound_past_2_53_is_cut_into_exact_chunks(self):
+        """``log2_base_ks = 8, lk = 4, k*N = 16384``: no single GEMM could be exact."""
+        rows, columns, bound, q = 4 * 16384, 4, 1 << 7, 1 << 32
+        exact_rows = (1 << 53) // (bound * q)
+        # The exactness rule, not the byte cap, is what cuts this table: four chunks.
+        assert rows == 4 * exact_rows and exact_rows * 8 * columns < kernels._TABLE_CHUNK_BYTES
+        rng = np.random.default_rng(53)
+        digits = rng.integers(bound - 28, bound + 1, size=(3, rows))
+        digits[1] *= -1
+        table = rng.integers(q // 2, q, size=(rows, columns))
+        reference = np.einsum("br,rc->bc", digits, table)
+        assert (np.abs(reference) > 1 << 53).all() and (reference % 2 == 1).any()
+        combination = kernels._contract_exactly(digits, table, bound, q)
+        np.testing.assert_array_equal(combination, reference)
+        # The test has teeth: one GEMM over all the rows cannot even hold the odd sums.
+        naive = (digits.astype(np.float64) @ table.astype(np.float64)).astype(np.int64)
+        assert not np.array_equal(naive, reference)
+        # ... and so does the worst case, by construction rather than by sampling.
+        worst = self._worst_digits(rows, bound)
+        full = np.full((rows, 2), q - 1, dtype=np.int64)
+        np.testing.assert_array_equal(
+            kernels._contract_exactly(worst, full, bound, q), np.einsum("br,rc->bc", worst, full)
+        )
+
+    def test_a_ragged_last_chunk_is_contracted_too(self):
+        """Set I's own shape: 3,072 rows in chunks of 523 leave a last chunk of 457."""
+        params = PARAM_SET_I
+        rows, columns = params.k * params.N * params.lk, params.n + 1
+        chunk = kernels._TABLE_CHUNK_BYTES // (8 * columns)
+        assert chunk < rows and rows % chunk
+        rng = np.random.default_rng(457)
+        bound = params.base_ks // 2
+        digits = rng.integers(-bound, bound, size=(5, rows))
+        table = rng.integers(0, params.q, size=(rows, columns))
+        np.testing.assert_array_equal(
+            kernels._contract_exactly(digits, table, bound, params.q),
+            np.einsum("br,rc->bc", digits, table),
+        )
+
+    def test_a_product_float64_cannot_hold_is_refused(self):
+        digits, table = np.ones((1, 2), dtype=np.int64), np.ones((2, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"exceeds float64's 2\*\*53"):
+            kernels._contract_exactly(digits, table, 1 << 22, 1 << 32)
 
 
 # -- gates -----------------------------------------------------------------------
@@ -697,6 +862,28 @@ class TestSubBatches:
         split = _rotate_cut(test_vector, stacked, key, _cut(size, cuts))
         _assert_glwe_batches_equal(split, unsplit)
         _assert_rotations_equal_scalars(split, dict(enumerate(oracle[:size])))
+
+    @pytest.mark.parametrize("name", sorted(POOL))
+    def test_the_32_bit_loop_equals_the_frozen_int64_loop_and_the_oracle(self, pools, name):
+        """New == frozen == scalar, split and unsplit, on inputs that do wrap 32 bits."""
+        test_vector, ciphertexts, oracle, key = pools[name]
+        params = key.params
+        stacked = LweBatch.from_ciphertexts(ciphertexts)
+        starts = kernels._window_starts(kernels.batch_modulus_switch(stacked, params)[0], params.N)
+        seams = {0, 1, params.N - 1, params.N, params.N + 1, 2 * params.N - 1}
+        assert seams <= set(starts.ravel().tolist())
+        unreduced = _frozen_int64_cmux(test_vector, stacked, key, params)
+        # The wrap is exercised, not assumed: the reference adds one canonical product per
+        # iteration and never reduces, so its accumulator has long left 32 bits — and the
+        # word-wide loop must agree with it mod q all the same.
+        assert unreduced.min() >= 0 and np.median(unreduced) >= 1 << 32
+        frozen = GlweBatch(unreduced[:, : params.k], unreduced[:, params.k], params)
+        size = len(stacked)
+        for cuts in ((), {size // 2}, set(range(1, size))):
+            rotated = _rotate_cut(test_vector, stacked, key, _cut(size, cuts))
+            assert rotated.masks.dtype == rotated.bodies.dtype == np.int64
+            _assert_glwe_batches_equal(rotated, frozen)
+            _assert_rotations_equal_scalars(rotated, dict(enumerate(oracle)))
 
     @pytest.mark.parametrize("count", [2, 3, 7])
     def test_forced_even_cuts_switch_the_modulus_once(

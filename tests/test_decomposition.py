@@ -11,6 +11,7 @@ from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.tfhe import torus
 from repro.tfhe.decomposition import (
     decompose,
+    decompose_folded,
     decompose_for_params,
     decompose_polynomial_list,
     decomposition_error_bound,
@@ -86,6 +87,74 @@ class TestDecomposePolynomialList:
     def test_requires_2d_input(self):
         with pytest.raises(ValueError):
             decompose_polynomial_list(np.zeros(8, dtype=np.int64), 2, 8)
+
+
+class TestDecomposeFoldedBuffers:
+    """``decompose_folded`` has two legal words and checks the buffers it is handed."""
+
+    LEVELS, LOG2_BASE, DEGREE = 2, 10, 16
+
+    def _values(self, word) -> np.ndarray:
+        # A generator of its own: the session-wide ``rng`` fixture is a shared stream.
+        return np.random.default_rng(20).integers(0, Q, (3, self.DEGREE)).astype(word)
+
+    def _decompose(self, values, out=None, scratch=None) -> np.ndarray:
+        return decompose_folded(values, self.LEVELS, self.LOG2_BASE, Q_BITS, out, scratch)
+
+    @pytest.mark.parametrize("word", [np.uint32, np.int64])
+    def test_buffers_of_the_word_are_used(self, word):
+        values = self._values(word)
+        out = np.empty((3, self.LEVELS, self.DEGREE // 2), dtype=np.complex128)
+        scratch = np.empty((3, self.LEVELS, self.DEGREE), dtype=word)
+        assert self._decompose(values, out, scratch) is out
+        np.testing.assert_array_equal(out, self._decompose(values.astype(np.int64)))
+
+    @pytest.mark.parametrize("other", [np.int32, np.uint64, np.float64, ">u4"])
+    def test_any_other_dtype_is_read_as_int64(self, other):
+        values = self._values(np.int64) >> 1
+        scratch = np.empty((3, self.LEVELS, self.DEGREE), dtype=np.int64)
+        folded = self._decompose(values.astype(other), scratch=scratch)
+        np.testing.assert_array_equal(folded, self._decompose(values))
+
+    #: ``(values' word, the buffer handed in, its dtype, its shape, the complaint)``
+    REJECTED = {
+        "uint32-values-int64-scratch": (
+            np.uint32, "scratch", np.int64, (3, 2, 16),
+            r"scratch must be a uint32 array of shape \(3, 2, 16\), got int64 \(3, 2, 16\)",
+        ),
+        "int64-values-uint32-scratch": (
+            np.int64, "scratch", np.uint32, (3, 2, 16),
+            r"scratch must be a int64 array of shape \(3, 2, 16\), got uint32 \(3, 2, 16\)",
+        ),
+        "scratch-of-the-wrong-shape": (
+            np.uint32, "scratch", np.uint32, (3, 2, 8),
+            r"scratch must be a uint32 array of shape \(3, 2, 16\), got uint32 \(3, 2, 8\)",
+        ),
+        "out-not-complex128": (
+            np.uint32, "out", np.float64, (3, 2, 8),
+            r"out must be a complex128 array of shape \(3, 2, 8\), got float64 \(3, 2, 8\)",
+        ),
+        "out-of-the-wrong-shape": (
+            np.int64, "out", np.complex128, (3, 2, 16),
+            r"out must be a complex128 array of shape \(3, 2, 8\), got complex128 \(3, 2, 16\)",
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_a_wrong_buffer_is_rejected_by_name(self, case):
+        """The wording of ``fft.folding.checked_out``, not a ufunc error three lines later."""
+        word, name, dtype, shape, complaint = self.REJECTED[case]
+        with pytest.raises(ValueError, match=complaint):
+            self._decompose(self._values(word), **{name: np.empty(shape, dtype=dtype)})
+
+    def test_a_buffer_that_is_no_array_is_rejected(self):
+        with pytest.raises(ValueError, match=r"scratch must be a int64 array .* got list"):
+            self._decompose(self._values(np.int64), scratch=[])
+
+    def test_a_modulus_wider_than_the_word_is_rejected(self):
+        with pytest.raises(ValueError, match="40-bit modulus does not fit uint32 values"):
+            decompose_folded(self._values(np.uint32), 2, 10, q_bits=40)
+        assert decompose_folded(self._values(np.int64), 2, 10, q_bits=40).shape == (3, 2, 8)
 
 
 class TestDecompositionProperties:
