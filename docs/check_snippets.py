@@ -1,14 +1,14 @@
-"""Docs snippet gate: every ``python`` block in ``docs/*.md`` must run.
+"""Docs snippet gate: every ``python`` block in ``README.md`` and ``docs/*.md`` must run.
 
 The guides promise that their code blocks work as-is; this script keeps the
-promise mechanical.  It extracts every fenced ```python block from every
-markdown file under ``docs/``, compiles it, and executes it in a fresh
+promise mechanical.  It extracts every fenced ```python block from the README
+and every markdown file under ``docs/``, compiles it, and executes it in a fresh
 namespace with ``src/`` importable — so a renamed kwarg, a moved module or
 a stale assertion in the prose fails CI instead of a reader.
 
 Usage::
 
-    python docs/check_snippets.py            # all docs/*.md
+    python docs/check_snippets.py            # README.md and all docs/*.md
     python docs/check_snippets.py serving.md # one file
 
 ``tests/test_docs.py`` runs the same extraction in the tier-1 suite.
@@ -35,6 +35,11 @@ def ensure_repro_importable() -> None:
         sys.path.insert(0, str(src))
 
 
+def documents() -> list[Path]:
+    """``README.md`` and every guide under ``docs/``."""
+    return [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+
+
 def extract_snippets(path: Path) -> list[tuple[str, str]]:
     """``(label, source)`` for every python block in one markdown file."""
     text = path.read_text()
@@ -53,12 +58,7 @@ def run_snippet(label: str, source: str) -> None:
 
 def main(argv: list[str]) -> int:
     ensure_repro_importable()
-    docs = REPO_ROOT / "docs"
-    targets = (
-        [docs / name for name in argv]
-        if argv
-        else sorted(docs.glob("*.md"))
-    )
+    targets = [REPO_ROOT / "docs" / name for name in argv] if argv else documents()
     failures = 0
     total = 0
     for path in targets:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis.breakdown import cpu_workload_breakdown
 from repro.analysis.deep_nn_benchmark import deep_nn_benchmark
 from repro.analysis.folding_ablation import folding_ablation
@@ -22,10 +24,31 @@ from repro.analysis.tables import (
 )
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
 from repro.arch.accelerator import StrixAccelerator
-from repro.params import PARAM_SET_I
+from repro.arch.decomposer_unit import StreamingDecomposerLane
+from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I
 from repro.sim.trace import build_occupancy_trace
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def decomposer_datapath_check(coefficients: int = 256, seed: int = 6) -> str:
+    """Fig. 6: the mask / shift / add lane against the arithmetic decomposition.
+
+    Seeded random torus coefficients through the PBS and the keyswitch gadget
+    of every paper parameter set; the lane's digits must equal
+    :func:`repro.tfhe.decomposition.decompose` bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    for name, params in PAPER_PARAMETER_SETS.items():
+        values = rng.integers(0, params.q, coefficients)
+        for keyswitch in (False, True):
+            if not StreamingDecomposerLane(params, keyswitch=keyswitch).matches_reference(values):
+                raise SystemExit(f"Fig. 6 decomposer: lane != reference on set {name}")
+    return (
+        "Fig. 6 decomposer: mask/shift/add lane == tfhe.decomposition.decompose on "
+        f"{coefficients} coefficients, PBS and keyswitch gadgets, sets "
+        + ", ".join(PAPER_PARAMETER_SETS)
+    )
 
 
 def main() -> None:
@@ -58,6 +81,7 @@ def main() -> None:
     print(f"Strix vs CPU throughput, set I:    1067x -> {cpu:.0f}x")
     print(f"Strix vs GPU throughput, set I:      37x -> {gpu:.0f}x")
     print(f"Strix vs Matcha throughput, set I:  7.4x -> {matcha:.1f}x")
+    print(decomposer_datapath_check())
     print(f"All rendered tables written to {RESULTS_DIR}")
 
 

@@ -12,17 +12,6 @@ on top of the architecture model, the simulator and the baseline models:
 * :mod:`repro.analysis.tradeoffs` — Table VII, TvLP vs CLP sweep.
 * :mod:`repro.analysis.deep_nn_benchmark` — Fig. 7, Zama Deep-NN execution
   time on CPU / GPU / Strix.
-
-Beyond the paper's own evaluation, three extension studies probe the design
-choices the paper argues for:
-
-* :mod:`repro.analysis.batch_sensitivity` — throughput vs available
-  ciphertext parallelism (the value of core-level batching).
-* :mod:`repro.analysis.unrolling_ablation` — bootstrapping-key unrolling
-  (Matcha's technique) layered on the Strix datapath.
-* :mod:`repro.analysis.energy_comparison` — energy per PBS vs CPU / GPU.
-* :mod:`repro.analysis.parameter_sweep` — sensitivity to the TFHE parameters
-  (polynomial degree, decomposition level).
 """
 
 from repro.analysis.breakdown import cpu_workload_breakdown
@@ -31,10 +20,6 @@ from repro.analysis.folding_ablation import folding_ablation
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
 from repro.analysis.tables import area_power_table, pbs_comparison_table
 from repro.analysis.deep_nn_benchmark import deep_nn_benchmark
-from repro.analysis.batch_sensitivity import batch_sensitivity_study
-from repro.analysis.unrolling_ablation import unrolling_ablation
-from repro.analysis.energy_comparison import energy_comparison
-from repro.analysis.parameter_sweep import parameter_sweep
 
 __all__ = [
     "cpu_workload_breakdown",
@@ -45,8 +30,4 @@ __all__ = [
     "area_power_table",
     "pbs_comparison_table",
     "deep_nn_benchmark",
-    "batch_sensitivity_study",
-    "unrolling_ablation",
-    "energy_comparison",
-    "parameter_sweep",
 ]

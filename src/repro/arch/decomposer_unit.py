@@ -12,11 +12,11 @@ multipliers or dividers.  The paper splits the datapath into two steps:
   precomputed mask, re-centering each digit into ``[-B/2, B/2)`` and
   forwarding the +1 carry to the next digit as a plain addition.
 
-This module implements exactly that bit-level datapath (one lane) together
-with the lane/throughput bookkeeping of the full unit, and is verified
-against the reference :func:`repro.tfhe.decomposition.decompose` — i.e. it
-demonstrates the paper's claim that the decomposition can be built from
-mask/shift/add alone.
+This module implements exactly that bit-level datapath (one lane); it is
+verified against the reference :func:`repro.tfhe.decomposition.decompose` —
+i.e. it demonstrates the paper's claim that the decomposition can be built
+from mask/shift/add alone.  The unit's lane count and throughput live in the
+timing model, :class:`repro.arch.functional_units.DecomposerUnit`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.config import StrixConfig
 from repro.params import TFHEParameters
 from repro.tfhe.decomposition import decompose
 
@@ -151,57 +150,3 @@ class StreamingDecomposerLane:
             np.asarray(coefficients, dtype=np.int64), cfg.levels, cfg.log2_base, cfg.q_bits
         )
         return bool(np.array_equal(self.decompose_polynomial(coefficients), reference))
-
-
-class StreamingDecomposerUnit:
-    """The full decomposer unit: ``2*CLP`` lanes, ``CoLP`` instances per HSC."""
-
-    def __init__(self, params: TFHEParameters, config: StrixConfig, keyswitch: bool = False):
-        self.params = params
-        self.config = config
-        self.lanes = [
-            StreamingDecomposerLane(params, keyswitch)
-            for _ in range(config.effective_lanes)
-        ]
-
-    @property
-    def lanes_per_instance(self) -> int:
-        """Coefficient lanes per physical decomposer instance."""
-        return self.config.effective_lanes
-
-    @property
-    def coefficients_per_cycle(self) -> int:
-        """Coefficients consumed per cycle by one HSC's decomposer instances."""
-        return self.config.effective_lanes * self.config.colp
-
-    def cycles_per_polynomial(self) -> int:
-        """Cycles to emit the digits of one input polynomial.
-
-        The unit produces ``lb`` output polynomials per input polynomial,
-        streaming ``2*CLP`` output coefficients per cycle per instance
-        (Section V-B: ``N / CLP * lb`` cycles per polynomial at CLP lanes).
-        """
-        outputs = self.params.N * self.params.lb
-        return -(-outputs // self.lanes_per_instance)
-
-    def decompose_stream(self, polynomials: np.ndarray) -> np.ndarray:
-        """Functionally decompose a batch of polynomials (lane-interleaved).
-
-        ``polynomials`` has shape ``(m, N)``; the result has shape
-        ``(m, lb, N)`` and is bit-exact with the reference decomposition.
-        Coefficients are processed round-robin across the lanes exactly as
-        the hardware would interleave them, which the tests use to show the
-        interleaving does not change the result.
-        """
-        polynomials = np.asarray(polynomials, dtype=np.int64)
-        if polynomials.ndim != 2:
-            raise ValueError(f"expected shape (m, N), got {polynomials.shape}")
-        m, n_coeffs = polynomials.shape
-        result = np.empty((m, self.lanes[0].config.levels, n_coeffs), dtype=np.int64)
-        for poly_index in range(m):
-            for coeff_index in range(n_coeffs):
-                lane = self.lanes[coeff_index % len(self.lanes)]
-                result[poly_index, :, coeff_index] = lane.decompose_coefficient(
-                    int(polynomials[poly_index, coeff_index])
-                )
-        return result

@@ -1,20 +1,14 @@
-"""Energy model: joules per bootstrapping operation and per workload.
+"""Energy model: joules per workload.
 
 The paper reports power (Table III) but argues efficiency throughout; this
-module combines the power model with the timing model to answer the obvious
-follow-up questions: energy per PBS for each parameter set, energy of a full
-application run, and how Strix compares with the CPU / GPU baselines on
-energy (using nominal TDP figures for those platforms).
+module combines the power model with the timing model to give the energy of
+a full application run on Strix, and holds the nominal TDP figures the
+analytical CPU / GPU backends charge for the same run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.arch.accelerator import StrixAccelerator
-from repro.baselines.cpu_model import ConcreteCpuModel
-from repro.baselines.gpu_model import NuFheGpuModel
-from repro.params import TFHEParameters
 
 #: Nominal socket/board power of the baseline platforms (W).  The CPU figure
 #: is a Xeon Platinum socket TDP; the GPU figure is the Titan RTX board TDP.
@@ -22,51 +16,13 @@ CPU_POWER_W = 205.0
 GPU_POWER_W = 280.0
 
 
-@dataclass(frozen=True)
-class EnergyComparison:
-    """Energy per PBS on Strix and the baselines (millijoules)."""
-
-    parameter_set: str
-    strix_mj: float
-    cpu_mj: float
-    gpu_mj: float
-
-    @property
-    def gain_vs_cpu(self) -> float:
-        """Energy-efficiency gain of Strix over the CPU."""
-        return self.cpu_mj / self.strix_mj
-
-    @property
-    def gain_vs_gpu(self) -> float:
-        """Energy-efficiency gain of Strix over the GPU."""
-        return self.gpu_mj / self.strix_mj
-
-
 class EnergyModel:
-    """Joules-per-operation estimates for a Strix instance."""
+    """Joules-per-workload estimates for a Strix instance."""
 
     def __init__(self, accelerator: StrixAccelerator | None = None):
         self.accelerator = accelerator or StrixAccelerator()
         self.chip_power_w = self.accelerator.chip_cost().total_power_w
 
-    def energy_per_pbs_mj(self, params: TFHEParameters) -> float:
-        """Energy of one PBS at full throughput, in millijoules."""
-        throughput = self.accelerator.pbs_throughput(params)
-        return self.chip_power_w / throughput * 1e3
-
     def workload_energy_j(self, execution_seconds: float) -> float:
         """Energy of a workload that keeps the chip busy for a given time."""
         return self.chip_power_w * execution_seconds
-
-    def compare_with_baselines(self, params: TFHEParameters) -> EnergyComparison:
-        """Energy per PBS against the CPU and GPU baselines."""
-        cpu = ConcreteCpuModel(threads=1)
-        gpu = NuFheGpuModel()
-        cpu_energy = CPU_POWER_W / cpu.pbs_throughput(params) * 1e3
-        gpu_energy = GPU_POWER_W / gpu.pbs_throughput(params) * 1e3
-        return EnergyComparison(
-            parameter_set=params.name,
-            strix_mj=self.energy_per_pbs_mj(params),
-            cpu_mj=cpu_energy,
-            gpu_mj=gpu_energy,
-        )

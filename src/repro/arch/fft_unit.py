@@ -136,10 +136,6 @@ class PipelinedFFTUnit:
         """Fill latency of one transform (paper: ``N / CLP`` for an N-point unit)."""
         return self.initiation_interval(polynomial_degree)
 
-    def pipeline_depth(self) -> int:
-        """Register stages from input to output (butterflies + shuffle delays)."""
-        return sum(stage.shuffle_delay for stage in self.stages()) + self.num_stages
-
     def _points_for(self, polynomial_degree: int | None) -> int:
         if polynomial_degree is None:
             return self.points

@@ -15,20 +15,10 @@ its own lane configuration (Section IV-A: CLP=8, CoLP=8, PLP=1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.arch.config import StrixConfig
 from repro.arch.fft_unit import PipelinedFFTUnit
 from repro.params import TFHEParameters
-
-
-@dataclass(frozen=True)
-class UnitTiming:
-    """Busy time and utilization of one functional unit for one workload."""
-
-    name: str
-    busy_cycles: int
-    utilization: float
 
 
 class FunctionalUnit:

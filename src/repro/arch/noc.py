@@ -4,8 +4,9 @@ Strix uses two fixed-topology networks (Section IV-B): a one-to-all
 **multicast** network distributing the bootstrapping / keyswitching keys from
 the global scratchpad to every HSC, and **point-to-point** links between each
 core and its private section of the global scratchpad.  Because both
-patterns are fixed, the model only needs to check that the bus widths keep up
-with the compute datapath and to account the (small) area/power cost.
+patterns are fixed, the model only needs to check that the multicast bus
+widths keep up with the compute datapath and to account the (small)
+area/power cost.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ class MulticastNetwork:
     def broadcast_cycles(self, payload_bytes: int) -> int:
         """Cycles to broadcast a payload on the bsk bus."""
         return -(-payload_bytes // self.bsk_link.bytes_per_cycle)
-
-
-class PointToPointNetwork:
-    """Per-core private links between cores and the global scratchpad."""
-
-    LINK_BITS = 128
-
-    def __init__(self, config: StrixConfig):
-        self.config = config
-        self.links = [NocLink(f"core-{i}", self.LINK_BITS) for i in range(config.tvlp)]
-
-    def transfer_cycles(self, payload_bytes: int) -> int:
-        """Cycles to move a payload over one private link."""
-        per_cycle = self.LINK_BITS // 8
-        return -(-payload_bytes // per_cycle)
 
 
 @dataclass(frozen=True)

@@ -114,21 +114,11 @@ class TFHEParameters:
         return self.q // (2 * self.message_modulus)
 
     @property
-    def glwe_dimension(self) -> int:
-        """Dimension of the LWE ciphertext extracted from a GLWE (``k * N``)."""
-        return self.k * self.N
-
-    @property
     def decomposed_polynomials(self) -> int:
         """Polynomials produced by decomposing a GLWE ciphertext: ``(k+1)*lb``."""
         return (self.k + 1) * self.lb
 
     # -- sizes (bytes), used by the memory/bandwidth models ------------------
-
-    @property
-    def lwe_ciphertext_bytes(self) -> int:
-        """Size of one LWE ciphertext in bytes (``(n+1)`` coefficients)."""
-        return (self.n + 1) * (self.q_bits // 8)
 
     @property
     def glwe_ciphertext_bytes(self) -> int:

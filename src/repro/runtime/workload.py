@@ -40,15 +40,6 @@ def workload_params(workload: WorkloadLike) -> TFHEParameters | None:
     return None
 
 
-def workload_name(workload: WorkloadLike) -> str:
-    """Human-readable name of a workload."""
-    if isinstance(workload, (Netlist, ComputationGraph)):
-        return workload.name
-    if isinstance(workload, DeepNNModel):
-        return workload.name
-    return str(workload)
-
-
 def as_netlist(workload: WorkloadLike, params: TFHEParameters | str | None = None) -> Netlist:
     """Lower a workload to a :class:`Netlist`, or explain why it cannot be.
 

@@ -31,12 +31,12 @@ data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), exactly like the pipeline layout's stage-plan
 cache.
 
-The cluster wraps ``cost_model="event"`` in a :class:`ScheduleCache`
-automatically (capacity via the ``cost_cache_capacity`` knob on
-:class:`~repro.serve.server.ServeConfig`, :class:`~repro.serve.cluster
-.StrixCluster` and the ``strix-cluster`` backend; ``0`` disables), which
-is what makes the faithful model affordable as a serving default — see
-``docs/performance.md``.
+The cluster wraps ``cost_model="event"``, given by name, in a
+:class:`ScheduleCache` of :data:`DEFAULT_COST_CACHE_CAPACITY` entries
+automatically (a cost-model instance is used as given, so passing
+``EventDrivenCostModel()`` or a sized ``ScheduleCache`` is how to bypass or
+size it), which is what makes the faithful model affordable as a serving
+default — see ``docs/performance.md``.
 """
 
 from __future__ import annotations

@@ -107,7 +107,6 @@ class StrixCluster:
         cost_model: str | CostModel = "analytical",
         key_budget_bytes: float | None = None,
         key_policy: "str | KeyEvictionPolicy | None" = None,
-        cost_cache_capacity: int | None = None,
         faults: FaultSchedule | None = None,
         on_death: str = "retry",
     ):
@@ -132,16 +131,12 @@ class StrixCluster:
         :class:`~repro.arch.key_cache.PinnedTenantPolicy` with a pinned
         set — passes straight through to the residency manager instead.
 
-        ``cost_cache_capacity`` sizes the schedule cache the event-driven
-        cost model is wrapped in (memoized batch pricing is bit-for-bit
-        identical, so ``cost_model="event"`` gets the cache by default):
-        ``None`` uses :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY`,
-        ``0`` disables memoization, any other value bounds the LRU.  A
-        pre-built :class:`~repro.sched.memo.ScheduleCache` instance passed
-        as ``cost_model`` is used as-is when ``cost_cache_capacity`` is
-        unspecified; an explicit capacity re-sizes it (fresh cache around
-        the same inner model) and ``0`` unwraps it — the knob always wins,
-        including on the backend's per-call reshape path.
+        A ``cost_model`` given by *name* comes from the registry, and
+        ``"event"`` is wrapped in a :class:`~repro.sched.memo.ScheduleCache`
+        of :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY` entries
+        (memoized batch pricing is bit-for-bit identical).  A cost-model
+        *instance* is used as given: ``EventDrivenCostModel()`` is the
+        unmemoized model, ``ScheduleCache(inner, capacity=n)`` a sized one.
         """
         if config is None:
             config = StrixClusterConfig(
@@ -170,27 +165,8 @@ class StrixCluster:
         #: installed by :meth:`repro.serve.Server.enable_tracing`.
         self.tracer = None
         self.cost_model = get_cost_model(cost_model)
-        if isinstance(self.cost_model, ScheduleCache):
-            if cost_cache_capacity == 0:
-                self.cost_model = self.cost_model.inner
-            elif (
-                cost_cache_capacity is not None
-                and cost_cache_capacity != self.cost_model.capacity
-            ):
-                self.cost_model = ScheduleCache(
-                    self.cost_model.inner, capacity=cost_cache_capacity
-                )
-        elif cost_cache_capacity != 0 and isinstance(
-            self.cost_model, EventDrivenCostModel
-        ):
-            self.cost_model = ScheduleCache(
-                self.cost_model,
-                capacity=(
-                    cost_cache_capacity
-                    if cost_cache_capacity is not None
-                    else DEFAULT_COST_CACHE_CAPACITY
-                ),
-            )
+        if isinstance(cost_model, str) and isinstance(self.cost_model, EventDrivenCostModel):
+            self.cost_model = ScheduleCache(self.cost_model, DEFAULT_COST_CACHE_CAPACITY)
         #: Fault resolver (active only when a non-empty schedule is given).
         self.faults = FaultInjector(
             faults if faults is not None else FaultSchedule.empty(),

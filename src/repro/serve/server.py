@@ -85,14 +85,11 @@ class ServeConfig:
         Batch cost model name (``"analytical"`` / ``"event"``) or
         :class:`~repro.sched.cost.CostModel` instance — ``"event"`` runs
         the cycle-level scheduler on every batch's real graph, so keyswitch
-        overlap and epoch fragmentation show up in serving latency.
-    cost_cache_capacity:
-        Entries of the schedule cache wrapping ``cost_model="event"``
-        (memoized pricing is bit-for-bit identical, so the cache is on by
-        default).  ``None`` uses
-        :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY`, ``0``
-        disables memoization; the report's ``cost_cache`` counters surface
-        hits/misses/evictions.  See ``docs/performance.md``.
+        overlap and epoch fragmentation show up in serving latency.  By
+        name, ``"event"`` is memoized (the report's ``cost_cache`` counters
+        surface hits/misses/evictions); an instance is used as given — see
+        :class:`~repro.serve.cluster.StrixCluster` and
+        ``docs/performance.md``.
     key_budget_bytes:
         Per-device HBM budget for resident tenant key sets; ``None``
         (default) is unbounded — no eviction, the historical behaviour.
@@ -158,7 +155,6 @@ class ServeConfig:
     policy: str | ShardingPolicy = "least-loaded"
     layout: str | PlacementLayout = "data-parallel"
     cost_model: str | CostModel = "analytical"
-    cost_cache_capacity: int | None = None
     key_budget_bytes: float | None = None
     key_policy: "str | KeyEvictionPolicy | None" = None
     qos: str = "fifo"
@@ -191,10 +187,10 @@ class ServeReport:
 
     ``wire`` is empty for in-process runs; when the trace travelled through
     the :mod:`repro.net` front-end it carries the transport-level story —
-    measured round-trip latency percentiles (``rtt_p50_ms`` / ``rtt_p99_ms``
-    / ``rtt_mean_ms``), frame and byte counts, connection count — next to
-    the simulated serving metrics, so wire overhead and model latency stay
-    separately readable.
+    measured round-trip latency (``rtt_p50_ms`` / ``rtt_p99_ms`` /
+    ``rtt_mean_ms`` / ``rtt_max_ms``), frame and byte counts, connection
+    count — next to the simulated serving metrics, so wire overhead and model
+    latency stay separately readable.
     """
 
     label: str
@@ -529,7 +525,6 @@ class Server:
             config=config.cluster,
             layout=config.layout,
             cost_model=config.cost_model,
-            cost_cache_capacity=config.cost_cache_capacity,
             key_budget_bytes=config.key_budget_bytes,
             key_policy=config.key_policy,
             faults=config.faults,

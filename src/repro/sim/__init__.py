@@ -11,17 +11,14 @@ This package reproduces that simulator:
 * :mod:`repro.sim.graph` — computational graphs of PBS / keyswitch / linear
   nodes and helpers to build them from applications.
 * :mod:`repro.sim.fragments` — blind-rotation fragment accounting (Eq. 1–2).
-* :mod:`repro.sim.engine` — the serially reusable ``Resource`` the epoch
-  scheduler books (one per HSC, keyswitch cluster, linear unit), and with
-  :mod:`repro.sim.events` a small stand-alone discrete-event engine over it.
 * :mod:`repro.sim.scheduler` — the epoch scheduler that maps graph nodes onto
   a :class:`~repro.arch.accelerator.StrixAccelerator` (or a baseline platform
-  model) and reports end-to-end execution time.
+  model) and reports end-to-end execution time, and the serially reusable
+  ``Resource`` it books (one per HSC, keyswitch cluster, linear unit).
 * :mod:`repro.sim.trace` — functional-unit occupancy traces (Fig. 8).
 """
 
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
-from repro.sim.engine import SimulationEngine
 from repro.sim.scheduler import StrixScheduler, ScheduleResult
 from repro.sim.fragments import blind_rotation_fragments, fragmented_execution_time
 from repro.sim.compiler import Netlist, compile_netlist
@@ -30,7 +27,6 @@ __all__ = [
     "ComputationGraph",
     "ComputationNode",
     "NodeKind",
-    "SimulationEngine",
     "StrixScheduler",
     "ScheduleResult",
     "blind_rotation_fragments",

@@ -4,10 +4,11 @@ Workloads are scheduled "in a series of epochs, with each epoch containing a
 maximum number of LWEs equal to the product of device-level and core-level
 batch sizes" (Section IV-C).  The scheduler walks the computation graph in
 dependency order, splits every PBS node into epochs, runs the blind rotation
-of each epoch on one serially reusable :class:`~repro.sim.engine.Resource`
-per HSC and lets the keyswitching of one epoch hide behind the blind rotation
-of the next.  Linear nodes are charged to a (cheap) vector unit on the host
-interface.
+of each epoch on one serially reusable :class:`Resource` per HSC and lets the
+keyswitching of one epoch hide behind the blind rotation of the next.  Linear
+nodes are charged to a (cheap) vector unit on the host interface.  The
+scheduler holds its resources directly and reads makespan and utilization off
+them; no timeline is kept.
 """
 
 from __future__ import annotations
@@ -16,9 +17,28 @@ from dataclasses import dataclass, field
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters
-from repro.sim.engine import Resource
 from repro.sim.fragments import plan_fragments
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
+
+
+@dataclass
+class Resource:
+    """A serially reusable resource (one HSC, the HBM bus, ...)."""
+
+    name: str
+    free_at: float = 0.0
+    busy_time: float = 0.0
+
+    def reserve(self, earliest_start: float, duration: float) -> tuple[float, float]:
+        """Occupy the resource for ``duration`` as soon as possible.
+
+        Returns the (start, end) interval actually granted.
+        """
+        start = max(self.free_at, earliest_start)
+        end = start + duration
+        self.free_at = end
+        self.busy_time += duration
+        return start, end
 
 
 @dataclass

@@ -1,10 +1,9 @@
-"""Tests for the netlist compiler and the TFHE parameter sweep."""
+"""Tests for the netlist compiler."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.parameter_sweep import parameter_sweep
 from repro.apps.boolean_circuits import RippleCarryAdder
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
@@ -97,55 +96,3 @@ class TestCompileNetlist:
         large = scheduler.run(compile_netlist(netlist, instances=512))
         assert large.pbs_throughput >= small.pbs_throughput
 
-
-class TestParameterSweep:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return parameter_sweep(degrees=[1024, 2048, 4096], levels=[2, 3])
-
-    def test_covers_grid(self, sweep):
-        assert len(sweep.points) == 6
-        assert len(sweep.by_degree(1024)) == 2
-
-    def test_throughput_decreases_with_degree(self, sweep):
-        lb2 = [point for point in sweep.points if point.decomposition_levels == 2]
-        throughputs = [point.throughput_pbs_per_s for point in sorted(lb2, key=lambda p: p.polynomial_degree)]
-        assert throughputs == sorted(throughputs, reverse=True)
-
-    def test_default_grid_throughput_decreases_with_degree_at_every_level(self):
-        points = parameter_sweep().points
-        for levels in sorted({point.decomposition_levels for point in points}):
-            column = [point for point in points if point.decomposition_levels == levels]
-            column.sort(key=lambda point: point.polynomial_degree)
-            throughputs = [point.throughput_pbs_per_s for point in column]
-            assert len(column) > 1 and throughputs == sorted(throughputs, reverse=True)
-
-    def test_throughput_decreases_with_levels(self, sweep):
-        n1024 = {point.decomposition_levels: point for point in sweep.by_degree(1024)}
-        assert n1024[2].throughput_pbs_per_s > n1024[3].throughput_pbs_per_s
-
-    def test_bandwidth_grows_with_degree(self, sweep):
-        lb2 = sorted(
-            (p for p in sweep.points if p.decomposition_levels == 2),
-            key=lambda p: p.polynomial_degree,
-        )
-        bandwidths = [point.required_bandwidth_gbps for point in lb2]
-        assert bandwidths == sorted(bandwidths)
-
-    def test_core_batch_shrinks_with_degree(self, sweep):
-        lb2 = sorted(
-            (p for p in sweep.points if p.decomposition_levels == 2),
-            key=lambda p: p.polynomial_degree,
-        )
-        batches = [point.core_batch for point in lb2]
-        assert batches == sorted(batches, reverse=True)
-
-    def test_set_i_point_matches_table_v(self, sweep):
-        point = next(
-            p for p in sweep.points
-            if p.polynomial_degree == 1024 and p.decomposition_levels == 2
-        )
-        assert point.throughput_pbs_per_s == pytest.approx(75000, rel=0.05)
-
-    def test_render(self, sweep):
-        assert "sensitivity" in sweep.render()

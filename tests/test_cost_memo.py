@@ -3,8 +3,8 @@
 Covers the exactness contract (memoized pricing is bit-for-bit equal to
 unmemoized pricing, for randomized batch mixes and for every placement
 layout), the LRU capacity/eviction behaviour, the counter accounting the
-serving report surfaces, and the wiring knobs (``cost_cache_capacity``
-through ``Server``, ``StrixCluster`` and the ``strix-cluster`` backend).
+serving report surfaces, and the wiring rule (``"event"`` by name gets the
+default cache; a cost-model instance is used as given).
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ def test_memoized_serving_is_bit_for_bit_for_every_layout(layout):
         devices=3,
         params="I",
         layout=layout,
-        cost_model="event",
+        cost_model=EventDrivenCostModel(),
         batch_capacity=24,
-        cost_cache_capacity=0,
     )
     cached_report = cached.simulate(list(trace), label=layout)
     uncached_report = uncached.simulate(list(trace), label=layout)
@@ -273,33 +272,16 @@ def test_analytical_default_has_no_cost_cache():
     assert "schedules:" not in report.metrics.render()
 
 
-def test_cost_cache_capacity_zero_disables_memoization():
-    cluster = StrixCluster(devices=1, cost_model="event", cost_cache_capacity=0)
-    assert isinstance(cluster.cost_model, EventDrivenCostModel)
-    assert not isinstance(cluster.cost_model, ScheduleCache)
-
-
 def test_default_wrap_uses_default_capacity():
+    """``"event"`` by name comes from the registry, in the default-size cache."""
     cluster = StrixCluster(devices=1, cost_model="event")
     assert isinstance(cluster.cost_model, ScheduleCache)
     assert cluster.cost_model.capacity == DEFAULT_COST_CACHE_CAPACITY
-    sized = StrixCluster(devices=1, cost_model="event", cost_cache_capacity=7)
-    assert sized.cost_model.capacity == 7
 
 
 def test_prebuilt_schedule_cache_passes_through():
-    memo = ScheduleCache(capacity=3)
-    cluster = StrixCluster(devices=1, cost_model=memo)
-    assert cluster.cost_model is memo  # never double-wrapped
-
-
-def test_capacity_knob_wins_over_prebuilt_cache():
-    memo = ScheduleCache(capacity=3)
-    # An explicit 0 unwraps (memoization off even for a pre-wrapped model).
-    unwrapped = StrixCluster(devices=1, cost_model=memo, cost_cache_capacity=0)
-    assert unwrapped.cost_model is memo.inner
-    # An explicit capacity re-sizes around the same inner model.
-    resized = StrixCluster(devices=1, cost_model=memo, cost_cache_capacity=9)
-    assert isinstance(resized.cost_model, ScheduleCache)
-    assert resized.cost_model.capacity == 9
-    assert resized.cost_model.inner is memo.inner
+    """A cost-model instance is used as given: the object is the option."""
+    unmemoized = EventDrivenCostModel()
+    assert StrixCluster(devices=1, cost_model=unmemoized).cost_model is unmemoized
+    sized = ScheduleCache(capacity=3)
+    assert StrixCluster(devices=1, cost_model=sized).cost_model is sized  # never double-wrapped

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.config import STRIX_DEFAULT
-from repro.arch.decomposer_unit import (
-    DecomposerLaneConfig,
-    StreamingDecomposerLane,
-    StreamingDecomposerUnit,
-)
+from repro.arch.decomposer_unit import DecomposerLaneConfig, StreamingDecomposerLane
 from repro.params import PARAM_SET_I, PARAM_SET_IV, TOY_PARAMETERS
 from repro.tfhe.decomposition import decompose
 
@@ -117,35 +112,3 @@ class TestStreamingDecomposerLane:
         )[:, 0]
         assert lane.decompose_coefficient(coefficient) == list(reference)
 
-
-class TestStreamingDecomposerUnit:
-    @pytest.fixture(scope="class")
-    def unit(self):
-        return StreamingDecomposerUnit(PARAM_SET_I, STRIX_DEFAULT)
-
-    def test_lane_count_matches_config(self, unit):
-        assert unit.lanes_per_instance == STRIX_DEFAULT.effective_lanes
-        assert unit.coefficients_per_cycle == STRIX_DEFAULT.effective_lanes * STRIX_DEFAULT.colp
-
-    def test_cycles_per_polynomial_matches_timing_model(self, unit):
-        from repro.arch.functional_units import DecomposerUnit
-
-        timing_model = DecomposerUnit(STRIX_DEFAULT)
-        per_lwe = timing_model.busy_cycles_per_lwe(PARAM_SET_I)
-        # The timing model covers (k+1) input polynomials over CoLP instances.
-        expected = unit.cycles_per_polynomial() * (PARAM_SET_I.k + 1) // STRIX_DEFAULT.colp
-        assert per_lwe == expected
-
-    def test_lane_interleaving_preserves_results(self, rng):
-        unit = StreamingDecomposerUnit(TOY_PARAMETERS, STRIX_DEFAULT)
-        polynomials = rng.integers(0, Q, (3, TOY_PARAMETERS.N))
-        streamed = unit.decompose_stream(polynomials)
-        reference = decompose(
-            polynomials, TOY_PARAMETERS.lb, TOY_PARAMETERS.log2_base_pbs
-        )
-        # reference shape: (lb, m, N) -> transpose to (m, lb, N)
-        np.testing.assert_array_equal(streamed, np.transpose(reference, (1, 0, 2)))
-
-    def test_stream_requires_2d_input(self, unit):
-        with pytest.raises(ValueError):
-            unit.decompose_stream(np.zeros(8, dtype=np.int64))

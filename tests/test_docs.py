@@ -1,6 +1,6 @@
 """Tier-1 enforcement of the docs contract: every guide snippet runs.
 
-The ``docs/*.md`` guides promise runnable code blocks; CI additionally
+``README.md`` and the ``docs/*.md`` guides promise runnable code blocks; CI additionally
 executes ``docs/check_snippets.py``, but having the same check in the test
 suite means a doc-breaking rename fails `pytest` locally before it ever
 reaches CI.  Each snippet runs in a fresh namespace, parametrized by file
@@ -19,15 +19,9 @@ import pytest
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 sys.path.insert(0, str(DOCS))
 
-from check_snippets import extract_snippets, run_snippet  # noqa: E402
+from check_snippets import documents, extract_snippets, run_snippet  # noqa: E402
 
-
-def all_snippets():
-    for path in sorted(DOCS.glob("*.md")):
-        yield from extract_snippets(path)
-
-
-SNIPPETS = list(all_snippets())
+SNIPPETS = [snippet for path in documents() for snippet in extract_snippets(path)]
 
 
 def test_docs_exist_and_carry_snippets():

@@ -1,7 +1,7 @@
 """End-to-end integration tests spanning multiple subsystems.
 
 These tests exercise realistic flows: a client/server exchange with
-serialized keys and ciphertexts, a small encrypted application executed both
+serialized ciphertexts, a small encrypted application executed both
 functionally and through the performance models, and consistency checks
 between the independent layers of the library (functional TFHE, the
 operation-count CPU model and the architecture model must agree on the
@@ -27,38 +27,32 @@ from repro.tfhe.keyswitch import keyswitch
 
 
 class TestClientServerFlow:
-    def test_offloaded_evaluation_roundtrip(self, toy_context, tmp_path):
-        """Client encrypts and ships ciphertexts + evaluation keys; an
-        independent 'server' (fresh objects restored from disk) evaluates a
-        LUT; the client decrypts the result."""
+    def test_offloaded_evaluation_roundtrip(self, toy_context):
+        """Client encrypts and ships ciphertexts as ``LWE1`` bytes; a
+        'server' holding only the evaluation keys decodes them, evaluates a
+        LUT and ships the results back; the client decrypts."""
         client = toy_context
         keys = client.server_keys
 
         inputs = [0, 1, 2, 3]
-        ciphertext_path = tmp_path / "inputs.npz"
-        bsk_path = tmp_path / "bsk.npz"
-        ksk_path = tmp_path / "ksk.npz"
-        serialization.save_lwe_ciphertexts(ciphertext_path, [client.encrypt(m) for m in inputs])
-        serialization.save_bootstrapping_key(bsk_path, keys.bootstrapping_key)
-        serialization.save_keyswitching_key(ksk_path, keys.keyswitching_key)
+        request = serialization.lwe_to_bytes([client.encrypt(m) for m in inputs])
 
-        # Server side: restore everything from disk, never touching secrets.
-        server_bsk = serialization.load_bootstrapping_key(bsk_path, TOY_PARAMETERS)
-        server_ksk = serialization.load_keyswitching_key(ksk_path, TOY_PARAMETERS)
-        server_inputs = serialization.load_lwe_ciphertexts(ciphertext_path, TOY_PARAMETERS)
+        # Server side: bytes in, bytes out, never touching secrets.
         outputs = [
             programmable_bootstrap(
-                ciphertext, lambda m: (3 * m + 1) % 4, server_bsk, TOY_PARAMETERS, server_ksk
+                ciphertext,
+                lambda m: (3 * m + 1) % 4,
+                keys.bootstrapping_key,
+                TOY_PARAMETERS,
+                keys.keyswitching_key,
             ).ciphertext
-            for ciphertext in server_inputs
+            for ciphertext in serialization.lwe_from_bytes(request, TOY_PARAMETERS)
         ]
-        results_path = tmp_path / "outputs.npz"
-        serialization.save_lwe_ciphertexts(results_path, outputs)
+        reply = serialization.lwe_to_bytes(outputs)
 
         # Client side: decrypt.
         decrypted = [
-            client.decrypt(ct)
-            for ct in serialization.load_lwe_ciphertexts(results_path, TOY_PARAMETERS)
+            client.decrypt(ct) for ct in serialization.lwe_from_bytes(reply, TOY_PARAMETERS)
         ]
         assert decrypted == [(3 * m + 1) % 4 for m in inputs]
 

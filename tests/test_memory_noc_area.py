@@ -13,7 +13,7 @@ from repro.arch.memory import (
     LocalScratchpad,
     FOURIER_POINT_BYTES,
 )
-from repro.arch.noc import MulticastNetwork, NocCost, PointToPointNetwork
+from repro.arch.noc import MulticastNetwork, NocCost
 from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
 
 
@@ -132,11 +132,6 @@ class TestNoc:
     def test_broadcast_cycles_rounds_up(self):
         noc = MulticastNetwork(STRIX_DEFAULT)
         assert noc.broadcast_cycles(65) == 2
-
-    def test_point_to_point_links_one_per_core(self):
-        network = PointToPointNetwork(STRIX_DEFAULT)
-        assert len(network.links) == STRIX_DEFAULT.tvlp
-        assert network.transfer_cycles(64) == 4
 
     def test_noc_cost_matches_table_iii(self):
         cost = NocCost()

@@ -51,10 +51,6 @@ class TestDerivedQuantities:
     def test_decomposed_polynomials(self):
         assert PARAM_SET_I.decomposed_polynomials == (PARAM_SET_I.k + 1) * PARAM_SET_I.lb
 
-    def test_lwe_ciphertext_is_kb_scale(self):
-        # Table I: TFHE ciphertexts are KB-level.
-        assert PARAM_SET_I.lwe_ciphertext_bytes < 16 * 1024
-
     def test_bootstrapping_key_is_tens_of_mb(self):
         # Table I: bootstrapping keys are 10s-100s MB.
         size_mb = PARAM_SET_I.bootstrapping_key_bytes / 2 ** 20

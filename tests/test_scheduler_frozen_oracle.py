@@ -24,10 +24,9 @@ from repro.apps.traffic import bursty_trace, heavy_tail_trace, steady_trace
 from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
-from repro.sched import batch_graph
+from repro.sched import EventDrivenCostModel, batch_graph
 from repro.serve import Request, Server
 from repro.serve.batcher import Batch
-from repro.sim.engine import SimulationEngine
 from repro.sim.fragments import plan_fragments
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
 from repro.sim.scheduler import NodeSchedule, ScheduleResult, StrixScheduler
@@ -330,32 +329,6 @@ class TestRunEqualsFrozenEngineLoop:
         assert fast_s < slow_s, f"direct booking {fast_s:.2e} s vs engine loop {slow_s:.2e} s"
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    activities=st.lists(
-        st.tuples(
-            st.sampled_from(["hsc0", "hsc1", "keyswitch"]),
-            st.floats(0.0, 10.0, allow_nan=False),
-            st.floats(0.0, 50.0, allow_nan=False),
-        ),
-        max_size=30,
-    )
-)
-def test_engine_results_off_resources_equal_the_timeline_rescan(activities):
-    """``SimulationEngine.makespan`` / ``utilization`` / ``run`` no longer
-    rescan the timeline; the rescan is the reference."""
-    engine = SimulationEngine()
-    engine.add_resource("idle")
-    for resource, duration, earliest_start in activities:
-        engine.schedule_activity(resource, duration, earliest_start)
-    rescanned = max((entry.end for entry in engine.timeline), default=0.0)
-    assert engine.makespan == rescanned
-    for name, resource in engine.resources.items():
-        expected = resource.busy_time / rescanned if rescanned > 0 else 0.0
-        assert engine.utilization(name) == expected
-    assert engine.run() == rescanned
-
-
 @st.composite
 def dags(draw) -> ComputationGraph:
     """DAGs over all four node kinds; later nodes fan in on shared earlier ones."""
@@ -445,7 +418,7 @@ def _report_without_cache_counters(report) -> dict:
 def test_event_serving_equals_unmemoized(trace):
     memoized = Server(devices=4, params="I", cost_model="event").simulate(trace)
     resimulated = Server(
-        devices=4, params="I", cost_model="event", cost_cache_capacity=0
+        devices=4, params="I", cost_model=EventDrivenCostModel()
     ).simulate(trace)
     assert memoized.metrics.cost_cache["misses"] > 0
     assert not resimulated.metrics.cost_cache

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine, computation graphs and fragments."""
+"""Tests for computation graphs and fragments."""
 
 from __future__ import annotations
 
@@ -7,76 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.params import TOY_PARAMETERS
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Event, TimelineEntry
 from repro.sim.fragments import (
     blind_rotation_fragments,
     fragmented_execution_time,
     plan_fragments,
 )
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
-
-
-class TestEvents:
-    def test_events_order_by_time_then_priority(self):
-        first = Event.at(1.0, lambda: None, priority=0)
-        second = Event.at(2.0, lambda: None, priority=0)
-        urgent = Event.at(1.0, lambda: None, priority=-1)
-        assert first < second
-        assert urgent < first
-
-    def test_timeline_entry_duration(self):
-        entry = TimelineEntry(resource="hsc0", label="x", start=1.0, end=3.5)
-        assert entry.duration == pytest.approx(2.5)
-
-
-class TestSimulationEngine:
-    def test_events_run_in_time_order(self):
-        engine = SimulationEngine()
-        order: list[str] = []
-        engine.schedule_event(2.0, lambda: order.append("late"))
-        engine.schedule_event(1.0, lambda: order.append("early"))
-        engine.run()
-        assert order == ["early", "late"]
-        assert engine.now == pytest.approx(2.0)
-
-    def test_activities_serialize_on_a_resource(self):
-        engine = SimulationEngine()
-        first = engine.schedule_activity("hsc0", 10.0, earliest_start=0.0, label="a")
-        second = engine.schedule_activity("hsc0", 5.0, earliest_start=0.0, label="b")
-        assert first.start == 0.0 and first.end == 10.0
-        assert second.start == 10.0 and second.end == 15.0
-
-    def test_activities_on_different_resources_overlap(self):
-        engine = SimulationEngine()
-        a = engine.schedule_activity("hsc0", 10.0)
-        b = engine.schedule_activity("hsc1", 10.0)
-        assert a.start == b.start == 0.0
-
-    def test_earliest_start_respected(self):
-        engine = SimulationEngine()
-        entry = engine.schedule_activity("hsc0", 1.0, earliest_start=7.0)
-        assert entry.start == 7.0
-
-    def test_makespan_and_utilization(self):
-        engine = SimulationEngine()
-        engine.schedule_activity("hsc0", 4.0)
-        engine.schedule_activity("hsc1", 2.0)
-        assert engine.makespan == pytest.approx(4.0)
-        assert engine.utilization("hsc0") == pytest.approx(1.0)
-        assert engine.utilization("hsc1") == pytest.approx(0.5)
-
-    def test_entries_for_resource_sorted(self):
-        engine = SimulationEngine()
-        engine.schedule_activity("hsc0", 1.0, earliest_start=5.0)
-        engine.schedule_activity("hsc0", 1.0, earliest_start=0.0)
-        entries = engine.entries_for("hsc0")
-        assert [entry.start for entry in entries] == sorted(entry.start for entry in entries)
-
-    def test_empty_engine(self):
-        engine = SimulationEngine()
-        assert engine.makespan == 0.0
-        assert engine.run() == 0.0
 
 
 class TestComputationGraph:
