@@ -37,9 +37,7 @@ measured by ``benchmarks/observatory/`` (``BENCHMARK.json``), not here.
   p99-of-admitted at 1x/2x/4x the cluster's measured capacity per
   admission policy, plus the acceptance record — at 4x saturation a
   reject-newest server keeps admitted p99 within 2x of its 1x baseline
-  while goodput stays >= 80% of device capacity.  The shed-oldest records
-  at >= 2x honestly exhibit the head-drop/age-flush livelock
-  ``docs/overload.md`` discusses.
+  while goodput stays >= 80% of device capacity.
 
 Run it directly (``--smoke`` shrinks the traces for CI)::
 

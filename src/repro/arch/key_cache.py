@@ -377,7 +377,7 @@ class KeyResidencyManager:
         """
         tenant_set = sorted(set(tenants))
         key_bytes = self.interconnect.key_set_bytes(params)
-        per_key_s = self.interconnect.key_shipping_s(params)
+        per_key_s = self.interconnect.transfer_s(key_bytes)  # = key_shipping_s(params)
         shipping = 0.0
         protected = set(tenant_set)
         for tenant in tenant_set:

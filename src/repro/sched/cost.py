@@ -206,11 +206,8 @@ class AnalyticalCostModel(CostModel):
     ) -> BatchCost:
         accelerator = device.accelerator
         pbs_s = accelerator.pbs_batch_time_ms(params, batch.total_pbs) / 1e3
-        linear_items = sum(
-            request.items for request in batch.requests if request.pbs_per_item == 0
-        )
         linear_s = (
-            linear_items
+            batch.linear_items
             * params.n
             / StrixScheduler.linear_macs_per_second(accelerator.config)
         )

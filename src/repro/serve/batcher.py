@@ -6,8 +6,11 @@ orders of magnitude smaller.  The batcher coalesces queued requests into
 
 * **full** — queued items reach the configured capacity (one device epoch by
   default), so the batch ships at maximum occupancy;
-* **deadline** — the oldest queued request has waited ``max_delay_s``, so
-  tail latency stays bounded even under light load.
+* **deadline** — ``max_delay_s`` has passed since the window's *anchor*, the
+  arrival of the oldest request waiting when the window opened, so tail
+  latency stays bounded even under light load.  Only a flush moves the
+  anchor (to the head it left behind); a shed or any other pop of the head
+  does not, so evicting heads cannot postpone the flush.
 
 *Which* requests fill a flushing batch is the QoS discipline:
 
@@ -31,6 +34,7 @@ completion tracking without saving any cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -58,9 +62,10 @@ class Batch:
     traces without a new identity.
 
     The derived totals below are computed on first read and kept (the
-    batch is frozen and its requests are a tuple); they are not fields, so
-    ``==``, ``repr`` and ``dataclasses.replace`` see only the five fields
-    and a replaced copy derives its own.
+    batch is frozen and its requests are a tuple) — or handed over by
+    :meth:`AdaptiveBatcher._take`, which summed them while popping; they
+    are not fields, so ``==``, ``repr`` and ``dataclasses.replace`` see only
+    the five fields and a replaced copy derives its own.
     """
 
     batch_id: int
@@ -82,6 +87,11 @@ class Batch:
     def total_pbs(self) -> int:
         """Bootstraps the batch costs on the accelerator."""
         return sum(request.total_pbs for request in self.requests)
+
+    @cached_property
+    def linear_items(self) -> int:
+        """Items of the PBS-free requests (host-side linear work only)."""
+        return sum(request.items for request in self.requests if request.pbs_per_item == 0)
 
     @cached_property
     def tenants(self) -> frozenset[str]:
@@ -163,6 +173,12 @@ class AdaptiveBatcher:
         self.on_expired = on_expired
         self.batches_flushed = 0
         self.flush_reasons: dict[str, int] = {}
+        #: When the open window must flush: its anchor — the arrival of the
+        #: oldest request waiting when it opened — plus ``max_delay_s``;
+        #: ``inf`` while no window is open.  :meth:`next_deadline` opens one
+        #: lazily, the end of every :meth:`_take` re-anchors it, and nothing
+        #: else moves it — in particular no pop outside a flush.
+        self.deadline_s = math.inf
         # Weighted-fair-queuing state: per-tenant virtual finish tags and the
         # virtual clock (the start tag of the last dequeued request), which
         # re-anchors tenants that went idle so they don't bank credit.
@@ -172,15 +188,20 @@ class AdaptiveBatcher:
     # -- flush decisions ----------------------------------------------------------
 
     def next_deadline(self, queue: RequestQueue) -> float | None:
-        """Time at which the current queue head must flush, or ``None``.
+        """Time at which the open window must flush, or ``None``.
 
-        The deadline always tracks the *globally* oldest request — fair
-        queuing reorders which requests fill a batch, not when one is owed.
+        A window opens on the first call that finds a request waiting and is
+        anchored to the *globally* oldest one — fair queuing reorders which
+        requests fill a batch, not when one is owed.  While every head
+        leaves through a flush this is the head's arrival plus
+        ``max_delay_s``; when something else removes the head (admission
+        shedding it) the window stays where it was, so the flush still comes.
         """
-        oldest = queue.oldest()
-        if oldest is None:
-            return None
-        return oldest.arrival_s + self.max_delay_s
+        if self.deadline_s == math.inf:
+            if not queue:
+                return None
+            self.deadline_s = queue.oldest().arrival_s + self.max_delay_s
+        return self.deadline_s
 
     def poll(self, queue: RequestQueue, now: float) -> list[Batch]:
         """Flush every batch that is due at ``now``.
@@ -235,28 +256,23 @@ class AdaptiveBatcher:
             for tenant in tenants
         }
 
-    def _select_tenant(
+    def _fair_head(
         self,
         queue: RequestQueue,
         in_batch: dict[str, int],
         caps: dict[str, int],
-    ) -> str | None:
-        """Tenant whose head request the next pop should take.
+    ) -> Request | None:
+        """The subqueue head fair queuing takes next.
 
-        FIFO follows global arrival order.  Fair queuing picks the minimal
-        virtual finish tag ``max(tenant finish, virtual clock) + items /
-        weight`` among tenants whose head still fits their per-batch
+        The minimal virtual finish tag ``max(tenant finish, virtual clock) +
+        items / weight`` among tenants whose head still fits their per-batch
         admission cap — ties break on arrival order so equal-weight tenants
         interleave deterministically.  ``None`` means no queued head is
         admissible (the batch closes; capped requests ship in the next one).
         """
-        if self.qos == "fifo":
-            oldest = queue.oldest()
-            assert oldest is not None
-            return oldest.tenant
         heads = queue.tenant_heads()
         admissible = [
-            tenant
+            head
             for tenant, head in heads.items()
             if not in_batch  # an empty batch admits anything (oversized ships alone)
             or in_batch.get(tenant, 0) + head.items
@@ -265,8 +281,8 @@ class AdaptiveBatcher:
         if not admissible:
             return None
 
-        def finish_tag(tenant: str) -> tuple[float, float, int]:
-            head = heads[tenant]
+        def finish_tag(head: Request) -> tuple[float, float, int]:
+            tenant = head.tenant
             start = max(self._virtual_finish.get(tenant, 0.0), self._virtual_clock)
             return (
                 start + head.items / self._weight(tenant),
@@ -276,47 +292,52 @@ class AdaptiveBatcher:
 
         return min(admissible, key=finish_tag)
 
-    def _pop_from(self, queue: RequestQueue, tenant: str) -> Request:
-        request = queue.pop_for_tenant(tenant)
-        if self.qos == "fair":
-            start = max(self._virtual_finish.get(tenant, 0.0), self._virtual_clock)
-            self._virtual_clock = start
-            self._virtual_finish[tenant] = start + request.items / self._weight(tenant)
-        return request
-
     def _take(self, queue: RequestQueue, now: float, reason: str) -> Batch | None:
         """Pop requests for one batch: fill up to capacity, never split one.
 
-        Requests already past their deadline are popped and reported to
-        ``on_expired`` instead of batched — executing them would waste
-        device epochs on results nobody will read.  Returns ``None`` when
-        every candidate had expired (the pops still made progress, so
-        callers just skip the batch).
+        FIFO and fair differ only in *which head is next*: the globally
+        oldest, or :meth:`_fair_head`'s pick.  Requests already past their
+        deadline are popped and reported to ``on_expired`` instead of
+        batched — executing them would waste device epochs on results nobody
+        will read.  Returns ``None`` when every candidate had expired (the
+        pops still made progress, so callers just skip the batch).  Either
+        way the flush window is re-anchored to the head left behind.
         """
+        fair, capacity = self.qos == "fair", self.capacity_items
         taken: list[Request] = []
         in_batch: dict[str, int] = {}
-        caps = self._tenant_caps(queue) if self.qos == "fair" else {}
-        items = 0
-        while queue:
-            tenant = self._select_tenant(queue, in_batch, caps)
-            if tenant is None:
+        caps = self._tenant_caps(queue) if fair else {}
+        items = pbs = linear_items = 0
+        for _ in range(len(queue)):  # every pass pops one request or closes the batch
+            head = self._fair_head(queue, in_batch, caps) if fair else queue.oldest()
+            if head is None:
                 break
-            head = queue.oldest_for_tenant(tenant)
-            assert head is not None
+            tenant, size = head.tenant, head.items
             if head.expired(now):
-                # Plain pop, not _pop_from: expired work ships nothing, so
-                # it must not advance the tenant's virtual finish tag.
-                queue.pop_for_tenant(tenant)
+                # Expired work ships nothing, so it must not advance the
+                # tenant's virtual finish tag.
+                queue._pop_head(tenant)
                 if self.on_expired is not None:
                     self.on_expired(head)
                 continue
-            if taken and items + head.items > self.capacity_items:
+            if taken and items + size > capacity:
                 break
-            taken.append(self._pop_from(queue, tenant))
-            in_batch[tenant] = in_batch.get(tenant, 0) + head.items
-            items += head.items
-            if items >= self.capacity_items:
+            queue._pop_head(tenant)
+            if fair:
+                start = max(self._virtual_finish.get(tenant, 0.0), self._virtual_clock)
+                self._virtual_clock = start
+                self._virtual_finish[tenant] = start + size / self._weight(tenant)
+            taken.append(head)
+            in_batch[tenant] = in_batch.get(tenant, 0) + size
+            items += size
+            if head.pbs_per_item:
+                pbs += size * head.pbs_per_item
+            else:
+                linear_items += size
+            if items >= capacity:
                 break
+        left = queue.oldest() if queue else None
+        self.deadline_s = math.inf if left is None else left.arrival_s + self.max_delay_s
         if not taken:
             return None
         batch = Batch(
@@ -324,6 +345,14 @@ class AdaptiveBatcher:
             requests=tuple(taken),
             created_s=now,
             flush_reason=reason,
+        )
+        # The loop above already summed what the cached properties would
+        # walk the batch again for, one first read each.
+        vars(batch).update(
+            total_items=items,
+            total_pbs=pbs,
+            linear_items=linear_items,
+            tenants=frozenset(in_batch),
         )
         self.batches_flushed += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1

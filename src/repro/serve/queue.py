@@ -192,8 +192,11 @@ class RequestQueue:
         return self._pop_head(tenant)
 
     def _pop_head(self, tenant: str) -> Request:
-        _, request = self._by_tenant[tenant].popleft()
-        if not self._by_tenant[tenant]:
+        """Unchecked :meth:`pop_for_tenant`, for the batcher popping the head
+        it has just peeked."""
+        pending = self._by_tenant[tenant]
+        _, request = pending.popleft()
+        if not pending:
             del self._by_tenant[tenant]
         if request is self._oldest:
             self._oldest = None

@@ -317,11 +317,14 @@ class ServingRun:
         advancing the clock — the request *arrived*, it just was not served.
         A refusal (that, or the bounded queue overflowing with admission
         off) concerns this caller only; a crash while flushing the batches
-        the arrival made due goes through :meth:`fail` first.
+        the arrival made due goes through :meth:`fail` first, and every
+        later offer is refused with a :class:`RuntimeError` chained to it.
         """
-        server = self.server
+        server, queue, batcher = self.server, self.queue, self.batcher
         if server.active_run is not self:
             raise RuntimeError(f"run {self.label!r} is closed; begin a new one")
+        if self.error is not None:  # the queue may be half-flushed
+            raise self.crashed() from self.error
         arrival = request.arrival_s
         if self.clock is None:
             if arrival < self._last_arrival:
@@ -330,16 +333,20 @@ class ServingRun:
                     f"the previous offer ({self._last_arrival}); a simulated run "
                     "takes requests in non-decreasing arrival_s order"
                 )
-            self._fire_deadlines(arrival)
+            if batcher.deadline_s <= arrival:
+                self._fire_deadlines(arrival)
             server._clock = max(server._clock, arrival)
         self._last_arrival = arrival
-        admitted, victims, reason = server.flow.try_admit(self.queue, request)
+        admitted, victims, reason = server.flow.try_admit(queue, request)
         if not admitted:
             raise self._error(request, RequestRejectedError, f"rejected: {reason}")
         for victim in victims:
             self._drop(victim, RequestRejectedError, "was shed to admit newer work")
-        self.queue.push(request)
-        self._serve(self.batcher.poll, arrival)  # flush(arrival), minus its hop
+        queue.push(request)
+        # poll() re-checks both; asking first spares the arrivals that merely
+        # join an open window the call (next_deadline opens a closed one).
+        if queue.queued_items >= batcher.capacity_items or arrival >= batcher.next_deadline(queue):
+            self._serve(batcher.poll, arrival)  # flush(arrival), minus its hop
 
     def flush(self, now: float) -> None:
         """Dispatch every batch due at ``now`` (the wall-clock flusher's step)."""
@@ -388,31 +395,33 @@ class ServingRun:
             for request in batch.requests:
                 self._drop(request, RequestLostError, "was lost to a device fault")
             return
+        batch_id, device = batch.batch_id, dispatch.device
+        start_s, end_s = dispatch.start_s, dispatch.end_s
+        observe_latency = server._latency_hist.observe
+        observe_delay = server._queue_delay_hist.observe
+        tenants, futures = server._tenants, self.futures
+        outcomes = []
         for request in batch.requests:
-            server._account(request)
-        outcomes = [
-            RequestOutcome(
-                request=request,
-                batch_id=batch.batch_id,
-                device=dispatch.device,
-                dispatched_s=dispatch.start_s,
-                completed_s=dispatch.end_s,
-            )
-            for request in batch.requests
-        ]
+            # Charged at dispatch, not submission, so TenantState counts work
+            # that actually executed (repeated simulations accumulate,
+            # discarded queue contents do not).
+            state = tenants.get(request.tenant) or server.tenant(request.tenant)
+            state.requests += 1
+            state.items += request.items
+            state.pbs += request.total_pbs
+            outcome = RequestOutcome(request, batch_id, device, start_s, end_s)
+            outcomes.append(outcome)
+            observe_latency(end_s - request.arrival_s)
+            observe_delay(start_s - request.arrival_s)
+            if futures:  # simulated runs never register any
+                future = futures.pop(request.request_id, None)
+                if future is not None and not future.done():
+                    future.set_result(outcome)
         self.metrics.record_batch(batch, outcomes, dispatch.breakdown)
-        server._requests_total.inc(len(batch.requests))
+        server._requests_total.inc(len(outcomes))
         server._batches_total.inc()
         server._items_total.inc(batch.total_items)
         server._pbs_total.inc(batch.total_pbs)
-        for outcome in outcomes:
-            server._latency_hist.observe(outcome.latency_s)
-            server._queue_delay_hist.observe(outcome.queue_delay_s)
-        if self.futures:  # simulated runs never register any
-            for outcome in outcomes:
-                future = self.futures.pop(outcome.request.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(outcome)
 
     # -- drops and failures -----------------------------------------------------------
 
@@ -449,6 +458,12 @@ class ServingRun:
             if not future.done():
                 future.set_exception(error)
         self.futures.clear()
+
+    def crashed(self) -> RuntimeError:
+        """What a submission after :meth:`fail` is refused with (chain it to :attr:`error`)."""
+        return RuntimeError(
+            "the serving flush loop has crashed; no further submissions will be processed"
+        )
 
     def resolved(self) -> tuple[list[RequestOutcome], list[tuple[Request, Exception]]]:
         """Outcomes completed, and (on the simulated clock) requests dropped,
@@ -849,15 +864,6 @@ class Server:
         self._request_counter += 1
         return self._request_counter
 
-    def _account(self, request: Request) -> None:
-        # Charged at dispatch, not submission, so TenantState counts work
-        # that actually executed (repeated simulations accumulate, discarded
-        # queue contents do not).
-        state = self.tenant(request.tenant)
-        state.requests += 1
-        state.items += request.items
-        state.pbs += request.total_pbs
-
     # -- serving runs on the simulated clock --------------------------------------
 
     def simulate(
@@ -971,10 +977,7 @@ class Server:
         run = self._async_run("async submission")
         if run.error is not None:
             # The flusher died; accepting new work would hang the caller.
-            raise RuntimeError(
-                "the serving flush loop has crashed; no further submissions "
-                "will be processed"
-            ) from run.error
+            raise run.crashed() from run.error
         now = run.now()
         request = Request.make(
             self._next_request_id(),
@@ -1024,9 +1027,10 @@ class Server:
 
         Event-driven, not polling: with an empty queue the loop parks on an
         ``asyncio.Event`` that :meth:`submit_async` sets on arrival (zero
-        wakeups while idle), otherwise it sleeps straight to the queue
-        head's deadline — which only ever moves *later* (FIFO head, capacity
-        flushes pop from the front), so sleeping to it never misses a flush.
+        wakeups while idle), otherwise it sleeps straight to the batcher's
+        window deadline — which only a flush moves, and only ever *later*
+        (it re-anchors to the head it left behind), so sleeping to it never
+        misses a flush.
 
         A crash anywhere in a flush (e.g. a user-supplied policy raising in
         ``select``) ends this task, but not silently: the run has handed it

@@ -535,6 +535,29 @@ def test_simulate_crashing_mid_trace_leaves_the_server_reusable():
     assert server.simulate(trace).metrics.requests == len(trace)
 
 
+def test_streamed_run_refuses_offers_after_a_flush_crash():
+    """A caller streaming through ``begin_run`` must not re-enter the batcher
+    with the half-flushed queue a crashed flush left behind."""
+
+    class Explodes(RoundRobinPolicy):
+        def select(self, busy_until, batch, resident=None):
+            raise RuntimeError("boom")
+
+    server = Server(devices=1, params="I", policy=Explodes(), batch_capacity=4)
+    run = server.begin_run()
+    run.offer(make_request(1, items=2))
+    with pytest.raises(RuntimeError, match="boom") as crash:
+        run.offer(make_request(2, items=2))  # capacity reached: the flush crashes
+    assert run.error is crash.value
+    enqueued = run.queue.total_enqueued
+    with pytest.raises(RuntimeError, match="flush loop has crashed") as refused:
+        run.offer(make_request(3, items=1, arrival_s=0.001))
+    assert refused.value.__cause__ is crash.value
+    assert run.queue.total_enqueued == enqueued  # refused before it was queued
+    run.close()
+    assert server.active_run is None
+
+
 def test_async_report_stats_do_not_inherit_sync_history():
     server = Server(devices=1, params="I", max_batch_delay_s=1e-3)
     sync_report = server.simulate(
