@@ -19,8 +19,6 @@ measured by ``benchmarks/observatory/`` (``BENCHMARK.json``), not here.
 * ``keymem/...`` — key-memory budgets: one many-tenant trace served with
   unbounded per-device key memory versus a two-tenant budget (evictions,
   re-ships, shipping seconds, p99), with and without key-affinity dispatch;
-* ``plan_cache/...`` — the pipeline layout's stage-plan cache on repeated
-  batch shapes: hit/miss counters and p99 of a warm ``simulate()``;
 * ``cost_cache/...`` — the event model's schedule cache on a repeated-shape
   trace: hit/miss/entry counters, hit rate and p99 of a warm ``simulate()``
   (what a hit or a miss costs on the host is the observatory's
@@ -201,46 +199,6 @@ def bench_key_memory(report: BenchReport, duration_s: float, seed: int) -> None:
         )
         print(serve_report.render())
         print()
-
-
-def bench_stage_plan_cache(
-    report: BenchReport, duration_s: float, seed: int
-) -> None:
-    """Event-priced pipeline serving on repeated batch shapes.
-
-    The trace repeats a handful of batch shapes, so once one ``simulate()``
-    has filled the stage-plan cache every dispatch of the next reuses a
-    cached plan; the hit counters and the p99 of that warm run are the
-    records.
-    """
-    requests = max(int(2000 * duration_s), 64)
-    # Period-4 request pattern: three bootstrap bursts and one NN-20
-    # inference per period, so flushed batches repeat a handful of shapes
-    # and the inference graphs give the partitioner real multi-level work.
-    trace = [
-        Request.make(
-            i + 1,
-            f"tenant{i % 4}",
-            "inference" if i % 4 == 3 else "bootstrap",
-            1 if i % 4 == 3 else 8,
-            arrival_s=i * 5e-4,
-            model="NN-20" if i % 4 == 3 else None,
-        )
-        for i in range(requests)
-    ]
-    server = Server(
-        devices=4, params="I", layout="pipeline", cost_model="event", batch_capacity=32
-    )
-    server.simulate(list(trace), label="plan-warm")  # populate the cache
-    warm_report = server.simulate(list(trace), label="plan-warm")
-    plans = warm_report.metrics.stage_plan_cache
-    report.add("plan_cache/warm_hits", plans["hits"], "count")
-    report.add("plan_cache/warm_misses", plans["misses"], "count")
-    report.add(
-        "plan_cache/p99_latency", warm_report.metrics.latency.p99_s, "s"
-    )
-    print(warm_report.render())
-    print()
 
 
 def bench_cost_cache(report: BenchReport, duration_s: float, seed: int) -> None:
@@ -474,7 +432,6 @@ def main() -> None:
     bench_cluster_scaling(report)
     bench_layouts_and_cost_models(report, duration_s, args.seed)
     bench_key_memory(report, duration_s, args.seed)
-    bench_stage_plan_cache(report, duration_s, args.seed)
     bench_cost_cache(report, duration_s, args.seed)
     bench_net(report, duration_s, args.seed)
     bench_faults(report, duration_s, args.seed)

@@ -16,7 +16,7 @@ import asyncio
 
 from repro import run
 from repro.apps.traffic import TRAFFIC_PATTERNS
-from repro.serve import Server
+from repro.serve import Server, list_cost_models, list_layouts, list_policies
 
 
 def traffic_patterns() -> None:
@@ -57,6 +57,7 @@ def cluster_scaling() -> None:
 def scheduling_core() -> None:
     """The sched seams: layouts, cost models, QoS and key shipping."""
     print("== Scheduling core: layouts x cost models x QoS ==\n")
+    print(f"layouts {list_layouts()}, policies {list_policies()}, cost models {list_cost_models()}\n")
     trace = TRAFFIC_PATTERNS["heavy-tail"](rate_rps=1200, duration_s=0.2, seed=7)
     variants = {
         "data-parallel + analytical": {},

@@ -29,5 +29,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy>=2.0"],  # np.fft.*(out=) and in-place transforms
-    extras_require={"test": ["pytest"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

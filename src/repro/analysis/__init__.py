@@ -15,7 +15,7 @@ on top of the architecture model, the simulator and the baseline models:
 """
 
 from repro.analysis.breakdown import cpu_workload_breakdown
-from repro.analysis.fragmentation import gpu_fragmentation_study, strix_batching_study
+from repro.analysis.fragmentation import gpu_fragmentation_study
 from repro.analysis.folding_ablation import folding_ablation
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
 from repro.analysis.tables import area_power_table, pbs_comparison_table
@@ -24,7 +24,6 @@ from repro.analysis.deep_nn_benchmark import deep_nn_benchmark
 __all__ = [
     "cpu_workload_breakdown",
     "gpu_fragmentation_study",
-    "strix_batching_study",
     "folding_ablation",
     "tvlp_clp_tradeoff",
     "area_power_table",

@@ -17,6 +17,9 @@ from repro.arch.accelerator import StrixAccelerator
 from repro.params import DEEP_NN_PARAMETER_SETS, TFHEParameters
 from repro.runtime import AnalyticalBackend, StrixSimBackend
 
+#: Cores of the many-core Xeon server the Zama reference numbers were taken on.
+CPU_THREADS = 48
+
 
 @dataclass(frozen=True)
 class DeepNNResult:
@@ -45,7 +48,6 @@ class DeepNNBenchmark:
     """The full Fig. 7 sweep."""
 
     results: list[DeepNNResult]
-    cpu_threads: int
 
     def speedup_range_vs_cpu(self) -> tuple[float, float]:
         """(min, max) Strix speedup over CPU across all configurations."""
@@ -59,7 +61,7 @@ class DeepNNBenchmark:
 
     def render(self) -> str:
         """Render the Fig. 7 data as a table."""
-        lines = [f"Zama Deep-NN execution time (CPU: {self.cpu_threads} threads)"]
+        lines = [f"Zama Deep-NN execution time (CPU: {CPU_THREADS} threads)"]
         lines.append(
             f"  {'Model':<8} {'N':>6} {'#PBS':>7} {'CPU (ms)':>12} {'GPU (ms)':>12} "
             f"{'Strix (ms)':>12} {'vs CPU':>8} {'vs GPU':>8}"
@@ -82,19 +84,18 @@ def deep_nn_benchmark(
     models: dict[str, DeepNNModel] | None = None,
     parameter_sets: dict[int, TFHEParameters] | None = None,
     accelerator: StrixAccelerator | None = None,
-    cpu_threads: int = 48,
 ) -> DeepNNBenchmark:
     """Run the Fig. 7 application benchmark.
 
     The CPU baseline is the Concrete cost model parallelized over
-    ``cpu_threads`` cores (the Zama Deep-NN reference numbers were taken on
+    :data:`CPU_THREADS` cores (the Zama Deep-NN reference numbers were taken on
     a many-core Xeon Platinum server); the GPU baseline is the NuFHE model
     with full device-level batching.
     """
     models = models or ZAMA_DEEP_NN_MODELS
     parameter_sets = parameter_sets or DEEP_NN_PARAMETER_SETS
     backends = {
-        "cpu": AnalyticalBackend("cpu", threads=cpu_threads),
+        "cpu": AnalyticalBackend("cpu", threads=CPU_THREADS),
         "gpu": AnalyticalBackend("gpu"),
         "strix": StrixSimBackend(accelerator),
     }
@@ -117,4 +118,4 @@ def deep_nn_benchmark(
                     strix_time_ms=times_ms["strix"],
                 )
             )
-    return DeepNNBenchmark(results=results, cpu_threads=cpu_threads)
+    return DeepNNBenchmark(results=results)

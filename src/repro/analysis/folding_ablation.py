@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.accelerator import StrixAccelerator
-from repro.arch.config import STRIX_DEFAULT, StrixConfig
+from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED
 from repro.params import PARAM_SET_I, TFHEParameters
 
 
@@ -66,12 +66,10 @@ class FoldingAblation:
         return "\n".join(lines)
 
 
-def folding_ablation(
-    params: TFHEParameters = PARAM_SET_I, base_config: StrixConfig = STRIX_DEFAULT
-) -> FoldingAblation:
+def folding_ablation(params: TFHEParameters = PARAM_SET_I) -> FoldingAblation:
     """Run the Table VI ablation for one parameter set."""
-    folded = StrixAccelerator(base_config)
-    unfolded = StrixAccelerator(base_config.without_folding())
+    folded = StrixAccelerator(STRIX_DEFAULT)
+    unfolded = StrixAccelerator(STRIX_UNFOLDED)
     folded_cost = folded.chip_cost()
     unfolded_cost = unfolded.chip_cost()
     return FoldingAblation(

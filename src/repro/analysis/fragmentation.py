@@ -8,20 +8,14 @@ Two curves:
 * **core-level batching on the GPU** — assigning several ciphertexts per SM
   does not help: the kernel time grows linearly with the per-SM batch, which
   is exactly why the paper argues for a specialized streaming core.
-
-The companion :func:`strix_batching_study` quantifies how Strix's two-level
-batching enlarges the single-blind-rotation batch and removes the
-fragmentation penalty for the same ciphertext counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.accelerator import StrixAccelerator
 from repro.baselines.gpu_model import GpuKernelProfile, NuFheGpuModel
 from repro.params import PARAM_SET_I, TFHEParameters
-from repro.sim.fragments import blind_rotation_fragments
 
 
 @dataclass(frozen=True)
@@ -68,43 +62,3 @@ def gpu_fragmentation_study(
     return FragmentationStudy(
         parameter_set=params.name, device_level=device_level, core_level=core_level
     )
-
-
-@dataclass(frozen=True)
-class BatchingComparison:
-    """Fragment counts of GPU vs Strix for the same ciphertext load."""
-
-    ciphertexts: int
-    gpu_batch_size: int
-    gpu_fragments: int
-    strix_batch_size: int
-    strix_fragments: int
-
-    @property
-    def fragment_reduction(self) -> float:
-        """How many times fewer blind-rotation passes Strix needs."""
-        return (self.gpu_fragments + 1) / (self.strix_fragments + 1)
-
-
-def strix_batching_study(
-    ciphertext_counts: list[int] | None = None,
-    params: TFHEParameters = PARAM_SET_I,
-    accelerator: StrixAccelerator | None = None,
-) -> list[BatchingComparison]:
-    """Quantify the fragment reduction from two-level batching."""
-    accelerator = accelerator or StrixAccelerator()
-    gpu = NuFheGpuModel()
-    counts = ciphertext_counts or [72, 144, 288, 784, 2048]
-    strix_batch = accelerator.config.tvlp * accelerator.core.core_batch_size(params)
-    comparisons = []
-    for count in counts:
-        comparisons.append(
-            BatchingComparison(
-                ciphertexts=count,
-                gpu_batch_size=gpu.sms,
-                gpu_fragments=blind_rotation_fragments(count, gpu.sms),
-                strix_batch_size=strix_batch,
-                strix_fragments=blind_rotation_fragments(count, strix_batch),
-            )
-        )
-    return comparisons

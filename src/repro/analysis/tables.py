@@ -108,7 +108,6 @@ class PbsComparison:
 def pbs_comparison_table(
     accelerator: StrixAccelerator | None = None,
     parameter_sets: dict[str, TFHEParameters] | None = None,
-    include_published: bool = True,
 ) -> PbsComparison:
     """Build the Table V reproduction.
 
@@ -145,20 +144,19 @@ def pbs_comparison_table(
                     source="model",
                 )
             )
-    if include_published:
-        for row in published_results_for():
-            if row.platform in ("Concrete", "NuFHE", "Strix"):
-                continue
-            rows.append(
-                PbsComparisonRow(
-                    platform=row.platform,
-                    technology=row.technology,
-                    parameter_set=row.parameter_set,
-                    latency_ms=row.latency_ms,
-                    throughput_pbs_per_s=row.throughput_pbs_per_s,
-                    source="published",
-                )
+    for row in published_results_for():
+        if row.platform in ("Concrete", "NuFHE", "Strix"):
+            continue
+        rows.append(
+            PbsComparisonRow(
+                platform=row.platform,
+                technology=row.technology,
+                parameter_set=row.parameter_set,
+                latency_ms=row.latency_ms,
+                throughput_pbs_per_s=row.throughput_pbs_per_s,
+                source="published",
             )
+        )
     for name, params in parameter_sets.items():
         performance = accelerator.pbs_performance(params)
         rows.append(

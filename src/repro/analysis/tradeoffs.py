@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.accelerator import StrixAccelerator
-from repro.arch.config import STRIX_DEFAULT, StrixConfig
+from repro.arch.config import STRIX_DEFAULT
 from repro.params import PARAM_SET_IV, TFHEParameters
+
+#: ``TvLP * CLP`` of every design point Table VII compares.
+TOTAL_PARALLELISM = 32
 
 
 @dataclass(frozen=True)
@@ -82,25 +85,23 @@ class TradeoffStudy:
 
 def tvlp_clp_tradeoff(
     params: TFHEParameters = PARAM_SET_IV,
-    total_parallelism: int = 32,
-    base_config: StrixConfig = STRIX_DEFAULT,
     splits: list[tuple[int, int]] | None = None,
 ) -> TradeoffStudy:
     """Run the Table VII sweep.
 
     ``splits`` defaults to the paper's five (TvLP, CLP) pairs whose product
-    is ``total_parallelism``.
+    is :data:`TOTAL_PARALLELISM`.
     """
     if splits is None:
         splits = []
-        tvlp = total_parallelism // 2
+        tvlp = TOTAL_PARALLELISM // 2
         while tvlp >= 1:
-            clp = total_parallelism // tvlp
+            clp = TOTAL_PARALLELISM // tvlp
             splits.append((tvlp, clp))
             tvlp //= 2
     points = []
     for tvlp, clp in splits:
-        config = base_config.with_parallelism(tvlp=tvlp, clp=clp)
+        config = STRIX_DEFAULT.with_parallelism(tvlp=tvlp, clp=clp)
         accelerator = StrixAccelerator(config)
         performance = accelerator.pbs_performance(params)
         points.append(
@@ -115,6 +116,6 @@ def tvlp_clp_tradeoff(
         )
     return TradeoffStudy(
         parameter_set=params.name,
-        available_bandwidth_gbps=base_config.hbm_bandwidth_gbps,
+        available_bandwidth_gbps=STRIX_DEFAULT.hbm_bandwidth_gbps,
         points=points,
     )

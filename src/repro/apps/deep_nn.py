@@ -62,11 +62,6 @@ class DeepNNModel:
     dense_neurons: int = 92
 
     @property
-    def input_ciphertexts(self) -> int:
-        """Encrypted pixels of the input image."""
-        return self.image_size * self.image_size
-
-    @property
     def conv_activations(self) -> int:
         """Activations (and therefore PBS) after the convolution layer."""
         batch, channels, height, width = self.conv_output_shape
@@ -80,14 +75,6 @@ class DeepNNModel:
     def pbs_count(self) -> int:
         """Total programmable bootstraps of one inference."""
         return self.conv_activations + self.dense_layers * self.dense_neurons
-
-    def linear_operations(self) -> int:
-        """Total homomorphic multiply-accumulate operations of one inference."""
-        kernel_ops = self.conv_kernel[0] * self.conv_kernel[1]
-        conv_ops = self.conv_activations * kernel_ops
-        first_dense_ops = self.dense_neurons * self.conv_activations
-        other_dense_ops = (self.dense_layers - 1) * self.dense_neurons * self.dense_neurons
-        return conv_ops + first_dense_ops + max(other_dense_ops, 0)
 
 
 #: The three Deep-NN models of Fig. 7.

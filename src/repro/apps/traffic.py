@@ -34,6 +34,9 @@ DEFAULT_KIND_MIX: dict[RequestKind, float] = {
     RequestKind.INFERENCE: 0.05,
 }
 
+#: The Deep-NN model every inference request of a generated trace runs.
+INFERENCE_MODEL = "NN-20"
+
 
 def _make_requests(
     arrival_times: Sequence[float],
@@ -41,7 +44,6 @@ def _make_requests(
     rng: np.random.Generator,
     tenants: int,
     kind_mix: dict[RequestKind, float],
-    inference_model: str,
 ) -> list[Request]:
     """Assemble requests from arrival times and sizes (shared by all patterns)."""
     kinds = list(kind_mix)
@@ -60,7 +62,7 @@ def _make_requests(
                 kind=kind,
                 items=items,
                 arrival_s=float(arrival),
-                model=inference_model if kind is RequestKind.INFERENCE else None,
+                model=INFERENCE_MODEL if kind is RequestKind.INFERENCE else None,
             )
         )
     return requests
@@ -73,7 +75,6 @@ def steady_trace(
     tenants: int = 4,
     mean_items: float = 8.0,
     kind_mix: dict[RequestKind, float] | None = None,
-    inference_model: str = "NN-20",
 ) -> list[Request]:
     """Poisson arrivals at a constant rate with geometric request sizes."""
     if rate_rps <= 0 or duration_s <= 0:
@@ -89,9 +90,7 @@ def steady_trace(
             break
         times.append(now)
     sizes = rng.geometric(min(1.0, 1.0 / mean_items), size=len(times))
-    return _make_requests(
-        times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX, inference_model
-    )
+    return _make_requests(times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX)
 
 
 def bursty_trace(
@@ -103,7 +102,6 @@ def bursty_trace(
     tenants: int = 4,
     mean_items: float = 8.0,
     kind_mix: dict[RequestKind, float] | None = None,
-    inference_model: str = "NN-20",
 ) -> list[Request]:
     """On/off traffic: Poisson bursts at ``burst_rate_rps`` with idle gaps.
 
@@ -129,9 +127,7 @@ def bursty_trace(
             times.append(now)
         now = burst_end + rng.exponential(idle_s)
     sizes = rng.geometric(min(1.0, 1.0 / mean_items), size=len(times))
-    return _make_requests(
-        times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX, inference_model
-    )
+    return _make_requests(times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX)
 
 
 def heavy_tail_trace(
@@ -143,7 +139,6 @@ def heavy_tail_trace(
     tenants: int = 4,
     mean_items: float = 8.0,
     kind_mix: dict[RequestKind, float] | None = None,
-    inference_model: str = "NN-20",
 ) -> list[Request]:
     """Heavy-tailed traffic: Pareto inter-arrivals, log-normal request sizes.
 
@@ -171,9 +166,7 @@ def heavy_tail_trace(
     # Log-normal sizes with the requested mean: E[lognormal] = exp(mu + s^2/2).
     mu = np.log(mean_items) - size_sigma**2 / 2.0
     sizes = np.maximum(1, rng.lognormal(mu, size_sigma, size=len(times)).round())
-    return _make_requests(
-        times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX, inference_model
-    )
+    return _make_requests(times, sizes, rng, tenants, kind_mix or DEFAULT_KIND_MIX)
 
 
 #: Named arrival patterns with paper-benchmark defaults, so callers (and the

@@ -34,7 +34,7 @@ def lut_pipeline_graph(
     ciphertexts_per_stage: int,
     name: str | None = None,
 ) -> ComputationGraph:
-    """A chain of dependent LUT (PBS) stages.
+    """Test fixture: a chain of dependent LUT (PBS) stages.
 
     Models latency-bound workloads such as an encrypted state machine: stage
     ``i+1`` cannot start before stage ``i`` finishes, so only
@@ -59,7 +59,7 @@ def gate_workload_graph(
     parallelism: int,
     name: str | None = None,
 ) -> ComputationGraph:
-    """A gate-bootstrapping workload with a given average parallelism.
+    """Test fixture: a gate-bootstrapping workload with a given average parallelism.
 
     ``gates`` gate bootstraps are grouped into sequential stages of
     ``parallelism`` independent gates each — a simple knob for studying how
@@ -88,7 +88,7 @@ def random_layered_graph(
     seed: int = 0,
     linear_fraction: float = 0.3,
 ) -> ComputationGraph:
-    """A random layered workload mixing PBS and linear nodes (for tests)."""
+    """Test fixture: a random layered workload mixing PBS and linear nodes."""
     rng = np.random.default_rng(seed)
     graph = ComputationGraph(params, name=f"random-{levels}x{max_width}")
     previous_level: list[str] = []

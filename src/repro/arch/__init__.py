@@ -11,7 +11,6 @@ parameter set, and drives the cycle-level simulation in :mod:`repro.sim`.
 """
 
 from repro.arch.config import (
-    CLUSTER_DEFAULT,
     STRIX_DEFAULT,
     STRIX_UNFOLDED,
     StrixClusterConfig,
@@ -36,7 +35,6 @@ from repro.arch.key_cache import (
 __all__ = [
     "StrixConfig",
     "StrixClusterConfig",
-    "CLUSTER_DEFAULT",
     "STRIX_DEFAULT",
     "STRIX_UNFOLDED",
     "StrixAccelerator",

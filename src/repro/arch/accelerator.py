@@ -33,11 +33,6 @@ class PbsPerformance:
     core_batch_size: int
     device_batch_size: int
 
-    @property
-    def total_batch_size(self) -> int:
-        """Ciphertexts in flight across the chip (device x core batching)."""
-        return self.core_batch_size * self.device_batch_size
-
 
 @dataclass(frozen=True)
 class EpochPlan:

@@ -122,16 +122,6 @@ class StrixConfig:
         """
         return 2 * self.clp if self.fft_folding else self.clp
 
-    @property
-    def fft_points(self) -> int:
-        """Physical size of the FFT unit for the largest supported degree."""
-        return self.max_fft_points // 2 if self.fft_folding else self.max_fft_points
-
-    @property
-    def chip_coefficient_throughput(self) -> int:
-        """Coefficients processed per cycle chip-wide by the wide units."""
-        return self.effective_lanes * self.colp * self.tvlp
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count to seconds."""
         return cycles / self.clock_hz
@@ -161,7 +151,7 @@ class StrixConfig:
 STRIX_DEFAULT = StrixConfig()
 
 #: Ablation variant without the FFT folding optimization (Table VI).
-STRIX_UNFOLDED = StrixConfig(fft_folding=False)
+STRIX_UNFOLDED = STRIX_DEFAULT.without_folding()
 
 
 @dataclass(frozen=True)
@@ -219,11 +209,6 @@ class StrixClusterConfig:
         if self.key_budget_bytes is not None and self.key_budget_bytes <= 0:
             raise ValueError("key-memory budget must be positive (or None)")
 
-    @property
-    def total_hscs(self) -> int:
-        """Homomorphic streaming cores across the whole cluster."""
-        return self.devices * self.device.tvlp
-
     def with_devices(self, devices: int) -> "StrixClusterConfig":
         """Return a copy with a different device count."""
         return replace(self, devices=devices)
@@ -237,7 +222,3 @@ class StrixClusterConfig:
             key_budget_bytes=key_budget_bytes,
             key_policy=key_policy if key_policy is not None else self.key_policy,
         )
-
-
-#: Default four-device serving cluster built from the paper's design point.
-CLUSTER_DEFAULT = StrixClusterConfig()

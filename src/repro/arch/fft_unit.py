@@ -97,11 +97,6 @@ class PipelinedFFTUnit:
         """Butterfly units per stage (``CLP / 2``, at least one)."""
         return max(self.clp // 2, 1)
 
-    @property
-    def total_butterflies(self) -> int:
-        """Total butterfly units in the pipeline."""
-        return self.num_stages * self.butterflies_per_stage
-
     def stages(self) -> list[FFTStage]:
         """Describe every stage with its shuffle-unit delay length."""
         described = []
@@ -166,14 +161,14 @@ class PipelinedFFTUnit:
     # -- function --------------------------------------------------------------
 
     def functional_transform(self, polynomial: np.ndarray) -> np.ndarray:
-        """Bit-accurate forward transform of a polynomial (for validation)."""
+        """Test reference: the forward transform this unit computes, bit-accurate."""
         degree = len(polynomial)
         if self.folding:
             return get_folded_transform(degree).forward(polynomial)
         return get_negacyclic_transform(degree).forward(polynomial)
 
     def functional_inverse(self, spectrum: np.ndarray, degree: int) -> np.ndarray:
-        """Bit-accurate inverse transform (for validation)."""
+        """Test reference: the inverse transform this unit computes, bit-accurate."""
         if self.folding:
             return get_folded_transform(degree).inverse(spectrum)
         return get_negacyclic_transform(degree).inverse(spectrum)

@@ -113,11 +113,6 @@ class HomomorphicStreamingCore:
             self._core_batch_size[params] = size
         return size
 
-    def pbs_cycles_single(self, params: TFHEParameters) -> int:
-        """Cycles for one complete PBS of a single LWE (latency view)."""
-        timing = self.pipeline_timing(params)
-        return params.n * timing.iteration_latency
-
     def pbs_cycles_per_lwe_streaming(self, params: TFHEParameters) -> int:
         """Amortized cycles per LWE when the core streams a full batch."""
         timing = self.pipeline_timing(params)
@@ -200,15 +195,3 @@ class HomomorphicStreamingCore:
                     finish = end
                 lwe_ready_at[lwe] = finish
         return intervals
-
-    def trace_utilization(self, intervals: list[BusyInterval]) -> dict[str, float]:
-        """Fraction of the traced window each unit spends busy."""
-        if not intervals:
-            return {}
-        horizon = max(interval.end_cycle for interval in intervals)
-        start = min(interval.start_cycle for interval in intervals)
-        window = max(horizon - start, 1)
-        totals: dict[str, int] = {}
-        for interval in intervals:
-            totals[interval.unit] = totals.get(interval.unit, 0) + interval.duration
-        return {unit: busy / window for unit, busy in totals.items()}

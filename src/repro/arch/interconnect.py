@@ -83,16 +83,3 @@ class InterconnectModel:
     def ciphertext_transfer_s(self, params: TFHEParameters, count: int) -> float:
         """Seconds to ship ``count`` LWE ciphertexts to (or between) devices."""
         return self.transfer_s(self.ciphertext_bytes(params, count))
-
-    def key_shipping_s(self, params: TFHEParameters) -> float:
-        """Seconds to ship one tenant's BSK + KSK to a device.
-
-        Charged through :class:`~repro.arch.key_cache.KeyResidencyManager`
-        when a tenant *migrates* — its batches land on a device that does
-        not hold its keys — and again whenever a finite key-memory budget
-        evicted the set and the tenant returns.  The initial placement is
-        free (keys are provisioned at tenant onboarding), which keeps the
-        one-device cluster bit-for-bit identical to the single-device
-        simulator.
-        """
-        return self.transfer_s(self.key_set_bytes(params))

@@ -29,10 +29,6 @@ class NocLink:
         """Payload bytes the link moves per clock cycle."""
         return self.width_bits // 8
 
-    def bandwidth_gbps(self, clock_ghz: float) -> float:
-        """Sustained bandwidth at the given clock in GB/s."""
-        return self.bytes_per_cycle * clock_ghz
-
 
 class MulticastNetwork:
     """Fixed multicast tree distributing key material to all HSCs."""
@@ -56,10 +52,6 @@ class MulticastNetwork:
         fragment_points = (params.k + 1) * params.lb * (params.k + 1) * points
         cycles_needed = fragment_points / max(self.bsk_words_per_cycle(), 1)
         return cycles_needed <= iteration_cycles
-
-    def broadcast_cycles(self, payload_bytes: int) -> int:
-        """Cycles to broadcast a payload on the bsk bus."""
-        return -(-payload_bytes // self.bsk_link.bytes_per_cycle)
 
 
 @dataclass(frozen=True)

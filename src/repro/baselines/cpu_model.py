@@ -32,10 +32,6 @@ class CpuWorkloadBreakdown:
     pbs_shares: dict[str, float]
     blind_rotation_shares: dict[str, float]
 
-    def dominant_gate_component(self) -> str:
-        """Component with the largest share of the gate execution."""
-        return max(self.gate_shares, key=self.gate_shares.get)
-
 
 class ConcreteCpuModel:
     """Operation-count cost model of single/multi-core CPU TFHE execution."""

@@ -23,11 +23,6 @@ class PublishedResult:
     latency_ms: float | None
     throughput_pbs_per_s: float
 
-    @property
-    def has_latency(self) -> bool:
-        """Whether the paper reports a latency for this row."""
-        return self.latency_ms is not None
-
 
 #: Every row of Table V, keyed implicitly by (platform, parameter set).
 PUBLISHED_PBS_RESULTS: tuple[PublishedResult, ...] = (
@@ -61,11 +56,3 @@ def published_results_for(
             continue
         rows.append(row)
     return rows
-
-
-def published_strix_result(parameter_set: str) -> PublishedResult:
-    """The paper's Strix row for one parameter set."""
-    rows = published_results_for("Strix", parameter_set)
-    if not rows:
-        raise KeyError(f"no published Strix result for parameter set {parameter_set!r}")
-    return rows[0]

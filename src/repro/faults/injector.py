@@ -37,6 +37,7 @@ config) — so the same seed and the same schedule reproduce the same
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -216,8 +217,6 @@ class FaultInjector:
         straight to the layout.  See the module docstring for the
         resolution algorithm.
         """
-        from dataclasses import replace
-
         from repro.sched.layouts import Dispatch
 
         self.apply_deaths(cluster, now)
@@ -283,13 +282,7 @@ class FaultInjector:
         ``t`` the failure instant (the death time, or the window start when
         the device was already dead as the work began), or ``None``.
         """
-        if dispatch.stages:
-            windows = [
-                (stage.device, stage.start_s, stage.end_s)
-                for stage in dispatch.stages
-            ]
-        else:
-            windows = [(dispatch.device, dispatch.start_s, dispatch.end_s)]
+        windows = dispatch.windows()
         best: tuple[FaultEvent, float] | None = None
         for event in self.schedule.deaths:
             for device, start, end in windows:
@@ -312,15 +305,8 @@ class FaultInjector:
         nothing.  Utilization stays honest (busy seconds include the wasted
         window) while batch/PBS completion counters do not move.
         """
-        if dispatch.stages:
-            windows = [
-                (stage.device, stage.start_s, stage.end_s)
-                for stage in dispatch.stages
-            ]
-        else:
-            windows = [(dispatch.device, dispatch.start_s, dispatch.end_s)]
         wasted = 0.0
-        for index, start, end in windows:
+        for index, start, end in dispatch.windows():
             if start >= failed_at:
                 continue
             until = min(end, failed_at)
@@ -338,8 +324,6 @@ class FaultInjector:
         event: FaultEvent | None = None,
     ) -> "Dispatch":
         """Mark the batch lost and return the terminal (lost) dispatch."""
-        from dataclasses import replace
-
         from repro.sched.layouts import Dispatch
 
         self.requests_lost += len(batch.requests)

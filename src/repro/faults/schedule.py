@@ -227,13 +227,6 @@ class FaultSchedule:
             event for event in self.events if event.kind is FaultKind.SLOW_DEVICE
         )
 
-    @property
-    def partitions(self) -> tuple[FaultEvent, ...]:
-        """Interconnect-partition events, in injection order."""
-        return tuple(
-            event for event in self.events if event.kind is FaultKind.PARTITION
-        )
-
     # -- time-indexed queries ----------------------------------------------------
 
     def dead_at(self, device: int, t_s: float) -> bool:
@@ -287,19 +280,3 @@ class FaultSchedule:
             if self.available_indices(boundary, devices):
                 return boundary
         return None
-
-    def slow_factor_at(self, device: int, t_s: float) -> float:
-        """Combined service-time multiplier on ``device`` at ``t_s``.
-
-        Overlapping slow-device events compose multiplicatively; ``1.0``
-        means full speed.
-        """
-        factor = 1.0
-        for event in self.events:
-            if (
-                event.kind is FaultKind.SLOW_DEVICE
-                and event.device == device
-                and event.active_at(t_s)
-            ):
-                factor *= event.slow_factor
-        return factor

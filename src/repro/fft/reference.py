@@ -16,7 +16,7 @@ import numpy as np
 def naive_negacyclic_convolution(
     a: Sequence[int], b: Sequence[int], modulus: int | None = None
 ) -> np.ndarray:
-    """Multiply two polynomials modulo ``X^N + 1`` exactly.
+    """Slow reference: multiply two polynomials modulo ``X^N + 1`` exactly.
 
     Parameters
     ----------
@@ -54,7 +54,7 @@ def naive_negacyclic_convolution(
 
 
 def naive_negacyclic_rotation(a: Sequence[int], amount: int) -> np.ndarray:
-    """Multiply a polynomial by ``X^amount`` modulo ``X^N + 1`` exactly.
+    """Slow reference: multiply a polynomial by ``X^amount`` modulo ``X^N + 1`` exactly.
 
     A positive ``amount`` rotates coefficients towards higher degrees, with
     coefficients that wrap around past ``X^{N-1}`` re-entering negated.
@@ -75,7 +75,7 @@ def naive_negacyclic_rotation(a: Sequence[int], amount: int) -> np.ndarray:
 
 
 def naive_dft(values: Sequence[complex]) -> np.ndarray:
-    """Direct ``O(N^2)`` discrete Fourier transform (forward, no scaling)."""
+    """Slow reference: direct ``O(N^2)`` discrete Fourier transform (forward, no scaling)."""
     x = np.asarray(values, dtype=np.complex128)
     n = len(x)
     indices = np.arange(n)
@@ -84,7 +84,7 @@ def naive_dft(values: Sequence[complex]) -> np.ndarray:
 
 
 def naive_idft(values: Sequence[complex]) -> np.ndarray:
-    """Direct ``O(N^2)`` inverse discrete Fourier transform (scaled by 1/N)."""
+    """Slow reference: direct ``O(N^2)`` inverse discrete Fourier transform (scaled by 1/N)."""
     x = np.asarray(values, dtype=np.complex128)
     n = len(x)
     indices = np.arange(n)

@@ -5,7 +5,9 @@ Building a :class:`~repro.fft.negacyclic.NegacyclicTransform` or
 and twist tables — cheap once, wasteful per ciphertext.  Blind rotation
 performs thousands of transforms of a handful of distinct degrees, so every
 scalar and vectorized caller shares the instances cached here instead of
-rebuilding them.
+rebuilding them.  It is not a :class:`repro.registry.Registry` on purpose:
+that maps *names* to factories somebody registered, this is a memo of
+instances keyed by an integer degree, with nothing to register or list.
 
 The registry also counts lookups: :func:`transform_cache_stats` returns the
 hit/miss counters, and :func:`register_transform_cache_view` re-registers
@@ -65,22 +67,20 @@ def transform_cache_stats() -> dict[str, int]:
     }
 
 
-def register_transform_cache_view(
-    registry: "MetricsRegistry", prefix: str = "fft_transform_cache"
-) -> None:
+def register_transform_cache_view(registry: "MetricsRegistry") -> None:
     """Expose the transform-cache counters as a derived registry view.
 
     The counters keep their one source of truth here; the view samples them
     at collection time, so they appear in ``collect()`` snapshots, ``STATS``
-    wire frames and Prometheus renders as ``{prefix}_{key}``.
+    wire frames and Prometheus renders as ``fft_transform_cache_{key}``.
     """
     registry.register_view(
-        prefix, transform_cache_stats, "Negacyclic transform cache counters"
+        "fft_transform_cache", transform_cache_stats, "Negacyclic transform cache counters"
     )
 
 
 def clear_transform_caches() -> None:
-    """Drop every cached transform and zero the counters (tests only)."""
+    """Test fixture: drop every cached transform and zero the counters."""
     _FULL.clear()
     _FOLDED.clear()
     for key in _STATS:

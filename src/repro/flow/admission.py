@@ -50,11 +50,6 @@ class AdmissionLimits:
         if self.tenant_capacity is not None and self.tenant_capacity < 1:
             raise ValueError("tenant capacity must be at least one request")
 
-    @property
-    def bounded(self) -> bool:
-        """Whether any axis is actually limited."""
-        return self.queue_capacity is not None or self.tenant_capacity is not None
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:

@@ -39,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serve.queue import RequestQueue
     from repro.serve.request import Request
 
+#: Smallest retry-after hint a rejection carries (the hint scales up with
+#: backlog; the floor keeps an empty-queue rejection from telling clients to
+#: hammer the server immediately).
+RETRY_AFTER_FLOOR_S = 1e-3
+
 
 class RequestRejectedError(RuntimeError):
     """Admission control turned a request away (or shed it from the queue).
@@ -93,16 +98,11 @@ class FlowController:
         policy: "str | AdmissionPolicy | None" = None,
         queue_capacity: int | None = None,
         tenant_capacity: int | None = None,
-        retry_after_floor_s: float = 1e-3,
     ):
         self.policy = get_admission_policy(policy) if policy is not None else None
         self.limits = AdmissionLimits(
             queue_capacity=queue_capacity, tenant_capacity=tenant_capacity
         )
-        #: Smallest retry-after hint a rejection carries (the hint scales
-        #: up with backlog; the floor keeps an empty-queue rejection from
-        #: telling clients to hammer the server immediately).
-        self.retry_after_floor_s = retry_after_floor_s
         self.reset()
 
     def reset(self) -> None:
@@ -193,7 +193,7 @@ class FlowController:
             fill = queue.depth / self.limits.queue_capacity
         else:
             fill = 1.0
-        return max(self.retry_after_floor_s, drain_rate_hint_s * (1.0 + fill))
+        return max(RETRY_AFTER_FLOOR_S, drain_rate_hint_s * (1.0 + fill))
 
     # -- reporting ---------------------------------------------------------------
 

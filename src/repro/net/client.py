@@ -296,7 +296,7 @@ class AsyncNetClient:
         connection in arrival order while results flow back as the server's
         batcher releases them.
         """
-        payload = codec.submit_from_request(request, with_arrival=True)
+        payload = codec.submit_from_request(request)
         return self._send_submit(request, payload, credited=False)
 
     def _send_submit(self, request: Request, payload: bytes, credited: bool) -> asyncio.Future:

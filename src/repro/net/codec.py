@@ -173,27 +173,20 @@ def decode_submit(payload: bytes) -> SubmitMessage:
     )
 
 
-def submit_from_request(request: Request, with_arrival: bool = True) -> bytes:
+def submit_from_request(request: Request) -> bytes:
     """Encode a serving-layer :class:`Request` as a ``SUBMIT`` payload.
 
-    With an arrival the request's absolute ``deadline_s`` rides along
-    verbatim, so a replayed trace rebuilds it bit-for-bit; without one the
-    deadline is rebased to a relative budget for the server to resolve.
+    The arrival and the absolute ``deadline_s`` ride along verbatim, so a
+    replayed trace rebuilds the request bit-for-bit.
     """
-    if request.deadline_s is None:
-        deadline = None
-    elif with_arrival:
-        deadline = request.deadline_s
-    else:
-        deadline = max(request.deadline_s - request.arrival_s, 0.0)
     return encode_submit(
         request.request_id,
         request.tenant,
         request.kind.value,
         request.items,
-        arrival_s=request.arrival_s if with_arrival else None,
+        arrival_s=request.arrival_s,
         model=request.model,
-        deadline_s=deadline,
+        deadline_s=request.deadline_s,
     )
 
 

@@ -159,15 +159,9 @@ class FrameDecoder:
     lost frame alignment and every later byte would be misparsed.
     """
 
-    def __init__(self, supported_versions: frozenset[int] = SUPPORTED_VERSIONS):
-        self.supported_versions = supported_versions
+    def __init__(self) -> None:
         self._buffer = bytearray()
         self.dead = False
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet parsed into a complete frame."""
-        return len(self._buffer)
 
     def feed(self, data: bytes) -> list[Frame | ProtocolError]:
         """Consume one chunk; return every frame or defect it completes."""
@@ -204,12 +198,12 @@ class FrameDecoder:
                 return events
             payload = bytes(self._buffer[HEADER.size : HEADER.size + length])
             del self._buffer[: HEADER.size + length]
-            if version not in self.supported_versions:
+            if version not in SUPPORTED_VERSIONS:
                 events.append(
                     ProtocolError(
                         ErrorCode.UNSUPPORTED_VERSION,
                         f"protocol version {version} is not supported "
-                        f"(supported: {sorted(self.supported_versions)})",
+                        f"(supported: {sorted(SUPPORTED_VERSIONS)})",
                     )
                 )
                 continue
@@ -349,11 +343,9 @@ def decode_welcome(payload: bytes) -> Welcome:
     )
 
 
-def negotiate_version(
-    offered: tuple[int, ...], supported: frozenset[int] = SUPPORTED_VERSIONS
-) -> int | None:
+def negotiate_version(offered: tuple[int, ...]) -> int | None:
     """Highest mutually supported version, or ``None`` when there is none."""
-    common = set(offered) & supported
+    common = set(offered) & SUPPORTED_VERSIONS
     return max(common) if common else None
 
 

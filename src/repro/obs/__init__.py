@@ -12,7 +12,7 @@ on versus off):
 * :mod:`repro.obs.metrics` — :class:`Counter`/:class:`Gauge`/
   :class:`Histogram` primitives behind a :class:`MetricsRegistry` that
   also *re-registers* the stack's historical counter dicts (key
-  residency, schedule memo, stage-plan cache, wire) as live views;
+  residency, schedule memo, wire) as live views;
   :meth:`MetricsRegistry.collect` is one flat snapshot,
   :meth:`MetricsRegistry.render_prometheus` the text exposition.
 * :mod:`repro.obs.export` — JSONL span dumps and Chrome ``trace_event``

@@ -2,9 +2,8 @@
 
 Before this module every subsystem kept its own counter dict —
 :class:`~repro.arch.key_cache.KeyCacheStats` for key residency,
-:class:`~repro.sched.memo.ScheduleCache` for schedule memoization, the
-pipeline layout's stage-plan cache, :class:`~repro.net.server.WireStats`
-for the transport — and answering "what is this server doing right now"
+:class:`~repro.sched.memo.ScheduleCache` for schedule memoization,
+:class:`~repro.net.server.WireStats` for the transport — and answering "what is this server doing right now"
 meant knowing every one of them.  :class:`MetricsRegistry` is the single
 place they all surface:
 
@@ -133,10 +132,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the gauge by ``amount`` (may be negative)."""
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the gauge down by ``amount``."""
-        self._value -= amount
 
     def samples(self) -> dict[str, float]:
         return {self.name: self._value}

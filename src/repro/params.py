@@ -113,11 +113,6 @@ class TFHEParameters:
         """
         return self.q // (2 * self.message_modulus)
 
-    @property
-    def decomposed_polynomials(self) -> int:
-        """Polynomials produced by decomposing a GLWE ciphertext: ``(k+1)*lb``."""
-        return (self.k + 1) * self.lb
-
     # -- sizes (bytes), used by the memory/bandwidth models ------------------
 
     @property
@@ -158,14 +153,6 @@ class TFHEParameters:
         ``k*N*lk`` ciphertexts of ``n+1`` coefficients.
         """
         return self.k * self.N * self.lk * (self.n + 1) * (self.q_bits // 8)
-
-    def describe(self) -> str:
-        """One-line human readable description of the parameter set."""
-        return (
-            f"set {self.name}: n={self.n}, N={self.N}, k={self.k}, "
-            f"lb={self.lb}, B=2^{self.log2_base_pbs}, p={self.message_modulus}, "
-            f"lambda={self.security_bits}-bit"
-        )
 
 
 def _noise_for_security(n: int) -> float:

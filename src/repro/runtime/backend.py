@@ -75,7 +75,7 @@ def register_backend(name: str, factory: Callable[..., Backend]) -> None:
     _REGISTRY.register(name, factory)
 
 
-#: Remove a backend from the registry (no-op when absent).
+#: Test fixture (undoes :func:`register_backend`): remove a backend, no-op when absent.
 unregister_backend = _REGISTRY.unregister
 #: Names of all registered backends, sorted.
 list_backends = _REGISTRY.names

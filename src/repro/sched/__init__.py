@@ -16,14 +16,13 @@ Two orthogonal seams, both string-registered and pluggable:
 * **Placement layouts** (:mod:`repro.sched.layouts`) decide *where* work
   lands on the cluster: :class:`DataParallelLayout` (every device runs every
   layer; one batch → one device), :class:`PipelineLayout` (stage-per-device
-  for deep LUT pipelines, charging inter-stage ciphertext transfers, with a
-  stage-plan cache keyed on :func:`batch_mix_signature` so repeated batch
-  shapes partition once), and :class:`ElasticLayout` (autoscaling the
-  active device count from queue-backlog signals with a configurable
-  scale-up latency).  All layouts charge BSK/KSK key shipping through the
-  cluster's :class:`~repro.arch.key_cache.KeyResidencyManager`, which under
-  a finite per-device key-memory budget also evicts cold tenants' keys and
-  prices the re-shipping on the shared
+  for deep LUT pipelines, charging inter-stage ciphertext transfers) and
+  :class:`ElasticLayout` (autoscaling the active device count from
+  queue-backlog signals with a configurable scale-up latency).  All
+  layouts charge BSK/KSK key shipping through the cluster's
+  :class:`~repro.arch.key_cache.KeyResidencyManager`, which under a finite
+  per-device key-memory budget also evicts cold tenants' keys and prices
+  the re-shipping on the shared
   :class:`~repro.arch.interconnect.InterconnectModel`.
 
 The invariant tying everything back to the paper: one device, the

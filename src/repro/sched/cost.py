@@ -75,11 +75,9 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     :attr:`~repro.serve.batcher.Batch.request_mix` buckets (model requests
     sorted into signature order, classified once per batch).  Request ids,
     tenants and arrival times deliberately do not appear: they never
-    influence the graph shape, so the pipeline layout's stage-plan cache
-    and the event model's schedule cache
+    influence the graph shape, so the event model's schedule cache
     (:class:`repro.sched.memo.ScheduleCache`) can key on this signature
-    and reuse one partition / one priced schedule across every batch of
-    the same shape.
+    and reuse one priced schedule across every batch of the same shape.
     """
     linear_items, simple_pbs, model_requests = batch.request_mix
     models = tuple((request.model, request.items) for request in model_requests)
@@ -179,7 +177,7 @@ class CostModel(abc.ABC):
 
         Memoizing models (:class:`repro.sched.memo.ScheduleCache`) clear
         their hit/miss counters here; cached schedules are pure derived
-        data and survive, mirroring the pipeline stage-plan cache.
+        data and survive.
         """
 
     @property

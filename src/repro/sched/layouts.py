@@ -34,12 +34,6 @@ free (keys are provisioned at onboarding), so single-device clusters — and
 tenant-sticky policies — never pay it; under a finite per-device key-memory
 budget the manager additionally evicts cold tenants and charges the
 re-shipping when they return.
-
-The pipeline layout also keeps a **stage-plan cache**: partitioning a
-batch's graph into stages depends only on the batch's request-mix
-signature (see :func:`repro.sched.cost.batch_mix_signature`), so repeated
-batch shapes — the common case under steady traffic — reuse the cut
-instead of re-lowering and re-partitioning the graph on every dispatch.
 """
 
 from __future__ import annotations
@@ -51,9 +45,9 @@ from typing import TYPE_CHECKING
 from repro.errors import UnknownLayoutError
 from repro.params import TFHEParameters
 from repro.registry import Registry
-from repro.sched.memo import LruCache
 from repro.runtime.result import RunResult
 from repro.runtime.workload import WorkloadLike, as_graph, as_netlist
+from repro.sched.cost import batch_graph
 from repro.sched.partition import partition_graph_stages
 from repro.sim.compiler import Netlist, compile_netlist
 from repro.sim.graph import ComputationGraph, ComputationNode
@@ -101,6 +95,12 @@ class Dispatch:
 
     def __iter__(self):
         return iter((self.device, self.start_s, self.end_s))
+
+    def windows(self) -> list[tuple[int, float, float]]:
+        """``(device, start_s, end_s)`` per execution window: one per stage, else the one."""
+        if self.stages:
+            return [(stage.device, stage.start_s, stage.end_s) for stage in self.stages]
+        return [(self.device, self.start_s, self.end_s)]
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,6 @@ class PlacementLayout(abc.ABC):
 
     def reset(self) -> None:
         """Clear placement state between simulations (default: stateless)."""
-
-    @property
-    def plan_cache_stats(self) -> dict[str, int]:
-        """Stage-plan cache counters (empty for layouts that don't plan)."""
-        return {}
 
     @property
     def runtime_stats(self) -> dict[str, float]:
@@ -392,65 +387,13 @@ class PipelineLayout(PlacementLayout):
     boundary are charged on the cluster interconnect, and every stage
     device must hold the batch's tenant keys.
 
-    Stage plans are cached per batch *shape*: lowering a batch to its graph
-    and cutting it into stages depends only on the request-mix signature
-    (coalesced linear items, coalesced simple PBS, the multiset of
-    inference models × samples), the device count and the parameter set —
-    not on request ids or arrival times — so steady traffic, which repeats
-    a handful of shapes, partitions each shape once instead of once per
-    batch.  The cache holds pure derived data and therefore survives
-    :meth:`reset` (only the hit/miss counters clear); it is bounded by
-    :attr:`plan_cache_capacity` with LRU replacement (the same
-    :class:`~repro.sched.memo.LruCache` the event model's schedule cache
-    uses, so the two per-shape caches share one semantics).
+    The batch is lowered and cut on every dispatch, for the devices
+    available *now*: under a fault schedule the surviving set changes
+    mid-trace, and a cut for ``(0, 1, 2, 3)`` must not be replayed onto
+    ``(0, 2, 3)``.
     """
 
     name = "pipeline"
-
-    #: Cached stage plans kept before the least-recently-used is dropped.
-    plan_cache_capacity = 256
-
-    def __init__(self) -> None:
-        self._plan_cache = LruCache(self.plan_cache_capacity)
-
-    def reset(self) -> None:
-        """Clear per-simulation counters (cached plans are pure and kept)."""
-        self._plan_cache.reset_counters()
-
-    @property
-    def plan_cache_stats(self) -> dict[str, int]:
-        """Hit/miss counters of this simulation plus resident plan count."""
-        return {
-            "hits": self._plan_cache.hits,
-            "misses": self._plan_cache.misses,
-            "entries": len(self._plan_cache),
-        }
-
-    def _stage_plan(
-        self,
-        active: tuple[int, ...],
-        batch: "Batch",
-        params: TFHEParameters,
-    ) -> "StagePlan":
-        """The batch's stage plan, partitioned once per request-mix shape.
-
-        Keyed on the tuple of *available* devices, not just their count:
-        under a fault schedule the surviving set changes mid-trace, and a
-        plan cut for devices ``(0, 1, 2, 3)`` must not be replayed onto
-        ``(0, 2, 3)`` — same stage count, different stage-to-device map.
-        Without faults the tuple is constant, so caching behaves exactly
-        as the historical count-keyed cache did.
-        """
-        from repro.sched.cost import batch_graph, batch_mix_signature
-
-        # Key on the params *object* (frozen, structurally hashed), not its
-        # name: replace(PARAM_SET_I, n=...) keeps the name but changes the
-        # graph the batch lowers to.
-        signature = (active, params, batch_mix_signature(batch))
-        return self._plan_cache.get_or_compute(
-            signature,
-            lambda: partition_graph_stages(batch_graph(batch, params), len(active)),
-        )
 
     def dispatch(
         self,
@@ -460,7 +403,7 @@ class PipelineLayout(PlacementLayout):
         params: TFHEParameters,
     ) -> Dispatch:
         active = tuple(cluster.available_indices(now))
-        plan = self._stage_plan(active, batch, params)
+        plan = partition_graph_stages(batch_graph(batch, params), len(active))
         targets = active[: len(plan.graphs)]
         shipping_s = self._key_shipping_s(cluster, batch, targets, params)
         input_transfer_s = cluster.interconnect.ciphertext_transfer_s(

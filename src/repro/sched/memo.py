@@ -17,8 +17,7 @@ policy, keyed on everything the wrapped simulation can observe:
   (:func:`~repro.sched.cost.batch_mix_signature`) for whole-batch pricing,
   or a structural graph signature for pipeline-stage pricing;
 * the TFHE parameter set — the *object*, not its name, so a structurally
-  tweaked set under a reused name can never alias a cached schedule (the
-  same invariant the stage-plan cache enforces);
+  tweaked set under a reused name can never alias a cached schedule;
 * the device geometry (the device's frozen
   :class:`~repro.arch.config.StrixConfig`) — identical chips share
   entries, heterogeneous ones cannot collide.
@@ -28,8 +27,8 @@ deterministic function of (ordered graph structure, params, config) and
 :func:`~repro.sched.cost.batch_graph` lowers equal signatures to
 identically-ordered graphs.  Cached entries are therefore pure derived
 data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
-hit/miss counters clear), exactly like the pipeline layout's stage-plan
-cache.
+hit/miss counters clear), and eviction can never change a result, only
+cost a recomputation.
 
 The cluster wraps ``cost_model="event"``, given by name, in a
 :class:`ScheduleCache` of :data:`DEFAULT_COST_CACHE_CAPACITY` entries
@@ -60,53 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: traffic repeats a handful of shapes; 512 comfortably holds a multi-tenant
 #: mix (per-entry cost is one :class:`BatchCost`, a few hundred bytes).
 DEFAULT_COST_CACHE_CAPACITY = 512
-
-
-class LruCache:
-    """A small bounded LRU of pure derived values with hit/miss counters.
-
-    The one bounded-cache implementation shared by :class:`ScheduleCache`
-    and the pipeline layout's stage-plan cache, so the two per-shape caches
-    cannot drift apart in eviction or accounting semantics.  Entries are
-    pure derived data (schedules, stage plans): eviction can never change a
-    result, only cost a recomputation, and :meth:`reset_counters` clears
-    the per-simulation bookkeeping while keeping the entries.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("a bounded cache needs capacity of at least 1")
-        self.capacity = capacity
-        self._entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get_or_compute(self, key, compute: "Callable[[], object]"):
-        """The cached value for ``key``, computing (and caching) on miss."""
-        value = self._entries.pop(key, None)
-        if value is not None:
-            self.hits += 1
-            # Move-to-back keeps eviction order LRU (dicts preserve
-            # insertion order; the front is always the coldest entry).
-            self._entries[key] = value
-            return value
-        self.misses += 1
-        value = compute()
-        if len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-        self._entries[key] = value
-        return value
-
-    def reset_counters(self) -> None:
-        """Clear hit/miss/eviction counters (cached entries are kept)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 def graph_signature(graph: ComputationGraph) -> tuple:
@@ -149,42 +101,42 @@ class ScheduleCache(CostModel):
         if capacity < 1:
             raise ValueError("a schedule cache needs capacity of at least 1")
         self.inner = get_cost_model(inner)
-        self._cache = LruCache(capacity)
+        #: Entries kept before the least-recently-used one is evicted.
+        self.capacity = capacity
+        self._entries: dict[tuple, BatchCost] = {}
+        #: Hits / misses (priced simulations) / LRU evictions since :meth:`reset`.
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     @property
     def name(self) -> str:  # type: ignore[override]
         """The wrapped model's registry name (the cache is transparent)."""
         return self.inner.name
 
-    @property
-    def capacity(self) -> int:
-        """Entries kept before the least-recently-used one is evicted."""
-        return self._cache.capacity
-
-    @property
-    def hits(self) -> int:
-        """Cache hits since the last :meth:`reset`."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Cache misses (priced simulations) since the last :meth:`reset`."""
-        return self._cache.misses
-
-    @property
-    def evictions(self) -> int:
-        """LRU evictions since the last :meth:`reset`."""
-        return self._cache.evictions
-
     # -- pricing -----------------------------------------------------------------
+
+    def _memoized(self, key: tuple, price: "Callable[[], BatchCost]") -> BatchCost:
+        cost = self._entries.pop(key, None)
+        if cost is not None:
+            self.hits += 1
+            # Move-to-back keeps eviction order LRU (dicts preserve
+            # insertion order; the front is always the coldest entry).
+            self._entries[key] = cost
+            return cost
+        self.misses += 1
+        cost = price()
+        if len(self._entries) >= self.capacity:
+            self._entries.pop(next(iter(self._entries)))
+            self.evictions += 1
+        self._entries[key] = cost
+        return cost
 
     def batch_cost(
         self, batch: "Batch", params: TFHEParameters, device: "StrixDevice"
     ) -> BatchCost:
         key = ("batch", batch_mix_signature(batch), params, device.accelerator.config)
-        return self._cache.get_or_compute(
-            key, lambda: self.inner.batch_cost(batch, params, device)
-        )
+        return self._memoized(key, lambda: self.inner.batch_cost(batch, params, device))
 
     def stage_cost(
         self,
@@ -193,7 +145,7 @@ class ScheduleCache(CostModel):
         device: "StrixDevice",
     ) -> BatchCost:
         key = ("stage", graph_signature(stage_graph), params, device.accelerator.config)
-        return self._cache.get_or_compute(
+        return self._memoized(
             key, lambda: self.inner.stage_cost(stage_graph, params, device)
         )
 
@@ -202,14 +154,14 @@ class ScheduleCache(CostModel):
     def reset(self) -> None:
         """Clear per-simulation counters (cached schedules are pure, kept)."""
         self.inner.reset()
-        self._cache.reset_counters()
+        self.hits = self.misses = self.evictions = 0
 
     @property
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters plus resident schedule count."""
         return {
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-            "evictions": self._cache.evictions,
-            "entries": len(self._cache),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "entries": len(self._entries),
         }

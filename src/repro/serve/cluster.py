@@ -40,7 +40,7 @@ from repro.arch.energy import EnergyModel
 from repro.arch.interconnect import InterconnectModel
 from repro.arch.key_cache import KeyEvictionPolicy, KeyResidencyManager
 from repro.faults import FaultInjector, FaultSchedule
-from repro.params import TFHEParameters
+from repro.params import PARAM_SET_I, TFHEParameters
 from repro.runtime.result import RunResult
 from repro.runtime.workload import WorkloadLike, resolve_params
 from repro.sched.cost import CostModel, EventDrivenCostModel, get_cost_model
@@ -237,7 +237,7 @@ class StrixCluster:
     # -- serving path ------------------------------------------------------------
 
     def batch_service_s(self, batch: Batch, params: TFHEParameters) -> float:
-        """Time one device needs to execute a serving batch.
+        """Test reference: the time one device needs to execute a serving batch.
 
         The cost model prices the compute residency (bootstraps streaming
         through the epoch pipeline, PBS-free encryption traffic on the
@@ -304,12 +304,6 @@ class StrixCluster:
         }
 
 
-def resolve_cluster_params(
-    params: TFHEParameters | str | None, default_name: str = "I"
-) -> TFHEParameters:
+def resolve_cluster_params(params: TFHEParameters | str | None) -> TFHEParameters:
     """Resolve the parameter set serving operates under (set I by default)."""
-    resolved = resolve_params(params)
-    if resolved is None:
-        resolved = resolve_params(default_name)
-    assert resolved is not None
-    return resolved
+    return resolve_params(params, PARAM_SET_I)

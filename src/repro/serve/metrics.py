@@ -106,9 +106,6 @@ class ServeMetrics:
     #: reships / shipped_bytes) from the cluster's
     #: :class:`~repro.arch.key_cache.KeyResidencyManager`.
     key_cache: dict[str, int] = field(default_factory=dict)
-    #: Stage-plan cache counters (hits / misses / entries) when the layout
-    #: plans stages (the pipeline layout); empty otherwise.
-    stage_plan_cache: dict[str, int] = field(default_factory=dict)
     #: Schedule-cache counters (hits / misses / evictions / entries) when
     #: the cost model memoizes (the event model's
     #: :class:`~repro.sched.memo.ScheduleCache`); empty otherwise.
@@ -147,7 +144,6 @@ class ServeMetrics:
             },
             "cost_breakdown": dict(self.cost_breakdown),
             "key_cache": dict(self.key_cache),
-            "stage_plan_cache": dict(self.stage_plan_cache),
             "cost_cache": dict(self.cost_cache),
         }
         if self.availability:
@@ -196,12 +192,6 @@ class ServeMetrics:
                 f"{keys.get('misses', 0)} misses, "
                 f"{keys.get('evictions', 0)} evictions, "
                 f"{keys.get('reships', 0)} re-ships"
-            )
-        if self.stage_plan_cache.get("hits") or self.stage_plan_cache.get("misses"):
-            plans = self.stage_plan_cache
-            lines.append(
-                f"plans:    {plans.get('hits', 0)} cache hits, "
-                f"{plans.get('misses', 0)} partitions"
             )
         if self.cost_cache.get("hits") or self.cost_cache.get("misses"):
             costs = self.cost_cache
@@ -317,18 +307,16 @@ class MetricsCollector:
         peak_queue_depth: int,
         device_utilization: dict[str, float],
         key_cache: dict[str, int] | None = None,
-        stage_plan_cache: dict[str, int] | None = None,
         cost_cache: dict[str, int] | None = None,
         availability: dict[str, Any] | None = None,
         overload: dict[str, Any] | None = None,
     ) -> ServeMetrics:
         """Fold the observations into one :class:`ServeMetrics`.
 
-        ``key_cache`` / ``stage_plan_cache`` / ``cost_cache`` /
-        ``availability`` / ``overload`` are end-of-run counter snapshots
-        (read from the cluster's residency manager, the layout, the cost
-        model, the fault injector and the flow controller) rather than
-        accumulated per-batch observations.
+        ``key_cache`` / ``cost_cache`` / ``availability`` / ``overload`` are
+        end-of-run counter snapshots (read from the cluster's residency
+        manager, the cost model, the fault injector and the flow
+        controller) rather than accumulated per-batch observations.
         """
         latencies = [outcome.latency_s for outcome in self.outcomes]
         delays = [outcome.queue_delay_s for outcome in self.outcomes]
@@ -365,7 +353,6 @@ class MetricsCollector:
             },
             cost_breakdown=dict(self._cost_breakdown),
             key_cache=dict(key_cache or {}),
-            stage_plan_cache=dict(stage_plan_cache or {}),
             cost_cache=dict(cost_cache or {}),
             availability=dict(availability or {}),
             overload=dict(overload or {}),

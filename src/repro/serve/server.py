@@ -507,7 +507,6 @@ class ServingRun:
             peak_queue_depth=self.queue.peak_depth,
             device_utilization=cluster.device_utilization(horizon),
             key_cache=cluster.key_cache_stats,
-            stage_plan_cache=cluster.layout.plan_cache_stats,
             cost_cache=cluster.cost_cache_stats,
             availability=cluster.faults.availability(horizon),
             overload=server.flow.overload(),
@@ -615,11 +614,6 @@ class Server:
             "Schedule-cache counters",
         )
         self.registry.register_view(
-            "serve_stage_plan_cache",
-            lambda: self.cluster.layout.plan_cache_stats,
-            "Pipeline stage-plan cache counters",
-        )
-        self.registry.register_view(
             "serve_layout", lambda: self.cluster.layout.runtime_stats,
             "Placement-layout runtime state",
         )
@@ -722,7 +716,7 @@ class Server:
         """One flat snapshot of the unified registry.
 
         Serving counters and latency histograms plus the live views
-        (queue, batcher, key/cost/stage-plan caches, layout, and — behind
+        (queue, batcher, key and cost caches, layout, and — behind
         a :class:`~repro.net.NetServer` — the wire).  This is exactly what
         the net protocol's ``STATS`` frame serializes.
         """

@@ -59,13 +59,6 @@ class FragmentPlan:
         """The paper's fragment count (extra passes beyond the first)."""
         return max(self.num_passes - 1, 0)
 
-    @property
-    def occupancy(self) -> float:
-        """Average batch occupancy across the passes (1.0 = fully packed)."""
-        if not self.fragment_sizes:
-            return 0.0
-        return self.ciphertexts / (self.num_passes * self.batch_size)
-
 
 @functools.lru_cache(maxsize=4096)
 def plan_fragments(ciphertexts: int, batch_size: int) -> FragmentPlan:

@@ -59,12 +59,6 @@ class ComputationNode:
             return self.ciphertexts
         return 0
 
-    def keyswitch_count(self) -> int:
-        """Number of keyswitches the node performs."""
-        if self.kind in (NodeKind.KEYSWITCH, NodeKind.PBS_KS):
-            return self.ciphertexts
-        return 0
-
 
 class ComputationGraph:
     """A DAG of :class:`ComputationNode` with topological iteration."""
@@ -160,10 +154,6 @@ class ComputationGraph:
     def total_pbs(self) -> int:
         """Total programmable bootstraps across the graph."""
         return sum(node.pbs_count() for node in self._nodes.values())
-
-    def total_keyswitches(self) -> int:
-        """Total keyswitches across the graph."""
-        return sum(node.keyswitch_count() for node in self._nodes.values())
 
     def total_linear_operations(self) -> int:
         """Total linear multiply-accumulate operations across the graph."""

@@ -70,11 +70,6 @@ class ScheduleResult:
     core_utilization: dict[str, float] = field(default_factory=dict)
 
     @property
-    def total_time_ms(self) -> float:
-        """End-to-end execution time in milliseconds."""
-        return self.total_time_s * 1e3
-
-    @property
     def pbs_throughput(self) -> float:
         """Achieved PBS/s over the whole workload."""
         if self.total_time_s <= 0:

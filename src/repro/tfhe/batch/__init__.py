@@ -13,7 +13,7 @@ kernels stay as the oracle, reachable through the per-ciphertext API.
 
 from __future__ import annotations
 
-from repro.tfhe.batch.gates import BATCH_GATES, batch_gate
+from repro.tfhe.batch.gates import batch_gate
 from repro.tfhe.batch.kernels import (
     BatchBootstrapResult,
     batch_blind_rotate,
@@ -30,7 +30,6 @@ from repro.tfhe.batch.kernels import (
 from repro.tfhe.batch.types import GlweBatch, LweBatch
 
 __all__ = [
-    "BATCH_GATES",
     "BatchBootstrapResult",
     "GlweBatch",
     "LweBatch",

@@ -30,10 +30,6 @@ _GATE_COMBINATIONS: dict[str, tuple[tuple[int, ...], int, int]] = {
     "andny": ((-1, 1), -1, 8),
 }
 
-#: Gates evaluable on a batch, including the compositions handled directly
-#: by :func:`batch_gate`.
-BATCH_GATES = tuple(_GATE_COMBINATIONS) + ("not", "mux")
-
 
 def batch_gate(
     gate: str,

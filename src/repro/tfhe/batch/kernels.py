@@ -427,7 +427,6 @@ def batch_programmable_bootstrap(
     bootstrapping_key: BootstrappingKey,
     params: TFHEParameters,
     keyswitching_key: KeySwitchingKey | None = None,
-    output_delta: int | None = None,
 ) -> BatchBootstrapResult:
     """Evaluate ``f`` on every encrypted message while refreshing the noise.
 
@@ -436,7 +435,7 @@ def batch_programmable_bootstrap(
     function and the parameters) and every element is rotated by its own
     phase.
     """
-    test_vector = make_test_vector(function, params, output_delta)
+    test_vector = make_test_vector(function, params)
     return batch_bootstrap_with_test_vector(
         batch, test_vector, bootstrapping_key, params, keyswitching_key
     )
@@ -447,11 +446,9 @@ def batch_bootstrap_to_sign(
     bootstrapping_key: BootstrappingKey,
     params: TFHEParameters,
     keyswitching_key: KeySwitchingKey | None = None,
-    magnitude: int | None = None,
 ) -> BatchBootstrapResult:
     """Gate-bootstrapping primitive over a batch: phase sign onto ``±q/8``."""
-    value = params.q // 8 if magnitude is None else int(magnitude)
-    test_vector = make_constant_test_vector(value, params)
+    test_vector = make_constant_test_vector(params.q // 8, params)
     return batch_bootstrap_with_test_vector(
         batch, test_vector, bootstrapping_key, params, keyswitching_key
     )

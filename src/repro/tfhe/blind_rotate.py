@@ -30,7 +30,6 @@ def modulus_switch(ciphertext: LweCiphertext, params: TFHEParameters) -> tuple[n
 def make_test_vector(
     function: Callable[[int], int],
     params: TFHEParameters,
-    output_delta: int | None = None,
 ) -> np.ndarray:
     """Build the test-vector polynomial encoding a function ``Z_p -> Z_p``.
 
@@ -43,7 +42,7 @@ def make_test_vector(
     n_poly = params.N
     if n_poly % p:
         raise ValueError(f"message modulus {p} must divide the polynomial degree {n_poly}")
-    delta = params.delta if output_delta is None else output_delta
+    delta = params.delta
     block = n_poly // p
     values = np.zeros(n_poly, dtype=np.int64)
     for message in range(p):
@@ -97,7 +96,7 @@ def blind_rotate_plaintext(
     phase_2n: int,
     params: TFHEParameters,
 ) -> int:
-    """Plaintext model of blind rotation: the value extraction would return.
+    """Test reference: the plaintext model of blind rotation, the value extraction would return.
 
     Computes the constant coefficient of ``test_vector * X^{-phase_2n}``
     modulo ``X^N + 1``; used by tests and by the CPU baseline cost model to

@@ -48,7 +48,6 @@ def programmable_bootstrap(
     bootstrapping_key: BootstrappingKey,
     params: TFHEParameters,
     keyswitching_key: KeySwitchingKey | None = None,
-    output_delta: int | None = None,
 ) -> BootstrapResult:
     """Evaluate ``f`` on the encrypted message while refreshing its noise.
 
@@ -61,11 +60,8 @@ def programmable_bootstrap(
     bootstrapping_key, keyswitching_key:
         Evaluation keys.  When ``keyswitching_key`` is omitted the result
         stays under the extracted ``k*N``-dimensional key.
-    output_delta:
-        Optional scaling factor for the output encoding (defaults to the
-        input encoding).
     """
-    test_vector = make_test_vector(function, params, output_delta)
+    test_vector = make_test_vector(function, params)
     accumulator = blind_rotate(test_vector, ciphertext, bootstrapping_key, params)
     extracted = accumulator.sample_extract(0)
     if keyswitching_key is None:
@@ -79,31 +75,17 @@ def bootstrap_to_sign(
     bootstrapping_key: BootstrappingKey,
     params: TFHEParameters,
     keyswitching_key: KeySwitchingKey | None = None,
-    magnitude: int | None = None,
 ) -> BootstrapResult:
     """Gate-bootstrapping primitive: map the phase sign onto ``±q/8``.
 
-    Returns an encryption of ``+magnitude`` when the input phase lies in the
-    lower half of the torus ``(0, q/2)`` and ``-magnitude`` otherwise.  The
+    Returns an encryption of ``+q/8`` when the input phase lies in the
+    lower half of the torus ``(0, q/2)`` and ``-q/8`` otherwise.  The
     boolean gates of :mod:`repro.tfhe.gates` are built on this primitive.
     """
-    value = params.q // 8 if magnitude is None else int(magnitude)
-    test_vector = make_constant_test_vector(value, params)
+    test_vector = make_constant_test_vector(params.q // 8, params)
     accumulator = blind_rotate(test_vector, ciphertext, bootstrapping_key, params)
     extracted = accumulator.sample_extract(0)
     if keyswitching_key is None:
         return BootstrapResult(extracted, extracted)
     switched = keyswitch(extracted, keyswitching_key, params)
     return BootstrapResult(switched, extracted)
-
-
-def identity_bootstrap(
-    ciphertext: LweCiphertext,
-    bootstrapping_key: BootstrappingKey,
-    params: TFHEParameters,
-    keyswitching_key: KeySwitchingKey | None = None,
-) -> BootstrapResult:
-    """Noise-refreshing bootstrap that keeps the message unchanged."""
-    return programmable_bootstrap(
-        ciphertext, lambda m: m, bootstrapping_key, params, keyswitching_key
-    )

@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from repro.fft.folding import checked_out
-from repro.params import TFHEParameters
 
 
 def decompose(
@@ -87,7 +86,7 @@ def decompose_folded(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Signed digits written straight into the folded complex layout.
+    """Test entry point, the one-shot :func:`plan_decompose_folded`: digits in the folded layout.
 
     The digits of :func:`decompose_rows`, but stored the way the folded FFT
     (:meth:`repro.fft.folding.FoldedNegacyclicTransform.fold`) wants them:
@@ -206,7 +205,7 @@ def recompose(
     log2_base: int,
     q_bits: int = 32,
 ) -> np.ndarray:
-    """Rebuild the rounded torus values from their signed digits.
+    """Test reference: rebuild the rounded torus values from their signed digits.
 
     Inverse (up to the rounding error bound) of :func:`decompose`; used by
     the property tests.
@@ -243,14 +242,5 @@ def decompose_polynomial_list(
 
 
 def decomposition_error_bound(levels: int, log2_base: int, q_bits: int = 32) -> int:
-    """Worst-case wrap-around reconstruction error: ``q / (2 * B^levels)``."""
+    """Test reference: worst-case wrap-around reconstruction error, ``q / (2 * B^levels)``."""
     return 1 << max(q_bits - levels * log2_base - 1, 0)
-
-
-def decompose_for_params(
-    values: np.ndarray, params: TFHEParameters, *, keyswitch: bool = False
-) -> np.ndarray:
-    """Convenience wrapper selecting the PBS or keyswitching decomposition."""
-    if keyswitch:
-        return decompose(values, params.lk, params.log2_base_ks, params.q_bits)
-    return decompose(values, params.lb, params.log2_base_pbs, params.q_bits)

@@ -50,7 +50,7 @@ class GateBootstrapper:
     # -- gates -----------------------------------------------------------------
 
     def not_(self, a: LweCiphertext) -> LweCiphertext:
-        """NOT: pure negation, no bootstrap needed."""
+        """Scalar oracle of the batch gate: NOT, pure negation, no bootstrap needed."""
         return -a
 
     def and_(self, a: LweCiphertext, b: LweCiphertext) -> LweCiphertext:
@@ -69,7 +69,7 @@ class GateBootstrapper:
         return self._bootstrap(combination)
 
     def nor(self, a: LweCiphertext, b: LweCiphertext) -> LweCiphertext:
-        """NOR(a, b) = sign(-q/8 - a - b)."""
+        """Scalar oracle of the batch gate: NOR(a, b) = sign(-q/8 - a - b)."""
         combination = (-(a + b)).add_plaintext(-self._offset(1, 8))
         return self._bootstrap(combination)
 
@@ -91,7 +91,7 @@ class GateBootstrapper:
     def mux(
         self, select: LweCiphertext, if_true: LweCiphertext, if_false: LweCiphertext
     ) -> LweCiphertext:
-        """MUX(select, t, f) = (select AND t) OR ((NOT select) AND f).
+        """Scalar oracle of the batch gate: (select AND t) OR ((NOT select) AND f).
 
         Uses three bootstraps; the dedicated two-bootstrap MUX of the TFHE
         library is a latency optimization that does not change throughput

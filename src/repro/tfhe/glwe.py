@@ -112,10 +112,6 @@ class GlweCiphertext:
         body = polynomial.monomial_multiply(self.body, exponent, q)
         return GlweCiphertext(mask, body, self.params)
 
-    def rotate_and_subtract(self, exponent: int) -> "GlweCiphertext":
-        """Return ``X^exponent * self - self`` (the Rotator unit's operation)."""
-        return self.rotate(exponent) - self
-
     def sample_extract(self, index: int = 0) -> LweCiphertext:
         """Extract the LWE ciphertext of coefficient ``index`` of the message.
 

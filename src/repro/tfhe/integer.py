@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.params import TFHEParameters
-from repro.sim.graph import ComputationGraph
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
@@ -38,11 +37,6 @@ class EncryptedInteger:
     def num_digits(self) -> int:
         """Number of radix digits."""
         return len(self.digits)
-
-    @property
-    def bit_width(self) -> int:
-        """Plaintext bit width the representation covers."""
-        return self.num_digits * self.digit_bits
 
     @property
     def radix(self) -> int:
@@ -171,27 +165,3 @@ class RadixIntegerCodec:
     def _check_compatible(self, a: EncryptedInteger, b: EncryptedInteger) -> None:
         if a.num_digits != b.num_digits or a.digit_bits != b.digit_bits:
             raise ValueError("operands must share digit count and digit width")
-
-
-def radix_addition_graph(
-    params: TFHEParameters,
-    bit_width: int,
-    digit_bits: int,
-    additions: int,
-) -> ComputationGraph:
-    """Computation graph of ``additions`` independent radix additions.
-
-    Used by the simulator to project large-integer workloads onto Strix: the
-    carry ripple makes digits sequential, while independent additions batch
-    across the test-vector level parallelism.
-    """
-    if bit_width % digit_bits:
-        raise ValueError("bit_width must be a multiple of digit_bits")
-    num_digits = bit_width // digit_bits
-    graph = ComputationGraph(params, name=f"radix-add-{bit_width}bit-x{additions}")
-    previous = None
-    for digit in range(num_digits):
-        name = f"digit{digit}"
-        graph.add_pbs_layer(name, 2 * additions, depends_on=[previous] if previous else [])
-        previous = name
-    return graph

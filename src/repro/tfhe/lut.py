@@ -97,13 +97,6 @@ def relu_lut(params: TFHEParameters) -> LookUpTable:
     return LookUpTable.from_function(lambda m: m if m < half else 0, params)
 
 
-def sign_lut(params: TFHEParameters) -> LookUpTable:
-    """Sign function: 1 for the lower half of the message space, 0 otherwise."""
-    p = params.message_modulus
-    half = p // 2
-    return LookUpTable.from_function(lambda m: 1 if m < half else 0, params)
-
-
 def threshold_lut(threshold: int, params: TFHEParameters) -> LookUpTable:
     """Comparator table: 1 when ``m >= threshold`` else 0."""
     return LookUpTable.from_function(lambda m: 1 if m >= threshold else 0, params)

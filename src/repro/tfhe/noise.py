@@ -22,12 +22,12 @@ from repro.tfhe.lwe import LweCiphertext
 
 
 def fresh_lwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted LWE ciphertext."""
+    """Variance of a freshly encrypted LWE ciphertext (only tests call it until ROADMAP item 3)."""
     return params.lwe_noise_std**2
 
 
 def fresh_glwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted GLWE ciphertext."""
+    """Variance of a freshly encrypted GLWE ciphertext (only tests call it until ROADMAP item 3)."""
     return params.glwe_noise_std**2
 
 
@@ -74,7 +74,7 @@ def keyswitch_variance(params: TFHEParameters, input_variance: float) -> float:
 
 
 def modulus_switch_variance(params: TFHEParameters, input_variance: float) -> float:
-    """Variance after switching to modulus ``2N`` (expressed on the 2N scale)."""
+    """Variance after switching to modulus ``2N``, on that scale (test-only until ROADMAP item 3)."""
     rounding = 1.0 / (2.0 * 2 * params.N)
     return input_variance + (params.n + 1) * (rounding**2 / 3.0)
 
@@ -85,7 +85,7 @@ def pbs_output_variance(params: TFHEParameters) -> float:
 
 
 def decryption_failure_margin(params: TFHEParameters) -> float:
-    """Ratio of the decoding half-step to the PBS output standard deviation.
+    """Decoding half-step over the PBS output standard deviation (test-only until ROADMAP item 3).
 
     Values comfortably above ~4 correspond to negligible failure probability.
     """
@@ -128,7 +128,7 @@ def measure_lwe_noise(
     key_bits: np.ndarray,
     params: TFHEParameters,
 ) -> NoiseMeasurement:
-    """Empirically measure the noise of a batch of LWE ciphertexts."""
+    """Empirically measure the noise of LWE ciphertexts (test-only until ROADMAP item 3)."""
     phases = np.array([ct.phase(key_bits) for ct in ciphertexts], dtype=np.int64)
     expected = np.array(expected_values, dtype=np.int64)
     return NoiseMeasurement.from_phases(phases, expected, params)

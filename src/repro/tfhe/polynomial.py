@@ -28,24 +28,9 @@ def get_transform(degree: int) -> FoldedNegacyclicTransform:
     return get_folded_transform(degree)
 
 
-def zero(degree: int) -> np.ndarray:
-    """The zero polynomial of the given degree."""
-    return np.zeros(degree, dtype=np.int64)
-
-
 def add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Coefficient-wise addition modulo ``q``."""
     return torus.reduce(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64), q)
-
-
-def sub(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Coefficient-wise subtraction modulo ``q``."""
-    return torus.reduce(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64), q)
-
-
-def negate(a: np.ndarray, q: int) -> np.ndarray:
-    """Coefficient-wise negation modulo ``q``."""
-    return torus.reduce(-np.asarray(a, dtype=np.int64), q)
 
 
 def monomial_multiply(a: np.ndarray, exponent: int, q: int) -> np.ndarray:
@@ -72,15 +57,6 @@ def monomial_multiply(a: np.ndarray, exponent: int, q: int) -> np.ndarray:
     return torus.reduce(rotated, q)
 
 
-def rotate_and_subtract(a: np.ndarray, exponent: int, q: int) -> np.ndarray:
-    """Compute ``X^exponent * a - a`` modulo ``(X^N + 1, q)``.
-
-    This is the "rotate and subtract" step of each blind rotation iteration
-    (Algorithm 1, line 6), implemented by the Rotator unit in Strix.
-    """
-    return sub(monomial_multiply(a, exponent, q), a, q)
-
-
 def integer_multiply(torus_poly: np.ndarray, integer_poly: np.ndarray, q: int) -> np.ndarray:
     """Multiply a torus polynomial by a small-coefficient integer polynomial.
 
@@ -93,8 +69,3 @@ def integer_multiply(torus_poly: np.ndarray, integer_poly: np.ndarray, q: int) -
     centered = torus.to_signed(torus_poly, q)
     product = transform.multiply(centered, np.asarray(integer_poly, dtype=np.int64))
     return torus.reduce(product, q)
-
-
-def constant_term(a: np.ndarray) -> int:
-    """Return the degree-zero coefficient of a polynomial."""
-    return int(np.asarray(a)[..., 0])

@@ -99,7 +99,7 @@ def lwe_from_bytes(data: bytes, params: TFHEParameters) -> list[LweCiphertext]:
 
 
 def lwe_batch_from_bytes(data: bytes, params: TFHEParameters) -> LweBatch:
-    """Decode the bytes of :func:`lwe_to_bytes` into one stacked batch."""
+    """Decode the bytes of :func:`lwe_to_bytes` into one stacked batch (only tests call it yet)."""
     masks, bodies = _parse_lwe_bytes(data, params)
     return LweBatch(masks, bodies, params)
 

@@ -65,16 +65,6 @@ def gaussian_noise(shape, std: float, q: int, rng: np.random.Generator) -> np.nd
     return np.mod(np.round(noise).astype(np.int64), q)
 
 
-def round_to_multiple(values: np.ndarray | int, step: int, q: int):
-    """Round torus values to the nearest multiple of ``step`` (mod ``q``)."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if np.isscalar(values) or isinstance(values, (int, np.integer)):
-        return ((int(values) + step // 2) // step * step) % q
-    values = np.asarray(values, dtype=np.int64)
-    return np.mod((values + step // 2) // step * step, q)
-
-
 def switch_modulus(values: np.ndarray | int, q: int, new_modulus: int):
     """Rescale torus values from modulus ``q`` to ``new_modulus`` with rounding.
 
@@ -88,6 +78,6 @@ def switch_modulus(values: np.ndarray | int, q: int, new_modulus: int):
 
 
 def absolute_distance(a, b, q: int):
-    """Shortest wrap-around distance between two torus values."""
+    """Test reference: shortest wrap-around distance between two torus values."""
     diff = np.mod(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64), q)
     return np.minimum(diff, q - diff)

@@ -41,7 +41,6 @@ class TestPbsMicrobenchmark:
         assert performance.compute_bound is True
         assert performance.device_batch_size == 8
         assert performance.core_batch_size == 64
-        assert performance.total_batch_size == 512
         assert performance.required_bandwidth_gbps < STRIX_DEFAULT.hbm_bandwidth_gbps
 
     def test_required_bandwidth_within_hbm_for_default_config(self, strix):

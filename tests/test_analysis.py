@@ -7,14 +7,17 @@ import pytest
 from repro.analysis.breakdown import cpu_workload_breakdown
 from repro.analysis.deep_nn_benchmark import deep_nn_benchmark
 from repro.analysis.folding_ablation import folding_ablation
-from repro.analysis.fragmentation import gpu_fragmentation_study, strix_batching_study
+from repro.analysis.fragmentation import gpu_fragmentation_study
 from repro.analysis.tables import (
     area_power_table,
     pbs_comparison_table,
     render_area_power_table,
 )
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
+from repro.arch.accelerator import StrixAccelerator
+from repro.baselines.gpu_model import NuFheGpuModel
 from repro.params import PARAM_SET_I, PARAM_SET_II
+from repro.sim.fragments import blind_rotation_fragments
 
 
 class TestFig1Breakdown:
@@ -56,13 +59,15 @@ class TestFig2Fragmentation:
         assert "Device-level" in text and "Core-level" in text
 
     def test_strix_batching_removes_fragments(self):
-        comparisons = strix_batching_study([288, 784])
-        for comparison in comparisons:
-            assert comparison.strix_fragments <= comparison.gpu_fragments
-            assert comparison.fragment_reduction >= 1.0
-        by_count = {c.ciphertexts: c for c in comparisons}
-        assert by_count[288].strix_fragments == 0
-        assert by_count[288].gpu_fragments == 3
+        accelerator = StrixAccelerator()
+        strix_batch = accelerator.config.tvlp * accelerator.core.core_batch_size(PARAM_SET_I)
+        gpu_sms = NuFheGpuModel().sms
+        for count in (288, 784):
+            assert blind_rotation_fragments(count, strix_batch) <= blind_rotation_fragments(
+                count, gpu_sms
+            )
+        assert blind_rotation_fragments(288, strix_batch) == 0
+        assert blind_rotation_fragments(288, gpu_sms) == 3
 
 
 class TestTable3AreaPower:

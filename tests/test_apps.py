@@ -24,7 +24,7 @@ from repro.sim.graph import NodeKind
 class TestDeepNNModel:
     def test_paper_model_shapes(self):
         nn20 = ZAMA_DEEP_NN_MODELS["NN-20"]
-        assert nn20.input_ciphertexts == 784
+        assert nn20.image_size**2 == 784
         assert nn20.conv_activations == 840
         assert nn20.dense_layers == 19
         assert nn20.dense_neurons == 92
@@ -37,14 +37,19 @@ class TestDeepNNModel:
         assert ZAMA_DEEP_NN_MODELS[name].pbs_count() == expected_pbs
 
     def test_linear_operations_grow_with_depth(self):
-        ops = [ZAMA_DEEP_NN_MODELS[name].linear_operations() for name in ("NN-20", "NN-50", "NN-100")]
+        ops = [
+            build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[name], DEEP_NN_N1024).total_linear_operations()
+            for name in ("NN-20", "NN-50", "NN-100")
+        ]
         assert ops == sorted(ops)
 
     def test_graph_matches_model_counts(self):
         model = ZAMA_DEEP_NN_MODELS["NN-20"]
         graph = build_deep_nn_graph(model, DEEP_NN_N1024)
         assert graph.total_pbs() == model.pbs_count()
-        assert graph.total_linear_operations() == model.linear_operations()
+        # A 10x11 kernel per conv activation, one dense layer fed by the conv
+        # activations, the other 18 dense layers square.
+        assert graph.total_linear_operations() == 840 * 110 + 92 * 840 + 18 * 92 * 92
         # 2 nodes per layer (linear + relu).
         assert len(graph) == 2 * model.depth
 

@@ -27,12 +27,8 @@ class TestStrixConfig:
         assert STRIX_UNFOLDED.effective_lanes == 4
 
     def test_fft_points_halved_by_folding(self):
-        assert STRIX_DEFAULT.fft_points == 8192
-        assert STRIX_UNFOLDED.fft_points == 16384
-
-    def test_chip_coefficient_throughput(self):
-        # 2*CLP*CoLP*TvLP coefficients per cycle (Section V).
-        assert STRIX_DEFAULT.chip_coefficient_throughput == 2 * 4 * 2 * 8
+        assert PipelinedFFTUnit.from_config(STRIX_DEFAULT).points == 8192
+        assert PipelinedFFTUnit.from_config(STRIX_UNFOLDED).points == 16384
 
     def test_cycle_conversions(self):
         assert STRIX_DEFAULT.cycles_to_seconds(1.2e9) == pytest.approx(1.0)
@@ -74,7 +70,6 @@ class TestPipelinedFFTUnit:
     def test_butterflies_per_stage_is_half_clp(self):
         unit = PipelinedFFTUnit(1024, clp=4)
         assert unit.butterflies_per_stage == 2
-        assert unit.total_butterflies == 2 * unit.num_stages
 
     def test_initiation_interval_matches_paper_formula(self):
         # Paper: a new N-point polynomial every N/CLP cycles (per physical
@@ -126,7 +121,7 @@ class TestPipelinedFFTUnit:
 
     def test_from_config(self):
         unit = PipelinedFFTUnit.from_config(STRIX_DEFAULT)
-        assert unit.points == STRIX_DEFAULT.fft_points
+        assert unit.points == STRIX_DEFAULT.max_fft_points // 2
         assert unit.clp == STRIX_DEFAULT.clp
 
     def test_invalid_construction(self):

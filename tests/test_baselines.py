@@ -10,7 +10,6 @@ from repro.baselines.gpu_model import NuFheGpuModel
 from repro.baselines.reference_platforms import (
     PUBLISHED_PBS_RESULTS,
     published_results_for,
-    published_strix_result,
 )
 from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_II, PARAM_SET_III
 
@@ -47,7 +46,7 @@ class TestCpuModel:
         assert breakdown.gate_shares["keyswitch"] == pytest.approx(0.30, abs=0.10)
         assert breakdown.gate_shares["linear"] == pytest.approx(0.05, abs=0.03)
         assert breakdown.pbs_shares["blind_rotation"] > 0.95
-        assert breakdown.dominant_gate_component() == "pbs"
+        assert max(breakdown.gate_shares, key=breakdown.gate_shares.get) == "pbs"
 
     def test_breakdown_shares_sum_to_one(self, cpu):
         breakdown = cpu.workload_breakdown(PARAM_SET_II)
@@ -125,14 +124,13 @@ class TestPublishedResults:
         assert {row.platform for row in set1} >= {"Concrete", "NuFHE", "Matcha", "Strix"}
 
     def test_published_strix_lookup(self):
-        row = published_strix_result("I")
+        (row,) = published_results_for("Strix", "I")
         assert row.throughput_pbs_per_s == 74696
-        with pytest.raises(KeyError):
-            published_strix_result("V")
+        assert published_results_for("Strix", "V") == []
 
     def test_xhec_rows_have_no_latency(self):
         for row in published_results_for("XHEC"):
-            assert not row.has_latency
+            assert row.latency_ms is None
 
     def test_strix_dominates_all_published_platforms(self):
         strix = {row.parameter_set: row for row in published_results_for("Strix")}

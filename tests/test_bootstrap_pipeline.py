@@ -16,7 +16,6 @@ from repro.tfhe.blind_rotate import (
 )
 from repro.tfhe.bootstrap import (
     bootstrap_to_sign,
-    identity_bootstrap,
     programmable_bootstrap,
 )
 from repro.tfhe.keyswitch import keyswitch
@@ -134,8 +133,9 @@ class TestProgrammableBootstrap:
     @pytest.mark.parametrize("message", range(P))
     def test_identity_bootstrap(self, toy_context, message):
         keys = toy_context.server_keys
-        result = identity_bootstrap(
+        result = programmable_bootstrap(
             toy_context.encrypt(message),
+            lambda m: m,
             keys.bootstrapping_key,
             PARAMS,
             keys.keyswitching_key,
@@ -177,8 +177,8 @@ class TestProgrammableBootstrap:
         noisy = toy_context.encrypt(1)
         for _ in range(20):
             noisy = noisy + toy_context.encrypt(0)
-        refreshed = identity_bootstrap(
-            noisy, keys.bootstrapping_key, PARAMS, keys.keyswitching_key
+        refreshed = programmable_bootstrap(
+            noisy, lambda m: m, keys.bootstrapping_key, PARAMS, keys.keyswitching_key
         ).ciphertext
         assert toy_context.decrypt(refreshed) == 1
 

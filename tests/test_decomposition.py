@@ -12,7 +12,6 @@ from repro.tfhe import torus
 from repro.tfhe.decomposition import (
     decompose,
     decompose_folded,
-    decompose_for_params,
     decompose_polynomial_list,
     decomposition_error_bound,
     recompose,
@@ -67,8 +66,9 @@ class TestDecompose:
 
     def test_decompose_for_params_selects_pbs_or_ks(self, rng):
         values = rng.integers(0, Q, 16)
-        pbs_digits = decompose_for_params(values, TOY_PARAMETERS)
-        ks_digits = decompose_for_params(values, TOY_PARAMETERS, keyswitch=True)
+        params = TOY_PARAMETERS
+        pbs_digits = decompose(values, params.lb, params.log2_base_pbs, params.q_bits)
+        ks_digits = decompose(values, params.lk, params.log2_base_ks, params.q_bits)
         assert pbs_digits.shape[0] == TOY_PARAMETERS.lb
         assert ks_digits.shape[0] == TOY_PARAMETERS.lk
 

@@ -130,9 +130,10 @@ def test_time_indexed_queries():
     assert schedule.available_indices(0.25, 4) == [0, 3]
     assert schedule.available_indices(0.45, 4) == [0, 1, 2, 3]
     # Overlapping slowdowns compose multiplicatively.
-    assert schedule.slow_factor_at(0, 0.15) == pytest.approx(6.0)
-    assert schedule.slow_factor_at(0, 0.45) == pytest.approx(2.0)
-    assert schedule.slow_factor_at(0, 0.6) == 1.0
+    injector = FaultInjector(schedule)
+    assert injector.adjust_service(0, 0.15, 1.0) == pytest.approx(6.0)
+    assert injector.adjust_service(0, 0.45, 1.0) == pytest.approx(2.0)
+    assert injector.adjust_service(0, 0.6, 1.0) == 1.0
 
 
 def test_first_available_s():
@@ -382,8 +383,6 @@ def test_pipeline_recuts_stages_across_survivors():
     for span in recut:
         assert 1 not in span.devices
         assert len(span.stages) <= 3  # re-cut over the three survivors
-    # The stage-plan cache holds both cuts: pre-death and post-death.
-    assert server.cluster.layout.plan_cache_stats["entries"] >= 2
 
 
 def test_elastic_backfills_dead_actives():

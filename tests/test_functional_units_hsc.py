@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arch.accelerator import StrixAccelerator
 from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED
 from repro.arch.functional_units import (
     PBS_PIPELINE_ORDER,
@@ -12,6 +13,7 @@ from repro.arch.functional_units import (
 )
 from repro.arch.hsc import HomomorphicStreamingCore
 from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
+from repro.sim.trace import build_occupancy_trace
 
 
 class TestPbsCluster:
@@ -119,7 +121,8 @@ class TestHscPipeline:
         assert core.core_batch_size(PARAM_SET_IV) == 4
 
     def test_streaming_beats_single_latency(self, core):
-        assert core.pbs_cycles_per_lwe_streaming(PARAM_SET_I) < core.pbs_cycles_single(PARAM_SET_I)
+        single = PARAM_SET_I.n * core.pipeline_timing(PARAM_SET_I).iteration_latency
+        assert core.pbs_cycles_per_lwe_streaming(PARAM_SET_I) < single
 
     def test_occupancy_trace_structure(self, core):
         intervals = core.occupancy_trace(PARAM_SET_I, lwes_per_core=3, iterations=2)
@@ -142,8 +145,8 @@ class TestHscPipeline:
                 assert later.start_cycle >= earlier.end_cycle
 
     def test_trace_utilization_high_for_fft(self, core):
-        intervals = core.occupancy_trace(PARAM_SET_I, lwes_per_core=8, iterations=3)
-        utilization = core.trace_utilization(intervals)
+        accelerator = StrixAccelerator(core.config)
+        utilization = build_occupancy_trace(accelerator, PARAM_SET_I, 8, 3).utilization
         assert utilization["fft"] > 0.8
         assert utilization["rotator"] < utilization["fft"]
 

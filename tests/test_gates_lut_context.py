@@ -10,7 +10,7 @@ import pytest
 from repro.params import TOY_PARAMETERS
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.gates import GateBootstrapper
-from repro.tfhe.lut import LookUpTable, relu_lut, sign_lut, threshold_lut
+from repro.tfhe.lut import LookUpTable, relu_lut, threshold_lut
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.noise import (
     blind_rotation_variance,
@@ -117,8 +117,6 @@ class TestLookUpTables:
         assert lut(P // 2) == 0 and lut(P - 1) == 0
 
     def test_sign_and_threshold_luts(self):
-        sign = sign_lut(PARAMS)
-        assert sign(0) == 1 and sign(P - 1) == 0
         threshold = threshold_lut(2, PARAMS)
         assert threshold(1) == 0 and threshold(2) == 1
 

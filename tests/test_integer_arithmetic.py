@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.params import PARAM_SET_I
-from repro.tfhe.integer import RadixIntegerCodec, radix_addition_graph
+from repro.tfhe.integer import RadixIntegerCodec
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +75,6 @@ class TestRadixCodec:
     def test_encrypted_integer_properties(self, codec):
         value = codec.encrypt(9)
         assert value.num_digits == 4
-        assert value.bit_width == 4
         assert value.radix == 2
 
 
@@ -87,14 +85,3 @@ class TestRadixProperties:
         codec = RadixIntegerCodec(toy_context, digit_bits=1, num_digits=4)
         result = codec.add(codec.encrypt(a), codec.encrypt(b))
         assert codec.decrypt(result) == a + b
-
-
-class TestRadixGraph:
-    def test_graph_structure(self):
-        graph = radix_addition_graph(PARAM_SET_I, bit_width=32, digit_bits=2, additions=100)
-        assert len(graph.levels()) == 16
-        assert graph.total_pbs() == 2 * 100 * 16
-
-    def test_bit_width_must_be_multiple(self):
-        with pytest.raises(ValueError):
-            radix_addition_graph(PARAM_SET_I, bit_width=10, digit_bits=3, additions=1)

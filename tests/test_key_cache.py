@@ -1,11 +1,11 @@
-"""Tests for key residency under a per-device HBM budget + stage-plan cache.
+"""Tests for key residency under a per-device HBM budget.
 
 Covers the eviction policies (LRU / LFU / pinned) and their registry, the
 budget-enforcement and re-shipping arithmetic of the residency manager, the
 compatibility contract (unbounded budget — and a budget large enough for
 every key set — stay bit-for-bit with the pre-eviction serving numbers),
-the key-affinity sharding policy, and the pipeline layout's stage-plan
-cache keyed on the batch request-mix signature.
+the key-affinity sharding policy, and the batch request-mix signature the
+schedule cache keys on.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.arch.key_cache import (
 )
 from repro.errors import UnknownKeyPolicyError, UnknownNameError
 from repro.params import PARAM_SET_I
-from repro.sched import batch_mix_signature, partition_graph_stages
-from repro.sched.cost import batch_graph
+from repro.sched import batch_mix_signature
 from repro.serve import Request, Server, StrixCluster
 from repro.serve.batcher import Batch
 from repro.sim.graph import ComputationGraph
@@ -193,7 +192,7 @@ def test_all_protected_overcommits_instead_of_thrashing():
 def test_eviction_triggers_paid_reshipping():
     params = PARAM_SET_I
     cluster = StrixCluster(devices=1, key_budget_bytes=budget_for_single(1))
-    per_ship = cluster.interconnect.key_shipping_s(params)
+    per_ship = one_ship_s(cluster)
     first = cluster.dispatch(bootstrap_batch(tenant="a"), 0.0, params)
     assert first.breakdown["key_shipping_s"] == 0.0  # onboarding is free
     second = cluster.dispatch(bootstrap_batch(tenant="b", batch_id=1), 0.0, params)
@@ -205,6 +204,11 @@ def test_eviction_triggers_paid_reshipping():
     assert stats["evictions"] >= 2
     assert stats["reships"] == 1
     assert stats["shipped_bytes"] == cluster.interconnect.key_set_bytes(params)
+
+
+def one_ship_s(cluster):
+    """Seconds to ship one tenant's BSK + KSK set over the cluster interconnect."""
+    return cluster.interconnect.transfer_s(cluster.interconnect.key_set_bytes(PARAM_SET_I))
 
 
 def budget_for_single(key_sets):
@@ -320,7 +324,7 @@ def test_key_affinity_falls_back_to_least_loaded_without_residency():
     assert dispatch.device == 1  # least loaded among the idle devices
 
 
-# -- stage-plan cache ----------------------------------------------------------------
+# -- batch-mix signature -------------------------------------------------------------
 
 
 def inference_batch(request_id, tenant, batch_id):
@@ -341,61 +345,6 @@ def test_batch_mix_signature_ignores_ids_and_tenants():
     assert batch_mix_signature(different) != batch_mix_signature(first)
 
 
-def test_stage_plan_cache_hit_returns_identical_plan():
-    params = PARAM_SET_I
-    cluster = StrixCluster(devices=4, layout="pipeline")
-    layout = cluster.layout
-    warm = layout._stage_plan(cluster, inference_batch(1, "alice", 0), params)
-    hit = layout._stage_plan(cluster, inference_batch(7, "bob", 1), params)
-    assert hit is warm
-    assert layout.plan_cache_stats == {"hits": 1, "misses": 1, "entries": 1}
-
-    # A cold partition of the same shape is structurally identical.
-    cold = partition_graph_stages(
-        batch_graph(inference_batch(1, "alice", 0), params), len(cluster.devices)
-    )
-    assert cold.boundary_ciphertexts == warm.boundary_ciphertexts
-    assert [len(stage) for stage in cold.graphs] == [
-        len(stage) for stage in warm.graphs
-    ]
-    for cold_stage, warm_stage in zip(cold.graphs, warm.graphs):
-        for cold_node, warm_node in zip(cold_stage.nodes, warm_stage.nodes):
-            assert cold_node.kind == warm_node.kind
-            assert cold_node.ciphertexts == warm_node.ciphertexts
-            assert (
-                cold_node.operations_per_ciphertext
-                == warm_node.operations_per_ciphertext
-            )
-
-
-def test_stage_plan_cache_distinguishes_shapes_and_survives_reset():
-    params = PARAM_SET_I
-    cluster = StrixCluster(devices=4, layout="pipeline")
-    layout = cluster.layout
-    layout._stage_plan(cluster, bootstrap_batch(items=32, tenant="a"), params)
-    layout._stage_plan(cluster, bootstrap_batch(items=64, tenant="a"), params)
-    assert layout.plan_cache_stats["misses"] == 2
-    cluster.reset_serving_state()
-    # Counters clear per simulation; cached plans are pure data and persist.
-    assert layout.plan_cache_stats == {"hits": 0, "misses": 0, "entries": 2}
-    layout._stage_plan(cluster, bootstrap_batch(items=32, tenant="b"), params)
-    assert layout.plan_cache_stats["hits"] == 1
-
-
-def test_stage_plan_cache_keys_on_param_structure_not_name():
-    import dataclasses
-
-    cluster = StrixCluster(devices=2, layout="pipeline")
-    layout = cluster.layout
-    base = layout._stage_plan(cluster, bootstrap_batch(items=64), PARAM_SET_I)
-    # Same name, different structure: must not reuse the cached plan.
-    tweaked = dataclasses.replace(PARAM_SET_I, n=PARAM_SET_I.n // 2)
-    assert tweaked.name == PARAM_SET_I.name
-    other = layout._stage_plan(cluster, bootstrap_batch(items=64), tweaked)
-    assert other is not base
-    assert layout.plan_cache_stats["misses"] == 2
-
-
 def test_string_key_policy_override_lands_in_config():
     cluster = StrixCluster(devices=2, key_budget_bytes=1024, key_policy="lfu")
     assert cluster.config.key_policy == "lfu"
@@ -403,16 +352,6 @@ def test_string_key_policy_override_lands_in_config():
     rebuilt = StrixCluster(config=cluster.config)
     assert rebuilt.key_residency.policy.name == "lfu"
     assert rebuilt.key_residency.budget_bytes == 1024
-
-
-def test_pipeline_serving_reports_plan_cache_counters():
-    trace = churn_trace(tenants=2, rounds=3, items=4)
-    server = Server(devices=2, params="I", layout="pipeline", batch_capacity=8)
-    report = server.simulate(trace, label="pipeline")
-    plans = report.metrics.stage_plan_cache
-    assert plans["misses"] >= 1
-    assert plans["hits"] >= 1  # repeated batch shapes reuse the cut
-    assert report.to_dict()["stage_plan_cache"] == plans
 
 
 # -- reset ---------------------------------------------------------------------------
@@ -450,7 +389,7 @@ def test_evict_device_reclaims_every_resident_tenant():
 def test_death_then_return_pays_exactly_one_reship():
     cluster = StrixCluster(devices=2)
     manager = cluster.key_residency
-    per_ship = cluster.interconnect.key_shipping_s(PARAM_SET_I)
+    per_ship = one_ship_s(cluster)
     manager.place(["a"], [0, 1], PARAM_SET_I)
     manager.evict_device(0)
     # The healed device returns empty: landing there again re-ships once.
@@ -464,7 +403,7 @@ def test_death_then_return_pays_exactly_one_reship():
 def test_die_heal_die_charges_each_return():
     cluster = StrixCluster(devices=2)
     manager = cluster.key_residency
-    per_ship = cluster.interconnect.key_shipping_s(PARAM_SET_I)
+    per_ship = one_ship_s(cluster)
     manager.place(["a"], [0, 1], PARAM_SET_I)
     manager.evict_device(0)
     assert manager.place(["a"], [0], PARAM_SET_I) == pytest.approx(per_ship)

@@ -129,10 +129,6 @@ class TestNoc:
             iteration_cycles = batch * timing.initiation_interval
             assert noc.can_sustain_pbs(params, iteration_cycles), params.name
 
-    def test_broadcast_cycles_rounds_up(self):
-        noc = MulticastNetwork(STRIX_DEFAULT)
-        assert noc.broadcast_cycles(65) == 2
-
     def test_noc_cost_matches_table_iii(self):
         cost = NocCost()
         assert cost.area_mm2 == pytest.approx(0.04)
@@ -140,7 +136,7 @@ class TestNoc:
 
     def test_link_bandwidth(self):
         noc = MulticastNetwork(STRIX_DEFAULT)
-        assert noc.bsk_link.bandwidth_gbps(1.2) == pytest.approx(76.8)
+        assert noc.bsk_link.bytes_per_cycle * STRIX_DEFAULT.clock_ghz == pytest.approx(76.8)
 
 
 class TestAreaPower:

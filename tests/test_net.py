@@ -62,7 +62,7 @@ class TestFraming:
         assert frame.msg_type == MessageType.SUBMIT
         assert frame.payload == b"payload"
         assert frame.version == PROTOCOL_VERSION
-        assert decoder.pending_bytes == 0
+        assert decoder.feed(b"") == []  # nothing left buffered
 
     @given(
         payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=8),
@@ -138,9 +138,9 @@ class TestControlPayloads:
             protocol.decode_hello(b"\x03\x01")
 
     def test_version_negotiation(self):
-        assert protocol.negotiate_version((1,), frozenset({1, 2})) == 1
-        assert protocol.negotiate_version((1, 2), frozenset({1, 2})) == 2
-        assert protocol.negotiate_version((3,), frozenset({1, 2})) is None
+        assert protocol.negotiate_version((1,)) == 1
+        assert protocol.negotiate_version((2, 1)) == 1
+        assert protocol.negotiate_version((3,)) is None
 
     def test_error_roundtrip(self):
         reply = protocol.decode_error(

@@ -63,7 +63,7 @@ class TestInstruments:
         gauge = Gauge("depth", "Queue depth")
         gauge.set(5.0)
         gauge.inc(2.0)
-        gauge.dec(4.0)
+        gauge.inc(-4.0)
         assert gauge.value == 3.0
 
     def test_metric_names_are_validated(self):

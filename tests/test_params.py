@@ -10,7 +10,6 @@ from repro.params import (
     DEEP_NN_PARAMETER_SETS,
     PAPER_PARAMETER_SETS,
     PARAM_SET_I,
-    PARAM_SET_IV,
     SMALL_PARAMETERS,
     TOY_PARAMETERS,
     get_parameters,
@@ -48,9 +47,6 @@ class TestDerivedQuantities:
         params = PARAM_SET_I
         assert params.delta * params.message_modulus * 2 == params.q
 
-    def test_decomposed_polynomials(self):
-        assert PARAM_SET_I.decomposed_polynomials == (PARAM_SET_I.k + 1) * PARAM_SET_I.lb
-
     def test_bootstrapping_key_is_tens_of_mb(self):
         # Table I: bootstrapping keys are 10s-100s MB.
         size_mb = PARAM_SET_I.bootstrapping_key_bytes / 2 ** 20
@@ -68,10 +64,6 @@ class TestDerivedQuantities:
         params = SMALL_PARAMETERS
         expected = (params.k + 1) * params.lb * (params.k + 1) * params.N * 4
         assert params.ggsw_ciphertext_bytes == expected
-
-    def test_describe_mentions_name_and_dimensions(self):
-        text = PARAM_SET_IV.describe()
-        assert "IV" in text and "16384" in text and "991" in text
 
 
 class TestValidation:

@@ -75,9 +75,8 @@ def test_interconnect_transfer_scales_with_bandwidth():
     fast = InterconnectModel(StrixClusterConfig(interconnect_gbps=128.0))
     slow = InterconnectModel(StrixClusterConfig(interconnect_gbps=32.0))
     params = PARAM_SET_I
-    assert slow.key_shipping_s(params) == pytest.approx(
-        4 * fast.key_shipping_s(params)
-    )
+    key_set = fast.key_set_bytes(params)
+    assert slow.transfer_s(key_set) == pytest.approx(4 * fast.transfer_s(key_set))
     assert fast.transfer_s(0) == 0.0
 
 
@@ -234,7 +233,7 @@ def test_key_shipping_charged_on_migration_only():
     # Round-robin moved the tenant to the other device: one key set ships.
     assert second.device != first.device
     assert second.breakdown["key_shipping_s"] == pytest.approx(
-        cluster.interconnect.key_shipping_s(params)
+        cluster.interconnect.transfer_s(cluster.interconnect.key_set_bytes(params))
     )
     # Keys accumulate: devices that already received a tenant's keys keep
     # them, so bouncing back and forth never ships the same set twice.
@@ -418,6 +417,26 @@ def test_server_simulation_is_deterministic_across_repeats():
     second = server.simulate(trace, label="b")
     assert first.metrics.latency.p99_s == second.metrics.latency.p99_s
     assert first.metrics.cost_breakdown == second.metrics.cost_breakdown
+
+
+def test_pipeline_server_repeats_a_mixed_trace_with_equal_metrics():
+    """Every dispatch lowers and cuts its batch afresh, so a second pass is the first."""
+    trace = [
+        Request.make(
+            i + 1,
+            f"tenant{i % 4}",
+            "inference" if i % 4 == 3 else "bootstrap",
+            1 if i % 4 == 3 else 8,
+            arrival_s=i * 5e-4,
+            model="NN-20" if i % 4 == 3 else None,
+        )
+        for i in range(64)
+    ]
+    server = Server(devices=4, params="I", layout="pipeline", batch_capacity=32)
+    first = server.simulate(list(trace), label="first")
+    second = server.simulate(list(trace), label="second")
+    assert first.metrics.batches > 1
+    assert first.metrics == second.metrics
 
 
 # -- shared error shape ---------------------------------------------------------------

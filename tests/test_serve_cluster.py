@@ -170,7 +170,6 @@ def test_cluster_config_validation():
     with pytest.raises(ValueError, match="interconnect"):
         StrixClusterConfig(interconnect_gbps=0)
     assert StrixClusterConfig(devices=2).with_devices(6).devices == 6
-    assert StrixClusterConfig().total_hscs == 4 * 8
 
 
 # -- cluster: serving path ------------------------------------------------------------

@@ -45,14 +45,6 @@ class TestTorus:
         measured_std = signed.std() / Q
         assert 0.5 * 2 ** -16 < measured_std < 2.0 * 2 ** -16
 
-    def test_round_to_multiple(self):
-        assert torus.round_to_multiple(1000, 256, Q) == 1024
-        assert torus.round_to_multiple(100, 256, Q) == 0
-
-    def test_round_to_multiple_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            torus.round_to_multiple(5, 0, Q)
-
     def test_switch_modulus_scales_proportionally(self):
         # q/2 must map to N under modulus 2N.
         n_poly = TOY_PARAMETERS.N
@@ -75,11 +67,11 @@ class TestPolynomial:
         n_poly = 64
         a = torus.uniform(n_poly, Q, rng)
         b = torus.uniform(n_poly, Q, rng)
-        np.testing.assert_array_equal(polynomial.sub(polynomial.add(a, b, Q), b, Q), a)
+        np.testing.assert_array_equal(polynomial.add(polynomial.add(a, b, Q), torus.reduce(-b, Q), Q), a)
 
     def test_negate_is_additive_inverse(self, rng):
         a = torus.uniform(32, Q, rng)
-        total = polynomial.add(a, polynomial.negate(a, Q), Q)
+        total = polynomial.add(a, torus.reduce(-a, Q), Q)
         assert not total.any()
 
     @pytest.mark.parametrize("exponent", [0, 1, 5, 63, 64, 100, 127, 128, -1, -37])
@@ -98,7 +90,7 @@ class TestPolynomial:
 
     def test_rotate_and_subtract_zero_exponent_is_zero(self, rng):
         a = torus.uniform(32, Q, rng)
-        assert not polynomial.rotate_and_subtract(a, 0, Q).any()
+        assert not torus.reduce(polynomial.monomial_multiply(a, 0, Q) - a, Q).any()
 
     def test_integer_multiply_matches_naive(self, rng):
         from repro.fft.reference import naive_negacyclic_convolution
@@ -119,9 +111,6 @@ class TestPolynomial:
 
     def test_transform_cache_reuses_instances(self):
         assert polynomial.get_transform(64) is polynomial.get_transform(64)
-
-    def test_constant_term(self):
-        assert polynomial.constant_term(np.array([7, 1, 2])) == 7
 
 
 class TestEncoding:
