@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from repro import Session, run
-from repro.sim.compiler import full_adder_netlist
+from repro.sim.compiler import Netlist, full_adder_netlist
 from repro.tfhe.lut import LookUpTable
 
 
@@ -67,7 +67,17 @@ def main() -> None:
     value = int(bits["axb0"]) + 2 * int(bits["s1"]) + 4 * int(bits["c1"])
     print(f"reference (functional): 1 + 3 = {value}  [decrypted {bits}]")
 
-    # The same netlist, rebound to parameter set I and batched over 1,024
+    # Netlists are not only gates: a linear combination feeding one
+    # programmable LUT (one PBS) computes (a + 2b)^2 mod p on integer wires.
+    polynomial = Netlist(session.params, name="lut-after-linear")
+    a, b = polynomial.add_input("a"), polynomial.add_input("b")
+    mixed = polynomial.add_linear("a+2b", (a, b), coefficients=(1, 2))
+    polynomial.add_lut("squared", mixed, function=lambda m: (m * m) % p)
+    squared = run(polynomial, backend="reference", session=session, inputs={"a": 1, "b": 1})
+    assert squared.outputs == [{"squared": (1 + 2 * 1) ** 2 % p}]
+    print(f"reference (functional): (1 + 2*1)^2 mod {p} = {squared.outputs[0]['squared']}")
+
+    # The adder netlist, rebound to parameter set I and batched over 1,024
     # independent instances, on the simulator and the analytical baselines.
     for backend in ("strix-sim", "gpu-analytical", "cpu-analytical"):
         result = run(adder, backend=backend, params="I", instances=1024)

@@ -132,7 +132,8 @@ async def async_submission() -> None:
     for outcome in outcomes[:3]:
         print(
             f"{outcome.request.tenant}: batch {outcome.batch_id} on "
-            f"dev{outcome.device}, latency {outcome.latency_s * 1e3:.3f} ms"
+            f"dev{outcome.device}, latency {outcome.latency_s * 1e3:.3f} ms "
+            f"({outcome.queue_delay_s * 1e3:.3f} ms of it queued)"
         )
     batches = len({outcome.batch_id for outcome in outcomes})
     print(f"...{len(outcomes)} requests coalesced into {batches} batch(es)\n")

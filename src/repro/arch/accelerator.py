@@ -202,15 +202,21 @@ class StrixAccelerator:
         if lwes < 1:
             return 0
         capacity = self.config.tvlp * self.core.core_batch_size(params)
-        remaining = lwes
-        blind_rotation_end = 0
-        keyswitch_end = 0
-        while remaining > 0:
-            chunk = min(remaining, capacity)
-            plan = self.plan_epoch(params, chunk)
+        full, rest = divmod(lwes, capacity)
+        blind_rotation_end = keyswitch_end = 0
+        if full:
+            # Every full epoch has the same plan, so the recurrence
+            # ``ks_i = max(ks_{i-1}, i * br) + ks`` over them has a closed form.
+            plan = self.plan_epoch(params, capacity)
+            blind_rotation_end = full * plan.blind_rotation_cycles
+            if plan.keyswitch_hidden:
+                keyswitch_end = blind_rotation_end + plan.keyswitch_cycles
+            else:
+                keyswitch_end = plan.blind_rotation_cycles + full * plan.keyswitch_cycles
+        if rest:
+            plan = self.plan_epoch(params, rest)
             blind_rotation_end += plan.blind_rotation_cycles
             keyswitch_end = max(keyswitch_end, blind_rotation_end) + plan.keyswitch_cycles
-            remaining -= chunk
         return max(blind_rotation_end, keyswitch_end)
 
     def pbs_batch_time_ms(self, params: TFHEParameters, lwes: int) -> float:

@@ -375,12 +375,10 @@ class KeyResidencyManager:
         batch's tenant set overcommits instead of thrashing within a single
         dispatch.
         """
-        tenant_set = sorted(set(tenants))
-        key_bytes = self.interconnect.key_set_bytes(params)
-        per_key_s = self.interconnect.transfer_s(key_bytes)  # = key_shipping_s(params)
+        protected = frozenset(tenants)  # a batch's own frozenset is not copied
+        key_bytes = None  # sized when a key set is inserted: a hit never needs it
         shipping = 0.0
-        protected = set(tenant_set)
-        for tenant in tenant_set:
+        for tenant in sorted(protected):
             onboarding = tenant not in self._onboarded
             if onboarding:
                 self._onboarded.add(tenant)
@@ -393,6 +391,8 @@ class KeyResidencyManager:
                         self.stats.hits += 1
                     self.policy.on_access(index, tenant)
                     continue
+                if key_bytes is None:
+                    key_bytes = self.interconnect.key_set_bytes(params)
                 if not onboarding:
                     ships += 1
                     self.stats.misses += 1
@@ -406,7 +406,7 @@ class KeyResidencyManager:
             if ships:
                 # One multiply per tenant, matching the historical
                 # ``len(missing) * per_key_s`` arithmetic to the last bit.
-                shipping += ships * per_key_s
+                shipping += ships * self.interconnect.transfer_s(key_bytes)
         return shipping
 
     def evict_device(self, index: int) -> list[str]:
@@ -427,7 +427,7 @@ class KeyResidencyManager:
             self.stats.evictions += 1
         return evicted
 
-    def _enforce_budget(self, cache: DeviceKeyCache, protected: set[str]) -> None:
+    def _enforce_budget(self, cache: DeviceKeyCache, protected: frozenset[str]) -> None:
         """Evict until ``cache`` fits its budget (or only protected keys remain)."""
         while cache.over_budget:
             candidates = [

@@ -75,13 +75,10 @@ class FaultInjector:
             )
         self.schedule = schedule
         self.on_death = on_death
+        #: Whether any fault is scheduled (``False`` keeps every fast path).
+        self.active = bool(schedule)
         self._has_slowdowns = bool(schedule.slowdowns)
         self.reset()
-
-    @property
-    def active(self) -> bool:
-        """Whether any fault is scheduled (``False`` keeps every fast path)."""
-        return bool(self.schedule)
 
     def reset(self) -> None:
         """Clear all per-simulation impact state (the schedule is immutable)."""
@@ -240,7 +237,7 @@ class FaultInjector:
             if failure is None:
                 self._note_reships(cluster, params)
                 if causes:
-                    dispatch = replace(dispatch, retried=True)
+                    dispatch = dispatch._replace(retried=True)
                     for event in causes:
                         record = self._impact(event)
                         record["recovery_s"] = max(
@@ -333,9 +330,9 @@ class FaultInjector:
         if dispatch is None:
             # No device ever accepted the batch: it is lost where it stood.
             return Dispatch(
-                device=-1, start_s=at_s, end_s=at_s, devices=(), lost=True
+                device=-1, start_s=at_s, end_s=at_s, devices=(), breakdown={}, lost=True
             )
-        return replace(dispatch, end_s=at_s, lost=True)
+        return dispatch._replace(end_s=at_s, lost=True)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -176,11 +176,14 @@ class Histogram(Metric):
         """Sum of every observed value."""
         return self._sum
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self._counts[bisect.bisect_left(self.bounds, value)] += 1
-        self._sum += value
-        self._count += 1
+    def observe(self, *values: float) -> None:
+        """Record one observation — or one batch's, in order, in one call."""
+        counts, bounds, total = self._counts, self.bounds, self._sum
+        for value in values:
+            counts[bisect.bisect_left(bounds, value)] += 1
+            total += value
+        self._sum = total
+        self._count += len(values)
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(bound, cumulative_count)`` per bucket, ``+Inf`` last."""

@@ -25,8 +25,7 @@ the same cost model composes with every layout.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import UnknownCostModelError
 from repro.params import TFHEParameters
@@ -39,9 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serve.cluster import StrixDevice
 
 
-@dataclass(frozen=True)
-class BatchCost:
+class BatchCost(NamedTuple):
     """Compute residency of one batch (or one pipeline stage) on one device.
+
+    A named tuple: one is built per priced batch, and the schedule cache
+    hands the same one to every batch of a shape, so nobody may assign to it.
 
     Attributes
     ----------
@@ -62,7 +63,7 @@ class BatchCost:
     compute_s: float
     pbs: int
     epochs: int
-    breakdown: dict[str, float] = field(default_factory=dict)
+    breakdown: dict[str, float]
 
 
 def batch_mix_signature(batch: "Batch") -> tuple:
@@ -210,10 +211,10 @@ class AnalyticalCostModel(CostModel):
             / StrixScheduler.linear_macs_per_second(accelerator.config)
         )
         return BatchCost(
-            compute_s=pbs_s + linear_s,
-            pbs=batch.total_pbs,
-            epochs=self._epochs(batch.total_pbs, params, device),
-            breakdown={"pbs_s": pbs_s, "linear_s": linear_s},
+            pbs_s + linear_s,
+            batch.total_pbs,
+            self._epochs(batch.total_pbs, params, device),
+            {"pbs_s": pbs_s, "linear_s": linear_s},
         )
 
     def stage_cost(

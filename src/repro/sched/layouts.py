@@ -39,8 +39,8 @@ re-shipping when they return.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import UnknownLayoutError
 from repro.params import TFHEParameters
@@ -69,14 +69,16 @@ class StageDispatch:
     pbs: int
 
 
-@dataclass(frozen=True)
-class Dispatch:
+class Dispatch(NamedTuple):
     """Where and when one serving batch executed.
 
-    Iterates as the historical ``(device, start_s, end_s)`` triple so
-    existing ``device, start, end = cluster.dispatch(...)`` call sites keep
-    working; ``device`` is the device that *completes* the batch (the last
-    stage under the pipeline layout).
+    A named tuple — one is built per dispatched batch, and a tuple is the
+    cheapest record that callers still cannot assign to; copies with a field
+    changed come from ``_replace``.  ``device`` is the device that
+    *completes* the batch (the last stage under the pipeline layout), and
+    ``breakdown`` the dispatch's cost components in the order they were
+    summed — :class:`~repro.serve.metrics.MetricsCollector` folds them into
+    the report's ``cost_breakdown``.
 
     Under a fault schedule (see :mod:`repro.faults`) ``retried`` marks a
     batch that was replayed after a device death and ``lost`` marks one
@@ -87,14 +89,11 @@ class Dispatch:
     device: int
     start_s: float
     end_s: float
-    devices: tuple[int, ...] = ()
-    breakdown: dict[str, float] = field(default_factory=dict)
+    devices: tuple[int, ...]
+    breakdown: dict[str, float]
     stages: tuple[StageDispatch, ...] = ()
     retried: bool = False
     lost: bool = False
-
-    def __iter__(self):
-        return iter((self.device, self.start_s, self.end_s))
 
     def windows(self) -> list[tuple[int, float, float]]:
         """``(device, start_s, end_s)`` per execution window: one per stage, else the one."""
@@ -178,27 +177,6 @@ class PlacementLayout(abc.ABC):
         """
         return {}
 
-    # -- key residency -----------------------------------------------------------
-
-    def _key_shipping_s(
-        self,
-        cluster: "StrixCluster",
-        batch: "Batch",
-        targets: tuple[int, ...],
-        params: TFHEParameters,
-    ) -> float:
-        """Seconds of BSK/KSK shipping this dispatch triggers.
-
-        Delegates to the cluster's
-        :class:`~repro.arch.key_cache.KeyResidencyManager`: the first
-        placement of a tenant is free (onboarding provisions keys, which
-        keeps one-device clusters bit-for-bit with the single-device
-        simulator), every later landing on a device that lacks the keys
-        ships one full BSK/KSK set over the interconnect, and a finite
-        per-device budget triggers eviction and paid re-shipping.
-        """
-        return cluster.key_residency.place(batch.tenants, targets, params)
-
     def _dispatch_to_device(
         self,
         cluster: "StrixCluster",
@@ -207,7 +185,6 @@ class PlacementLayout(abc.ABC):
         params: TFHEParameters,
         index: int,
         effective_busy: float,
-        extra_breakdown: dict[str, float] | None = None,
     ) -> Dispatch:
         """Price and book one whole batch onto one device.
 
@@ -222,13 +199,9 @@ class PlacementLayout(abc.ABC):
         transfer_s = cluster.interconnect.ciphertext_transfer_s(
             params, batch.total_items
         )
-        shipping_s = self._key_shipping_s(cluster, batch, (index,), params)
-        service = (
-            cost.compute_s
-            + transfer_s
-            + cluster.config.dispatch_overhead_s
-            + shipping_s
-        )
+        overhead_s = cluster.config.dispatch_overhead_s
+        shipping_s = cluster.key_residency.place(batch.tenants, (index,), params)
+        service = cost.compute_s + transfer_s + overhead_s + shipping_s
         start = max(now, effective_busy)
         # Thermal throttling under a fault schedule; returns the same float
         # when no slowdown is scheduled, keeping the no-fault path bit-exact.
@@ -238,19 +211,13 @@ class PlacementLayout(abc.ABC):
         device.busy_s += service
         device.batches += 1
         device.pbs += batch.total_pbs
-        return Dispatch(
-            device=index,
-            start_s=start,
-            end_s=end,
-            devices=(index,),
-            breakdown={
-                **cost.breakdown,
-                "transfer_s": transfer_s,
-                "dispatch_s": cluster.config.dispatch_overhead_s,
-                "key_shipping_s": shipping_s,
-                **(extra_breakdown or {}),
-            },
-        )
+        breakdown = {
+            **cost.breakdown,
+            "transfer_s": transfer_s,
+            "dispatch_s": overhead_s,
+            "key_shipping_s": shipping_s,
+        }
+        return Dispatch(index, start, end, (index,), breakdown)
 
 
 # -- data-parallel shard execution (shared by data-parallel and elastic runs) --------
@@ -405,7 +372,7 @@ class PipelineLayout(PlacementLayout):
         active = tuple(cluster.available_indices(now))
         plan = partition_graph_stages(batch_graph(batch, params), len(active))
         targets = active[: len(plan.graphs)]
-        shipping_s = self._key_shipping_s(cluster, batch, targets, params)
+        shipping_s = cluster.key_residency.place(batch.tenants, targets, params)
         input_transfer_s = cluster.interconnect.ciphertext_transfer_s(
             params, batch.total_items
         )
@@ -667,15 +634,11 @@ class ElasticLayout(PlacementLayout):
             batch.requests[0].tenant, self._active
         )
         index = self._active[cluster.policy.select(busy, batch, resident=resident)]
-        return self._dispatch_to_device(
-            cluster,
-            batch,
-            now,
-            params,
-            index,
-            self._effective_busy(cluster, index),
-            extra_breakdown={"active_devices": float(len(self._active))},
+        dispatch = self._dispatch_to_device(
+            cluster, batch, now, params, index, self._effective_busy(cluster, index)
         )
+        dispatch.breakdown["active_devices"] = float(len(self._active))
+        return dispatch
 
 
 _LAYOUTS: Registry[PlacementLayout] = Registry(

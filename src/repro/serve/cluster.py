@@ -251,10 +251,9 @@ class StrixCluster:
     def dispatch(self, batch: Batch, now: float, params: TFHEParameters) -> Dispatch:
         """Execute a batch where the layout places it.
 
-        Returns a :class:`~repro.sched.layouts.Dispatch` (iterable as the
-        historical ``(device, start_s, end_s)`` triple) carrying the cost
-        breakdown — transfer, dispatch overhead, key shipping, per-stage
-        detail under the pipeline layout.
+        Returns a :class:`~repro.sched.layouts.Dispatch` carrying the
+        execution window and the cost breakdown — transfer, dispatch
+        overhead, key shipping, per-stage detail under the pipeline layout.
 
         With a non-empty fault schedule the dispatch routes through the
         cluster's :class:`~repro.faults.FaultInjector`, which excludes

@@ -271,6 +271,9 @@ class MetricsCollector:
     def __init__(self, batch_capacity: int):
         self.batch_capacity = batch_capacity
         self.outcomes: list[RequestOutcome] = []
+        #: ``latency_s`` / ``queue_delay_s`` of each outcome, as computed at dispatch.
+        self._latencies: list[float] = []
+        self._delays: list[float] = []
         self._batch_fills: list[float] = []
         self._total_pbs = 0
         self._batches = 0
@@ -280,25 +283,31 @@ class MetricsCollector:
         self,
         batch: Batch,
         outcomes: list[RequestOutcome],
-        breakdown: dict[str, float] | None = None,
+        latencies: list[float],
+        delays: list[float],
+        breakdown: dict[str, float],
     ) -> None:
         """Record one dispatched batch, its outcomes and its cost breakdown.
 
-        ``*_s`` breakdown components accumulate (seconds of transfer, key
-        shipping, dispatch overhead across the run); any other component
-        keeps its peak (e.g. the elastic layout's ``active_devices``).
+        ``latencies`` / ``delays`` are the outcomes' ``latency_s`` /
+        ``queue_delay_s``, which the caller has already computed for its
+        histograms.  ``*_s`` breakdown components accumulate (seconds of
+        transfer, key shipping, dispatch overhead across the run); any other
+        component keeps its peak (e.g. the elastic layout's
+        ``active_devices``).
         """
         self._batches += 1
         self._total_pbs += batch.total_pbs
         self._batch_fills.append(batch.fill_fraction(self.batch_capacity))
         self.outcomes.extend(outcomes)
-        for key, value in (breakdown or {}).items():
+        self._latencies.extend(latencies)
+        self._delays.extend(delays)
+        totals = self._cost_breakdown
+        for key, value in breakdown.items():
             if key.endswith("_s"):
-                self._cost_breakdown[key] = self._cost_breakdown.get(key, 0.0) + value
+                totals[key] = totals.get(key, 0.0) + value
             else:
-                self._cost_breakdown[key] = max(
-                    self._cost_breakdown.get(key, value), value
-                )
+                totals[key] = max(totals.get(key, value), value)
 
     def summarize(
         self,
@@ -318,21 +327,17 @@ class MetricsCollector:
         manager, the cost model, the fault injector and the flow
         controller) rather than accumulated per-batch observations.
         """
-        latencies = [outcome.latency_s for outcome in self.outcomes]
-        delays = [outcome.queue_delay_s for outcome in self.outcomes]
         effective_horizon = horizon_s if horizon_s > 0 else 0.0
         per_tenant: dict[str, list[float]] = {}
-        for outcome in self.outcomes:
-            per_tenant.setdefault(outcome.request.tenant, []).append(
-                outcome.latency_s
-            )
+        for outcome, latency in zip(self.outcomes, self._latencies):
+            per_tenant.setdefault(outcome.request.tenant, []).append(latency)
         return ServeMetrics(
             horizon_s=effective_horizon,
             requests=len(self.outcomes),
             batches=self._batches,
             total_pbs=self._total_pbs,
-            latency=LatencySummary.from_samples(latencies),
-            queue_delay=LatencySummary.from_samples(delays),
+            latency=LatencySummary.from_samples(self._latencies),
+            queue_delay=LatencySummary.from_samples(self._delays),
             requests_per_s=(
                 len(self.outcomes) / effective_horizon if effective_horizon else 0.0
             ),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class RequestKind(enum.Enum):
@@ -129,9 +130,12 @@ class Request:
         )
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
-    """Where and when a request actually executed."""
+class RequestOutcome(NamedTuple):
+    """Where and when a request actually executed.
+
+    A named tuple: a run keeps one per served request, so it is built at the
+    price of a tuple and carries no ``__dict__``.
+    """
 
     request: Request
     batch_id: int

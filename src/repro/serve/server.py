@@ -397,10 +397,8 @@ class ServingRun:
             return
         batch_id, device = batch.batch_id, dispatch.device
         start_s, end_s = dispatch.start_s, dispatch.end_s
-        observe_latency = server._latency_hist.observe
-        observe_delay = server._queue_delay_hist.observe
-        tenants, futures = server._tenants, self.futures
-        outcomes = []
+        tenants = server._tenants
+        outcomes, latencies, delays = [], [], []
         for request in batch.requests:
             # Charged at dispatch, not submission, so TenantState counts work
             # that actually executed (repeated simulations accumulate,
@@ -408,16 +406,18 @@ class ServingRun:
             state = tenants.get(request.tenant) or server.tenant(request.tenant)
             state.requests += 1
             state.items += request.items
-            state.pbs += request.total_pbs
-            outcome = RequestOutcome(request, batch_id, device, start_s, end_s)
-            outcomes.append(outcome)
-            observe_latency(end_s - request.arrival_s)
-            observe_delay(start_s - request.arrival_s)
-            if futures:  # simulated runs never register any
-                future = futures.pop(request.request_id, None)
+            state.pbs += request.items * request.pbs_per_item
+            outcomes.append(RequestOutcome(request, batch_id, device, start_s, end_s))
+            latencies.append(end_s - request.arrival_s)
+            delays.append(start_s - request.arrival_s)
+        server._latency_hist.observe(*latencies)
+        server._queue_delay_hist.observe(*delays)
+        if self.futures:  # simulated runs never register any
+            for outcome in outcomes:
+                future = self.futures.pop(outcome.request.request_id, None)
                 if future is not None and not future.done():
                     future.set_result(outcome)
-        self.metrics.record_batch(batch, outcomes, dispatch.breakdown)
+        self.metrics.record_batch(batch, outcomes, latencies, delays, dispatch.breakdown)
         server._requests_total.inc(len(outcomes))
         server._batches_total.inc()
         server._items_total.inc(batch.total_items)

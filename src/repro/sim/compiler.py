@@ -86,7 +86,7 @@ class Netlist:
     def add_lut(
         self, output: str, *inputs: str, function: Callable[[int], int] | None = None
     ) -> str:
-        """Add a programmable LUT application (one PBS); only tests build one so far.
+        """Add a programmable LUT application (one PBS).
 
         ``function`` is optional and only consumed by functional execution
         (the runtime's reference backend); when omitted there, the LUT
@@ -102,7 +102,7 @@ class Netlist:
         cost: int = 1,
         coefficients: tuple[int, ...] | None = None,
     ) -> str:
-        """Add a linear combination (adds / plaintext multiplies); only tests build one so far.
+        """Add a linear combination (adds / plaintext multiplies).
 
         ``coefficients`` (one per input wire) are only needed for functional
         execution; the performance models use ``cost`` alone.

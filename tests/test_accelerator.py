@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED
+from repro.baselines.reference_platforms import PUBLISHED_PBS_RESULTS
 from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
 
 
@@ -104,6 +107,72 @@ class TestEpochPlanning:
         time_s = strix.pbs_batch_time_ms(PARAM_SET_I, lwes) / 1e3
         achieved = lwes / time_s
         assert achieved == pytest.approx(strix.pbs_throughput(PARAM_SET_I), rel=0.1)
+
+
+def epoch_by_epoch_cycles(accelerator, params, lwes):
+    """The two-pipeline recurrence ``pbs_batch_cycles`` is the closed form of."""
+    capacity = accelerator.config.tvlp * accelerator.core.core_batch_size(params)
+    blind_rotation_end = keyswitch_end = 0
+    for done in range(0, lwes, capacity):
+        plan = accelerator.plan_epoch(params, min(lwes - done, capacity))
+        blind_rotation_end += plan.blind_rotation_cycles
+        keyswitch_end = max(keyswitch_end, blind_rotation_end) + plan.keyswitch_cycles
+    return max(blind_rotation_end, keyswitch_end)
+
+
+def batch_sizes(capacity):
+    """1 … 40 × capacity: every multiple of the capacity ± 1, and a stride between."""
+    around = {k * capacity + d for k in range(41) for d in (-1, 0, 1)}
+    return sorted(n for n in around | set(range(1, 40 * capacity, 61)) if 1 <= n <= 40 * capacity)
+
+
+class SlowKeyswitch(StrixAccelerator):
+    """No shipped configuration has an epoch whose keyswitch outlasts its blind
+    rotation; this one stretches every plan's so that it does."""
+
+    def plan_epoch(self, params, lwes):
+        plan = super().plan_epoch(params, lwes)
+        slow = plan.blind_rotation_cycles + plan.blind_rotation_cycles // 3 + 1
+        return replace(plan, keyswitch_cycles=slow, keyswitch_hidden=False)
+
+
+class TestBatchCyclesClosedForm:
+    @pytest.mark.parametrize("tvlp", [1, 2, 8])
+    @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+    @pytest.mark.parametrize("model", [StrixAccelerator, SlowKeyswitch])
+    def test_equals_the_epoch_by_epoch_recurrence(self, model, name, tvlp):
+        accelerator = model(STRIX_DEFAULT.with_parallelism(tvlp=tvlp))
+        params = PAPER_PARAMETER_SETS[name]
+        capacity = tvlp * accelerator.core.core_batch_size(params)
+        assert accelerator.plan_epoch(params, capacity).keyswitch_hidden is (
+            model is StrixAccelerator
+        )  # one regime each: ks <= br as shipped, ks > br stretched
+        for lwes in batch_sizes(capacity):
+            assert accelerator.pbs_batch_cycles(params, lwes) == epoch_by_epoch_cycles(
+                accelerator, params, lwes
+            ), lwes
+
+    def test_modeled_numbers_to_the_last_digit(self, strix):
+        """What the observatory reports as ``arch.model_pbs_per_s_*`` and
+        ``model_table5_max_rel_err``, and three batch times per set."""
+        expected = {
+            "I": (75000.0, [0.18003999999999998, 8.109226666666666, 21.7826]),
+            "II": (39682.53968253968, [0.3024533333333333, 15.056213333333334, 40.89466666666667]),
+            "III": (21114.864864864863, [0.5684266666666666, 14.148266666666666, 38.45984]),
+            "IV": (2365.0353178607465, [5.920426666666667, 16.91648, 46.511786666666666]),
+        }
+        for name, (throughput, batch_ms) in expected.items():
+            params = PAPER_PARAMETER_SETS[name]
+            capacity = strix.config.tvlp * strix.core.core_batch_size(params)
+            assert strix.pbs_throughput(params) == throughput
+            assert [
+                strix.pbs_batch_time_ms(params, lwes) for lwes in (1, capacity, 3 * capacity + 1)
+            ] == batch_ms
+        assert max(
+            abs(expected[row.parameter_set][0] - row.throughput_pbs_per_s) / row.throughput_pbs_per_s
+            for row in PUBLISHED_PBS_RESULTS
+            if row.platform == "Strix"
+        ) == 0.004069829709756881
 
 
 class TestPaperHeadlineClaims:

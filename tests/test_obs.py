@@ -24,6 +24,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.apps.traffic import bursty_trace, steady_trace
 from repro.errors import UnknownMetricError
@@ -43,11 +45,20 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S
 from repro.serve.metrics import ServeSnapshot
 from repro.serve.server import Server
 
 
 # -- metric primitives --------------------------------------------------------------
+
+
+def fed_one_by_one(values) -> Histogram:
+    """The reference feed: one ``observe(value)`` call per value."""
+    hist = Histogram("one_by_one")
+    for value in values:
+        hist.observe(value)
+    return hist
 
 
 class TestInstruments:
@@ -81,6 +92,38 @@ class TestInstruments:
         cumulative = hist.cumulative_buckets()
         assert [count for _, count in cumulative] == [1, 3, 4, 5]
         assert cumulative[-1][0] == math.inf
+
+    @given(
+        st.lists(
+            st.sampled_from(DEFAULT_LATENCY_BUCKETS_S)
+            | st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+        )
+    )
+    @example([])
+    @example(list(DEFAULT_LATENCY_BUCKETS_S))  # exactly on every bound
+    @example([1.0, 1.0000000000000002, 7.5, 0.1 + 0.2])  # past the last bound
+    def test_histogram_fed_a_batch_equals_fed_one_by_one(self, values):
+        batched, single = Histogram("batched"), fed_one_by_one(values)
+        batched.observe(*values)
+        assert batched.cumulative_buckets() == single.cumulative_buckets()
+        assert batched.count == single.count == len(values)
+        assert batched.sum.hex() == single.sum.hex()  # same additions, same order
+
+    @pytest.mark.parametrize("cost_model", ["analytical", "event"])
+    @pytest.mark.parametrize("layout", ["data-parallel", "pipeline", "elastic"])
+    def test_serving_histograms_hold_every_outcome(self, layout, cost_model):
+        server = Server(devices=3, params="I", layout=layout, cost_model=cost_model)
+        report = server.simulate(bursty_trace(1500.0, 0.2, seed=24))
+        assert report.outcomes
+        for name, samples in (
+            ("serve_latency_seconds", [o.latency_s for o in report.outcomes]),
+            ("serve_queue_delay_seconds", [o.queue_delay_s for o in report.outcomes]),
+        ):
+            one_by_one = fed_one_by_one(samples)
+            served = server.registry.get(name)
+            assert served.count == len(report.outcomes)
+            assert served.sum.hex() == one_by_one.sum.hex()
+            assert served.cumulative_buckets() == one_by_one.cumulative_buckets()
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

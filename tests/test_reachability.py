@@ -110,8 +110,6 @@ REFERENCES = {
     "repro.fft.registry.clear_transform_caches": "fixture: the cache-counter tests start from zero",
     "repro.runtime.backend.unregister_backend": "fixture: undoes register_backend after a test",
     "repro.serve.cluster.StrixCluster.batch_service_s": "closed form dispatch is compared to",
-    "repro.sim.compiler.Netlist.add_linear": "the reference backend executes it",
-    "repro.sim.compiler.Netlist.add_lut": "the reference backend executes it",
     "repro.tfhe.blind_rotate.blind_rotate_plaintext": "plaintext oracle of blind rotation",
     "repro.tfhe.decomposition.decompose_folded": "one-shot form compared to decompose",
     "repro.tfhe.decomposition.decomposition_error_bound": "bound the decomposition tests assert",

@@ -215,7 +215,7 @@ def test_data_parallel_single_device_dispatch_is_closed_form():
         [Request.make(1, "a", "bootstrap", 48), Request.make(2, "b", "encrypt", 16)]
     )
     expected = cluster.batch_service_s(batch, params)
-    device, start, end = cluster.dispatch(batch, 0.0, params)
+    device, start, end = cluster.dispatch(batch, 0.0, params)[:3]
     assert device == 0
     assert start == 0.0
     assert end == expected

@@ -30,6 +30,9 @@ from repro.serve import (
     Server,
     percentile,
 )
+from repro.arch.accelerator import StrixAccelerator
+from repro.arch.interconnect import InterconnectModel
+from repro.faults import FaultSchedule
 from repro.params import TOY_PARAMETERS
 from repro.serve.batcher import Batch
 from repro.serve.metrics import LatencySummary
@@ -381,6 +384,83 @@ def test_simulate_accounts_every_request_exactly_once(pattern_reports):
         for outcome in report.outcomes:
             assert outcome.completed_s >= outcome.dispatched_s
             assert outcome.dispatched_s >= outcome.request.arrival_s
+
+
+HANDED_FLOAT_RUNS = {
+    f"{layout}/{cost_model}": dict(layout=layout, cost_model=cost_model)
+    for layout in ("data-parallel", "pipeline", "elastic")
+    for cost_model in ("analytical", "event")
+} | {
+    "retried batch": dict(on_death="retry"),  # the death is aimed below
+    "shed and expired": dict(devices=1, admission="shed-oldest", queue_capacity=8),
+}
+
+
+@pytest.mark.parametrize("options", HANDED_FLOAT_RUNS.values(), ids=HANDED_FLOAT_RUNS)
+def test_report_summaries_equal_the_ones_derived_from_its_outcomes(options):
+    """``_dispatch`` hands the collector each request's two latencies instead
+    of ``summarize`` reading them back off the outcomes: same floats."""
+    trace = bursty_trace(3000.0, 0.1, seed=29)
+    if "admission" in options:
+        trace = [replace(r, deadline_s=r.arrival_s + 0.0019) for r in trace]
+    options = {"devices": 4, "params": "I", **options}
+    if "on_death" in options:  # kill a device halfway through a batch it is serving
+        victim = Server(**options).simulate(trace).outcomes[len(trace) // 2]
+        midway = (victim.dispatched_s + victim.completed_s) / 2
+        options["faults"] = FaultSchedule.of(FaultSchedule.death(victim.device, midway))
+    report = Server(**options).simulate(trace)
+    outcomes, metrics = report.outcomes, report.metrics
+    assert outcomes
+    assert metrics.latency == LatencySummary.from_samples([o.latency_s for o in outcomes])
+    assert metrics.queue_delay == LatencySummary.from_samples(
+        [o.queue_delay_s for o in outcomes]
+    )
+    assert metrics.tenant_latency == {
+        tenant: LatencySummary.from_samples(
+            [o.latency_s for o in outcomes if o.request.tenant == tenant]
+        )
+        for tenant in {o.request.tenant for o in outcomes}
+    }
+    if "faults" in options:
+        assert metrics.availability["requests_retried"] > 0
+    if "admission" in options:
+        assert metrics.overload["shed"] > 0 and metrics.overload["expired"] > 0
+
+
+def test_resolved_streams_the_outcome_objects_the_report_holds():
+    run = Server(devices=2, params="I").begin_run()
+    streamed = []
+    for request in steady_trace(1500.0, 0.1, seed=29):
+        run.offer(request)
+        streamed += run.resolved()[0]
+    report = run.finish()
+    streamed += run.resolved()[0]
+    assert len(streamed) == len(report.outcomes) > 0
+    assert all(ours is theirs for ours, theirs in zip(streamed, report.outcomes))
+
+
+def test_a_batch_sizes_keys_when_it_ships_them_and_plans_at_most_two_epochs(monkeypatch):
+    """Call counts, not timings: ``place`` sizes a key set only when it
+    inserts one (once per batch before), and pricing a batch looks up at most
+    the full-epoch plan and the remainder's (one per epoch before)."""
+    calls = {"key_set_bytes": 0, "plan_epoch": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(InterconnectModel, "key_set_bytes")
+    counted(StrixAccelerator, "plan_epoch")
+    metrics = Server(devices=4, params="I").simulate(steady_trace(1500.0, 2.0, seed=3)).metrics
+    keys = metrics.key_cache
+    assert keys["hits"] > keys["misses"] > 0 and metrics.batches > 100
+    assert 0 < calls["key_set_bytes"] <= keys["onboards"] + keys["misses"]
+    assert 0 < calls["plan_epoch"] <= 2 * metrics.batches
 
 
 def test_light_load_latency_is_bounded_by_deadline_plus_service():

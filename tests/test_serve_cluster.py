@@ -186,15 +186,15 @@ def test_batch_larger_than_cluster_capacity_runs_in_multiple_epochs():
     assert huge > 3 * small
     device, start, end = cluster.dispatch(
         one_request_batch(3 * capacity), 0.0, PARAM_SET_I
-    )
+    )[:3]
     assert end - start == pytest.approx(huge)
     assert cluster.devices[device].pbs == 3 * capacity
 
 
 def test_dispatch_serializes_on_a_busy_device():
     cluster = StrixCluster(devices=1)
-    _, start_a, end_a = cluster.dispatch(one_request_batch(64), 0.0, PARAM_SET_I)
-    _, start_b, _ = cluster.dispatch(one_request_batch(64), 0.0, PARAM_SET_I)
+    _, start_a, end_a = cluster.dispatch(one_request_batch(64), 0.0, PARAM_SET_I)[:3]
+    _, start_b, _ = cluster.dispatch(one_request_batch(64), 0.0, PARAM_SET_I)[:3]
     assert start_a == 0.0
     assert start_b == pytest.approx(end_a)
     cluster.reset_serving_state()
