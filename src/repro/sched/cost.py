@@ -9,9 +9,9 @@ one protocol:
   batches per second of wall clock — and the default, because it reproduces
   the pre-refactor serving numbers bit-for-bit.
 * :class:`EventDrivenCostModel` — lowers the batch's real request
-  composition to a :class:`~repro.sim.graph.ComputationGraph` (encryption
-  traffic → a LINEAR node, gate/bootstrap traffic → a fused PBS+KS node,
-  each inference request → its model's full layer graph) and runs the
+  composition to the scheduler's op list (:func:`batch_program`: encryption
+  traffic → a LINEAR op, gate/bootstrap traffic → a fused PBS+KS op, each
+  inference request → its model's full layer graph) and runs the
   cycle-level :class:`~repro.sim.scheduler.StrixScheduler` on it.  Slower,
   but per-epoch keyswitch overlap, epoch fragmentation across dependency
   levels and blind-rotation/linear overlap become visible in serving
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.errors import UnknownCostModelError
 from repro.params import TFHEParameters
 from repro.registry import Registry
-from repro.sim.graph import ComputationGraph, ComputationNode
+from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind, ScheduleProgram
 from repro.sim.scheduler import StrixScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -69,10 +69,10 @@ class BatchCost(NamedTuple):
 def batch_mix_signature(batch: "Batch") -> tuple:
     """Canonical request-mix signature of a serving batch.
 
-    Two batches with equal signatures lower (via :func:`batch_graph`) to
-    structurally identical computation graphs — identical node kinds,
-    ciphertext counts, per-ciphertext operations, dependencies *and node
-    order* — because both functions read the same
+    Two batches with equal signatures lower (via :func:`batch_program`) to
+    structurally identical op lists — identical node kinds, ciphertext
+    counts, per-ciphertext operations, dependencies *and node order* —
+    because both functions read the same
     :attr:`~repro.serve.batcher.Batch.request_mix` buckets (model requests
     sorted into signature order, classified once per batch).  Request ids,
     tenants and arrival times deliberately do not appear: they never
@@ -85,70 +85,79 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     return (linear_items, simple_pbs, models)
 
 
-#: Template layer graphs per ``(model name, parameter set)``: node specs of
-#: one single-sample inference, cloned (and scaled by the request's sample
-#: count) into every batch graph instead of rebuilding the model graph node
-#: by node per request.  Pure derived data, a handful of models × parameter
-#: sets, so the cache is unbounded.
-_MODEL_TEMPLATES: dict[tuple[str, TFHEParameters], tuple[tuple, ...]] = {}
+#: Per ``(model name, parameter set)``: one single-sample inference, compiled
+#: and cut into its dependency levels — ``(name, op)`` pairs whose ``op``
+#: depends on positions in the model's own op list.  Pure derived data, a
+#: handful of models × parameter sets, so the cache is unbounded.
+_MODEL_TEMPLATES: dict[tuple[str, TFHEParameters], tuple[tuple[tuple, ...], ...]] = {}
 
 
-def _model_template(model: str, params: TFHEParameters) -> tuple[tuple, ...]:
-    """Node specs ``(name, kind, ciphertexts, ops, depends_on)`` of one model."""
+def _model_template(model: str, params: TFHEParameters) -> tuple[tuple[tuple, ...], ...]:
     key = (model, params)
     template = _MODEL_TEMPLATES.get(key)
     if template is None:
         from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
 
-        model_graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[model], params)
-        template = tuple(
-            (
-                node.name,
-                node.kind,
-                node.ciphertexts,
-                node.operations_per_ciphertext,
-                tuple(node.depends_on),
-            )
-            for node in model_graph.nodes
-        )
+        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[model], params)
+        program = graph.compile()  # its ops run level by level
+        ops = zip(program.names, program.ops)
+        template = tuple(tuple(next(ops) for _ in level) for level in graph.levels())
         _MODEL_TEMPLATES[key] = template
     return template
 
 
-def batch_graph(batch: "Batch", params: TFHEParameters) -> ComputationGraph:
-    """Lower a serving batch to the computation graph it really executes.
+def batch_program(batch: "Batch", params: TFHEParameters) -> ScheduleProgram:
+    """Lower a serving batch straight to the scheduler's op list.
 
-    PBS-free requests (encryption traffic) coalesce into one LINEAR node and
-    fixed-cost bootstrap/gate requests into one fused PBS+KS node — the
+    PBS-free requests (encryption traffic) coalesce into one LINEAR op and
+    fixed-cost bootstrap/gate requests into one fused PBS+KS op — the
     batcher packs them into a single epoch stream, so per-request nodes
     would overstate fragmentation.  Inference requests keep their model's
     full layer structure (scaled by the request's sample count), because the
     layer dependencies are exactly what limits batching and produces the
     fragmentation/keyswitch effects the event-driven model exists to see.
 
-    The model layer structure is cloned from a per-``(model, params)``
-    template (:func:`_model_template`) rather than rebuilt node by node —
-    lowering is on the serving hot path, once per event-priced dispatch.
+    The linear op, the PBS op, then the model requests' nodes interleaved
+    level by level from a per-``(model, params)`` template: the order
+    :meth:`~repro.sim.graph.ComputationGraph.compile` gives the same batch
+    as a graph (:func:`batch_graph`), at no graph's cost — this runs once
+    per schedule-cache miss.
     """
     linear_items, simple_pbs, model_requests = batch.request_mix
-    graph = ComputationGraph(params, name=f"batch-{batch.batch_id}")
+    names: list[str] = []
+    ops: list[tuple[str, int, int, tuple[int, ...]]] = []
     if linear_items:
-        graph.add_linear_layer("linear", linear_items, params.n)
+        names.append("linear")
+        ops.append((NodeKind.LINEAR.value, linear_items, params.n, ()))
     if simple_pbs:
-        graph.add_pbs_layer("pbs", simple_pbs)
-    for request in model_requests:
-        template = _model_template(request.model, params)
-        prefix = f"req{request.request_id}/"
-        for name, kind, ciphertexts, operations, depends_on in template:
-            graph.add_node(
-                ComputationNode(
-                    name=prefix + name,
-                    kind=kind,
-                    ciphertexts=ciphertexts * request.items,
-                    operations_per_ciphertext=operations,
-                    depends_on=[prefix + dep for dep in depends_on],
-                )
-            )
+        names.append("pbs")
+        ops.append((NodeKind.PBS_KS.value, simple_pbs, 0, ()))
+    requests = [
+        (f"req{request.request_id}/", request.items, _model_template(request.model, params), [])
+        for request in model_requests
+    ]
+    for level in range(max((len(template) for _, _, template, _ in requests), default=0)):
+        for prefix, items, template, placed in requests:
+            if level < len(template):
+                for name, (kind, ciphertexts, operations, depends_on) in template[level]:
+                    placed.append(len(ops))
+                    names.append(prefix + name)
+                    dependencies = tuple(map(placed.__getitem__, depends_on))
+                    ops.append((kind, ciphertexts * items, operations, dependencies))
+    return ScheduleProgram(f"batch-{batch.batch_id}", params, names, ops)
+
+
+def batch_graph(batch: "Batch", params: TFHEParameters) -> ComputationGraph:
+    """A serving batch as a graph: :func:`batch_program`'s ops as nodes.
+
+    What reads graph structure (the pipeline layout's stage cut) uses it;
+    it compiles back to exactly the ops it was built from.
+    """
+    name, _, names, ops = batch_program(batch, params)
+    graph = ComputationGraph(params, name=name)
+    for node, (kind, ciphertexts, operations, depends_on) in zip(names, ops):
+        dependencies = [names[dependency] for dependency in depends_on]
+        graph.add_node(ComputationNode(node, NodeKind(kind), ciphertexts, operations, dependencies))
     return graph
 
 
@@ -261,17 +270,17 @@ class EventDrivenCostModel(CostModel):
     def batch_cost(
         self, batch: "Batch", params: TFHEParameters, device: "StrixDevice"
     ) -> BatchCost:
-        return self.stage_cost(batch_graph(batch, params), params, device)
+        return self.stage_cost(batch_program(batch, params), params, device)
 
     def stage_cost(
         self,
-        stage_graph: ComputationGraph,
+        stage_graph: ComputationGraph | ScheduleProgram,
         params: TFHEParameters,
         device: "StrixDevice",
     ) -> BatchCost:
-        if not len(stage_graph):
-            return BatchCost(compute_s=0.0, pbs=0, epochs=0, breakdown={})
         schedule = device.scheduler.run(stage_graph)
+        if not schedule.node_schedules:
+            return BatchCost(compute_s=0.0, pbs=0, epochs=0, breakdown={})
         return BatchCost(
             compute_s=schedule.total_time_s,
             pbs=schedule.total_pbs,

@@ -24,8 +24,8 @@ policy, keyed on everything the wrapped simulation can observe:
 
 Equal keys imply bit-for-bit equal schedules because the scheduler is a
 deterministic function of (ordered graph structure, params, config) and
-:func:`~repro.sched.cost.batch_graph` lowers equal signatures to
-identically-ordered graphs.  Cached entries are therefore pure derived
+:func:`~repro.sched.cost.batch_program` lowers equal signatures to equal
+op lists.  Cached entries are therefore pure derived
 data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), and eviction can never change a result, only
 cost a recomputation.

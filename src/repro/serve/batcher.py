@@ -105,15 +105,15 @@ class Batch:
         Total PBS-free items (→ one LINEAR node), total fixed-cost PBS (→
         one fused PBS+KS node), and the model-carrying requests that each
         expand to a per-request layer subgraph, sorted by ``(model, items)``.
-        :func:`repro.sched.cost.batch_graph` and its cache signature
+        :func:`repro.sched.cost.batch_program` and its cache signature
         :func:`repro.sched.cost.batch_mix_signature` both read these buckets,
-        so the key cannot drift from the graph it stands for.
+        so the key cannot drift from the ops it stands for.
 
         The sort is what makes the signature → schedule mapping a
         *function*: the cycle-level scheduler books shared resources in
-        graph insertion order, so two batches whose inference requests
-        arrived in different orders would otherwise lower to
-        differently-ordered graphs and schedule to (slightly) different
+        op order, so two batches whose inference requests arrived in
+        different orders would otherwise lower to differently-ordered
+        op lists and schedule to (slightly) different
         makespans despite equal signatures.  Sorting is stable, so batches
         whose model requests already share one ``(model, items)`` shape —
         every trace the benchmarks replay — are lowered in arrival order.

@@ -9,12 +9,13 @@ several blind rotation fragments." (Section VI-B).
 This package reproduces that simulator:
 
 * :mod:`repro.sim.graph` — computational graphs of PBS / keyswitch / linear
-  nodes and helpers to build them from applications.
+  nodes, helpers to build them from applications, and the op list
+  (``ScheduleProgram``) a graph compiles to in topological order.
 * :mod:`repro.sim.fragments` — blind-rotation fragment accounting (Eq. 1–2).
-* :mod:`repro.sim.scheduler` — the epoch scheduler that maps graph nodes onto
-  a :class:`~repro.arch.accelerator.StrixAccelerator` (or a baseline platform
-  model) and reports end-to-end execution time, and the serially reusable
-  ``Resource`` it books (one per HSC, keyswitch cluster, linear unit).
+* :mod:`repro.sim.scheduler` — the epoch scheduler that books an op list onto
+  a :class:`~repro.arch.accelerator.StrixAccelerator` in one loop, each HSC,
+  the keyswitch cluster and the linear unit held as the time it is next free,
+  and reports end-to-end execution time.
 * :mod:`repro.sim.trace` — functional-unit occupancy traces (Fig. 8).
 """
 

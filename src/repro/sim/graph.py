@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.params import TFHEParameters
 
@@ -58,6 +59,25 @@ class ComputationNode:
         if self.kind in (NodeKind.PBS, NodeKind.PBS_KS):
             return self.ciphertexts
         return 0
+
+
+class ScheduleProgram(NamedTuple):
+    """A workload as the op list :class:`~repro.sim.scheduler.StrixScheduler` books.
+
+    ``ops[i]`` is ``(kind, ciphertexts, operations_per_ciphertext,
+    depends_on)`` of the node named ``names[i]``: its :class:`NodeKind`
+    value, and the positions in ``ops`` of its dependencies — all earlier,
+    the ops are in topological order.
+    """
+
+    name: str
+    params: TFHEParameters
+    names: list[str]
+    ops: list[tuple[str, int, int, tuple[int, ...]]]
+
+    def compile(self) -> "ScheduleProgram":
+        """Already lowered (a :class:`ComputationGraph` compiles to this)."""
+        return self
 
 
 class ComputationGraph:
@@ -150,6 +170,17 @@ class ComputationGraph:
         level keep their insertion order.
         """
         return [node for level in self.levels() for node in level]
+
+    def compile(self) -> ScheduleProgram:
+        """The graph as the scheduler's op list, in :meth:`topological_order`."""
+        order = self.topological_order()
+        position = {node.name: index for index, node in enumerate(order)}
+        ops = []
+        for node in order:
+            kind, operations = node.kind.value, node.operations_per_ciphertext
+            dependencies = tuple(position[name] for name in node.depends_on)
+            ops.append((kind, node.ciphertexts, operations, dependencies))
+        return ScheduleProgram(self.name, self.params, [node.name for node in order], ops)
 
     def total_pbs(self) -> int:
         """Total programmable bootstraps across the graph."""

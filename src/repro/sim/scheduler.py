@@ -2,47 +2,30 @@
 
 Workloads are scheduled "in a series of epochs, with each epoch containing a
 maximum number of LWEs equal to the product of device-level and core-level
-batch sizes" (Section IV-C).  The scheduler walks the computation graph in
-dependency order, splits every PBS node into epochs, runs the blind rotation
-of each epoch on one serially reusable :class:`Resource` per HSC and lets the
-keyswitching of one epoch hide behind the blind rotation of the next.  Linear
-nodes are charged to a (cheap) vector unit on the host interface.  The
-scheduler holds its resources directly and reads makespan and utilization off
-them; no timeline is kept.
+batch sizes" (Section IV-C).  The scheduler walks the workload's op list
+(:class:`~repro.sim.graph.ScheduleProgram`, a graph compiled to topological
+order) and splits every PBS node into epochs; each HSC, the keyswitch unit and
+the linear unit is one serially reusable resource, booked as the time it is
+next free.  The blind rotation of an epoch runs on the HSCs, its keyswitching
+hides behind the blind rotation of the next.  Linear nodes are charged to a
+(cheap) vector unit on the host interface.  Makespan and utilization are read
+off those free and busy times; no timeline is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters
 from repro.sim.fragments import plan_fragments
-from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
+from repro.sim.graph import ComputationGraph, ScheduleProgram
+
+_new_tuple = tuple.__new__
 
 
-@dataclass
-class Resource:
-    """A serially reusable resource (one HSC, the HBM bus, ...)."""
-
-    name: str
-    free_at: float = 0.0
-    busy_time: float = 0.0
-
-    def reserve(self, earliest_start: float, duration: float) -> tuple[float, float]:
-        """Occupy the resource for ``duration`` as soon as possible.
-
-        Returns the (start, end) interval actually granted.
-        """
-        start = max(self.free_at, earliest_start)
-        end = start + duration
-        self.free_at = end
-        self.busy_time += duration
-        return start, end
-
-
-@dataclass
-class NodeSchedule:
+class NodeSchedule(NamedTuple):
     """Timing of one graph node on the accelerator."""
 
     node: str
@@ -81,9 +64,9 @@ class _EpochTimings:
     """Epoch capacity and per-epoch durations of one parameter set on one chip.
 
     Everything here is a pure function of ``(params, config)``: it is
-    computed once and looked up from the per-node / per-epoch / per-core
-    loops.  That changes no arithmetic — the same expressions give the same
-    values — so schedules stay bit-for-bit those of recomputing each one.
+    computed once and looked up from the per-node loop.  That changes no
+    arithmetic — the same expressions give the same values — so schedules
+    stay bit-for-bit those of recomputing each one.
     """
 
     def __init__(self, accelerator: StrixAccelerator, params: TFHEParameters):
@@ -91,6 +74,15 @@ class _EpochTimings:
         self._params = params
         self.epoch_capacity = accelerator.config.tvlp * accelerator.core.core_batch_size(params)
         self._epochs: dict[int, tuple[tuple[float, ...], float]] = {}
+        self._nodes: dict[int, tuple[tuple[tuple[float, ...], float], ...]] = {}
+
+    def node(self, ciphertexts: int) -> tuple[tuple[tuple[float, ...], float], ...]:
+        """:meth:`epoch` of each blind-rotation fragment of a PBS node."""
+        epochs = self._nodes.get(ciphertexts)
+        if epochs is None:
+            plan = plan_fragments(ciphertexts, self.epoch_capacity)
+            epochs = self._nodes[ciphertexts] = tuple(map(self.epoch, plan.fragment_sizes))
+        return epochs
 
     def epoch(self, lwes: int) -> tuple[tuple[float, ...], float]:
         """Blind-rotation seconds per active core, and keyswitch seconds.
@@ -129,6 +121,7 @@ class StrixScheduler:
         self.config = accelerator.config
         self._linear_macs_per_second = self.linear_macs_per_second(self.config)
         self._timings: dict[TFHEParameters, _EpochTimings] = {}
+        self._core_names = tuple(f"hsc{core}" for core in range(self.config.tvlp))
 
     @classmethod
     def linear_macs_per_second(cls, config) -> float:
@@ -142,80 +135,77 @@ class StrixScheduler:
 
     # -- public API -----------------------------------------------------------
 
-    def run(self, graph: ComputationGraph) -> ScheduleResult:
-        """Execute a computation graph and return its schedule."""
-        params = graph.params
+    def run(self, graph: ComputationGraph | ScheduleProgram) -> ScheduleResult:
+        """Execute a computation graph (or its compiled op list); return its schedule.
+
+        Every booking is ``start = max(free, earliest)``, ``free = start +
+        duration`` on one resource (and ``busy += duration`` on an HSC), in
+        op order and, within a PBS node, epoch by epoch and core by core.
+        """
+        name, params, names, ops = graph.compile()
         timings = self._timings.get(params)
         if timings is None:
             timings = self._timings[params] = _EpochTimings(self.accelerator, params)
-        cores = [Resource(f"hsc{core}") for core in range(self.config.tvlp)]
-        keyswitch = Resource("keyswitch")
-        linear = Resource("linear")
+        linear_macs_per_second = self._linear_macs_per_second
+        core_free = [0.0] * self.config.tvlp
+        core_busy = [0.0] * self.config.tvlp
+        keyswitch_free = linear_free = 0.0
 
-        finish_time: dict[str, float] = {}
+        finish: list[float] = []
         node_schedules: list[NodeSchedule] = []
-        total_epochs = 0
-
-        for node in graph.topological_order():
-            ready = max(map(finish_time.__getitem__, node.depends_on), default=0.0)
-            if node.kind is NodeKind.LINEAR:
-                operations = node.ciphertexts * max(node.operations_per_ciphertext, 1)
-                _, end = linear.reserve(ready, operations / self._linear_macs_per_second)
+        total_pbs = total_epochs = 0
+        for node, (kind, ciphertexts, operations, depends_on) in zip(names, ops):
+            ready = 0.0
+            for dependency in depends_on:
+                if finish[dependency] > ready:
+                    ready = finish[dependency]
+            if kind == "linear":
+                start = ready if ready > linear_free else linear_free
+                macs = ciphertexts * (operations if operations > 1 else 1)
+                end = linear_free = start + macs / linear_macs_per_second
                 epochs = 0
             else:
-                end, epochs = self._schedule_pbs_node(cores, keyswitch, node, timings, ready)
-            finish_time[node.name] = end
-            total_epochs += epochs
-            node_schedules.append(NodeSchedule(node.name, node.kind.value, ready, end, epochs))
+                if kind != "keyswitch":
+                    total_pbs += ciphertexts
+                wants_keyswitch = kind != "pbs"
+                plan = timings.node(ciphertexts)
+                end = ready
+                for durations, keyswitch_s in plan:
+                    epoch_end = ready
+                    for core, duration in enumerate(durations):
+                        start = core_free[core]
+                        if ready > start:
+                            start = ready
+                        core_free[core] = core_end = start + duration
+                        core_busy[core] += duration
+                        if core_end > epoch_end:
+                            epoch_end = core_end
+                    if wants_keyswitch:
+                        # An epoch's keyswitch overlaps the next epoch's blind
+                        # rotation; only the final one extends the node.
+                        if epoch_end > keyswitch_free:
+                            keyswitch_free = epoch_end
+                        keyswitch_free += keyswitch_s
+                    if epoch_end > end:
+                        end = epoch_end
+                if wants_keyswitch and plan and keyswitch_free > end:
+                    end = keyswitch_free
+                epochs = len(plan)
+                total_epochs += epochs
+            finish.append(end)
+            # NodeSchedule(...) minus the named tuple's Python-level __new__.
+            node_schedules.append(_new_tuple(NodeSchedule, (node, kind, ready, end, epochs)))
 
-        # A resource's reservations never end earlier than the one before,
-        # so the latest `free_at` is the end of the last activity overall.
-        makespan = max(resource.free_at for resource in (*cores, keyswitch, linear))
+        # A resource's bookings never end earlier than the one before, so
+        # the latest free time is the end of the last activity overall.
+        makespan = max(*core_free, keyswitch_free, linear_free)
+        utilization = [busy / makespan if makespan > 0 else 0.0 for busy in core_busy]
         return ScheduleResult(
-            workload=graph.name,
+            workload=name,
             parameter_set=params.name,
             total_time_s=makespan,
             node_schedules=node_schedules,
-            total_pbs=graph.total_pbs(),
+            total_pbs=total_pbs,
             total_epochs=total_epochs,
-            core_utilization={
-                core.name: core.busy_time / makespan if makespan > 0 else 0.0
-                for core in cores
-            },
+            core_utilization=dict(zip(self._core_names, utilization)),
         )
-
-    # -- internals -------------------------------------------------------------
-
-    def _schedule_pbs_node(
-        self,
-        cores: list[Resource],
-        keyswitch: Resource,
-        node: ComputationNode,
-        timings: _EpochTimings,
-        ready: float,
-    ) -> tuple[float, int]:
-        plan = plan_fragments(node.ciphertexts, timings.epoch_capacity)
-        wants_keyswitch = node.kind in (NodeKind.PBS_KS, NodeKind.KEYSWITCH)
-
-        node_end = ready
-        for epoch_index, epoch_lwes in enumerate(plan.fragment_sizes):
-            durations, keyswitch_duration = timings.epoch(epoch_lwes)
-            epoch_end = ready
-            for core, duration in zip(cores, durations):
-                _, end = core.reserve(ready, duration)
-                if end > epoch_end:
-                    epoch_end = end
-
-            if wants_keyswitch:
-                _, keyswitch_end = keyswitch.reserve(epoch_end, keyswitch_duration)
-                # Keyswitching of this epoch overlaps the next epoch's blind
-                # rotation; only the final epoch's keyswitch extends the node.
-                if epoch_index == plan.num_passes - 1:
-                    epoch_end = keyswitch_end
-
-            if epoch_end > node_end:
-                node_end = epoch_end
-            # Successive epochs of the same node serialize naturally on the
-            # HSC resources, so `ready` (the dependency bound) is unchanged.
-
-        return node_end, plan.num_passes
