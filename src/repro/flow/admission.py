@@ -13,7 +13,7 @@ request and the configured limits it returns an :class:`AdmissionDecision`
 — admit as-is, admit after shedding named queued victims, or reject with a
 reason.  It never mutates the queue itself; the
 :class:`~repro.flow.control.FlowController` executes the decision (pops
-victims, counts outcomes, fails futures).  Decisions are deterministic
+victims, counts outcomes, reports the drops).  Decisions are deterministic
 functions of queue state, so replayed overload traces shed bit-for-bit
 the same requests every run.
 """

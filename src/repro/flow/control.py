@@ -147,7 +147,7 @@ class FlowController:
 
         Returns ``(admitted, shed_victims, reason)``.  Victims have
         already been popped from the queue (and counted as shed); the
-        caller fails their awaiting futures.  The arriving request itself
+        caller owes their submitters a typed error.  The arriving request itself
         is *not* pushed — on ``admitted=True`` the caller pushes it, so
         queue observation hooks fire in the caller's order.
         """

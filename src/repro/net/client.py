@@ -232,17 +232,12 @@ class AsyncNetClient:
 
     async def submit_with_retry(
         self,
-        tenant: str,
-        kind: str,
-        items: int = 1,
-        model: str | None = None,
-        ciphertexts: Any = None,
-        deadline_s: float | None = None,
-        timeout_s: float | None = None,
+        *args: Any,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
+        **submit_options: Any,
     ) -> RequestOutcome:
-        """``submit`` wrapped in capped, seeded-jitter backoff.
+        """:meth:`submit` (same arguments) wrapped in capped, seeded-jitter backoff.
 
         Retries :class:`~repro.flow.retry.ServerBusyError` (honouring the
         server's retry-after hint as a floor) and
@@ -259,15 +254,7 @@ class AsyncNetClient:
             if breaker is not None:
                 breaker.check(loop.time())
             try:
-                outcome = await self.submit(
-                    tenant,
-                    kind,
-                    items,
-                    model=model,
-                    ciphertexts=ciphertexts,
-                    deadline_s=deadline_s,
-                    timeout_s=timeout_s,
-                )
+                outcome = await self.submit(*args, **submit_options)
             except (ServerBusyError, RequestTimeoutError) as error:
                 if breaker is not None:
                     breaker.record_failure(loop.time())

@@ -20,6 +20,7 @@ without sockets and reusable by any transport.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 from repro.net.protocol import pack_str, unpack_str
@@ -163,7 +164,7 @@ def decode_submit(payload: bytes) -> SubmitMessage:
         raise ValueError("SUBMIT tenant name cannot be empty")
     return SubmitMessage(
         request_id=request_id,
-        tenant=tenant,
+        tenant=sys.intern(tenant),  # one string per tenant, not one per request a run keeps
         kind=kind,
         items=items,
         arrival_s=arrival_s if flags & HAS_ARRIVAL else None,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Any, Sequence
 
 from repro.flow.retry import (
@@ -86,19 +87,17 @@ async def replay_trace_async(
             outcomes = await asyncio.gather(*futures, return_exceptions=True)
         finally:
             await client.close()
-        dropped = sum(1 for outcome in outcomes if isinstance(outcome, BaseException))
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException) and not isinstance(
-                outcome, (ServerBusyError, NetError)
-            ):
-                raise outcome
+        dropped = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+        for failure in dropped:
+            if not isinstance(failure, (ServerBusyError, NetError)):
+                raise failure
         extra = {
             "client_frames_sent": client.frames_sent,
             "client_bytes_sent": client.bytes_sent,
             "client_bytes_received": client.bytes_received,
         }
         if dropped:
-            extra["client_dropped"] = dropped
+            extra["client_dropped"] = len(dropped)
     report = net.last_report
     assert report is not None and len(outcomes) == len(ordered)
     return _merge_wire(report, extra)
@@ -151,29 +150,20 @@ async def closed_loop_async(
 
             async def drive(client: AsyncNetClient, slice_: list[Request]) -> int:
                 nonlocal abandoned
+                submit = client.submit
+                if retry is not None:
+                    submit = partial(client.submit_with_retry, retry=retry, breaker=breaker)
                 done = 0
                 for request in slice_:
                     try:
-                        if retry is not None:
-                            await client.submit_with_retry(
-                                request.tenant,
-                                request.kind.value,
-                                request.items,
-                                model=request.model,
-                                deadline_s=deadline_s,
-                                timeout_s=timeout_s,
-                                retry=retry,
-                                breaker=breaker,
-                            )
-                        else:
-                            await client.submit(
-                                request.tenant,
-                                request.kind.value,
-                                request.items,
-                                model=request.model,
-                                deadline_s=deadline_s,
-                                timeout_s=timeout_s,
-                            )
+                        await submit(
+                            request.tenant,
+                            request.kind.value,
+                            request.items,
+                            model=request.model,
+                            deadline_s=deadline_s,
+                            timeout_s=timeout_s,
+                        )
                     except (ServerBusyError, RequestTimeoutError, CircuitOpenError):
                         abandoned += 1
                         continue
@@ -203,17 +193,13 @@ async def closed_loop_async(
             }
             # Overload counters join the wire block only once they fire, so
             # unsaturated runs keep their historical shape.
-            retries = sum(client.retries for client in clients)
-            busy = sum(client.busy_replies for client in clients)
-            stalls = sum(client.credit_stalls for client in clients)
-            if retries:
-                extra["client_retries"] = retries
-            if busy:
-                extra["client_busy_replies"] = busy
-            if stalls:
-                extra["client_credit_stalls"] = stalls
-            if abandoned:
-                extra["client_abandoned"] = abandoned
+            overload = {
+                "client_retries": sum(client.retries for client in clients),
+                "client_busy_replies": sum(client.busy_replies for client in clients),
+                "client_credit_stalls": sum(client.credit_stalls for client in clients),
+                "client_abandoned": abandoned,
+            }
+            extra.update((key, count) for key, count in overload.items() if count)
         finally:
             for client in clients:
                 await client.close()

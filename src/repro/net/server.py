@@ -1,21 +1,27 @@
 """The asyncio TCP front-end: :class:`NetServer` turns the serving layer into a server.
 
 One :class:`NetServer` owns one :class:`repro.serve.Server` and exposes it
-over real sockets speaking the :mod:`repro.net.protocol` frame format.  Two
-modes:
+over real sockets speaking the :mod:`repro.net.protocol` frame format.  Every
+``SUBMIT`` is one :meth:`~repro.serve.server.ServingRun.offer` to the
+server's run, and every reply is what
+:meth:`~repro.serve.server.ServingRun.resolved` hands back: one answer path,
+one owner table (server-side request id -> connection and the client's own
+id), one credit window.  The mode only picks the run's clock:
 
-* ``mode="live"`` — the online path: every ``SUBMIT`` goes through
-  :meth:`repro.serve.Server.submit_async`, so arrivals are stamped on the
-  wall clock, batches flush on real deadlines, and each connection receives
-  its ``RESULT`` frames as its batches complete.  This is what a deployment
-  looks like: N concurrent connections feeding one adaptive batcher.
-* ``mode="replay"`` — the deterministic path: ``SUBMIT`` frames carry trace
-  timestamps and each is one :meth:`~repro.serve.server.ServingRun.offer`
-  to a run on the simulated clock — the very engine the in-process
-  :meth:`~repro.serve.Server.simulate` drives, so a recorded trace pushed
+* ``mode="live"`` — the wall clock: the server numbers each arrival and
+  stamps it with the event loop's time, and the run's timer flushes batches
+  on real deadlines.  This is what a deployment looks like: N concurrent
+  connections feeding one adaptive batcher.
+* ``mode="replay"`` — the simulated clock: ``SUBMIT`` frames carry trace
+  timestamps and ids, so the run is the very engine the in-process
+  :meth:`~repro.serve.Server.simulate` drives and a recorded trace pushed
   through the socket produces *bit-for-bit* its outcomes — the equality the
-  test suite enforces.  ``DRAIN`` flushes everything still batched and
-  answers ``DRAINED`` when the last ``RESULT`` is out.
+  test suite enforces.
+
+``DRAIN`` flushes everything still batched and answers ``DRAINED`` when the
+last reply is out.  Replies are written without waiting; a connection's read
+loop drains its writer after each chunk it handles, so a client that stops
+reading stops being read.
 
 Error handling is connection-scoped and typed: a corrupted checksum, an
 unsupported protocol version, an unknown message type or a malformed payload
@@ -28,12 +34,14 @@ that one connection, after a final ``ERROR`` so the client knows why.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.flow.control import DeadlineExceededError, RequestRejectedError
 from repro.net import codec, protocol
 from repro.net.protocol import ErrorCode, Frame, FrameDecoder, MessageType, ProtocolError
+from repro.serve.request import Request
 from repro.serve.server import ServeReport, Server, ServingRun
 
 #: Bytes per read of the per-connection read loop.
@@ -58,29 +66,21 @@ class WireStats:
         ``busy_sent`` only appears once a BUSY reply has actually gone out,
         so overload-free runs keep their historical wire dict unchanged.
         """
-        snapshot = {
-            "connections": self.connections,
-            "frames_received": self.frames_received,
-            "frames_sent": self.frames_sent,
-            "bytes_received": self.bytes_received,
-            "bytes_sent": self.bytes_sent,
-            "errors_sent": self.errors_sent,
-        }
-        if self.busy_sent:
-            snapshot["busy_sent"] = self.busy_sent
+        snapshot = asdict(self)
+        if not self.busy_sent:
+            del snapshot["busy_sent"]
         return snapshot
 
 
 class _Connection:
-    """Per-connection state: decoder, write lock, liveness, credits."""
+    """Per-connection state: decoder, liveness, credits."""
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.decoder = FrameDecoder()
-        self.lock = asyncio.Lock()
         self.closing = False
-        #: Live-mode submissions accepted but not yet answered (credit-based
-        #: flow control counts replies out against the WELCOME's window).
+        #: Submissions accepted but not yet answered (credit-based flow
+        #: control counts replies out against the WELCOME's window).
         self.inflight = 0
 
 
@@ -95,9 +95,8 @@ class NetServer:
 
     ``start``/``aclose`` are also usable directly.  After close,
     :attr:`last_report` holds the serving report of everything the socket
-    carried — the async report in live mode, the deterministic replay
-    report in replay mode — with :attr:`ServeReport.wire` filled in from
-    the transport counters.
+    carried, with :attr:`ServeReport.wire` filled in from the transport
+    counters.
     """
 
     def __init__(
@@ -117,10 +116,10 @@ class NetServer:
         if credit_window is not None and not 1 <= credit_window <= 0xFFFF:
             raise ValueError("credit window must be in [1, 65535]")
         self.server = server if server is not None else Server(**server_options)
-        self.mode = mode
-        #: Per-connection in-flight window advertised in WELCOME; enforced
-        #: on the live path (a SUBMIT past it earns an immediate BUSY).
-        #: ``None`` keeps the historical one-byte WELCOME and no limit.
+        self._wall_clock = mode == "live"
+        #: Per-connection in-flight window advertised in WELCOME (a SUBMIT
+        #: past it earns an immediate BUSY).  ``None`` keeps the historical
+        #: one-byte WELCOME and no limit.
         self.credit_window = credit_window
         self.label = label if label is not None else f"net-{mode}"
         self._host = host
@@ -128,17 +127,16 @@ class NetServer:
         self._listener: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
         self._conn_tasks: set[asyncio.Task] = set()
-        self._submit_tasks: set[asyncio.Task] = set()
         self._epoch = 0.0
-        #: The serving run behind the socket, in either mode (``None``
-        #: before :meth:`start` and after :meth:`aclose`).
+        #: The serving run behind the socket (``None`` before :meth:`start`
+        #: and after :meth:`aclose`).
         self._run: ServingRun | None = None
-        #: Replay request id -> the connection that submitted it.  A later
-        #: connection's offer can release another connection's outcomes
-        #: (or shed its queued work); replies must reach the submitter,
-        #: not whoever's offer triggered them.  Entries are forgotten as
-        #: they are answered.
-        self._replay_owners: dict[int, _Connection] = {}
+        #: Server-side request id -> (the connection that submitted it, the
+        #: id it used on the wire).  One connection's offer can release
+        #: another's outcomes (or shed its queued work); replies must reach
+        #: the submitter, not whoever's offer triggered them.  Entries are
+        #: forgotten as they are answered.
+        self._owners: dict[int, tuple[_Connection, int]] = {}
         self.stats = WireStats()
         #: Serving report of the last completed serve (set by :meth:`aclose`).
         self.last_report: ServeReport | None = None
@@ -168,11 +166,8 @@ class NetServer:
             raise RuntimeError("the server is already started")
         loop = asyncio.get_running_loop()
         self._epoch = loop.time()
-        if self.mode == "live":
-            await self.server.__aenter__()
-            self._run = self.server.active_run
-        else:
-            self._run = self.server.begin_run(self.label)
+        self._run = ServingRun(self.server, self.label, clock=loop if self._wall_clock else None)
+        self._run.on_flush = self._answer_resolved
         self._listener = await asyncio.start_server(self._on_connection, self._host, self._port)
         return self.address
 
@@ -190,19 +185,10 @@ class NetServer:
         self._listener.close()
         await self._listener.wait_closed()
         self._listener = None
-        if self.mode == "live":
-            # Closing the async context drains the batcher, which resolves
-            # every pending submission future; the per-submit tasks then
-            # write their RESULT frames before we cut the connections.
-            await self.server.aclose()
-            if self._submit_tasks:
-                await asyncio.gather(*list(self._submit_tasks), return_exceptions=True)
-            base = self.server.last_async_report
-            if base is not None:
-                wire = {**base.wire, **self.stats.to_dict()}
-                self.last_report = replace(base, label=self.label, wire=wire)
-        else:
-            self.last_report = self._run.finish(wire=self.stats.to_dict())
+        # Everything still batched is answered before the connections go.
+        self._run.drain()
+        self._answer_resolved(self._run)
+        self.last_report = self._run.finish(wire=self.stats.to_dict())
         self._run = None
         for connection in list(self._connections):
             connection.closing = True
@@ -233,162 +219,111 @@ class NetServer:
                         # The write half usually survives a client's
                         # write-side EOF, so the truncation still gets its
                         # typed reply before the connection goes away.
-                        await self._send_error(connection, defect)
+                        self._send_error(connection, defect)
                     break
                 self.stats.bytes_received += len(data)
                 for event in connection.decoder.feed(data):
                     if isinstance(event, ProtocolError):
-                        await self._send_error(connection, event)
+                        self._send_error(connection, event)
                         if event.fatal:
                             return
                     else:
                         self.stats.frames_received += 1
-                        await self._handle_frame(connection, event)
+                        self._handle_frame(connection, event)
+                await connection.writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
             self._connections.discard(connection)
+            connection.closing = True  # replies still owed to it go nowhere
             connection.writer.close()
-            try:
+            with suppress(ConnectionResetError, BrokenPipeError):
                 await connection.writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # -- frame dispatch ----------------------------------------------------------
 
-    async def _handle_frame(self, connection: _Connection, frame: Frame) -> None:
-        try:
-            msg_type = MessageType(frame.msg_type)
-        except ValueError:
-            await self._send_error(
-                connection,
-                ProtocolError(
-                    ErrorCode.UNKNOWN_TYPE,
-                    f"unknown message type {frame.msg_type}",
-                ),
-            )
+    def _handle_frame(self, connection: _Connection, frame: Frame) -> None:
+        handler = self._HANDLERS.get(frame.msg_type)
+        if handler is None:
+            message = f"{frame.type_name} frames are not valid client->server messages"
+            self._send_error(connection, ProtocolError(ErrorCode.UNKNOWN_TYPE, message))
             return
         try:
-            if msg_type is MessageType.HELLO:
-                await self._handle_hello(connection, frame)
-            elif msg_type is MessageType.PING:
-                await self._handle_ping(connection, frame)
-            elif msg_type is MessageType.SUBMIT:
-                await self._handle_submit(connection, frame)
-            elif msg_type is MessageType.DRAIN:
-                await self._handle_drain(connection)
-            elif msg_type is MessageType.STATS:
-                await self._handle_stats(connection)
-            else:
-                await self._send_error(
-                    connection,
-                    ProtocolError(
-                        ErrorCode.UNKNOWN_TYPE,
-                        f"{msg_type.name} frames are not valid client->server messages",
-                    ),
-                )
+            handler(self, connection, frame)
+        except ProtocolError as defect:
+            self._send_error(connection, defect)
         except (ValueError, KeyError) as error:
             # KeyError covers unknown Deep-NN model names from the PBS cost
             # lookup; both are the client's mistake, not the server's.
-            await self._send_error(connection, ProtocolError(ErrorCode.BAD_MESSAGE, str(error)))
+            self._send_error(connection, ProtocolError(ErrorCode.BAD_MESSAGE, str(error)))
 
-    async def _handle_hello(self, connection: _Connection, frame: Frame) -> None:
+    def _handle_hello(self, connection: _Connection, frame: Frame) -> None:
         offered = protocol.decode_hello(frame.payload)
         version = protocol.negotiate_version(offered)
         if version is None:
-            await self._send_error(
-                connection,
-                ProtocolError(
-                    ErrorCode.UNSUPPORTED_VERSION,
-                    f"no common protocol version (client offered {sorted(offered)}, "
-                    f"server supports {sorted(protocol.SUPPORTED_VERSIONS)})",
-                ),
+            raise ProtocolError(
+                ErrorCode.UNSUPPORTED_VERSION,
+                f"no common protocol version (client offered {sorted(offered)}, "
+                f"server supports {sorted(protocol.SUPPORTED_VERSIONS)})",
             )
-            return
-        await self._send(
-            connection,
-            MessageType.WELCOME,
-            protocol.encode_welcome(version, credit_window=self.credit_window),
-        )
+        welcome = protocol.encode_welcome(version, credit_window=self.credit_window)
+        self._send(connection, MessageType.WELCOME, welcome)
 
-    async def _handle_ping(self, connection: _Connection, frame: Frame) -> None:
+    def _handle_ping(self, connection: _Connection, frame: Frame) -> None:
         nonce, client_s = protocol.decode_ping(frame.payload)
         server_s = asyncio.get_running_loop().time() - self._epoch
-        await self._send(
-            connection, MessageType.PONG, protocol.encode_pong(nonce, client_s, server_s)
-        )
+        self._send(connection, MessageType.PONG, protocol.encode_pong(nonce, client_s, server_s))
 
-    async def _handle_submit(self, connection: _Connection, frame: Frame) -> None:
+    def _handle_submit(self, connection: _Connection, frame: Frame) -> None:
         message = codec.decode_submit(frame.payload)
+        wire_id = message.request_id
         try:
             # Validate the attached LWE batch (if any) before accepting the work.
             message.decode_ciphertexts(self.server.params)
-            if self.mode == "replay":
-                if message.arrival_s is None:
-                    raise ValueError("replay-mode SUBMIT frames must carry a trace timestamp")
-                self._run.offer(message.to_request())
-                self._replay_owners[message.request_id] = connection
-        except RequestRejectedError as rejected:
-            await self._send_failure(connection, message.request_id, rejected)
+            request = self._request(message)
+            if self.credit_window is not None and connection.inflight >= self.credit_window:
+                # The connection spent its whole advertised window: a
+                # deterministic retry hint instead of queueing past capacity.
+                raise RequestRejectedError(
+                    f"in-flight window of {self.credit_window} is exhausted",
+                    retry_after_s=self._run.retry_after_s(),
+                )
+            self._run.offer(request)
         except (ValueError, KeyError) as error:
             # A corrupt or params-mismatched attachment, an unknown kind or
-            # model, an arrival missing or out of order: this request's
-            # mistake, answered under its id (an id-0 ERROR would fail every
-            # other request pending on the connection) — and before it has
-            # an owner entry to leak.
+            # model, a replayed arrival missing or out of order, a replayed
+            # id already in flight: this request's mistake, answered under
+            # its id (an id-0 ERROR would fail every other request pending
+            # on the connection) — and before it has an owner entry to leak.
             defect = ProtocolError(ErrorCode.BAD_MESSAGE, str(error))
-            await self._send_error(connection, defect, request_id=message.request_id)
-            return
-        if self.mode == "replay":
-            await self._answer_resolved(connection)
+            self._send_error(connection, defect, request_id=wire_id)
+        except Exception as refused:  # noqa: BLE001 - admission, window, full queue, crash
+            self._send_failure(connection, wire_id, refused)
         else:
-            if (
-                self.credit_window is not None
-                and connection.inflight >= self.credit_window
-            ):
-                # The connection spent its whole advertised window; answer
-                # immediately with a deterministic retry hint instead of
-                # queueing past capacity.
-                await self._send_busy(
-                    connection,
-                    message.request_id,
-                    self._run.retry_after_s(),
-                    f"in-flight window of {self.credit_window} is exhausted",
-                )
-                return
+            self._owners[request.request_id] = (connection, wire_id)
             connection.inflight += 1
-            task = asyncio.get_running_loop().create_task(self._submit_live(connection, message))
-            self._submit_tasks.add(task)
-            task.add_done_callback(self._submit_tasks.discard)
+        self._answer_resolved(self._run)
 
-    async def _submit_live(self, connection: _Connection, message: codec.SubmitMessage) -> None:
-        try:
-            outcome = await self.server.submit_async(
-                message.tenant,
-                message.kind,
-                message.items,
-                model=message.model,
-                deadline_s=message.deadline_s,
-            )
-        except Exception as error:  # noqa: BLE001 - surfaced as a typed reply
-            connection.inflight -= 1
-            await self._send_failure(connection, message.request_id, error)
-            return
-        # Decrement before computing the piggy-backed credit count so the
-        # RESULT advertises the capacity this very reply just freed.
-        connection.inflight -= 1
-        credits = None
-        if self.credit_window is not None:
-            credits = max(self.credit_window - connection.inflight, 0)
-        await self._send_result(connection, message.request_id, outcome, credits=credits)
+    def _request(self, message: codec.SubmitMessage) -> Request:
+        """The request a SUBMIT stands for, on the run's clock: a live arrival
+        is numbered by the server and stamped now, a replayed one keeps the
+        trace's id, timestamp and absolute deadline."""
+        run = self._run
+        if run.clock is not None:
+            fields = (message.tenant, message.kind, message.items, message.model)
+            return self.server._new_request(*fields, message.deadline_s, run.now())
+        if message.arrival_s is None:
+            raise ValueError("replay-mode SUBMIT frames must carry a trace timestamp")
+        if message.request_id in self._owners:
+            raise ValueError(f"request id {message.request_id} is already in flight")
+        return message.to_request()
 
-    async def _handle_drain(self, connection: _Connection) -> None:
-        if self.mode == "replay":
-            self._run.drain()
-            await self._answer_resolved(connection)
-        await self._send(connection, MessageType.DRAINED, b"")
+    def _handle_drain(self, connection: _Connection, frame: Frame) -> None:
+        self._run.drain()
+        self._answer_resolved(self._run)
+        self._send(connection, MessageType.DRAINED, b"")
 
-    async def _handle_stats(self, connection: _Connection) -> None:
+    def _handle_stats(self, connection: _Connection, frame: Frame) -> None:
         """Scrape the serving registry (including this transport's view).
 
         When the server runs under a fault schedule the snapshot carries
@@ -399,62 +334,64 @@ class NetServer:
         """
         snapshot = self.server.metrics()
         self.last_stats = snapshot
-        await self._send(connection, MessageType.STATS_REPLY, protocol.encode_stats(snapshot))
+        self._send(connection, MessageType.STATS_REPLY, protocol.encode_stats(snapshot))
+
+    _HANDLERS = {
+        MessageType.HELLO: _handle_hello,
+        MessageType.PING: _handle_ping,
+        MessageType.SUBMIT: _handle_submit,
+        MessageType.DRAIN: _handle_drain,
+        MessageType.STATS: _handle_stats,
+    }
 
     # -- replies -----------------------------------------------------------------
 
-    async def _answer_resolved(self, connection: _Connection) -> None:
-        """Answer everything the replay step just resolved or dropped.
+    def _answer_resolved(self, run: ServingRun) -> None:
+        """Answer everything the run resolved or dropped since it was last
+        asked — after each frame, and (the run's ``on_flush``) after each
+        flush its timer fires.
 
         Outcomes earn their RESULT; a dropped request earns the reply its
         typed error maps to (:meth:`_send_failure`), so a client never
         hangs on work that will not produce a RESULT.  Each reply goes to
-        the request's owner in ``_replay_owners``; an id nobody submitted
-        here (there are none today) falls back to ``connection`` rather
-        than crash the read loop.
+        the request's owner, under the id the owner used; after a flush
+        crash every request still owed an answer gets that crash.
         """
-        outcomes, drops = self._run.resolved()
+        outcomes, drops = run.resolved()
         for outcome in outcomes:
-            request_id = outcome.request.request_id
-            owner = self._replay_owners.pop(request_id, connection)
-            await self._send_result(owner, request_id, outcome)
+            self._send_result(*self._release(outcome.request.request_id), outcome)
         for request, error in drops:
-            owner = self._replay_owners.pop(request.request_id, connection)
-            await self._send_failure(owner, request.request_id, error)
+            self._send_failure(*self._release(request.request_id), error)
+        while run.error is not None and self._owners:
+            self._send_failure(*self._release(next(iter(self._owners))), run.error)
 
-    async def _send_failure(
-        self, connection: _Connection, request_id: int, error: Exception
-    ) -> None:
+    def _release(self, request_id: int) -> tuple[_Connection, int]:
+        """Forget an answered request: its owner and wire id, one credit back."""
+        connection, wire_id = self._owners.pop(request_id)
+        connection.inflight -= 1
+        return connection, wire_id
+
+    def _send_failure(self, connection: _Connection, request_id: int, error: Exception) -> None:
         """The typed reply for a request that ends without a RESULT — one
-        vocabulary across both modes: rejected or shed work earns a BUSY
+        vocabulary on both clocks: rejected or shed work earns a BUSY
         carrying the retry hint, expired work a DEADLINE_EXCEEDED error,
-        anything else (work lost to a device fault, a serving crash) a
-        SERVER_ERROR."""
+        anything else (work lost to a device fault, a full queue, a serving
+        crash) a SERVER_ERROR."""
         if isinstance(error, RequestRejectedError):
-            await self._send_busy(connection, request_id, error.retry_after_s, str(error))
+            self.stats.busy_sent += 1
+            self.server.flow.note_busy_reply()
+            busy = protocol.encode_busy(request_id, error.retry_after_s, str(error))
+            self._send(connection, MessageType.BUSY, busy)
             return
         expired = isinstance(error, DeadlineExceededError)
         code = ErrorCode.DEADLINE_EXCEEDED if expired else ErrorCode.SERVER_ERROR
-        await self._send_error(connection, ProtocolError(code, str(error)), request_id=request_id)
+        self._send_error(connection, ProtocolError(code, str(error)), request_id=request_id)
 
-    async def _send_busy(
-        self, connection: _Connection, request_id: int, retry_after_s: float, reason: str
-    ) -> None:
-        self.stats.busy_sent += 1
-        self.server.flow.note_busy_reply()
-        await self._send(
-            connection,
-            MessageType.BUSY,
-            protocol.encode_busy(request_id, retry_after_s, reason),
-        )
-
-    async def _send_result(
-        self,
-        connection: _Connection,
-        request_id: int,
-        outcome,
-        credits: int | None = None,
-    ) -> None:
+    def _send_result(self, connection: _Connection, request_id: int, outcome) -> None:
+        credits = None
+        if self.credit_window is not None:
+            # Released before this reply, so it advertises the capacity it frees.
+            credits = max(self.credit_window - connection.inflight, 0)
         payload = codec.encode_result(
             request_id,
             outcome.batch_id,
@@ -464,33 +401,28 @@ class NetServer:
             outcome.completed_s,
             credits=credits,
         )
-        await self._send(connection, MessageType.RESULT, payload)
+        self._send(connection, MessageType.RESULT, payload)
         tracer = self.server.tracer
         if tracer is not None:
             # Keyed on the *server-side* request id (live-mode clients
-            # number their own); replay stamps the simulated completion so
-            # deterministic traces keep deterministic spans, live stamps
-            # the wall clock the rest of the async span already uses.
-            reply_s = outcome.completed_s if self.mode == "replay" else self._run.now()
+            # number their own); the simulated clock stamps the completion
+            # so deterministic traces keep deterministic spans, the wall
+            # clock stamps now, as the rest of its span does.
+            run = self._run
+            reply_s = outcome.completed_s if run.clock is None else run.now()
             tracer.on_reply(outcome.request.request_id, reply_s)
 
-    async def _send_error(
+    def _send_error(
         self, connection: _Connection, defect: ProtocolError, request_id: int = 0
     ) -> None:
         payload = protocol.encode_error(defect.code, defect.message, request_id)
         self.stats.errors_sent += 1
-        await self._send(connection, MessageType.ERROR, payload)
+        self._send(connection, MessageType.ERROR, payload)
 
-    async def _send(self, connection: _Connection, msg_type: MessageType, payload: bytes) -> None:
+    def _send(self, connection: _Connection, msg_type: MessageType, payload: bytes) -> None:
         if connection.closing:
             return
         data = protocol.encode_frame(msg_type, payload)
-        try:
-            async with connection.lock:
-                connection.writer.write(data)
-                await connection.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            connection.closing = True
-            return
+        connection.writer.write(data)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(data)

@@ -54,7 +54,7 @@ def pbs_per_item(kind: RequestKind, model: str | None = None) -> int:
     return _FIXED_PBS_PER_ITEM[kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One tenant submission awaiting batching.
 

@@ -18,9 +18,15 @@ that run's, and the entry points differ only in who feeds it on which clock:
   requests as they arrive (:mod:`repro.net` replay mode: one
   :meth:`ServingRun.offer` per SUBMIT frame), bit for bit :meth:`simulate`;
 * ``async with Server(...) as server: await server.submit_async(...)`` —
-  the same run on the *wall* clock: the event loop stamps arrivals, a
-  background flusher fires deadlines as real time reaches them, and each
-  caller's future resolves when its batch completes.
+  the same run on the *wall* clock: the event loop stamps arrivals and a
+  timer the run arms on its batcher's next deadline fires it as real time
+  reaches it.
+
+Whoever feeds a run answers its submitters the one way the run hands
+results out, :meth:`ServingRun.resolved` — outcomes and each drop's typed
+error, on either clock.  :meth:`Server.submit_async` is one such consumer
+(it resolves each caller's future), :class:`repro.net.NetServer` another
+(it writes each connection's RESULT, BUSY or ERROR frames).
 
 :meth:`Server.run` bypasses serving and executes one large workload sharded
 across the cluster (``run(workload, backend="strix-cluster")``).
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -253,23 +260,26 @@ class RunActiveError(RuntimeError):
 class ServingRun:
     """One pass of requests through queue → batcher → cluster, on one clock.
 
-    The :class:`Server` entry points create it and pick the clock, the one
-    seam between them.  ``clock=None`` is the *simulated* clock: time is the
-    arrival of the request being offered, :meth:`offer` first fires every
-    batcher deadline due before it at its due time, and :meth:`drain` fires
-    the rest the same way.  A callable returning seconds since the run
-    began is the *wall* clock: deadlines are left to the caller's flusher
-    (:meth:`flush`), awaiting submitters register in :attr:`futures`, and
-    :meth:`drain` flushes whatever is queued *now*.
+    The entry points create it and pick the clock, the one seam between
+    them.  ``clock=None`` is the *simulated* clock: time is the arrival of
+    the request being offered, :meth:`offer` first fires every batcher
+    deadline due before it at its due time, and :meth:`drain` fires the
+    rest the same way.  An event loop is the *wall* clock: time is the
+    loop's since the run began, the run keeps one timer (``loop.call_at``)
+    on its batcher's next deadline, and :meth:`drain` flushes whatever is
+    queued *now*.
 
     Every request offered ends exactly one way: an outcome (collected in
     :attr:`metrics`), a refusal (raised by :meth:`offer` to its caller alone)
-    or a drop — shed, expired, or lost to a fault.  A registered future
-    receives the outcome or the drop's typed error; :meth:`resolved` hands
-    the caller streaming a simulated run both kinds since it last asked.
+    or a drop — shed, expired, or lost to a fault.  :meth:`resolved` hands
+    the run's single consumer both kinds since it last asked; the consumer
+    asks after each of its own offers and drains, and :attr:`on_flush`
+    tells it when the timer flushed.
     """
 
-    def __init__(self, server: "Server", label: str, clock: Callable[[], float] | None = None):
+    def __init__(
+        self, server: "Server", label: str, clock: asyncio.AbstractEventLoop | None = None
+    ):
         server._require_idle()
         if server.queue:
             raise RuntimeError(
@@ -279,6 +289,7 @@ class ServingRun:
         self.server = server
         self.label = label
         self.clock = clock
+        self._epoch = clock.time() if clock is not None else 0.0
         server.cluster.reset_serving_state()
         server.flow.reset()
         # Fresh queue/batcher so the report's flush and depth stats are not
@@ -286,19 +297,22 @@ class ServingRun:
         self.queue = server.queue = server._make_queue()
         self.batcher = server.batcher = server._make_batcher(self._expire)
         self.metrics = MetricsCollector(server.batch_capacity)
-        #: Request id -> the future awaiting its outcome (wall-clock runs).
-        self.futures: dict[int, asyncio.Future] = {}
-        #: The crash that killed the run's flushing, once :meth:`fail` ran.
+        #: Called with the run after each flush its wall-clock timer fires,
+        #: so the consumer answers what :meth:`resolved` now reports.
+        self.on_flush: Callable[["ServingRun"], None] | None = None
+        #: The crash that stopped the run's flushing (its queue may be half-flushed).
         self.error: Exception | None = None
         self._drops: list[tuple[Request, type[Exception], str]] = []
         self._emitted = 0
         self._last_arrival = 0.0
         self._last_completion = 0.0
+        self._timer: asyncio.TimerHandle | None = None
+        self._timer_s: float | None = None
         server.active_run = self
 
     def now(self) -> float:
         """The run's current time: the wall clock, else the serving clock."""
-        return self.clock() if self.clock is not None else self.server._clock
+        return self.clock.time() - self._epoch if self.clock is not None else self.server._clock
 
     def retry_after_s(self) -> float:
         """Deterministic backoff hint for a rejection at the current backlog."""
@@ -317,14 +331,17 @@ class ServingRun:
         advancing the clock — the request *arrived*, it just was not served.
         A refusal (that, or the bounded queue overflowing with admission
         off) concerns this caller only; a crash while flushing the batches
-        the arrival made due goes through :meth:`fail` first, and every
-        later offer is refused with a :class:`RuntimeError` chained to it.
+        the arrival made due is kept as :attr:`error` and re-raised, and
+        every later offer is refused with a :class:`RuntimeError` chained
+        to it.
         """
         server, queue, batcher = self.server, self.queue, self.batcher
         if server.active_run is not self:
             raise RuntimeError(f"run {self.label!r} is closed; begin a new one")
         if self.error is not None:  # the queue may be half-flushed
-            raise self.crashed() from self.error
+            raise RuntimeError(
+                "the serving flush loop has crashed; no further submissions will be processed"
+            ) from self.error
         arrival = request.arrival_s
         if self.clock is None:
             if arrival < self._last_arrival:
@@ -346,22 +363,24 @@ class ServingRun:
         # poll() re-checks both; asking first spares the arrivals that merely
         # join an open window the call (next_deadline opens a closed one).
         if queue.queued_items >= batcher.capacity_items or arrival >= batcher.next_deadline(queue):
-            self._serve(batcher.poll, arrival)  # flush(arrival), minus its hop
-
-    def flush(self, now: float) -> None:
-        """Dispatch every batch due at ``now`` (the wall-clock flusher's step)."""
-        self._serve(self.batcher.poll, now)
+            self._serve(batcher.poll, arrival)
+        if self.clock is not None:
+            self._arm()
 
     def drain(self) -> None:
         """Empty the queue: the end-of-trace step, also allowed mid-stream.
 
         On the simulated clock every queued request flushes at its deadline;
-        on the wall clock everything still queued flushes now.
+        on the wall clock everything still queued flushes now.  After a crash
+        nothing flushes: the queue may be half-flushed.
         """
+        if self.error is not None:
+            return
         if self.clock is None:
             self._fire_deadlines(None)
         else:
-            self._serve(self.batcher.drain, self.clock())
+            self._serve(self.batcher.drain, self.now())
+            self._arm()
 
     def _fire_deadlines(self, until: float | None) -> None:
         """Flush every deadline due before ``until`` (all of them when ``None``)."""
@@ -369,16 +388,37 @@ class ServingRun:
             deadline = self.batcher.next_deadline(self.queue)
             if deadline is None or (until is not None and deadline > until):
                 return
-            self.flush(deadline)
+            self._serve(self.batcher.poll, deadline)
+
+    def _arm(self) -> None:
+        """Keep the wall clock's one timer on the batcher's next deadline."""
+        deadline = self.batcher.next_deadline(self.queue)
+        if deadline != self._timer_s:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer_s, self._timer = deadline, None
+            if deadline is not None:
+                self._timer = self.clock.call_at(self._epoch + deadline, self._tick)
+
+    def _tick(self) -> None:
+        """The timer: flush what is due now and tell the consumer.  A timer can
+        fire a hair early; then nothing is due yet and it is re-armed as is."""
+        self._timer = self._timer_s = None
+        if self.error is None:
+            with suppress(Exception):  # a crash is kept as self.error for the consumer
+                self._serve(self.batcher.poll, self.now())
+                self._arm()
+        if self.on_flush is not None:
+            self.on_flush(self)
 
     def _serve(self, take: Callable[[RequestQueue, float], list[Batch]], now: float) -> None:
         """Dispatch what ``take`` (the batcher's ``poll`` or ``drain``) flushes at
-        ``now``; a crash in there reaches every awaiter (:meth:`fail`) before it propagates."""
+        ``now``; a crash in there is kept as :attr:`error` before it propagates."""
         try:
             for batch in take(self.queue, now):
                 self._dispatch(batch)
-        except Exception as error:  # noqa: BLE001 - fanned out to awaiters
-            self.fail(error)
+        except Exception as error:
+            self.error = error
             raise
 
     def _dispatch(self, batch: Batch) -> None:
@@ -412,11 +452,6 @@ class ServingRun:
             delays.append(start_s - request.arrival_s)
         server._latency_hist.observe(*latencies)
         server._queue_delay_hist.observe(*delays)
-        if self.futures:  # simulated runs never register any
-            for outcome in outcomes:
-                future = self.futures.pop(outcome.request.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(outcome)
         self.metrics.record_batch(batch, outcomes, latencies, delays, dispatch.breakdown)
         server._requests_total.inc(len(outcomes))
         server._batches_total.inc()
@@ -437,37 +472,15 @@ class ServingRun:
 
     def _drop(self, request: Request, kind: type[Exception], what: str) -> None:
         """An admitted request will never produce an outcome.  Its submitter
-        is owed a typed error: on the simulated clock :meth:`resolved` builds
-        it if somebody asks (a whole-trace :meth:`Server.simulate` never
-        does), on the wall clock the awaiting future gets it now (nobody
-        reads drops back there, so a long-lived server keeps none)."""
-        if self.clock is None:
-            self._drops.append((request, kind, what))
-            return
-        future = self.futures.pop(request.request_id, None)
-        if future is not None and not future.done():
-            future.set_exception(self._error(request, kind, what))
-
-    def fail(self, error: Exception) -> None:
-        """A flush crashed (e.g. a user-supplied policy raising in
-        ``select``): propagate it to every pending future — an awaiting
-        submitter must re-raise it, not hang on a future nobody will
-        resolve — and remember it so later submissions fail fast."""
-        self.error = error
-        for future in self.futures.values():
-            if not future.done():
-                future.set_exception(error)
-        self.futures.clear()
-
-    def crashed(self) -> RuntimeError:
-        """What a submission after :meth:`fail` is refused with (chain it to :attr:`error`)."""
-        return RuntimeError(
-            "the serving flush loop has crashed; no further submissions will be processed"
-        )
+        is owed a typed error, which :meth:`resolved` builds if somebody asks
+        (a whole-trace :meth:`Server.simulate` never does)."""
+        self._drops.append((request, kind, what))
 
     def resolved(self) -> tuple[list[RequestOutcome], list[tuple[Request, Exception]]]:
-        """Outcomes completed, and (on the simulated clock) requests dropped,
-        each with the typed error its submitter is owed, since the last call."""
+        """Outcomes completed and requests dropped since the last call, each
+        drop with the typed error its submitter is owed — the one way results
+        leave a run, on either clock.  A consumer answers these, and after a
+        crash (:attr:`error`) fails whatever it still holds with it."""
         outcomes = self.metrics.outcomes[self._emitted :]
         self._emitted = len(self.metrics.outcomes)
         drops = [(drop[0], self._error(*drop)) for drop in self._drops]
@@ -483,8 +496,12 @@ class ServingRun:
             # The batcher outlives the run as ``server.batcher``; unhooking
             # it breaks the server → batcher → run cycle, so a finished
             # run's collector is freed with its last reference instead of
-            # waiting for a garbage-collection pass.
+            # waiting for a garbage-collection pass.  A cancelled timer lets
+            # go of the run the same way.
             self.batcher.on_expired = None
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = self._timer_s = None
 
     def finish(self, wire: dict[str, Any] | None = None) -> ServeReport:
         """Drain, close the run and fold it into a :class:`ServeReport`.
@@ -581,52 +598,31 @@ class Server:
         self._queue_delay_hist = self.registry.histogram(
             "serve_queue_delay_seconds", "Arrival-to-dispatch queueing delay"
         )
-        # Views close over self (not the current queue/batcher objects):
-        # every run re-creates both, and the view must follow.
+        # Views close over the objects that own the counters, never over the
+        # server, so a Server is freed by reference counting alone.  Every
+        # fresh queue and batcher registers its own (see _make_queue).
+        cluster = self.cluster
         self.registry.register_view(
-            "serve_queue",
-            lambda: {
-                "depth": self.queue.depth,
-                "peak_depth": self.queue.peak_depth,
-                "queued_items": self.queue.queued_items,
-                "queued_pbs": self.queue.queued_pbs,
-                "total_enqueued": self.queue.total_enqueued,
-            },
-            "Request-queue composition",
+            "serve_key_cache", lambda: cluster.key_cache_stats, "Key-residency counters"
         )
         self.registry.register_view(
-            "serve_batcher",
-            lambda: {
-                "batches_flushed": self.batcher.batches_flushed,
-                **{
-                    f"flush_{reason}": count
-                    for reason, count in sorted(self.batcher.flush_reasons.items())
-                },
-            },
-            "Adaptive-batcher flush counters",
+            "serve_cost_cache", lambda: cluster.cost_cache_stats, "Schedule-cache counters"
         )
         self.registry.register_view(
-            "serve_key_cache", lambda: self.cluster.key_cache_stats,
-            "Key-residency counters",
-        )
-        self.registry.register_view(
-            "serve_cost_cache", lambda: self.cluster.cost_cache_stats,
-            "Schedule-cache counters",
-        )
-        self.registry.register_view(
-            "serve_layout", lambda: self.cluster.layout.runtime_stats,
-            "Placement-layout runtime state",
+            "serve_layout", lambda: cluster.layout.runtime_stats, "Placement-layout runtime state"
         )
         # Empty (and sample-free in collect()) unless a fault schedule is
         # installed, so fault-free STATS output is unchanged.
         self.registry.register_view(
-            "serve_faults", lambda: self.cluster.faults.stats_view(),
+            "serve_faults",
+            cluster.faults.stats_view,
             "Fault-injection schedule and impact counters",
         )
         # Likewise empty until an overload event is counted, so STATS
         # output is unchanged for servers that never saturate.
         self.registry.register_view(
-            "serve_overload", lambda: self.flow.stats_view(),
+            "serve_overload",
+            self.flow.stats_view,
             "Overload-protection admission and shedding counters",
         )
         # Process-wide, not per-server: the negacyclic transform cache is
@@ -641,9 +637,8 @@ class Server:
         self._tenants: dict[str, TenantState] = {}
         self._request_counter = 0
         self._clock = 0.0
-        # The async context's flusher task and its wake-up event.
-        self._wake: asyncio.Event | None = None
-        self._flusher: asyncio.Task | None = None
+        # The async context's submitters: request id -> the future awaiting it.
+        self._waiting: dict[int, asyncio.Future] = {}
         #: Report of the last completed async context (set by :meth:`aclose`).
         self.last_async_report: ServeReport | None = None
 
@@ -667,14 +662,21 @@ class Server:
         the configured capacity *before* pushing, so an overflow there
         would be a flow-controller bug, not an operator signal.
         """
-        return RequestQueue(
+        queue = RequestQueue(
             observer=self.tracer,
             capacity=None if self.flow.enabled else self.config.queue_capacity,
         )
+        counters = ("depth", "peak_depth", "queued_items", "queued_pbs", "total_enqueued")
+        self.registry.register_view(
+            "serve_queue",
+            lambda: {name: getattr(queue, name) for name in counters},
+            "Request-queue composition",
+        )
+        return queue
 
     def _make_batcher(self, on_expired: Callable[[Request], None] | None = None) -> AdaptiveBatcher:
         """A fresh batcher honouring the configured QoS discipline."""
-        return AdaptiveBatcher(
+        batcher = AdaptiveBatcher(
             self.batch_capacity,
             self.config.max_batch_delay_s,
             qos=self.config.qos,
@@ -682,6 +684,18 @@ class Server:
             observer=self.tracer,
             on_expired=on_expired,
         )
+        self.registry.register_view(
+            "serve_batcher",
+            lambda: {
+                "batches_flushed": batcher.batches_flushed,
+                **{
+                    f"flush_{reason}": count
+                    for reason, count in sorted(batcher.flush_reasons.items())
+                },
+            },
+            "Adaptive-batcher flush counters",
+        )
+        return batcher
 
     # -- observability ------------------------------------------------------------
 
@@ -840,23 +854,20 @@ class Server:
         self._require_idle()
         arrival = self._clock if at is None else at
         self._clock = max(self._clock, arrival)
-        request = Request.make(
-            self._next_request_id(),
-            tenant,
-            kind,
-            items,
-            arrival_s=arrival,
-            model=model,
-            deadline_s=None if deadline_s is None else arrival + deadline_s,
-        )
+        request = self._new_request(tenant, kind, items, model, deadline_s, arrival)
         # Staged, not pushed: the queue's capacity bound applies to runtime
         # depth inside the run's arrival loop, not to trace length.
         self.queue.stage(request)
         return request
 
-    def _next_request_id(self) -> int:
+    def _new_request(self, tenant, kind, items, model, deadline_s, arrival: float) -> Request:
+        """A request numbered by this server, arriving at ``arrival``, with
+        ``deadline_s`` a budget relative to it (the number stream
+        :meth:`submit`, :meth:`submit_async` and a live
+        :class:`~repro.net.NetServer` share)."""
         self._request_counter += 1
-        return self._request_counter
+        deadline = None if deadline_s is None else arrival + deadline_s
+        return Request.make(self._request_counter, tenant, kind, items, arrival, model, deadline)
 
     # -- serving runs on the simulated clock --------------------------------------
 
@@ -926,12 +937,9 @@ class Server:
     # -- the serving run on the wall clock --------------------------------------------
 
     async def __aenter__(self) -> "Server":
-        loop = asyncio.get_running_loop()
-        epoch = loop.time()
-        run = ServingRun(self, "async", clock=lambda: loop.time() - epoch)
+        run = ServingRun(self, "async", clock=asyncio.get_running_loop())
+        run.on_flush = self._answer
         self.last_async_report = None
-        self._wake = asyncio.Event()
-        self._flusher = loop.create_task(self._flush_loop(run, self._wake))
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
@@ -969,76 +977,43 @@ class Server:
         a caller never hangs on dropped work.
         """
         run = self._async_run("async submission")
-        if run.error is not None:
-            # The flusher died; accepting new work would hang the caller.
-            raise run.crashed() from run.error
-        now = run.now()
-        request = Request.make(
-            self._next_request_id(),
-            tenant,
-            kind,
-            items,
-            arrival_s=now,
-            model=model,
-            deadline_s=None if deadline_s is None else now + deadline_s,
-        )
-        future = asyncio.get_running_loop().create_future()
-        run.futures[request.request_id] = future
+        if run.on_flush != self._answer:
+            raise RunActiveError(f"the active run ({run.label!r}) answers a NetServer's clients")
+        request = self._new_request(tenant, kind, items, model, deadline_s, run.now())
         try:
             run.offer(request)
-        except Exception:
-            if run.error is None:
-                # Refused before it was queued (admission, or the bounded
-                # queue overflowing): this caller's problem alone.
-                del run.futures[request.request_id]
-                raise
-            # Else a flush crashed: fail() gave that to every awaiter, this one included.
-        if run.queue:
-            self._wake.set()  # tell the flusher a deadline now exists
+        except Exception as error:
+            if error is not run.error:
+                raise  # refused (admission, a full queue, an earlier crash): this caller's alone
+        future = self._waiting[request.request_id] = run.clock.create_future()
+        self._answer(run)  # the offer may have resolved it (and others), or crashed the run
         return await future
 
     async def aclose(self) -> None:
-        """Stop the background flusher and flush everything still queued."""
-        if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            except Exception:  # noqa: BLE001 - already delivered to awaiters
-                # A flush crash was fanned out to the pending futures when it
-                # happened; re-raising here would skip closing the run below
-                # and wedge the server permanently.
-                pass
-            self._flusher = None
+        """Flush everything still queued, answer every awaiting submitter and
+        close the async context's run."""
         run = self.active_run
-        if run is not None and run.clock is not None:
-            self.last_async_report = run.finish()
+        if run is not None and run.on_flush == self._answer:
+            try:
+                self.last_async_report = run.finish()
+            finally:
+                self._answer(run)
 
-    @staticmethod
-    async def _flush_loop(run: ServingRun, wake: asyncio.Event) -> None:
-        """Fire the run's deadline flushes on the wall clock.
-
-        Event-driven, not polling: with an empty queue the loop parks on an
-        ``asyncio.Event`` that :meth:`submit_async` sets on arrival (zero
-        wakeups while idle), otherwise it sleeps straight to the batcher's
-        window deadline — which only a flush moves, and only ever *later*
-        (it re-anchors to the head it left behind), so sleeping to it never
-        misses a flush.
-
-        A crash anywhere in a flush (e.g. a user-supplied policy raising in
-        ``select``) ends this task, but not silently: the run has handed it
-        to every pending future (:meth:`ServingRun.fail`), so ``await
-        submit_async(...)`` re-raises it at the call sites.
-        """
-        while True:
-            deadline = run.batcher.next_deadline(run.queue)
-            if deadline is None:
-                wake.clear()
-                await wake.wait()
-                continue
-            now = run.now()
-            if now < deadline:
-                await asyncio.sleep(deadline - now)
-                now = run.now()
-            run.flush(now)  # a no-op when the sleep woke early
+    def _answer(self, run: ServingRun) -> None:
+        """The async context's consumer: each awaiting submitter's future gets
+        what :meth:`ServingRun.resolved` reports for it — its outcome or its
+        drop's typed error — and after a flush crash, the crash itself."""
+        waiting = self._waiting
+        outcomes, drops = run.resolved()
+        for outcome in outcomes:
+            future = waiting.pop(outcome.request.request_id)
+            if not future.done():
+                future.set_result(outcome)
+        for request, error in drops:
+            future = waiting.pop(request.request_id)
+            if not future.done():
+                future.set_exception(error)
+        while run.error is not None and waiting:
+            _, future = waiting.popitem()
+            if not future.done():
+                future.set_exception(run.error)

@@ -7,6 +7,8 @@ per session and shared.  Tests never mutate the contexts' key material.
 
 from __future__ import annotations
 
+import asyncio
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.arch.accelerator import StrixAccelerator
 from repro.faults import FaultSchedule
 from repro.flow import RequestRejectedError
 from repro.net.loadgen import replay_trace
+from repro.net.server import NetServer
 from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.serve import Server
 from repro.tfhe.context import TFHEContext
@@ -114,3 +117,38 @@ def _serve_three_ways(trace, deadline=False, death=False, **options):
 def serve_three_ways():
     """:func:`_serve_three_ways`, for the in-process ≡ TCP equality tests."""
     return _serve_three_ways
+
+
+class _ThreadedNetServer:
+    """A NetServer on its own thread and event loop, for the blocking-client tests."""
+
+    def __init__(self, **options):
+        self._options = options
+        self._ready = threading.Event()
+        self._thread = threading.Thread(target=lambda: asyncio.run(self._serve()), daemon=True)
+        self.address = None
+        self.net = None
+
+    async def _serve(self):
+        self._loop = asyncio.get_running_loop()
+        self._stop = self._loop.create_future()
+        async with NetServer(**self._options) as self.net:
+            self.address = self.net.address
+            self._ready.set()
+            await self._stop
+
+    def __enter__(self):
+        self._thread.start()
+        assert self._ready.wait(5.0), "server did not start"
+        return self
+
+    def __exit__(self, *exc_info):
+        self._loop.call_soon_threadsafe(lambda: self._stop.done() or self._stop.set_result(None))
+        self._thread.join(5.0)
+
+
+@pytest.fixture
+def threaded_net_server():
+    """``with threaded_net_server(**NetServer options) as served:`` serves on
+    ``served.address`` (``served.net`` is the server) until the block ends."""
+    return _ThreadedNetServer

@@ -29,7 +29,7 @@ from repro.flow import (
     get_admission_policy,
     list_admission_policies,
 )
-from repro.net import AsyncNetClient, NetError, NetServer, protocol
+from repro.net import AsyncNetClient, NetClient, NetError, NetServer, protocol
 from repro.net.loadgen import closed_loop_async
 from repro.serve import Request, RequestQueue, Server
 from repro.serve.request import RequestKind
@@ -441,10 +441,11 @@ class TestNetOverload:
 
         asyncio.run(scenario())
 
-    def test_window_exhaustion_earns_busy(self):
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_window_exhaustion_earns_busy(self, mode):
         async def scenario():
             async with NetServer(
-                mode="live", devices=1, credit_window=1,
+                mode=mode, devices=1, credit_window=1,
                 batch_capacity=64, max_batch_delay_s=0.2,
             ) as net:
                 host, port = net.address
@@ -458,6 +459,7 @@ class TestNetOverload:
                         await second
                     assert excinfo.value.retry_after_s > 0.0
                     assert client.busy_replies == 1
+                    await client.drain()  # replay flushes nothing on its own
                     await first
                 finally:
                     await client.close()
@@ -633,58 +635,19 @@ class TestNetOverload:
             "client_abandoned", 0
         ) == len(trace)
 
-    def test_sync_client_sees_busy_and_welcome(self):
+    def test_sync_client_sees_busy_and_welcome(self, threaded_net_server):
         # NetClient is blocking, so drive the server in a thread-backed loop.
-        import threading
-
-        from repro.net import NetClient
-
-        results: dict[str, object] = {}
-        ready, done = threading.Event(), threading.Event()
-
-        async def serve():
-            async with NetServer(
-                mode="live", devices=1, credit_window=3, max_batch_delay_s=0.005
-            ) as net:
-                results["address"] = net.address
-                ready.set()
-                await asyncio.get_running_loop().run_in_executor(None, done.wait)
-
-        thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
-        thread.start()
-        assert ready.wait(5.0)
-        try:
-            host, port = results["address"]
-            with NetClient(host, port) as client:
+        options = dict(mode="live", devices=1, credit_window=3, max_batch_delay_s=0.005)
+        with threaded_net_server(**options) as served:
+            with NetClient(*served.address) as client:
                 assert client.credit_window == 3
                 outcome = client.submit("t0", "bootstrap", timeout_s=5.0)
                 assert outcome.completed_s >= 0.0
-        finally:
-            done.set()
-            thread.join(5.0)
 
-    def test_sync_timeout_does_not_desynchronize_the_stream(self):
-        import threading
-
-        from repro.net import NetClient
-
-        results: dict[str, object] = {}
-        ready, done = threading.Event(), threading.Event()
-
-        async def serve():
-            async with NetServer(
-                mode="live", devices=1, batch_capacity=64, max_batch_delay_s=0.15
-            ) as net:
-                results["address"] = net.address
-                ready.set()
-                await asyncio.get_running_loop().run_in_executor(None, done.wait)
-
-        thread = threading.Thread(target=lambda: asyncio.run(serve()), daemon=True)
-        thread.start()
-        assert ready.wait(5.0)
-        try:
-            host, port = results["address"]
-            with NetClient(host, port) as client:
+    def test_sync_timeout_does_not_desynchronize_the_stream(self, threaded_net_server):
+        options = dict(mode="live", devices=1, batch_capacity=64, max_batch_delay_s=0.15)
+        with threaded_net_server(**options) as served:
+            with NetClient(*served.address) as client:
                 with pytest.raises(RequestTimeoutError):
                     client.submit("t0", "bootstrap", timeout_s=0.01)
                 # The second submit skips request 1's late RESULT and
@@ -692,9 +655,6 @@ class TestNetOverload:
                 outcome = client.submit("t0", "bootstrap", timeout_s=5.0)
                 assert outcome.request.request_id == 2
                 assert len(client.rtts_s) == 1  # the stale reply was eaten: no sample
-        finally:
-            done.set()
-            thread.join(5.0)
 
 
 # -- deadline errors over the wire --------------------------------------------------

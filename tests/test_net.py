@@ -256,41 +256,6 @@ def _error_reply(frame):
     return protocol.decode_error(frame.payload)
 
 
-class _ThreadedServer:
-    """A NetServer on its own thread+loop, for the blocking-client tests."""
-
-    def __init__(self, **options):
-        self._options = options
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self.address = None
-        self.net = None
-
-    def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._stop = self._loop.create_future()
-
-        async def main():
-            async with NetServer(**self._options) as net:
-                self.net = net
-                self.address = net.address
-                self._ready.set()
-                await self._stop
-
-        self._loop.run_until_complete(main())
-        self._loop.close()
-
-    def __enter__(self):
-        self._thread.start()
-        assert self._ready.wait(5.0), "server did not start"
-        return self
-
-    def __exit__(self, *exc_info):
-        self._loop.call_soon_threadsafe(lambda: self._stop.done() or self._stop.set_result(None))
-        self._thread.join(5.0)
-
-
 class _ScriptedPeer:
     """One TCP connection answered by a script instead of a server.
 
@@ -621,8 +586,27 @@ class TestLoopbackReplay:
                 (event,) = await _recv_events(reader, FrameDecoder())
                 reply = _error_reply(event)
                 assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 7)
-                assert net._replay_owners == {}
+                assert net._owners == {}
                 writer.close()
+
+        asyncio.run(scenario())
+
+    def test_reused_request_id_is_refused_and_the_first_submitter_still_answered(self):
+        async def scenario():
+            async with NetServer(mode="replay", devices=1, params="I") as net:
+                first, second = [await AsyncNetClient.connect(*net.address) for _ in range(2)]
+                owed = first.submit_nowait(Request.make(1, "t0", "bootstrap", arrival_s=0.001))
+                await asyncio.sleep(0.05)  # the first SUBMIT is in flight
+                reused = second.submit_nowait(Request.make(1, "t1", "bootstrap", arrival_s=0.002))
+                with pytest.raises(NetError) as excinfo:
+                    await asyncio.wait_for(reused, timeout=2.0)
+                reply = excinfo.value.reply
+                assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 1)
+                await second.drain()
+                outcome = await asyncio.wait_for(owed, timeout=2.0)
+                assert outcome.request.tenant == "t0" and second.rtts_s == []
+                for client in (first, second):
+                    await client.close()
 
         asyncio.run(scenario())
 
@@ -751,8 +735,8 @@ class TestLoopbackErrors:
 
         self._scenario(scenario())
 
-    def test_sync_client_refused_hello_is_typed_and_leaks_nothing(self):
-        with _ThreadedServer(mode="live", devices=1, params="I") as served:
+    def test_sync_client_refused_hello_is_typed_and_leaks_nothing(self, threaded_net_server):
+        with threaded_net_server(mode="live", devices=1, params="I") as served:
             with pytest.raises(NetError) as excinfo:
                 NetClient(*served.address, versions=(9,))
             assert excinfo.value.reply.code == ErrorCode.UNSUPPORTED_VERSION
@@ -774,7 +758,7 @@ class TestLoopbackErrors:
                 writer.write(encode_frame(MessageType.SUBMIT, payload))
                 (event,) = await _recv_events(reader, decoder)
                 reply = _error_reply(event)
-                assert reply.code == ErrorCode.SERVER_ERROR
+                assert reply.code == ErrorCode.BAD_MESSAGE
                 assert reply.request_id == 7
                 # The connection — and the server — keep serving afterwards.
                 writer.write(encode_frame(MessageType.PING, protocol.encode_ping(1, 0.0)))
@@ -834,7 +818,7 @@ class TestLoopbackErrors:
                     await client.submit("t0", "bootstrap", 1)  # live-style: no arrival
                 reply = excinfo.value.reply
                 assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 2)
-                assert net._replay_owners.keys() == {1}
+                assert net._owners.keys() == {1}
                 await client.drain()
                 assert (await asyncio.wait_for(valid, timeout=5.0)).request.request_id == 1
                 await client.close()
@@ -846,8 +830,8 @@ class TestLoopbackErrors:
 
 
 class TestLiveServing:
-    def test_sync_client_submits_and_pings(self):
-        with _ThreadedServer(mode="live", devices=2, params="I") as served:
+    def test_sync_client_submits_and_pings(self, threaded_net_server):
+        with threaded_net_server(mode="live", devices=2, params="I") as served:
             host, port = served.address
             with NetClient(host, port) as client:
                 assert client.negotiated_version == PROTOCOL_VERSION
@@ -858,9 +842,9 @@ class TestLiveServing:
                 assert outcome.completed_s >= outcome.dispatched_s
                 assert len(client.rtts_s) == 1  # submit samples; pings are separate
 
-    def test_sync_ping_after_a_timed_out_submit_returns_its_own_rtt(self):
+    def test_sync_ping_after_a_timed_out_submit_returns_its_own_rtt(self, threaded_net_server):
         options = dict(mode="live", devices=1, params="I", batch_capacity=64)
-        with _ThreadedServer(max_batch_delay_s=0.15, **options) as served:
+        with threaded_net_server(max_batch_delay_s=0.15, **options) as served:
             with NetClient(*served.address) as client:
                 with pytest.raises(RequestTimeoutError):
                     client.submit("t0", "bootstrap", timeout_s=0.01)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import threading
 
 import pytest
 from hypothesis import example, given
@@ -355,43 +354,6 @@ class TestSnapshots:
 # -- the wire -----------------------------------------------------------------------
 
 
-class _ThreadedServer:
-    """A NetServer on its own thread+loop, for the blocking-client test."""
-
-    def __init__(self, **options):
-        self._options = options
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self.address = None
-        self.net = None
-
-    def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._stop = self._loop.create_future()
-
-        async def main():
-            async with NetServer(**self._options) as net:
-                self.net = net
-                self.address = net.address
-                self._ready.set()
-                await self._stop
-
-        self._loop.run_until_complete(main())
-        self._loop.close()
-
-    def __enter__(self):
-        self._thread.start()
-        assert self._ready.wait(5.0), "server did not start"
-        return self
-
-    def __exit__(self, *exc_info):
-        self._loop.call_soon_threadsafe(
-            lambda: self._stop.done() or self._stop.set_result(None)
-        )
-        self._thread.join(5.0)
-
-
 class TestStatsFrame:
     def test_stats_payload_round_trips_canonically(self):
         snapshot = {"serve_requests_total": 3.0, "wire_frames_sent": 12.0}
@@ -445,8 +407,8 @@ class TestStatsFrame:
         for span in spans:
             assert span.reply_s == span.complete_s  # simulated clock, not wall
 
-    def test_blocking_client_scrapes_stats(self):
-        with _ThreadedServer(mode="live", devices=1, params="I") as served:
+    def test_blocking_client_scrapes_stats(self, threaded_net_server):
+        with threaded_net_server(mode="live", devices=1, params="I") as served:
             host, port = served.address
             with NetClient(host, port) as client:
                 client.submit("tenant0", "gate", 2)

@@ -8,6 +8,8 @@ Cluster/sharding/backends are covered in ``test_serve_cluster.py``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -842,13 +844,46 @@ def test_async_refused_submission_fails_only_its_caller():
             with pytest.raises(QueueOverflowError):
                 await server.submit_async("t1", "bootstrap")
             run = server.active_run
-            assert run.error is None and len(run.futures) == 2
+            assert run.error is None and len(server._waiting) == 2
             assert not any(future.done() for future in waiting)
         return await asyncio.gather(*waiting), server.last_async_report
 
     outcomes, report = asyncio.run(scenario())
     assert [outcome.request.tenant for outcome in outcomes] == ["t0", "t0"]
     assert report.metrics.requests == 2
+
+
+def test_servers_are_freed_by_reference_counting_alone():
+    """No serving object is a reference cycle: with the collector off, each
+    is gone the moment its last name is."""
+    from repro.net import AsyncNetClient, NetServer
+
+    async def in_context():
+        server = Server(devices=1, params="I")
+        async with server:
+            await server.submit_async("t0", "bootstrap")
+        return weakref.ref(server)
+
+    async def over_the_wire():
+        net = NetServer(mode="live", devices=1, params="I")
+        await net.start()
+        client = await AsyncNetClient.connect(*net.address)
+        await client.submit("t0", "bootstrap")
+        await client.close()
+        await net.aclose()
+        return weakref.ref(net)
+
+    gc.disable()
+    try:
+        server = Server(devices=1, params="I")
+        server.simulate([make_request(1, items=2)])
+        simulated = weakref.ref(server)
+        del server
+        assert simulated() is None
+        assert asyncio.run(in_context())() is None
+        assert asyncio.run(over_the_wire())() is None
+    finally:
+        gc.enable()
 
 
 # -- per-tenant QoS (weighted fair queuing) -----------------------------------------
