@@ -4,10 +4,10 @@
 task, and any number of in-flight submissions multiplexed by request id.
 ``await client.submit(...)`` is the closed-loop call — it returns the
 :class:`~repro.serve.request.RequestOutcome` when the server's ``RESULT``
-frame lands and records the round-trip time of every such call.
-``submit_nowait`` is the streaming variant trace replay needs: it returns a
-future immediately so a whole trace can be pushed down the pipe before the
-first result comes back.  Replies without a request id (``WELCOME``,
+frame lands and records the round-trip time of every such call (and of no
+other).  ``submit_nowait`` is the streaming variant trace replay needs: it
+returns a future immediately so a whole trace can be pushed down the pipe
+before the first result comes back.  Replies without a request id (``WELCOME``,
 ``PONG``, ``DRAINED``, ``STATS_REPLY``) go through one reply table, a FIFO
 of waiting futures per reply type: a connection answers its control frames
 in order.  However the reader ends, everything still owed a reply fails with
@@ -447,7 +447,8 @@ class AsyncNetClient:
                 self.server_credits = message.credits
             entry = self._settle(message.request_id)
             if entry is not None:  # abandoned work is never an RTT sample
-                self.rtts_s.append(time.perf_counter() - entry.sent_at)
+                if entry.credited:  # nor is a submit_nowait reply
+                    self.rtts_s.append(time.perf_counter() - entry.sent_at)
                 entry.future.set_result(message.to_outcome(entry.request))
         elif msg_type == MessageType.BUSY:
             # The server shed or refused this request.

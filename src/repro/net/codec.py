@@ -14,14 +14,15 @@ two application messages their shape:
   would have returned.
 
 Both directions are pure ``bytes`` functions, so the codec is testable
-without sockets and reusable by any transport.
+without sockets and reusable by any transport; decoded messages are named
+tuples, built positionally, at the price of a tuple per frame.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.net.protocol import pack_str, unpack_str
 from repro.params import TFHEParameters
@@ -39,10 +40,10 @@ _SUBMIT_FIXED = struct.Struct("!QBId")
 _DEADLINE = struct.Struct("!d")
 _RESULT = struct.Struct("!QQIddd")
 _CREDITS = struct.Struct("!H")
+_RESULT_CREDITS = struct.Struct(_RESULT.format + "H")
 
 
-@dataclass(frozen=True)
-class SubmitMessage:
+class SubmitMessage(NamedTuple):
     """Decoded ``SUBMIT`` payload.
 
     ``arrival_s`` is the trace timestamp when the client replays a recorded
@@ -162,16 +163,9 @@ def decode_submit(payload: bytes) -> SubmitMessage:
         raise ValueError(f"SUBMIT payload has {len(payload) - offset} trailing bytes")
     if not tenant:
         raise ValueError("SUBMIT tenant name cannot be empty")
-    return SubmitMessage(
-        request_id=request_id,
-        tenant=sys.intern(tenant),  # one string per tenant, not one per request a run keeps
-        kind=kind,
-        items=items,
-        arrival_s=arrival_s if flags & HAS_ARRIVAL else None,
-        model=model,
-        ciphertexts=ciphertexts,
-        deadline_s=deadline_s,
-    )
+    tenant = sys.intern(tenant)  # one string per tenant, not one per request a run keeps
+    arrival = arrival_s if flags & HAS_ARRIVAL else None
+    return SubmitMessage(request_id, tenant, kind, items, arrival, model, ciphertexts, deadline_s)
 
 
 def submit_from_request(request: Request) -> bytes:
@@ -191,8 +185,7 @@ def submit_from_request(request: Request) -> bytes:
     )
 
 
-@dataclass(frozen=True)
-class ResultMessage:
+class ResultMessage(NamedTuple):
     """Decoded ``RESULT`` payload.
 
     ``credits`` piggy-backs the connection's replenished credit count when
@@ -216,13 +209,18 @@ class ResultMessage:
         outcome is assembled.
         """
         if request.arrival_s != self.arrival_s:
-            request = replace(request, arrival_s=self.arrival_s)
+            request = Request(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                kind=request.kind,
+                items=request.items,
+                pbs_per_item=request.pbs_per_item,
+                arrival_s=self.arrival_s,
+                model=request.model,
+                deadline_s=request.deadline_s,
+            )
         return RequestOutcome(
-            request=request,
-            batch_id=self.batch_id,
-            device=self.device,
-            dispatched_s=self.dispatched_s,
-            completed_s=self.completed_s,
+            request, self.batch_id, self.device, self.dispatched_s, self.completed_s
         )
 
 
@@ -270,18 +268,6 @@ def decode_result(payload: bytes) -> ResultMessage:
             f"RESULT payload must be {_RESULT.size} bytes "
             f"(or +{_CREDITS.size} with credits), got {len(payload)}"
         )
-    request_id, batch_id, device, arrival_s, dispatched_s, completed_s = (
-        _RESULT.unpack_from(payload, 0)
-    )
-    credits = None
-    if len(payload) == _RESULT.size + _CREDITS.size:
-        (credits,) = _CREDITS.unpack_from(payload, _RESULT.size)
-    return ResultMessage(
-        request_id=request_id,
-        batch_id=batch_id,
-        device=device,
-        arrival_s=arrival_s,
-        dispatched_s=dispatched_s,
-        completed_s=completed_s,
-        credits=credits,
-    )
+    if len(payload) == _RESULT.size:
+        return ResultMessage(*_RESULT.unpack(payload))
+    return ResultMessage(*_RESULT_CREDITS.unpack(payload))

@@ -16,7 +16,9 @@ is parsed.  The header is fixed-size and network byte order throughout.
 Everything in this module is a pure function over ``bytes`` — framing,
 message payloads and the incremental :class:`FrameDecoder` are all testable
 without ever opening a socket; :mod:`repro.net.server` and
-:mod:`repro.net.client` only add transport.
+:mod:`repro.net.client` only add transport.  A decoded frame or control
+payload is a named tuple, and the decoder walks each chunk it is fed from an
+offset: per frame the wire pays a tuple and one payload copy.
 
 Message types
 -------------
@@ -50,9 +52,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Leading bytes of every frame.
 MAGIC = b"RFHE"
@@ -71,6 +74,7 @@ MAX_PAYLOAD_BYTES = 16 * 1024 * 1024
 #: Frame header: magic, version, message type, reserved flags, payload
 #: length, payload CRC-32.
 HEADER = struct.Struct("!4sBBHII")
+_U16 = struct.Struct("!H")
 
 
 class MessageType(enum.IntEnum):
@@ -120,8 +124,7 @@ class ProtocolError(Exception):
         self.fatal = fatal
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One decoded frame: its protocol version, message type and payload."""
 
     version: int
@@ -157,6 +160,9 @@ class FrameDecoder:
     not raised — the server answers each with a typed ``ERROR`` reply).
     After a fatal error the decoder refuses further input: the stream has
     lost frame alignment and every later byte would be misparsed.
+
+    One :meth:`feed` parses every complete frame in the buffer from a
+    running offset, copies each payload once and trims the buffer once.
     """
 
     def __init__(self) -> None:
@@ -168,56 +174,41 @@ class FrameDecoder:
         events: list[Frame | ProtocolError] = []
         if self.dead:
             return events
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < HEADER.size:
-                return events
-            magic, version, msg_type, _flags, length, crc = HEADER.unpack_from(self._buffer, 0)
+        buffer = self._buffer
+        buffer += data
+        view = memoryview(buffer)
+        end = len(buffer)
+        offset = 0
+        while end - offset >= HEADER.size:
+            magic, version, msg_type, _flags, length, crc = HEADER.unpack_from(view, offset)
             if magic != MAGIC:
                 self.dead = True
-                events.append(
-                    ProtocolError(
-                        ErrorCode.BAD_MAGIC,
-                        f"bad frame magic {bytes(magic)!r}; stream is desynchronized",
-                        fatal=True,
-                    )
-                )
-                return events
+                message = f"bad frame magic {bytes(magic)!r}; stream is desynchronized"
+                events.append(ProtocolError(ErrorCode.BAD_MAGIC, message, fatal=True))
+                break
             if length > MAX_PAYLOAD_BYTES:
                 self.dead = True
-                events.append(
-                    ProtocolError(
-                        ErrorCode.FRAME_TOO_LARGE,
-                        f"declared payload of {length} bytes exceeds the "
-                        f"{MAX_PAYLOAD_BYTES}-byte cap",
-                        fatal=True,
-                    )
-                )
-                return events
-            if len(self._buffer) < HEADER.size + length:
-                return events
-            payload = bytes(self._buffer[HEADER.size : HEADER.size + length])
-            del self._buffer[: HEADER.size + length]
+                cap = MAX_PAYLOAD_BYTES
+                message = f"declared payload of {length} bytes exceeds the {cap}-byte cap"
+                events.append(ProtocolError(ErrorCode.FRAME_TOO_LARGE, message, fatal=True))
+                break
+            start = offset + HEADER.size
+            if end - start < length:
+                break
+            offset = start + length
+            payload = view[start:offset].tobytes()
             if version not in SUPPORTED_VERSIONS:
-                events.append(
-                    ProtocolError(
-                        ErrorCode.UNSUPPORTED_VERSION,
-                        f"protocol version {version} is not supported "
-                        f"(supported: {sorted(SUPPORTED_VERSIONS)})",
-                    )
-                )
-                continue
-            actual = zlib.crc32(payload)
-            if actual != crc:
-                events.append(
-                    ProtocolError(
-                        ErrorCode.BAD_CHECKSUM,
-                        f"payload checksum {actual:#010x} does not match the "
-                        f"header's {crc:#010x}",
-                    )
-                )
-                continue
-            events.append(Frame(version=version, msg_type=msg_type, payload=payload))
+                supported = sorted(SUPPORTED_VERSIONS)
+                message = f"protocol version {version} is not supported (supported: {supported})"
+                events.append(ProtocolError(ErrorCode.UNSUPPORTED_VERSION, message))
+            elif (actual := zlib.crc32(payload)) != crc:
+                message = f"payload checksum {actual:#010x} does not match the header's {crc:#010x}"
+                events.append(ProtocolError(ErrorCode.BAD_CHECKSUM, message))
+            else:
+                events.append(Frame(version, msg_type, payload))
+        view.release()  # a bytearray cannot shrink while a view holds it
+        del buffer[:offset]
+        return events
 
     def at_eof(self) -> ProtocolError | None:
         """Call when the stream ends: a partial frame left over is truncation."""
@@ -248,7 +239,7 @@ def decode_stats(payload: bytes) -> dict:
     """Decode a ``STATS_REPLY`` payload back into the snapshot dict."""
     try:
         snapshot = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise ValueError(f"STATS_REPLY payload is not valid JSON: {error}") from None
     if not isinstance(snapshot, dict):
         raise ValueError(
@@ -265,18 +256,19 @@ def pack_str(text: str) -> bytes:
     encoded = text.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ValueError("string field exceeds 65535 encoded bytes")
-    return struct.pack("!H", len(encoded)) + encoded
+    return _U16.pack(len(encoded)) + encoded
 
 
 def unpack_str(payload: bytes, offset: int) -> tuple[str, int]:
     """Decode one :func:`pack_str` field; returns ``(text, next_offset)``."""
     if len(payload) < offset + 2:
         raise ValueError("string field is truncated before its length prefix")
-    (length,) = struct.unpack_from("!H", payload, offset)
+    (length,) = _U16.unpack_from(payload, offset)
     offset += 2
-    if len(payload) < offset + length:
+    end = offset + length
+    if len(payload) < end:
         raise ValueError("string field is truncated inside its bytes")
-    return payload[offset : offset + length].decode("utf-8"), offset + length
+    return payload[offset:end].decode("utf-8"), end
 
 
 # -- HELLO / WELCOME --------------------------------------------------------------
@@ -295,13 +287,14 @@ def decode_hello(payload: bytes) -> tuple[int, ...]:
     if len(payload) < 1:
         raise ValueError("HELLO payload is empty")
     count = payload[0]
+    if not count:
+        raise ValueError("a HELLO must offer at least one version")
     if len(payload) != 1 + count:
         raise ValueError(f"HELLO declares {count} versions but carries {len(payload) - 1}")
     return tuple(payload[1 : 1 + count])
 
 
-@dataclass(frozen=True)
-class Welcome:
+class Welcome(NamedTuple):
     """Decoded ``WELCOME`` payload.
 
     ``credit_window`` is the per-connection in-flight request window the
@@ -352,8 +345,7 @@ def negotiate_version(offered: tuple[int, ...]) -> int | None:
 # -- ERROR ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorReply:
+class ErrorReply(NamedTuple):
     """Decoded ``ERROR`` payload."""
 
     code: int
@@ -386,8 +378,7 @@ def decode_error(payload: bytes) -> ErrorReply:
 # -- BUSY -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BusyReply:
+class BusyReply(NamedTuple):
     """Decoded ``BUSY`` payload: the server refused to queue a request.
 
     ``retry_after_s`` is the server's deterministic backoff hint — a pure
@@ -405,8 +396,8 @@ _BUSY = struct.Struct("!Qd")
 
 def encode_busy(request_id: int, retry_after_s: float, reason: str) -> bytes:
     """BUSY payload: refused request id, retry-after hint, reason text."""
-    if retry_after_s < 0:
-        raise ValueError("retry-after hint cannot be negative")
+    if not 0.0 <= retry_after_s < math.inf:
+        raise ValueError(f"retry-after hint {retry_after_s} is negative or not finite")
     return _BUSY.pack(request_id, retry_after_s) + pack_str(reason)
 
 
@@ -415,19 +406,18 @@ def decode_busy(payload: bytes) -> BusyReply:
     if len(payload) < _BUSY.size:
         raise ValueError("BUSY payload is truncated before its fixed fields end")
     request_id, retry_after_s = _BUSY.unpack_from(payload, 0)
+    if not 0.0 <= retry_after_s < math.inf:  # honouring it could mean waiting forever
+        raise ValueError(f"BUSY retry-after hint {retry_after_s} is negative or not finite")
     reason, offset = unpack_str(payload, _BUSY.size)
     if offset != len(payload):
         raise ValueError(f"BUSY payload has {len(payload) - offset} trailing bytes")
-    return BusyReply(
-        request_id=request_id, retry_after_s=retry_after_s, reason=reason
-    )
+    return BusyReply(request_id, retry_after_s, reason)
 
 
 # -- PING / PONG ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Pong:
+class Pong(NamedTuple):
     """Decoded ``PONG`` payload: the echo plus the server's clock."""
 
     nonce: int
@@ -448,8 +438,7 @@ def decode_ping(payload: bytes) -> tuple[int, float]:
     """Decode a ``PING`` payload into ``(nonce, client_s)``."""
     if len(payload) != _PING.size:
         raise ValueError(f"PING payload must be {_PING.size} bytes, got {len(payload)}")
-    nonce, client_s = _PING.unpack(payload)
-    return nonce, client_s
+    return _PING.unpack(payload)
 
 
 def encode_pong(nonce: int, client_s: float, server_s: float) -> bytes:
@@ -461,5 +450,4 @@ def decode_pong(payload: bytes) -> Pong:
     """Decode a ``PONG`` payload."""
     if len(payload) != _PONG.size:
         raise ValueError(f"PONG payload must be {_PONG.size} bytes, got {len(payload)}")
-    nonce, client_s, server_s = _PONG.unpack(payload)
-    return Pong(nonce=nonce, client_s=client_s, server_s=server_s)
+    return Pong(*_PONG.unpack(payload))

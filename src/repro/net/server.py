@@ -21,7 +21,11 @@ id), one credit window.  The mode only picks the run's clock:
 ``DRAIN`` flushes everything still batched and answers ``DRAINED`` when the
 last reply is out.  Replies are written without waiting; a connection's read
 loop drains its writer after each chunk it handles, so a client that stops
-reading stops being read.
+reading stops being read, and one that leaves more than
+:data:`_WRITE_BUFFER_LIMIT` bytes of replies unread is aborted.  Every other
+close — a fatal defect, truncation at EOF, :meth:`NetServer.aclose` — is a
+graceful one: the replies already written, a final ``ERROR`` included, go
+out first.
 
 Error handling is connection-scoped and typed: a corrupted checksum, an
 unsupported protocol version, an unknown message type or a malformed payload
@@ -46,6 +50,14 @@ from repro.serve.server import ServeReport, Server, ServingRun
 
 #: Bytes per read of the per-connection read loop.
 _READ_CHUNK = 64 * 1024
+
+#: A connection whose transport holds more unsent reply bytes than this is
+#: aborted: its peer has stopped reading.
+_WRITE_BUFFER_LIMIT = 16 * _READ_CHUNK
+
+#: Seconds :meth:`NetServer.aclose` lets the connections flush the replies
+#: they are still owed before it aborts the ones whose peers are not reading.
+_CLOSE_GRACE_S = 1.0
 
 
 @dataclass
@@ -179,7 +191,12 @@ class NetServer:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Graceful shutdown: stop accepting, drain, answer, disconnect."""
+        """Graceful shutdown: stop accepting, drain, answer, disconnect.
+
+        A connection closes once its peer has read every reply it is owed;
+        one still holding unsent replies after :data:`_CLOSE_GRACE_S` is
+        aborted.
+        """
         if self._listener is None:
             return
         self._listener.close()
@@ -192,9 +209,13 @@ class NetServer:
         self._run = None
         for connection in list(self._connections):
             connection.closing = True
-            connection.writer.close()
+            connection.writer.close()  # once what it was written is out
         if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+            _, stuck = await asyncio.wait(list(self._conn_tasks), timeout=_CLOSE_GRACE_S)
+            if stuck:
+                for connection in list(self._connections):
+                    connection.writer.transport.abort()
+                await asyncio.gather(*stuck, return_exceptions=True)
         self._connections.clear()
 
     # -- connection handling -----------------------------------------------------
@@ -213,6 +234,8 @@ class NetServer:
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
+                if connection.closing:  # hung up (or the server closed): nothing more is read
+                    break
                 if not data:
                     defect = connection.decoder.at_eof()
                     if defect is not None:
@@ -223,6 +246,8 @@ class NetServer:
                     break
                 self.stats.bytes_received += len(data)
                 for event in connection.decoder.feed(data):
+                    if connection.closing:  # aborted by a reply: the rest goes unhandled
+                        break
                     if isinstance(event, ProtocolError):
                         self._send_error(connection, event)
                         if event.fatal:
@@ -234,11 +259,11 @@ class NetServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(connection)
             connection.closing = True  # replies still owed to it go nowhere
-            connection.writer.close()
+            connection.writer.close()  # after the ones already written, a final ERROR included
             with suppress(ConnectionResetError, BrokenPipeError):
                 await connection.writer.wait_closed()
+            self._connections.discard(connection)
 
     # -- frame dispatch ----------------------------------------------------------
 
@@ -423,6 +448,11 @@ class NetServer:
         if connection.closing:
             return
         data = protocol.encode_frame(msg_type, payload)
-        connection.writer.write(data)
+        writer = connection.writer
+        writer.write(data)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(data)
+        if writer.transport.get_write_buffer_size() > _WRITE_BUFFER_LIMIT:
+            # Its peer is not reading: a close would wait on it forever.
+            connection.closing = True
+            writer.transport.abort()

@@ -8,11 +8,13 @@ per session and shared.  Tests never mutate the contexts' key material.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.faults import FaultSchedule
@@ -22,6 +24,11 @@ from repro.net.server import NetServer
 from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.serve import Server
 from repro.tfhe.context import TFHEContext
+
+#: ``HYPOTHESIS_PROFILE=fuzz`` runs every property that does not pin its own
+#: example count (the decoder fuzzer of ``test_net_fuzz.py``) ten times longer.
+settings.register_profile("fuzz", max_examples=10 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

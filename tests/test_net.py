@@ -24,6 +24,7 @@ import threading
 import time
 
 import pytest
+from conftest import ledger
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +44,7 @@ from repro.net.protocol import (
     ProtocolError,
     encode_frame,
 )
-from repro.net.server import NetServer
+from repro.net.server import _WRITE_BUFFER_LIMIT, NetServer
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.serve.request import Request
 from repro.tfhe.lwe import LweCiphertext
@@ -504,6 +505,24 @@ class TestClientStateMachine:
 
         asyncio.run(scenario())
 
+    def test_only_awaited_submits_are_rtt_samples(self):
+        async def scenario():
+            wire = _Wire()
+            client = wire.client
+            await wire.welcome()
+            streamed = client.submit_nowait(Request.make(1, "t0", "bootstrap"))
+            await wire.reply(MessageType.RESULT, _result_payload(1))
+            (outcome,) = await _settled(streamed)
+            assert outcome.request.request_id == 1 and client.rtts_s == []
+            awaited = asyncio.ensure_future(client.submit("t0", "bootstrap"))
+            await asyncio.sleep(0)
+            await wire.reply(MessageType.RESULT, _result_payload(2))
+            (outcome,) = await _settled(awaited)
+            assert outcome.request.request_id == 2 and len(client.rtts_s) == 1
+            await client.close()
+
+        asyncio.run(scenario())
+
 
 # -- deterministic replay over real sockets -----------------------------------------
 
@@ -941,3 +960,158 @@ class TestLiveServing:
         report = asyncio.run(scenario())
         assert report is not None and len(report.outcomes) == 1
         assert report.wire["frames_received"] >= 2  # hello + submit
+
+
+# -- a client that never reads ------------------------------------------------------
+
+
+class TestSilentClients:
+    @pytest.mark.parametrize("flood", ["submit", "stats"])
+    def test_a_client_that_never_reads_stalls_nobody(self, flood, monkeypatch):
+        """A raw socket pipelines frames and never reads a reply, while a
+        closed-loop client keeps submitting to the same live server.
+
+        A SUBMIT flood is held off by backpressure: its read loop stops
+        reading once its writer is full, long before what it is owed nears
+        the bound.  A STATS flood amplifies 16-byte frames into 2 KB replies
+        and crosses the bound within one read chunk: the reply that crosses
+        it aborts the connection, and the rest of the chunk goes unhandled.
+        Either way every request of the other client completes, the ledger
+        balances, and ``aclose`` returns (after its grace period, for the
+        SUBMIT flood) with the silent peer still connected.
+        """
+        buffered, aborted = [], []
+        send = NetServer._send
+
+        def watched(net, connection, msg_type, payload):
+            was_open = not connection.closing
+            send(net, connection, msg_type, payload)
+            if was_open:
+                buffered.append(connection.writer.transport.get_write_buffer_size())
+                aborted.append(connection.closing)  # by this very reply
+
+        monkeypatch.setattr(NetServer, "_send", watched)
+        if flood == "submit":
+            payloads = (codec.encode_submit(i, "quiet", "bootstrap", 1) for i in range(1, 8001))
+            frames = [encode_frame(MessageType.SUBMIT, payload) for payload in payloads]
+        else:
+            frames = [encode_frame(MessageType.STATS, b"")] * 1000
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with NetServer(mode="live", devices=1, params="I") as net:
+                # Small kernel buffers on both ends: unread replies pile up in
+                # the server's transport, where the bound is read.
+                net._listener.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                with socket.socket() as silent:
+                    silent.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    silent.setblocking(False)
+                    await loop.sock_connect(silent, net.address)
+                    sender = loop.create_task(loop.sock_sendall(silent, b"".join(frames)))
+                    client = await AsyncNetClient.connect(*net.address)
+                    for _ in range(20):
+                        await asyncio.wait_for(client.submit("loud", "bootstrap"), 5.0)
+                    await client.close()
+                    sender.cancel()
+                    await asyncio.wait_for(net.aclose(), 5.0)
+            return net.last_report
+
+        report = asyncio.run(scenario())
+        silent_frames = report.wire["frames_received"] - 21  # the other client's HELLO + SUBMITs
+        submitted = 20 + (silent_frames if flood == "submit" else 0)
+        assert sum(ledger(report).values()) == report.metrics.requests == submitted
+        assert max(buffered) <= _WRITE_BUFFER_LIMIT
+        assert silent_frames < len(frames)
+        assert any(aborted) == (flood == "stats")
+
+
+async def _read_slowly_to_eof(sock: socket.socket) -> list:
+    """Every frame a raw socket receives until the server closes it, read a
+    few kilobytes at a time; a reset connection fails the read."""
+    loop = asyncio.get_running_loop()
+    decoder, events = FrameDecoder(), []
+    while data := await asyncio.wait_for(loop.sock_recv(sock, 4096), 5.0):
+        events.extend(decoder.feed(data))
+        await asyncio.sleep(0.001)
+    assert decoder.at_eof() is None
+    return events
+
+
+class TestSlowReaders:
+    """A peer that reads, only slowly, is owed every reply: a close that
+    finds replies still in its connection's transport flushes them first."""
+
+    def test_replies_owed_across_aclose_all_arrive(self):
+        """3,000 replayed requests are batched when ``aclose`` begins; its
+        drain answers them in one burst, most of which is still in the
+        transport when the connection is closed."""
+        count = 3000
+        frames = b"".join(
+            encode_frame(
+                MessageType.SUBMIT,
+                codec.encode_submit(i, "slow", "bootstrap", 1, arrival_s=i * 1e-6),
+            )
+            for i in range(1, count + 1)
+        )
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            # Nothing flushes on its own: every request waits for the drain.
+            options = {"max_batch_delay_s": 10.0, "batch_capacity": 2 * count}
+            net = NetServer(mode="replay", devices=1, params="I", **options)
+            await net.start()
+            net._listener.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            with socket.socket() as slow:
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                slow.setblocking(False)
+                await loop.sock_connect(slow, net.address)
+                await loop.sock_sendall(slow, frames)
+                while net.stats.frames_received < count:
+                    await asyncio.sleep(0.01)
+                assert net.stats.frames_sent == 0  # nothing flushed yet
+                closing = loop.create_task(net.aclose())
+                while net.stats.frames_sent < count:  # the drain answers inside aclose
+                    await asyncio.sleep(0.01)
+                unsent = [c.writer.transport.get_write_buffer_size() for c in net._connections]
+                events = await _read_slowly_to_eof(slow)
+                await asyncio.wait_for(closing, 5.0)
+            return unsent, events, net.last_report
+
+        unsent, events, report = asyncio.run(scenario())
+        assert len(unsent) == 1 and unsent[0] > 0  # the close found replies still unsent
+        assert {event.msg_type for event in events} == {MessageType.RESULT}
+        answered = sorted(codec.decode_result(event.payload).request_id for event in events)
+        assert answered == list(range(1, count + 1))
+        assert report.metrics.requests == len(report.outcomes) == count
+
+    def test_a_fatal_error_behind_a_full_buffer_still_arrives(self, monkeypatch):
+        """STATS replies fill the transport, then a bad magic kills the
+        stream: the peer reads every reply, then the final ``ERROR``, then a
+        clean EOF."""
+        stats = 24
+        frames = encode_frame(MessageType.STATS, b"") * stats + b"XXXX" + bytes(HEADER.size - 4)
+        unsent = []
+        send_error = NetServer._send_error
+
+        def watched(net, connection, defect, request_id=0):
+            send_error(net, connection, defect, request_id)
+            unsent.append(connection.writer.transport.get_write_buffer_size())
+
+        monkeypatch.setattr(NetServer, "_send_error", watched)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with NetServer(mode="live", devices=1, params="I") as net:
+                net._listener.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                with socket.socket() as slow:
+                    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    slow.setblocking(False)
+                    await loop.sock_connect(slow, net.address)
+                    await loop.sock_sendall(slow, frames)
+                    return await _read_slowly_to_eof(slow)
+
+        events = asyncio.run(scenario())
+        assert len(unsent) == 1 and unsent[0] > 0  # the ERROR queued behind unsent replies
+        *replies, final = events
+        assert [reply.msg_type for reply in replies] == [MessageType.STATS_REPLY] * stats
+        assert _error_reply(final).code == ErrorCode.BAD_MAGIC
