@@ -25,6 +25,7 @@ from repro.analysis.tables import (
 from repro.analysis.tradeoffs import tvlp_clp_tradeoff
 from repro.arch.accelerator import StrixAccelerator
 from repro.arch.decomposer_unit import StreamingDecomposerLane
+from repro.fft import get_folded_transform, get_negacyclic_transform
 from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I
 from repro.sim.trace import build_occupancy_trace
 
@@ -49,6 +50,24 @@ def decomposer_datapath_check(coefficients: int = 256, seed: int = 6) -> str:
         f"{coefficients} coefficients, PBS and keyswitch gadgets, sets "
         + ", ".join(PAPER_PARAMETER_SETS)
     )
+
+
+def folding_check(seed: int = 7) -> str:
+    """Section V-A: the folded N/2-point transform multiplies like the N-point one.
+
+    Seeded integer polynomials times small signed digits, at the ``N`` of every
+    paper parameter set; the folded transform's negacyclic products must equal
+    the full-size transform's coefficient for coefficient.
+    """
+    rng = np.random.default_rng(seed)
+    degrees = sorted({params.N for params in PAPER_PARAMETER_SETS.values()})
+    for degree in degrees:
+        values, digits = rng.integers(-(2**16), 2**16, degree), rng.integers(-64, 64, degree)
+        folded = get_folded_transform(degree).multiply(values, digits)
+        if not np.array_equal(folded, get_negacyclic_transform(degree).multiply(values, digits)):
+            raise SystemExit(f"Section V-A folding: products differ at N = {degree}")
+    listed = ", ".join(map(str, degrees))
+    return f"Section V-A folding: N/2-point folded products == N-point products, N = {listed}"
 
 
 def key_streaming_check(accelerator: StrixAccelerator) -> str:
@@ -104,6 +123,7 @@ def main() -> None:
     print(f"Strix vs GPU throughput, set I:      37x -> {gpu:.0f}x")
     print(f"Strix vs Matcha throughput, set I:  7.4x -> {matcha:.1f}x")
     print(decomposer_datapath_check())
+    print(folding_check())
     print(key_streaming_check(accelerator))
     print(f"All rendered tables written to {RESULTS_DIR}")
 

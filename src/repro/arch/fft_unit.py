@@ -8,11 +8,8 @@ order, so a continuous stream of polynomials keeps it at ~100 % utilization.
 
 With the folding scheme an ``N``-point negacyclic transform is computed on a
 physical ``N/2``-point unit, halving both the initiation interval (for fixed
-lane count) and the hardware cost.
-
-The class couples the *timing/area* model with the *functional* transform
-(:mod:`repro.fft`), so a simulated datapath can also produce bit-accurate
-values when needed.
+lane count) and the hardware cost.  What the unit computes is the folded
+transform of :mod:`repro.fft`; this class models only its timing and area.
 """
 
 from __future__ import annotations
@@ -20,10 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.arch.config import StrixConfig
-from repro.fft.registry import get_folded_transform, get_negacyclic_transform
 
 
 @dataclass(frozen=True)
@@ -157,21 +151,6 @@ class PipelinedFFTUnit:
     def power_w(self) -> float:
         """Estimated power in W."""
         return self.area_mm2 * self._POWER_PER_AREA_W_PER_MM2
-
-    # -- function --------------------------------------------------------------
-
-    def functional_transform(self, polynomial: np.ndarray) -> np.ndarray:
-        """Test reference: the forward transform this unit computes, bit-accurate."""
-        degree = len(polynomial)
-        if self.folding:
-            return get_folded_transform(degree).forward(polynomial)
-        return get_negacyclic_transform(degree).forward(polynomial)
-
-    def functional_inverse(self, spectrum: np.ndarray, degree: int) -> np.ndarray:
-        """Test reference: the inverse transform this unit computes, bit-accurate."""
-        if self.folding:
-            return get_folded_transform(degree).inverse(spectrum)
-        return get_negacyclic_transform(degree).inverse(spectrum)
 
     @classmethod
     def from_config(cls, config: StrixConfig) -> "PipelinedFFTUnit":

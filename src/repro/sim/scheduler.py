@@ -10,6 +10,10 @@ next free.  The blind rotation of an epoch runs on the HSCs, its keyswitching
 hides behind the blind rotation of the next.  Linear nodes are charged to a
 (cheap) vector unit on the host interface.  Makespan and utilization are read
 off those free and busy times; no timeline is kept.
+
+The readable definition of this rule is ``spec_order`` / ``spec_run`` in
+``tests/test_scheduler_spec.py``: the same bookings in the shortest obvious
+code, which :meth:`StrixScheduler.run` equals on every field, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import NamedTuple
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters
-from repro.sim.fragments import plan_fragments
 from repro.sim.graph import ComputationGraph, ScheduleProgram
 
 _new_tuple = tuple.__new__
@@ -77,11 +80,12 @@ class _EpochTimings:
         self._nodes: dict[int, tuple[tuple[tuple[float, ...], float], ...]] = {}
 
     def node(self, ciphertexts: int) -> tuple[tuple[tuple[float, ...], float], ...]:
-        """:meth:`epoch` of each blind-rotation fragment of a PBS node."""
+        """:meth:`epoch` of each epoch of a PBS node: full ones, then the rest."""
         epochs = self._nodes.get(ciphertexts)
         if epochs is None:
-            plan = plan_fragments(ciphertexts, self.epoch_capacity)
-            epochs = self._nodes[ciphertexts] = tuple(map(self.epoch, plan.fragment_sizes))
+            full, rest = divmod(ciphertexts, self.epoch_capacity)
+            sizes = (self.epoch_capacity,) * full + (rest,) * (rest > 0)
+            epochs = self._nodes[ciphertexts] = tuple(map(self.epoch, sizes))
         return epochs
 
     def epoch(self, lwes: int) -> tuple[tuple[float, ...], float]:

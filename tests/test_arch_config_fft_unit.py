@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED, StrixConfig
@@ -110,14 +109,6 @@ class TestPipelinedFFTUnit:
         small = PipelinedFFTUnit(1024, clp=4)
         large = PipelinedFFTUnit(16384, clp=4)
         assert large.power_w > small.power_w
-
-    def test_functional_transform_roundtrip(self, rng):
-        unit = PipelinedFFTUnit(1024, clp=4, folding=True)
-        poly = rng.integers(-1000, 1000, 256).astype(np.float64)
-        spectrum = unit.functional_transform(poly)
-        assert spectrum.shape == (128,)
-        recovered = unit.functional_inverse(spectrum, 256)
-        np.testing.assert_allclose(recovered, poly, atol=1e-6)
 
     def test_from_config(self):
         unit = PipelinedFFTUnit.from_config(STRIX_DEFAULT)

@@ -9,8 +9,7 @@ scalar exactly), holds every batch API of
 :class:`~repro.runtime.session.Session` to its per-ciphertext API (the scalar
 oracle: slow reference, fast path, element-wise equality) and an N-instance
 reference-backend run to N one-instance runs, holds blind rotation to the
-same bits however its batch axis is cut into per-core sub-batches and to the
-previous ``int64`` loop kept here as a frozen slow reference, holds the
+same bits however its batch axis is cut into per-core sub-batches, holds the
 keyswitch GEMM to integer references where it is hardest, and covers the
 transform-instance registry and the ``LWE1`` byte codec's stacked side.
 """
@@ -45,7 +44,6 @@ from repro.params import PARAM_SET_I, PARAM_SET_IV, SMALL_PARAMETERS, TOY_PARAME
 from repro.runtime.api import run
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, full_adder_netlist
-from repro.tfhe import torus
 from repro.tfhe.batch import (
     GlweBatch,
     LweBatch,
@@ -127,62 +125,6 @@ def _with_edge_exponents(ciphertexts, params):
         mask[5] = seams[index % 3] * step
         forced.append(LweCiphertext(mask, ciphertext.body, params))
     return forced
-
-
-def _frozen_int64_cmux(test_vector, batch: LweBatch, bootstrapping_key, params) -> np.ndarray:
-    """The blind rotation of PR 19, ``int64`` throughout: the frozen slow reference.
-
-    Its workspace set-up and the body of its ``_cmux_iterations`` verbatim (the
-    ``_refresh_windows`` helper inlined), over the whole batch on the calling
-    thread: one ``np.subtract`` per ciphertext for the Rotator, a mask per
-    iteration for the reduction.  Returns the ``(B, k+1, N)`` accumulator the
-    way that loop carried it — *unreduced* — so a test can see that its values
-    do leave ``[0, 2**32)``, which is what the 32-bit loop's wrap-around has to
-    get right.
-    """
-    masks_2n, bodies_2n = kernels.batch_modulus_switch(batch, params)
-    batch_size, n_poly, half = len(batch), params.N, params.N // 2
-    polys, levels = params.k + 1, params.lb
-    windows = np.empty((batch_size, polys, 3 * n_poly), dtype=np.int64)
-    accumulator = windows[..., :n_poly]
-    accumulator[:, : params.k] = 0
-    accumulator[:, params.k] = batch_monomial_multiply(
-        np.broadcast_to(test_vector, (batch_size, n_poly)), -bodies_2n, params.q
-    )
-    difference = np.empty((batch_size, polys, n_poly), dtype=np.int64)
-    digits = np.empty((batch_size, polys, levels, n_poly), dtype=np.int64)
-    spectra = np.empty((batch_size, polys * levels, half), dtype=np.complex128)
-    product = np.empty((batch_size, polys, half), dtype=np.complex128)
-    transform = kernels.get_transform(n_poly)
-
-    folded_digits = spectra.reshape(-1, polys, levels, half)
-    product_slots = product.view(np.float64).reshape(-1, polys, half, 2)
-    starts = kernels._window_starts(masks_2n, n_poly).T.tolist()
-    for index in np.flatnonzero(masks_2n.any(axis=0)).tolist():
-        np.negative(windows[..., :n_poly], out=windows[..., n_poly : 2 * n_poly])
-        windows[..., 2 * n_poly :] = windows[..., :n_poly]
-        for element, start in enumerate(starts[index]):
-            np.subtract(
-                windows[element, :, start : start + n_poly],
-                accumulator[element],
-                out=difference[element],
-            )
-        decompose_folded(
-            difference,
-            levels,
-            params.log2_base_pbs,
-            params.q_bits,
-            out=folded_digits,
-            scratch=digits,
-        )
-        transform.forward(spectra, out=spectra, folded=True)
-        np.einsum("brf,rcf->bcf", spectra, bootstrapping_key[index].spectra, out=product)
-        transform.inverse(product, out=product, folded=True)
-        np.rint(product_slots[..., 0], out=difference[..., :half], casting="unsafe")
-        np.rint(product_slots[..., 1], out=difference[..., half:], casting="unsafe")
-        torus.reduce(difference, params.q, out=difference)
-        accumulator += difference
-    return accumulator.copy()
 
 
 # -- stacked containers ----------------------------------------------------------
@@ -862,25 +804,18 @@ class TestSubBatches:
         _assert_rotations_equal_scalars(split, dict(enumerate(oracle[:size])))
 
     @pytest.mark.parametrize("name", sorted(POOL))
-    def test_the_32_bit_loop_equals_the_frozen_int64_loop_and_the_oracle(self, pools, name):
-        """New == frozen == scalar, split and unsplit, on inputs that do wrap 32 bits."""
+    def test_the_32_bit_loop_equals_the_oracle_on_the_seams(self, pools, name):
+        """Split and unsplit == scalar ``blind_rotate``, with windows starting at every seam."""
         test_vector, ciphertexts, oracle, key = pools[name]
         params = key.params
         stacked = LweBatch.from_ciphertexts(ciphertexts)
         starts = kernels._window_starts(kernels.batch_modulus_switch(stacked, params)[0], params.N)
         seams = {0, 1, params.N - 1, params.N, params.N + 1, 2 * params.N - 1}
         assert seams <= set(starts.ravel().tolist())
-        unreduced = _frozen_int64_cmux(test_vector, stacked, key, params)
-        # The wrap is exercised, not assumed: the reference adds one canonical product per
-        # iteration and never reduces, so its accumulator has long left 32 bits — and the
-        # word-wide loop must agree with it mod q all the same.
-        assert unreduced.min() >= 0 and np.median(unreduced) >= 1 << 32
-        frozen = GlweBatch(unreduced[:, : params.k], unreduced[:, params.k], params)
         size = len(stacked)
         for cuts in ((), {size // 2}, set(range(1, size))):
             rotated = _rotate_cut(test_vector, stacked, key, _cut(size, cuts))
             assert rotated.masks.dtype == rotated.bodies.dtype == np.int64
-            _assert_glwe_batches_equal(rotated, frozen)
             _assert_rotations_equal_scalars(rotated, dict(enumerate(oracle)))
 
     @pytest.mark.parametrize("count", [2, 3, 7])

@@ -1,7 +1,7 @@
 """The batcher's flush window and the one walk over a batch.
 
 Two rules are checked against the expressions they replaced rather than
-against frozen copies of the old code.  The flush deadline used to be "the
+against verbatim copies of the old code.  The flush deadline used to be "the
 current queue head's arrival + ``max_delay_s``", re-derived on every poll;
 it is now a stored window the batcher owns.  While nothing but a flush
 removes the head the two are the same number (the first machine), and where

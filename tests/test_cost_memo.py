@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.apps.traffic import bursty_trace, heavy_tail_trace, steady_trace
 from repro.params import PARAM_SET_I, PARAM_SET_II
 from repro.sched import (
     DEFAULT_COST_CACHE_CAPACITY,
@@ -150,6 +151,31 @@ def test_memoized_serving_is_bit_for_bit_for_every_layout(layout):
     # The cached server actually cached (and the uncached one didn't).
     assert cached_report.metrics.cost_cache["hits"] > 0
     assert uncached_report.metrics.cost_cache == {}
+
+
+def _report_without_cache_counters(report) -> dict:
+    data = report.to_dict()
+    del data["cost_cache"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        steady_trace(1500.0, 0.6, seed=101),
+        bursty_trace(6000.0, 0.6, seed=102),
+        heavy_tail_trace(1200.0, 0.6, seed=103, tenants=12),
+    ],
+    ids=["steady", "bursty", "heavy-tail"],
+)
+def test_event_serving_equals_unmemoized(trace):
+    memoized = Server(devices=4, params="I", cost_model="event").simulate(trace)
+    resimulated = Server(
+        devices=4, params="I", cost_model=EventDrivenCostModel()
+    ).simulate(trace)
+    assert memoized.metrics.cost_cache["misses"] > 0
+    assert not resimulated.metrics.cost_cache
+    assert _report_without_cache_counters(memoized) == _report_without_cache_counters(resimulated)
 
 
 def test_pipeline_stage_costs_memoize_per_stage_signature():

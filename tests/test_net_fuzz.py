@@ -14,13 +14,15 @@ without credits — mutated by truncation, length-field lies (up to and past
 
 The example count comes from the Hypothesis profile:
 ``HYPOTHESIS_PROFILE=fuzz`` (registered in ``conftest.py``) runs ten times
-the tier-1 count.  Shrunk failures are kept below as plain tests.
+the tier-1 count.  Shrunk failures are kept below as plain tests, beside one
+that holds the decoder to allocating no more than it has been fed.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.apps.traffic import steady_trace
 from repro.net import codec, protocol
-from repro.net.protocol import HEADER, MAX_PAYLOAD_BYTES, FrameDecoder, MessageType
+from repro.net.protocol import HEADER, MAGIC, MAX_PAYLOAD_BYTES, FrameDecoder, MessageType
 from repro.params import PARAM_SET_I
 from repro.tfhe.lwe import LweCiphertext
 
@@ -171,6 +173,26 @@ def test_every_decoder_returns_or_raises_value_error_on_a_mutated_payload(payloa
             continue
         if encode is not None:
             encode(decoded)
+
+
+@pytest.mark.parametrize("declared", [MAX_PAYLOAD_BYTES, MAX_PAYLOAD_BYTES + 1])
+def test_a_header_declaring_the_cap_allocates_no_more_than_the_decoder_holds(declared):
+    header = HEADER.pack(MAGIC, protocol.PROTOCOL_VERSION, MessageType.SUBMIT, 0, declared, 0)
+    decoder, fed, events = FrameDecoder(), 0, []
+    tracemalloc.start()
+    try:
+        for chunk in (header, b"\x00" * 5, b"\x00" * 11):
+            events += decoder.feed(chunk)
+            fed += len(chunk)
+            assert len(decoder._buffer) <= fed
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # At the cap the decoder waits for the payload; past it the stream is dead.
+    assert [_fields(event)[:2] for event in events] == (
+        [] if declared == MAX_PAYLOAD_BYTES else [("defect", protocol.ErrorCode.FRAME_TOO_LARGE)]
+    )
 
 
 # -- what the fuzzer found, kept as plain tests ---------------------------------------

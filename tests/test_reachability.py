@@ -23,8 +23,8 @@ SRC = ROOT / "src"
 #: Orphans kept on purpose.  Each is asserted to still be one, so the entry is
 #: deleted the day the module gains a caller.
 EXCEPTIONS = {
-    "repro.tfhe.noise": "ROADMAP item 3 gives it its job or shrinks it",
-    "repro.fft.reference": "slow reference of the transform tests and of ROADMAP item 3(b)",
+    "repro.tfhe.noise": "the ROADMAP's noise-budget item gives it its job or shrinks it",
+    "repro.fft.reference": "slow reference of the transform tests and of the noise-budget item",
 }
 
 
@@ -101,8 +101,6 @@ REFERENCES = {
     "repro.apps.workloads.gate_workload_graph": "graph fixture of the scheduler and layout tests",
     "repro.apps.workloads.lut_pipeline_graph": "graph fixture of the scheduler and partition tests",
     "repro.apps.workloads.random_layered_graph": "seeded graph fixture of the property tests",
-    "repro.arch.fft_unit.PipelinedFFTUnit.functional_transform": "what the timed unit computes",
-    "repro.arch.fft_unit.PipelinedFFTUnit.functional_inverse": "what the timed unit computes",
     "repro.fft.reference.naive_dft": "O(N^2) oracle of the transforms",
     "repro.fft.reference.naive_idft": "O(N^2) oracle of the transforms",
     "repro.fft.reference.naive_negacyclic_convolution": "exact oracle of every polynomial product",
@@ -117,12 +115,12 @@ REFERENCES = {
     "repro.tfhe.gates.GateBootstrapper.mux": "scalar oracle of batch_gate('mux')",
     "repro.tfhe.gates.GateBootstrapper.nor": "scalar oracle of batch_gate('nor')",
     "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of batch_gate('not')",
-    "repro.tfhe.noise.decryption_failure_margin": "ROADMAP item 3 gives tfhe/noise.py its job",
-    "repro.tfhe.noise.fresh_glwe_variance": "ROADMAP item 3 gives tfhe/noise.py its job",
-    "repro.tfhe.noise.fresh_lwe_variance": "ROADMAP item 3 gives tfhe/noise.py its job",
-    "repro.tfhe.noise.measure_lwe_noise": "ROADMAP item 3 gives tfhe/noise.py its job",
-    "repro.tfhe.noise.modulus_switch_variance": "ROADMAP item 3 gives tfhe/noise.py its job",
-    "repro.tfhe.serialization.lwe_batch_from_bytes": "outside-input parser, ROADMAP item 4",
+    "repro.tfhe.noise.decryption_failure_margin": "the noise-budget item gives noise.py its job",
+    "repro.tfhe.noise.fresh_glwe_variance": "the noise-budget item gives noise.py its job",
+    "repro.tfhe.noise.fresh_lwe_variance": "the noise-budget item gives noise.py its job",
+    "repro.tfhe.noise.measure_lwe_noise": "the noise-budget item gives noise.py its job",
+    "repro.tfhe.noise.modulus_switch_variance": "the noise-budget item gives noise.py its job",
+    "repro.tfhe.serialization.lwe_batch_from_bytes": "outside-input parser, the one-datapath item",
     "repro.tfhe.torus.absolute_distance": "error metric of the noise tests",
 }
 

@@ -2,10 +2,10 @@
 
 ``batch_program`` lowers a batch to ``(kind, ciphertexts, operations,
 depends_on)`` ops without building a graph, and ``batch_graph`` is that
-lowering turned into nodes.  Both are held to ``frozen_run`` — the engine-loop
-scheduler frozen in ``test_scheduler_frozen_oracle.py`` — field for field, in
-the circlestark ``test_fast_fri`` idiom, and to a batch graph built request by
-request from each model's own ``build_deep_nn_graph``.  The serving gate counts
+lowering turned into nodes.  Both are held to ``spec_run`` — the paper's epoch
+rule in ``test_scheduler_spec.py`` — field for field, in the circlestark
+``test_fast_fri`` idiom, and to a batch graph built request by request from
+each model's own ``build_deep_nn_graph``.  The serving gate counts
 calls with wrappers the test installs: every schedule-cache miss enters
 ``StrixScheduler.run``, and a data-parallel miss builds no graph at all.
 """
@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_scheduler_frozen_oracle import frozen_run
+from test_scheduler_spec import spec_run
 
 from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
 from repro.apps.traffic import steady_trace
@@ -92,28 +92,29 @@ UNSORTED = make_batch(
 @example(batch=LINEAR_ONLY, params=PARAM_SET_I)
 @example(batch=PBS_ONLY, params=PARAM_SET_IV)
 @example(batch=UNSORTED, params=PARAM_SET_III)
-def test_batch_program_schedules_as_the_frozen_scheduler(batch, params):
+def test_batch_program_schedules_as_the_spec(batch, params):
     device = StrixCluster(devices=1).devices[0]
     program = batch_program(batch, params)
     graph = batch_graph(batch, params)
     assert graph.compile() == program
     assert graph_from_the_models(batch, params).compile() == program
 
-    fast, slow = device.scheduler.run(program), frozen_run(device.scheduler, graph)
-    assert fast == slow
+    fast, spec = device.scheduler.run(program), spec_run(device.scheduler, graph)
+    assert fast == spec
     assert [node.node for node in fast.node_schedules] == program.names
-    assert list(fast.core_utilization) == list(slow.core_utilization)
-    assert asdict(fast) == asdict(slow)
+    assert list(fast.core_utilization) == list(spec.core_utilization)
+    assert asdict(fast) == asdict(spec)
 
     cost = EventDrivenCostModel().batch_cost(batch, params, device)
-    assert cost.compute_s == slow.total_time_s
-    assert (cost.pbs, cost.epochs) == (slow.total_pbs, slow.total_epochs)
+    assert cost.compute_s == spec.total_time_s
+    assert (cost.pbs, cost.epochs) == (spec.total_pbs, spec.total_epochs)
 
     for stages in (2, 4):
         for stage in partition_graph_stages(graph, stages).graphs:
-            fast, slow = device.scheduler.run(stage), frozen_run(device.scheduler, stage)
-            assert fast == slow
-            assert asdict(fast) == asdict(slow)
+            fast, spec = device.scheduler.run(stage), spec_run(device.scheduler, stage)
+            assert fast == spec
+            assert list(fast.core_utilization) == list(spec.core_utilization)
+            assert asdict(fast) == asdict(spec)
 
 
 def count_calls(monkeypatch, owner, name: str, counts: Counter) -> None:
@@ -140,11 +141,11 @@ def test_every_miss_enters_run_and_a_whole_batch_miss_builds_no_graph(monkeypatc
     assert counts["ComputationGraph.levels"] == 0
 
 
-def test_pipeline_report_equals_the_frozen_scheduler_on_model_built_graphs(monkeypatch):
+def test_pipeline_report_equals_the_spec_on_model_built_graphs(monkeypatch):
     trace = steady_trace(1500.0, 2.0, seed=3)
     fast = Server(devices=4, params="I", layout="pipeline", cost_model="event").simulate(trace)
     monkeypatch.setattr(layouts, "batch_graph", graph_from_the_models)
-    monkeypatch.setattr(StrixScheduler, "run", frozen_run)
-    slow = Server(devices=4, params="I", layout="pipeline", cost_model="event").simulate(trace)
+    monkeypatch.setattr(StrixScheduler, "run", spec_run)
+    spec = Server(devices=4, params="I", layout="pipeline", cost_model="event").simulate(trace)
     assert fast.metrics.cost_cache["misses"] > 0
-    assert fast == slow
+    assert fast == spec

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.params import TOY_PARAMETERS
-from repro.sim.fragments import (
-    blind_rotation_fragments,
-    fragmented_execution_time,
-    plan_fragments,
-)
+from repro.sim.fragments import blind_rotation_fragments, fragmented_execution_time
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
 
 
@@ -91,27 +87,11 @@ class TestFragments:
         assert fragmented_execution_time(72, 72, 10.0) == pytest.approx(10.0)
         assert fragmented_execution_time(0, 72, 10.0) == 0.0
 
-    def test_plan_fragments_sizes(self):
-        plan = plan_fragments(200, 72)
-        assert plan.fragment_sizes == (72, 72, 56)
-        assert plan.num_passes == 3
-        assert plan.fragments == 2
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             blind_rotation_fragments(-1, 72)
         with pytest.raises(ValueError):
             blind_rotation_fragments(10, 0)
-        with pytest.raises(ValueError):
-            plan_fragments(10, 0)
-
-    @given(st.integers(min_value=0, max_value=100000), st.integers(min_value=1, max_value=4096))
-    @settings(max_examples=200, deadline=None)
-    def test_fragment_plan_conserves_ciphertexts(self, ciphertexts, batch):
-        plan = plan_fragments(ciphertexts, batch)
-        assert sum(plan.fragment_sizes) == ciphertexts
-        assert all(0 < size <= batch for size in plan.fragment_sizes)
-        assert plan.fragments == blind_rotation_fragments(ciphertexts, batch)
 
     @given(st.integers(min_value=1, max_value=100000), st.integers(min_value=1, max_value=4096))
     @settings(max_examples=200, deadline=None)
