@@ -15,15 +15,22 @@ total load, so three canonical patterns ship:
 Every generator returns a list of :class:`~repro.serve.request.Request`
 objects (timestamped, multi-tenant, mixed kinds) ready for
 :meth:`repro.serve.Server.simulate`, and is fully determined by its seed.
+
+The draw order is part of that contract: once the arrival times and sizes are
+drawn, each request, in request order, draws one uniform double for its kind
+and then one bounded integer for its tenant — nothing else, nothing in bulk.
+Every recorded benchmark is built on traces drawn this way.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
 
-from repro.serve.request import Request, RequestKind
+from repro.serve.request import Request, RequestKind, pbs_per_item
 
 #: Default kind mix of a trace: mostly bootstraps and gates, some encryption
 #: traffic, the occasional full inference call.
@@ -45,26 +52,36 @@ def _make_requests(
     tenants: int,
     kind_mix: dict[RequestKind, float],
 ) -> list[Request]:
-    """Assemble requests from arrival times and sizes (shared by all patterns)."""
-    kinds = list(kind_mix)
-    weights = np.asarray([kind_mix[kind] for kind in kinds], dtype=float)
-    weights = weights / weights.sum()
+    """Assemble requests from arrival times and sizes (shared by all patterns).
+
+    The kind draw is ``rng.choice(len(kind_mix), p=weights)`` unrolled: the
+    same cumulative weights, built once, searched with the same ``random()``.
+    """
+    if tenants < 1:
+        raise ValueError(f"tenants must be at least 1, got {tenants}")
+    for kind, weight in kind_mix.items():
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"kind_mix weight of {kind} must be finite and >= 0, got {weight}")
+    weights = np.asarray(list(kind_mix.values()), dtype=float)
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"kind_mix weights must have a positive, finite sum, got {kind_mix}")
+    cumulative = np.cumsum(weights / total)
+    cumulative = (cumulative / cumulative[-1]).tolist()
+    shapes = []
+    for kind in kind_mix:
+        model = INFERENCE_MODEL if kind is RequestKind.INFERENCE else None
+        shapes.append((kind, model, pbs_per_item(kind, model)))
+    names = [f"tenant{tenant}" for tenant in range(tenants)]
+    random, integers = rng.random, rng.integers
     requests = []
-    for index, (arrival, size) in enumerate(zip(arrival_times, sizes)):
-        kind = kinds[int(rng.choice(len(kinds), p=weights))]
+    for index, (arrival, size) in enumerate(zip(arrival_times, sizes), 1):
+        kind, model, pbs = shapes[bisect_right(cumulative, random())]
         # Inference items are whole encrypted samples, not ciphertexts — one
         # sample already costs a model's worth of PBS, so keep counts small.
-        items = max(1, int(size)) if kind is not RequestKind.INFERENCE else 1
-        requests.append(
-            Request.make(
-                request_id=index + 1,
-                tenant=f"tenant{int(rng.integers(tenants))}",
-                kind=kind,
-                items=items,
-                arrival_s=float(arrival),
-                model=INFERENCE_MODEL if kind is RequestKind.INFERENCE else None,
-            )
-        )
+        items = 1 if model is not None else max(1, int(size))
+        tenant = names[integers(tenants)]
+        requests.append(Request(index, tenant, kind, items, pbs, float(arrival), model))
     return requests
 
 

@@ -1,9 +1,15 @@
 """Corpus-seeded fuzzing of the wire decoders.
 
-The corpus is real frames — every message the client and the server put on
-the wire, SUBMIT with and without an ``LWE1`` attachment, RESULT with and
-without credits — mutated by truncation, length-field lies (up to and past
-``MAX_PAYLOAD_BYTES``), bit flips and spliced garbage.  Two properties:
+The corpus is real frames: every distinct frame either end writes while
+``netload --smoke`` replays its trace (HELLO, WELCOME, SUBMIT, RESULT, DRAIN,
+DRAINED), plus hand-built ones for what that run never sends — SUBMIT with an
+``LWE1`` attachment and a deadline, WELCOME and RESULT carrying credits, BUSY,
+ERROR, PING/PONG and STATS.  Frames are drawn group first, one group per
+captured type and one per hand-built frame, so the replay's many SUBMITs and
+RESULTs crowd out neither the other types nor the hand-built SUBMIT and
+RESULT.  They are mutated by
+truncation, length-field lies (up to and past ``MAX_PAYLOAD_BYTES``), bit
+flips and spliced garbage.  Two properties:
 
 * framing, in circlestark's ``test_fast_fri`` manner: the stream fed as one
   chunk, in random chunk sizes and one byte at a time (the slow reference)
@@ -20,6 +26,7 @@ that holds the decoder to allocating no more than it has been fed.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import tracemalloc
@@ -28,38 +35,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.traffic import steady_trace
+from repro.apps.traffic import TRAFFIC_PATTERNS
 from repro.net import codec, protocol
+from repro.net.loadgen import replay_trace
 from repro.net.protocol import HEADER, MAGIC, MAX_PAYLOAD_BYTES, FrameDecoder, MessageType
 from repro.params import PARAM_SET_I
+from repro.serve.server import Server
 from repro.tfhe.lwe import LweCiphertext
 
-_TRACE = steady_trace(400.0, 0.02, seed=5)
 _LWE = [LweCiphertext.trivial(m, 16, PARAM_SET_I) for m in range(3)]
 
-#: ``(message type, payload)`` of every frame the two ends exchange.
-CORPUS = [
-    (MessageType.HELLO, protocol.encode_hello((1, 2))),
-    (MessageType.WELCOME, protocol.encode_welcome(1)),
-    (MessageType.WELCOME, protocol.encode_welcome(1, credit_window=32)),
-    *((MessageType.SUBMIT, codec.submit_from_request(request)) for request in _TRACE[:3]),
-    (MessageType.SUBMIT, codec.encode_submit(7, "t0", "bootstrap", 3, ciphertexts=_LWE)),
+#: ``(message type, payload)`` of the frames the smoke replay never sends.
+HAND_BUILT = [
     (
         MessageType.SUBMIT,
-        codec.encode_submit(8, "t1", "inference", 1, model="NN-20", deadline_s=0.5),
+        codec.encode_submit(7, "t0", "bootstrap", 3, ciphertexts=_LWE, deadline_s=0.5),
     ),
-    (MessageType.RESULT, codec.encode_result(7, 2, 1, 0.125, 0.25, 0.5)),
+    (MessageType.WELCOME, protocol.encode_welcome(1, credit_window=32)),
     (MessageType.RESULT, codec.encode_result(8, 3, 0, 0.125, 0.25, 0.5, credits=31)),
     (MessageType.BUSY, protocol.encode_busy(9, 0.004, "in-flight window of 32 is exhausted")),
     (MessageType.ERROR, protocol.encode_error(protocol.ErrorCode.BAD_MESSAGE, "bad", 7)),
     (MessageType.ERROR, protocol.encode_error(protocol.ErrorCode.BAD_CHECKSUM, "crc mismatch")),
     (MessageType.PING, protocol.encode_ping(3, 0.25)),
     (MessageType.PONG, protocol.encode_pong(3, 0.25, 0.5)),
-    (MessageType.DRAIN, b""),
-    (MessageType.DRAINED, b""),
     (MessageType.STATS, b""),
     (MessageType.STATS_REPLY, protocol.encode_stats({"serve_requests": 3.0, "wire_frames": 9.0})),
 ]
+
+
+@functools.cache
+def smoke_capture() -> list[tuple[MessageType, bytes]]:
+    """Every distinct ``(message type, payload)`` either end encodes while
+    the ``netload --smoke`` trace replays over loopback, in first-seen order."""
+    captured: dict[tuple[MessageType, bytes], None] = {}
+    encode = protocol.encode_frame
+
+    def recording(msg_type, payload=b"", *args):
+        captured[MessageType(msg_type), bytes(payload)] = None
+        return encode(msg_type, payload, *args)
+
+    trace = TRAFFIC_PATTERNS["steady"](800.0, 0.1, seed=0, tenants=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "encode_frame", recording)
+        replay_trace(trace, server=Server(devices=4, params="I"))
+    return list(captured)
+
+
+def frame_groups() -> list[list[tuple[MessageType, bytes]]]:
+    """The corpus in draw groups: the captured frames of one message type
+    each, then every hand-built frame alone."""
+    by_type: dict[MessageType, list[tuple[MessageType, bytes]]] = {}
+    for frame in smoke_capture():
+        by_type.setdefault(frame[0], []).append(frame)
+    return [*by_type.values(), *([frame] for frame in HAND_BUILT)]
+
+
+#: One corpus frame: a group, then one frame of it.  Deferred, so the
+#: loopback replay runs on the first draw, not at import.
+FRAMES = st.deferred(lambda: st.sampled_from(frame_groups()).flatmap(st.sampled_from))
 
 #: Where the length field sits in a frame header.
 _LENGTH = struct.Struct("!I")
@@ -100,7 +133,7 @@ def streams(draw) -> bytes:
     """A few corpus frames back to back, then mutated."""
     frames = [
         protocol.encode_frame(msg_type, payload)
-        for msg_type, payload in draw(st.lists(st.sampled_from(CORPUS), min_size=1, max_size=4))
+        for msg_type, payload in draw(st.lists(FRAMES, min_size=1, max_size=4))
     ]
     headers = [sum(map(len, frames[:index])) for index in range(len(frames))]
     return draw(_mutated(b"".join(frames), headers))
@@ -109,7 +142,7 @@ def streams(draw) -> bytes:
 @st.composite
 def payloads(draw) -> bytes:
     """One corpus payload, mutated: what a decoder sees once the CRC has passed."""
-    _msg_type, payload = draw(st.sampled_from(CORPUS))
+    _msg_type, payload = draw(FRAMES)
     return draw(_mutated(payload, []))
 
 
@@ -173,6 +206,27 @@ def test_every_decoder_returns_or_raises_value_error_on_a_mutated_payload(payloa
             continue
         if encode is not None:
             encode(decoded)
+
+
+def test_the_smoke_capture_seeds_the_corpus_and_hand_built_frames_fill_the_gaps():
+    captured = {msg_type.name for msg_type, _payload in smoke_capture()}
+    assert captured == {"HELLO", "WELCOME", "SUBMIT", "RESULT", "DRAIN", "DRAINED"}
+    assert len(smoke_capture()) > 100  # one SUBMIT and one RESULT per smoke request
+    hand_built = {msg_type.name for msg_type, _payload in HAND_BUILT}
+    assert captured | hand_built == {msg_type.name for msg_type in MessageType}
+    models = {
+        codec.decode_submit(payload).model
+        for msg_type, payload in smoke_capture()
+        if msg_type == MessageType.SUBMIT
+    }
+    assert "NN-20" in models  # an inference SUBMIT, with its model field
+
+
+def test_each_hand_built_frame_is_drawn_as_often_as_a_whole_captured_type():
+    # The 21-frame corpus this replaced drew the LWE1 SUBMIT with p = 1/21.
+    groups = frame_groups()
+    assert [[frame] for frame in HAND_BUILT] == groups[-len(HAND_BUILT) :]
+    assert len(groups) <= 21
 
 
 @pytest.mark.parametrize("declared", [MAX_PAYLOAD_BYTES, MAX_PAYLOAD_BYTES + 1])
