@@ -6,23 +6,26 @@ set I that is ~22.5 MB per tenant, so a 16 GB stack holds a few hundred
 tenants, not millions.  This module is the subsystem that makes the
 serving tier honest about it:
 
-* :class:`DeviceKeyCache` — one device's resident key sets and byte budget;
-* :class:`KeyEvictionPolicy` — *which* tenant loses residency when a device
-  runs out of key memory.  Three policies ship behind the same
+* :class:`DeviceKeyCache` — the one owner of a device's key facts: its
+  ``resident`` map is the eviction order (least recently used first, each
+  tenant mapped to its uses since its keys landed) and ``ever_held`` tells
+  a re-ship from a first ship;
+* :class:`KeyEvictionPolicy` — a stateless chooser of *which* tenant loses
+  residency when a device runs out of key memory, behind the same
   registry/did-you-mean shape as layouts and cost models:
 
   - ``"lru"`` — evict the least-recently-used tenant (the default: serving
     traffic is bursty per tenant, so recency predicts re-use);
-  - ``"lfu"`` — evict the least-frequently-used tenant (frequency counts
-    reset on eviction), ties broken by recency;
+  - ``"lfu"`` — evict the tenant with the fewest uses since it landed, ties
+    broken toward the least recent;
   - ``"pinned"`` — LRU over the *unpinned* tenants only; pinned tenants
     (premium / latency-SLA customers) never lose residency.
 
 * :class:`KeyResidencyManager` — the cluster-wide coordinator every
-  :class:`~repro.sched.layouts.PlacementLayout` charges through: it tracks
-  which devices hold which tenants' keys, prices BSK/KSK (re-)shipping on
-  the shared :class:`~repro.arch.interconnect.InterconnectModel`, enforces
-  the per-device budget, and keeps the hit/miss/evict/re-ship counters the
+  :class:`~repro.sched.layouts.PlacementLayout` charges through: it prices
+  BSK/KSK (re-)shipping on the shared
+  :class:`~repro.arch.interconnect.InterconnectModel`, enforces the
+  per-device budget, and keeps the hit/miss/evict/re-ship counters the
   serving report surfaces.
 
 The compatibility contract: with an *unbounded* budget (``budget_bytes is
@@ -35,7 +38,7 @@ transfer the first time the tenant lands on it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.arch.config import StrixConfig
@@ -60,48 +63,67 @@ def hbm_key_budget_bytes(device: StrixConfig, fraction: float = 0.5) -> int:
     return int(device.hbm_capacity_gb * 1e9 * fraction)
 
 
+@dataclass
+class DeviceKeyCache:
+    """One device's resident tenant key sets under a byte budget."""
+
+    index: int
+    budget_bytes: float | None
+    #: Resident tenants, least recently used first, each mapped to its uses
+    #: since its keys landed: the device's eviction order.
+    resident: dict[str, int] = field(default_factory=dict)
+    used_bytes: int = 0
+    #: Tenants this device ever held: landing again is a re-ship.
+    ever_held: set[str] = field(default_factory=set)
+
+    def touch(self, tenant: str) -> bool:
+        """Count a use of a resident tenant, now the most recent; ``False`` if not resident."""
+        uses = self.resident.pop(tenant, 0)
+        if uses:
+            self.resident[tenant] = uses + 1
+        return uses > 0
+
+    def insert(self, tenant: str, key_bytes: int) -> None:
+        """Make a non-resident tenant's key set resident, as its first use."""
+        self.resident[tenant] = 1
+        self.used_bytes += key_bytes
+        self.ever_held.add(tenant)
+
+    def evict(self, tenant: str, key_bytes: int) -> None:
+        """Drop a resident tenant's key set of ``key_bytes``."""
+        del self.resident[tenant]
+        self.used_bytes -= key_bytes
+
+    def clear(self) -> list[str]:
+        """Drop every resident key set; returns the dropped tenants, sorted."""
+        dropped = sorted(self.resident)
+        self.resident.clear()
+        self.used_bytes = 0
+        return dropped
+
+    @property
+    def over_budget(self) -> bool:
+        """Whether resident key sets exceed the configured budget."""
+        return self.budget_bytes is not None and self.used_bytes > self.budget_bytes
+
+
 class KeyEvictionPolicy(abc.ABC):
     """Strategy choosing which resident tenant a full device evicts.
 
-    The policy observes every cache event (insert / access / evict, always
-    per device) and answers :meth:`victim` when a device must free key
-    memory.  Implementations keep their own recency/frequency state, so the
-    caches themselves stay plain byte maps.
+    Stateless: the order and the use counts live in the :class:`DeviceKeyCache`.
     """
 
     #: Registry name of the policy.
     name = ""
 
-    def __init__(self) -> None:
-        self._clock = 0
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     @abc.abstractmethod
-    def on_insert(self, device: int, tenant: str) -> None:
-        """A tenant's key set became resident on ``device``."""
+    def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
+        """The tenant ``cache``'s device should evict, or ``None`` if none may go.
 
-    @abc.abstractmethod
-    def on_access(self, device: int, tenant: str) -> None:
-        """A resident tenant's key set was used on ``device``."""
-
-    @abc.abstractmethod
-    def on_evict(self, device: int, tenant: str) -> None:
-        """A tenant's key set was evicted from ``device``."""
-
-    @abc.abstractmethod
-    def victim(self, device: int, candidates: Iterable[str]) -> str | None:
-        """The tenant ``device`` should evict, or ``None`` if none may go.
-
-        ``candidates`` excludes tenants the in-flight dispatch needs — a
-        batch must never evict its own keys to admit them.
+        ``candidates`` are resident tenants in recency order, least recent
+        first.  It excludes tenants the in-flight dispatch needs — a batch
+        must never evict its own keys to admit them.
         """
-
-    def reset(self) -> None:
-        """Clear all recency/frequency state between simulations."""
-        self._clock = 0
 
 
 class LRUEvictionPolicy(KeyEvictionPolicy):
@@ -109,74 +131,29 @@ class LRUEvictionPolicy(KeyEvictionPolicy):
 
     name = "lru"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._last_used: dict[tuple[int, str], int] = {}
-
-    def on_insert(self, device: int, tenant: str) -> None:
-        self._last_used[(device, tenant)] = self._tick()
-
-    def on_access(self, device: int, tenant: str) -> None:
-        self._last_used[(device, tenant)] = self._tick()
-
-    def on_evict(self, device: int, tenant: str) -> None:
-        self._last_used.pop((device, tenant), None)
-
-    def victim(self, device: int, candidates: Iterable[str]) -> str | None:
-        pool = list(candidates)
-        if not pool:
-            return None
-        return min(pool, key=lambda tenant: self._last_used.get((device, tenant), 0))
-
-    def reset(self) -> None:
-        super().reset()
-        self._last_used.clear()
+    def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
+        return candidates[0] if candidates else None
 
 
 class LFUEvictionPolicy(KeyEvictionPolicy):
     """Evict the tenant whose keys were used least often (ties: least recent).
 
-    Frequency counts cover the *current* residency only — they reset when a
-    tenant is evicted, so a historically chatty tenant cannot squat on key
+    Uses count the *current* residency only — they restart when a tenant's
+    keys land again, so a historically chatty tenant cannot squat on key
     memory through a quiet spell the way a cumulative count would let it.
     """
 
     name = "lfu"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._uses: dict[tuple[int, str], int] = {}
-        self._last_used: dict[tuple[int, str], int] = {}
+    def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
+        # ``min`` keeps the first of equal uses, and the first is the least recent.
+        return min(candidates, key=cache.resident.__getitem__, default=None)
 
-    def on_insert(self, device: int, tenant: str) -> None:
-        self._uses[(device, tenant)] = 1
-        self._last_used[(device, tenant)] = self._tick()
 
-    def on_access(self, device: int, tenant: str) -> None:
-        key = (device, tenant)
-        self._uses[key] = self._uses.get(key, 0) + 1
-        self._last_used[key] = self._tick()
-
-    def on_evict(self, device: int, tenant: str) -> None:
-        self._uses.pop((device, tenant), None)
-        self._last_used.pop((device, tenant), None)
-
-    def victim(self, device: int, candidates: Iterable[str]) -> str | None:
-        pool = list(candidates)
-        if not pool:
-            return None
-        return min(
-            pool,
-            key=lambda tenant: (
-                self._uses.get((device, tenant), 0),
-                self._last_used.get((device, tenant), 0),
-            ),
-        )
-
-    def reset(self) -> None:
-        super().reset()
-        self._uses.clear()
-        self._last_used.clear()
+def _tenant_set(tenants: Iterable[str]) -> frozenset[str]:
+    if isinstance(tenants, str):
+        raise TypeError(f"pin a collection of tenants, not the bare string {tenants!r}")
+    return frozenset(tenants)
 
 
 class PinnedTenantPolicy(LRUEvictionPolicy):
@@ -184,13 +161,11 @@ class PinnedTenantPolicy(LRUEvictionPolicy):
 
     The operator's tool for latency-SLA customers: a pinned tenant's keys,
     once shipped, stay resident no matter how hard the rest of the
-    population churns.  Pins come in two granularities:
-
-    * a flat iterable of tenants pins them on *every* device (the
-      historical form);
-    * a ``{device_id: {tenants}}`` mapping pins each set only on its device
-      — the shape an operator uses to reserve one device's key memory for a
-      premium tenant while the rest of the cluster still evicts them.
+    population churns.  A flat collection of tenants pins them on *every*
+    device; a ``{device_id: {tenants}}`` mapping pins each set only on its
+    device, reserving one device's key memory for a premium tenant while
+    the rest of the cluster still evicts them.  A bare string is refused in
+    either form (``"vip"`` would pin ``'v'``, ``'i'`` and ``'p'``).
 
     With nothing pinned the policy degenerates to plain LRU, and when
     *every* eviction candidate is pinned the device simply overcommits (see
@@ -200,14 +175,11 @@ class PinnedTenantPolicy(LRUEvictionPolicy):
     name = "pinned"
 
     def __init__(self, pinned: "Iterable[str] | Mapping[int, Iterable[str]]" = ()) -> None:
-        super().__init__()
         if isinstance(pinned, Mapping):
             self.pinned = frozenset()
-            self.device_pins = {
-                int(device): frozenset(tenants) for device, tenants in pinned.items()
-            }
+            self.device_pins = {int(device): _tenant_set(pins) for device, pins in pinned.items()}
         else:
-            self.pinned = frozenset(pinned)
+            self.pinned = _tenant_set(pinned)
             self.device_pins: dict[int, frozenset[str]] = {}
 
     def pin(self, tenant: str, device: int | None = None) -> None:
@@ -221,9 +193,9 @@ class PinnedTenantPolicy(LRUEvictionPolicy):
         """Whether the tenant's keys are protected on this device."""
         return tenant in self.pinned or tenant in self.device_pins.get(device, frozenset())
 
-    def victim(self, device: int, candidates: Iterable[str]) -> str | None:
-        unpinned = [tenant for tenant in candidates if not self.is_pinned(device, tenant)]
-        return super().victim(device, unpinned)
+    def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
+        unpinned = [tenant for tenant in candidates if not self.is_pinned(cache.index, tenant)]
+        return super().victim(cache, unpinned)
 
 
 _KEY_POLICIES: Registry[KeyEvictionPolicy] = Registry(
@@ -265,47 +237,7 @@ class KeyCacheStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-friendly snapshot (what ``ServeReport`` carries)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "onboards": self.onboards,
-            "evictions": self.evictions,
-            "reships": self.reships,
-            "shipped_bytes": self.shipped_bytes,
-        }
-
-
-@dataclass
-class DeviceKeyCache:
-    """One device's resident tenant key sets under a byte budget."""
-
-    index: int
-    budget_bytes: float | None
-    #: Resident tenants mapped to the bytes their key set occupies.
-    resident: dict[str, int] = field(default_factory=dict)
-    used_bytes: int = 0
-
-    def holds(self, tenant: str) -> bool:
-        """Whether the tenant's keys are resident on this device."""
-        return tenant in self.resident
-
-    def insert(self, tenant: str, key_bytes: int) -> None:
-        """Make a tenant's key set resident (idempotent per tenant)."""
-        if tenant in self.resident:
-            return
-        self.resident[tenant] = key_bytes
-        self.used_bytes += key_bytes
-
-    def evict(self, tenant: str) -> int:
-        """Drop a tenant's key set; returns the bytes freed."""
-        freed = self.resident.pop(tenant)
-        self.used_bytes -= freed
-        return freed
-
-    @property
-    def over_budget(self) -> bool:
-        """Whether resident key sets exceed the configured budget."""
-        return self.budget_bytes is not None and self.used_bytes > self.budget_bytes
+        return asdict(self)
 
 
 class KeyResidencyManager:
@@ -330,19 +262,15 @@ class KeyResidencyManager:
         self.policy = get_key_policy(policy)
         self.devices = [DeviceKeyCache(index, budget_bytes) for index in range(devices)]
         self.stats = KeyCacheStats()
-        #: Tenants whose first placement already happened (onboarding).
-        self._onboarded: set[str] = set()
-        #: Tenants each device ever held — distinguishes a re-ship (evicted,
-        #: shipped again) from a first ship to a new device.
-        self._ever_held: list[set[str]] = [set() for _ in range(devices)]
+        #: Onboarded tenants (first placement done), each mapped to the bytes
+        #: of its key set, sized once at onboarding.
+        self._key_bytes: dict[str, int] = {}
 
     # -- queries -----------------------------------------------------------------
 
     def resident_devices(self, tenant: str) -> frozenset[int]:
         """Indices of the devices currently holding the tenant's keys."""
-        return frozenset(
-            cache.index for cache in self.devices if cache.holds(tenant)
-        )
+        return frozenset(cache.index for cache in self.devices if tenant in cache.resident)
 
     def resident_flags(self, tenant: str, indices: Sequence[int]) -> list[bool]:
         """Residency of ``tenant`` on each of ``indices``, in order.
@@ -351,7 +279,7 @@ class KeyResidencyManager:
         ``busy_until`` list the layout passes to
         :meth:`~repro.serve.sharding.ShardingPolicy.select`.
         """
-        return [self.devices[index].holds(tenant) for index in indices]
+        return [tenant in self.devices[index].resident for index in indices]
 
     # -- placement ---------------------------------------------------------------
 
@@ -373,35 +301,31 @@ class KeyResidencyManager:
         The in-flight batch's tenants are protected from eviction during
         their own placement, so a device whose budget cannot hold one
         batch's tenant set overcommits instead of thrashing within a single
-        dispatch.
+        dispatch.  A manager serves one parameter set: every ship and eviction
+        charges the key-set size ``params`` gave at the tenant's onboarding.
         """
         protected = frozenset(tenants)  # a batch's own frozenset is not copied
-        key_bytes = None  # sized when a key set is inserted: a hit never needs it
         shipping = 0.0
         for tenant in sorted(protected):
-            onboarding = tenant not in self._onboarded
+            key_bytes = self._key_bytes.get(tenant)
+            onboarding = key_bytes is None
             if onboarding:
-                self._onboarded.add(tenant)
+                key_bytes = self._key_bytes[tenant] = self.interconnect.key_set_bytes(params)
                 self.stats.onboards += 1
             ships = 0
             for index in targets:
                 cache = self.devices[index]
-                if cache.holds(tenant):
+                if cache.touch(tenant):
                     if not onboarding:
                         self.stats.hits += 1
-                    self.policy.on_access(index, tenant)
                     continue
-                if key_bytes is None:
-                    key_bytes = self.interconnect.key_set_bytes(params)
                 if not onboarding:
                     ships += 1
                     self.stats.misses += 1
                     self.stats.shipped_bytes += key_bytes
-                    if tenant in self._ever_held[index]:
+                    if tenant in cache.ever_held:
                         self.stats.reships += 1
                 cache.insert(tenant, key_bytes)
-                self._ever_held[index].add(tenant)
-                self.policy.on_insert(index, tenant)
                 self._enforce_budget(cache, protected)
             if ships:
                 # One multiply per tenant, matching the historical
@@ -413,40 +337,27 @@ class KeyResidencyManager:
         """Reclaim every key set resident on ``index`` (the device died).
 
         Device death loses HBM contents: each resident tenant is evicted —
-        through the policy, counted against the ordinary ``evictions``
-        stat — and returned, sorted, so the fault injector can attribute
-        the re-shipping those tenants pay when they land again.  Because
-        the device stays in ``_ever_held``, any return ship is priced as a
-        re-ship by :meth:`place`, exactly once per surviving placement.
+        counted against the ordinary ``evictions`` stat — and returned,
+        sorted, so the fault injector can attribute the re-shipping those
+        tenants pay when they land again.  The device still remembers it
+        held them, so a return ship is priced as a re-ship by :meth:`place`.
         """
-        cache = self.devices[index]
-        evicted = sorted(cache.resident)
-        for tenant in evicted:
-            cache.evict(tenant)
-            self.policy.on_evict(index, tenant)
-            self.stats.evictions += 1
+        evicted = self.devices[index].clear()
+        self.stats.evictions += len(evicted)
         return evicted
 
     def _enforce_budget(self, cache: DeviceKeyCache, protected: frozenset[str]) -> None:
         """Evict until ``cache`` fits its budget (or only protected keys remain)."""
         while cache.over_budget:
-            candidates = [
-                tenant for tenant in cache.resident if tenant not in protected
-            ]
-            victim = self.policy.victim(cache.index, candidates)
+            candidates = [tenant for tenant in cache.resident if tenant not in protected]
+            victim = self.policy.victim(cache, candidates)
             if victim is None:
                 return  # everything left is in use or pinned: overcommit
-            cache.evict(victim)
-            self.policy.on_evict(cache.index, victim)
+            cache.evict(victim, self._key_bytes[victim])
             self.stats.evictions += 1
 
     def reset(self) -> None:
-        """Clear residency, counters and policy state between simulations."""
-        for cache in self.devices:
-            cache.resident.clear()
-            cache.used_bytes = 0
-        self._onboarded.clear()
-        for held in self._ever_held:
-            held.clear()
-        self.policy.reset()
+        """Clear residency and counters between simulations."""
+        self.devices = [DeviceKeyCache(cache.index, self.budget_bytes) for cache in self.devices]
+        self._key_bytes.clear()
         self.stats = KeyCacheStats()

@@ -8,9 +8,9 @@ owns every stateful consequence of the schedule:
 * **death side effects** — when a death's injection time is reached, the
   dying device's resident key sets are reclaimed through
   :meth:`~repro.arch.key_cache.KeyResidencyManager.evict_device` (its HBM
-  contents are gone; surviving copies on other devices stay).  Tenants
-  left with *no* residency anywhere are tracked so the re-shipping their
-  next placement pays is attributed to the event that orphaned them.
+  contents are gone; surviving copies on other devices stay).  A tenant
+  left with keys nowhere is an orphan: its next placement's re-ship is
+  charged once, to the earliest death that orphaned it.
 * **dispatch resolution** — :meth:`run` wraps the layout's dispatch.  It
   first waits out any window in which *no* device accepts placement, then
   lets the layout place the batch among the placeable devices.  If a
@@ -82,9 +82,11 @@ class FaultInjector:
 
     def reset(self) -> None:
         """Clear all per-simulation impact state (the schedule is immutable)."""
-        self._deaths_applied: set[int] = set()
-        self._pending_reship: dict[int, set[str]] = {}
-        self._impacts: dict[int, dict[str, Any]] = {}
+        self._deaths_applied: set[FaultEvent] = set()
+        #: Tenants a death left with keys nowhere, each mapped to the earliest
+        #: death that orphaned it; popped when its re-ship is charged.
+        self._orphans: dict[str, FaultEvent] = {}
+        self._impacts: dict[FaultEvent, dict[str, Any]] = {}
         self.requests_lost = 0
         self.requests_retried = 0
         self.batches_retried = 0
@@ -96,13 +98,9 @@ class FaultInjector:
 
     # -- per-event impact records --------------------------------------------------
 
-    def _event_index(self, event: FaultEvent) -> int:
-        return self.schedule.events.index(event)
-
     def _impact(self, event: FaultEvent) -> dict[str, Any]:
         """The (created-on-first-touch) impact record for ``event``."""
-        index = self._event_index(event)
-        record = self._impacts.get(index)
+        record = self._impacts.get(event)
         if record is None:
             record = {
                 "requests_lost": 0,
@@ -115,7 +113,7 @@ class FaultInjector:
                 "throttled_batches": 0,
                 "throttle_extra_s": 0.0,
             }
-            self._impacts[index] = record
+            self._impacts[event] = record
         return record
 
     # -- death side effects --------------------------------------------------------
@@ -132,48 +130,45 @@ class FaultInjector:
         for event in self.schedule.deaths:
             if event.inject_s > now:
                 break
-            index = self._event_index(event)
-            if index in self._deaths_applied:
-                continue
-            self._deaths_applied.add(index)
-            evicted = cluster.key_residency.evict_device(event.device)
-            if not evicted:
-                continue
-            record = self._impact(event)
-            record["evicted_tenants"] += len(evicted)
-            orphaned = {
-                tenant
-                for tenant in evicted
-                if not cluster.key_residency.resident_devices(tenant)
-            }
-            if orphaned:
-                self._pending_reship.setdefault(index, set()).update(orphaned)
+            if event not in self._deaths_applied:
+                self._reclaim(cluster, event)
+
+    def _reclaim(self, cluster: "StrixCluster", event: FaultEvent) -> None:
+        """Evict ``event``'s device and note the tenants it left with keys nowhere."""
+        self._deaths_applied.add(event)
+        evicted = cluster.key_residency.evict_device(event.device)
+        if evicted:
+            self._impact(event)["evicted_tenants"] += len(evicted)  # a buried tenant counts again
+        for tenant in evicted:  # a bury may re-apply a death earlier than the orphan's entry
+            if not cluster.key_residency.resident_devices(tenant):
+                orphaned_by = self._orphans.get(tenant, event)
+                self._orphans[tenant] = min(orphaned_by, event, key=lambda death: death.inject_s)
+
+    def _bury(self, cluster: "StrixCluster", devices: "tuple[int, ...]") -> None:
+        """Reclaim keys just shipped to a device whose permanent death already applied.
+
+        A failure can apply a death ahead of the serving clock, and a batch that
+        flushed before that instant may still land on the device.  A healed device
+        may also hold keys a replay shipped after the heal, so it is left alone.
+        """
+        for event in self.schedule.deaths:
+            permanent = event.heal_s == math.inf
+            if permanent and event.device in devices and event in self._deaths_applied:
+                self._reclaim(cluster, event)
 
     def _note_reships(self, cluster: "StrixCluster", params: "TFHEParameters") -> None:
-        """Attribute re-shipped key sets to the death that orphaned them.
+        """Charge each orphan whose keys landed again to the death that orphaned it.
 
-        A tenant orphaned by several deaths at once re-ships *once*, so it
-        is charged to the earliest such event only — attribution must sum
-        to the bytes actually moved.
+        That death is the earliest that orphaned the tenant; popping the orphan
+        on charge keeps attribution summing to the bytes moved.
         """
-        if not self._pending_reship:
-            return
-        key_bytes = cluster.interconnect.key_set_bytes(params)
-        charged: set[str] = set()
-        for index in sorted(self._pending_reship):
-            tenants = self._pending_reship[index]
-            regained = {
-                tenant
-                for tenant in tenants
-                if cluster.key_residency.resident_devices(tenant)
-            }
-            fresh = regained - charged
-            if fresh:
-                self._impacts[index]["reship_bytes"] += len(fresh) * key_bytes
-                charged |= fresh
-            tenants -= regained
-            if not tenants:
-                del self._pending_reship[index]
+        regained = [
+            tenant for tenant in self._orphans if cluster.key_residency.resident_devices(tenant)
+        ]
+        if regained:
+            key_bytes = cluster.interconnect.key_set_bytes(params)
+            for tenant in regained:
+                self._impacts[self._orphans.pop(tenant)]["reship_bytes"] += key_bytes
 
     # -- slow-device throttling ------------------------------------------------------
 
@@ -233,6 +228,7 @@ class FaultInjector:
                 for device in cluster.devices
             ]
             dispatch = cluster.layout.dispatch(cluster, current, t, params)
+            self._bury(cluster, dispatch.devices)
             failure = self._first_failure(dispatch)
             if failure is None:
                 self._note_reships(cluster, params)
@@ -357,10 +353,8 @@ class FaultInjector:
             return {}
         events = []
         intervals = []
-        for index in sorted(self._impacts):
-            event = self.schedule.events[index]
-            record = self._impacts[index]
-            events.append({**event.to_dict(), **record})
+        for event in filter(self._impacts.__contains__, self.schedule.events):
+            events.append({**event.to_dict(), **self._impacts[event]})
             start = min(event.inject_s, horizon_s)
             end = min(event.heal_s, horizon_s)
             if end > start:

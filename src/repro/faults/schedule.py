@@ -120,6 +120,11 @@ class FaultSchedule:
                 key=lambda event: (event.inject_s, event.device, event.kind.value),
             )
         )
+        seen: set[FaultEvent] = set()
+        for event in ordered:
+            if event in seen:
+                raise ValueError(f"a fault schedule cannot list one event twice: {event}")
+            seen.add(event)
         object.__setattr__(self, "events", ordered)
 
     def __bool__(self) -> bool:
@@ -137,7 +142,7 @@ class FaultSchedule:
 
     @classmethod
     def of(cls, *events: FaultEvent) -> "FaultSchedule":
-        """A schedule from events in any order."""
+        """A schedule from distinct events in any order."""
         return cls(events=tuple(events))
 
     @staticmethod

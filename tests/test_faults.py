@@ -10,17 +10,24 @@ mixes:
 * **byte-identity** — an empty schedule, and a schedule whose every fault
   heals before the first batch flushes, leave the report byte-identical
   to a fault-free run.
+
+One more property ties faults to key memory: under random schedules, key
+budgets and policies, a permanently dead device holds no keys and every
+orphaned tenant's re-ship is charged once.
 """
 
 import asyncio
 import json
 import math
+import re
 
 import pytest
+from conftest import ledger
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.traffic import steady_trace
+from repro.arch.key_cache import list_key_policies
 from repro.faults import (
     ON_DEATH_POLICIES,
     FaultEvent,
@@ -84,6 +91,14 @@ def test_schedule_sorts_and_sizes():
     assert len(schedule) == 2 and bool(schedule)
     assert not FaultSchedule.empty()
     assert len(FaultSchedule.empty()) == 0
+
+
+def test_schedule_refuses_an_event_listed_twice():
+    death = FaultSchedule.death(device=1, at_s=0.05)
+    with pytest.raises(ValueError, match=re.escape(str(death))):
+        FaultSchedule.of(death, FaultSchedule.partition(device=2, at_s=0.01), death)
+    # Equal fields are one event; a different heal time is another.
+    assert len(FaultSchedule.of(death, FaultSchedule.death(device=1, at_s=0.05, heal_s=0.1))) == 2
 
 
 def test_event_validation():
@@ -239,6 +254,47 @@ def test_conservation_hypothesis_sweep(fault_seed):
     _assert_conserved(report, _submitted())
 
 
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+@given(
+    fault_seed=st.integers(0, 10**6),
+    tenants=st.integers(1, 8),
+    budget_sets=st.sampled_from([None, 1, 2, 3]),
+    key_policy=st.sampled_from(list_key_policies()),
+    on_death=st.sampled_from(ON_DEATH_POLICIES),
+)
+def test_key_residency_under_random_faults(fault_seed, tenants, budget_sets, key_policy, on_death):
+    """Random schedules × key budgets × policies: the ledger balances, a device
+    whose permanent death was applied holds no keys, and re-ship attribution sums
+    to whole key sets of evicted tenants that were really shipped."""
+    probe = Server(devices=4)
+    key_set = probe.cluster.interconnect.key_set_bytes(probe.params)
+    server = Server(
+        devices=4,
+        faults=FaultSchedule.random(devices=4, duration_s=DURATION, seed=fault_seed, events=5),
+        on_death=on_death,
+        key_budget_bytes=None if budget_sets is None else budget_sets * key_set,
+        key_policy=key_policy,
+    )
+    trace = steady_trace(rate_rps=RATE, duration_s=DURATION, seed=7, tenants=tenants)
+    report = server.simulate(trace, label="chaos")
+    assert sum(ledger(report).values()) == len(trace)
+    cluster = server.cluster
+    for event in cluster.faults._deaths_applied:
+        if math.isinf(event.heal_s):
+            assert not cluster.key_residency.devices[event.device].resident
+    availability = report.metrics.availability
+    events = availability.get("events", ())
+    for event in events:  # an event charges only tenants it evicted, once per eviction
+        assert event["reship_bytes"] <= event["evicted_tenants"] * key_set
+    if budget_sets is None:  # every eviction is a death's, counted by exactly one event
+        evicted = sum(event["evicted_tenants"] for event in events)
+        assert evicted == report.metrics.key_cache["evictions"]
+    charged = sum(event["reship_bytes"] for event in events)
+    assert charged == availability.get("key_reship_bytes", 0)
+    assert charged % key_set == 0
+    assert charged <= report.metrics.key_cache["shipped_bytes"]
+
+
 # -- death semantics -------------------------------------------------------------------
 
 
@@ -324,6 +380,15 @@ def test_orphan_reship_attributed_once():
     assert sum(
         event["reship_bytes"] for event in availability["events"]
     ) == key_bytes
+
+
+def test_dead_device_keeps_no_keys_a_late_flush_shipped():
+    """A failure queued past the death applies it ahead of the serving clock; a
+    batch flushed before the death may still land there, and its keys die too."""
+    server = Server(devices=4, faults=FaultSchedule.of(FaultSchedule.death(device=1, at_s=0.03)))
+    trace = steady_trace(rate_rps=RATE, duration_s=DURATION, seed=7, tenants=1)
+    server.simulate(trace, label="chaos")
+    assert server.cluster.key_residency.devices[1].resident == {}
 
 
 # -- slow-device semantics -------------------------------------------------------------

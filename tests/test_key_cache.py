@@ -6,6 +6,12 @@ compatibility contract (unbounded budget — and a budget large enough for
 every key set — stay bit-for-bit with the pre-eviction serving numbers),
 the key-affinity sharding policy, and the batch request-mix signature the
 schedule cache keys on.
+
+The policies are stateless choosers over a device's recency-ordered resident
+map.  Like circlestark's ``fft`` beside ``fast_fft``, ``spec_victim`` and
+``SpecResidency`` keep the tick-based bookkeeping they replaced — a global
+clock and a use count per (device, tenant) — and the manager must equal
+them after every step of random placement and device-death sequences.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import run
 from repro.arch.config import StrixClusterConfig
+from repro.arch.interconnect import InterconnectModel
 from repro.arch.key_cache import (
+    KeyCacheStats,
     KeyResidencyManager,
     LRUEvictionPolicy,
     PinnedTenantPolicy,
@@ -173,6 +183,13 @@ def test_per_device_pin_sets():
     # pin() without a device stays global, alongside the per-device sets.
     policy.pin("everywhere")
     assert policy.is_pinned(0, "everywhere") and policy.is_pinned(1, "everywhere")
+
+
+@pytest.mark.parametrize("pinned", ["vip", {0: "vip"}])
+def test_pinned_policy_refuses_a_bare_string(pinned):
+    # A bare string is an iterable of characters: "vip" would pin 'v', 'i', 'p'.
+    with pytest.raises(TypeError, match="'vip'"):
+        PinnedTenantPolicy(pinned=pinned)
 
 
 def test_all_protected_overcommits_instead_of_thrashing():
@@ -413,13 +430,122 @@ def test_die_heal_die_charges_each_return():
     assert manager.stats.evictions == 2  # one resident tenant, two deaths
 
 
-def test_evict_device_notifies_the_policy():
+def test_replacing_after_evict_device_fits_the_budget():
     cluster = StrixCluster(devices=2, key_budget_bytes=budget_for_single(2))
     manager = cluster.key_residency
     manager.place(["a", "b"], [0], PARAM_SET_I)
     manager.evict_device(0)
-    # LRU state for the device is gone: re-placing both starts fresh and
-    # stays within budget without phantom entries.
+    # The death freed every byte: re-placing both fits the two-set budget
+    # without evicting either.
     manager.place(["a", "b"], [0], PARAM_SET_I)
     assert manager.resident_devices("a") == frozenset({0})
     assert manager.resident_devices("b") == frozenset({0})
+    assert manager.devices[0].used_bytes == 2 * cluster.interconnect.key_set_bytes(PARAM_SET_I)
+    assert manager.stats.evictions == 2  # the death's two, no budget evictions
+
+
+# -- the spec: the tick-based bookkeeping the stateless policies replaced -----------
+
+INTERCONNECT = InterconnectModel(StrixClusterConfig())
+KEY_BYTES = INTERCONNECT.key_set_bytes(PARAM_SET_I)
+
+
+def spec_victim(policy, ticks, uses, device, candidates):
+    """LRU: the oldest last use.  LFU: the fewest uses, then the oldest.  Pinned: LRU
+    over the unpinned.  Every tick is distinct, so the candidates' order never matters."""
+    if policy.name == "pinned":
+        candidates = [tenant for tenant in candidates if not policy.is_pinned(device, tenant)]
+
+    def rank(tenant):
+        tick = ticks[device, tenant]
+        return (uses[device, tenant], tick) if policy.name == "lfu" else tick
+
+    return min(candidates, key=rank, default=None)
+
+
+class SpecResidency:
+    """Per-device resident sets, a tick and a use count per (device, tenant), and
+    every (device, tenant) pair ever held — what the policies' hooks used to mirror."""
+
+    def __init__(self, devices, budget_sets, policy):
+        self.resident = [set() for _ in range(devices)]
+        self.ticks, self.uses, self.held, self.onboarded = {}, {}, set(), set()
+        self.budget_sets, self.policy, self.clock = budget_sets, policy, 0
+        self.stats = KeyCacheStats()
+
+    def use(self, device, tenant, landed):
+        self.clock += 1
+        self.ticks[device, tenant] = self.clock
+        self.uses[device, tenant] = 1 if landed else self.uses[device, tenant] + 1
+
+    def place(self, tenants, targets):
+        for tenant in sorted(tenants):
+            onboarding = tenant not in self.onboarded
+            self.onboarded.add(tenant)
+            self.stats.onboards += onboarding
+            for device in targets:
+                resident = self.resident[device]
+                if tenant in resident:
+                    self.stats.hits += not onboarding
+                    self.use(device, tenant, landed=False)
+                    continue
+                if not onboarding:
+                    self.stats.misses += 1
+                    self.stats.shipped_bytes += KEY_BYTES
+                    self.stats.reships += (device, tenant) in self.held
+                resident.add(tenant)
+                self.held.add((device, tenant))
+                self.use(device, tenant, landed=True)
+                while len(resident) > self.budget_sets:
+                    victim = spec_victim(
+                        self.policy, self.ticks, self.uses, device, resident - tenants
+                    )
+                    if victim is None:
+                        break
+                    resident.remove(victim)
+                    self.stats.evictions += 1
+
+    def evict_device(self, device):
+        self.stats.evictions += len(self.resident[device])
+        self.resident[device].clear()
+
+
+@st.composite
+def residency_runs(draw, policy_name):
+    """1–3 devices, a budget of 1–3 key sets, pins, and 8–20 steps, a third of them deaths."""
+    devices = draw(st.integers(1, 3))
+    device, tenant = st.integers(0, devices - 1), st.sampled_from("abcde")
+    policy = get_key_policy(policy_name)
+    if policy_name == "pinned":
+        policy = PinnedTenantPolicy(draw(st.dictionaries(device, st.sets(tenant, max_size=2))))
+        for pinned in draw(st.sets(tenant, max_size=2)):
+            policy.pin(pinned)
+    place = st.tuples(
+        st.frozensets(tenant, min_size=1, max_size=3),
+        st.lists(device, min_size=1, max_size=devices, unique=True),
+    )
+    steps = draw(st.lists(st.one_of(place, place, device), min_size=8, max_size=20))
+    return devices, draw(st.integers(1, 3)), policy, steps
+
+
+@pytest.mark.parametrize("policy_name", list_key_policies())
+@settings(max_examples=settings.default.max_examples // 2)
+@given(data=st.data())
+def test_residency_equals_the_tick_based_spec(policy_name, data):
+    devices, budget_sets, policy, steps = data.draw(residency_runs(policy_name))
+    manager = KeyResidencyManager(devices, INTERCONNECT, budget_sets * KEY_BYTES, policy)
+    spec = SpecResidency(devices, budget_sets, policy)
+    for step in steps:
+        if isinstance(step, int):
+            assert manager.evict_device(step) == sorted(spec.resident[step])
+            spec.evict_device(step)
+        else:
+            manager.place(*step, PARAM_SET_I)
+            spec.place(*step)
+        for cache, resident in zip(manager.devices, spec.resident):
+            by_age = sorted(resident, key=lambda tenant: spec.ticks[cache.index, tenant])
+            assert list(cache.resident.items()) == [
+                (tenant, spec.uses[cache.index, tenant]) for tenant in by_age
+            ]
+            assert cache.used_bytes == len(resident) * KEY_BYTES
+        assert manager.stats == spec.stats
