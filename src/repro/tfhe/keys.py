@@ -9,6 +9,14 @@ the secret keys and builds the two large evaluation keys:
 * the **keyswitching key** — LWE encryptions (under the original LWE key) of
   the scaled bits of the GLWE key flattened into an LWE key of dimension
   ``k * N``.
+
+Both are fully determined by their seed, and the draw order is part of that
+contract: per GGSW row, bit after bit, one uniform ``(k, N)`` mask and then
+``N`` Gaussian samples (``GgswCiphertext.encrypt``); per keyswitching entry,
+in table order, one uniform ``n``-mask and then one Gaussian sample
+(``LweCiphertext.encrypt``); no Gaussian at all for a deviation ``<= 0``.
+Nothing is drawn in bulk, only the arithmetic between draws is stacked: every
+recorded key, and every ciphertext encrypted after one, is drawn this way.
 """
 
 from __future__ import annotations
@@ -18,9 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.params import TFHEParameters
-from repro.tfhe import torus
-from repro.tfhe.ggsw import FourierGgswCiphertext, GgswCiphertext
+from repro.tfhe import polynomial, torus
+from repro.tfhe.ggsw import FourierGgswCiphertext
 from repro.tfhe.lwe import LweCiphertext
+
+#: Most bytes of GGSW rows (``int64``) built at a time: 16 GGSWs at set I.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -85,6 +96,14 @@ class GlweSecretKey:
         return self.polynomials.reshape(-1)
 
 
+def _shared_params(lwe_key: LweSecretKey, glwe_key: GlweSecretKey) -> TFHEParameters:
+    """The one parameter set an evaluation key's two secret keys must share."""
+    if lwe_key.params != glwe_key.params:
+        names = f"{lwe_key.params.name!r} (LWE key) and {glwe_key.params.name!r} (GLWE key)"
+        raise ValueError(f"evaluation keys need secret keys of one parameter set, got {names}")
+    return lwe_key.params
+
+
 @dataclass
 class BootstrappingKey:
     """Fourier-domain bootstrapping key: one GGSW per LWE secret bit."""
@@ -107,11 +126,28 @@ class BootstrappingKey:
         noise_std: float | None = None,
     ) -> "BootstrappingKey":
         """Encrypt every LWE secret bit as a GGSW under the GLWE key."""
-        params = lwe_key.params
+        params = _shared_params(lwe_key, glwe_key)
+        k, n_poly, lb, q = params.k, params.N, params.lb, params.q
+        std = params.glwe_noise_std if noise_std is None else noise_std
+        transform = polynomial.get_transform(n_poly)
+        key_spectra = transform.forward(glwe_key.polynomials)
+        # Row i*lb + level adds bit * q / B^(level+1) to coefficient 0 of polynomial i.
+        scales = q >> (np.arange(1, lb + 1) * params.log2_base_pbs)
+        gadget = np.kron(np.eye(k + 1, dtype=np.int64), scales[:, None])
+        block = max(1, _BLOCK_BYTES // (8 * gadget.size * n_poly))
         ggsw_list = []
-        for bit in lwe_key.bits:
-            ggsw = GgswCiphertext.encrypt(int(bit), glwe_key.polynomials, params, rng, noise_std)
-            ggsw_list.append(ggsw.to_fourier())
+        for lo in range(0, lwe_key.dimension, block):
+            bits = lwe_key.bits[lo : lo + block]
+            rows = np.empty((len(bits), (k + 1) * lb, k + 1, n_poly), dtype=np.int64)
+            for row in rows.reshape(-1, k + 1, n_poly):
+                row[:k] = torus.uniform((k, n_poly), q, rng)
+                row[k] = torus.gaussian_noise(n_poly, std, q, rng)
+            centered = transform.forward(torus.to_signed(rows[:, :, :k], q))
+            products = np.round(transform.inverse(centered * key_spectra)).astype(np.int64)
+            rows[:, :, k] += torus.reduce(products, q, out=products).sum(axis=2)
+            rows[..., 0] += bits[:, None, None] * gadget
+            spectra = transform.forward(torus.to_signed(rows, q))
+            ggsw_list.extend(FourierGgswCiphertext(ggsw, params) for ggsw in spectra)
         return cls(ggsw_list, params)
 
     @property
@@ -153,20 +189,18 @@ class KeySwitchingKey:
         noise_std: float | None = None,
     ) -> "KeySwitchingKey":
         """Build the keyswitching key from ``glwe_key`` (input) to ``lwe_key``."""
-        params = lwe_key.params
-        q = params.q
+        params = _shared_params(lwe_key, glwe_key)
+        n, q = params.n, params.q
         std = params.lwe_noise_std if noise_std is None else noise_std
         input_key = glwe_key.extracted_lwe_key()
-        input_dim = input_key.shape[0]
-        table = np.zeros((input_dim, params.lk, params.n + 1), dtype=np.int64)
-        for j in range(input_dim):
-            bit = int(input_key[j])
-            for level in range(params.lk):
-                scale = q >> ((level + 1) * params.log2_base_ks)
-                ct = LweCiphertext.encrypt(bit * scale, lwe_key.bits, params, rng, std)
-                table[j, level, : params.n] = ct.mask
-                table[j, level, params.n] = ct.body
-        return cls(table, params)
+        table = np.empty((input_key.shape[0] * params.lk, n + 1), dtype=np.int64)
+        for entry in table:
+            entry[:n] = torus.uniform(n, q, rng)
+            entry[n] = torus.gaussian_noise((), std, q, rng)
+        scales = q >> (np.arange(1, params.lk + 1) * params.log2_base_ks)
+        messages = (input_key[:, None] * scales).reshape(-1)
+        table[:, n] = (table[:, :n] @ lwe_key.bits + messages + table[:, n]) % q
+        return cls(table.reshape(-1, params.lk, n + 1), params)
 
     @property
     def size_bytes(self) -> int:

@@ -39,12 +39,18 @@ def reduce(values: np.ndarray | int, q: int, out: np.ndarray | None = None) -> n
 
 
 def to_signed(values: np.ndarray | int, q: int) -> np.ndarray | int:
-    """Map canonical torus values to the centered range ``[-q/2, q/2)``."""
+    """Map torus values to the centered range ``[-q/2, q/2)``.
+
+    A power-of-two modulus takes :func:`reduce`'s mask shifted by ``q/2`` (for ``|x| < 2**62``).
+    """
     half = q // 2
     if np.isscalar(values) or isinstance(values, (int, np.integer)):
         value = int(values) % q
         return value - q if value >= half else value
-    canonical = np.mod(np.asarray(values, dtype=np.int64), q)
+    values = np.asarray(values, dtype=np.int64)
+    if q & (q - 1) == 0:
+        return ((values + half) & (q - 1)) - half
+    canonical = np.mod(values, q)
     return np.where(canonical >= half, canonical - q, canonical)
 
 
@@ -62,7 +68,7 @@ def gaussian_noise(shape, std: float, q: int, rng: np.random.Generator) -> np.nd
     if std <= 0.0:
         return np.zeros(shape, dtype=np.int64)
     noise = rng.normal(0.0, std * q, size=shape)
-    return np.mod(np.round(noise).astype(np.int64), q)
+    return reduce(np.round(noise).astype(np.int64), q)
 
 
 def switch_modulus(values: np.ndarray | int, q: int, new_modulus: int):

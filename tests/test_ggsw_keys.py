@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.params import TOY_PARAMETERS
+from repro.params import DEEP_NN_N1024, PARAM_SET_I, SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.tfhe import torus
 from repro.tfhe.ggsw import GgswCiphertext, cmux, external_product
 from repro.tfhe.glwe import GlweCiphertext
 from repro.tfhe.keys import (
+    BootstrappingKey,
     GlweSecretKey,
     KeySwitchingKey,
     LweSecretKey,
 )
+from repro.tfhe.lwe import LweCiphertext
 
 PARAMS = TOY_PARAMETERS
 
@@ -54,9 +60,7 @@ class TestGgsw:
         assert error.max() < PARAMS.delta // 2
 
     def test_external_product_by_zero_kills_message(self, glwe_key, module_rng):
-        message = torus.reduce(
-            np.full(PARAMS.N, 3 * PARAMS.delta, dtype=np.int64), PARAMS.q
-        )
+        message = torus.reduce(np.full(PARAMS.N, 3 * PARAMS.delta, dtype=np.int64), PARAMS.q)
         glwe = _encrypted_message(glwe_key, message, module_rng)
         ggsw = GgswCiphertext.encrypt(0, glwe_key.polynomials, PARAMS, module_rng)
         result = external_product(ggsw, glwe)
@@ -163,4 +167,86 @@ class TestEvaluationKeys:
 
     def test_server_keys_total_bytes(self, toy_context):
         keys = toy_context.server_keys
-        assert keys.total_bytes == keys.bootstrapping_key.size_bytes + keys.keyswitching_key.size_bytes
+        assert (
+            keys.total_bytes
+            == keys.bootstrapping_key.size_bytes + keys.keyswitching_key.size_bytes
+        )
+
+    @pytest.mark.parametrize(
+        "lwe_params, glwe_params",
+        [(TOY_PARAMETERS, SMALL_PARAMETERS), (PARAM_SET_I, DEEP_NN_N1024)],
+    )
+    def test_generate_refuses_secret_keys_of_two_sets(self, lwe_params, glwe_params):
+        rng = np.random.default_rng(3)
+        lwe_key = LweSecretKey.generate(lwe_params, rng)
+        glwe_key = GlweSecretKey.generate(glwe_params, rng)
+        names = f"'{re.escape(lwe_params.name)}'.*'{re.escape(glwe_params.name)}'"
+        with pytest.raises(ValueError, match=names):
+            BootstrappingKey.generate(lwe_key, glwe_key, rng)
+        with pytest.raises(ValueError, match=names):
+            KeySwitchingKey.generate(glwe_key, lwe_key, rng)
+
+
+# -- key generation against its per-ciphertext definition -------------------------
+
+
+def spec_bootstrapping_key(lwe_key, glwe_key, rng, noise_std=None):
+    """One ``GgswCiphertext.encrypt`` per LWE key bit: what ``generate`` must equal."""
+    params = lwe_key.params
+    ggsw_list = []
+    for bit in lwe_key.bits:
+        ggsw = GgswCiphertext.encrypt(int(bit), glwe_key.polynomials, params, rng, noise_std)
+        ggsw_list.append(ggsw.to_fourier())
+    return BootstrappingKey(ggsw_list, params)
+
+
+def spec_keyswitching_key(glwe_key, lwe_key, rng, noise_std=None):
+    """One ``LweCiphertext.encrypt`` per table entry: what ``generate`` must equal."""
+    params = lwe_key.params
+    q = params.q
+    std = params.lwe_noise_std if noise_std is None else noise_std
+    input_key = glwe_key.extracted_lwe_key()
+    table = np.zeros((input_key.shape[0], params.lk, params.n + 1), dtype=np.int64)
+    for j in range(input_key.shape[0]):
+        for level in range(params.lk):
+            scale = q >> ((level + 1) * params.log2_base_ks)
+            ct = LweCiphertext.encrypt(int(input_key[j]) * scale, lwe_key.bits, params, rng, std)
+            table[j, level, : params.n] = ct.mask
+            table[j, level, params.n] = ct.body
+    return KeySwitchingKey(table, params)
+
+
+def _generated(params, seed, noise_std, bootstrapping_key, keyswitching_key):
+    """Both evaluation keys, as bits, and the generator's next draw after them."""
+    rng = np.random.default_rng(seed)
+    lwe_key = LweSecretKey.generate(params, rng)
+    glwe_key = GlweSecretKey.generate(params, rng)
+    bsk = bootstrapping_key(lwe_key, glwe_key, rng, noise_std)
+    ksk = keyswitching_key(glwe_key, lwe_key, rng, noise_std)
+    spectra = np.stack([ggsw.spectra for ggsw in bsk.ggsw_list]).view(np.int64)
+    return spectra, ksk.ciphertexts, int(rng.integers(2**62))
+
+
+def _assert_generate_equals_the_spec(params, seed, noise_std):
+    fast = _generated(params, seed, noise_std, BootstrappingKey.generate, KeySwitchingKey.generate)
+    spec = _generated(params, seed, noise_std, spec_bootstrapping_key, spec_keyswitching_key)
+    np.testing.assert_array_equal(fast[0], spec[0], err_msg="bootstrapping-key spectra")
+    np.testing.assert_array_equal(fast[1], spec[1], err_msg="keyswitching-key table")
+    assert fast[2] == spec[2], "the generator's state after the keys"
+
+
+@given(
+    params=st.sampled_from([TOY_PARAMETERS, SMALL_PARAMETERS]),
+    seed=st.integers(0, 2**32 - 1),
+    noise_std=st.sampled_from([None, 0.0, 2.0**-20]),
+)
+@example(params=TOY_PARAMETERS, seed=0, noise_std=0.0)
+@example(params=SMALL_PARAMETERS, seed=1, noise_std=2.0**-20)
+@settings(max_examples=settings.default.max_examples // 10, deadline=None)
+def test_generate_equals_the_spec_draw_for_draw(params, seed, noise_std):
+    """Same seed, same draws in the same order, same keys bit for bit."""
+    _assert_generate_equals_the_spec(params, seed, noise_std)
+
+
+def test_generate_equals_the_spec_at_set_i():
+    _assert_generate_equals_the_spec(PARAM_SET_I, 7, None)

@@ -31,6 +31,17 @@ class TestTorus:
         signed = torus.to_signed(values, Q)
         np.testing.assert_array_equal(torus.reduce(signed, Q), values)
 
+    @pytest.mark.parametrize("q", [2**32, 2**12])
+    def test_to_signed_bitmask_equals_the_mod_where_definition(self, q):
+        edges = np.array([0, q // 2 - 1, q // 2, q - 1, -1, -(q // 2), q, 2 * q + 5])
+        drawn = np.random.default_rng(q).integers(-(2**62), 2**62, size=2000)
+        values = np.concatenate([edges, drawn])
+        canonical = np.mod(values, q)
+        expected = np.where(canonical >= q // 2, canonical - q, canonical)
+        signed = torus.to_signed(values, q)
+        assert signed.dtype == np.int64
+        np.testing.assert_array_equal(signed, expected)
+
     def test_uniform_in_range(self, rng):
         samples = torus.uniform(1000, Q, rng)
         assert samples.min() >= 0 and samples.max() < Q
