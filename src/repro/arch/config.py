@@ -156,16 +156,16 @@ STRIX_UNFOLDED = STRIX_DEFAULT.without_folding()
 
 @dataclass(frozen=True)
 class StrixClusterConfig:
-    """Geometry of a multi-device Strix deployment.
+    """The facts every chip of a multi-device Strix deployment shares.
 
     The paper evaluates a single chip; a serving deployment shards work
-    across several identical chips behind one host.  The cluster adds two
-    cost knobs on top of the per-device model:
+    across several identical chips behind one host.  The device count and
+    the key-memory knobs belong to the cluster itself
+    (:class:`repro.serve.cluster.StrixCluster`); this config holds what
+    nothing else does: the chip's architecture and two link costs.
 
     Attributes
     ----------
-    devices:
-        Number of Strix chips in the cluster.
     device:
         Architectural configuration shared by every chip.
     interconnect_gbps:
@@ -177,48 +177,14 @@ class StrixClusterConfig:
         Fixed host-side cost per sharded dispatch (scatter + gather).
         Defaults to zero so a one-device cluster reproduces the
         single-device simulator results bit-for-bit.
-    key_budget_bytes:
-        Per-device HBM budget for resident tenant key sets (BSK + KSK).
-        ``None`` (the default) models unbounded key memory — every device
-        keeps every tenant's keys forever, the pre-eviction behaviour that
-        keeps historical serving numbers bit-for-bit.  A finite budget makes
-        :class:`repro.arch.key_cache.KeyResidencyManager` evict under the
-        configured policy and charge BSK/KSK re-shipping on re-use; derive a
-        hardware-honest value with
-        :func:`repro.arch.key_cache.hbm_key_budget_bytes`.
-    key_policy:
-        Eviction-policy name for the per-device key caches (``"lru"`` /
-        ``"lfu"`` / ``"pinned"``).  Only consulted when ``key_budget_bytes``
-        is finite.
     """
 
-    devices: int = 4
     device: StrixConfig = STRIX_DEFAULT
     interconnect_gbps: float = 64.0
     dispatch_overhead_s: float = 0.0
-    key_budget_bytes: float | None = None
-    key_policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.devices < 1:
-            raise ValueError("a cluster needs at least one device")
         if self.interconnect_gbps <= 0:
             raise ValueError("interconnect bandwidth must be positive")
         if self.dispatch_overhead_s < 0:
             raise ValueError("dispatch overhead cannot be negative")
-        if self.key_budget_bytes is not None and self.key_budget_bytes <= 0:
-            raise ValueError("key-memory budget must be positive (or None)")
-
-    def with_devices(self, devices: int) -> "StrixClusterConfig":
-        """Return a copy with a different device count."""
-        return replace(self, devices=devices)
-
-    def with_key_budget(
-        self, key_budget_bytes: float | None, key_policy: str | None = None
-    ) -> "StrixClusterConfig":
-        """Return a copy with a different key-memory budget (and policy)."""
-        return replace(
-            self,
-            key_budget_bytes=key_budget_bytes,
-            key_policy=key_policy if key_policy is not None else self.key_policy,
-        )

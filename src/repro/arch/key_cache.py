@@ -247,7 +247,8 @@ class KeyResidencyManager:
     placement layout funnels its dispatch targets through :meth:`place`,
     which returns the seconds of BSK/KSK interconnect traffic the dispatch
     must absorb and updates residency, budgets and counters as a side
-    effect.
+    effect.  It is the one holder of the cluster's key budget
+    (``budget_bytes``, ``None`` = unbounded) and eviction ``policy``.
     """
 
     def __init__(
@@ -257,6 +258,8 @@ class KeyResidencyManager:
         budget_bytes: float | None = None,
         policy: "str | KeyEvictionPolicy" = "lru",
     ):
+        if budget_bytes is not None and budget_bytes <= 0:
+            raise ValueError("key-memory budget must be positive (or None)")
         self.interconnect = interconnect
         self.budget_bytes = budget_bytes
         self.policy = get_key_policy(policy)

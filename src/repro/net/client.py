@@ -61,7 +61,7 @@ from repro.serve.request import Request, RequestOutcome
 _CONTROL_REPLIES = {
     MessageType.WELCOME: protocol.decode_welcome,
     MessageType.PONG: protocol.decode_pong,
-    MessageType.DRAINED: lambda payload: None,
+    MessageType.DRAINED: lambda payload: protocol.decode_empty(payload, "DRAINED"),
     MessageType.STATS_REPLY: protocol.decode_stats,
 }
 

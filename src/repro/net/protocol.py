@@ -220,6 +220,15 @@ class FrameDecoder:
         return None
 
 
+# -- DRAIN / DRAINED / STATS: no payload ------------------------------------------
+
+
+def decode_empty(payload: bytes, name: str) -> None:
+    """Check the payload of a ``name`` message, which carries none."""
+    if payload:
+        raise ValueError(f"{name} payload must be empty, got {len(payload)} bytes")
+
+
 # -- STATS / STATS_REPLY ----------------------------------------------------------
 
 
@@ -371,7 +380,9 @@ def decode_error(payload: bytes) -> ErrorReply:
     if len(payload) < 10:
         raise ValueError("ERROR payload is truncated before its fixed fields end")
     code, request_id = struct.unpack_from("!HQ", payload, 0)
-    message, _offset = unpack_str(payload, 10)
+    message, offset = unpack_str(payload, 10)
+    if offset != len(payload):
+        raise ValueError(f"ERROR payload has {len(payload) - offset} trailing bytes")
     return ErrorReply(code=code, request_id=request_id, message=message)
 
 

@@ -344,6 +344,7 @@ class NetServer:
         return message.to_request()
 
     def _handle_drain(self, connection: _Connection, frame: Frame) -> None:
+        protocol.decode_empty(frame.payload, "DRAIN")
         self._run.drain()
         self._answer_resolved(self._run)
         self._send(connection, MessageType.DRAINED, b"")
@@ -357,6 +358,7 @@ class NetServer:
         mode state without a new frame type; fault-free servers emit no
         such gauges and the STATS payload is unchanged.
         """
+        protocol.decode_empty(frame.payload, "STATS")
         snapshot = self.server.metrics()
         self.last_stats = snapshot
         self._send(connection, MessageType.STATS_REPLY, protocol.encode_stats(snapshot))

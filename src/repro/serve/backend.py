@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.arch.config import StrixClusterConfig, StrixConfig
+from repro.arch.config import StrixClusterConfig
 from repro.params import TFHEParameters
 from repro.runtime.backend import Backend, register_backend
 from repro.runtime.result import RunResult
@@ -37,17 +37,10 @@ class StrixClusterBackend(Backend):
         self,
         devices: int = 4,
         policy: str | ShardingPolicy = "round-robin",
-        config: StrixClusterConfig | None = None,
-        device_config: StrixConfig | None = None,
+        config: StrixClusterConfig = StrixClusterConfig(),
         layout: str | PlacementLayout = "data-parallel",
     ):
-        self.cluster = StrixCluster(
-            devices=devices,
-            policy=policy,
-            config=config,
-            device_config=device_config,
-            layout=layout,
-        )
+        self.cluster = StrixCluster(devices=devices, policy=policy, config=config, layout=layout)
 
     def run(
         self,
@@ -78,13 +71,12 @@ class StrixClusterBackend(Backend):
             or layout is not None
         )
         if reshaped:
-            resolved_devices = devices if devices is not None else len(cluster.devices)
             cluster = StrixCluster(
-                devices=resolved_devices,
+                devices=devices if devices is not None else len(cluster.devices),
                 # Pass the instances through (not their registry names) so
                 # custom policy/layout objects survive per-call reshaping.
                 policy=policy if policy is not None else cluster.policy,
-                config=cluster.config.with_devices(resolved_devices),
+                config=cluster.config,
                 layout=layout if layout is not None else cluster.layout,
             )
         return cluster.run(workload, params=params, instances=instances)

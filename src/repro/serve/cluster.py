@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.accelerator import StrixAccelerator
-from repro.arch.config import StrixClusterConfig, StrixConfig
+from repro.arch.config import StrixClusterConfig
 from repro.arch.energy import EnergyModel
 from repro.arch.interconnect import InterconnectModel
 from repro.arch.key_cache import KeyEvictionPolicy, KeyResidencyManager
@@ -99,18 +99,17 @@ class StrixCluster:
 
     def __init__(
         self,
-        devices: int | None = None,
+        devices: int = 4,
         policy: str | ShardingPolicy = "round-robin",
-        config: StrixClusterConfig | None = None,
-        device_config: StrixConfig | None = None,
+        config: StrixClusterConfig = StrixClusterConfig(),
         layout: str | PlacementLayout = "data-parallel",
         cost_model: str | CostModel = "analytical",
         key_budget_bytes: float | None = None,
-        key_policy: "str | KeyEvictionPolicy | None" = None,
+        key_policy: "str | KeyEvictionPolicy" = "lru",
         faults: FaultSchedule | None = None,
         on_death: str = "retry",
     ):
-        """Build ``N`` identical simulated devices behind one layout.
+        """Build ``devices`` identical chips of ``config.device`` behind one layout.
 
         ``faults`` is the deterministic fault plan serving replays under
         (see :mod:`repro.faults`); ``None`` — and the explicit
@@ -120,16 +119,11 @@ class StrixCluster:
         (default) replays it onto a survivor from the failure instant,
         ``"drop"`` counts its requests as lost.
 
-        ``key_budget_bytes`` / ``key_policy`` override the cluster config's
-        key-memory knobs for this cluster; ``None`` means *unspecified*
-        (the config's value stands — build a config with
-        ``key_budget_bytes=None`` to model unbounded key memory
-        explicitly).  String policy names are folded back into
-        ``self.config`` so re-deriving a cluster from it reproduces the
-        policy; an explicit
-        :class:`~repro.arch.key_cache.KeyEvictionPolicy` instance — e.g. a
+        ``key_budget_bytes`` (``None`` = unbounded) and ``key_policy`` go to
+        the :class:`~repro.arch.key_cache.KeyResidencyManager`, which holds
+        them; a policy instance — e.g. a
         :class:`~repro.arch.key_cache.PinnedTenantPolicy` with a pinned
-        set — passes straight through to the residency manager instead.
+        set — is used as given.
 
         A ``cost_model`` given by *name* comes from the registry, and
         ``"event"`` is wrapped in a :class:`~repro.sched.memo.ScheduleCache`
@@ -138,26 +132,8 @@ class StrixCluster:
         *instance* is used as given: ``EventDrivenCostModel()`` is the
         unmemoized model, ``ScheduleCache(inner, capacity=n)`` a sized one.
         """
-        if config is None:
-            config = StrixClusterConfig(
-                devices=devices if devices is not None else 4,
-                device=device_config if device_config is not None else StrixConfig(),
-            )
-        else:
-            if device_config is not None:
-                raise ValueError(
-                    "pass either config (which carries the per-device "
-                    "configuration) or device_config, not both"
-                )
-            if devices is not None and devices != config.devices:
-                config = config.with_devices(devices)
-        if key_budget_bytes is not None or isinstance(key_policy, str):
-            config = config.with_key_budget(
-                key_budget_bytes
-                if key_budget_bytes is not None
-                else config.key_budget_bytes,
-                key_policy if isinstance(key_policy, str) else None,
-            )
+        if devices < 1:
+            raise ValueError("a cluster needs at least one device")
         self.config = config
         self.policy = get_policy(policy)
         self.layout = get_layout(layout)
@@ -174,10 +150,10 @@ class StrixCluster:
         )
         self.interconnect = InterconnectModel(config)
         self.key_residency = KeyResidencyManager(
-            devices=config.devices,
+            devices=devices,
             interconnect=self.interconnect,
-            budget_bytes=config.key_budget_bytes,
-            policy=key_policy if key_policy is not None else config.key_policy,
+            budget_bytes=key_budget_bytes,
+            policy=key_policy,
         )
         self.devices = [
             StrixDevice(
@@ -186,7 +162,7 @@ class StrixCluster:
                 scheduler=StrixScheduler(accelerator),
                 energy_model=EnergyModel(accelerator),
             )
-            for index in range(config.devices)
+            for index in range(devices)
         ]
 
     def __len__(self) -> int:

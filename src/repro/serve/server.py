@@ -106,11 +106,10 @@ class ServeConfig:
         :func:`repro.arch.key_cache.hbm_key_budget_bytes` derives a
         hardware-honest value from the device's HBM capacity.
     key_policy:
-        Key-cache eviction policy name (``"lru"`` / ``"lfu"`` /
+        Key-cache eviction policy name (``"lru"`` by default, ``"lfu"`` or
         ``"pinned"``) or a
         :class:`~repro.arch.key_cache.KeyEvictionPolicy` instance (e.g. a
-        pinned-tenant policy with an explicit pin set).  ``None`` defers to
-        the cluster config's policy (``"lru"`` by default).
+        pinned-tenant policy with an explicit pin set).
     qos:
         Batching discipline: ``"fifo"`` (arrival order, historical) or
         ``"fair"`` (weighted fair queuing over tenants).
@@ -125,9 +124,9 @@ class ServeConfig:
     seed:
         Base seed for per-tenant key generation.
     cluster:
-        Full :class:`~repro.arch.config.StrixClusterConfig` when the cost
-        knobs (interconnect bandwidth, dispatch overhead, per-device
-        architecture) matter; its device count wins over ``devices``.
+        The :class:`~repro.arch.config.StrixClusterConfig` every device
+        shares: its architecture, interconnect bandwidth and dispatch
+        overhead.
     faults:
         A :class:`~repro.faults.FaultSchedule` of device deaths, thermal
         throttles and interconnect partitions to inject during the run;
@@ -163,13 +162,13 @@ class ServeConfig:
     layout: str | PlacementLayout = "data-parallel"
     cost_model: str | CostModel = "analytical"
     key_budget_bytes: float | None = None
-    key_policy: "str | KeyEvictionPolicy | None" = None
+    key_policy: "str | KeyEvictionPolicy" = "lru"
     qos: str = "fifo"
     tenant_weights: dict[str, float] | None = None
     max_batch_delay_s: float = 2e-3
     batch_capacity: int | None = None
     seed: int = 0
-    cluster: StrixClusterConfig | None = None
+    cluster: StrixClusterConfig = StrixClusterConfig()
     faults: FaultSchedule | None = None
     on_death: str = "retry"
     admission: "str | AdmissionPolicy | None" = None
@@ -556,7 +555,7 @@ class Server:
         self.config = config
         self.params = resolve_cluster_params(config.params)
         self.cluster = StrixCluster(
-            devices=None if config.cluster is not None else config.devices,
+            devices=config.devices,
             policy=config.policy,
             config=config.cluster,
             layout=config.layout,

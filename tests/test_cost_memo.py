@@ -247,11 +247,11 @@ def test_capacity_must_be_positive():
 def test_cache_distinguishes_params_structure_and_geometry():
     import dataclasses
 
-    from repro.arch.config import StrixConfig
+    from repro.arch.config import StrixClusterConfig, StrixConfig
 
     memo = ScheduleCache()
     batch = bootstrap_batch(32)
-    small = StrixCluster(devices=1, device_config=StrixConfig(tvlp=4))
+    small = StrixCluster(devices=1, config=StrixClusterConfig(device=StrixConfig(tvlp=4)))
     large = StrixCluster(devices=1)
     memo.batch_cost(batch, PARAM_SET_I, large.devices[0])
     memo.batch_cost(batch, PARAM_SET_I, small.devices[0])

@@ -99,12 +99,9 @@ def test_hbm_key_budget_derivation():
     assert 100 < half // per_tenant < 1000
 
 
-def test_cluster_config_validates_key_budget():
+def test_cluster_validates_key_budget():
     with pytest.raises(ValueError, match="key-memory budget"):
-        StrixClusterConfig(key_budget_bytes=0)
-    tight = StrixClusterConfig().with_key_budget(1024, key_policy="lfu")
-    assert tight.key_budget_bytes == 1024
-    assert tight.key_policy == "lfu"
+        StrixCluster(devices=1, key_budget_bytes=0)
 
 
 # -- eviction policies over the residency manager ------------------------------------
@@ -299,19 +296,12 @@ def test_large_budget_matches_unbounded_serving_bit_for_bit():
 
 
 def test_single_device_large_budget_stays_bit_for_bit_with_strix_sim():
-    from repro.serve.backend import StrixClusterBackend
-
     graph = ComputationGraph(PARAM_SET_I, name="invariant")
     graph.add_pbs_layer("lut0", 96)
     graph.add_pbs_layer("lut1", 64, depends_on=["lut0"])
     single = run(graph, backend="strix-sim")
-    backend = StrixClusterBackend(
-        devices=1,
-        config=StrixClusterConfig(devices=1).with_key_budget(
-            hbm_key_budget_bytes(StrixClusterConfig().device)
-        ),
-    )
-    cluster = run(graph, backend=backend)
+    budget = hbm_key_budget_bytes(StrixClusterConfig().device)
+    cluster = StrixCluster(devices=1, key_budget_bytes=budget).run(graph)
     assert cluster.latency_s == single.latency_s
     assert cluster.pbs_count == single.pbs_count
 
@@ -362,13 +352,10 @@ def test_batch_mix_signature_ignores_ids_and_tenants():
     assert batch_mix_signature(different) != batch_mix_signature(first)
 
 
-def test_string_key_policy_override_lands_in_config():
+def test_key_knobs_land_in_the_residency_manager():
     cluster = StrixCluster(devices=2, key_budget_bytes=1024, key_policy="lfu")
-    assert cluster.config.key_policy == "lfu"
-    assert cluster.config.key_budget_bytes == 1024
-    rebuilt = StrixCluster(config=cluster.config)
-    assert rebuilt.key_residency.policy.name == "lfu"
-    assert rebuilt.key_residency.budget_bytes == 1024
+    assert cluster.key_residency.policy.name == "lfu"
+    assert cluster.key_residency.budget_bytes == 1024
 
 
 # -- reset ---------------------------------------------------------------------------

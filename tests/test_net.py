@@ -154,6 +154,11 @@ class TestControlPayloads:
         assert reply.code_name == "BAD_CHECKSUM"
         assert protocol.decode_error(protocol.encode_error(200, "?")).code_name == "code-200"
 
+    def test_error_with_trailing_bytes_is_malformed(self):
+        payload = protocol.encode_error(ErrorCode.BAD_MESSAGE, "bad", request_id=7)
+        with pytest.raises(ValueError, match="4 trailing bytes"):
+            protocol.decode_error(payload + b"junk")
+
     def test_ping_pong_roundtrip(self):
         assert protocol.decode_ping(protocol.encode_ping(5, 0.25)) == (5, 0.25)
         pong = protocol.decode_pong(protocol.encode_pong(5, 0.25, 0.5))
@@ -467,6 +472,20 @@ class TestClientStateMachine:
 
         asyncio.run(scenario())
 
+    def test_a_drained_with_a_payload_is_an_unparseable_reply(self):
+        async def scenario():
+            wire = _Wire()
+            await wire.welcome()
+            drain = asyncio.ensure_future(wire.client.drain())
+            await asyncio.sleep(0)
+            await wire.reply(MessageType.DRAINED, b"junk")
+            (error,) = await _settled(drain)
+            assert isinstance(error, ProtocolError) and error.code == ErrorCode.BAD_MESSAGE
+            assert "DRAINED payload must be empty" in error.message
+            await wire.client.close()
+
+        asyncio.run(scenario())
+
     def test_unparseable_reply_payload_fails_everything_owed_with_a_typed_error(self):
         async def scenario():
             wire = _Wire()
@@ -718,6 +737,24 @@ class TestLoopbackErrors:
                 writer.write(encode_frame(200, b""))
                 (event,) = await _recv_events(reader, decoder)
                 assert _error_reply(event).code == ErrorCode.UNKNOWN_TYPE
+                writer.write(encode_frame(MessageType.PING, protocol.encode_ping(1, 0.0)))
+                (event,) = await _recv_events(reader, decoder)
+                assert event.msg_type == MessageType.PONG
+                writer.close()
+
+        self._scenario(scenario())
+
+    @pytest.mark.parametrize("name", ["DRAIN", "STATS"])
+    def test_a_payload_on_an_empty_message_gets_bad_message_and_connection_survives(self, name):
+        async def scenario():
+            async with NetServer(mode="live", devices=1, params="I") as net:
+                reader, writer = await asyncio.open_connection(*net.address)
+                decoder = FrameDecoder()
+                writer.write(encode_frame(MessageType[name], b"junk"))
+                (event,) = await _recv_events(reader, decoder)
+                reply = _error_reply(event)
+                assert reply.code == ErrorCode.BAD_MESSAGE
+                assert reply.message == f"{name} payload must be empty, got 4 bytes"
                 writer.write(encode_frame(MessageType.PING, protocol.encode_ping(1, 0.0)))
                 (event,) = await _recv_events(reader, decoder)
                 assert event.msg_type == MessageType.PONG

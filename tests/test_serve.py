@@ -549,17 +549,32 @@ def test_server_config_overrides():
 def test_server_forwards_cluster_cost_knobs():
     from repro.arch.config import StrixClusterConfig
 
-    config = StrixClusterConfig(
-        devices=2, interconnect_gbps=1.0, dispatch_overhead_s=5e-3
-    )
+    config = StrixClusterConfig(interconnect_gbps=1.0, dispatch_overhead_s=5e-3)
     cheap = Server(devices=2, params="I")
-    taxed = Server(params="I", cluster=config)
-    assert len(taxed.cluster) == 2  # cluster config's device count wins
+    taxed = Server(devices=2, params="I", cluster=config)
     assert taxed.cluster.config.dispatch_overhead_s == 5e-3
     trace = [make_request(1, items=64, arrival_s=0.0)]
     slow = taxed.simulate(trace)
     fast = cheap.simulate([make_request(1, items=64, arrival_s=0.0)])
     assert slow.metrics.latency.p50_s > fast.metrics.latency.p50_s
+
+
+def test_server_sets_each_cluster_knob_from_one_field():
+    from repro.arch.config import StrixClusterConfig, StrixConfig
+
+    budget = 10**9
+    server = Server(
+        devices=3,
+        params="I",
+        cluster=StrixClusterConfig(device=StrixConfig(tvlp=4)),
+        key_budget_bytes=budget,
+        key_policy="lfu",
+    )
+    assert len(server.cluster) == 3
+    assert all(device.accelerator.config.tvlp == 4 for device in server.cluster.devices)
+    assert server.batch_capacity == server.cluster.device_epoch_capacity(server.params)
+    assert server.cluster.key_residency.budget_bytes == budget
+    assert server.cluster.key_residency.policy.name == "lfu"
 
 
 def test_sync_paths_refused_inside_async_context():

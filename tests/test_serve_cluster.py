@@ -13,7 +13,7 @@ import pytest
 
 from repro import list_backends, run
 from repro.apps.workloads import lut_pipeline_graph, pbs_batch_graph
-from repro.arch.config import StrixClusterConfig
+from repro.arch.config import StrixClusterConfig, StrixConfig
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.runtime import UnknownBackendError, get_backend
 from repro.serve import (
@@ -83,12 +83,10 @@ def test_affinity_select_is_sticky_per_tenant():
     loads = [0.0] * 4
     first = policy.select(loads, one_request_batch(4, tenant="alice"))
     assert all(
-        policy.select(loads, one_request_batch(s, tenant="alice")) == first
-        for s in (1, 2, 3)
+        policy.select(loads, one_request_batch(s, tenant="alice")) == first for s in (1, 2, 3)
     )
     assert any(
-        policy.select(loads, one_request_batch(4, tenant=f"tenant{i}")) != first
-        for i in range(8)
+        policy.select(loads, one_request_batch(4, tenant=f"tenant{i}")) != first for i in range(8)
     )
 
 
@@ -155,21 +153,30 @@ def test_cluster_with_fewer_ciphertexts_than_devices():
 
 
 def test_cluster_dispatch_overhead_is_charged():
-    config = StrixClusterConfig(devices=2, dispatch_overhead_s=1e-3)
-    free = StrixCluster(config=StrixClusterConfig(devices=2))
-    taxed = StrixCluster(config=config)
+    free = StrixCluster(devices=2)
+    taxed = StrixCluster(devices=2, config=StrixClusterConfig(dispatch_overhead_s=1e-3))
     graph = pbs_batch_graph(PARAM_SET_I, 1000)
-    assert taxed.run(graph).latency_s == pytest.approx(
-        free.run(graph).latency_s + 1e-3
-    )
+    assert taxed.run(graph).latency_s == pytest.approx(free.run(graph).latency_s + 1e-3)
+
+
+def test_backend_reshape_keeps_the_cluster_config():
+    """A per-call device count rebuilds the cluster from the same config."""
+    tvlp4 = StrixConfig(tvlp=4)
+    config = StrixClusterConfig(device=tvlp4, dispatch_overhead_s=1e-3)
+    backend = StrixClusterBackend(devices=2, config=config)
+    graph = pbs_batch_graph(PARAM_SET_I, 1000)
+    reshaped = backend.run(graph, devices=3)
+    free = StrixCluster(devices=3, config=StrixClusterConfig(device=tvlp4)).run(graph)
+    assert reshaped.details["active_devices"] == 3
+    assert reshaped.latency_s == pytest.approx(free.latency_s + 1e-3)
+    assert free.latency_s != StrixCluster(devices=3).run(graph).latency_s
 
 
 def test_cluster_config_validation():
     with pytest.raises(ValueError, match="at least one device"):
-        StrixClusterConfig(devices=0)
+        StrixCluster(devices=0)
     with pytest.raises(ValueError, match="interconnect"):
         StrixClusterConfig(interconnect_gbps=0)
-    assert StrixClusterConfig(devices=2).with_devices(6).devices == 6
 
 
 # -- cluster: serving path ------------------------------------------------------------
@@ -184,9 +191,7 @@ def test_batch_larger_than_cluster_capacity_runs_in_multiple_epochs():
     # A batch 3x beyond cluster capacity streams through one device in many
     # epochs — it completes, and takes several times longer than a small one.
     assert huge > 3 * small
-    device, start, end = cluster.dispatch(
-        one_request_batch(3 * capacity), 0.0, PARAM_SET_I
-    )[:3]
+    device, start, end = cluster.dispatch(one_request_batch(3 * capacity), 0.0, PARAM_SET_I)[:3]
     assert end - start == pytest.approx(huge)
     assert cluster.devices[device].pbs == 3 * capacity
 
@@ -226,9 +231,7 @@ def test_run_options_reshape_the_cluster_per_call():
     assert result.details["devices"] == 3
     # The backend's own cluster is untouched.
     assert len(backend.cluster) == 2
-    policy_result = backend.run(
-        pbs_batch_graph(PARAM_SET_I, 512), policy="least-loaded"
-    )
+    policy_result = backend.run(pbs_batch_graph(PARAM_SET_I, 512), policy="least-loaded")
     assert policy_result.details["policy"] == "least-loaded"
 
 
