@@ -49,9 +49,11 @@ contracts in ``float64``, and both stay equal to the scalar path's allocating
   ``int64`` product — computes modulo a multiple of ``q``: the canonical
   representative at ``q_bits == 32``, one the final reduction maps to it
   otherwise.  The decomposer reads only the low ``q_bits`` bits anyway.  The
-  word is derived from ``params.q_bits`` (wider moduli fall back to ``int64``,
-  whose wrap is ``2**64``); no caller chooses it and no public array carries
-  it — results are canonical ``int64`` as everywhere else.
+  word is :func:`repro.tfhe.torus.word` of ``params.q_bits`` (wider moduli
+  fall back to ``int64``, whose wrap is ``2**64``); no caller chooses it.  The
+  one public array that carries it is the keyswitching key's table, whose
+  entries are canonical in ``[0, q)``; results are canonical ``int64`` as
+  everywhere else.
 * *The keyswitch GEMM cannot round.*  Digits (at most ``B_ks / 2``) and
   table entries (below ``q``) convert to ``float64`` exactly, and the rows
   are contracted in chunks short enough that even the sum of the products'
@@ -182,7 +184,9 @@ def batch_blind_rotate(
 ) -> GlweBatch:
     """Homomorphically rotate ``test_vector`` by each ciphertext's phase.
 
-    One shared test vector, ``B`` encrypted phases: the batch twin of
+    ``B`` encrypted phases and one test vector of shape ``(N,)`` shared by
+    all, or ``(B, N)`` with row ``i`` for ciphertext ``i`` (one call then
+    evaluates a different LUT per row): the batch twin of
     :func:`repro.tfhe.blind_rotate.blind_rotate`.  Each of the ``n``
     iterations is one batched CMux — Rotator, Decomposer, folded FFT, VMA,
     IFFT, Accumulator — streamed through one workspace that is allocated
@@ -206,11 +210,14 @@ def batch_blind_rotate(
             f"bootstrapping key has {len(bootstrapping_key)} entries but the "
             f"ciphertexts have dimension {batch.dimension}"
         )
-    test_vector = np.asarray(test_vector, dtype=np.int64)
-    if test_vector.shape != (params.N,):
-        raise ValueError(f"body must have shape ({params.N},), got {test_vector.shape}")
-    masks_2n, bodies_2n = batch_modulus_switch(batch, params)
     batch_size, n_poly, half = len(batch), params.N, params.N // 2
+    test_vector = np.asarray(test_vector, dtype=np.int64)
+    if test_vector.shape not in ((n_poly,), (batch_size, n_poly)):
+        raise ValueError(
+            f"test vector must have shape ({n_poly},) or ({batch_size}, {n_poly}), "
+            f"got {test_vector.shape}"
+        )
+    masks_2n, bodies_2n = batch_modulus_switch(batch, params)
     polys, levels = params.k + 1, params.lb
 
     # The integer side of the loop runs in the unsigned word of the modulus:
@@ -220,7 +227,7 @@ def batch_blind_rotate(
     # third of the rotation windows; the GlweBatch built from it reduces once
     # (a no-op at ``q_bits == 32``), and modular arithmetic makes the result
     # bit-identical to the scalar step-by-step reductions.
-    word = np.uint32 if params.q_bits <= 32 else np.int64
+    word = torus.word(params.q_bits)
     windows = np.empty((batch_size, polys, 3 * n_poly), dtype=word)
     accumulator = windows[..., :n_poly]
     accumulator[:, : params.k] = 0

@@ -30,7 +30,8 @@ from repro.tfhe import polynomial, torus
 from repro.tfhe.ggsw import FourierGgswCiphertext
 from repro.tfhe.lwe import LweCiphertext
 
-#: Most bytes of GGSW rows (``int64``) built at a time: 16 GGSWs at set I.
+#: Most bytes of ``int64`` key rows built at a time: 16 GGSWs, or 261
+#: keyswitching entries, at set I.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -162,23 +163,30 @@ class KeySwitchingKey:
 
     ``ciphertexts`` has shape ``(k*N, lk, n+1)``: for input coefficient ``j``
     and level ``l`` it stores an LWE encryption (mask ++ body) of
-    ``s'_j * q / Bk^(l+1)`` under the output key.
+    ``s'_j * q / Bk^(l+1)`` under the output key.  Its entries are canonical
+    in ``[0, q)`` and stored in the modulus's word (:func:`repro.tfhe.torus.word`,
+    ``uint32`` for every defined set), so the table takes the bytes the model
+    prices (``params.keyswitching_key_bytes``).  A table of any integer type
+    is converted, and one with an entry outside ``[0, q)`` is refused.
     """
 
     ciphertexts: np.ndarray
     params: TFHEParameters
 
     def __post_init__(self) -> None:
-        expected = (
-            self.params.k * self.params.N,
-            self.params.lk,
-            self.params.n + 1,
-        )
-        self.ciphertexts = np.asarray(self.ciphertexts, dtype=np.int64)
-        if self.ciphertexts.shape != expected:
+        params = self.params
+        expected = (params.k * params.N, params.lk, params.n + 1)
+        table = np.asarray(self.ciphertexts)
+        if table.shape != expected:
+            raise ValueError(f"keyswitching key must have shape {expected}, got {table.shape}")
+        # Checked before the cast, which would wrap a negative or too large entry.
+        if table.min() < 0 or table.max() >= params.q:
+            j, level, c = np.argwhere((table < 0) | (table >= params.q))[0]
             raise ValueError(
-                f"keyswitching key must have shape {expected}, got {self.ciphertexts.shape}"
+                f"keyswitching key entry (j={j}, level={level}, c={c}) is "
+                f"{table[j, level, c]}, outside [0, {params.q})"
             )
+        self.ciphertexts = table.astype(torus.word(params.q_bits), copy=False)
 
     @classmethod
     def generate(
@@ -193,16 +201,22 @@ class KeySwitchingKey:
         n, q = params.n, params.q
         std = params.lwe_noise_std if noise_std is None else noise_std
         input_key = glwe_key.extracted_lwe_key()
-        table = np.empty((input_key.shape[0] * params.lk, n + 1), dtype=np.int64)
+        table = np.empty((input_key.shape[0] * params.lk, n + 1), dtype=torus.word(params.q_bits))
         for entry in table:
             entry[:n] = torus.uniform(n, q, rng)
             entry[n] = torus.gaussian_noise((), std, q, rng)
         scales = q >> (np.arange(1, params.lk + 1) * params.log2_base_ks)
         messages = (input_key[:, None] * scales).reshape(-1)
-        table[:, n] = (table[:, :n] @ lwe_key.bits + messages + table[:, n]) % q
+        block = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+        for lo in range(0, len(table), block):  # widens one block's masks, never the table
+            rows = table[lo : lo + block]
+            rows[:, n] = (rows[:, :n] @ lwe_key.bits + messages[lo : lo + block] + rows[:, n]) % q
         return cls(table.reshape(-1, params.lk, n + 1), params)
 
     @property
     def size_bytes(self) -> int:
-        """Size of the key in bytes (32-bit coefficients)."""
-        return int(self.ciphertexts.size) * (self.params.q_bits // 8)
+        """Size of the key as the model prices it: ``q_bits / 8`` bytes per coefficient.
+
+        At ``q_bits == 32`` (every defined set) that is the table's own ``nbytes``.
+        """
+        return self.params.keyswitching_key_bytes

@@ -9,16 +9,27 @@ All arrays use ``int64`` with values kept in the canonical range ``[0, q)``.
 Using a signed 64-bit container for 32-bit torus values keeps intermediate
 sums (e.g. LWE dot products with binary keys) exact without extra care.
 
-The one exception is the blind-rotation workspace of
-:func:`repro.tfhe.batch.kernels.batch_blind_rotate`, whose integer arrays are
-``uint32`` words so that wrap-around does the reduction; it is internal to one
-call, and every public array — arguments and results alike — is still
-canonical ``int64``.
+Two arrays are stored in the modulus's :func:`word` instead: the
+blind-rotation workspace of :func:`repro.tfhe.batch.kernels.batch_blind_rotate`,
+internal to one call, whose wrap-around does the reduction; and the table of
+:class:`repro.tfhe.keys.KeySwitchingKey`, canonical in ``[0, q)`` like every
+other torus array, which its readers widen as they go.  Every other public
+array, arguments and results alike, is canonical ``int64``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def word(q_bits: int) -> type[np.integer]:
+    """The machine word of torus values modulo ``2**q_bits``.
+
+    ``uint32`` when ``q_bits <= 32`` (every defined set): ``q`` divides
+    ``2**32``, so the word holds any canonical value and its wrap-around is a
+    reduction modulo a multiple of ``q``.  Wider moduli get ``int64``.
+    """
+    return np.uint32 if q_bits <= 32 else np.int64
 
 
 def reduce(values: np.ndarray | int, q: int, out: np.ndarray | None = None) -> np.ndarray | int:

@@ -127,6 +127,20 @@ def _with_edge_exponents(ciphertexts, params):
     return forced
 
 
+#: A TOY LUT: a table over the messages (any length, read cyclically) or a constant.
+_TOY_LUTS = st.one_of(
+    st.lists(st.integers(0, 2 * TOY_PARAMETERS.message_modulus - 1), min_size=1, max_size=8),
+    st.integers(0, TOY_PARAMETERS.q - 1),
+)
+
+
+def _toy_test_vector(lut: list[int] | int) -> np.ndarray:
+    """``make_test_vector`` of a table, ``make_constant_test_vector`` of a constant."""
+    if isinstance(lut, int):
+        return make_constant_test_vector(lut, TOY_PARAMETERS)
+    return make_test_vector(lambda m: lut[m % len(lut)], TOY_PARAMETERS)
+
+
 # -- stacked containers ----------------------------------------------------------
 
 
@@ -224,7 +238,7 @@ class TestBitForBitEquality:
 
     @pytest.mark.parametrize(
         "shape",
-        [(), (1,), (TOY_PARAMETERS.N // 2,), (1, TOY_PARAMETERS.N)],
+        [(), (1,), (TOY_PARAMETERS.N // 2,), (2, TOY_PARAMETERS.N)],
         ids=["0-d", "length-1", "half-length", "2-d"],
     )
     def test_blind_rotate_rejects_a_misshapen_test_vector(self, toy_context, shape):
@@ -235,13 +249,28 @@ class TestBitForBitEquality:
         test_vector = np.full(shape, params.q // 8, dtype=np.int64)
         with pytest.raises(ValueError, match=r"body must have shape \(128,\)"):
             blind_rotate(test_vector, ciphertext, keys.bootstrapping_key, params)
-        with pytest.raises(ValueError, match=r"body must have shape \(128,\)"):
+        with pytest.raises(ValueError, match=r"must have shape \(128,\) or \(1, 128\)"):
             batch_blind_rotate(
                 test_vector,
                 LweBatch.from_ciphertexts([ciphertext]),
                 keys.bootstrapping_key,
                 params,
             )
+
+    @given(luts=st.lists(_TOY_LUTS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_each_row_rotates_its_own_test_vector(self, toy_context, luts, seed):
+        """A ``(B, N)`` stack of mixed LUTs: row ``i`` == scalar ``blind_rotate`` with its own."""
+        params = TOY_PARAMETERS
+        key = toy_context.server_keys.bootstrapping_key
+        test_vectors = np.stack([_toy_test_vector(lut) for lut in luts])
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, params.q, size=(len(luts), params.n))
+        stacked = LweBatch(masks, rng.integers(0, params.q, size=len(luts)), params)
+        rotated = batch_blind_rotate(test_vectors, stacked, key, params)
+        ciphertexts = stacked.to_ciphertexts()
+        oracle = [blind_rotate(tv, ct, key, params) for tv, ct in zip(test_vectors, ciphertexts)]
+        _assert_rotations_equal_scalars(rotated, dict(enumerate(oracle)))
 
     def test_blind_rotate_rejects_a_batch_of_another_parameter_set(self, toy_context):
         keys = toy_context.server_keys

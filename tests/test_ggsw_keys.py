@@ -165,6 +165,29 @@ class TestEvaluationKeys:
         with pytest.raises(ValueError):
             KeySwitchingKey(np.zeros((3, 3, 3), dtype=np.int64), PARAMS)
 
+    @pytest.mark.parametrize("entry, value", [((0, 0, 0), -1), ((5, 1, PARAMS.n), PARAMS.q)])
+    def test_keyswitching_key_refuses_an_entry_outside_the_torus(self, entry, value):
+        """An entry generation could not have written is refused, not wrapped into the word."""
+        table = np.zeros((PARAMS.k * PARAMS.N, PARAMS.lk, PARAMS.n + 1), dtype=np.int64)
+        table[entry] = value
+        j, level, c = entry
+        with pytest.raises(ValueError, match=rf"\(j={j}, level={level}, c={c}\) is {value}"):
+            KeySwitchingKey(table, PARAMS)
+
+    @pytest.mark.parametrize("params", [TOY_PARAMETERS, SMALL_PARAMETERS, PARAM_SET_I])
+    def test_keyswitching_key_takes_the_bytes_the_model_prices(
+        self, params, toy_context, small_context
+    ):
+        """Stored in the torus word, the table takes the bytes the model prices."""
+        if params is PARAM_SET_I:  # a table from zeros: no key generation at set I
+            shape = (params.k * params.N, params.lk, params.n + 1)
+            ksk = KeySwitchingKey(np.zeros(shape, dtype=np.int64), params)
+        else:
+            context = toy_context if params is TOY_PARAMETERS else small_context
+            ksk = context.server_keys.keyswitching_key
+        assert ksk.ciphertexts.dtype == torus.word(params.q_bits) == np.uint32
+        assert ksk.ciphertexts.nbytes == ksk.size_bytes == params.keyswitching_key_bytes
+
     def test_server_keys_total_bytes(self, toy_context):
         keys = toy_context.server_keys
         assert (

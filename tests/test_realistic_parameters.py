@@ -3,9 +3,9 @@
 The unit tests run on reduced parameter sets for speed; this module executes
 the real thing — the 110-bit-security parameter set I of Table IV — through
 key generation, programmable bootstrapping and keyswitching.  It is marked
-``slow`` (one full run takes on the order of tens of seconds in pure Python)
-but is part of the default suite so the evaluation parameters are known to
-work end to end.
+``slow`` (one full run takes on the order of tens of seconds in pure Python),
+so tier-1 deselects it and CI runs it in its ``-m slow`` step, where the
+evaluation parameters are shown to work end to end.
 """
 
 from __future__ import annotations
