@@ -101,11 +101,13 @@ def decompose_folded(
     like the canonical one.  The arithmetic runs in the *word* of ``values``:
     ``uint32`` stays ``uint32`` (the blind-rotation workspace, whose
     wrap-around is the reduction), anything else is read as ``int64``.
-    ``values`` is left untouched; ``out`` and ``scratch`` (the word, shape
-    ``(..., levels, N)``) let a caller reuse its buffers and are allocated
-    when omitted.
+    The plan consumes a copy, so ``values`` is left untouched; ``out`` and
+    ``scratch`` (the word, shape ``(..., levels, N)``) let a caller reuse its
+    buffers and are allocated when omitted.
     """
-    return plan_decompose_folded(values, levels, log2_base, q_bits, out, scratch)()
+    values = np.asarray(values)
+    copy = np.array(values, dtype=np.uint32 if values.dtype == np.uint32 else np.int64)
+    return plan_decompose_folded(copy, levels, log2_base, q_bits, out, scratch)()
 
 
 def plan_decompose_folded(
@@ -120,14 +122,17 @@ def plan_decompose_folded(
 
     Everything that does not depend on the contents of ``values`` happens
     here, once: the buffers are checked, the addend, shifts and mask become
-    scalars of the word, the level rows, coefficient halves and complex slots
+    values of the word, the level rows, coefficient halves and complex slots
     become views.  Each call of the returned function then decomposes whatever
-    ``values`` holds at that moment into ``out`` and returns ``out``.
+    ``values`` holds at that moment into ``out`` in five numpy calls at any
+    ``levels`` and returns ``out``.  It **consumes** ``values`` (the addend is
+    added in place), so the caller refills it in between; values of any dtype
+    but ``uint32`` / ``int64`` would need a private copy no refill reaches.
     """
+    if not isinstance(values, np.ndarray) or values.dtype not in (np.uint32, np.int64):
+        got = values.dtype if isinstance(values, np.ndarray) else type(values).__name__
+        raise ValueError(f"values must be a uint32 or int64 array, got {got}")
     addend, dropped_bits = _carry_addend(levels, log2_base, q_bits)
-    values = np.asarray(values)
-    if values.dtype != np.uint32:
-        values = np.asarray(values, dtype=np.int64)
     word = values.dtype.type
     if q_bits > 8 * values.itemsize:
         raise ValueError(f"a {q_bits}-bit modulus does not fit {values.dtype.name} values")
@@ -138,22 +143,16 @@ def plan_decompose_folded(
     slots = out.view(np.float64).reshape(out.shape + (2,))
     real, imaginary = slots[..., 0], slots[..., 1]
     low, high = scratch[..., :half], scratch[..., half:]
-    # Level 0 holds the sum and is shifted last (in place), so no level
-    # reads a row that an earlier one has already overwritten.
-    summed = scratch[..., 0, :]
-    shifted = [
-        (word(dropped_bits + (levels - 1 - level) * log2_base), scratch[..., level, :])
-        for level in range(levels - 1, -1, -1)
-    ]
+    rows = values[..., None, :]
+    shifts = (dropped_bits + np.arange(levels - 1, -1, -1) * log2_base).astype(word)[:, None]
     addend, mask = word(addend), word((1 << log2_base) - 1)
     # A float offset selects the float64 loop (the word may be unsigned, where
     # ``field - B/2`` would wrap); a digit field of ``log2_base`` bits converts exactly.
     half_base = float((1 << log2_base) >> 1)
 
     def apply() -> np.ndarray:
-        np.add(values, addend, out=summed)
-        for shift, row in shifted:
-            np.right_shift(summed, shift, out=row)
+        np.add(values, addend, out=values)
+        np.right_shift(rows, shifts, out=scratch)
         np.bitwise_and(scratch, mask, out=scratch)
         np.subtract(low, half_base, out=real)
         np.subtract(high, half_base, out=imaginary)

@@ -13,7 +13,9 @@ from repro.tfhe.decomposition import (
     decompose,
     decompose_folded,
     decompose_polynomial_list,
+    decompose_rows,
     decomposition_error_bound,
+    plan_decompose_folded,
     recompose,
 )
 
@@ -155,6 +157,64 @@ class TestDecomposeFoldedBuffers:
         with pytest.raises(ValueError, match="40-bit modulus does not fit uint32 values"):
             decompose_folded(self._values(np.uint32), 2, 10, q_bits=40)
         assert decompose_folded(self._values(np.int64), 2, 10, q_bits=40).shape == (3, 2, 8)
+
+    @pytest.mark.parametrize("other", [np.int32, np.uint64, np.float64, ">u4", ">i8"])
+    def test_a_plan_refuses_values_it_would_have_to_copy(self, other):
+        """A converted copy is private: refilling the caller's array would not reach it."""
+        values = (self._values(np.int64) >> 1).astype(other)
+        complaint = rf"values must be a uint32 or int64 array, got {np.dtype(other)}"
+        with pytest.raises(ValueError, match=complaint):
+            apply = plan_decompose_folded(values, self.LEVELS, self.LOG2_BASE, Q_BITS)
+            refill = values[::-1].copy()
+            np.copyto(values, refill)
+            np.testing.assert_array_equal(apply(), self._decompose(refill))
+
+    def test_a_plan_refuses_values_that_are_no_array(self):
+        with pytest.raises(ValueError, match="values must be a uint32 or int64 array, got list"):
+            plan_decompose_folded([0, 1], self.LEVELS, self.LOG2_BASE, Q_BITS)
+
+
+@st.composite
+def plan_cases(draw):
+    """``(word, levels, log2_base, q_bits, seed, refills)`` of a plan the modulus can hold."""
+    q_bits = draw(st.sampled_from([12, 24, 32]))
+    levels = draw(st.integers(min_value=1, max_value=4))
+    log2_base = draw(st.integers(min_value=2, max_value=min(10, q_bits // levels)))
+    word = draw(st.sampled_from([np.uint32, np.int64]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return word, levels, log2_base, q_bits, seed, draw(st.integers(min_value=2, max_value=4))
+
+
+class TestPlanAsTheKernelUsesIt:
+    """One plan, its ``values`` buffer refilled between calls — the blind-rotation loop's use."""
+
+    SHAPE = (2, 3, 16)
+
+    @given(plan_cases())
+    @settings(deadline=None)
+    def test_every_refill_is_decomposed_afresh(self, case):
+        word, levels, log2_base, q_bits, seed, refills = case
+        rng = np.random.default_rng(seed)
+        q = 1 << q_bits
+        half = self.SHAPE[-1] // 2
+        buffer = np.empty(self.SHAPE, dtype=word)
+        apply = plan_decompose_folded(buffer, levels, log2_base, q_bits)
+        for _ in range(refills):
+            # Unreduced representatives: any uint32 word, or int64 values many q wide.
+            if word is np.uint32:
+                fill = rng.integers(0, 1 << 32, self.SHAPE, dtype=np.uint32)
+            else:
+                fill = rng.integers(-(q << 9), q << 9, self.SHAPE, dtype=np.int64)
+            fill[0, 0, :4] = (0, q - 1, q // 2, q // 2 - 1)
+            np.copyto(buffer, fill)
+            expected = decompose_rows(np.mod(fill.astype(np.int64), q), levels, log2_base, q_bits)
+            folded = apply()
+            np.testing.assert_array_equal(folded.real, expected[..., :half])
+            np.testing.assert_array_equal(folded.imag, expected[..., half:])
+
+            kept = fill.copy()
+            np.testing.assert_array_equal(decompose_folded(fill, levels, log2_base, q_bits), folded)
+            np.testing.assert_array_equal(fill, kept)
 
 
 class TestDecompositionProperties:

@@ -10,13 +10,15 @@ snippet does not rename its test (the traceback still says ``file:line``).
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 sys.path.insert(0, str(DOCS))
 
 from check_snippets import documents, extract_snippets, run_snippet  # noqa: E402
@@ -44,3 +46,14 @@ def test_docs_exist_and_carry_snippets():
 )
 def test_docs_snippet_runs(label, source):
     run_snippet(label, source)
+
+
+def test_readme_record_counts_match_the_artifacts():
+    """The record counts README.md states are the artifacts' own, so they cannot drift."""
+    readme = (ROOT / "README.md").read_text()
+    pattern = r"`BENCH_serve\.json`\s+\((\d+) records\) and `BENCH_sim\.json` \((\d+)\)"
+    stated = re.search(pattern, readme)
+    assert stated, "README.md no longer states the two artifacts' record counts"
+    for name, count in zip(("BENCH_serve.json", "BENCH_sim.json"), stated.groups()):
+        records = json.loads((ROOT / name).read_text())["records"]
+        assert int(count) == len(records), f"README.md: {name} ({count}), holds {len(records)}"
