@@ -2,54 +2,59 @@
 
 TFHE's programmable bootstrapping makes arbitrary boolean logic possible on
 encrypted data — the generality the paper contrasts against CKKS.  This
-example adds and compares small encrypted integers bit by bit, with every
-gate evaluated through a real gate bootstrap, then shows how long the same
-circuits would take on Strix versus the GPU baseline.
+example adds and compares small encrypted integers bit by bit: each circuit
+is a netlist the reference backend runs, every gate a real gate bootstrap,
+and the script exits non-zero when an answer differs from plain arithmetic.
+It then shows how long the same circuits would take on Strix versus the GPU
+baseline.
 
 Run with:  python examples/boolean_circuits.py
 """
 
 from __future__ import annotations
 
-import time
-
 from repro import Session, run
-from repro.apps.boolean_circuits import Comparator, RippleCarryAdder, boolean_circuit_graph
+from repro.apps.boolean_circuits import boolean_circuit_graph, equals_netlist, greater_than_netlist
 from repro.params import PARAM_SET_I
+from repro.sim.compiler import full_adder_netlist
 
 
-def encrypt_number(session: Session, value: int, bits: int):
-    """Encrypt an integer as little-endian boolean ciphertexts."""
-    return session.encrypt_boolean_batch([bool((value >> i) & 1) for i in range(bits)])
+def operands(a: int, b: int, bits: int) -> dict[str, bool]:
+    """The little-endian operand wires ``a{i}`` / ``b{i}`` of the circuit builders."""
+    return {
+        f"{name}{i}": bool(value >> i & 1)
+        for name, value in (("a", a), ("b", b))
+        for i in range(bits)
+    }
 
 
-def decrypt_number(session: Session, ciphertexts) -> int:
-    """Decrypt little-endian boolean ciphertexts back to an integer."""
-    return sum(int(bit) << i for i, bit in enumerate(session.decrypt_boolean_batch(ciphertexts)))
+def check(answer, expected, what: str) -> None:
+    """Exit non-zero when a decrypted answer differs from its plaintext reference."""
+    if answer != expected:
+        raise SystemExit(f"{what} decrypted to {answer}, expected {expected}")
 
 
 def functional_demo() -> None:
     print("== Encrypted 4-bit arithmetic (TOY parameters) ==")
     session = Session("TOY", seed=3)
-    session.generate_server_keys()
-    adder = RippleCarryAdder(session.gates())
-    comparator = Comparator(session.gates())
+    a, b, bits = 11, 6, 4
 
-    a, b = 11, 6
-    bits = 4
-    start = time.perf_counter()
-    encrypted_sum = adder.add(encrypt_number(session, a, bits), encrypt_number(session, b, bits))
-    total = decrypt_number(session, encrypted_sum)
-    elapsed = time.perf_counter() - start
-    gates = RippleCarryAdder.gate_count(bits)
-    print(f"{a} + {b} = {total}   ({gates} gate bootstraps, {elapsed:.2f} s)")
+    adder = full_adder_netlist(session.params, bits)
+    result = run(adder, backend="reference", session=session, inputs=operands(a, b, bits))
+    total = sum(int(result.outputs[0][wire]) << i for i, wire in enumerate(adder.output_wires()))
+    print(f"{a} + {b} = {total}   ({result.pbs_count} gate bootstraps, {result.latency_s:.2f} s)")
+    check(total, a + b, f"{a} + {b}")
 
-    greater = comparator.greater_than(
-        encrypt_number(session, a, bits), encrypt_number(session, b, bits)
-    )
-    equal = comparator.equals(encrypt_number(session, b, bits), encrypt_number(session, b, bits))
-    print(f"{a} > {b}  -> {session.decrypt_boolean(greater)}")
-    print(f"{b} == {b} -> {session.decrypt_boolean(equal)}\n")
+    for symbol, build, x, y, expected in (
+        (">", greater_than_netlist, a, b, a > b),
+        ("==", equals_netlist, b, b, True),
+    ):
+        netlist = build(session.params, bits)
+        (wire,) = netlist.output_wires()
+        answer = run(netlist, backend="reference", session=session, inputs=operands(x, y, bits))
+        print(f"{x} {symbol} {y} -> {answer.outputs[0][wire]}")
+        check(answer.outputs[0][wire], expected, f"{x} {symbol} {y}")
+    print()
 
 
 def acceleration_projection() -> None:

@@ -1,11 +1,13 @@
 """Privacy-preserving scoring: decision trees and encrypted counters.
 
 A bank evaluates a (public) risk model on a customer's (private) data: the
-customer submits encrypted features, the server runs a decision tree
-homomorphically and accumulates the encrypted scores of several trees with
-radix integer arithmetic — the tree-based inference workload the paper cites
-as a key TFHE use case.  Finally the same workload is projected onto Strix
-to show what the accelerator buys.
+customer submits encrypted features, the server runs each decision tree
+homomorphically (a netlist on the reference backend) and accumulates the
+trees' votes into an encrypted score with radix integer arithmetic — the
+tree-based inference workload the paper cites as a key TFHE use case.
+Finally the same workload is projected onto Strix to show what the
+accelerator buys.  The script exits non-zero when a vote or the score
+differs from the plaintext forest.
 
 Run with:  python examples/private_scoring.py
 """
@@ -14,48 +16,45 @@ from __future__ import annotations
 
 import time
 
-from repro import get_backend, run
-from repro.apps.tree_inference import (
-    DecisionTree,
-    HomomorphicTreeEvaluator,
-    tree_inference_graph,
-)
+from repro import Session, get_backend, run
+from repro.apps.tree_inference import DecisionTree, tree_inference_graph, tree_netlist
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
-from repro.tfhe import TFHEContext
 from repro.tfhe.integer import RadixIntegerCodec
 
 
 def homomorphic_forest_scoring() -> None:
     print("== Homomorphic forest scoring (TOY parameters) ==")
-    context = TFHEContext(TOY_PARAMETERS, seed=21)
-    context.generate_server_keys()
-
+    session = Session(TOY_PARAMETERS, seed=21)
     forest = [
         DecisionTree.random(depth=2, num_features=4, params=TOY_PARAMETERS, seed=seed)
         for seed in range(3)
     ]
-    evaluators = [HomomorphicTreeEvaluator(context, tree) for tree in forest]
-    codec = RadixIntegerCodec(context, digit_bits=1, num_digits=3)
+    codec = RadixIntegerCodec(session.context, digit_bits=1, num_digits=3)
 
-    customer_features = [2, 0, 3, 1]
+    customer_features = [1, 3, 0, 2]
     print(f"customer features (private): {customer_features}")
+    features = {f"x{index}": value for index, value in enumerate(customer_features)}
 
     start = time.perf_counter()
-    encrypted_features = [context.encrypt(value) for value in customer_features]
     encrypted_score = codec.encrypt(0)
     votes = []
-    for evaluator in evaluators:
-        encrypted_vote = evaluator.evaluate(encrypted_features)
-        vote = context.decrypt(encrypted_vote) % 2  # (decrypted here only to narrate)
+    total_pbs = 0
+    for tree in forest:
+        netlist = tree_netlist(tree, TOY_PARAMETERS)
+        result = run(netlist, backend="reference", session=session, inputs=features)
+        vote = result.outputs[0]["label"]  # (the run decrypts it; here only to narrate)
         votes.append(vote)
+        total_pbs += result.pbs_count + codec.pbs_per_addition()
         encrypted_score = codec.add_scalar(encrypted_score, vote)
     elapsed = time.perf_counter() - start
 
-    expected = sum(tree.predict(customer_features) for tree in forest)
-    total_pbs = sum(e.pbs_count() for e in evaluators) + len(forest) * codec.pbs_per_addition()
-    print(f"per-tree votes:            {votes}")
-    print(f"encrypted score decrypts to {codec.decrypt(encrypted_score)} (expected {expected})")
+    expected = [tree.predict(customer_features) for tree in forest]
+    score = codec.decrypt(encrypted_score)
+    print(f"per-tree votes:            {votes} (plaintext trees: {expected})")
+    print(f"encrypted score decrypts to {score} (expected {sum(expected)})")
     print(f"work: {total_pbs} programmable bootstraps in {elapsed:.2f} s of pure Python\n")
+    if votes != expected or score != sum(expected):
+        raise SystemExit("encrypted scoring differs from the plaintext forest")
 
 
 def acceleration_projection() -> None:

@@ -3,11 +3,17 @@
 The workloads the paper motivates and evaluates:
 
 * :mod:`repro.apps.deep_nn` — the Zama Deep-NN models (NN-20 / NN-50 /
-  NN-100) used in the Fig. 7 application benchmark, both as computation
-  graphs for the simulator and as a small functional inference path running
-  on the TFHE substrate.
-* :mod:`repro.apps.boolean_circuits` — gate-level circuits (adders,
-  comparators, multiplexer trees) built from the homomorphic gate set.
+  NN-100) used in the Fig. 7 application benchmark as computation graphs for
+  the simulator, and a small dense MLP as a netlist builder.
+* :mod:`repro.apps.boolean_circuits` — gate-level circuits (comparators; the
+  adder is :func:`repro.sim.compiler.full_adder_netlist`) as netlist builders
+  and priced graphs.
+* :mod:`repro.apps.tree_inference` — decision trees as netlist builders and
+  priced forest graphs.
+
+Every application is defined once, as a :class:`~repro.sim.compiler.Netlist`
+builder; ``run(netlist, backend="reference", inputs=...)`` executes it on
+encrypted inputs, the only functional executor.
 * :mod:`repro.apps.workloads` — generic workload generators (PBS batches,
   LUT pipelines) used by the microbenchmarks and tests.
 * :mod:`repro.apps.traffic` — serving-traffic request traces (steady /
@@ -15,7 +21,7 @@ The workloads the paper motivates and evaluates:
 """
 
 from repro.apps.deep_nn import DeepNNModel, ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
-from repro.apps.boolean_circuits import RippleCarryAdder, Comparator, boolean_circuit_graph
+from repro.apps.boolean_circuits import boolean_circuit_graph
 from repro.apps.workloads import pbs_batch_graph, lut_pipeline_graph, gate_workload_graph
 
 #: Names re-exported lazily from :mod:`repro.apps.traffic`.  The traffic
@@ -39,8 +45,6 @@ __all__ = [
     "DeepNNModel",
     "ZAMA_DEEP_NN_MODELS",
     "build_deep_nn_graph",
-    "RippleCarryAdder",
-    "Comparator",
     "boolean_circuit_graph",
     "pbs_batch_graph",
     "lut_pipeline_graph",

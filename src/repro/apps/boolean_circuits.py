@@ -2,114 +2,60 @@
 
 TFHE's gate bootstrapping makes arbitrary boolean circuits possible; the
 paper motivates this generality (encrypted CPUs, relational operators).
-This module implements the classic building blocks — ripple-carry adders,
-comparators and multiplexer trees — in two forms:
-
-* functionally, operating on encrypted bits through a
-  :class:`~repro.tfhe.gates.GateBootstrapper` (used by tests and examples);
-* as computation graphs with one PBS per gate (used by the simulator to
-  estimate their execution time on Strix and the baselines).
+Each circuit is defined once, as a :class:`~repro.sim.compiler.Netlist`
+builder over little-endian operand wires ``a0, a1, ...`` and ``b0, b1, ...``:
+:func:`~repro.sim.compiler.full_adder_netlist` (the ripple-carry adder),
+:func:`equals_netlist` and :func:`greater_than_netlist`.  The reference
+backend executes them (``run(netlist, backend="reference", inputs=...)``);
+:func:`boolean_circuit_graph` prices them for the simulator, one PBS per gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.params import TFHEParameters
+from repro.sim.compiler import Netlist, full_adder_netlist
 from repro.sim.graph import ComputationGraph
-from repro.tfhe.gates import GateBootstrapper
-from repro.tfhe.lwe import LweCiphertext
 
 
-@dataclass
-class RippleCarryAdder:
-    """N-bit ripple-carry adder over encrypted bits (little-endian lists)."""
-
-    gates: GateBootstrapper
-
-    def full_adder(
-        self, a: LweCiphertext, b: LweCiphertext, carry: LweCiphertext
-    ) -> tuple[LweCiphertext, LweCiphertext]:
-        """One full adder: returns (sum, carry-out).  Five gate bootstraps."""
-        a_xor_b = self.gates.xor(a, b)
-        total = self.gates.xor(a_xor_b, carry)
-        carry_from_ab = self.gates.and_(a, b)
-        carry_from_axb = self.gates.and_(a_xor_b, carry)
-        carry_out = self.gates.or_(carry_from_ab, carry_from_axb)
-        return total, carry_out
-
-    def add(
-        self, a_bits: list[LweCiphertext], b_bits: list[LweCiphertext]
-    ) -> list[LweCiphertext]:
-        """Add two encrypted numbers; returns ``len(a)+1`` result bits."""
-        if len(a_bits) != len(b_bits):
-            raise ValueError("operands must have the same bit width")
-        params = self.gates.params
-        carry = LweCiphertext.trivial(
-            (params.q - params.q // 8) % params.q, params.n, params
-        )
-        result = []
-        for a_bit, b_bit in zip(a_bits, b_bits):
-            total, carry = self.full_adder(a_bit, b_bit, carry)
-            result.append(total)
-        result.append(carry)
-        return result
-
-    @staticmethod
-    def gate_count(bits: int) -> int:
-        """Gate bootstraps used to add two ``bits``-wide numbers."""
-        return 5 * bits
+def _operands(netlist: Netlist, bits: int) -> list[tuple[str, str]]:
+    """Declare the ``a{i}`` / ``b{i}`` input wires, least significant bit first."""
+    return [(netlist.add_input(f"a{bit}"), netlist.add_input(f"b{bit}")) for bit in range(bits)]
 
 
-@dataclass
-class Comparator:
-    """Encrypted equality / greater-than comparator (little-endian lists)."""
+def equals_netlist(params: TFHEParameters, bits: int) -> Netlist:
+    """``a == b``: one XNOR per bit, AND-ed together (``2 * bits - 1`` gates)."""
+    netlist = Netlist(params, name=f"equals{bits}")
+    result = None
+    for bit, (a, b) in enumerate(_operands(netlist, bits)):
+        equal = netlist.add_gate("xnor", f"eq{bit}", a, b)
+        result = equal if result is None else netlist.add_gate("and", f"all{bit}", result, equal)
+    return netlist
 
-    gates: GateBootstrapper
 
-    def equals(
-        self, a_bits: list[LweCiphertext], b_bits: list[LweCiphertext]
-    ) -> LweCiphertext:
-        """Return an encryption of ``a == b``."""
-        if len(a_bits) != len(b_bits):
-            raise ValueError("operands must have the same bit width")
-        bit_equal = [self.gates.xnor(a, b) for a, b in zip(a_bits, b_bits)]
-        result = bit_equal[0]
-        for bit in bit_equal[1:]:
-            result = self.gates.and_(result, bit)
-        return result
+def greater_than_netlist(params: TFHEParameters, bits: int) -> Netlist:
+    """``a > b`` (unsigned), four gates per bit.
 
-    def greater_than(
-        self, a_bits: list[LweCiphertext], b_bits: list[LweCiphertext]
-    ) -> LweCiphertext:
-        """Return an encryption of ``a > b`` (unsigned).
+    From the least significant bit up, ``gt = (a AND NOT b) OR (gt AND (a XNOR
+    b))``, so the highest differing bit decides.  The initial ``gt`` is the
+    input wire ``gt_in``, which callers leave at the backend's default
+    ``False`` (``True`` turns the circuit into ``a >= b``).
+    """
+    netlist = Netlist(params, name=f"greater_than{bits}")
+    result = netlist.add_input("gt_in")
+    for bit, (a, b) in enumerate(_operands(netlist, bits)):
+        above = netlist.add_gate("andny", f"above{bit}", b, a)
+        equal = netlist.add_gate("xnor", f"eq{bit}", a, b)
+        kept = netlist.add_gate("and", f"kept{bit}", result, equal)
+        result = netlist.add_gate("or", f"gt{bit}", above, kept)
+    return netlist
 
-        Scans from the most significant bit: ``a > b`` iff at the highest
-        differing position ``a`` has the 1.
-        """
-        if len(a_bits) != len(b_bits):
-            raise ValueError("operands must have the same bit width")
-        params = self.gates.params
-        result = LweCiphertext.trivial(
-            (params.q - params.q // 8) % params.q, params.n, params
-        )
-        for a_bit, b_bit in zip(a_bits, b_bits):
-            # result = (a_bit AND NOT b_bit) OR (result AND (a_bit XNOR b_bit))
-            a_gt_b_here = self.gates.andny(b_bit, a_bit)
-            equal_here = self.gates.xnor(a_bit, b_bit)
-            keep = self.gates.and_(result, equal_here)
-            result = self.gates.or_(a_gt_b_here, keep)
-        return result
 
-    @staticmethod
-    def gate_count_equals(bits: int) -> int:
-        """Gate bootstraps of the equality comparator."""
-        return bits + (bits - 1)
-
-    @staticmethod
-    def gate_count_greater_than(bits: int) -> int:
-        """Gate bootstraps of the greater-than comparator."""
-        return 4 * bits
+#: Builder of each circuit :func:`boolean_circuit_graph` prices.
+_CIRCUITS = {
+    "adder": full_adder_netlist,
+    "equals": equals_netlist,
+    "greater_than": greater_than_netlist,
+}
 
 
 def boolean_circuit_graph(
@@ -132,21 +78,23 @@ def boolean_circuit_graph(
         Independent circuit instances evaluated together (this is what the
         accelerator can batch across).
     """
-    counts = {
-        "adder": RippleCarryAdder.gate_count(bits),
-        "equals": Comparator.gate_count_equals(bits),
-        "greater_than": Comparator.gate_count_greater_than(bits),
-    }
-    if circuit not in counts:
-        raise ValueError(f"unknown circuit {circuit!r}; expected one of {sorted(counts)}")
+    if circuit not in _CIRCUITS:
+        raise ValueError(f"unknown circuit {circuit!r}; expected one of {sorted(_CIRCUITS)}")
+    count = _CIRCUITS[circuit](params, bits).pbs_count()
+    if circuit == "adder":
+        # The priced adder still runs bit 0 through a full adder with a
+        # constant carry-in, three gates the netlist's half adder leaves out.
+        count += 3
     graph = ComputationGraph(params, name=f"{circuit}-{bits}bit-x{instances}")
     # A ripple structure has `bits` sequential stages; within a stage the
-    # per-instance gates are independent and batch across instances.
-    gates_per_stage = max(counts[circuit] // bits, 1)
+    # per-instance gates are independent and batch across instances.  When
+    # the gates do not split evenly, the lowest stages get one fewer.
+    per_stage, extra = divmod(count, bits)
     previous = None
     for stage in range(bits):
         name = f"{circuit}_stage{stage}"
         depends = [previous] if previous else []
-        graph.add_pbs_layer(name, gates_per_stage * instances, depends_on=depends)
+        gates = per_stage + int(stage >= bits - extra)
+        graph.add_pbs_layer(name, gates * instances, depends_on=depends)
         previous = name
     return graph

@@ -12,26 +12,21 @@ This module provides both views of the workload:
 
 * :func:`build_deep_nn_graph` — the computation graph consumed by the Strix
   scheduler and the CPU/GPU baseline models (what Fig. 7 needs);
-* :class:`EncryptedMLP` — a small functional homomorphic inference path that
-  actually runs on the TFHE substrate (quantized weights, LUT activations),
-  exercised by the integration tests and the example scripts.
+* :func:`mlp_netlist` — a small dense network with seeded quantized weights
+  (:func:`mlp_weights`) and ReLU LUT activations, as a netlist the reference
+  backend decrypts; :func:`forward_plaintext` is its plaintext reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.params import TFHEParameters
+from repro.sim.compiler import Netlist
 from repro.sim.graph import ComputationGraph
-from repro.tfhe.context import TFHEContext
-from repro.tfhe.lut import LookUpTable, relu_lut
-from repro.tfhe.lwe import LweCiphertext
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime import cycle
-    from repro.runtime.session import Session
+from repro.tfhe.lut import relu_lut
 
 
 @dataclass(frozen=True)
@@ -111,97 +106,55 @@ def build_deep_nn_graph(model: DeepNNModel, params: TFHEParameters) -> Computati
     return graph
 
 
-class EncryptedMLP:
-    """A small functional homomorphic MLP running on the TFHE substrate.
+def mlp_weights(
+    layer_sizes: list[int], weight_magnitude: int = 1, seed: int = 0
+) -> list[np.ndarray]:
+    """Seeded quantized weights of a dense MLP, one ``(n_out, n_in)`` matrix per layer."""
+    if len(layer_sizes) < 2:
+        raise ValueError("an MLP needs at least an input and an output layer")
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(-weight_magnitude, weight_magnitude + 1, size=(n_out, n_in))
+        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
+    ]
 
-    Weights are quantized to small signed integers and activations are kept
-    in the TFHE message space; every layer computes an encrypted dot product
-    (scalar multiplications and additions on LWE ciphertexts) followed by a
-    programmable bootstrap that applies the activation LUT and rescales the
-    accumulator back into the message range.  It is intentionally tiny — the
-    full Zama models would take hours in pure Python — but it executes the
-    exact same homomorphic operation sequence per neuron.
 
-    ``context`` is anything with the encrypt / decrypt / ``apply_lut``
-    surface: a :class:`~repro.tfhe.context.TFHEContext` or a key-owning
-    :class:`~repro.runtime.session.Session`.
+def mlp_netlist(params: TFHEParameters, weights: list[np.ndarray]) -> Netlist:
+    """The MLP as a netlist over the input wires ``x0, x1, ...``.
+
+    Every neuron is one ``linear`` operation (its weight row as coefficients)
+    followed by one ReLU ``lut`` operation; the last layer's activations are
+    the output wires ``y0, y1, ...``.
     """
+    shape = [weights[0].shape[1]] + [weight.shape[0] for weight in weights]
+    netlist = Netlist(params, name="mlp-" + "x".join(map(str, shape)))
+    activation = relu_lut(params)
+    wires = tuple(netlist.add_input(f"x{index}") for index in range(shape[0]))
+    for layer, weight in enumerate(weights):
+        activations = []
+        for j, row in enumerate(weight):
+            name = f"y{j}" if layer == len(weights) - 1 else f"h{layer}_{j}"
+            coefficients = tuple(int(w) for w in row)
+            dot = netlist.add_linear(f"{name}_dot", wires, cost=len(row), coefficients=coefficients)
+            activations.append(netlist.add_lut(name, dot, function=activation))
+        wires = tuple(activations)
+    return netlist
 
-    def __init__(
-        self,
-        context: Union[TFHEContext, "Session"],
-        layer_sizes: list[int],
-        weight_magnitude: int = 1,
-        seed: int = 0,
-    ):
-        if len(layer_sizes) < 2:
-            raise ValueError("an MLP needs at least an input and an output layer")
-        self.context = context
-        self.params = context.params
-        self.layer_sizes = list(layer_sizes)
-        rng = np.random.default_rng(seed)
-        self.weights = [
-            rng.integers(-weight_magnitude, weight_magnitude + 1, size=(n_out, n_in))
-            for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
-        ]
-        self.activation = self._scaled_relu()
 
-    def _scaled_relu(self) -> LookUpTable:
-        """ReLU composed with a wrap-to-range reduction for the accumulators."""
-        return relu_lut(self.params)
+def forward_plaintext(
+    params: TFHEParameters, weights: list[np.ndarray], inputs: list[int]
+) -> list[int]:
+    """Plaintext reference of :func:`mlp_netlist`: what its outputs decrypt to.
 
-    # -- plaintext reference ----------------------------------------------------------
-
-    def forward_plaintext(self, inputs: list[int]) -> list[int]:
-        """Reference inference emulating the torus arithmetic exactly.
-
-        Intermediate values are tracked modulo ``2p`` (the full torus message
-        range including the padding half) and the activation is evaluated
-        with the negacyclic PBS semantics, so the reference matches the
-        homomorphic pipeline even when a dot product overflows the nominal
-        message range.
-        """
-        two_p = 2 * self.params.message_modulus
-        values = list(inputs)
-        for weight in self.weights:
-            accumulated = []
-            for row in weight:
-                total = int(np.dot(row, values)) % two_p
-                accumulated.append(self.activation.evaluate_torus(total))
-            values = accumulated
-        return values
-
-    def infer_plaintext(self, inputs: list[int]) -> list[int]:
-        """Plaintext reference of :meth:`infer` (outputs reduced modulo ``p``)."""
-        p = self.params.message_modulus
-        return [value % p for value in self.forward_plaintext(inputs)]
-
-    # -- homomorphic inference ----------------------------------------------------------
-
-    def forward_encrypted(self, ciphertexts: list[LweCiphertext]) -> list[LweCiphertext]:
-        """Homomorphic inference: linear layers + one PBS per activation."""
-        if len(ciphertexts) != self.layer_sizes[0]:
-            raise ValueError(
-                f"expected {self.layer_sizes[0]} input ciphertexts, got {len(ciphertexts)}"
-            )
-        activations = list(ciphertexts)
-        for weight in self.weights:
-            next_activations = []
-            for row in weight:
-                accumulator = None
-                for coefficient, ciphertext in zip(row, activations):
-                    if coefficient == 0:
-                        continue
-                    term = ciphertext.scalar_multiply(int(coefficient))
-                    accumulator = term if accumulator is None else accumulator + term
-                if accumulator is None:
-                    accumulator = LweCiphertext.trivial(0, activations[0].dimension, self.params)
-                next_activations.append(self.context.apply_lut(accumulator, self.activation))
-            activations = next_activations
-        return activations
-
-    def infer(self, inputs: list[int]) -> list[int]:
-        """Encrypt, run homomorphically and decrypt (round-trip helper)."""
-        ciphertexts = [self.context.encrypt(value) for value in inputs]
-        outputs = self.forward_encrypted(ciphertexts)
-        return [self.context.decrypt(ciphertext) for ciphertext in outputs]
+    Intermediate values are tracked modulo ``2p`` (the full torus message
+    range including the padding half) and the activation is evaluated with
+    the negacyclic PBS semantics, so the reference matches the homomorphic
+    pipeline even when a dot product overflows the nominal message range.
+    Outputs are reduced modulo ``p``, as decryption reduces them.
+    """
+    two_p = 2 * params.message_modulus
+    activation = relu_lut(params)
+    values = list(inputs)
+    for weight in weights:
+        values = [activation.evaluate_torus(int(np.dot(row, values)) % two_p) for row in weight]
+    return [value % params.message_modulus for value in values]

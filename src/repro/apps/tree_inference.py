@@ -3,8 +3,9 @@
 The paper motivates TFHE with workloads that CKKS handles poorly:
 comparisons, branches and look-ups — the building blocks of tree-based
 machine-learning models (its reference [41], "Privacy-preserving tree-based
-inference with fully homomorphic encryption").  This module implements a
-small but complete homomorphic decision-tree evaluator:
+inference with fully homomorphic encryption").  :func:`tree_netlist` turns a
+plaintext decision tree into a :class:`~repro.sim.compiler.Netlist` that the
+reference backend executes on encrypted features:
 
 * every internal node compares an encrypted feature against a plaintext
   threshold with one programmable bootstrap (a threshold LUT);
@@ -13,11 +14,12 @@ small but complete homomorphic decision-tree evaluator:
   message space and a LUT gates each branch), so the decision path never
   leaks.
 
-Leaf labels are binary (the usual binary-classification setting), which lets
-every intermediate value fit in the 2-bit message space of the evaluation
-parameter sets.  The module also produces the computation graph of a whole
-forest so the simulator can project the workload onto Strix and the
-baselines.
+The client encrypts its features; the server knows the tree in the clear and
+learns neither the features nor the decision path.  Leaf labels are binary
+(the usual binary-classification setting), which lets every intermediate
+value fit in the 2-bit message space of the evaluation parameter sets.
+:func:`tree_inference_graph` prices a whole forest so the simulator can
+project the workload onto Strix and the baselines.
 """
 
 from __future__ import annotations
@@ -27,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.params import TFHEParameters
+from repro.sim.compiler import Netlist
 from repro.sim.graph import ComputationGraph
-from repro.tfhe import encoding
-from repro.tfhe.context import TFHEContext
-from repro.tfhe.lut import LookUpTable, threshold_lut
-from repro.tfhe.lwe import LweCiphertext
+from repro.tfhe.lut import threshold_lut
 
 
 @dataclass
@@ -75,16 +75,6 @@ class DecisionTree:
 
         return _depth(self.root)
 
-    def internal_nodes(self) -> int:
-        """Number of comparison nodes."""
-
-        def _count(node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + _count(node.left) + _count(node.right)
-
-        return _count(self.root)
-
     @classmethod
     def random(
         cls, depth: int, num_features: int, params: TFHEParameters, seed: int = 0
@@ -106,92 +96,44 @@ class DecisionTree:
         return cls(root=_build(depth), num_features=num_features)
 
 
-class HomomorphicTreeEvaluator:
-    """Evaluate a plaintext decision tree on encrypted features.
+def tree_netlist(tree: DecisionTree, params: TFHEParameters) -> Netlist:
+    """The tree as a netlist over the feature wires ``x0, x1, ...``.
 
-    The client encrypts its feature vector; the server knows the tree in the
-    clear (the usual model-owner / data-owner split) and learns neither the
-    features nor the decision path.  Requires a message space of at least
-    two bits (``p >= 4``) so a selector bit and a branch bit pack together.
+    The prediction is wire ``label``.  Every internal node costs three PBS:
+    the threshold comparison, then one gating LUT per branch, which keeps the
+    branch when the comparison bit selects it and zeroes it otherwise.  A
+    subtree's 0/1 result is packed beside the bit as ``2 * bit + branch``
+    before its gate; a leaf's constant folds into the gate's function of the
+    bit alone.  The two gated branches sum to the node's result.
     """
+    if params.message_modulus < 4:
+        raise ValueError("tree evaluation needs a message modulus of at least 4")
+    if isinstance(tree.root, Leaf):
+        raise ValueError("a bare leaf is a constant; there is nothing to evaluate")
+    netlist = Netlist(params, name=f"tree-d{tree.depth()}")
+    features = [netlist.add_input(f"x{index}") for index in range(tree.num_features)]
 
-    def __init__(self, context: TFHEContext, tree: DecisionTree):
-        if context.params.message_modulus < 4:
-            raise ValueError("tree evaluation needs a message modulus of at least 4")
-        self.context = context
-        self.tree = tree
-        self.params = context.params
-        p = self.params.message_modulus
-        # LUTs over the packed value s = 2*bit + branch (branch in {0, 1}):
-        #   taken branch:    bit * branch      -> s - 2 when s >= 2 else 0
-        #   untaken branch: (1 - bit) * branch -> s     when s <  2 else 0
-        self._gate_if_set = LookUpTable.from_function(
-            lambda s: (s - 2) % p if s >= 2 else 0, self.params
+    def gate(bit: str, branch: DecisionNode | Leaf, taken: int, path: str) -> str:
+        """``branch`` when the comparison ``bit`` equals ``taken``, else 0 (one PBS)."""
+        name = f"{'right' if taken else 'left'}{path}"
+        if isinstance(branch, Leaf):
+            label = branch.label
+            return netlist.add_lut(name, bit, function=lambda b: label if b == taken else 0)
+        subtree = evaluate(branch, path + str(taken))
+        packed = netlist.add_linear(f"{name}_packed", (bit, subtree), coefficients=(2, 1))
+        return netlist.add_lut(name, packed, function=lambda s: s % 2 if s // 2 == taken else 0)
+
+    def evaluate(node: DecisionNode, path: str) -> str:
+        bit = netlist.add_lut(
+            f"bit{path}",
+            features[node.feature],
+            function=threshold_lut(node.threshold, params),
         )
-        self._gate_if_clear = LookUpTable.from_function(
-            lambda s: s % p if s < 2 else 0, self.params
-        )
+        branches = (gate(bit, node.right, 1, path), gate(bit, node.left, 0, path))
+        return netlist.add_linear(f"node{path}" if path else "label", branches)
 
-    # -- building blocks ----------------------------------------------------------
-
-    def _compare(self, feature_ct: LweCiphertext, threshold: int) -> LweCiphertext:
-        """Encrypted ``feature >= threshold`` as a 0/1 message (one PBS)."""
-        keys = self.context.server_keys
-        lut = threshold_lut(threshold, self.params)
-        return lut.apply(feature_ct, keys.bootstrapping_key, keys.keyswitching_key)
-
-    def _select(
-        self, bit: LweCiphertext, if_true: LweCiphertext, if_false: LweCiphertext
-    ) -> LweCiphertext:
-        """Encrypted multiplexer over 0/1 messages (two PBS).
-
-        Returns ``bit * if_true + (1 - bit) * if_false``.  Each product is
-        evaluated by packing ``2*bit + value`` into one ciphertext and
-        applying the corresponding gating LUT.
-        """
-        keys = self.context.server_keys
-        packed_true = bit.scalar_multiply(2) + if_true
-        packed_false = bit.scalar_multiply(2) + if_false
-        taken = self._gate_if_set.apply(
-            packed_true, keys.bootstrapping_key, keys.keyswitching_key
-        )
-        not_taken = self._gate_if_clear.apply(
-            packed_false, keys.bootstrapping_key, keys.keyswitching_key
-        )
-        return taken + not_taken
-
-    # -- inference ------------------------------------------------------------------
-
-    def evaluate(self, encrypted_features: list[LweCiphertext]) -> LweCiphertext:
-        """Return an encryption of the tree's (binary) prediction."""
-        if len(encrypted_features) != self.tree.num_features:
-            raise ValueError(
-                f"expected {self.tree.num_features} encrypted features, "
-                f"got {len(encrypted_features)}"
-            )
-        return self._evaluate_node(self.tree.root, encrypted_features)
-
-    def _evaluate_node(self, node, features: list[LweCiphertext]) -> LweCiphertext:
-        if isinstance(node, Leaf):
-            return LweCiphertext.trivial(
-                encoding.encode(node.label % 2, self.params), self.params.n, self.params
-            )
-        bit = self._compare(features[node.feature], node.threshold)
-        left = self._evaluate_node(node.left, features)
-        right = self._evaluate_node(node.right, features)
-        return self._select(bit, right, left)
-
-    def infer(self, features: list[int]) -> int:
-        """Encrypt the features, evaluate homomorphically and decrypt."""
-        encrypted = [self.context.encrypt(value) for value in features]
-        return self.context.decrypt(self.evaluate(encrypted)) % 2
-
-    def pbs_count(self) -> int:
-        """Programmable bootstraps used by one inference.
-
-        One comparison plus one two-PBS multiplexer per internal node.
-        """
-        return 3 * self.tree.internal_nodes()
+    evaluate(tree.root, "")
+    return netlist
 
 
 def tree_inference_graph(

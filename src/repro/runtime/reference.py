@@ -68,7 +68,8 @@ class ReferenceBackend(Backend):
         ``inputs`` maps primary-input wires to plaintext values (``bool`` /
         ``numpy.bool_`` for the gate encoding, ``int`` for the message
         encoding) or to pre-encrypted ciphertexts; missing wires default to
-        ``False``.  Pass a list of mappings to execute several independent
+        ``False``, and a wire the netlist does not declare as an input raises
+        a ``ValueError`` naming it.  Pass a list of mappings to execute several independent
         instances — the batch the accelerator would fold into one epoch.
         Across instances a wire keeps one encoding (pre-encrypted
         ciphertexts take the encoding of the plaintext values they share
@@ -94,6 +95,13 @@ class ReferenceBackend(Backend):
                 raise ValueError(
                     f"instances={instances} conflicts with {len(input_batches)} input mappings"
                 )
+        declared = netlist.primary_inputs
+        unknown = sorted({wire for mapping in input_batches for wire in mapping} - declared)
+        if unknown:
+            raise ValueError(
+                f"{netlist.name!r} has no input wire(s) {unknown}; "
+                f"its inputs are {sorted(declared)}"
+            )
         output_wires = list(outputs) if outputs is not None else netlist.output_wires()
         # LUT tables depend only on (function, params): tabulate each one once
         # for the whole instance batch.

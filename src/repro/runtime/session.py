@@ -141,10 +141,6 @@ class Session:
         """Encrypt a boolean with the gate-bootstrapping encoding."""
         return self.context.encrypt_boolean(value)
 
-    def decrypt_boolean(self, ciphertext: LweCiphertext) -> bool:
-        """Decrypt a gate-bootstrapping boolean ciphertext."""
-        return self.context.decrypt_boolean(ciphertext)
-
     def programmable_bootstrap(
         self,
         ciphertext: LweCiphertext,

@@ -100,7 +100,7 @@ class TFHEContext:
         return self.lwe_key.encrypt(encoding.encode_boolean(value, self.params), self.rng)
 
     def decrypt_boolean(self, ciphertext: LweCiphertext) -> bool:
-        """Decrypt a gate-bootstrapping boolean ciphertext."""
+        """Scalar oracle of ``Session.decrypt_boolean_batch``: decrypt one boolean ciphertext."""
         return encoding.decode_boolean(self._phase(ciphertext), self.params)
 
     def gates(self) -> GateBootstrapper:

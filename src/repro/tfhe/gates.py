@@ -74,12 +74,12 @@ class GateBootstrapper:
         return self._bootstrap(combination)
 
     def xor(self, a: LweCiphertext, b: LweCiphertext) -> LweCiphertext:
-        """XOR(a, b) = sign(q/4 + 2*(a + b))."""
+        """Scalar oracle of the batch gate: XOR(a, b) = sign(q/4 + 2*(a + b))."""
         combination = (a + b).scalar_multiply(2).add_plaintext(self._offset(1, 4))
         return self._bootstrap(combination)
 
     def xnor(self, a: LweCiphertext, b: LweCiphertext) -> LweCiphertext:
-        """XNOR(a, b) = sign(-q/4 - 2*(a + b))."""
+        """Scalar oracle of the batch gate: XNOR(a, b) = sign(-q/4 - 2*(a + b))."""
         combination = (a + b).scalar_multiply(-2).add_plaintext(-self._offset(1, 4))
         return self._bootstrap(combination)
 

@@ -22,6 +22,7 @@ from repro.flow import RequestRejectedError
 from repro.net.loadgen import replay_trace
 from repro.net.server import NetServer
 from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
+from repro.runtime import Session
 from repro.serve import Server
 from repro.tfhe.context import TFHEContext
 
@@ -43,6 +44,14 @@ def toy_context() -> TFHEContext:
     context = TFHEContext(TOY_PARAMETERS, seed=2023)
     context.generate_server_keys()
     return context
+
+
+@pytest.fixture(scope="session")
+def toy_session() -> Session:
+    """A key-owning TOY session for ``run(..., backend="reference", session=...)``."""
+    session = Session(TOY_PARAMETERS, seed=2023)
+    session.generate_server_keys()
+    return session
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import pytest
 
-from repro.apps.boolean_circuits import Comparator, RippleCarryAdder, boolean_circuit_graph
+from repro import run
+from repro.apps.boolean_circuits import (
+    boolean_circuit_graph,
+    equals_netlist,
+    greater_than_netlist,
+)
 from repro.apps.deep_nn import (
     DeepNNModel,
-    EncryptedMLP,
     ZAMA_DEEP_NN_MODELS,
     build_deep_nn_graph,
+    forward_plaintext,
+    mlp_netlist,
+    mlp_weights,
 )
 from repro.apps.workloads import (
     gate_workload_graph,
@@ -18,6 +28,7 @@ from repro.apps.workloads import (
     random_layered_graph,
 )
 from repro.params import DEEP_NN_N1024, PARAM_SET_I, TOY_PARAMETERS
+from repro.sim.compiler import full_adder_netlist
 from repro.sim.graph import NodeKind
 
 
@@ -64,89 +75,108 @@ class TestDeepNNModel:
         assert tiny.pbs_count() == 840 + 2 * 92
 
 
-class TestEncryptedMLP:
-    @pytest.fixture(scope="class")
-    def mlp(self, toy_context_class):
-        return EncryptedMLP(toy_context_class, layer_sizes=[3, 2], weight_magnitude=1, seed=3)
+class TestMLPNetlist:
+    def test_decrypts_to_the_plaintext_reference_over_its_input_space(self, toy_session):
+        weights = mlp_weights([3, 3, 2], seed=0)
+        netlist = mlp_netlist(TOY_PARAMETERS, weights)
+        space = list(itertools.product(range(TOY_PARAMETERS.message_modulus), repeat=3))
+        result = run(
+            netlist,
+            backend="reference",
+            session=toy_session,
+            inputs=[{f"x{i}": value for i, value in enumerate(x)} for x in space],
+        )
+        expected = [forward_plaintext(TOY_PARAMETERS, weights, list(x)) for x in space]
+        assert len(result.outputs) == len(space) == 64
+        assert [[outputs["y0"], outputs["y1"]] for outputs in result.outputs] == expected
+        assert any(any(outputs) for outputs in expected)
 
-    @pytest.fixture(scope="class")
-    def toy_context_class(self, request):
-        # Reuse the session fixture through the class-scoped request.
-        return request.getfixturevalue("toy_context")
+    def test_one_linear_and_one_relu_lut_per_neuron(self):
+        weights = mlp_weights([3, 3, 2], seed=0)
+        assert [weight.shape for weight in weights] == [(3, 3), (2, 3)]
+        netlist = mlp_netlist(TOY_PARAMETERS, weights)
+        kinds = [operation.kind for operation in netlist.operations]
+        assert kinds == ["linear", "lut"] * 5
+        assert netlist.pbs_count() == 5
+        assert netlist.output_wires() == ["y0", "y1"]
+        first = netlist.operations[0]
+        assert first.coefficients == tuple(weights[0][0]) and first.cost == 3
 
-    def test_weight_shapes(self, mlp):
-        assert len(mlp.weights) == 1
-        assert mlp.weights[0].shape == (2, 3)
-
-    def test_encrypted_inference_matches_plaintext_reference(self, mlp):
-        inputs = [1, 0, 1]
-        assert mlp.infer(inputs) == mlp.infer_plaintext(inputs)
-
-    def test_two_layer_network(self, toy_context):
-        mlp = EncryptedMLP(toy_context, layer_sizes=[2, 2, 1], weight_magnitude=1, seed=7)
-        inputs = [1, 1]
-        assert mlp.infer(inputs) == mlp.infer_plaintext(inputs)
-
-    def test_input_length_validated(self, mlp):
+    def test_a_missing_input_is_refused(self, toy_session):
+        netlist = mlp_netlist(TOY_PARAMETERS, mlp_weights([3, 2], seed=3))
+        # The missing wires default to a boolean, which a linear operation refuses.
         with pytest.raises(ValueError):
-            mlp.forward_encrypted([])
+            run(netlist, backend="reference", session=toy_session, inputs={"x0": 1})
 
-    def test_needs_two_layers(self, toy_context):
+    def test_needs_two_layers(self):
         with pytest.raises(ValueError):
-            EncryptedMLP(toy_context, layer_sizes=[4])
+            mlp_weights([4])
+
+
+def _operands(a: int, b: int, bits: int) -> dict[str, bool]:
+    """The little-endian operand wires ``a{i}`` / ``b{i}`` of the circuit builders."""
+    return {
+        f"{name}{i}": bool(value >> i & 1)
+        for name, value in (("a", a), ("b", b))
+        for i in range(bits)
+    }
 
 
 class TestBooleanCircuits:
-    @pytest.fixture(scope="class")
-    def circuits(self, request):
-        context = request.getfixturevalue("toy_context")
-        gates = context.gates()
-        return context, RippleCarryAdder(gates), Comparator(gates)
-
-    def _encrypt_number(self, context, value, bits):
-        return [context.encrypt_boolean(bool((value >> i) & 1)) for i in range(bits)]
-
-    def _decrypt_number(self, context, ciphertexts):
-        return sum(int(context.decrypt_boolean(ct)) << i for i, ct in enumerate(ciphertexts))
-
-    @pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (3, 3), (2, 1)])
-    def test_two_bit_addition(self, circuits, a, b):
-        context, adder, _ = circuits
-        result = adder.add(
-            self._encrypt_number(context, a, 2), self._encrypt_number(context, b, 2)
+    def test_two_bit_addition(self, toy_session):
+        cases = [(0, 0), (1, 2), (3, 3), (2, 1)]
+        netlist = full_adder_netlist(TOY_PARAMETERS, 2)
+        result = run(
+            netlist,
+            backend="reference",
+            session=toy_session,
+            inputs=[_operands(a, b, 2) for a, b in cases],
         )
-        assert self._decrypt_number(context, result) == a + b
+        for (a, b), outputs in zip(cases, result.outputs):
+            total = sum(int(outputs[wire]) << i for i, wire in enumerate(netlist.output_wires()))
+            assert total == a + b
 
-    def test_adder_requires_equal_width(self, circuits):
-        context, adder, _ = circuits
-        with pytest.raises(ValueError):
-            adder.add(self._encrypt_number(context, 1, 2), self._encrypt_number(context, 1, 3))
-
-    @pytest.mark.parametrize("a, b, expected", [(2, 2, True), (1, 3, False)])
-    def test_equality(self, circuits, a, b, expected):
-        context, _, comparator = circuits
-        result = comparator.equals(
-            self._encrypt_number(context, a, 2), self._encrypt_number(context, b, 2)
+    @pytest.mark.parametrize(
+        "build, relation, gt_in",
+        [
+            (equals_netlist, operator.eq, None),
+            (greater_than_netlist, operator.gt, None),
+            (greater_than_netlist, operator.ge, True),
+        ],
+    )
+    def test_comparators_over_every_two_bit_pair(self, toy_session, build, relation, gt_in):
+        pairs = list(itertools.product(range(4), repeat=2))
+        extra = {} if gt_in is None else {"gt_in": gt_in}
+        netlist = build(TOY_PARAMETERS, 2)
+        result = run(
+            netlist,
+            backend="reference",
+            session=toy_session,
+            inputs=[{**_operands(a, b, 2), **extra} for a, b in pairs],
         )
-        assert context.decrypt_boolean(result) is expected
-
-    @pytest.mark.parametrize("a, b, expected", [(3, 1, True), (1, 3, False), (2, 2, False)])
-    def test_greater_than(self, circuits, a, b, expected):
-        context, _, comparator = circuits
-        result = comparator.greater_than(
-            self._encrypt_number(context, a, 2), self._encrypt_number(context, b, 2)
-        )
-        assert context.decrypt_boolean(result) is expected
+        (wire,) = netlist.output_wires()
+        assert [outputs[wire] for outputs in result.outputs] == [relation(a, b) for a, b in pairs]
 
     def test_gate_counts(self):
-        assert RippleCarryAdder.gate_count(8) == 40
-        assert Comparator.gate_count_equals(8) == 15
-        assert Comparator.gate_count_greater_than(8) == 32
+        assert full_adder_netlist(PARAM_SET_I, 8).pbs_count() == 37
+        assert equals_netlist(PARAM_SET_I, 8).pbs_count() == 15
+        assert greater_than_netlist(PARAM_SET_I, 8).pbs_count() == 32
 
-    def test_circuit_graph_pbs_total(self):
-        graph = boolean_circuit_graph(PARAM_SET_I, "adder", bits=8, instances=16)
-        assert graph.total_pbs() == RippleCarryAdder.gate_count(8) // 8 * 8 * 16
-        assert len(graph.levels()) == 8
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_graph_totals_are_the_builders_counts(self, bits):
+        for circuit, build in (("equals", equals_netlist), ("greater_than", greater_than_netlist)):
+            graph = boolean_circuit_graph(PARAM_SET_I, circuit, bits, instances=16)
+            assert graph.total_pbs() == build(PARAM_SET_I, bits).pbs_count() * 16
+        # The priced adder keeps bit 0's full adder with a constant carry-in.
+        graph = boolean_circuit_graph(PARAM_SET_I, "adder", bits, instances=16)
+        assert graph.total_pbs() == (full_adder_netlist(PARAM_SET_I, bits).pbs_count() + 3) * 16
+
+    def test_circuit_graph_stages(self):
+        stages = {"adder": [5] * 8, "greater_than": [4] * 8, "equals": [1] + [2] * 7}
+        for circuit, gates in stages.items():
+            graph = boolean_circuit_graph(PARAM_SET_I, circuit, bits=8, instances=16)
+            assert [node.pbs_count() for node in graph] == [16 * count for count in gates]
+            assert len(graph.levels()) == 8
 
     def test_circuit_graph_unknown_circuit(self):
         with pytest.raises(ValueError):

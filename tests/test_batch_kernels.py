@@ -630,7 +630,7 @@ class TestSessionKernels:
         assert [session.decrypt(ct) for ct in session.encrypt_batch(messages)] == messages
         assert session.decrypt_batch([session.encrypt(m) for m in messages]) == messages
         encrypted_bits = session.encrypt_boolean_batch(bits)
-        assert [session.decrypt_boolean(ct) for ct in encrypted_bits] == bits
+        assert [session.context.decrypt_boolean(ct) for ct in encrypted_bits] == bits
         assert session.decrypt_boolean_batch([session.encrypt_boolean(b) for b in bits]) == bits
 
     @pytest.mark.parametrize("name, size", SESSION_CASES)

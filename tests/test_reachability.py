@@ -112,9 +112,12 @@ REFERENCES = {
     "repro.tfhe.decomposition.decompose_folded": "one-shot form compared to decompose",
     "repro.tfhe.decomposition.decomposition_error_bound": "bound the decomposition tests assert",
     "repro.tfhe.decomposition.recompose": "inverse the decomposition tests round-trip through",
+    "repro.tfhe.context.TFHEContext.decrypt_boolean": "scalar oracle of decrypt_boolean_batch",
     "repro.tfhe.gates.GateBootstrapper.mux": "scalar oracle of batch_gate('mux')",
     "repro.tfhe.gates.GateBootstrapper.nor": "scalar oracle of batch_gate('nor')",
     "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of batch_gate('not')",
+    "repro.tfhe.gates.GateBootstrapper.xnor": "scalar oracle of batch_gate('xnor')",
+    "repro.tfhe.gates.GateBootstrapper.xor": "scalar oracle of batch_gate('xor')",
     "repro.tfhe.noise.decryption_failure_margin": "the noise-budget item gives noise.py its job",
     "repro.tfhe.noise.fresh_glwe_variance": "the noise-budget item gives noise.py its job",
     "repro.tfhe.noise.fresh_lwe_variance": "the noise-budget item gives noise.py its job",

@@ -166,7 +166,7 @@ def test_reference_backend_matches_direct_gate_execution(session):
     ct_a = session.encrypt_boolean(True)
     ct_b = session.encrypt_boolean(True)
     ct_c = session.encrypt_boolean(True)
-    direct = session.decrypt_boolean(gates.or_(gates.xor(ct_a, ct_b), ct_c))
+    direct = session.context.decrypt_boolean(gates.or_(gates.xor(ct_a, ct_b), ct_c))
 
     assert isinstance(result, RunResult)
     assert result.outputs == [{"y": direct}]
@@ -192,6 +192,14 @@ def test_reference_backend_adder_over_instance_batch(session):
     for (a, b), bits in zip(cases, result.outputs):
         total = int(bits["axb0"]) + 2 * int(bits["s1"]) + 4 * int(bits["c1"])
         assert total == a + b
+
+
+def test_reference_backend_refuses_input_wires_the_netlist_does_not_declare(session):
+    netlist = full_adder_netlist(TOY_PARAMETERS, bits=2)
+    with pytest.raises(ValueError, match="b9"):
+        run(netlist, backend="reference", session=session, inputs={"a0": True, "b9": True})
+    with pytest.raises(ValueError, match="c0"):
+        run(netlist, backend="reference", session=session, inputs=[{"a0": True}, {"c0": True}])
 
 
 def test_reference_backend_executes_lut_and_linear_operations(session):

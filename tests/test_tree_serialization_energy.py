@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import run
 from repro.apps.tree_inference import (
     DecisionNode,
     DecisionTree,
-    HomomorphicTreeEvaluator,
     Leaf,
     tree_inference_graph,
+    tree_netlist,
 )
 from repro.arch.accelerator import StrixAccelerator
 from repro.arch.energy import EnergyModel
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
+from repro.sim.compiler import compile_netlist
 from repro.tfhe import serialization
 
 
@@ -45,36 +47,54 @@ class TestDecisionTree:
     def test_shape_accessors(self):
         tree = self._xor_like_tree()
         assert tree.depth() == 2
-        assert tree.internal_nodes() == 3
+        # One comparison and a two-PBS select per internal node.
+        assert tree_netlist(tree, TOY_PARAMETERS).pbs_count() == 3 * 3
 
     def test_random_tree_is_complete(self):
         tree = DecisionTree.random(depth=3, num_features=4, params=TOY_PARAMETERS, seed=1)
         assert tree.depth() == 3
-        assert tree.internal_nodes() == 7
+        assert tree_netlist(tree, TOY_PARAMETERS).pbs_count() == 3 * 7
 
-    def test_homomorphic_inference_matches_plaintext(self, toy_context):
+    def _predictions(self, session, tree, features) -> list[int]:
+        result = run(
+            tree_netlist(tree, TOY_PARAMETERS),
+            backend="reference",
+            session=session,
+            inputs=[{f"x{i}": value for i, value in enumerate(row)} for row in features],
+        )
+        return [outputs["label"] for outputs in result.outputs]
+
+    def test_homomorphic_inference_matches_plaintext(self, toy_session):
         tree = self._xor_like_tree()
-        evaluator = HomomorphicTreeEvaluator(toy_context, tree)
-        for features in itertools.product([0, 1, 2, 3], repeat=2):
-            assert evaluator.infer(list(features)) == tree.predict(list(features)), features
+        features = [list(row) for row in itertools.product([0, 1, 2, 3], repeat=2)]
+        predictions = self._predictions(toy_session, tree, features)
+        assert predictions == [tree.predict(row) for row in features]
 
-    def test_random_tree_homomorphic_inference(self, toy_context):
-        tree = DecisionTree.random(depth=2, num_features=3, params=TOY_PARAMETERS, seed=4)
-        evaluator = HomomorphicTreeEvaluator(toy_context, tree)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_random_tree_homomorphic_inference(self, toy_session, depth):
+        tree = DecisionTree.random(depth=depth, num_features=3, params=TOY_PARAMETERS, seed=4)
         rng = np.random.default_rng(0)
-        for _ in range(4):
-            features = [int(value) for value in rng.integers(0, 4, size=3)]
-            assert evaluator.infer(features) == tree.predict(features)
+        features = [[int(value) for value in rng.integers(0, 4, size=3)] for _ in range(4)]
+        predictions = self._predictions(toy_session, tree, features)
+        assert predictions == [tree.predict(row) for row in features]
 
-    def test_pbs_count(self, toy_context):
-        tree = self._xor_like_tree()
-        evaluator = HomomorphicTreeEvaluator(toy_context, tree)
-        assert evaluator.pbs_count() == 3 * tree.internal_nodes()
+    def test_missing_and_undeclared_features_are_refused(self, toy_session):
+        netlist = tree_netlist(self._xor_like_tree(), TOY_PARAMETERS)
+        # A missing feature defaults to a boolean, which the comparison LUT refuses.
+        for inputs in ({"x0": 1}, {"x0": 1, "x1": 2, "x2": 3}):
+            with pytest.raises(ValueError):
+                run(netlist, backend="reference", session=toy_session, inputs=inputs)
 
-    def test_feature_count_validated(self, toy_context):
-        evaluator = HomomorphicTreeEvaluator(toy_context, self._xor_like_tree())
+    def test_a_bare_leaf_has_no_netlist(self):
         with pytest.raises(ValueError):
-            evaluator.evaluate([toy_context.encrypt(0)])
+            tree_netlist(DecisionTree(root=Leaf(1), num_features=1), TOY_PARAMETERS)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_forest_graph_prices_the_netlist(self, depth):
+        tree = DecisionTree.random(depth=depth, num_features=4, params=PARAM_SET_I, seed=depth)
+        compiled = compile_netlist(tree_netlist(tree, PARAM_SET_I), instances=10)
+        priced = tree_inference_graph(PARAM_SET_I, depth=depth, trees=1, samples=10)
+        assert compiled.total_pbs() == priced.total_pbs()
 
     def test_forest_graph(self):
         graph = tree_inference_graph(PARAM_SET_I, depth=3, trees=10, samples=100)
