@@ -16,11 +16,12 @@ if __name__ == "__main__":  # script mode: make src/ importable before repro imp
 
     ensure_repro_importable()
 
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, deep_nn_netlist
 from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import DEEP_NN_N1024, PARAM_SET_I
 from repro.runtime.session import Session
+from repro.sim.compiler import compile_netlist
 from repro.sim.scheduler import StrixScheduler
 
 #: Batch size of the ``kernel/*`` bit-exactness record: the paper's
@@ -53,7 +54,7 @@ def main() -> None:
         "sim/pbs_batch_4096/latency", batch_schedule.total_time_s, "s"
     )
     nn_schedule = runner.run(
-        build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-100"], DEEP_NN_N1024)
+        compile_netlist(deep_nn_netlist(ZAMA_DEEP_NN_MODELS["NN-100"], DEEP_NN_N1024))
     )
     report.add("sim/deep_nn_100/latency", nn_schedule.total_time_s, "s")
     report.add("sim/deep_nn_100/epochs", nn_schedule.total_epochs, "epochs")

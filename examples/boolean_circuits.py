@@ -14,9 +14,9 @@ Run with:  python examples/boolean_circuits.py
 from __future__ import annotations
 
 from repro import Session, run
-from repro.apps.boolean_circuits import boolean_circuit_graph, equals_netlist, greater_than_netlist
+from repro.apps.boolean_circuits import equals_netlist, greater_than_netlist
 from repro.params import PARAM_SET_I
-from repro.sim.compiler import full_adder_netlist
+from repro.sim.compiler import compile_netlist, full_adder_netlist
 
 
 def operands(a: int, b: int, bits: int) -> dict[str, bool]:
@@ -59,7 +59,7 @@ def functional_demo() -> None:
 
 def acceleration_projection() -> None:
     print("== Projected execution of 1,024 encrypted 32-bit additions ==")
-    graph = boolean_circuit_graph(PARAM_SET_I, "adder", bits=32, instances=1024)
+    graph = compile_netlist(full_adder_netlist(PARAM_SET_I, 32), instances=1024)
     strix = run(graph, backend="strix-sim")
     gpu = run(graph, backend="gpu-analytical")
     print(f"gate bootstraps:   {strix.pbs_count:,}")

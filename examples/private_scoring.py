@@ -17,8 +17,9 @@ from __future__ import annotations
 import time
 
 from repro import Session, get_backend, run
-from repro.apps.tree_inference import DecisionTree, tree_inference_graph, tree_netlist
+from repro.apps.tree_inference import DecisionTree, tree_netlist
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
+from repro.sim.compiler import compile_netlist
 from repro.tfhe.integer import RadixIntegerCodec
 
 
@@ -59,7 +60,10 @@ def homomorphic_forest_scoring() -> None:
 
 def acceleration_projection() -> None:
     print("== Projected scoring of 10,000 customers on a 100-tree forest ==")
-    graph = tree_inference_graph(PARAM_SET_I, depth=6, trees=100, samples=10_000)
+    # Every complete depth-6 tree compiles to the same graph: one netlist
+    # priced for 100 trees x 10,000 customers.
+    tree = DecisionTree.random(depth=6, num_features=8, params=PARAM_SET_I)
+    graph = compile_netlist(tree_netlist(tree, PARAM_SET_I), instances=100 * 10_000)
     strix = run(graph, backend="strix-sim")
     cpu = run(graph, backend=get_backend("cpu-analytical", threads=48))
     print(f"programmable bootstraps: {graph.total_pbs():,}")

@@ -1,7 +1,8 @@
 """Fig. 7 reproduction: Zama Deep-NN execution time on CPU, GPU and Strix.
 
 For each of the NN-20 / NN-50 / NN-100 models and each polynomial degree
-(1024, 2048, 4096) the Deep-NN computation graph is executed through the
+(1024, 2048, 4096) the Deep-NN netlist, compiled to a computation graph, is
+executed through the
 :mod:`repro.runtime` backends — the multi-threaded CPU model, the 72-SM GPU
 model and the Strix simulator — with one workload definition; the
 result is the grouped bar chart of Fig. 7, reported here as a table plus the
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, DeepNNModel, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, DeepNNModel, deep_nn_netlist
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import DEEP_NN_PARAMETER_SETS, TFHEParameters
 from repro.runtime import AnalyticalBackend, StrixSimBackend
+from repro.sim.compiler import compile_netlist
 
 #: Cores of the many-core Xeon server the Zama reference numbers were taken on.
 CPU_THREADS = 48
@@ -102,8 +104,11 @@ def deep_nn_benchmark(
 
     results = []
     for model_name, model in models.items():
+        # The netlist's shape does not depend on the parameter set: compile
+        # it once per model and re-bind the graph to each degree.
+        compiled = compile_netlist(deep_nn_netlist(model, next(iter(parameter_sets.values()))))
         for degree, params in parameter_sets.items():
-            graph = build_deep_nn_graph(model, params)
+            graph = compiled.with_params(params)
             times_ms = {
                 name: backend.run(graph).latency_ms
                 for name, backend in backends.items()

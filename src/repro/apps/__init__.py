@@ -3,25 +3,24 @@
 The workloads the paper motivates and evaluates:
 
 * :mod:`repro.apps.deep_nn` — the Zama Deep-NN models (NN-20 / NN-50 /
-  NN-100) used in the Fig. 7 application benchmark as computation graphs for
-  the simulator, and a small dense MLP as a netlist builder.
+  NN-100) of the Fig. 7 application benchmark and a small dense MLP.
 * :mod:`repro.apps.boolean_circuits` — gate-level circuits (comparators; the
-  adder is :func:`repro.sim.compiler.full_adder_netlist`) as netlist builders
-  and priced graphs.
-* :mod:`repro.apps.tree_inference` — decision trees as netlist builders and
-  priced forest graphs.
+  adder is :func:`repro.sim.compiler.full_adder_netlist`).
+* :mod:`repro.apps.tree_inference` — decision trees.
 
 Every application is defined once, as a :class:`~repro.sim.compiler.Netlist`
 builder; ``run(netlist, backend="reference", inputs=...)`` executes it on
-encrypted inputs, the only functional executor.
+encrypted inputs, the only functional executor, and
+``compile_netlist(netlist, instances)`` prices it, the only pricer.
 * :mod:`repro.apps.workloads` — generic workload generators (PBS batches,
   LUT pipelines) used by the microbenchmarks and tests.
 * :mod:`repro.apps.traffic` — serving-traffic request traces (steady /
   bursty / heavy-tail arrival patterns) for :mod:`repro.serve`.
 """
 
-from repro.apps.deep_nn import DeepNNModel, ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
-from repro.apps.boolean_circuits import boolean_circuit_graph
+from repro.apps.deep_nn import DeepNNModel, ZAMA_DEEP_NN_MODELS, deep_nn_netlist
+from repro.apps.boolean_circuits import equals_netlist, greater_than_netlist
+from repro.apps.tree_inference import tree_netlist
 from repro.apps.workloads import pbs_batch_graph, lut_pipeline_graph, gate_workload_graph
 
 #: Names re-exported lazily from :mod:`repro.apps.traffic`.  The traffic
@@ -44,8 +43,10 @@ def __getattr__(name: str):
 __all__ = [
     "DeepNNModel",
     "ZAMA_DEEP_NN_MODELS",
-    "build_deep_nn_graph",
-    "boolean_circuit_graph",
+    "deep_nn_netlist",
+    "equals_netlist",
+    "greater_than_netlist",
+    "tree_netlist",
     "pbs_batch_graph",
     "lut_pipeline_graph",
     "gate_workload_graph",

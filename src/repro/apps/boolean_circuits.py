@@ -6,15 +6,15 @@ Each circuit is defined once, as a :class:`~repro.sim.compiler.Netlist`
 builder over little-endian operand wires ``a0, a1, ...`` and ``b0, b1, ...``:
 :func:`~repro.sim.compiler.full_adder_netlist` (the ripple-carry adder),
 :func:`equals_netlist` and :func:`greater_than_netlist`.  The reference
-backend executes them (``run(netlist, backend="reference", inputs=...)``);
-:func:`boolean_circuit_graph` prices them for the simulator, one PBS per gate.
+backend executes them (``run(netlist, backend="reference", inputs=...)``)
+and :func:`~repro.sim.compiler.compile_netlist` prices them for the
+simulator, ``instances`` copies batched level by level.
 """
 
 from __future__ import annotations
 
 from repro.params import TFHEParameters
-from repro.sim.compiler import Netlist, full_adder_netlist
-from repro.sim.graph import ComputationGraph
+from repro.sim.compiler import Netlist
 
 
 def _operands(netlist: Netlist, bits: int) -> list[tuple[str, str]]:
@@ -49,52 +49,3 @@ def greater_than_netlist(params: TFHEParameters, bits: int) -> Netlist:
         result = netlist.add_gate("or", f"gt{bit}", above, kept)
     return netlist
 
-
-#: Builder of each circuit :func:`boolean_circuit_graph` prices.
-_CIRCUITS = {
-    "adder": full_adder_netlist,
-    "equals": equals_netlist,
-    "greater_than": greater_than_netlist,
-}
-
-
-def boolean_circuit_graph(
-    params: TFHEParameters,
-    circuit: str,
-    bits: int,
-    instances: int = 1,
-) -> ComputationGraph:
-    """Computation graph of a boolean circuit for the simulator.
-
-    Parameters
-    ----------
-    params:
-        TFHE parameter set.
-    circuit:
-        ``"adder"``, ``"equals"`` or ``"greater_than"``.
-    bits:
-        Operand bit width.
-    instances:
-        Independent circuit instances evaluated together (this is what the
-        accelerator can batch across).
-    """
-    if circuit not in _CIRCUITS:
-        raise ValueError(f"unknown circuit {circuit!r}; expected one of {sorted(_CIRCUITS)}")
-    count = _CIRCUITS[circuit](params, bits).pbs_count()
-    if circuit == "adder":
-        # The priced adder still runs bit 0 through a full adder with a
-        # constant carry-in, three gates the netlist's half adder leaves out.
-        count += 3
-    graph = ComputationGraph(params, name=f"{circuit}-{bits}bit-x{instances}")
-    # A ripple structure has `bits` sequential stages; within a stage the
-    # per-instance gates are independent and batch across instances.  When
-    # the gates do not split evenly, the lowest stages get one fewer.
-    per_stage, extra = divmod(count, bits)
-    previous = None
-    for stage in range(bits):
-        name = f"{circuit}_stage{stage}"
-        depends = [previous] if previous else []
-        gates = per_stage + int(stage >= bits - extra)
-        graph.add_pbs_layer(name, gates * instances, depends_on=depends)
-        previous = name
-    return graph

@@ -8,24 +8,26 @@ every pixel encrypted individually; the first layer is a convolution with
 dense layer with 92 neurons, and every layer is followed by a ReLU evaluated
 with one programmable bootstrap per activation.
 
-This module provides both views of the workload:
+Every model is one netlist the reference backend decrypts and the simulator
+prices (``compile_netlist(deep_nn_netlist(model, params), instances)``):
 
-* :func:`build_deep_nn_graph` — the computation graph consumed by the Strix
-  scheduler and the CPU/GPU baseline models (what Fig. 7 needs);
-* :func:`mlp_netlist` — a small dense network with seeded quantized weights
-  (:func:`mlp_weights`) and ReLU LUT activations, as a netlist the reference
-  backend decrypts; :func:`forward_plaintext` is its plaintext reference.
+* :func:`deep_nn_netlist` — the model with seeded quantized weights: one
+  ``linear`` operation per convolution activation over its window of
+  pixels, then the dense layers of :func:`mlp_netlist`;
+* :func:`mlp_netlist` — a dense network with seeded quantized weights
+  (:func:`mlp_weights`) and ReLU LUT activations; :func:`forward_plaintext`
+  is its plaintext reference.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.params import TFHEParameters
 from repro.sim.compiler import Netlist
-from repro.sim.graph import ComputationGraph
 from repro.tfhe.lut import relu_lut
 
 
@@ -80,32 +82,6 @@ ZAMA_DEEP_NN_MODELS: dict[str, DeepNNModel] = {
 }
 
 
-def build_deep_nn_graph(model: DeepNNModel, params: TFHEParameters) -> ComputationGraph:
-    """Build the computation graph of one Deep-NN inference.
-
-    Every layer contributes one linear node (convolution or dense
-    matrix-vector product) followed by one PBS node evaluating the ReLU of
-    each activation; consecutive layers depend on each other, which is what
-    limits batching to one layer's worth of ciphertexts.
-    """
-    graph = ComputationGraph(params, name=f"{model.name}/N={params.N}")
-    kernel_ops = model.conv_kernel[0] * model.conv_kernel[1]
-    graph.add_linear_layer("conv", model.conv_activations, kernel_ops)
-    graph.add_pbs_layer("conv_relu", model.conv_activations, depends_on=["conv"])
-    previous = "conv_relu"
-    previous_width = model.conv_activations
-    for layer in range(model.dense_layers):
-        linear_name = f"dense{layer}"
-        relu_name = f"dense{layer}_relu"
-        graph.add_linear_layer(
-            linear_name, model.dense_neurons, previous_width, depends_on=[previous]
-        )
-        graph.add_pbs_layer(relu_name, model.dense_neurons, depends_on=[linear_name])
-        previous = relu_name
-        previous_width = model.dense_neurons
-    return graph
-
-
 def mlp_weights(
     layer_sizes: list[int], weight_magnitude: int = 1, seed: int = 0
 ) -> list[np.ndarray]:
@@ -128,16 +104,79 @@ def mlp_netlist(params: TFHEParameters, weights: list[np.ndarray]) -> Netlist:
     """
     shape = [weights[0].shape[1]] + [weight.shape[0] for weight in weights]
     netlist = Netlist(params, name="mlp-" + "x".join(map(str, shape)))
-    activation = relu_lut(params)
     wires = tuple(netlist.add_input(f"x{index}") for index in range(shape[0]))
+    _add_dense_layers(netlist, wires, [weight.tolist() for weight in weights])
+    return netlist
+
+
+def _add_dense_layers(netlist: Netlist, wires: tuple[str, ...], weights: list[list]) -> None:
+    """One ``linear`` and one ReLU ``lut`` per neuron, a row of integer weights.
+
+    The last layer's activations are the wires ``y0, y1, ...``.
+    """
+    activation = relu_lut(netlist.params)
     for layer, weight in enumerate(weights):
         activations = []
         for j, row in enumerate(weight):
             name = f"y{j}" if layer == len(weights) - 1 else f"h{layer}_{j}"
-            coefficients = tuple(int(w) for w in row)
+            coefficients = tuple(row)
             dot = netlist.add_linear(f"{name}_dot", wires, cost=len(row), coefficients=coefficients)
             activations.append(netlist.add_lut(name, dot, function=activation))
         wires = tuple(activations)
+
+
+#: A random byte's weight: its value modulo 3, less one, as a signed byte.
+_BYTE_TO_WEIGHT = bytes((byte % 3 - 1) % 256 for byte in range(256))
+
+
+def _quantized_weights(rng: random.Random, count: int) -> tuple[int, ...]:
+    """``count`` seeded weights in ``{-1, 0, 1}``, one random byte each."""
+    return tuple(memoryview(rng.randbytes(count).translate(_BYTE_TO_WEIGHT)).cast("b"))
+
+
+def deep_nn_netlist(model: DeepNNModel, params: TFHEParameters, seed: int = 0) -> Netlist:
+    """One inference of ``model`` as a netlist over the pixel wires ``x0, x1, ...``.
+
+    Pixel ``(row, col)`` of the ``image_size`` square is wire
+    ``x{row * image_size + col}``.  Convolution activation ``(c, i, j)`` is
+    one ``linear`` operation over the kernel's window of distinct pixels
+    anchored at ``(i, j)``, wrapped around the image edge rather than
+    zero-padded, then one ReLU ``lut``.  The dense layers follow as in
+    :func:`mlp_netlist`.  Weights are quantized to ``{-1, 0, 1}`` and drawn
+    from ``random.Random(seed)``, kernel by kernel then neuron by neuron (not
+    from numpy's generator, which a serving process would otherwise import
+    only for this).
+    """
+    batch, channels, height, width = model.conv_output_shape
+    rows, cols = model.conv_kernel
+    side = model.image_size
+    if rows > side or cols > side:
+        raise ValueError(f"a {rows}x{cols} kernel does not fit a {side}x{side} image")
+    netlist = Netlist(params, name=model.name)
+    pixels = [netlist.add_input(f"x{index}") for index in range(side * side)]
+    rng = random.Random(seed)
+    activation = relu_lut(params)
+    activations = []
+    for channel in range(batch * channels):
+        coefficients = _quantized_weights(rng, rows * cols)
+        for i in range(height):
+            for j in range(width):
+                window = tuple(
+                    pixels[(i + di) % side * side + (j + dj) % side]
+                    for di in range(rows)
+                    for dj in range(cols)
+                )
+                name = f"c{channel}_{i}_{j}"
+                dot = netlist.add_linear(
+                    f"{name}_dot", window, cost=len(window), coefficients=coefficients
+                )
+                activations.append(netlist.add_lut(name, dot, function=activation))
+    widths = [len(activations)] + [model.dense_neurons] * model.dense_layers
+    weights = [
+        [_quantized_weights(rng, n_in) for _ in range(n_out)]
+        for n_in, n_out in zip(widths, widths[1:])
+    ]
+    _add_dense_layers(netlist, tuple(activations), weights)
     return netlist
 
 

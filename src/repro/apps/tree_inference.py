@@ -18,8 +18,9 @@ The client encrypts its features; the server knows the tree in the clear and
 learns neither the features nor the decision path.  Leaf labels are binary
 (the usual binary-classification setting), which lets every intermediate
 value fit in the 2-bit message space of the evaluation parameter sets.
-:func:`tree_inference_graph` prices a whole forest so the simulator can
-project the workload onto Strix and the baselines.
+Every complete tree of one depth compiles to the same graph, so
+``compile_netlist(tree_netlist(tree, params), trees * samples)`` prices a
+whole forest for the simulator and the baselines.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.params import TFHEParameters
 from repro.sim.compiler import Netlist
-from repro.sim.graph import ComputationGraph
 from repro.tfhe.lut import threshold_lut
 
 
@@ -135,33 +135,3 @@ def tree_netlist(tree: DecisionTree, params: TFHEParameters) -> Netlist:
     evaluate(tree.root, "")
     return netlist
 
-
-def tree_inference_graph(
-    params: TFHEParameters,
-    depth: int,
-    trees: int,
-    samples: int,
-) -> ComputationGraph:
-    """Computation graph of forest inference for the simulator.
-
-    The comparisons of one tree level are independent across trees and
-    samples (they batch together); the multiplexer cascade that follows is
-    sequential in the depth, with the widest level at the leaves.
-    """
-    if depth < 1 or trees < 1 or samples < 1:
-        raise ValueError("depth, trees and samples must all be positive")
-    graph = ComputationGraph(params, name=f"forest-d{depth}-t{trees}-s{samples}")
-    previous = None
-    for level in range(depth):
-        name = f"compare_level{level}"
-        comparisons = (2 ** level) * trees * samples
-        graph.add_pbs_layer(name, comparisons, depends_on=[previous] if previous else [])
-        previous = name
-    for level in range(depth):
-        name = f"select_level{level}"
-        selections = 2 ** (depth - 1 - level)
-        graph.add_pbs_layer(
-            name, 2 * selections * trees * samples, depends_on=[previous] if previous else []
-        )
-        previous = name
-    return graph

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, DeepNNModel, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, DeepNNModel, deep_nn_netlist
 from repro.params import PARAM_SET_I, TFHEParameters, get_parameters
 from repro.sim.compiler import Netlist, compile_netlist
 from repro.sim.graph import ComputationGraph
@@ -44,14 +44,17 @@ def as_netlist(workload: WorkloadLike, params: TFHEParameters | str | None = Non
     """Lower a workload to a :class:`Netlist`, or explain why it cannot be.
 
     Only netlists carry operation-level semantics (which gate, which LUT
-    function), so only they can be executed *functionally*; aggregate graphs
-    and model descriptions only know PBS counts.
+    function), so only they can be executed *functionally*.  A Deep-NN model
+    becomes :func:`~repro.apps.deep_nn.deep_nn_netlist` (seed 0, parameter
+    set I unless given); an aggregate graph only knows operation counts.
     """
+    if isinstance(workload, DeepNNModel):
+        return deep_nn_netlist(workload, resolve_params(params, default=PARAM_SET_I))
     if not isinstance(workload, Netlist):
         raise TypeError(
             f"functional execution needs a Netlist (got {type(workload).__name__}); "
-            "computation graphs and Deep-NN models only carry operation counts, "
-            "not operation semantics — use a performance backend for those"
+            "computation graphs only carry operation counts, not operation "
+            "semantics — use a performance backend for those"
         )
     resolved = resolve_params(params, default=workload.params)
     if resolved != workload.params:
@@ -66,9 +69,9 @@ def as_graph(
 ) -> ComputationGraph:
     """Lower any workload description to a :class:`ComputationGraph`.
 
-    ``instances`` replicates a netlist over independent inputs (the batching
-    knob); graphs and Deep-NN models describe a fixed shape, so replication
-    is only supported for netlists.
+    ``instances`` replicates a netlist or Deep-NN model over independent
+    inputs (the batching knob); a graph describes a fixed shape, so it is
+    not replicated.
     """
     if instances < 1:
         raise ValueError("instances must be at least 1")
@@ -80,21 +83,18 @@ def as_graph(
                 f"unknown workload {workload!r}; known Deep-NN models: "
                 f"{sorted(ZAMA_DEEP_NN_MODELS)}"
             ) from None
-    if isinstance(workload, Netlist):
+    if isinstance(workload, (Netlist, DeepNNModel)):
         return compile_netlist(as_netlist(workload, params), instances)
     if instances != 1:
         raise ValueError(
-            "instances > 1 is only supported for Netlist workloads; replicate "
-            "graphs explicitly when building them"
+            "instances > 1 is only supported for Netlist and Deep-NN workloads; "
+            "replicate graphs explicitly when building them"
         )
     if isinstance(workload, ComputationGraph):
         resolved = resolve_params(params, default=workload.params)
         if resolved != workload.params:
             return workload.with_params(resolved)
         return workload
-    if isinstance(workload, DeepNNModel):
-        resolved = resolve_params(params, default=PARAM_SET_I)
-        return build_deep_nn_graph(workload, resolved)
     raise TypeError(
         f"unsupported workload type {type(workload).__name__}; expected a "
         "Netlist, ComputationGraph, DeepNNModel or Deep-NN model name"

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.errors import UnknownCostModelError
 from repro.params import TFHEParameters
 from repro.registry import Registry
+from repro.sim.compiler import compile_netlist
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind, ScheduleProgram
 from repro.sim.scheduler import StrixScheduler
 
@@ -85,24 +86,24 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     return (linear_items, simple_pbs, models)
 
 
-#: Per ``(model name, parameter set)``: one single-sample inference, compiled
-#: and cut into its dependency levels — ``(name, op)`` pairs whose ``op``
-#: depends on positions in the model's own op list.  Pure derived data, a
-#: handful of models × parameter sets, so the cache is unbounded.
-_MODEL_TEMPLATES: dict[tuple[str, TFHEParameters], tuple[tuple[tuple, ...], ...]] = {}
+#: Per model name: one single-sample inference, compiled from its netlist
+#: (which is dropped) and cut into its dependency levels — ``(name, op)``
+#: pairs whose ``op`` depends on positions in the model's own op list.  The
+#: ops do not depend on the parameter set, so the first set a model is
+#: served under builds them.  Pure derived data, one entry per model.
+_MODEL_TEMPLATES: dict[str, tuple[tuple[tuple, ...], ...]] = {}
 
 
 def _model_template(model: str, params: TFHEParameters) -> tuple[tuple[tuple, ...], ...]:
-    key = (model, params)
-    template = _MODEL_TEMPLATES.get(key)
+    template = _MODEL_TEMPLATES.get(model)
     if template is None:
-        from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
+        from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, deep_nn_netlist
 
-        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[model], params)
+        graph = compile_netlist(deep_nn_netlist(ZAMA_DEEP_NN_MODELS[model], params))
         program = graph.compile()  # its ops run level by level
         ops = zip(program.names, program.ops)
         template = tuple(tuple(next(ops) for _ in level) for level in graph.levels())
-        _MODEL_TEMPLATES[key] = template
+        _MODEL_TEMPLATES[model] = template
     return template
 
 

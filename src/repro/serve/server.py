@@ -374,10 +374,12 @@ class ServingRun:
 
         On the simulated clock every queued request flushes at its deadline;
         on the wall clock everything still queued flushes now.  After a crash
-        nothing flushes: the queue may be half-flushed.
+        nothing flushes: the queue may be half-flushed.  A closed run drains
+        too (:meth:`finish` after :meth:`close`), and still counts what expires.
         """
         if self.error is not None:
             return
+        self.batcher.on_expired = self._expire  # close() unhooks it
         if self.clock is None:
             self._fire_deadlines(None)
         else:
@@ -494,15 +496,15 @@ class ServingRun:
         """Detach from the server so another run can begin (idempotent)."""
         if self.server.active_run is self:
             self.server.active_run = None
-            # The batcher outlives the run as ``server.batcher``; unhooking
-            # it breaks the server → batcher → run cycle, so a finished
-            # run's collector is freed with its last reference instead of
-            # waiting for a garbage-collection pass.  A cancelled timer lets
-            # go of the run the same way.
-            self.batcher.on_expired = None
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = self._timer_s = None
+        # The batcher outlives the run as ``server.batcher``; unhooking it
+        # breaks the server → batcher → run cycle, so a finished run's
+        # collector is freed with its last reference instead of waiting for
+        # a garbage-collection pass.  A cancelled timer lets go of the run
+        # the same way.
+        self.batcher.on_expired = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = self._timer_s = None
 
     def finish(self, wire: dict[str, Any] | None = None) -> ServeReport:
         """Drain, close the run and fold it into a :class:`ServeReport`.

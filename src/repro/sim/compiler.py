@@ -6,7 +6,9 @@ front end that turns a program description into such a series: a *netlist*
 of homomorphic operations (gates, LUT applications, linear combinations) on
 named wires is levelized into a :class:`~repro.sim.graph.ComputationGraph`,
 grouping every level's bootstraps into one batched node — exactly the
-batching opportunity Strix's epoch scheduler exploits.
+batching opportunity Strix's epoch scheduler exploits.  It is the only
+pricer of an application: the netlist the reference backend decrypts is
+the one :func:`compile_netlist` prices.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ class Operation:
     function: Callable[[int], int] | None = None
     coefficients: tuple[int, ...] | None = None
 
+    @property
+    def bootstraps(self) -> int:
+        """PBS the operation costs: a gate's :data:`GateBootstrapper.PBS_COST`, one per LUT."""
+        if self.kind == "gate":
+            return GateBootstrapper.PBS_COST[self.name]
+        return int(self.kind == "lut")
+
 
 class Netlist:
     """A DAG of homomorphic operations over named wires."""
@@ -63,15 +72,16 @@ class Netlist:
         self.params = params
         self.name = name
         self._operations: list[Operation] = []
-        self._producers: dict[str, Operation] = {}
+        self._wires: set[str] = set()  # every defined wire, input or output
         self._primary_inputs: set[str] = set()
 
     # -- construction ------------------------------------------------------------
 
     def add_input(self, wire: str) -> str:
         """Declare a primary input wire."""
-        if wire in self._producers or wire in self._primary_inputs:
+        if wire in self._wires:
             raise ValueError(f"wire {wire!r} is already defined")
+        self._wires.add(wire)
         self._primary_inputs.add(wire)
         return wire
 
@@ -121,13 +131,13 @@ class Netlist:
         )
 
     def _add(self, operation: Operation) -> str:
-        if operation.output in self._producers or operation.output in self._primary_inputs:
+        if operation.output in self._wires:
             raise ValueError(f"wire {operation.output!r} is already defined")
-        for wire in operation.inputs:
-            if wire not in self._producers and wire not in self._primary_inputs:
-                raise ValueError(f"operation consumes undefined wire {wire!r}")
+        if not self._wires.issuperset(operation.inputs):
+            undefined = next(wire for wire in operation.inputs if wire not in self._wires)
+            raise ValueError(f"operation consumes undefined wire {undefined!r}")
         self._operations.append(operation)
-        self._producers[operation.output] = operation
+        self._wires.add(operation.output)
         return operation.output
 
     # -- inspection --------------------------------------------------------------
@@ -161,32 +171,23 @@ class Netlist:
         clone = Netlist(params, name=self.name)
         clone._primary_inputs = set(self._primary_inputs)
         clone._operations = list(self._operations)
-        clone._producers = dict(self._producers)
+        clone._wires = set(self._wires)
         return clone
 
     def pbs_count(self) -> int:
         """Total programmable bootstraps of the netlist."""
-        total = 0
-        for operation in self._operations:
-            if operation.kind == "gate":
-                total += GateBootstrapper.PBS_COST[operation.name]
-            elif operation.kind == "lut":
-                total += 1
-        return total
+        return sum(operation.bootstraps for operation in self._operations)
 
     def levelize(self) -> list[list[Operation]]:
         """Group operations into dependency levels (ASAP scheduling)."""
         level_of_wire: dict[str, int] = {wire: 0 for wire in self._primary_inputs}
         levels: list[list[Operation]] = []
         for operation in self._operations:
-            input_levels = [level_of_wire[wire] for wire in operation.inputs]
-            level = max(input_levels, default=0)
+            level = max(map(level_of_wire.__getitem__, operation.inputs), default=0)
             # A bootstrapping operation occupies a level of its own; linear
             # operations stay on their input level (they are cheap and do not
             # gate batching).
-            if operation.kind in ("gate", "lut") and (
-                operation.kind != "gate" or GateBootstrapper.PBS_COST[operation.name] > 0
-            ):
+            if operation.bootstraps:
                 level += 1
             while len(levels) <= level:
                 levels.append([])
@@ -199,33 +200,45 @@ def compile_netlist(netlist: Netlist, instances: int = 1) -> ComputationGraph:
     """Compile a netlist into a computation graph for the simulator.
 
     ``instances`` replicates the netlist over independent inputs (e.g. the
-    same circuit applied to many records), which multiplies every level's
-    batchable ciphertext count.
+    same circuit applied to many records), which multiplies every node's
+    batchable ciphertext count.  Each level becomes one PBS node holding the
+    level's bootstraps, then the level's linear operations, which consume its
+    PBS outputs: one node per ``(depth, cost)`` group, holding the group's
+    outputs at their per-output cost, where an operation's depth is how many
+    of the level's linear operations are chained before it.  Every node
+    depends on the nodes just before it in that order, so the next level's
+    PBS node waits for the level's deepest linear nodes.
     """
     if instances < 1:
         raise ValueError("instances must be at least 1")
     graph = ComputationGraph(netlist.params, name=f"{netlist.name}-x{instances}")
-    previous: str | None = None
+    tail: list[str] = []
     for index, level in enumerate(netlist.levelize()):
         pbs = 0
-        linear_ops = 0
+        depth_of: dict[str, int] = {}
+        groups: dict[tuple[int, int], int] = {}
         for operation in level:
-            if operation.kind == "gate":
-                pbs += GateBootstrapper.PBS_COST[operation.name]
-            elif operation.kind == "lut":
-                pbs += 1
-            else:
-                linear_ops += operation.cost
-        depends = [previous] if previous else []
+            if operation.bootstraps:
+                pbs += operation.bootstraps
+                continue
+            # A linear operation sits one deeper than the level's linear
+            # operations it consumes; a free NOT passes its input's depth on.
+            depth = max(map(depth_of.get, depth_of.keys() & operation.inputs), default=-1)
+            if operation.kind == "linear":
+                depth += 1
+                groups[depth, operation.cost] = groups.get((depth, operation.cost), 0) + 1
+            depth_of[operation.output] = depth
         if pbs:
-            node_name = f"level{index}_pbs"
-            graph.add_pbs_layer(node_name, pbs * instances, depends_on=depends)
-            previous = node_name
-        if linear_ops:
-            node_name = f"level{index}_linear"
-            graph.add_linear_layer(node_name, instances, linear_ops, depends_on=depends)
-            if not pbs:
-                previous = node_name
+            graph.add_pbs_layer(f"level{index}_pbs", pbs * instances, depends_on=tail)
+            tail = [f"level{index}_pbs"]
+        for depth in sorted({depth for depth, _ in groups}):
+            names = []
+            for (group_depth, cost), outputs in groups.items():
+                if group_depth == depth:
+                    suffix = f"{depth}_cost{cost}" if len(groups) > 1 else ""
+                    names.append(f"level{index}_linear{suffix}")
+                    graph.add_linear_layer(names[-1], outputs * instances, cost, depends_on=tail)
+            tail = names
     return graph
 
 

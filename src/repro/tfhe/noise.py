@@ -7,7 +7,9 @@ tests) can reason about parameter choices without running the slow
 functional pipeline, and provides an empirical noise measurement helper.
 
 All variances are expressed relative to the torus (i.e. as ``(sigma/q)^2``),
-matching the convention of the parameter sets.
+matching the convention of the parameter sets.  The five functions marked
+*test-only* have no caller outside the tests until ROADMAP "The noise
+budget, measured" gives them one.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from repro.tfhe.lwe import LweCiphertext
 
 
 def fresh_lwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted LWE ciphertext (only tests call it until ROADMAP item 3)."""
+    """Variance of a freshly encrypted LWE ciphertext (test-only)."""
     return params.lwe_noise_std**2
 
 
 def fresh_glwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted GLWE ciphertext (only tests call it until ROADMAP item 3)."""
+    """Variance of a freshly encrypted GLWE ciphertext (test-only)."""
     return params.glwe_noise_std**2
 
 
@@ -74,7 +76,7 @@ def keyswitch_variance(params: TFHEParameters, input_variance: float) -> float:
 
 
 def modulus_switch_variance(params: TFHEParameters, input_variance: float) -> float:
-    """Variance after switching to modulus ``2N``, on that scale (test-only until ROADMAP item 3)."""
+    """Variance after switching to modulus ``2N``, on that scale (test-only)."""
     rounding = 1.0 / (2.0 * 2 * params.N)
     return input_variance + (params.n + 1) * (rounding**2 / 3.0)
 
@@ -85,7 +87,7 @@ def pbs_output_variance(params: TFHEParameters) -> float:
 
 
 def decryption_failure_margin(params: TFHEParameters) -> float:
-    """Decoding half-step over the PBS output standard deviation (test-only until ROADMAP item 3).
+    """Decoding half-step over the PBS output standard deviation (test-only).
 
     Values comfortably above ~4 correspond to negligible failure probability.
     """
@@ -128,7 +130,7 @@ def measure_lwe_noise(
     key_bits: np.ndarray,
     params: TFHEParameters,
 ) -> NoiseMeasurement:
-    """Empirically measure the noise of LWE ciphertexts (test-only until ROADMAP item 3)."""
+    """Empirically measure the noise of LWE ciphertexts (test-only)."""
     phases = np.array([ct.phase(key_bits) for ct in ciphertexts], dtype=np.int64)
     expected = np.array(expected_values, dtype=np.int64)
     return NoiseMeasurement.from_phases(phases, expected, params)

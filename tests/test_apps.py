@@ -6,17 +6,13 @@ import itertools
 import operator
 
 import pytest
+from test_compiler import model_graph
 
 from repro import run
-from repro.apps.boolean_circuits import (
-    boolean_circuit_graph,
-    equals_netlist,
-    greater_than_netlist,
-)
+from repro.apps.boolean_circuits import equals_netlist, greater_than_netlist
 from repro.apps.deep_nn import (
     DeepNNModel,
     ZAMA_DEEP_NN_MODELS,
-    build_deep_nn_graph,
     forward_plaintext,
     mlp_netlist,
     mlp_weights,
@@ -28,7 +24,7 @@ from repro.apps.workloads import (
     random_layered_graph,
 )
 from repro.params import DEEP_NN_N1024, PARAM_SET_I, TOY_PARAMETERS
-from repro.sim.compiler import full_adder_netlist
+from repro.sim.compiler import compile_netlist, full_adder_netlist
 from repro.sim.graph import NodeKind
 
 
@@ -49,14 +45,14 @@ class TestDeepNNModel:
 
     def test_linear_operations_grow_with_depth(self):
         ops = [
-            build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[name], DEEP_NN_N1024).total_linear_operations()
+            model_graph(name, DEEP_NN_N1024).total_linear_operations()
             for name in ("NN-20", "NN-50", "NN-100")
         ]
         assert ops == sorted(ops)
 
     def test_graph_matches_model_counts(self):
         model = ZAMA_DEEP_NN_MODELS["NN-20"]
-        graph = build_deep_nn_graph(model, DEEP_NN_N1024)
+        graph = model_graph("NN-20", DEEP_NN_N1024)
         assert graph.total_pbs() == model.pbs_count()
         # A 10x11 kernel per conv activation, one dense layer fed by the conv
         # activations, the other 18 dense layers square.
@@ -65,7 +61,7 @@ class TestDeepNNModel:
         assert len(graph) == 2 * model.depth
 
     def test_graph_layers_are_sequential(self):
-        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-20"], DEEP_NN_N1024)
+        graph = model_graph("NN-20", DEEP_NN_N1024)
         levels = graph.levels()
         assert len(levels) == len(graph)
         assert all(len(level) == 1 for level in levels)
@@ -163,24 +159,24 @@ class TestBooleanCircuits:
         assert greater_than_netlist(PARAM_SET_I, 8).pbs_count() == 32
 
     @pytest.mark.parametrize("bits", range(1, 9))
-    def test_graph_totals_are_the_builders_counts(self, bits):
-        for circuit, build in (("equals", equals_netlist), ("greater_than", greater_than_netlist)):
-            graph = boolean_circuit_graph(PARAM_SET_I, circuit, bits, instances=16)
+    def test_compiled_totals_are_the_builders_counts(self, bits):
+        # The adder prices its half-adder bit 0 as built: no constant carry-in.
+        for build in (full_adder_netlist, equals_netlist, greater_than_netlist):
+            graph = compile_netlist(build(PARAM_SET_I, bits), instances=16)
             assert graph.total_pbs() == build(PARAM_SET_I, bits).pbs_count() * 16
-        # The priced adder keeps bit 0's full adder with a constant carry-in.
-        graph = boolean_circuit_graph(PARAM_SET_I, "adder", bits, instances=16)
-        assert graph.total_pbs() == (full_adder_netlist(PARAM_SET_I, bits).pbs_count() + 3) * 16
 
-    def test_circuit_graph_stages(self):
-        stages = {"adder": [5] * 8, "greater_than": [4] * 8, "equals": [1] + [2] * 7}
-        for circuit, gates in stages.items():
-            graph = boolean_circuit_graph(PARAM_SET_I, circuit, bits=8, instances=16)
+    def test_compiled_circuit_levels(self):
+        # Every first gate of every bit batches into one level; then the carry
+        # (or comparison) ripples one or two gates per bit.
+        levels = {
+            full_adder_netlist: [16] + [2, 1] * 7,
+            greater_than_netlist: [16] + [1] * 16,
+            equals_netlist: [8] + [1] * 7,
+        }
+        for build, gates in levels.items():
+            graph = compile_netlist(build(PARAM_SET_I, 8), instances=16)
             assert [node.pbs_count() for node in graph] == [16 * count for count in gates]
-            assert len(graph.levels()) == 8
-
-    def test_circuit_graph_unknown_circuit(self):
-        with pytest.raises(ValueError):
-            boolean_circuit_graph(PARAM_SET_I, "divider", bits=8)
+            assert len(graph.levels()) == len(gates)
 
 
 class TestWorkloadGenerators:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from test_compiler import model_graph
 
-from repro.apps.deep_nn import build_deep_nn_graph, ZAMA_DEEP_NN_MODELS
 from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
 from repro.baselines.cpu_model import ConcreteCpuModel
@@ -117,7 +117,7 @@ class TestModelConsistency:
     def test_all_platforms_rank_consistently_on_the_same_graph(self):
         """CPU, GPU and Strix all execute the same Deep-NN graph; the ranking
         must match the paper on every platform pair."""
-        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-20"], DEEP_NN_N1024)
+        graph = model_graph("NN-20", DEEP_NN_N1024)
         cpu_time = ConcreteCpuModel(threads=48).execute_graph(graph)
         gpu_time = NuFheGpuModel().execute_graph(graph)
         strix_time = StrixScheduler(StrixAccelerator()).run(graph).total_time_s
@@ -143,5 +143,5 @@ class TestDeterminism:
 
     def test_simulator_is_deterministic(self, strix):
         scheduler = StrixScheduler(strix)
-        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-20"], DEEP_NN_N1024)
+        graph = model_graph("NN-20", DEEP_NN_N1024)
         assert scheduler.run(graph).total_time_s == scheduler.run(graph).total_time_s

@@ -12,9 +12,10 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from test_compiler import model_graph
 
 from repro import run
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS
 from repro.arch.config import StrixClusterConfig
 from repro.arch.interconnect import InterconnectModel
 from repro.errors import (
@@ -107,8 +108,7 @@ def test_batch_graph_expands_inference_models():
         ]
     )
     graph = batch_graph(batch, params)
-    model_graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-20"], params)
-    assert len(graph) == 1 + len(model_graph)
+    assert len(graph) == 1 + len(model_graph("NN-20", params))
     assert graph.total_pbs() == ZAMA_DEEP_NN_MODELS["NN-20"].pbs_count() + 4
     # Layer dependencies survive the request prefixing.
     assert len(graph.levels()) > 2
@@ -119,7 +119,7 @@ def test_batch_graph_expands_inference_models():
 
 def test_partition_covers_all_nodes_contiguously():
     params = get_parameters("I")
-    graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS["NN-50"], params)
+    graph = model_graph("NN-50", params)
     plan = partition_graph_stages(graph, 4)
     assert plan.stages == 4
     assert sum(len(stage) for stage in plan.graphs) == len(graph)

@@ -5,7 +5,7 @@ depends_on)`` ops without building a graph, and ``batch_graph`` is that
 lowering turned into nodes.  Both are held to ``spec_run`` — the paper's epoch
 rule in ``test_scheduler_spec.py`` — field for field, in the circlestark
 ``test_fast_fri`` idiom, and to a batch graph built request by request from
-each model's own ``build_deep_nn_graph``.  The serving gate counts
+each model's own netlist, compiled.  The serving gate counts
 calls with wrappers the test installs: every schedule-cache miss enters
 ``StrixScheduler.run``, and a data-parallel miss builds no graph at all.
 """
@@ -17,9 +17,10 @@ from dataclasses import asdict
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_compiler import model_graph
 from test_scheduler_spec import spec_run
 
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS
 from repro.apps.traffic import steady_trace
 from repro.params import PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
 from repro.sched import EventDrivenCostModel, batch_graph, partition_graph_stages
@@ -52,7 +53,7 @@ def graph_from_the_models(batch: Batch, params) -> ComputationGraph:
         graph.add_pbs_layer("pbs", simple_pbs)
     for request in model_requests:
         prefix = f"req{request.request_id}/"
-        for node in build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[request.model], params):
+        for node in model_graph(request.model, params):
             graph.add_node(
                 ComputationNode(
                     name=prefix + node.name,

@@ -20,8 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_compiler import model_graph
 
-from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS, build_deep_nn_graph
+from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS
 from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import DEEP_NN_N1024, PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
@@ -158,8 +159,7 @@ class TestRunEqualsSpec:
 
     @pytest.mark.parametrize("model", sorted(ZAMA_DEEP_NN_MODELS))
     def test_deep_nn_graphs(self, scheduler, model):
-        graph = build_deep_nn_graph(ZAMA_DEEP_NN_MODELS[model], PARAM_SET_I)
-        assert_same_schedule(scheduler, graph)
+        assert_same_schedule(scheduler, model_graph(model, PARAM_SET_I))
 
     def test_empty_graph_and_lone_linear_node(self, scheduler):
         assert_same_schedule(scheduler, ComputationGraph(PARAM_SET_I, name="empty"))
@@ -176,9 +176,8 @@ class TestRunEqualsSpec:
 
 class TestSpecIsThePaper:
     def test_reproduces_the_scheduler_records_of_bench_sim(self, scheduler):
-        model = ZAMA_DEEP_NN_MODELS["NN-100"]
         batch = spec_run(scheduler, pbs_batch_graph(PARAM_SET_I, 4096))
-        network = spec_run(scheduler, build_deep_nn_graph(model, DEEP_NN_N1024))
+        network = spec_run(scheduler, model_graph("NN-100", DEEP_NN_N1024))
         assert batch.total_time_s == BENCH_SIM["sim/pbs_batch_4096/latency"]
         assert network.total_time_s == BENCH_SIM["sim/deep_nn_100/latency"]
         assert network.total_epochs == BENCH_SIM["sim/deep_nn_100/epochs"]

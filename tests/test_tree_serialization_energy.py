@@ -14,7 +14,6 @@ from repro.apps.tree_inference import (
     DecisionNode,
     DecisionTree,
     Leaf,
-    tree_inference_graph,
     tree_netlist,
 )
 from repro.arch.accelerator import StrixAccelerator
@@ -90,21 +89,26 @@ class TestDecisionTree:
             tree_netlist(DecisionTree(root=Leaf(1), num_features=1), TOY_PARAMETERS)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    def test_forest_graph_prices_the_netlist(self, depth):
+    def test_a_compiled_tree_prices_three_pbs_per_node(self, depth):
         tree = DecisionTree.random(depth=depth, num_features=4, params=PARAM_SET_I, seed=depth)
         compiled = compile_netlist(tree_netlist(tree, PARAM_SET_I), instances=10)
-        priced = tree_inference_graph(PARAM_SET_I, depth=depth, trees=1, samples=10)
-        assert compiled.total_pbs() == priced.total_pbs()
+        # One comparison and two gating LUTs per internal node.
+        assert compiled.total_pbs() == 3 * (2**depth - 1) * 10
 
-    def test_forest_graph(self):
-        graph = tree_inference_graph(PARAM_SET_I, depth=3, trees=10, samples=100)
-        # comparisons: (1 + 2 + 4) * 1000; selections: 2 * (4 + 2 + 1) * 1000
-        assert graph.total_pbs() == 7 * 1000 + 14 * 1000
-        assert len(graph.levels()) == 6
-
-    def test_forest_graph_validation(self):
-        with pytest.raises(ValueError):
-            tree_inference_graph(PARAM_SET_I, depth=0, trees=1, samples=1)
+    def test_every_tree_of_a_depth_compiles_to_one_forest_graph(self):
+        graphs = [
+            compile_netlist(
+                tree_netlist(DecisionTree.random(3, 4, PARAM_SET_I, seed=seed), PARAM_SET_I),
+                instances=1000,
+            )
+            for seed in (3, 4)
+        ]
+        shapes = [[vars(node) for node in graph] for graph in graphs]
+        assert shapes[0] == shapes[1]
+        # Every comparison batches into one level; the gates follow leaves first.
+        pbs = [node.pbs_count() for node in graphs[0] if node.pbs_count()]
+        assert pbs == [7000, 8000, 4000, 2000]
+        assert len(graphs[0].levels()) == 9
 
 
 class TestSerialization:
