@@ -32,8 +32,9 @@ def main() -> None:
     )
     print(
         f"Batch geometry: {session.device_batch_size} cores x "
-        f"{session.core_batch_size} LWEs/core = {session.batch_capacity} LWEs/epoch\n"
+        f"{session.core_batch_size} LWEs/core = {session.batch_capacity} LWEs/epoch"
     )
+    print(f"Predicted per-PBS failure probability: {session.failure_probability:.1e}\n")
 
     # 2. Batch encryption and encrypted arithmetic.
     messages = [0, 1, 2, 3, 1, 2]

@@ -28,6 +28,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=2.0"],  # np.fft.*(out=) and in-place transforms
+    install_requires=["numpy>=2.0"],  # numpy.fft._pocketfft_umath gufuncs (out=, in place)
     extras_require={"test": ["pytest", "hypothesis"]},
 )

@@ -34,11 +34,19 @@ class FoldedNegacyclicTransform:
     ``u + N/2`` in the imaginary slot) rather than ``N`` reals, and ``out``
     may be the input itself — twist and FFT then run in place, which is how
     the blind-rotation loop streams digits through one buffer.  Both
-    power-of-two scale factors of the textbook formulas are folded away
-    (``ifft(norm="forward")`` instead of ``ifft(...) * half``, a precomputed
+    power-of-two scale factors of the textbook formulas are folded away (an
+    unscaled inverse DFT instead of ``ifft(...) * half``, a precomputed
     ``untwist / half`` instead of ``/ half * untwist``); scaling a double by
     a power of two is exact, so every result is bit-identical to the
     unfused formulas (``tests/test_fft_transforms.py`` pins them).
+
+    Each DFT is one call of numpy's pocketfft gufunc
+    (``numpy.fft._pocketfft_umath.ifft`` / ``.fft`` with scale factor
+    ``1.0``), the C loop ``np.fft.ifft(norm="forward")`` and ``np.fft.fft``
+    end in; calling it directly skips their Python wrapper, which is a
+    measurable share of a batch-1 blind rotation.  The gufuncs have no
+    public name, so ``tests/test_fft_transforms.py`` pins their contract
+    against the ``np.fft`` functions bit for bit.
     """
 
     def __init__(self, degree: int):
@@ -51,6 +59,12 @@ class FoldedNegacyclicTransform:
         # onto a plain (inverse-oriented) DFT of length N/2.
         self._twist = np.exp(1j * np.pi * indices / degree)
         self._untwist_scaled = np.conj(self._twist) / self.half
+        # Imported here, not at module level: numpy loads numpy.fft on first
+        # use, and a process that never builds a transform (a serving process)
+        # then never maps pocketfft.
+        from numpy.fft import _pocketfft_umath as pocketfft
+
+        self._fft, self._ifft = pocketfft.fft, pocketfft.ifft
 
     # -- folding -------------------------------------------------------------
 
@@ -109,7 +123,7 @@ class FoldedNegacyclicTransform:
         #       = sum_u (x_u * e^{i*pi*u/N}) * e^{2*pi*i*j*u/(N/2)}
         # which is the unscaled inverse-oriented DFT of the twisted sequence.
         np.multiply(values, self._twist, out=out)
-        return np.fft.ifft(out, axis=-1, norm="forward", out=out)
+        return self._ifft(out, 1.0, out=out)
 
     def inverse(
         self,
@@ -128,8 +142,8 @@ class FoldedNegacyclicTransform:
         which case it is overwritten with the result.
         """
         values = self._folded(spectrum)
-        work = checked_out(out, values.shape, np.complex128) if folded else None
-        work = np.fft.fft(values, axis=-1, out=work)
+        work = checked_out(out if folded else None, values.shape, np.complex128)
+        self._fft(values, 1.0, out=work)
         np.multiply(work, self._untwist_scaled, out=work)
         return work if folded else self.unfold(work, out=out)
 

@@ -5,7 +5,8 @@ epochs of ``device batch x core batch`` ciphertexts streamed through the
 accelerator (Section IV-C) — yet the original user API was strictly
 per-ciphertext.  :class:`Session` is the batch-first front door: it owns a
 :class:`~repro.tfhe.context.TFHEContext` (client keys and the server-key
-split), exposes every per-ciphertext helper unchanged, and adds the batch
+split), exposes its encrypt / decrypt / bootstrap / gate helpers (the
+rest of the scalar oracle is ``session.context``), and adds the batch
 APIs (``encrypt_batch`` / ``decrypt_batch`` / ``bootstrap_batch`` /
 ``gate_batch``) whose chunk size mirrors the paper's two-level batch
 geometry.
@@ -33,6 +34,7 @@ from repro.tfhe.context import ServerKeys, TFHEContext
 from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
+from repro.tfhe.noise import pbs_failure_probability
 
 
 class Session:
@@ -54,8 +56,8 @@ class Session:
         stacks each epoch into arrays and runs the batch kernels of
         :mod:`repro.tfhe.batch`; the scalar reference kernels they are held
         to bit for bit are the per-ciphertext API (:meth:`encrypt` /
-        :meth:`decrypt` / :meth:`programmable_bootstrap` / :meth:`apply_lut`
-        / :meth:`gates`).  The keyword survives only because the frozen
+        :meth:`decrypt` / :meth:`programmable_bootstrap` / :meth:`gates`, and
+        ``context.apply_lut``).  The keyword survives only because the frozen
         benchmark still passes it.  Server-side results equal the
         per-ciphertext API exactly; only ``encrypt*_batch`` consumes the
         session RNG in a different order (bulk draws), so batch encryptions
@@ -73,7 +75,7 @@ class Session:
             raise ValueError(
                 f"kernels={kernels!r} is not selectable: the batch APIs always run the "
                 "batch kernels; the scalar reference kernels are the per-ciphertext API "
-                "(encrypt / decrypt / programmable_bootstrap / apply_lut / gates())"
+                "(encrypt / decrypt / programmable_bootstrap / gates() / context.apply_lut)"
             )
         resolved = resolve_params(params)
         self.context = TFHEContext(resolved, seed=seed)
@@ -91,6 +93,15 @@ class Session:
     def server_keys(self) -> ServerKeys:
         """The evaluation keys (generated on first access)."""
         return self.context.server_keys
+
+    @property
+    def failure_probability(self) -> float:
+        """Predicted chance that the next PBS reads one PBS output as the wrong message.
+
+        The noise model's :func:`~repro.tfhe.noise.pbs_failure_probability`
+        for the session's parameter set.
+        """
+        return pbs_failure_probability(self.params)
 
     def generate_server_keys(self) -> ServerKeys:
         """Generate (and cache) the bootstrapping and keyswitching keys."""
@@ -149,10 +160,6 @@ class Session:
     ) -> BootstrapResult:
         """Run a full PBS evaluating ``function`` on the encrypted message."""
         return self.context.programmable_bootstrap(ciphertext, function, keyswitch)
-
-    def apply_lut(self, ciphertext: LweCiphertext, lut: LookUpTable) -> LweCiphertext:
-        """Apply a :class:`LookUpTable` homomorphically (one PBS)."""
-        return self.context.apply_lut(ciphertext, lut)
 
     # -- batch API ------------------------------------------------------------------
     #

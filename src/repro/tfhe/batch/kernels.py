@@ -20,10 +20,11 @@ per-call workspace whose integer arrays are 32-bit torus words, keyswitching
 contracts in ``float64``, and both stay equal to the scalar path's allocating
 ``int64`` steps for six reasons:
 
-* *Power-of-two scale folding is exact.*  The transform's
-  ``ifft(norm="forward")`` and precomputed ``untwist / half`` replace
-  ``ifft(...) * half`` and ``fft(...) / half * untwist``; multiplying a
-  double by a power of two only changes its exponent, so both orders round
+* *Power-of-two scale folding is exact.*  The transform's unscaled inverse
+  DFT (numpy's pocketfft ``ifft`` gufunc at scale ``1.0``, the C loop that
+  ``np.fft.ifft(norm="forward")`` runs) and precomputed ``untwist / half``
+  replace ``ifft(...) * half`` and ``fft(...) / half * untwist``; multiplying
+  a double by a power of two only changes its exponent, so both orders round
   identically.  Scalar and batched kernels call the same ``forward`` /
   ``inverse`` (``tests/test_fft_transforms.py`` pins them to the unfused
   formulas).

@@ -2,35 +2,22 @@
 
 TFHE correctness hinges on the ciphertext noise staying below half the
 encoding step.  This module collects the standard variance formulas for the
-operations in the PBS/keyswitching pipeline so the analysis layer (and the
-tests) can reason about parameter choices without running the slow
-functional pipeline, and provides an empirical noise measurement helper.
+operations in the PBS/keyswitching pipeline, so parameter choices can be
+reasoned about without running the slow functional pipeline, and turns them
+into the predicted per-PBS failure probability a
+:class:`~repro.runtime.session.Session` reports.  ``tests/test_noise_budget.py``
+holds each formula to the phase errors measured stage by stage on the
+functional kernels.
 
 All variances are expressed relative to the torus (i.e. as ``(sigma/q)^2``),
-matching the convention of the parameter sets.  The five functions marked
-*test-only* have no caller outside the tests until ROADMAP "The noise
-budget, measured" gives them one.
+matching the convention of the parameter sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
 
 from repro.params import TFHEParameters
-from repro.tfhe import torus
-from repro.tfhe.lwe import LweCiphertext
-
-
-def fresh_lwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted LWE ciphertext (test-only)."""
-    return params.lwe_noise_std**2
-
-
-def fresh_glwe_variance(params: TFHEParameters) -> float:
-    """Variance of a freshly encrypted GLWE ciphertext (test-only)."""
-    return params.glwe_noise_std**2
 
 
 def external_product_variance(params: TFHEParameters, input_variance: float) -> float:
@@ -70,13 +57,19 @@ def keyswitch_variance(params: TFHEParameters, input_variance: float) -> float:
     input_dim = params.k * params.N
     key_noise = params.lwe_noise_std**2
     digit_term = input_dim * lk * (base**2 / 12.0 + 1.0 / 6.0) * key_noise
+    # Rounding each input coefficient to ``lk`` digits leaves an error uniform
+    # on +-rounding (variance rounding**2 / 3); half the key bits are set.
     rounding = 1.0 / (2.0 * base**lk)
-    rounding_term = input_dim * (rounding**2 / 12.0)
+    rounding_term = input_dim / 2.0 * (rounding**2 / 3.0)
     return input_variance + digit_term + rounding_term
 
 
 def modulus_switch_variance(params: TFHEParameters, input_variance: float) -> float:
-    """Variance after switching to modulus ``2N``, on that scale (test-only)."""
+    """Variance after switching to modulus ``2N``, as a fraction of the torus.
+
+    Each of the ``n + 1`` coefficients is rounded to a multiple of
+    ``1 / (2N)``; every key bit is counted as set, a bound for any key.
+    """
     rounding = 1.0 / (2.0 * 2 * params.N)
     return input_variance + (params.n + 1) * (rounding**2 / 3.0)
 
@@ -86,51 +79,16 @@ def pbs_output_variance(params: TFHEParameters) -> float:
     return keyswitch_variance(params, blind_rotation_variance(params))
 
 
-def decryption_failure_margin(params: TFHEParameters) -> float:
-    """Decoding half-step over the PBS output standard deviation (test-only).
+def pbs_failure_probability(params: TFHEParameters) -> float:
+    """Predicted chance that the next PBS reads a PBS output as the wrong message.
 
-    Values comfortably above ~4 correspond to negligible failure probability.
+    The next blind rotation reads the phase after the switch of
+    :func:`modulus_switch_variance`, and a test-vector block (``N / p``
+    coefficients, pre-rotated by half a block) tolerates half a block either
+    way: ``1 / (4p)`` of the torus.  A Gaussian error of the predicted
+    variance leaves that window with probability
+    ``erfc(half_block / sqrt(2 * variance))``.
     """
-    std = np.sqrt(pbs_output_variance(params))
-    half_step = params.delta / (2.0 * params.q)
-    if std == 0.0:
-        return float("inf")
-    return half_step / std
-
-
-@dataclass
-class NoiseMeasurement:
-    """Empirical noise statistics gathered from decrypted phases."""
-
-    mean: float
-    std: float
-    max_abs: float
-    samples: int
-
-    @classmethod
-    def from_phases(
-        cls, phases: np.ndarray, expected: np.ndarray, params: TFHEParameters
-    ) -> "NoiseMeasurement":
-        """Measure the noise of ciphertexts given the expected plaintexts."""
-        phases = np.asarray(phases, dtype=np.int64)
-        expected = np.asarray(expected, dtype=np.int64)
-        errors = torus.to_signed(phases - expected, params.q).astype(np.float64)
-        errors /= params.q
-        return cls(
-            mean=float(np.mean(errors)),
-            std=float(np.std(errors)),
-            max_abs=float(np.max(np.abs(errors))) if errors.size else 0.0,
-            samples=int(errors.size),
-        )
-
-
-def measure_lwe_noise(
-    ciphertexts: list[LweCiphertext],
-    expected_values: list[int],
-    key_bits: np.ndarray,
-    params: TFHEParameters,
-) -> NoiseMeasurement:
-    """Empirically measure the noise of LWE ciphertexts (test-only)."""
-    phases = np.array([ct.phase(key_bits) for ct in ciphertexts], dtype=np.int64)
-    expected = np.array(expected_values, dtype=np.int64)
-    return NoiseMeasurement.from_phases(phases, expected, params)
+    variance = modulus_switch_variance(params, pbs_output_variance(params))
+    half_block = 1.0 / (4 * params.message_modulus)
+    return math.erfc(half_block / math.sqrt(2.0 * variance))

@@ -655,7 +655,7 @@ class TestSessionKernels:
         lut = relu_lut(session.params)
         _assert_batch_equals_scalars(
             LweBatch.from_ciphertexts(session.apply_lut_batch(ciphertexts, lut)),
-            [session.apply_lut(ct, lut) for ct in ciphertexts],
+            [session.context.apply_lut(ct, lut) for ct in ciphertexts],
         )
 
     @pytest.mark.parametrize("gate", sorted(GateBootstrapper.PBS_COST))

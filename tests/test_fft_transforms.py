@@ -15,6 +15,12 @@ from repro.fft.reference import (
     naive_negacyclic_convolution,
     naive_negacyclic_rotation,
 )
+from repro.params import (
+    DEEP_NN_PARAMETER_SETS,
+    PAPER_PARAMETER_SETS,
+    SMALL_PARAMETERS,
+    TOY_PARAMETERS,
+)
 
 
 class TestReference:
@@ -72,7 +78,7 @@ class TestNegacyclicTransform:
     @pytest.mark.parametrize("degree", [4, 16, 64, 256, 1024])
     def test_multiply_matches_reference(self, degree, rng):
         transform = NegacyclicTransform(degree)
-        a = rng.integers(-(2 ** 16), 2 ** 16, degree)
+        a = rng.integers(-(2**16), 2**16, degree)
         b = rng.integers(-64, 64, degree)
         expected = naive_negacyclic_convolution(a, b).astype(np.int64)
         np.testing.assert_array_equal(transform.multiply(a, b), expected)
@@ -115,7 +121,7 @@ class TestFoldedTransform:
     @pytest.mark.parametrize("degree", [4, 16, 64, 256, 2048])
     def test_multiply_matches_reference(self, degree, rng):
         transform = FoldedNegacyclicTransform(degree)
-        a = rng.integers(-(2 ** 16), 2 ** 16, degree)
+        a = rng.integers(-(2**16), 2**16, degree)
         b = rng.integers(-64, 64, degree)
         expected = naive_negacyclic_convolution(a, b).astype(np.int64)
         np.testing.assert_array_equal(transform.multiply(a, b), expected)
@@ -124,7 +130,7 @@ class TestFoldedTransform:
         degree = 128
         folded = FoldedNegacyclicTransform(degree)
         full = NegacyclicTransform(degree)
-        a = rng.integers(-(2 ** 20), 2 ** 20, degree)
+        a = rng.integers(-(2**20), 2**20, degree)
         b = rng.integers(-32, 32, degree)
         np.testing.assert_array_equal(folded.multiply(a, b), full.multiply(a, b))
 
@@ -270,9 +276,42 @@ class TestFoldedTransformFrozenFormula:
             transform.forward(np.zeros(8))
 
 
+#: Every DFT length the folded transform runs at: ``N/2`` of each set in ``params.py``.
+ALL_SETS = [TOY_PARAMETERS, SMALL_PARAMETERS]
+ALL_SETS += [*PAPER_PARAMETER_SETS.values(), *DEEP_NN_PARAMETER_SETS.values()]
+HALVES = sorted({params.N // 2 for params in ALL_SETS})
+
+
+class TestPocketfftGufuncContract:
+    """The private gufuncs :class:`FoldedNegacyclicTransform` calls are ``np.fft``'s C loops.
+
+    ``numpy.fft._pocketfft_umath`` has no public name.  A numpy release that
+    renames or re-signs its ``ifft`` / ``fft`` fails this test, by name,
+    instead of failing deep inside a kernel (hence the import in the test).
+    """
+
+    @pytest.mark.parametrize("half", HALVES)
+    def test_gufuncs_equal_the_numpy_fft_functions(self, half):
+        from numpy.fft import _pocketfft_umath as pocketfft
+
+        rng = np.random.default_rng(half)
+        x = rng.standard_normal((3, 2, half)) + 1j * rng.standard_normal((3, 2, half))
+        cases = [
+            (pocketfft.ifft, np.fft.ifft(x, norm="forward")),
+            (pocketfft.fft, np.fft.fft(x)),
+        ]
+        for gufunc, expected in cases:
+            out = np.empty_like(x)
+            assert gufunc(x, 1.0, out=out) is out
+            assert np.array_equal(out, expected), gufunc.__name__
+            in_place = x.copy()
+            assert gufunc(in_place, 1.0, out=in_place) is in_place
+            assert np.array_equal(in_place, expected), f"{gufunc.__name__} in place"
+
+
 class TestTransformProperties:
     @given(
-        data=st.lists(st.integers(min_value=-(2 ** 20), max_value=2 ** 20), min_size=16, max_size=16),
+        data=st.lists(st.integers(min_value=-(2**20), max_value=2**20), min_size=16, max_size=16),
         shift=st.integers(min_value=-64, max_value=64),
     )
     @settings(max_examples=50, deadline=None)
@@ -292,7 +331,7 @@ class TestTransformProperties:
         np.testing.assert_array_equal(via_fft, direct)
 
     @given(
-        a=st.lists(st.integers(min_value=-(2 ** 15), max_value=2 ** 15), min_size=32, max_size=32),
+        a=st.lists(st.integers(min_value=-(2**15), max_value=2**15), min_size=32, max_size=32),
         b=st.lists(st.integers(min_value=-128, max_value=128), min_size=32, max_size=32),
     )
     @settings(max_examples=40, deadline=None)
@@ -306,8 +345,8 @@ class TestTransformProperties:
         )
 
     @given(
-        a=st.lists(st.integers(min_value=-(2 ** 10), max_value=2 ** 10), min_size=16, max_size=16),
-        b=st.lists(st.integers(min_value=-(2 ** 10), max_value=2 ** 10), min_size=16, max_size=16),
+        a=st.lists(st.integers(min_value=-(2**10), max_value=2**10), min_size=16, max_size=16),
+        b=st.lists(st.integers(min_value=-(2**10), max_value=2**10), min_size=16, max_size=16),
     )
     @settings(max_examples=40, deadline=None)
     def test_convolution_commutes(self, a, b):

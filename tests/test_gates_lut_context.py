@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from repro.params import TOY_PARAMETERS
+from repro.tfhe import torus
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.lut import LookUpTable, relu_lut, threshold_lut
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.noise import (
     blind_rotation_variance,
-    decryption_failure_margin,
     external_product_variance,
     keyswitch_variance,
-    measure_lwe_noise,
+    pbs_failure_probability,
     pbs_output_variance,
 )
 
@@ -178,8 +178,8 @@ class TestNoiseModel:
             PARAMS, blind_rotation_variance(PARAMS)
         )
 
-    def test_toy_parameters_have_decryption_margin(self):
-        assert decryption_failure_margin(PARAMS) > 3.0
+    def test_toy_parameters_fail_with_negligible_probability(self):
+        assert pbs_failure_probability(PARAMS) < 1e-30
 
     def test_variance_monotone_in_decomposition_base(self):
         import dataclasses
@@ -188,12 +188,8 @@ class TestNoiseModel:
         fine = dataclasses.replace(PARAMS, log2_base_pbs=8, lb=3)
         assert blind_rotation_variance(fine) < blind_rotation_variance(coarse) * 100
 
-    def test_measure_lwe_noise(self, toy_context):
+    def test_fresh_lwe_noise_stays_below_a_step(self, toy_context):
         value = PARAMS.q // 4
         ciphertexts = [toy_context.lwe_key.encrypt(value, toy_context.rng) for _ in range(50)]
-        measurement = measure_lwe_noise(
-            ciphertexts, [value] * 50, toy_context.lwe_key.bits, PARAMS
-        )
-        assert measurement.samples == 50
-        assert measurement.max_abs < PARAMS.delta / PARAMS.q
-        assert measurement.std >= 0.0
+        phases = np.array([ct.phase(toy_context.lwe_key.bits) for ct in ciphertexts])
+        assert np.abs(torus.to_signed(phases - value, PARAMS.q)).max() < PARAMS.delta

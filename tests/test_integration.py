@@ -124,13 +124,13 @@ class TestModelConsistency:
         assert strix_time < gpu_time < cpu_time
 
     def test_noise_model_predicts_functional_success(self):
-        """The analytical decryption-failure margin must be comfortable for
+        """The predicted per-PBS failure probability must be negligible for
         the parameter sets the functional tests rely on."""
-        from repro.tfhe.noise import decryption_failure_margin
+        from repro.tfhe.noise import pbs_failure_probability
 
-        assert decryption_failure_margin(TOY_PARAMETERS) > 3
-        assert decryption_failure_margin(SMALL_PARAMETERS) > 3
-        assert decryption_failure_margin(PARAM_SET_I) > 3
+        assert pbs_failure_probability(TOY_PARAMETERS) < 1e-30
+        assert pbs_failure_probability(SMALL_PARAMETERS) < 1e-30
+        assert pbs_failure_probability(PARAM_SET_I) < 1e-5
 
 
 class TestDeterminism:

@@ -23,7 +23,6 @@ SRC = ROOT / "src"
 #: Orphans kept on purpose.  Each is asserted to still be one, so the entry is
 #: deleted the day the module gains a caller.
 EXCEPTIONS = {
-    "repro.tfhe.noise": "the ROADMAP's noise-budget item gives it its job or shrinks it",
     "repro.fft.reference": "slow reference of the transform tests and of the noise-budget item",
 }
 
@@ -118,11 +117,6 @@ REFERENCES = {
     "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of batch_gate('not')",
     "repro.tfhe.gates.GateBootstrapper.xnor": "scalar oracle of batch_gate('xnor')",
     "repro.tfhe.gates.GateBootstrapper.xor": "scalar oracle of batch_gate('xor')",
-    "repro.tfhe.noise.decryption_failure_margin": "the noise-budget item gives noise.py its job",
-    "repro.tfhe.noise.fresh_glwe_variance": "the noise-budget item gives noise.py its job",
-    "repro.tfhe.noise.fresh_lwe_variance": "the noise-budget item gives noise.py its job",
-    "repro.tfhe.noise.measure_lwe_noise": "the noise-budget item gives noise.py its job",
-    "repro.tfhe.noise.modulus_switch_variance": "the noise-budget item gives noise.py its job",
     "repro.tfhe.serialization.lwe_batch_from_bytes": "outside-input parser, the one-datapath item",
     "repro.tfhe.torus.absolute_distance": "error metric of the noise tests",
 }
