@@ -1,13 +1,13 @@
-"""Privacy-preserving scoring: decision trees and encrypted counters.
+"""Privacy-preserving scoring: a decision forest whose score stays encrypted.
 
 A bank evaluates a (public) risk model on a customer's (private) data: the
-customer submits encrypted features, the server runs each decision tree
-homomorphically (a netlist on the reference backend) and accumulates the
-trees' votes into an encrypted score with radix integer arithmetic — the
-tree-based inference workload the paper cites as a key TFHE use case.
-Finally the same workload is projected onto Strix to show what the
-accelerator buys.  The script exits non-zero when a vote or the score
-differs from the plaintext forest.
+customer submits encrypted features, and the server runs every decision tree
+of the forest homomorphically and sums the trees' votes into an encrypted
+score — one netlist on the reference backend, of which only the score is
+ever decrypted.  This is the tree-based inference workload the paper cites
+as a key TFHE use case.  Finally the same forest is projected onto Strix to
+show what the accelerator buys.  The script exits non-zero when a score
+differs from the plaintext forest's vote count.
 
 Run with:  python examples/private_scoring.py
 """
@@ -17,10 +17,11 @@ from __future__ import annotations
 import time
 
 from repro import Session, get_backend, run
-from repro.apps.tree_inference import DecisionTree, tree_netlist
+from repro.apps.tree_inference import DecisionTree, forest_netlist, tree_netlist
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.sim.compiler import compile_netlist
-from repro.tfhe.integer import RadixIntegerCodec
+
+CUSTOMERS = 10_000
 
 
 def homomorphic_forest_scoring() -> None:
@@ -30,40 +31,38 @@ def homomorphic_forest_scoring() -> None:
         DecisionTree.random(depth=2, num_features=4, params=TOY_PARAMETERS, seed=seed)
         for seed in range(3)
     ]
-    codec = RadixIntegerCodec(session.context, digit_bits=1, num_digits=3)
-
-    customer_features = [1, 3, 0, 2]
-    print(f"customer features (private): {customer_features}")
-    features = {f"x{index}": value for index, value in enumerate(customer_features)}
+    customers = [[1, 3, 0, 2], [0, 1, 0, 1], [0, 0, 0, 0], [3, 3, 3, 3]]
+    print(f"customer features (private): {customers}")
 
     start = time.perf_counter()
-    encrypted_score = codec.encrypt(0)
-    votes = []
-    total_pbs = 0
-    for tree in forest:
-        netlist = tree_netlist(tree, TOY_PARAMETERS)
-        result = run(netlist, backend="reference", session=session, inputs=features)
-        vote = result.outputs[0]["label"]  # (the run decrypts it; here only to narrate)
-        votes.append(vote)
-        total_pbs += result.pbs_count + codec.pbs_per_addition()
-        encrypted_score = codec.add_scalar(encrypted_score, vote)
+    # One stacked run scores every customer; only the score wire is decrypted.
+    result = run(
+        forest_netlist(forest, TOY_PARAMETERS),
+        backend="reference",
+        session=session,
+        inputs=[{f"x{index}": value for index, value in enumerate(row)} for row in customers],
+        outputs=["score"],
+    )
     elapsed = time.perf_counter() - start
 
-    expected = [tree.predict(customer_features) for tree in forest]
-    score = codec.decrypt(encrypted_score)
-    print(f"per-tree votes:            {votes} (plaintext trees: {expected})")
-    print(f"encrypted score decrypts to {score} (expected {sum(expected)})")
-    print(f"work: {total_pbs} programmable bootstraps in {elapsed:.2f} s of pure Python\n")
-    if votes != expected or score != sum(expected):
+    scores = [outputs["score"] for outputs in result.outputs]
+    expected = [sum(tree.predict(row) for tree in forest) for row in customers]
+    print(f"encrypted scores decrypt to {scores} (plaintext forest: {expected})")
+    print(f"work: {result.pbs_count} programmable bootstraps in {elapsed:.2f} s of pure Python\n")
+    if scores != expected:
         raise SystemExit("encrypted scoring differs from the plaintext forest")
 
 
 def acceleration_projection() -> None:
-    print("== Projected scoring of 10,000 customers on a 100-tree forest ==")
-    # Every complete depth-6 tree compiles to the same graph: one netlist
-    # priced for 100 trees x 10,000 customers.
-    tree = DecisionTree.random(depth=6, num_features=8, params=PARAM_SET_I)
-    graph = compile_netlist(tree_netlist(tree, PARAM_SET_I), instances=100 * 10_000)
+    # Set I's message modulus p = 4 holds at most three binary votes, so the
+    # forest is the largest one forest_netlist accepts there.
+    trees = PARAM_SET_I.message_modulus - 1
+    print(f"== Projected scoring of {CUSTOMERS:,} customers on a {trees}-tree forest ==")
+    forest = [
+        DecisionTree.random(depth=6, num_features=8, params=PARAM_SET_I, seed=seed)
+        for seed in range(trees)
+    ]
+    graph = compile_netlist(forest_netlist(forest, PARAM_SET_I), instances=CUSTOMERS)
     strix = run(graph, backend="strix-sim")
     cpu = run(graph, backend=get_backend("cpu-analytical", threads=48))
     print(f"programmable bootstraps: {graph.total_pbs():,}")
@@ -71,6 +70,14 @@ def acceleration_projection() -> None:
     print(
         f"Strix:                   {strix.latency_s:8.1f} s   "
         f"({cpu.latency_s / strix.latency_s:.0f}x faster)"
+    )
+    # The trees' levels batch together: the forest costs what one tree costs
+    # over every tree's customers, plus the linear sum of the votes.
+    flat = compile_netlist(tree_netlist(forest[0], PARAM_SET_I), instances=trees * CUSTOMERS)
+    flat_strix = run(flat, backend="strix-sim")
+    print(
+        f"one tree over {trees * CUSTOMERS:,} customers: {flat.total_pbs():,} PBS, "
+        f"{flat_strix.latency_s:.1f} s on Strix"
     )
 
 

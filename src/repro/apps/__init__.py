@@ -6,7 +6,8 @@ The workloads the paper motivates and evaluates:
   NN-100) of the Fig. 7 application benchmark and a small dense MLP.
 * :mod:`repro.apps.boolean_circuits` — gate-level circuits (comparators; the
   adder is :func:`repro.sim.compiler.full_adder_netlist`).
-* :mod:`repro.apps.tree_inference` — decision trees.
+* :mod:`repro.apps.tree_inference` — decision trees (``tree_netlist``) and
+  forests whose vote count stays encrypted (``forest_netlist``).
 
 Every application is defined once, as a :class:`~repro.sim.compiler.Netlist`
 builder; ``run(netlist, backend="reference", inputs=...)`` executes it on
@@ -20,7 +21,7 @@ encrypted inputs, the only functional executor, and
 
 from repro.apps.deep_nn import DeepNNModel, ZAMA_DEEP_NN_MODELS, deep_nn_netlist
 from repro.apps.boolean_circuits import equals_netlist, greater_than_netlist
-from repro.apps.tree_inference import tree_netlist
+from repro.apps.tree_inference import forest_netlist, tree_netlist
 from repro.apps.workloads import pbs_batch_graph, lut_pipeline_graph, gate_workload_graph
 
 #: Names re-exported lazily from :mod:`repro.apps.traffic`.  The traffic
@@ -47,6 +48,7 @@ __all__ = [
     "equals_netlist",
     "greater_than_netlist",
     "tree_netlist",
+    "forest_netlist",
     "pbs_batch_graph",
     "lut_pipeline_graph",
     "gate_workload_graph",

@@ -18,9 +18,10 @@ The client encrypts its features; the server knows the tree in the clear and
 learns neither the features nor the decision path.  Leaf labels are binary
 (the usual binary-classification setting), which lets every intermediate
 value fit in the 2-bit message space of the evaluation parameter sets.
-Every complete tree of one depth compiles to the same graph, so
-``compile_netlist(tree_netlist(tree, params), trees * samples)`` prices a
-whole forest for the simulator and the baselines.
+:func:`forest_netlist` puts several trees over the same feature wires and
+sums their votes into one encrypted ``score``, so one reference run scores a
+forest and ``compile_netlist(forest_netlist(trees, params), samples)`` prices
+the same forest for the simulator and the baselines.
 """
 
 from __future__ import annotations
@@ -106,16 +107,49 @@ def tree_netlist(tree: DecisionTree, params: TFHEParameters) -> Netlist:
     before its gate; a leaf's constant folds into the gate's function of the
     bit alone.  The two gated branches sum to the node's result.
     """
+    netlist = Netlist(params, name=f"tree-d{tree.depth()}")
+    features = [netlist.add_input(f"x{index}") for index in range(tree.num_features)]
+    _grow(netlist, tree, features, prefix="")
+    return netlist
+
+
+def forest_netlist(trees: list[DecisionTree], params: TFHEParameters) -> Netlist:
+    """The forest's vote count as a netlist over shared feature wires ``x0, x1, ...``.
+
+    Tree ``i`` is :func:`tree_netlist`'s with its wires prefixed ``t{i}_``; one
+    ``linear`` sum of the labels is the output ``score``, a single message, so
+    more than ``p - 1`` binary votes are refused rather than given a carry chain.
+    """
+    if not trees:
+        raise ValueError("a forest needs at least one tree")
+    p = params.message_modulus
+    if len(trees) > p - 1:
+        raise ValueError(
+            f"{len(trees)} binary votes can sum to {len(trees)}, past the message "
+            f"modulus p = {p}: a forest's score holds at most p - 1 = {p - 1} votes"
+        )
+    depth = max(tree.depth() for tree in trees)
+    netlist = Netlist(params, name=f"forest-{len(trees)}x-d{depth}")
+    num_features = max(tree.num_features for tree in trees)
+    features = [netlist.add_input(f"x{index}") for index in range(num_features)]
+    labels = tuple(
+        _grow(netlist, tree, features, prefix=f"t{index}_") for index, tree in enumerate(trees)
+    )
+    netlist.add_linear("score", labels)
+    return netlist
+
+
+def _grow(netlist: Netlist, tree: DecisionTree, features: list[str], prefix: str) -> str:
+    """Add ``tree`` over ``features`` to ``netlist``, its wires prefixed; return its label."""
+    params = netlist.params
     if params.message_modulus < 4:
         raise ValueError("tree evaluation needs a message modulus of at least 4")
     if isinstance(tree.root, Leaf):
         raise ValueError("a bare leaf is a constant; there is nothing to evaluate")
-    netlist = Netlist(params, name=f"tree-d{tree.depth()}")
-    features = [netlist.add_input(f"x{index}") for index in range(tree.num_features)]
 
     def gate(bit: str, branch: DecisionNode | Leaf, taken: int, path: str) -> str:
         """``branch`` when the comparison ``bit`` equals ``taken``, else 0 (one PBS)."""
-        name = f"{'right' if taken else 'left'}{path}"
+        name = f"{prefix}{'right' if taken else 'left'}{path}"
         if isinstance(branch, Leaf):
             label = branch.label
             return netlist.add_lut(name, bit, function=lambda b: label if b == taken else 0)
@@ -125,13 +159,11 @@ def tree_netlist(tree: DecisionTree, params: TFHEParameters) -> Netlist:
 
     def evaluate(node: DecisionNode, path: str) -> str:
         bit = netlist.add_lut(
-            f"bit{path}",
+            f"{prefix}bit{path}",
             features[node.feature],
             function=threshold_lut(node.threshold, params),
         )
         branches = (gate(bit, node.right, 1, path), gate(bit, node.left, 0, path))
-        return netlist.add_linear(f"node{path}" if path else "label", branches)
+        return netlist.add_linear(f"{prefix}node{path}" if path else f"{prefix}label", branches)
 
-    evaluate(tree.root, "")
-    return netlist
-
+    return evaluate(tree.root, "")

@@ -147,34 +147,33 @@ class ReferenceBackend(Backend):
         ciphertext, and each operation runs once over the whole stack.  The
         batch kernels are bit-for-bit equal to the per-ciphertext ones, so
         an N-instance run decrypts to the same outputs as N one-instance
-        runs (inputs are encrypted wire by wire, instance by instance).
+        runs.  Each input wire's plaintext values are encrypted in one batch
+        call, wires in sorted order; a pre-encrypted ciphertext keeps its slot.
         """
         keys = session.generate_server_keys()
         values: dict[str, LweBatch] = {}
         tags: dict[str, str] = {}
-        for wire in netlist.primary_inputs:
-            ciphertexts: list[LweCiphertext] = []
-            wire_tags: set[str] = set()
-            for instance_inputs in input_batches:
-                value = instance_inputs.get(wire, False)
-                if isinstance(value, LweCiphertext):
-                    ciphertexts.append(value)
-                    wire_tags.add(_ANY)
-                elif isinstance(value, (bool, np.bool_)):
-                    ciphertexts.append(session.encrypt_boolean(bool(value)))
-                    wire_tags.add(_BOOLEAN)
-                else:
-                    ciphertexts.append(session.encrypt(int(value)))
-                    wire_tags.add(_MESSAGE)
+        for wire in sorted(netlist.primary_inputs):
+            column = [instance_inputs.get(wire, False) for instance_inputs in input_batches]
+            slots = [
+                slot for slot, value in enumerate(column) if not isinstance(value, LweCiphertext)
+            ]
+            booleans = [isinstance(column[slot], (bool, np.bool_)) for slot in slots]
             # Untyped ciphertexts take the encoding of the plaintext values
             # they share the wire with — the caller vouches for them.
-            typed = wire_tags - {_ANY}
+            typed = {_BOOLEAN if boolean else _MESSAGE for boolean in booleans}
             if len(typed) > 1:
                 raise ValueError(
                     f"a stack of instances needs one encoding per wire, but input wire "
                     f"{wire!r} mixes {sorted(typed)} across instances"
                 )
-            values[wire] = LweBatch.from_ciphertexts(ciphertexts)
+            if typed == {_BOOLEAN}:
+                encrypted = session.encrypt_boolean_batch(bool(column[slot]) for slot in slots)
+            else:
+                encrypted = session.encrypt_batch(int(column[slot]) for slot in slots)
+            for slot, ciphertext in zip(slots, encrypted):
+                column[slot] = ciphertext
+            values[wire] = LweBatch.from_ciphertexts(column)
             tags[wire] = typed.pop() if typed else _ANY
 
         for index, operation in enumerate(netlist.operations):

@@ -148,10 +148,6 @@ class Session:
         """Decrypt an LWE ciphertext to its integer message."""
         return self.context.decrypt(ciphertext)
 
-    def encrypt_boolean(self, value: bool) -> LweCiphertext:
-        """Encrypt a boolean with the gate-bootstrapping encoding."""
-        return self.context.encrypt_boolean(value)
-
     def programmable_bootstrap(
         self,
         ciphertext: LweCiphertext,

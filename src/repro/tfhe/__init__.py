@@ -27,7 +27,6 @@ from repro.tfhe.keys import (
 )
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.gates import GateBootstrapper
-from repro.tfhe.integer import EncryptedInteger, RadixIntegerCodec
 
 __all__ = [
     "TFHEContext",
@@ -41,6 +40,4 @@ __all__ = [
     "KeySwitchingKey",
     "LookUpTable",
     "GateBootstrapper",
-    "EncryptedInteger",
-    "RadixIntegerCodec",
 ]

@@ -26,6 +26,7 @@ from repro.tfhe.keys import (
 )
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
+from repro.tfhe.noise import MAX_PBS_FAILURE_PROBABILITY, pbs_failure_probability
 
 
 @dataclass
@@ -65,8 +66,19 @@ class TFHEContext:
     # -- key material -----------------------------------------------------------
 
     def generate_server_keys(self) -> ServerKeys:
-        """Generate (and cache) the bootstrapping and keyswitching keys."""
+        """Generate (and cache) the bootstrapping and keyswitching keys.
+
+        A set predicted to fail a PBS more often than ``MAX_PBS_FAILURE_PROBABILITY``
+        is refused with a ``ValueError`` before any key is drawn.
+        """
         if self._server_keys is None:
+            failure = pbs_failure_probability(self.params)
+            if failure > MAX_PBS_FAILURE_PROBABILITY:
+                raise ValueError(
+                    f"parameter set {self.params.name!r} predicts a per-PBS failure "
+                    f"probability of {failure:.2g}, above the "
+                    f"{MAX_PBS_FAILURE_PROBABILITY:.2g} that key generation accepts"
+                )
             bsk = BootstrappingKey.generate(self.lwe_key, self.glwe_key, self.rng)
             ksk = KeySwitchingKey.generate(self.glwe_key, self.lwe_key, self.rng)
             self._server_keys = ServerKeys(bsk, ksk, self.params)
@@ -96,7 +108,7 @@ class TFHEContext:
     # -- booleans -----------------------------------------------------------------
 
     def encrypt_boolean(self, value: bool) -> LweCiphertext:
-        """Encrypt a boolean with the gate-bootstrapping encoding (``±q/8``)."""
+        """Scalar oracle of ``Session.encrypt_boolean_batch``: encrypt one boolean (``±q/8``)."""
         return self.lwe_key.encrypt(encoding.encode_boolean(value, self.params), self.rng)
 
     def decrypt_boolean(self, ciphertext: LweCiphertext) -> bool:

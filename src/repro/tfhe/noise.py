@@ -79,6 +79,12 @@ def pbs_output_variance(params: TFHEParameters) -> float:
     return keyswitch_variance(params, blind_rotation_variance(params))
 
 
+#: The highest predicted per-PBS failure probability key generation accepts.
+#: IV, NN-4096 and NN-2048 (0.83, 0.63, 0.14) are above it; the models, which
+#: never generate keys, still price them.  Every other set is >= 75x below.
+MAX_PBS_FAILURE_PROBABILITY = 2.0**-10
+
+
 def pbs_failure_probability(params: TFHEParameters) -> float:
     """Predicted chance that the next PBS reads a PBS output as the wrong message.
 

@@ -631,7 +631,8 @@ class TestSessionKernels:
         assert session.decrypt_batch([session.encrypt(m) for m in messages]) == messages
         encrypted_bits = session.encrypt_boolean_batch(bits)
         assert [session.context.decrypt_boolean(ct) for ct in encrypted_bits] == bits
-        assert session.decrypt_boolean_batch([session.encrypt_boolean(b) for b in bits]) == bits
+        oracle_bits = [session.context.encrypt_boolean(b) for b in bits]
+        assert session.decrypt_boolean_batch(oracle_bits) == bits
 
     @pytest.mark.parametrize("name, size", SESSION_CASES)
     def test_bootstrap_and_lut_batches_equal_oracle(self, sessions, name, size):
@@ -665,7 +666,7 @@ class TestSessionKernels:
         rng = np.random.default_rng([size, 3])
         arity = {"not": 1, "mux": 3}.get(gate, 2)
         operands = [
-            [session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)]
+            [session.context.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)]
             for _ in range(arity)
         ]
         method = _oracle_gate(session, gate)
@@ -684,7 +685,8 @@ class TestSessionKernels:
         assert size == 4
         rng = np.random.default_rng(31)
         operands = [
-            [session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)] for _ in range(3)
+            [session.context.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)]
+            for _ in range(3)
         ]
         real_switch, bootstrapped = kernels.batch_modulus_switch, []
 
@@ -923,7 +925,10 @@ class TestSubBatches:
         session = sessions["TOY"]
         rng = np.random.default_rng(9)
         inputs = [
-            [[session.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, 6)] for _ in range(2)]
+            [
+                [session.context.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, 6)]
+                for _ in range(2)
+            ]
             for _ in range(3)
         ]
         nand = session.gates().nand
@@ -1087,7 +1092,7 @@ class TestReferenceBackendKernels:
     def test_pre_encrypted_ciphertexts_share_a_wire_with_plaintext(self, session):
         netlist = Netlist(TOY_PARAMETERS, name="mixed-any")
         netlist.add_gate("not", "b", netlist.add_input("a"))
-        inputs = [{"a": session.encrypt_boolean(True)}, {"a": False}]
+        inputs = [{"a": session.context.encrypt_boolean(True)}, {"a": False}]
         result = run(
             netlist, backend="reference", session=session, inputs=inputs, outputs=["a", "b"]
         )

@@ -26,7 +26,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
+from repro.params import (
+    DEEP_NN_N1024,
+    DEEP_NN_N2048,
+    DEEP_NN_PARAMETER_SETS,
+    PAPER_PARAMETER_SETS,
+    SMALL_PARAMETERS,
+    TOY_PARAMETERS,
+)
 from repro.tfhe import encoding, torus
 from repro.tfhe.batch import batch_encrypt, batch_phase
 from repro.tfhe.batch.kernels import (
@@ -38,6 +45,7 @@ from repro.tfhe.batch.kernels import (
 from repro.tfhe.blind_rotate import make_test_vector
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.noise import (
+    MAX_PBS_FAILURE_PROBABILITY,
     blind_rotation_variance,
     keyswitch_variance,
     modulus_switch_variance,
@@ -131,3 +139,25 @@ def test_the_next_pbs_reads_every_output_right(stages):
     half_block = 1.0 / (4 * params.message_modulus)
     assert np.abs(errors["modulus switch"]).max() < half_block
     assert pbs_failure_probability(params) * errors["modulus switch"].size < 1e-30
+
+
+def test_key_generation_refuses_a_set_that_would_fail():
+    """NN-2048 is refused before any key is drawn; NN-1024 and TOY get their keys."""
+    refused = TFHEContext(DEEP_NN_N2048, seed=7)
+    state = refused.rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"'NN-2048' predicts .* probability of 0\.14"):
+        refused.generate_server_keys()
+    assert refused.rng.bit_generator.state == state
+    for params in (DEEP_NN_N1024, TOY_PARAMETERS):
+        assert TFHEContext(params, seed=7).generate_server_keys().params == params
+
+
+def test_only_the_sets_that_cannot_bootstrap_are_refused():
+    """Every accepted set sits at least 75x under the threshold."""
+    defined = [*PAPER_PARAMETER_SETS.values(), *DEEP_NN_PARAMETER_SETS.values()]
+    defined += [TOY_PARAMETERS, SMALL_PARAMETERS]
+    predicted = {params.name: pbs_failure_probability(params) for params in defined}
+    refused = {name for name, failure in predicted.items() if failure > MAX_PBS_FAILURE_PROBABILITY}
+    assert refused == {"IV", "NN-2048", "NN-4096"}
+    accepted = [failure for name, failure in predicted.items() if name not in refused]
+    assert max(accepted) * 75 <= MAX_PBS_FAILURE_PROBABILITY

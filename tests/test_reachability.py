@@ -112,6 +112,7 @@ REFERENCES = {
     "repro.tfhe.decomposition.decomposition_error_bound": "bound the decomposition tests assert",
     "repro.tfhe.decomposition.recompose": "inverse the decomposition tests round-trip through",
     "repro.tfhe.context.TFHEContext.decrypt_boolean": "scalar oracle of decrypt_boolean_batch",
+    "repro.tfhe.context.TFHEContext.encrypt_boolean": "scalar oracle of encrypt_boolean_batch",
     "repro.tfhe.gates.GateBootstrapper.mux": "scalar oracle of batch_gate('mux')",
     "repro.tfhe.gates.GateBootstrapper.nor": "scalar oracle of batch_gate('nor')",
     "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of batch_gate('not')",

@@ -163,9 +163,9 @@ def test_reference_backend_matches_direct_gate_execution(session):
     )
 
     gates = session.gates()
-    ct_a = session.encrypt_boolean(True)
-    ct_b = session.encrypt_boolean(True)
-    ct_c = session.encrypt_boolean(True)
+    ct_a = session.context.encrypt_boolean(True)
+    ct_b = session.context.encrypt_boolean(True)
+    ct_c = session.context.encrypt_boolean(True)
     direct = session.context.decrypt_boolean(gates.or_(gates.xor(ct_a, ct_b), ct_c))
 
     assert isinstance(result, RunResult)

@@ -14,6 +14,7 @@ from repro.apps.tree_inference import (
     DecisionNode,
     DecisionTree,
     Leaf,
+    forest_netlist,
     tree_netlist,
 )
 from repro.arch.accelerator import StrixAccelerator
@@ -111,6 +112,42 @@ class TestDecisionTree:
         assert len(graphs[0].levels()) == 9
 
 
+class TestForest:
+    def _forest(self, params, depth: int, num_features: int) -> list[DecisionTree]:
+        return [DecisionTree.random(depth, num_features, params, seed=seed) for seed in range(3)]
+
+    def test_stacked_run_scores_every_feature_vector(self, toy_session):
+        forest = self._forest(TOY_PARAMETERS, depth=2, num_features=3)
+        netlist = forest_netlist(forest, TOY_PARAMETERS)
+        # The votes are summed encrypted: the score is the only wire decrypted.
+        assert netlist.output_wires() == ["score"]
+        features = [list(row) for row in itertools.product(range(4), repeat=3)]
+        result = run(
+            netlist,
+            backend="reference",
+            session=toy_session,
+            inputs=[{f"x{i}": value for i, value in enumerate(row)} for row in features],
+        )
+        expected = [sum(tree.predict(row) for tree in forest) for row in features]
+        assert len(set(expected)) > 1
+        assert [outputs["score"] for outputs in result.outputs] == expected
+
+    def test_a_score_past_the_message_modulus_is_refused(self):
+        p = TOY_PARAMETERS.message_modulus
+        forest = [DecisionTree.random(1, 2, TOY_PARAMETERS, seed=seed) for seed in range(p)]
+        with pytest.raises(ValueError, match=f"p = {p}.* at most p - 1 = {p - 1}"):
+            forest_netlist(forest, TOY_PARAMETERS)
+        with pytest.raises(ValueError):
+            forest_netlist([], TOY_PARAMETERS)
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_a_compiled_forest_prices_every_tree(self, depth):
+        forest = self._forest(PARAM_SET_I, depth=depth, num_features=8)
+        tree_pbs = tree_netlist(forest[0], PARAM_SET_I).pbs_count()
+        compiled = compile_netlist(forest_netlist(forest, PARAM_SET_I), instances=100)
+        assert compiled.total_pbs() == len(forest) * tree_pbs * 100
+
+
 class TestSerialization:
     def test_lwe_bytes_roundtrip(self, toy_context):
         ciphertexts = [toy_context.encrypt(m) for m in (0, 1, 2, 3)]
@@ -142,9 +179,7 @@ class TestSerialization:
             )
             for mask in masks
         ]
-        restored = serialization.lwe_from_bytes(
-            serialization.lwe_to_bytes(batch), TOY_PARAMETERS
-        )
+        restored = serialization.lwe_from_bytes(serialization.lwe_to_bytes(batch), TOY_PARAMETERS)
         assert len(restored) == len(batch)
         for original, copy in zip(batch, restored):
             assert np.array_equal(original.mask, copy.mask)
