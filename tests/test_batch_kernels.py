@@ -1098,6 +1098,50 @@ class TestReferenceBackendKernels:
         )
         assert result.outputs == [{"a": True, "b": False}, {"a": False, "b": True}]
 
+    @pytest.mark.parametrize(
+        "method, values",
+        [("encrypt_batch", [1, 3, 0]), ("encrypt_boolean_batch", [True, False, True])],
+    )
+    def test_each_input_wire_is_encrypted_in_one_call(self, session, monkeypatch, method, values):
+        netlist = Netlist(TOY_PARAMETERS, name="two-inputs")
+        inputs = (netlist.add_input("b"), netlist.add_input("a"))
+        if method == "encrypt_batch":
+            netlist.add_linear("out", inputs)
+        else:
+            netlist.add_gate("xor", "out", *inputs)
+        calls = []
+        batched = getattr(session, method)
+
+        def counted(plain):
+            calls.append(list(plain))
+            return batched(calls[-1])
+
+        monkeypatch.setattr(session, method, counted)
+        monkeypatch.setattr(session, "encrypt", None)  # the per-instance path is gone
+        inputs = [{"a": value, "b": value} for value in values]
+        run(netlist, backend="reference", session=session, inputs=inputs)
+        assert calls == [values, values]
+
+    def test_pre_encrypted_messages_keep_their_slots(self, session):
+        netlist = Netlist(TOY_PARAMETERS, name="refresh")
+        netlist.add_lut("out", netlist.add_input("a"))
+        inputs = [{"a": session.encrypt(3)}, {"a": 1}, {"a": session.encrypt(2)}, {"a": 0}]
+        result = run(netlist, backend="reference", session=session, inputs=inputs)
+        assert result.outputs == [{"out": 3}, {"out": 1}, {"out": 2}, {"out": 0}]
+
+    def test_an_encrypted_wire_draws_no_fresh_encryption(self, session):
+        netlist = Netlist(TOY_PARAMETERS, name="and")
+        netlist.add_gate("and", "out", netlist.add_input("a"), netlist.add_input("b"))
+        inputs = [
+            {"a": session.context.encrypt_boolean(a), "b": session.context.encrypt_boolean(b)}
+            for a, b in [(True, True), (True, False)]
+        ]
+        session.generate_server_keys()
+        state = session.context.rng.bit_generator.state
+        result = run(netlist, backend="reference", session=session, inputs=inputs)
+        assert result.outputs == [{"out": True}, {"out": False}]
+        assert session.context.rng.bit_generator.state == state
+
     def test_mixed_encodings_on_one_wire_rejected(self, session):
         netlist = Netlist(TOY_PARAMETERS, name="mixed")
         a = netlist.add_input("a")

@@ -22,13 +22,13 @@ the band is fixed in ``noise.py``, not in the band.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.params import (
     DEEP_NN_N1024,
-    DEEP_NN_N2048,
     DEEP_NN_PARAMETER_SETS,
     PAPER_PARAMETER_SETS,
     SMALL_PARAMETERS,
@@ -141,23 +141,45 @@ def test_the_next_pbs_reads_every_output_right(stages):
     assert pbs_failure_probability(params) * errors["modulus switch"].size < 1e-30
 
 
-def test_key_generation_refuses_a_set_that_would_fail():
-    """NN-2048 is refused before any key is drawn; NN-1024 and TOY get their keys."""
-    refused = TFHEContext(DEEP_NN_N2048, seed=7)
+#: Every defined parameter set, by name.
+DEFINED_SETS = {
+    params.name: params
+    for params in (
+        *PAPER_PARAMETER_SETS.values(),
+        *DEEP_NN_PARAMETER_SETS.values(),
+        TOY_PARAMETERS,
+        SMALL_PARAMETERS,
+    )
+}
+#: The sets predicted to fail a PBS too often to bootstrap correctly, with that prediction.
+REFUSED = {"IV": "0.83", "NN-2048": "0.14", "NN-4096": "0.63"}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_key_generation_refuses_a_set_that_would_fail(name):
+    """The refusal names the set and its prediction, draws no key and caches nothing."""
+    refused = TFHEContext(DEFINED_SETS[name], seed=7)
     state = refused.rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"'NN-2048' predicts .* probability of 0\.14"):
-        refused.generate_server_keys()
+    failure = re.escape(REFUSED[name])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"{name!r} predicts .* probability of {failure}\b"):
+            refused.generate_server_keys()
     assert refused.rng.bit_generator.state == state
-    for params in (DEEP_NN_N1024, TOY_PARAMETERS):
-        assert TFHEContext(params, seed=7).generate_server_keys().params == params
+    assert refused._server_keys is None
 
 
-def test_only_the_sets_that_cannot_bootstrap_are_refused():
-    """Every accepted set sits at least 75x under the threshold."""
-    defined = [*PAPER_PARAMETER_SETS.values(), *DEEP_NN_PARAMETER_SETS.values()]
-    defined += [TOY_PARAMETERS, SMALL_PARAMETERS]
-    predicted = {params.name: pbs_failure_probability(params) for params in defined}
-    refused = {name for name, failure in predicted.items() if failure > MAX_PBS_FAILURE_PROBABILITY}
-    assert refused == {"IV", "NN-2048", "NN-4096"}
-    accepted = [failure for name, failure in predicted.items() if name not in refused]
-    assert max(accepted) * 75 <= MAX_PBS_FAILURE_PROBABILITY
+@pytest.mark.parametrize("params", [DEEP_NN_N1024, TOY_PARAMETERS], ids=lambda p: p.name)
+def test_key_generation_accepts_a_set_below_the_threshold(params):
+    context = TFHEContext(params, seed=7)
+    keys = context.generate_server_keys()
+    assert keys.params == params
+    assert context.generate_server_keys() is keys
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED_SETS))
+def test_only_the_sets_that_cannot_bootstrap_are_refused(name):
+    """A set is refused exactly when listed; an accepted one sits >= 75x under the threshold."""
+    failure = pbs_failure_probability(DEFINED_SETS[name])
+    assert (failure > MAX_PBS_FAILURE_PROBABILITY) == (name in REFUSED)
+    if name not in REFUSED:
+        assert failure * 75 <= MAX_PBS_FAILURE_PROBABILITY

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -140,7 +141,71 @@ class TestForest:
         with pytest.raises(ValueError):
             forest_netlist([], TOY_PARAMETERS)
 
-    @pytest.mark.parametrize("depth", [2, 6])
+    @pytest.mark.parametrize("num_trees, depth", [(1, 3), (2, 1), (3, 1)])
+    def test_stacked_run_scores_random_forests(self, toy_session, num_trees, depth):
+        forest = [
+            DecisionTree.random(depth, 3, TOY_PARAMETERS, seed=10 + seed)
+            for seed in range(num_trees)
+        ]
+        rng = np.random.default_rng(num_trees)
+        features = [[int(value) for value in rng.integers(0, 4, size=3)] for _ in range(6)]
+        result = run(
+            forest_netlist(forest, TOY_PARAMETERS),
+            backend="reference",
+            session=toy_session,
+            inputs=[{f"x{i}": value for i, value in enumerate(row)} for row in features],
+        )
+        expected = [sum(tree.predict(row) for tree in forest) for row in features]
+        assert [outputs["score"] for outputs in result.outputs] == expected
+
+    def test_a_forest_refuses_what_a_tree_refuses(self):
+        with pytest.raises(ValueError, match="bare leaf"):
+            forest_netlist(
+                [
+                    DecisionTree.random(1, 2, TOY_PARAMETERS, seed=0),
+                    DecisionTree(root=Leaf(1), num_features=2),
+                ],
+                TOY_PARAMETERS,
+            )
+        binary = dataclasses.replace(TOY_PARAMETERS, message_bits=1)
+        tree = DecisionTree.random(1, 2, TOY_PARAMETERS, seed=0)
+        with pytest.raises(ValueError, match="message modulus of at least 4"):
+            forest_netlist([tree], binary)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_a_one_tree_forest_is_the_tree_plus_its_score(self, depth):
+        tree = DecisionTree.random(depth, 4, TOY_PARAMETERS, seed=depth)
+        single = tree_netlist(tree, TOY_PARAMETERS)
+        forest = forest_netlist([tree], TOY_PARAMETERS)
+        *grown, score = forest.operations
+
+        def prefixed(wire: str) -> str:
+            return wire if wire in single.primary_inputs else f"t0_{wire}"
+
+        assert [(op.kind, op.output, op.inputs) for op in grown] == [
+            (op.kind, prefixed(op.output), tuple(map(prefixed, op.inputs)))
+            for op in single.operations
+        ]
+        assert (score.kind, score.output, score.inputs) == ("linear", "score", ("t0_label",))
+        assert forest.pbs_count() == single.pbs_count()
+
+    def test_trees_share_the_feature_wires(self):
+        trees = [
+            DecisionTree.random(2, num_features, TOY_PARAMETERS, seed=num_features)
+            for num_features in (2, 5, 3)
+        ]
+        netlist = forest_netlist(trees, TOY_PARAMETERS)
+        assert netlist.primary_inputs == {f"x{index}" for index in range(5)}
+        assert netlist.name == "forest-3x-d2"
+        score = netlist.operations[-1]
+        assert score.inputs == ("t0_label", "t1_label", "t2_label")
+        grown = [op.output for op in netlist.operations[:-1]]
+        for index, tree in enumerate(trees):
+            prefixed = [wire for wire in grown if wire.startswith(f"t{index}_")]
+            assert len(prefixed) == len(tree_netlist(tree, TOY_PARAMETERS).operations)
+        assert len(grown) == sum(len(tree_netlist(t, TOY_PARAMETERS).operations) for t in trees)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 6])
     def test_a_compiled_forest_prices_every_tree(self, depth):
         forest = self._forest(PARAM_SET_I, depth=depth, num_features=8)
         tree_pbs = tree_netlist(forest[0], PARAM_SET_I).pbs_count()
