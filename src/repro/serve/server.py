@@ -35,6 +35,7 @@ across the cluster (``run(workload, backend="strix-cluster")``).
 from __future__ import annotations
 
 import asyncio
+import math
 import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -325,10 +326,11 @@ class ServingRun:
     def offer(self, request: Request) -> None:
         """Feed the run one request — the body of the only arrival loop.
 
-        A simulated run takes requests in non-decreasing ``arrival_s`` order
-        (:class:`ValueError` otherwise, before the request is counted or
-        admitted: dispatching into the past would report negative queueing
-        delays).  With admission control installed a rejected offer raises
+        A simulated run takes requests with finite ``arrival_s`` in
+        non-decreasing order (:class:`ValueError` otherwise, before the
+        request is counted or admitted: dispatching into the past would
+        report negative queueing delays, a NaN arrival NaN latencies).
+        With admission control installed a rejected offer raises
         :class:`~repro.flow.RequestRejectedError` after counting it and
         advancing the clock — the request *arrived*, it just was not served.
         A refusal (that, or the bounded queue overflowing with admission
@@ -346,11 +348,13 @@ class ServingRun:
             ) from self.error
         arrival = request.arrival_s
         if self.clock is None:
-            if arrival < self._last_arrival:
+            # Written so that NaN fails it too: one NaN arrival would make
+            # every latency NaN, one infinite arrival an infinite horizon.
+            if not self._last_arrival <= arrival < math.inf:
                 raise ValueError(
-                    f"request {request.request_id} arrives at {arrival}, before "
-                    f"the previous offer ({self._last_arrival}); a simulated run "
-                    "takes requests in non-decreasing arrival_s order"
+                    f"request {request.request_id} arrives at {arrival}, the "
+                    f"previous offer at {self._last_arrival}; a simulated run "
+                    "takes requests in non-decreasing, finite arrival_s order"
                 )
             if batcher.deadline_s <= arrival:
                 self._fire_deadlines(arrival)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import math
 import socket
 import threading
 import time
@@ -589,10 +590,11 @@ class TestLoopbackReplay:
             r.request_id for r in trace
         }
 
-    def test_out_of_order_submit_gets_bad_message_and_replay_keeps_serving(self):
+    @pytest.mark.parametrize("arrival", [0.001, math.nan, math.inf])
+    def test_out_of_order_submit_gets_bad_message_and_replay_keeps_serving(self, arrival):
         early, late = (
-            Request.make(index, "t0", "bootstrap", items=2, arrival_s=arrival)
-            for index, arrival in ((1, 0.010), (2, 0.001))
+            Request.make(index, "t0", "bootstrap", items=2, arrival_s=at)
+            for index, at in ((1, 0.010), (2, arrival))
         )
 
         async def scenario():
@@ -601,8 +603,9 @@ class TestLoopbackReplay:
                 first = client.submit_nowait(early)
                 with pytest.raises(NetError) as excinfo:
                     await asyncio.wait_for(client.submit_nowait(late), timeout=5.0)
-                assert excinfo.value.reply.code == ErrorCode.BAD_MESSAGE
-                assert "non-decreasing" in excinfo.value.reply.message
+                reply = excinfo.value.reply
+                assert (reply.code, reply.request_id) == (ErrorCode.BAD_MESSAGE, 2)
+                assert "non-decreasing, finite" in reply.message
                 await client.drain()
                 outcome = await first
                 await client.close()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import math
 import weakref
 from dataclasses import replace
 
@@ -331,7 +332,7 @@ def test_traffic_validation():
         steady_trace(0.0, 1.0)
     with pytest.raises(ValueError):
         heavy_tail_trace(100.0, 1.0, pareto_shape=0.9)
-    with pytest.raises(ValueError, match="burst and idle"):
+    with pytest.raises(ValueError, match="burst_s"):
         bursty_trace(1000.0, 1.0, burst_s=0.0, idle_s=0.0)
     with pytest.raises(ValueError, match="mean_items"):
         steady_trace(100.0, 1.0, mean_items=0.0)
@@ -619,13 +620,15 @@ def test_second_run_while_one_is_active_names_the_active_run():
         first.offer(make_request(4, items=2, arrival_s=0.002))
 
 
-def test_simulated_run_refuses_out_of_order_offers():
-    """Dispatching into the past would report negative queueing delays."""
+@pytest.mark.parametrize("arrival", [0.001, math.nan, math.inf])
+def test_simulated_run_refuses_out_of_order_offers(arrival):
+    """Dispatching into the past would report negative queueing delays; a
+    NaN arrival would make every latency NaN, an infinite one the horizon."""
     server = Server(devices=1, params="I")
     run = server.begin_run()
     run.offer(make_request(1, items=2, arrival_s=0.010))
-    with pytest.raises(ValueError, match="non-decreasing"):
-        run.offer(make_request(2, items=2, arrival_s=0.001))
+    with pytest.raises(ValueError, match="non-decreasing, finite"):
+        run.offer(make_request(2, items=2, arrival_s=arrival))
     run.offer(make_request(3, items=2, arrival_s=0.010))  # ties are in order
     report = run.finish()
     # The refused offer was never counted, admitted or served.

@@ -7,19 +7,23 @@ each generator promises — Poisson steadiness, on/off burstiness, heavy
 tails — actually shows up in the moments of what it emits.
 
 A third pins the draws themselves, in circlestark's ``fft`` / ``fast_fft``
-manner: :func:`spec_make_requests` is the per-request loop written the slow,
-obvious way (``Generator.choice``, an f-string and ``Request.make`` per
-request), and every generator's trace equals the one it builds, request for
-request.
+manner: :func:`spec_arrivals` is the gap-by-gap arrival loop and
+:func:`spec_make_requests` the per-request loop, both written the slow,
+obvious way (one scalar gap per arrival; ``Generator.choice``, an f-string
+and ``Request.make`` per request), and every generator's trace equals the one
+they build, request for request.  The block draws behind the fast path are
+held to per-call loops on their values *and* on the generator's end state.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import traffic
@@ -67,6 +71,17 @@ def spec_make_requests(arrival_times, sizes, rng, tenants, kind_mix) -> list[Req
             )
         )
     return requests
+
+
+def spec_arrivals(rng, gaps, mean_gap, now, cut) -> list[float]:
+    """The slow definition of ``traffic._arrivals``: one scalar gap at a time,
+    until the running sum reaches the cut (that gap is drawn, not kept)."""
+    times = []
+    while True:
+        now += gaps(None)
+        if now >= cut:
+            return times
+        times.append(now)
 
 
 # -- seeded determinism --------------------------------------------------------------
@@ -134,17 +149,81 @@ KIND_MIXES = st.one_of(
     rate=st.floats(50.0, 2000.0),
     duration=st.floats(0.01, 0.2),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 def test_every_trace_equals_the_slow_definition(name, seed, tenants, kind_mix, rate, duration):
-    """If a numpy release changes what ``Generator.choice`` draws, it shows here."""
+    """If a numpy release changes what ``Generator.choice``, ``integers`` or
+    the ziggurat draws, or how PCG64 buffers its 32-bit halves, it shows here."""
     generator = TRAFFIC_PATTERNS[name]
     trace = generator(rate, duration, seed=seed, tenants=tenants, kind_mix=kind_mix)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traffic, "_arrivals", spec_arrivals)
         patch.setattr(traffic, "_make_requests", spec_make_requests)
         expected = generator(rate, duration, seed=seed, tenants=tenants, kind_mix=kind_mix)
     assert trace == expected
     # One name object per tenant, shared by all of its requests.
     assert len({id(r.tenant) for r in trace}) <= tenants
+
+
+def cumulative_of(weights: list[float]) -> np.ndarray:
+    cumulative = np.cumsum(np.asarray(weights, dtype=float) / sum(weights))
+    return cumulative / cumulative[-1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # Up to 16 tenants Lemire almost never rejects; at 2**31 + 1 it rejects
+    # about half of the draws, at 3 * 2**30 about a quarter.
+    tenants=st.one_of(st.integers(1, 16), st.sampled_from([2**31 + 1, 3 * 2**30])),
+    count=st.integers(0, 300),
+    held=st.booleans(),
+    weights=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5).filter(lambda w: sum(w) > 0),
+    tie=st.booleans(),
+)
+@example(seed=3, tenants=2**31 + 1, count=200, held=False, weights=[1.0, 2.0], tie=True)
+@example(seed=4, tenants=3 * 2**30, count=200, held=True, weights=[0.0, 1.0, 0.0], tie=False)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
+def test_kinds_and_tenants_equal_the_per_call_loop(seed, tenants, count, held, weights, tie):
+    """Values and the generator's end state, its buffered 32-bit half included."""
+    cumulative = cumulative_of(weights)
+    fast, slow, peek = (np.random.default_rng(seed) for _ in range(3))
+    if held:  # a 32-bit half waits in the buffer on entry
+        for rng in (fast, slow, peek):
+            rng.integers(5)
+    if tie:  # the first kind draw lands exactly on a boundary: bisect_right's tie rule
+        cumulative = np.sort(np.append(cumulative, peek.random()))
+    kinds, ids = traffic._kinds_and_tenants(fast, cumulative, tenants, count)
+    cdf = cumulative.tolist()
+    expected = [
+        (bisect_right(cdf, slow.random()), int(slow.integers(tenants))) for _ in range(count)
+    ]
+    assert list(zip(kinds.tolist(), ids.tolist())) == expected
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+#: Gap draws the arrival helper is called with, by name: ``gaps(rng, mean_gap, size)``.
+GAPS = {
+    "exponential": lambda rng, mean, size: rng.exponential(mean, size),
+    "pareto": lambda rng, mean, size: mean / 3 * (1.0 + rng.pareto(1.5, size)),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(sorted(GAPS)),
+    mean_gap=st.floats(1e-4, 1.0),
+    now=st.floats(0.0, 10.0),
+    span=st.floats(0.0, 1.0),
+)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+def test_arrivals_equal_the_gap_by_gap_loop(seed, name, mean_gap, now, span):
+    """Values and the generator's end state: one gap past the cut, no more."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    gaps, cut = GAPS[name], now + span
+    times = traffic._arrivals(fast, lambda size: gaps(fast, mean_gap, size), mean_gap, now, cut)
+    expected = spec_arrivals(slow, lambda size: gaps(slow, mean_gap, size), mean_gap, now, cut)
+    assert times == expected
+    assert all(type(time) is float for time in times)
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 # -- the checks Generator.choice made, made up front ----------------------------------
@@ -168,9 +247,51 @@ def test_an_all_zero_mix_is_refused():
         heavy_tail_trace(1.0, 1e-6, kind_mix={RequestKind.GATE: 0.0, RequestKind.ENCRYPT: 0})
 
 
-def test_zero_tenants_is_refused():
-    with pytest.raises(ValueError, match="got 0"):
-        steady_trace(100.0, 1e-6, tenants=0)
+@pytest.mark.parametrize("tenants", [0, 2**32 + 1])
+def test_a_tenant_count_outside_the_32_bit_draw_is_refused(tenants):
+    with pytest.raises(ValueError, match=f"got {tenants}"):
+        steady_trace(100.0, 1e-6, tenants=tenants)
+
+
+# -- parameters that are not finite, refused before any draw -------------------------
+
+#: (generator, a parameter of it that must be finite).
+PARAMETERS = [
+    (steady_trace, "rate_rps"),
+    (steady_trace, "duration_s"),
+    (steady_trace, "mean_items"),
+    (bursty_trace, "burst_rate_rps"),
+    (bursty_trace, "duration_s"),
+    (bursty_trace, "burst_s"),
+    (bursty_trace, "idle_s"),
+    (bursty_trace, "mean_items"),
+    (heavy_tail_trace, "rate_rps"),
+    (heavy_tail_trace, "duration_s"),
+    (heavy_tail_trace, "mean_items"),
+    (heavy_tail_trace, "pareto_shape"),
+    (heavy_tail_trace, "size_sigma"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    ("generator", "parameter"), PARAMETERS, ids=[f"{g.__name__}-{p}" for g, p in PARAMETERS]
+)
+def test_a_parameter_that_is_not_finite_is_refused(generator, parameter, value, monkeypatch):
+    """NaN and infinity passed the old ``<= 0`` guards: a NaN or infinite rate,
+    an infinite duration or a NaN burst length looped forever, and a NaN
+    duration gave bursty an empty trace.  The refusal names the parameter and
+    the value, before any draw."""
+    defaults = {"rate_rps": 100.0, "burst_rate_rps": 100.0, "duration_s": 0.01}
+    arguments = {name: defaults[name] for name in defaults if name in generator.__annotations__}
+    arguments[parameter] = value
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was seeded before the parameters were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=rf"{re.escape(parameter)}.*got.*{value}"):
+        generator(**arguments)
 
 
 # -- statistical sanity ---------------------------------------------------------------
