@@ -60,8 +60,10 @@ def run(
     inputs:
         Primary-input values for functional execution (reference backend).
     instances:
-        Netlist replication factor — the batching knob (the reference
-        backend runs all instances as one stack through the batch kernels).
+        Netlist replication factor — the batching knob; at least 1 on every
+        backend.  The reference backend runs the netlist level by level, one
+        stack per level (every instance of every bootstrap in the level),
+        cut into epochs.
     options:
         Additional backend-specific keywords (e.g. ``outputs=`` for the
         reference backend).  The ``"strix-cluster"`` backend understands

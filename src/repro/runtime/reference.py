@@ -1,19 +1,19 @@
 """Reference backend: functional execution on the real TFHE substrate.
 
-Interprets a :class:`~repro.sim.compiler.Netlist` operation by operation with
-the actual gates / PBS / linear arithmetic of :mod:`repro.tfhe` — every gate
-output is a real bootstrap.  This is the ground truth the performance
-backends are modeled against: the same netlist the simulator costs can be
-decrypted and checked here.  All instances of a run travel together: each
-wire carries one stack of ciphertexts and each operation runs once over it
-through the batch kernels of :mod:`repro.tfhe.batch` (one instance is a
-batch of one).
+Executes a :class:`~repro.sim.compiler.Netlist` level by level, one stack per
+level, cut into epochs: every bootstrap of a ``levelize()`` level, over all
+operations and instances, is a row of one stack with its own test vector,
+bootstrapped ``batch_capacity`` rows at a time — the schedule
+:func:`~repro.sim.compiler.compile_netlist` prices as one PBS node per level
+(a mux's closing ``or`` reads two of its rows, so it is a second stack).  The
+level's linear operations and free NOTs follow in netlist order.  This is the
+ground truth the performance backends are modeled against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from repro.runtime.result import RunResult
 from repro.runtime.session import Session
 from repro.runtime.workload import WorkloadLike, as_netlist
 from repro.sim.compiler import Netlist, Operation
-from repro.tfhe.batch import LweBatch, batch_gate, batch_programmable_bootstrap
-from repro.tfhe.context import ServerKeys
+from repro.tfhe.batch import LweBatch, batch_gate, gate_combination
+from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
 
@@ -75,6 +75,8 @@ class ReferenceBackend(Backend):
         ciphertexts take the encoding of the plaintext values they share
         the wire with).
         """
+        if instances < 1:
+            raise ValueError("instances must be at least 1")
         netlist = as_netlist(workload, params)
         if session is None:
             session = _default_session(netlist.params)
@@ -86,9 +88,9 @@ class ReferenceBackend(Backend):
         session.generate_server_keys()
 
         if inputs is None:
-            input_batches: list[Mapping[str, Any]] = [{}] * max(instances, 1)
+            input_batches: list[Mapping[str, Any]] = [{}] * instances
         elif isinstance(inputs, Mapping):
-            input_batches = [inputs] * max(instances, 1)
+            input_batches = [inputs] * instances
         else:
             input_batches = list(inputs)
             if instances != 1 and instances != len(input_batches):
@@ -103,20 +105,13 @@ class ReferenceBackend(Backend):
                 f"its inputs are {sorted(declared)}"
             )
         output_wires = list(outputs) if outputs is not None else netlist.output_wires()
-        # LUT tables depend only on (function, params): tabulate each one once
-        # for the whole instance batch.
-        luts = {
-            index: LookUpTable.from_function(operation.function or (lambda m: m), netlist.params)
-            for index, operation in enumerate(netlist.operations)
-            if operation.kind == "lut"
-        }
 
         start = time.perf_counter()
         # An empty list of mappings is zero instances (an empty stack is not a batch).
-        decrypted = (
-            self._execute(netlist, session, input_batches, output_wires, luts)
+        decrypted, rows, calls = (
+            self._execute(netlist, session, input_batches, output_wires)
             if input_batches
-            else []
+            else ([], {}, {})
         )
         elapsed = time.perf_counter() - start
 
@@ -128,10 +123,13 @@ class ReferenceBackend(Backend):
             latency_s=elapsed,
             pbs_count=pbs_count,
             outputs=decrypted,
-            details={"instances": len(input_batches), "wall_clock": True},
+            details={
+                "instances": len(input_batches),
+                "wall_clock": True,
+                "pbs_rows": rows,
+                "kernel_calls": calls,
+            },
         )
-
-    # -- interpreter ----------------------------------------------------------------
 
     def _execute(
         self,
@@ -139,18 +137,16 @@ class ReferenceBackend(Backend):
         session: Session,
         input_batches: Sequence[Mapping[str, Any]],
         output_wires: Sequence[str],
-        luts: Mapping[int, LookUpTable],
-    ) -> list[dict[str, int | bool]]:
-        """Execute all instances at once with the stacked batch kernels.
+    ) -> tuple[list[dict[str, int | bool]], dict[str, int], dict[str, int]]:
+        """Execute all instances at once: their outputs, and each level's rows and calls.
 
         Each wire carries one :class:`LweBatch` holding every instance's
-        ciphertext, and each operation runs once over the whole stack.  The
-        batch kernels are bit-for-bit equal to the per-ciphertext ones, so
-        an N-instance run decrypts to the same outputs as N one-instance
-        runs.  Each input wire's plaintext values are encrypted in one batch
-        call, wires in sorted order; a pre-encrypted ciphertext keeps its slot.
+        ciphertext.  The batch kernels are bit-for-bit equal to the
+        per-ciphertext ones, so an N-instance run decrypts to the same
+        outputs as N one-instance runs.  Each input wire's plaintext values
+        are encrypted in one batch call, wires in sorted order; a
+        pre-encrypted ciphertext keeps its slot.
         """
-        keys = session.generate_server_keys()
         values: dict[str, LweBatch] = {}
         tags: dict[str, str] = {}
         for wire in sorted(netlist.primary_inputs):
@@ -176,15 +172,13 @@ class ReferenceBackend(Backend):
             values[wire] = LweBatch.from_ciphertexts(column)
             tags[wire] = typed.pop() if typed else _ANY
 
-        for index, operation in enumerate(netlist.operations):
-            values[operation.output], tags[operation.output] = self._apply(
-                operation, session, keys, values, tags, luts.get(index)
-            )
-
+        _check_encodings(netlist, tags)
+        for wire in output_wires:
+            if wire not in tags:
+                raise KeyError(f"requested output wire {wire!r} was never produced")
+        rows, calls = _execute_levels(netlist, session, values)
         results: list[dict[str, int | bool]] = [{} for _ in input_batches]
         for wire in output_wires:
-            if wire not in values:
-                raise KeyError(f"requested output wire {wire!r} was never produced")
             ciphertexts = values[wire].to_ciphertexts()
             if tags[wire] == _BOOLEAN:
                 decoded: Sequence[int | bool] = session.decrypt_boolean_batch(ciphertexts)
@@ -192,23 +186,19 @@ class ReferenceBackend(Backend):
                 decoded = session.decrypt_batch(ciphertexts)
             for result, value in zip(results, decoded):
                 result[wire] = value
-        return results
+        return results, rows, calls
 
-    def _apply(
-        self,
-        operation: Operation,
-        session: Session,
-        keys: ServerKeys,
-        values: dict[str, LweBatch],
-        tags: dict[str, str],
-        lut: LookUpTable | None,
-    ) -> tuple[LweBatch, str]:
-        operands = [values[wire] for wire in operation.inputs]
-        # Gates work in the ±q/8 boolean encoding; LUT and linear operations
-        # in the integer message encoding.  A wire crossing domains would
-        # decode to garbage silently — the one thing a ground-truth backend
-        # must never do — so mixing is rejected loudly.  Untyped passthrough
-        # ciphertexts (tag "any") are the caller's responsibility.
+
+def _check_encodings(netlist: Netlist, tags: dict[str, str]) -> None:
+    """Tag every operation's output wire with its encoding, in netlist order.
+
+    Gates work in the ±q/8 boolean encoding; LUT and linear operations in
+    the integer message encoding.  A wire crossing domains would decode to
+    garbage silently — the one thing a ground-truth backend must never do —
+    so mixing is rejected loudly, before any bootstrap.  Untyped passthrough
+    ciphertexts (tag "any") are the caller's responsibility.
+    """
+    for operation in netlist.operations:
         wrong_tag = _MESSAGE if operation.kind == "gate" else _BOOLEAN
         mismatched = [w for w in operation.inputs if tags[w] == wrong_tag]
         if mismatched:
@@ -218,48 +208,90 @@ class ReferenceBackend(Backend):
                 "boolean encoding while lut/linear operations use the integer "
                 "message encoding — the two cannot be mixed on one wire"
             )
-        params = session.params
-        if operation.kind == "gate":
-            result = batch_gate(
-                operation.name,
-                tuple(operands),
-                keys.bootstrapping_key,
-                keys.keyswitching_key,
-                params,
-            )
-            return result, _BOOLEAN
-        if operation.kind == "lut":
-            accumulator = LweBatch(
-                sum(operand.masks for operand in operands),
-                sum(operand.bodies for operand in operands),
-                params,
-            )
-            entries = lut.entries
-            bootstrapped = batch_programmable_bootstrap(
-                accumulator,
-                lambda m: int(entries[m % len(entries)]),
-                keys.bootstrapping_key,
-                lut.params,
-                keys.keyswitching_key,
-            )
-            return bootstrapped.ciphertexts, _MESSAGE
-        if operation.kind == "linear":
-            coefficients = operation.coefficients or (1,) * len(operands)
-            masks: np.ndarray | None = None
-            bodies: np.ndarray | None = None
-            for coefficient, operand in zip(coefficients, operands):
-                if coefficient == 0:
-                    continue
-                term_masks = operand.masks * int(coefficient)
-                term_bodies = operand.bodies * int(coefficient)
-                masks = term_masks if masks is None else masks + term_masks
-                bodies = term_bodies if bodies is None else bodies + term_bodies
-            if masks is None or bodies is None:
-                masks = np.zeros((len(operands[0]), operands[0].dimension), dtype=np.int64)
-                bodies = np.zeros(len(operands[0]), dtype=np.int64)
-            tag = tags[operation.inputs[0]] if operation.inputs else _MESSAGE
-            return LweBatch(masks, bodies, params), tag
-        raise ValueError(f"unknown operation kind {operation.kind!r}")
+        encoding = {"gate": _BOOLEAN, "lut": _MESSAGE}.get(operation.kind)
+        tags[operation.output] = encoding or tags[operation.inputs[0]]
+
+
+def _execute_levels(
+    netlist: Netlist, session: Session, values: dict[str, LweBatch]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Run ``netlist`` over the input stacks in ``values``, adding every operation's output.
+
+    Returns each level's bootstrapped rows and kernel calls, keyed by the
+    name :func:`~repro.sim.compiler.compile_netlist` gives its PBS node.
+    """
+    params = session.params
+    sign = make_constant_test_vector(params.q // 8, params)
+    rows: dict[str, int] = {}
+    calls: dict[str, int] = {}
+    for index, level in enumerate(netlist.levelize()):
+        bootstrapped = [operation for operation in level if operation.bootstraps]
+        first: list[tuple[LweBatch, np.ndarray]] = []
+        for operation in bootstrapped:
+            operands = tuple(values[wire] for wire in operation.inputs)
+            if operation.kind == "lut":
+                lut = LookUpTable.from_function(operation.function or (lambda m: m), params)
+                test_vector = make_test_vector(lut, params)
+                first.append((_weighted_sum(operation, operands, params), test_vector))
+            elif operation.name == "mux":
+                select, if_true, if_false = operands
+                first.append((gate_combination("and", (select, if_true), params), sign))
+                first.append((gate_combination("andny", (select, if_false), params), sign))
+            else:
+                first.append((gate_combination(operation.name, operands, params), sign))
+        outputs, first_calls = _bootstrap_stack(session, first)
+        second: list[tuple[LweBatch, np.ndarray]] = []
+        for operation in bootstrapped:
+            if operation.name == "mux":
+                pair = (next(outputs), next(outputs))
+                second.append((gate_combination("or", pair, params), sign))
+            else:
+                values[operation.output] = next(outputs)
+        muxes, second_calls = _bootstrap_stack(session, second)
+        values.update(zip((op.output for op in bootstrapped if op.name == "mux"), muxes))
+        for operation in level:
+            if not operation.bootstraps:
+                operands = tuple(values[wire] for wire in operation.inputs)
+                values[operation.output] = (
+                    batch_gate("not", operands, None, None, params)
+                    if operation.kind == "gate"
+                    else _weighted_sum(operation, operands, params)
+                )
+        if bootstrapped:
+            rows[f"level{index}_pbs"] = sum(len(batch) for batch, _ in first + second)
+            calls[f"level{index}_pbs"] = first_calls + second_calls
+    return rows, calls
+
+
+def _bootstrap_stack(
+    session: Session, pieces: Sequence[tuple[LweBatch, np.ndarray]]
+) -> tuple[Iterator[LweBatch], int]:
+    """Bootstrap ``(instances, test vector)`` pieces as one stack: their outputs, and the calls."""
+    if not pieces:
+        return iter(()), 0
+    stack = LweBatch(
+        np.concatenate([batch.masks for batch, _ in pieces]),
+        np.concatenate([batch.bodies for batch, _ in pieces]),
+        session.params,
+    )
+    vectors = np.repeat([vector for _, vector in pieces], len(pieces[0][0]), axis=0)
+    epochs = list(session.bootstrap_epochs(stack, vectors))
+    masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), len(pieces))
+    bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), len(pieces))
+    return map(LweBatch, masks, bodies, [session.params] * len(pieces)), len(epochs)
+
+
+def _weighted_sum(
+    operation: Operation, operands: tuple[LweBatch, ...], params: TFHEParameters
+) -> LweBatch:
+    """``sum(c_i * operand_i)`` over the operation's coefficients (all ones by default)."""
+    coefficients = operation.coefficients or (1,) * len(operands)
+    masks = np.zeros_like(operands[0].masks)
+    bodies = np.zeros_like(operands[0].bodies)
+    for coefficient, operand in zip(coefficients, operands):
+        masks += int(coefficient) * operand.masks
+        bodies += int(coefficient) * operand.bodies
+    return LweBatch(masks, bodies, params)
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)

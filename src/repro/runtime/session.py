@@ -24,11 +24,12 @@ from repro.runtime.workload import WorkloadLike, resolve_params
 from repro.tfhe import encoding, torus
 from repro.tfhe.batch import (
     LweBatch,
+    batch_bootstrap_with_test_vector,
     batch_encrypt,
     batch_gate,
     batch_phase,
-    batch_programmable_bootstrap,
 )
+from repro.tfhe.blind_rotate import make_test_vector
 from repro.tfhe.bootstrap import BootstrapResult
 from repro.tfhe.context import ServerKeys, TFHEContext
 from repro.tfhe.gates import GateBootstrapper
@@ -212,30 +213,42 @@ class Session:
     ) -> list[LweCiphertext]:
         """Bootstrap a batch of ciphertexts through the same function.
 
-        Ciphertexts are processed in epoch-sized chunks (``batch_capacity``),
-        mirroring how the accelerator would schedule them: each chunk is one
-        pass through the stacked-array PBS chain, bit-for-bit identical to
-        :meth:`programmable_bootstrap` applied element by element.
+        One stack cut into epochs by :meth:`bootstrap_epochs`, bit-for-bit
+        identical to :meth:`programmable_bootstrap` applied element by element.
         """
-        refreshed: list[LweCiphertext] = []
-        for epoch in self.iter_epochs(list(ciphertexts)):
-            keys = self.generate_server_keys()  # cached; an empty batch needs none
-            result = batch_programmable_bootstrap(
-                LweBatch.from_ciphertexts(epoch),
-                function,
+        ciphertexts = list(ciphertexts)
+        if not ciphertexts:  # an empty batch needs no keys
+            return []
+        stack = LweBatch.from_ciphertexts(ciphertexts)
+        epochs = self.bootstrap_epochs(stack, make_test_vector(function, self.params), keyswitch)
+        return [ciphertext for epoch in epochs for ciphertext in epoch.to_ciphertexts()]
+
+    def bootstrap_epochs(
+        self, stack: LweBatch, test_vector: np.ndarray, keyswitch: bool = True
+    ) -> Iterator[LweBatch]:
+        """Bootstrap a stack one epoch at a time, yielding each epoch's outputs.
+
+        ``test_vector`` is one polynomial for every row or one per row (shape
+        ``(N,)`` or ``(len(stack), N)``).  Each ``batch_capacity`` rows are one
+        pass through the stacked-array PBS chain, as the accelerator would
+        schedule them (the epoch rule ``spec_run`` states).
+        """
+        keys = self.generate_server_keys()
+        for epoch in self.iter_epochs(range(len(stack))):
+            rows = slice(epoch.start, epoch.stop)
+            yield batch_bootstrap_with_test_vector(
+                LweBatch(stack.masks[rows], stack.bodies[rows], self.params),
+                test_vector if test_vector.ndim == 1 else test_vector[rows],
                 keys.bootstrapping_key,
                 self.params,
                 keys.keyswitching_key if keyswitch else None,
-            )
-            refreshed.extend(result.ciphertexts.to_ciphertexts())
-        return refreshed
+            ).ciphertexts
 
     def apply_lut_batch(
         self, ciphertexts: Iterable[LweCiphertext], lut: LookUpTable
     ) -> list[LweCiphertext]:
         """Apply one LUT across a batch of ciphertexts (one PBS each)."""
-        entries = lut.entries
-        return self.bootstrap_batch(ciphertexts, lambda m: int(entries[m % len(entries)]))
+        return self.bootstrap_batch(ciphertexts, lut)
 
     def gate_batch(
         self, gate: str, *operand_batches: Iterable[LweCiphertext]

@@ -91,6 +91,9 @@ class Netlist:
             raise ValueError(
                 f"unknown gate {gate!r}; known gates: {sorted(GateBootstrapper.PBS_COST)}"
             )
+        arity = {"not": 1, "mux": 3}.get(gate, 2)
+        if len(inputs) != arity:
+            raise ValueError(f"gate {gate!r} takes {arity} input(s), got {len(inputs)}")
         return self._add(Operation("gate", output, tuple(inputs), name=gate))
 
     def add_lut(
@@ -131,6 +134,8 @@ class Netlist:
         )
 
     def _add(self, operation: Operation) -> str:
+        if not operation.inputs:
+            raise ValueError(f"{operation.kind} operation {operation.output!r} has no input wire")
         if operation.output in self._wires:
             raise ValueError(f"wire {operation.output!r} is already defined")
         if not self._wires.issuperset(operation.inputs):

@@ -13,7 +13,7 @@ kernels stay as the oracle, reachable through the per-ciphertext API.
 
 from __future__ import annotations
 
-from repro.tfhe.batch.gates import batch_gate
+from repro.tfhe.batch.gates import batch_gate, gate_combination
 from repro.tfhe.batch.kernels import (
     BatchBootstrapResult,
     batch_blind_rotate,
@@ -24,7 +24,6 @@ from repro.tfhe.batch.kernels import (
     batch_modulus_switch,
     batch_monomial_multiply,
     batch_phase,
-    batch_programmable_bootstrap,
     batch_sample_extract,
 )
 from repro.tfhe.batch.types import GlweBatch, LweBatch
@@ -42,6 +41,6 @@ __all__ = [
     "batch_modulus_switch",
     "batch_monomial_multiply",
     "batch_phase",
-    "batch_programmable_bootstrap",
     "batch_sample_extract",
+    "gate_combination",
 ]

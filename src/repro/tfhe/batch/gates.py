@@ -63,6 +63,13 @@ def batch_gate(
         return batch_gate(
             "or", (first, second), bootstrapping_key, keyswitching_key, params
         )
+    return batch_bootstrap_to_sign(
+        gate_combination(gate, operands, params), bootstrapping_key, params, keyswitching_key
+    ).ciphertexts
+
+
+def gate_combination(gate: str, operands: tuple[LweBatch, ...], params: TFHEParameters) -> LweBatch:
+    """What a two-input ``gate`` bootstraps to its sign: its :data:`_GATE_COMBINATIONS` row."""
     try:
         coefficients, offset_sign, denominator = _GATE_COMBINATIONS[gate]
     except KeyError:
@@ -74,7 +81,4 @@ def batch_gate(
     masks = sum(c * operand.masks for c, operand in zip(coefficients, operands))
     bodies = sum(c * operand.bodies for c, operand in zip(coefficients, operands))
     offset = offset_sign * ((params.q // denominator) % params.q)
-    combination = LweBatch(masks, bodies + offset, params)
-    return batch_bootstrap_to_sign(
-        combination, bootstrapping_key, params, keyswitching_key
-    ).ciphertexts
+    return LweBatch(masks, bodies + offset, params)

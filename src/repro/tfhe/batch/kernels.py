@@ -75,7 +75,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -83,7 +82,7 @@ from repro.fft.folding import FoldedNegacyclicTransform
 from repro.params import TFHEParameters
 from repro.tfhe import torus
 from repro.tfhe.batch.types import GlweBatch, LweBatch
-from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
+from repro.tfhe.blind_rotate import make_constant_test_vector
 from repro.tfhe.decomposition import decompose, plan_decompose_folded
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.polynomial import get_transform
@@ -428,26 +427,6 @@ def batch_bootstrap_with_test_vector(
         return BatchBootstrapResult(extracted, extracted)
     switched = batch_keyswitch(extracted, keyswitching_key, params)
     return BatchBootstrapResult(switched, extracted)
-
-
-def batch_programmable_bootstrap(
-    batch: LweBatch,
-    function: Callable[[int], int],
-    bootstrapping_key: BootstrappingKey,
-    params: TFHEParameters,
-    keyswitching_key: KeySwitchingKey | None = None,
-) -> BatchBootstrapResult:
-    """Evaluate ``f`` on every encrypted message while refreshing the noise.
-
-    The batch twin of :func:`repro.tfhe.bootstrap.programmable_bootstrap`:
-    one test vector is built for the whole batch (it depends only on the
-    function and the parameters) and every element is rotated by its own
-    phase.
-    """
-    test_vector = make_test_vector(function, params)
-    return batch_bootstrap_with_test_vector(
-        batch, test_vector, bootstrapping_key, params, keyswitching_key
-    )
 
 
 def batch_bootstrap_to_sign(

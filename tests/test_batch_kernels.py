@@ -50,8 +50,8 @@ from repro.tfhe.batch import (
     batch_blind_rotate,
     batch_gate,
     batch_keyswitch,
+    batch_bootstrap_with_test_vector,
     batch_monomial_multiply,
-    batch_programmable_bootstrap,
     batch_sample_extract,
     kernels,
 )
@@ -211,8 +211,8 @@ class TestBitForBitEquality:
                     scalar = blind_rotate(test_vector, ciphertext, keys.bootstrapping_key, params)
                     np.testing.assert_array_equal(accumulators.masks[index], scalar.mask)
                     np.testing.assert_array_equal(accumulators.bodies[index], scalar.body)
-                batched = batch_programmable_bootstrap(
-                    stacked, function, keys.bootstrapping_key, params, keys.keyswitching_key
+                batched = batch_bootstrap_with_test_vector(
+                    stacked, test_vector, keys.bootstrapping_key, params, keys.keyswitching_key
                 )
                 scalars = [
                     programmable_bootstrap(
@@ -284,9 +284,9 @@ class TestBitForBitEquality:
         keys = toy_context.server_keys
         params = TOY_PARAMETERS
         ciphertext = toy_context.encrypt(2)
-        batched = batch_programmable_bootstrap(
+        batched = batch_bootstrap_with_test_vector(
             LweBatch.from_ciphertexts([ciphertext]),
-            lambda m: m,
+            make_test_vector(lambda m: m, params),
             keys.bootstrapping_key,
             params,
             keys.keyswitching_key,
@@ -1046,7 +1046,7 @@ class TestReferenceBackendKernels:
             for one in inputs
         ]
         assert stacked.outputs == single
-        assert stacked.details == {"instances": len(inputs), "wall_clock": True}
+        assert stacked.details["instances"] == len(inputs) and stacked.details["wall_clock"]
         return stacked.outputs
 
     def test_adder_outputs_identical(self, session):
@@ -1200,9 +1200,9 @@ class TestTransformRegistry:
                 ct, lambda m: m, keys.bootstrapping_key, TOY_PARAMETERS
             )
             after_scalar = transform_cache_stats()["folded_entries"]
-            batch_programmable_bootstrap(
+            batch_bootstrap_with_test_vector(
                 LweBatch.from_ciphertexts([ct]),
-                lambda m: m,
+                make_test_vector(lambda m: m, TOY_PARAMETERS),
                 keys.bootstrapping_key,
                 TOY_PARAMETERS,
             )

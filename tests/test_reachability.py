@@ -23,7 +23,10 @@ SRC = ROOT / "src"
 #: Orphans kept on purpose.  Each is asserted to still be one, so the entry is
 #: deleted the day the module gains a caller.
 EXCEPTIONS = {
-    "repro.fft.reference": "slow reference of the transform tests and of the noise-budget item",
+    "repro.fft.reference": (
+        "slow reference of the transform tests and of the item "
+        "'The paper's seven sets bootstrap', slice (a)"
+    ),
 }
 
 

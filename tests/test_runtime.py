@@ -365,3 +365,40 @@ def test_netlist_output_wires():
     x = netlist.add_gate("and", "x", a, b)
     netlist.add_gate("not", "y", x)
     assert netlist.output_wires() == ["y"]
+
+
+@pytest.mark.parametrize(
+    "gate, inputs",
+    [("not", ("a", "b")), ("mux", ("a", "b")), ("and", ("a", "b", "c")), ("xor", ("a",))],
+)
+def test_a_gate_refuses_a_wrong_operand_count(gate, inputs):
+    netlist = Netlist(TOY_PARAMETERS)
+    for wire in "abc":
+        netlist.add_input(wire)
+    with pytest.raises(ValueError, match=f"gate '{gate}' takes"):
+        netlist.add_gate(gate, "out", *inputs)
+
+
+def test_a_lut_refuses_no_input_wire():
+    with pytest.raises(ValueError, match="lut operation 'out' has no input wire"):
+        Netlist(TOY_PARAMETERS).add_lut("out")
+
+
+def test_a_linear_operation_refuses_no_input_wire():
+    with pytest.raises(ValueError, match="linear operation 'out' has no input wire"):
+        Netlist(TOY_PARAMETERS).add_linear("out", ())
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+@pytest.mark.parametrize("backend", ["reference", "strix-sim", "cpu-analytical"])
+def test_every_backend_refuses_fewer_than_one_instance(session, backend, instances):
+    netlist = full_adder_netlist(TOY_PARAMETERS, 1)
+    with pytest.raises(ValueError, match="instances must be at least 1"):
+        run(netlist, backend=backend, session=session, instances=instances)
+
+
+def test_an_empty_list_of_inputs_is_zero_instances(session):
+    netlist = full_adder_netlist(TOY_PARAMETERS, 1)
+    result = run(netlist, backend="reference", session=session, inputs=[])
+    assert result.outputs == [] and result.pbs_count == 0
+    assert result.details["instances"] == 0 and result.details["pbs_rows"] == {}
