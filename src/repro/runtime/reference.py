@@ -13,7 +13,7 @@ ground truth the performance backends are modeled against.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def _execute_levels(
                 first.append((gate_combination("andny", (select, if_false), params), sign))
             else:
                 first.append((gate_combination(operation.name, operands, params), sign))
-        outputs, first_calls = _bootstrap_stack(session, first)
+        outputs, first_calls = session.bootstrap_stack(first)
         second: list[tuple[LweBatch, np.ndarray]] = []
         for operation in bootstrapped:
             if operation.name == "mux":
@@ -247,7 +247,7 @@ def _execute_levels(
                 second.append((gate_combination("or", pair, params), sign))
             else:
                 values[operation.output] = next(outputs)
-        muxes, second_calls = _bootstrap_stack(session, second)
+        muxes, second_calls = session.bootstrap_stack(second)
         values.update(zip((op.output for op in bootstrapped if op.name == "mux"), muxes))
         for operation in level:
             if not operation.bootstraps:
@@ -261,24 +261,6 @@ def _execute_levels(
             rows[f"level{index}_pbs"] = sum(len(batch) for batch, _ in first + second)
             calls[f"level{index}_pbs"] = first_calls + second_calls
     return rows, calls
-
-
-def _bootstrap_stack(
-    session: Session, pieces: Sequence[tuple[LweBatch, np.ndarray]]
-) -> tuple[Iterator[LweBatch], int]:
-    """Bootstrap ``(instances, test vector)`` pieces as one stack: their outputs, and the calls."""
-    if not pieces:
-        return iter(()), 0
-    stack = LweBatch(
-        np.concatenate([batch.masks for batch, _ in pieces]),
-        np.concatenate([batch.bodies for batch, _ in pieces]),
-        session.params,
-    )
-    vectors = np.repeat([vector for _, vector in pieces], len(pieces[0][0]), axis=0)
-    epochs = list(session.bootstrap_epochs(stack, vectors))
-    masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), len(pieces))
-    bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), len(pieces))
-    return map(LweBatch, masks, bodies, [session.params] * len(pieces)), len(epochs)
 
 
 def _weighted_sum(

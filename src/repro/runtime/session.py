@@ -28,8 +28,9 @@ from repro.tfhe.batch import (
     batch_encrypt,
     batch_gate,
     batch_phase,
+    gate_combination,
 )
-from repro.tfhe.blind_rotate import make_test_vector
+from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
 from repro.tfhe.bootstrap import BootstrapResult
 from repro.tfhe.context import ServerKeys, TFHEContext
 from repro.tfhe.gates import GateBootstrapper
@@ -244,6 +245,23 @@ class Session:
                 keys.keyswitching_key if keyswitch else None,
             ).ciphertexts
 
+    def bootstrap_stack(
+        self, pieces: Sequence[tuple[LweBatch, np.ndarray]]
+    ) -> tuple[Iterator[LweBatch], int]:
+        """Bootstrap ``(rows, test vector)`` pieces as one epoch-cut stack: outputs, calls."""
+        if not pieces:
+            return iter(()), 0
+        stack = LweBatch(
+            np.concatenate([batch.masks for batch, _ in pieces]),
+            np.concatenate([batch.bodies for batch, _ in pieces]),
+            self.params,
+        )
+        vectors = np.repeat([vector for _, vector in pieces], len(pieces[0][0]), axis=0)
+        epochs = list(self.bootstrap_epochs(stack, vectors))
+        masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), len(pieces))
+        bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), len(pieces))
+        return map(LweBatch, masks, bodies, [self.params] * len(pieces)), len(epochs)
+
     def apply_lut_batch(
         self, ciphertexts: Iterable[LweCiphertext], lut: LookUpTable
     ) -> list[LweCiphertext]:
@@ -258,7 +276,8 @@ class Session:
         Every operand batch must have the same length; element ``i`` of the
         result is the gate applied to the ``i``-th element of every batch
         (three batches for ``"mux"``, one for ``"not"``), computed one
-        epoch-sized chunk (``batch_capacity``) of every batch at a time.
+        epoch-sized chunk (``batch_capacity``) at a time; a mux is the level
+        executor's two stacks, its ``and`` / ``andny`` rows and then its ``or`` rows.
         """
         if gate not in GateBootstrapper.PBS_COST:
             raise ValueError(
@@ -270,6 +289,15 @@ class Session:
         lengths = {len(batch) for batch in operands}
         if len(lengths) != 1:
             raise ValueError(f"operand batches have mismatched lengths: {sorted(lengths)}")
+        if gate == "mux" and operands[0]:  # two stacks, as the level executor runs a mux
+            select, if_true, if_false = map(LweBatch.from_ciphertexts, operands)
+            sign = make_constant_test_vector(self.params.q // 8, self.params)
+            rows = [("and", if_true), ("andny", if_false)]
+            halves, _ = self.bootstrap_stack(
+                [(gate_combination(g, (select, b), self.params), sign) for g, b in rows]
+            )
+            ors = gate_combination("or", tuple(halves), self.params)
+            return [c for epoch in self.bootstrap_epochs(ors, sign) for c in epoch.to_ciphertexts()]
         bsk = ksk = None
         if operands[0] and GateBootstrapper.PBS_COST[gate]:  # ``not`` negates: no keys
             keys = self.generate_server_keys()

@@ -10,7 +10,7 @@ PBS cost model, and the per-request outcome the metrics layer consumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -54,9 +54,23 @@ def pbs_per_item(kind: RequestKind, model: str | None = None) -> int:
     return _FIXED_PBS_PER_ITEM[kind]
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
+class _RequestSlots:
+    """The eight slots of a :class:`Request`, stored once by ``Request.__new__``."""
+
+    __slots__ = (
+        "request_id", "tenant", "kind", "items", "pbs_per_item", "arrival_s", "model", "deadline_s"
+    )
+
+
+#: A request's eight fields as a tuple, in declaration order.
+_fields = attrgetter(*_RequestSlots.__slots__)
+
+
+class Request(_RequestSlots):
     """One tenant submission awaiting batching.
+
+    A request is immutable: assigning or deleting a field raises
+    ``AttributeError``, and ``==`` / ``hash`` go by its eight fields.
 
     Attributes
     ----------
@@ -81,20 +95,47 @@ class Request:
         requests at batch-assembly time — counted, never executed.
     """
 
-    request_id: int
-    tenant: str
-    kind: RequestKind
-    items: int
-    pbs_per_item: int
-    arrival_s: float
-    model: str | None = None
-    deadline_s: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.items < 1:
+    def __new__(cls, request_id: int, tenant: str, kind: RequestKind, items: int,
+                pbs_per_item: int, arrival_s: float, model: str | None = None,
+                deadline_s: float | None = None) -> "Request":  # fmt: skip
+        # Request refuses __setattr__, so a base-class draft takes the plain slot stores.
+        if items < 1:
             raise ValueError("a request must cover at least one item")
-        if self.pbs_per_item < 0:
+        if pbs_per_item < 0:
             raise ValueError("pbs_per_item cannot be negative")
+        draft = object.__new__(_RequestSlots)
+        draft.request_id = request_id
+        draft.tenant = tenant
+        draft.kind = kind
+        draft.items = items
+        draft.pbs_per_item = pbs_per_item
+        draft.arrival_s = arrival_s
+        draft.model = model
+        draft.deadline_s = deadline_s
+        draft.__class__ = cls
+        return draft
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"a Request is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+    def __reduce__(self):
+        return self.__class__, _fields(self)
+
+    def __repr__(self) -> str:
+        pairs = zip(_RequestSlots.__slots__, _fields(self))
+        return f"Request({', '.join(f'{name}={value!r}' for name, value in pairs)})"
 
     @property
     def total_pbs(self) -> int:

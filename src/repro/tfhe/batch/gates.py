@@ -41,10 +41,10 @@ def batch_gate(
     """Evaluate ``gate`` element-wise across aligned operand batches.
 
     ``operands`` holds one :class:`LweBatch` per gate input (1 for ``not``,
-    2 for the binary gates, 3 for ``mux`` as ``(select, if_true,
-    if_false)``), all of the same length.  Returns the batch of gate
-    outputs, freshly bootstrapped for every gate except ``not`` (the one
-    gate that reads neither key, so both may be ``None`` for it).
+    2 for the binary gates), all of the same length.  Returns the batch of
+    gate outputs, freshly bootstrapped for every gate except ``not`` (the
+    one gate that reads neither key, so both may be ``None`` for it).  A
+    ``mux`` is two stacks of gate rows: see :meth:`repro.runtime.Session.gate_batch`.
     """
     sizes = {len(operand) for operand in operands}
     if len(sizes) > 1:
@@ -52,17 +52,6 @@ def batch_gate(
     if gate == "not":
         (operand,) = operands
         return LweBatch(-operand.masks, -operand.bodies, params)
-    if gate == "mux":
-        select, if_true, if_false = operands
-        first = batch_gate(
-            "and", (select, if_true), bootstrapping_key, keyswitching_key, params
-        )
-        second = batch_gate(
-            "andny", (select, if_false), bootstrapping_key, keyswitching_key, params
-        )
-        return batch_gate(
-            "or", (first, second), bootstrapping_key, keyswitching_key, params
-        )
     return batch_bootstrap_to_sign(
         gate_combination(gate, operands, params), bootstrapping_key, params, keyswitching_key
     ).ciphertexts

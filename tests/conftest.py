@@ -10,7 +10,6 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from repro.net.loadgen import replay_trace
 from repro.net.server import NetServer
 from repro.params import SMALL_PARAMETERS, TOY_PARAMETERS
 from repro.runtime import Session
-from repro.serve import Server
+from repro.serve import Request, Server
 from repro.tfhe.context import TFHEContext
 
 #: ``HYPOTHESIS_PROFILE=fuzz`` runs every property that does not pin its own
@@ -80,6 +79,20 @@ def ledger(report) -> dict[str, int]:
     }
 
 
+def with_deadline(request: Request, deadline_s: float) -> Request:
+    """``request`` rebuilt with ``deadline_s`` (a ``Request`` has no ``replace``)."""
+    return Request(
+        request.request_id,
+        request.tenant,
+        request.kind,
+        request.items,
+        request.pbs_per_item,
+        request.arrival_s,
+        request.model,
+        deadline_s,
+    )
+
+
 def _serve_three_ways(trace, deadline=False, death=False, **options):
     """Serve ``trace`` through all three simulated-clock entries and assert
     they agree: ``simulate(trace)`` ≡ ``begin_run``/``offer``*/``finish`` ≡
@@ -94,7 +107,7 @@ def _serve_three_ways(trace, deadline=False, death=False, **options):
     ``(in_process_report, wire_report)``.
     """
     if deadline:
-        trace = [replace(r, deadline_s=r.arrival_s + 0.0019) for r in trace]
+        trace = [with_deadline(r, r.arrival_s + 0.0019) for r in trace]
     if death:
         served = Server(**options).simulate(trace).outcomes
         victim = served[len(served) // 2]

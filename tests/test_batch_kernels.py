@@ -550,16 +550,15 @@ class TestBatchGates:
             "not", (stacked["lhs"],), keys.bootstrapping_key, keys.keyswitching_key, params
         )
         _assert_batch_equals_scalars(batched_not, [gates.not_(a) for a in lhs])
-        batched_mux = batch_gate(
-            "mux",
-            (stacked["sel"], stacked["lhs"], stacked["rhs"]),
-            keys.bootstrapping_key,
-            keys.keyswitching_key,
-            params,
-        )
-        _assert_batch_equals_scalars(
-            batched_mux, [gates.mux(s, t, f) for s, t, f in zip(sel, lhs, rhs)]
-        )
+        # mux is two stacks of gate rows (Session.gate_batch), not one batch_gate call.
+        with pytest.raises(ValueError, match="unknown gate 'mux'"):
+            batch_gate(
+                "mux",
+                (stacked["sel"], stacked["lhs"], stacked["rhs"]),
+                keys.bootstrapping_key,
+                keys.keyswitching_key,
+                params,
+            )
 
     def test_mismatched_operand_sizes_rejected(self, toy_context):
         keys = toy_context.server_keys
@@ -698,13 +697,35 @@ class TestSessionKernels:
         arities = {"nand": 2, "mux": 3, "not": 1}
         fast = {gate: session.gate_batch(gate, *operands[:n]) for gate, n in arities.items()}
         monkeypatch.undo()
-        # nand per chunk, then mux as a whole per chunk (and, andny, or); not never bootstraps.
-        assert bootstrapped == [3, 1, 3, 3, 3, 1, 1, 1]
+        # nand per chunk; mux as two stacks, its 8 and / andny rows, then its 4 ors;
+        # not never bootstraps.
+        assert bootstrapped == [3, 1, 3, 3, 2, 3, 1]
         for gate, n in arities.items():
             method = _oracle_gate(session, gate)
             _assert_batch_equals_scalars(
                 LweBatch.from_ciphertexts(fast[gate]), [method(*row) for row in zip(*operands[:n])]
             )
+
+    @pytest.mark.parametrize(
+        "select, if_true, if_false", [(True, False, True), (False, False, True)]
+    )
+    def test_a_one_row_mux_is_two_kernel_calls(
+        self, session, monkeypatch, select, if_true, if_false
+    ):
+        """The ``and`` / ``andny`` rows are one stack, the ``or`` row another."""
+        operands = [session.encrypt_boolean_batch([bit]) for bit in (select, if_true, if_false)]
+        session.generate_server_keys()
+        real_switch, calls = kernels.batch_modulus_switch, []
+
+        def recording_switch(batch, params):
+            calls.append(len(batch))
+            return real_switch(batch, params)
+
+        monkeypatch.setattr(kernels, "batch_modulus_switch", recording_switch)
+        muxed = session.gate_batch("mux", *operands)
+        monkeypatch.undo()
+        assert calls == [2, 1]
+        assert session.decrypt_boolean_batch(muxed) == [if_true if select else if_false]
 
     def test_not_generates_no_server_keys(self):
         session = Session("TOY", seed=32)

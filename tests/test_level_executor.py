@@ -6,8 +6,9 @@ one of :meth:`Netlist.levelize`'s levels is a row of one stack, cut into
 idiom of a slow readable definition beside the fast one:
 
 * ``spec_execute`` — the per-operation interpreter the backend used to be:
-  every operation in netlist order, each gate through ``batch_gate`` and
-  each LUT through its own bootstrap.  PBS is deterministic, so the level
+  every operation in netlist order, each gate through ``batch_gate`` (a mux
+  through its ``and``, ``andny`` and ``or``) and each LUT through its own
+  bootstrap.  PBS is deterministic, so the level
   executor must produce every wire's masks and bodies to the bit;
 * ``compile_netlist``'s ``level{L}_pbs`` nodes — the rows the executor
   reports per level must be the rows the model prices, and its kernel calls
@@ -76,10 +77,15 @@ def spec_apply(operation: Operation, session, keys, values, tags, lut) -> tuple[
         )
     params = session.params
     if operation.kind == "gate":
-        result = batch_gate(
-            operation.name, tuple(operands), keys.bootstrapping_key, keys.keyswitching_key, params
-        )
-        return result, _BOOLEAN
+
+        def gate(name: str, inputs: tuple[LweBatch, ...]) -> LweBatch:
+            return batch_gate(name, inputs, keys.bootstrapping_key, keys.keyswitching_key, params)
+
+        if operation.name == "mux":  # and, andny, then or: three separate bootstraps
+            select, if_true, if_false = operands
+            pair = (gate("and", (select, if_true)), gate("andny", (select, if_false)))
+            return gate("or", pair), _BOOLEAN
+        return gate(operation.name, tuple(operands)), _BOOLEAN
     if operation.kind == "lut":
         accumulator = LweBatch(
             sum(operand.masks for operand in operands),

@@ -14,6 +14,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from conftest import with_deadline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from repro.apps.traffic import (
 from repro.serve import (
     AdaptiveBatcher,
     Request,
+    RequestKind,
     RequestQueue,
     RoundRobinPolicy,
     RunActiveError,
@@ -66,6 +68,8 @@ def test_request_pbs_costs_per_kind():
 def test_request_validation():
     with pytest.raises(ValueError, match="at least one item"):
         make_request(1, items=0)
+    with pytest.raises(ValueError, match="pbs_per_item cannot be negative"):
+        Request(1, "t0", RequestKind.GATE, 1, -1, 0.0)
     with pytest.raises(ValueError, match="model name"):
         Request.make(1, "t0", "inference")
     with pytest.raises(KeyError, match="NN-20"):
@@ -405,7 +409,7 @@ def test_report_summaries_equal_the_ones_derived_from_its_outcomes(options):
     of ``summarize`` reading them back off the outcomes: same floats."""
     trace = bursty_trace(3000.0, 0.1, seed=29)
     if "admission" in options:
-        trace = [replace(r, deadline_s=r.arrival_s + 0.0019) for r in trace]
+        trace = [with_deadline(r, r.arrival_s + 0.0019) for r in trace]
     options = {"devices": 4, "params": "I", **options}
     if "on_death" in options:  # kill a device halfway through a batch it is serving
         victim = Server(**options).simulate(trace).outcomes[len(trace) // 2]
@@ -445,7 +449,7 @@ def test_every_outcome_leaves_a_run_exactly_once(pattern, seed, devices, qos, de
     order, each object once: the outbox hands an outcome out and forgets it."""
     trace = TRAFFIC_PATTERNS[pattern](3000.0, 0.04, seed=seed, tenants=3)
     if deadline:
-        trace = [replace(r, deadline_s=r.arrival_s + 0.0019) for r in trace]
+        trace = [with_deadline(r, r.arrival_s + 0.0019) for r in trace]
     options = {"devices": devices, "params": "I", "qos": qos}
     whole = Server(**options).simulate(trace, label="once")
     run = Server(**options).begin_run(label="once")
