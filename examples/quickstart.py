@@ -41,18 +41,20 @@ def main() -> None:
     ciphertexts = session.encrypt_batch(messages)
     total = ciphertexts[0] + ciphertexts[1]
     print(f"encrypt_batch({messages}) -> decrypt_batch = {session.decrypt_batch(ciphertexts)}")
-    print(f"Enc({messages[0]}) + Enc({messages[1]}) decrypts to {session.decrypt(total)}")
+    (decrypted_total,) = session.decrypt_batch([total])
+    print(f"Enc({messages[0]}) + Enc({messages[1]}) decrypts to {decrypted_total}")
 
     # 3. Batch programmable bootstrapping: one function over many ciphertexts.
     p = session.params.message_modulus
     squared = session.bootstrap_batch(ciphertexts, lambda m: (m * m) % p)
     print(f"bootstrap_batch(x^2 mod {p}) = {session.decrypt_batch(squared)}")
     square_lut = LookUpTable.from_function(lambda m: (m * m) % p, session.params)
-    assert session.decrypt_batch(session.apply_lut_batch(ciphertexts, square_lut)) == [
+    assert session.decrypt_batch(session.bootstrap_batch(ciphertexts, square_lut)) == [
         (m * m) % p for m in messages
     ]
 
-    # 4. Vectorized gate application (every output is a real bootstrap).
+    # 4. Vectorized gate application: each call is a one-gate level, one
+    #    stack cut into epochs (every output is a real bootstrap).
     lhs = session.encrypt_boolean_batch([True, True, False])
     rhs = session.encrypt_boolean_batch([True, False, False])
     for gate in ("and", "xor", "nand"):

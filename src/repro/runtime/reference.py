@@ -5,8 +5,10 @@ level, cut into epochs: every bootstrap of a ``levelize()`` level, over all
 operations and instances, is a row of one stack with its own test vector,
 bootstrapped ``batch_capacity`` rows at a time — the schedule
 :func:`~repro.sim.compiler.compile_netlist` prices as one PBS node per level
-(a mux's closing ``or`` reads two of its rows, so it is a second stack).  The
-level's linear operations and free NOTs follow in netlist order.  This is the
+(a mux's closing ``or`` reads two of its rows, so it is a second stack).  One
+:meth:`~repro.runtime.session.Session.bootstrap_level` call, the path every
+``Session.gate_batch`` takes too, runs a level's bootstraps.  The level's
+linear operations and free NOTs follow in netlist order.  This is the
 ground truth the performance backends are modeled against.
 """
 
@@ -23,8 +25,7 @@ from repro.runtime.result import RunResult
 from repro.runtime.session import Session
 from repro.runtime.workload import WorkloadLike, as_netlist
 from repro.sim.compiler import Netlist, Operation
-from repro.tfhe.batch import LweBatch, batch_gate, gate_combination
-from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
+from repro.tfhe.batch import LweBatch, gate_combination
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
 
@@ -217,49 +218,36 @@ def _execute_levels(
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Run ``netlist`` over the input stacks in ``values``, adding every operation's output.
 
+    Each level's bootstraps are one :meth:`Session.bootstrap_level` call.
     Returns each level's bootstrapped rows and kernel calls, keyed by the
     name :func:`~repro.sim.compiler.compile_netlist` gives its PBS node.
     """
     params = session.params
-    sign = make_constant_test_vector(params.q // 8, params)
     rows: dict[str, int] = {}
     calls: dict[str, int] = {}
     for index, level in enumerate(netlist.levelize()):
         bootstrapped = [operation for operation in level if operation.bootstraps]
-        first: list[tuple[LweBatch, np.ndarray]] = []
-        for operation in bootstrapped:
-            operands = tuple(values[wire] for wire in operation.inputs)
-            if operation.kind == "lut":
-                lut = LookUpTable.from_function(operation.function or (lambda m: m), params)
-                test_vector = make_test_vector(lut, params)
-                first.append((_weighted_sum(operation, operands, params), test_vector))
-            elif operation.name == "mux":
-                select, if_true, if_false = operands
-                first.append((gate_combination("and", (select, if_true), params), sign))
-                first.append((gate_combination("andny", (select, if_false), params), sign))
-            else:
-                first.append((gate_combination(operation.name, operands, params), sign))
-        outputs, first_calls = session.bootstrap_stack(first)
-        second: list[tuple[LweBatch, np.ndarray]] = []
-        for operation in bootstrapped:
-            if operation.name == "mux":
-                pair = (next(outputs), next(outputs))
-                second.append((gate_combination("or", pair, params), sign))
-            else:
-                values[operation.output] = next(outputs)
-        muxes, second_calls = session.bootstrap_stack(second)
-        values.update(zip((op.output for op in bootstrapped if op.name == "mux"), muxes))
+        if bootstrapped:
+            work = [
+                (
+                    operation.name
+                    if operation.kind == "gate"
+                    else LookUpTable.from_function(operation.function or (lambda m: m), params),
+                    tuple(values[wire] for wire in operation.inputs),
+                )
+                for operation in bootstrapped
+            ]
+            name = f"level{index}_pbs"
+            outputs, rows[name], calls[name] = session.bootstrap_level(work)
+            values.update(zip((operation.output for operation in bootstrapped), outputs))
         for operation in level:
             if not operation.bootstraps:
                 operands = tuple(values[wire] for wire in operation.inputs)
                 values[operation.output] = (
-                    batch_gate("not", operands, None, None, params)
+                    gate_combination(operation.name, operands, params)
                     if operation.kind == "gate"
                     else _weighted_sum(operation, operands, params)
                 )
-        if bootstrapped:
-            rows[f"level{index}_pbs"] = sum(len(batch) for batch, _ in first + second)
-            calls[f"level{index}_pbs"] = first_calls + second_calls
     return rows, calls
 
 

@@ -5,11 +5,12 @@ epochs of ``device batch x core batch`` ciphertexts streamed through the
 accelerator (Section IV-C) — yet the original user API was strictly
 per-ciphertext.  :class:`Session` is the batch-first front door: it owns a
 :class:`~repro.tfhe.context.TFHEContext` (client keys and the server-key
-split), exposes its encrypt / decrypt / bootstrap / gate helpers (the
-rest of the scalar oracle is ``session.context``), and adds the batch
-APIs (``encrypt_batch`` / ``decrypt_batch`` / ``bootstrap_batch`` /
-``gate_batch``) whose chunk size mirrors the paper's two-level batch
-geometry.
+split), and offers the batch APIs (``encrypt_batch`` / ``decrypt_batch`` /
+``bootstrap_batch`` / ``gate_batch``) whose chunk size mirrors the paper's
+two-level batch geometry; the scalar oracle is ``session.context``.  A
+level's gates and LUTs become stack rows in one place,
+:meth:`Session.bootstrap_level`: the reference backend calls it once per
+netlist level, and a ``gate_batch`` call is a one-gate level.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.tfhe.batch import (
     LweBatch,
     batch_bootstrap_with_test_vector,
     batch_encrypt,
-    batch_gate,
     batch_phase,
     gate_combination,
 )
@@ -57,9 +57,9 @@ class Session:
         legal value (anything else is a ``ValueError``).  Every batch API
         stacks each epoch into arrays and runs the batch kernels of
         :mod:`repro.tfhe.batch`; the scalar reference kernels they are held
-        to bit for bit are the per-ciphertext API (:meth:`encrypt` /
-        :meth:`decrypt` / :meth:`programmable_bootstrap` / :meth:`gates`, and
-        ``context.apply_lut``).  The keyword survives only because the frozen
+        to bit for bit are the per-ciphertext API of ``session.context``
+        (reached here through :meth:`programmable_bootstrap` and
+        :meth:`gates`).  The keyword survives only because the frozen
         benchmark still passes it.  Server-side results equal the
         per-ciphertext API exactly; only ``encrypt*_batch`` consumes the
         session RNG in a different order (bulk draws), so batch encryptions
@@ -77,7 +77,7 @@ class Session:
             raise ValueError(
                 f"kernels={kernels!r} is not selectable: the batch APIs always run the "
                 "batch kernels; the scalar reference kernels are the per-ciphertext API "
-                "(encrypt / decrypt / programmable_bootstrap / gates() / context.apply_lut)"
+                "of session.context"
             )
         resolved = resolve_params(params)
         self.context = TFHEContext(resolved, seed=seed)
@@ -142,14 +142,6 @@ class Session:
 
     # -- per-ciphertext API (delegates to the context) ------------------------------
 
-    def encrypt(self, message: int) -> LweCiphertext:
-        """Encrypt an integer message ``0 <= message < p``."""
-        return self.context.encrypt(message)
-
-    def decrypt(self, ciphertext: LweCiphertext) -> int:
-        """Decrypt an LWE ciphertext to its integer message."""
-        return self.context.decrypt(ciphertext)
-
     def programmable_bootstrap(
         self,
         ciphertext: LweCiphertext,
@@ -207,12 +199,9 @@ class Session:
         return [bool(value) for value in signed > 0]
 
     def bootstrap_batch(
-        self,
-        ciphertexts: Iterable[LweCiphertext],
-        function: Callable[[int], int],
-        keyswitch: bool = True,
+        self, ciphertexts: Iterable[LweCiphertext], function: Callable[[int], int]
     ) -> list[LweCiphertext]:
-        """Bootstrap a batch of ciphertexts through the same function.
+        """Bootstrap a batch of ciphertexts through one function or :class:`LookUpTable`.
 
         One stack cut into epochs by :meth:`bootstrap_epochs`, bit-for-bit
         identical to :meth:`programmable_bootstrap` applied element by element.
@@ -221,13 +210,11 @@ class Session:
         if not ciphertexts:  # an empty batch needs no keys
             return []
         stack = LweBatch.from_ciphertexts(ciphertexts)
-        epochs = self.bootstrap_epochs(stack, make_test_vector(function, self.params), keyswitch)
+        epochs = self.bootstrap_epochs(stack, make_test_vector(function, self.params))
         return [ciphertext for epoch in epochs for ciphertext in epoch.to_ciphertexts()]
 
-    def bootstrap_epochs(
-        self, stack: LweBatch, test_vector: np.ndarray, keyswitch: bool = True
-    ) -> Iterator[LweBatch]:
-        """Bootstrap a stack one epoch at a time, yielding each epoch's outputs.
+    def bootstrap_epochs(self, stack: LweBatch, test_vector: np.ndarray) -> Iterator[LweBatch]:
+        """Bootstrap and keyswitch a stack one epoch at a time, yielding each epoch's outputs.
 
         ``test_vector`` is one polynomial for every row or one per row (shape
         ``(N,)`` or ``(len(stack), N)``).  Each ``batch_capacity`` rows are one
@@ -242,31 +229,43 @@ class Session:
                 test_vector if test_vector.ndim == 1 else test_vector[rows],
                 keys.bootstrapping_key,
                 self.params,
-                keys.keyswitching_key if keyswitch else None,
+                keys.keyswitching_key,
             ).ciphertexts
 
-    def bootstrap_stack(
-        self, pieces: Sequence[tuple[LweBatch, np.ndarray]]
-    ) -> tuple[Iterator[LweBatch], int]:
-        """Bootstrap ``(rows, test vector)`` pieces as one epoch-cut stack: outputs, calls."""
-        if not pieces:
-            return iter(()), 0
-        stack = LweBatch(
-            np.concatenate([batch.masks for batch, _ in pieces]),
-            np.concatenate([batch.bodies for batch, _ in pieces]),
-            self.params,
-        )
-        vectors = np.repeat([vector for _, vector in pieces], len(pieces[0][0]), axis=0)
-        epochs = list(self.bootstrap_epochs(stack, vectors))
-        masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), len(pieces))
-        bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), len(pieces))
-        return map(LweBatch, masks, bodies, [self.params] * len(pieces)), len(epochs)
+    def bootstrap_level(
+        self, work: Sequence[tuple[str | LookUpTable, tuple[LweBatch, ...]]]
+    ) -> tuple[list[LweBatch], int, int]:
+        """Bootstrap a level of ``(gate name | LookUpTable, operands)``: outputs, rows, calls.
 
-    def apply_lut_batch(
-        self, ciphertexts: Iterable[LweCiphertext], lut: LookUpTable
-    ) -> list[LweCiphertext]:
-        """Apply one LUT across a batch of ciphertexts (one PBS each)."""
-        return self.bootstrap_batch(ciphertexts, lut)
+        Every bootstrap of the level is a row of one stack with its own test
+        vector: a LUT's operand sum with its table's, a gate's
+        ``gate_combination`` with the sign vector, and a mux's ``and`` /
+        ``andny`` rows.  The muxes' closing ``or`` rows read two of those, so
+        they are a second stack.  :meth:`bootstrap_epochs` cuts both into
+        kernel calls.  Returns each item's output stack, the rows
+        bootstrapped and the kernel calls made.
+        """
+        params = self.params
+        sign = make_constant_test_vector(params.q // 8, params)
+        first: list[tuple[LweBatch, np.ndarray]] = []
+        for function, operands in work:
+            if isinstance(function, LookUpTable):
+                masks = sum(operand.masks for operand in operands)
+                bodies = sum(operand.bodies for operand in operands)
+                first.append((LweBatch(masks, bodies, params), make_test_vector(function, params)))
+            elif function == "mux":
+                select, if_true, if_false = operands
+                first.append((gate_combination("and", (select, if_true), params), sign))
+                first.append((gate_combination("andny", (select, if_false), params), sign))
+            else:
+                first.append((gate_combination(function, operands, params), sign))
+        outputs, first_calls = self._bootstrap_stack(first)
+        ends = [(next(outputs), next(outputs)) if f == "mux" else next(outputs) for f, _ in work]
+        pairs = [end for end in ends if isinstance(end, tuple)]
+        ors = [(gate_combination("or", pair, params), sign) for pair in pairs]
+        muxes, second_calls = self._bootstrap_stack(ors)
+        done = [next(muxes) if isinstance(end, tuple) else end for end in ends]
+        return done, sum(len(batch) for batch, _ in first + ors), first_calls + second_calls
 
     def gate_batch(
         self, gate: str, *operand_batches: Iterable[LweCiphertext]
@@ -275,9 +274,9 @@ class Session:
 
         Every operand batch must have the same length; element ``i`` of the
         result is the gate applied to the ``i``-th element of every batch
-        (three batches for ``"mux"``, one for ``"not"``), computed one
-        epoch-sized chunk (``batch_capacity``) at a time; a mux is the level
-        executor's two stacks, its ``and`` / ``andny`` rows and then its ``or`` rows.
+        (three batches for ``"mux"``, one for ``"not"``).  The batch is a
+        one-gate level of :meth:`bootstrap_level`, cut into epoch-sized
+        (``batch_capacity``) kernel calls; ``not`` negates and bootstraps nothing.
         """
         if gate not in GateBootstrapper.PBS_COST:
             raise ValueError(
@@ -289,26 +288,34 @@ class Session:
         lengths = {len(batch) for batch in operands}
         if len(lengths) != 1:
             raise ValueError(f"operand batches have mismatched lengths: {sorted(lengths)}")
-        if gate == "mux" and operands[0]:  # two stacks, as the level executor runs a mux
-            select, if_true, if_false = map(LweBatch.from_ciphertexts, operands)
-            sign = make_constant_test_vector(self.params.q // 8, self.params)
-            rows = [("and", if_true), ("andny", if_false)]
-            halves, _ = self.bootstrap_stack(
-                [(gate_combination(g, (select, b), self.params), sign) for g, b in rows]
-            )
-            ors = gate_combination("or", tuple(halves), self.params)
-            return [c for epoch in self.bootstrap_epochs(ors, sign) for c in epoch.to_ciphertexts()]
-        bsk = ksk = None
-        if operands[0] and GateBootstrapper.PBS_COST[gate]:  # ``not`` negates: no keys
-            keys = self.generate_server_keys()
-            bsk, ksk = keys.bootstrapping_key, keys.keyswitching_key
-        results: list[LweCiphertext] = []
-        for epoch in zip(*map(self.iter_epochs, operands)):  # aligned epoch-sized chunks
-            stacked = tuple(LweBatch.from_ciphertexts(chunk) for chunk in epoch)
-            results += batch_gate(gate, stacked, bsk, ksk, self.params).to_ciphertexts()
-        return results
+        if not operands[0]:  # an empty batch needs no keys
+            return []
+        stacks = tuple(map(LweBatch.from_ciphertexts, operands))
+        if not GateBootstrapper.PBS_COST[gate]:
+            return gate_combination(gate, stacks, self.params).to_ciphertexts()
+        (outputs,), _, _ = self.bootstrap_level([(gate, stacks)])
+        return outputs.to_ciphertexts()
 
     # -- internals -----------------------------------------------------------------
+
+    def _bootstrap_stack(
+        self, pieces: Sequence[tuple[LweBatch, np.ndarray]]
+    ) -> tuple[Iterator[LweBatch], int]:
+        """One epoch-cut stack of ``(rows, test vector)`` pieces: each piece's outputs, calls."""
+        if not pieces:
+            return iter(()), 0
+        batches, vectors = zip(*pieces)
+        sizes = [len(batch) for batch in batches]
+        stack = LweBatch(
+            np.concatenate([batch.masks for batch in batches]),
+            np.concatenate([batch.bodies for batch in batches]),
+            self.params,
+        )
+        epochs = list(self.bootstrap_epochs(stack, np.repeat(vectors, sizes, axis=0)))
+        cuts = np.cumsum(sizes)[:-1]
+        masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), cuts)
+        bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), cuts)
+        return map(LweBatch, masks, bodies, [self.params] * len(pieces)), len(epochs)
 
     def _phases(self, ciphertexts: list[LweCiphertext]) -> np.ndarray:
         """Noisy phases of a non-empty batch under the key matching its dimension."""

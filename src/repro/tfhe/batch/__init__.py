@@ -1,9 +1,10 @@
 """Vectorized batch kernels for the functional TFHE tier.
 
 Stacked-array (:class:`LweBatch` / :class:`GlweBatch`) implementations of
-the hot PBS chain — blind rotation, sample extraction, keyswitching, gate
-bootstrap — that are **bit-for-bit equal** to the scalar reference in
-:mod:`repro.tfhe` while amortizing numpy dispatch over the whole batch.
+the hot PBS chain — blind rotation, sample extraction, keyswitching — and of
+the gates' linear combinations, **bit-for-bit equal** to the scalar
+reference in :mod:`repro.tfhe` while amortizing numpy dispatch over the
+whole batch.
 
 These are the one implementation behind every batch API of
 :class:`repro.runtime.session.Session` and behind the reference backend
@@ -13,11 +14,10 @@ kernels stay as the oracle, reachable through the per-ciphertext API.
 
 from __future__ import annotations
 
-from repro.tfhe.batch.gates import batch_gate, gate_combination
+from repro.tfhe.batch.gates import gate_combination
 from repro.tfhe.batch.kernels import (
     BatchBootstrapResult,
     batch_blind_rotate,
-    batch_bootstrap_to_sign,
     batch_bootstrap_with_test_vector,
     batch_encrypt,
     batch_keyswitch,
@@ -33,10 +33,8 @@ __all__ = [
     "GlweBatch",
     "LweBatch",
     "batch_blind_rotate",
-    "batch_bootstrap_to_sign",
     "batch_bootstrap_with_test_vector",
     "batch_encrypt",
-    "batch_gate",
     "batch_keyswitch",
     "batch_modulus_switch",
     "batch_monomial_multiply",

@@ -82,7 +82,6 @@ from repro.fft.folding import FoldedNegacyclicTransform
 from repro.params import TFHEParameters
 from repro.tfhe import torus
 from repro.tfhe.batch.types import GlweBatch, LweBatch
-from repro.tfhe.blind_rotate import make_constant_test_vector
 from repro.tfhe.decomposition import decompose, plan_decompose_folded
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.polynomial import get_transform
@@ -427,19 +426,6 @@ def batch_bootstrap_with_test_vector(
         return BatchBootstrapResult(extracted, extracted)
     switched = batch_keyswitch(extracted, keyswitching_key, params)
     return BatchBootstrapResult(switched, extracted)
-
-
-def batch_bootstrap_to_sign(
-    batch: LweBatch,
-    bootstrapping_key: BootstrappingKey,
-    params: TFHEParameters,
-    keyswitching_key: KeySwitchingKey | None = None,
-) -> BatchBootstrapResult:
-    """Gate-bootstrapping primitive over a batch: phase sign onto ``±q/8``."""
-    test_vector = make_constant_test_vector(params.q // 8, params)
-    return batch_bootstrap_with_test_vector(
-        batch, test_vector, bootstrapping_key, params, keyswitching_key
-    )
 
 
 # -- client-side helpers ---------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.tfhe.batch import (
     GlweBatch,
     LweBatch,
     batch_blind_rotate,
-    batch_gate,
     batch_keyswitch,
     batch_bootstrap_with_test_vector,
     batch_monomial_multiply,
@@ -61,10 +60,12 @@ from repro.tfhe.context import TFHEContext
 from repro.tfhe.decomposition import decompose, decompose_folded
 from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.keyswitch import keyswitch
-from repro.tfhe.lut import relu_lut
+from repro.tfhe.lut import LookUpTable, relu_lut
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.polynomial import monomial_multiply
 from repro.tfhe.serialization import LWE_WIRE_MAGIC, lwe_batch_from_bytes, lwe_to_bytes
+
+from test_level_executor import batch_gate
 
 #: (parameter set, batch sizes swept).  TOY covers the paper's batch-64
 #: epoch shape; SMALL covers ``k > 1`` with smaller batches to keep the
@@ -550,7 +551,7 @@ class TestBatchGates:
             "not", (stacked["lhs"],), keys.bootstrapping_key, keys.keyswitching_key, params
         )
         _assert_batch_equals_scalars(batched_not, [gates.not_(a) for a in lhs])
-        # mux is two stacks of gate rows (Session.gate_batch), not one batch_gate call.
+        # mux is two stacks of gate rows (Session.bootstrap_level), not one batch_gate call.
         with pytest.raises(ValueError, match="unknown gate 'mux'"):
             batch_gate(
                 "mux",
@@ -626,8 +627,8 @@ class TestSessionKernels:
         bits = [bool(b) for b in rng.integers(0, 2, size)]
         # Bulk draws reorder the RNG stream, so encryption is held to the
         # oracle through decryption: each side decrypts what the other made.
-        assert [session.decrypt(ct) for ct in session.encrypt_batch(messages)] == messages
-        assert session.decrypt_batch([session.encrypt(m) for m in messages]) == messages
+        assert [session.context.decrypt(ct) for ct in session.encrypt_batch(messages)] == messages
+        assert session.decrypt_batch([session.context.encrypt(m) for m in messages]) == messages
         encrypted_bits = session.encrypt_boolean_batch(bits)
         assert [session.context.decrypt_boolean(ct) for ct in encrypted_bits] == bits
         oracle_bits = [session.context.encrypt_boolean(b) for b in bits]
@@ -638,23 +639,18 @@ class TestSessionKernels:
         session = sessions[name]
         p = session.params.message_modulus
         rng = np.random.default_rng([size, 2])
-        ciphertexts = [session.encrypt(int(m)) for m in rng.integers(0, p, size)]
+        ciphertexts = [session.context.encrypt(int(m)) for m in rng.integers(0, p, size)]
 
         def function(m: int) -> int:
             return (3 * m + 1) % p
 
-        for keyswitch in (True, False):
-            fast = session.bootstrap_batch(ciphertexts, function, keyswitch=keyswitch)
-            oracle = [
-                session.programmable_bootstrap(ct, function, keyswitch).ciphertext
-                for ct in ciphertexts
-            ]
-            _assert_batch_equals_scalars(LweBatch.from_ciphertexts(fast), oracle)
-            # keyswitch=False leaves k*N-dimensional ciphertexts: the other key.
-            assert session.decrypt_batch(fast) == [session.decrypt(ct) for ct in oracle]
+        fast = session.bootstrap_batch(ciphertexts, function)
+        oracle = [session.programmable_bootstrap(ct, function).ciphertext for ct in ciphertexts]
+        _assert_batch_equals_scalars(LweBatch.from_ciphertexts(fast), oracle)
+        assert session.decrypt_batch(fast) == [session.context.decrypt(ct) for ct in oracle]
         lut = relu_lut(session.params)
         _assert_batch_equals_scalars(
-            LweBatch.from_ciphertexts(session.apply_lut_batch(ciphertexts, lut)),
+            LweBatch.from_ciphertexts(session.bootstrap_batch(ciphertexts, lut)),
             [session.context.apply_lut(ct, lut) for ct in ciphertexts],
         )
 
@@ -727,6 +723,20 @@ class TestSessionKernels:
         assert calls == [2, 1]
         assert session.decrypt_boolean_batch(muxed) == [if_true if select else if_false]
 
+    def test_a_level_keeps_pieces_of_unequal_size_apart(self, session):
+        """Pieces of 2, 1 and 3 rows through identity, +1 and identity: each its own rows."""
+        p = session.params.message_modulus
+        identity = LookUpTable.from_function(lambda m: m, session.params)
+        plus_one = LookUpTable.from_function(lambda m: (m + 1) % p, session.params)
+        work = [
+            (lut, (LweBatch.from_ciphertexts(session.encrypt_batch(piece)),))
+            for lut, piece in zip((identity, plus_one, identity), ([1, 2], [3], [0, 1, 2]))
+        ]
+        outputs, rows, calls = session.bootstrap_level(work)
+        decrypted = [session.decrypt_batch(batch.to_ciphertexts()) for batch in outputs]
+        assert decrypted == [[1, 2], [0], [0, 1, 2]]
+        assert (rows, calls) == (6, 1)
+
     def test_not_generates_no_server_keys(self):
         session = Session("TOY", seed=32)
         bits = session.encrypt_boolean_batch([True, False, True])
@@ -758,7 +768,7 @@ class TestSessionKernels:
         encrypted_bits = session.encrypt_boolean_batch(bits)
         refreshed = session.bootstrap_batch((ct for ct in ciphertexts), lambda m: m)
         assert session.decrypt_batch(refreshed) == messages
-        applied = session.apply_lut_batch(iter(ciphertexts), relu_lut(session.params))
+        applied = session.bootstrap_batch(iter(ciphertexts), relu_lut(session.params))
         assert session.decrypt_batch(applied) == [0, 1, 0]
         negated = session.gate_batch("nand", iter(encrypted_bits), iter(encrypted_bits))
         assert session.decrypt_boolean_batch(negated) == [False, True, False]
@@ -769,7 +779,7 @@ class TestSessionKernels:
             session.gate_batch("and", lhs)
 
     def test_decrypt_batch_rejects_mixed_dimensions(self, session):
-        narrow = session.encrypt(1)
+        narrow = session.context.encrypt(1)
         wide = session.programmable_bootstrap(narrow, lambda m: m, keyswitch=False).ciphertext
         dimensions = f"{session.params.n}, {session.params.k * session.params.N}"
         with pytest.raises(ValueError, match=rf"mixed dimensions: \[{dimensions}\]"):
@@ -1138,7 +1148,7 @@ class TestReferenceBackendKernels:
             return batched(calls[-1])
 
         monkeypatch.setattr(session, method, counted)
-        monkeypatch.setattr(session, "encrypt", None)  # the per-instance path is gone
+        monkeypatch.setattr(session.context, "encrypt", None)  # the per-instance path is gone
         inputs = [{"a": value, "b": value} for value in values]
         run(netlist, backend="reference", session=session, inputs=inputs)
         assert calls == [values, values]
@@ -1146,7 +1156,12 @@ class TestReferenceBackendKernels:
     def test_pre_encrypted_messages_keep_their_slots(self, session):
         netlist = Netlist(TOY_PARAMETERS, name="refresh")
         netlist.add_lut("out", netlist.add_input("a"))
-        inputs = [{"a": session.encrypt(3)}, {"a": 1}, {"a": session.encrypt(2)}, {"a": 0}]
+        inputs = [
+            {"a": session.context.encrypt(3)},
+            {"a": 1},
+            {"a": session.context.encrypt(2)},
+            {"a": 0},
+        ]
         result = run(netlist, backend="reference", session=session, inputs=inputs)
         assert result.outputs == [{"out": 3}, {"out": 1}, {"out": 2}, {"out": 0}]
 

@@ -6,9 +6,10 @@ one of :meth:`Netlist.levelize`'s levels is a row of one stack, cut into
 idiom of a slow readable definition beside the fast one:
 
 * ``spec_execute`` — the per-operation interpreter the backend used to be:
-  every operation in netlist order, each gate through ``batch_gate`` (a mux
-  through its ``and``, ``andny`` and ``or``) and each LUT through its own
-  bootstrap.  PBS is deterministic, so the level
+  every operation in netlist order, each gate through ``batch_gate`` (its
+  combination and its own sign bootstrap; a mux through its ``and``,
+  ``andny`` and ``or``) and each LUT through its own bootstrap.  PBS is
+  deterministic, so the level
   executor must produce every wire's masks and bodies to the bit;
 * ``compile_netlist``'s ``level{L}_pbs`` nodes — the rows the executor
   reports per level must be the rows the model prices, and its kernel calls
@@ -28,18 +29,49 @@ from hypothesis import strategies as st
 from repro import run
 from repro.arch.accelerator import StrixAccelerator
 from repro.arch.config import STRIX_DEFAULT
-from repro.params import TOY_PARAMETERS
+from repro.params import TOY_PARAMETERS, TFHEParameters
 from repro.runtime.reference import _check_encodings, _execute_levels
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, Operation, compile_netlist
 from repro.sim.graph import NodeKind
-from repro.tfhe.batch import LweBatch, batch_bootstrap_with_test_vector, batch_gate
-from repro.tfhe.blind_rotate import make_test_vector
+from repro.tfhe.batch import LweBatch, batch_bootstrap_with_test_vector, gate_combination
+from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
+from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.lut import LookUpTable
 
 from test_compiler import GATES, spec_evaluate
 
 _BOOLEAN, _MESSAGE = "boolean", "message"
+
+
+def batch_gate(
+    gate: str,
+    operands: tuple[LweBatch, ...],
+    bootstrapping_key: BootstrappingKey | None,
+    keyswitching_key: KeySwitchingKey | None,
+    params: TFHEParameters,
+) -> LweBatch:
+    """Slow definition of one gate over aligned operand stacks, in one kernel call.
+
+    ``operands`` holds one :class:`LweBatch` per gate input (1 for ``not``,
+    2 for the binary gates), all of the same length.  ``not`` negates (it
+    reads neither key, so both may be ``None``); every other gate is its
+    ``gate_combination`` bootstrapped to its sign.  A ``mux`` is no one
+    gate: ``spec_apply`` runs its ``and``, ``andny`` and ``or``.
+    """
+    sizes = {len(operand) for operand in operands}
+    if len(sizes) > 1:
+        raise ValueError(f"gate operand batches have mixed sizes: {sorted(sizes)}")
+    if gate == "not":
+        (operand,) = operands
+        return LweBatch(-operand.masks, -operand.bodies, params)
+    return batch_bootstrap_with_test_vector(
+        gate_combination(gate, operands, params),
+        make_constant_test_vector(params.q // 8, params),
+        bootstrapping_key,
+        params,
+        keyswitching_key,
+    ).ciphertexts
 
 
 def spec_execute(
@@ -278,9 +310,9 @@ def test_a_level_of_luts_and_a_mux_is_one_stack_and_the_or_another(tiny_session,
     stacks = []
     real = tiny_session.bootstrap_epochs
 
-    def recording(stack, test_vector, keyswitch=True):
+    def recording(stack, test_vector):
         stacks.append(len(stack))
-        return real(stack, test_vector, keyswitch)
+        return real(stack, test_vector)
 
     monkeypatch.setattr(tiny_session, "bootstrap_epochs", recording)
     inputs = {"a": 1, "b": 2, "s": False, "t": False, "f": True}

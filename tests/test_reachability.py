@@ -116,11 +116,11 @@ REFERENCES = {
     "repro.tfhe.decomposition.recompose": "inverse the decomposition tests round-trip through",
     "repro.tfhe.context.TFHEContext.decrypt_boolean": "scalar oracle of decrypt_boolean_batch",
     "repro.tfhe.context.TFHEContext.encrypt_boolean": "scalar oracle of encrypt_boolean_batch",
-    "repro.tfhe.gates.GateBootstrapper.mux": "scalar oracle of batch_gate('mux')",
-    "repro.tfhe.gates.GateBootstrapper.nor": "scalar oracle of batch_gate('nor')",
-    "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of batch_gate('not')",
-    "repro.tfhe.gates.GateBootstrapper.xnor": "scalar oracle of batch_gate('xnor')",
-    "repro.tfhe.gates.GateBootstrapper.xor": "scalar oracle of batch_gate('xor')",
+    "repro.tfhe.gates.GateBootstrapper.mux": "scalar oracle of Session.gate_batch('mux')",
+    "repro.tfhe.gates.GateBootstrapper.nor": "scalar oracle of Session.gate_batch('nor')",
+    "repro.tfhe.gates.GateBootstrapper.not_": "scalar oracle of Session.gate_batch('not')",
+    "repro.tfhe.gates.GateBootstrapper.xnor": "scalar oracle of Session.gate_batch('xnor')",
+    "repro.tfhe.gates.GateBootstrapper.xor": "scalar oracle of Session.gate_batch('xor')",
     "repro.tfhe.serialization.lwe_batch_from_bytes": "outside-input parser, the one-datapath item",
     "repro.tfhe.torus.absolute_distance": "error metric of the noise tests",
 }

@@ -96,15 +96,13 @@ def test_boolean_batch_roundtrip(session):
 def test_bootstrap_batch_matches_per_ciphertext_bootstraps(session):
     p = session.params.message_modulus
     messages = [0, 1, 1, 0]
+
     def function(m):
         return (m + 1) % p
 
     ciphertexts = session.encrypt_batch(messages)
     batched = session.bootstrap_batch(ciphertexts, function)
-    looped = [
-        session.context.programmable_bootstrap(ct, function).ciphertext
-        for ct in ciphertexts
-    ]
+    looped = [session.context.programmable_bootstrap(ct, function).ciphertext for ct in ciphertexts]
     assert session.decrypt_batch(batched) == session.decrypt_batch(looped)
     assert session.decrypt_batch(batched) == [function(m) for m in messages]
 
@@ -117,9 +115,7 @@ def test_gate_batch_matches_individual_gates(session):
     gates = session.gates()
     for gate, method in (("and", gates.and_), ("xor", gates.xor), ("nor", gates.nor)):
         batched = session.decrypt_boolean_batch(session.gate_batch(gate, lhs, rhs))
-        individual = session.decrypt_boolean_batch(
-            [method(a, b) for a, b in zip(lhs, rhs)]
-        )
+        individual = session.decrypt_boolean_batch([method(a, b) for a, b in zip(lhs, rhs)])
         assert batched == individual
 
 
@@ -210,9 +206,7 @@ def test_reference_backend_executes_lut_and_linear_operations(session):
     combined = netlist.add_linear("combined", (a, b), coefficients=(1, 1))
     netlist.add_lut("squared", combined, function=lambda m: (m * m) % p)
 
-    result = run(
-        netlist, backend="reference", session=session, inputs={"a": 1, "b": 0}
-    )
+    result = run(netlist, backend="reference", session=session, inputs={"a": 1, "b": 0})
     assert result.outputs == [{"squared": 1}]
 
 
@@ -268,9 +262,7 @@ def test_strix_sim_backend_matches_direct_scheduler_run():
 def test_analytical_backends_match_direct_models():
     graph = pbs_batch_graph(PARAM_SET_I, 512)
     cpu_result = run(graph, backend=AnalyticalBackend("cpu", threads=4))
-    assert cpu_result.latency_s == pytest.approx(
-        ConcreteCpuModel(threads=4).execute_graph(graph)
-    )
+    assert cpu_result.latency_s == pytest.approx(ConcreteCpuModel(threads=4).execute_graph(graph))
     gpu_result = run(graph, backend="gpu-analytical")
     assert gpu_result.latency_s == pytest.approx(NuFheGpuModel().execute_graph(graph))
     assert cpu_result.backend == "cpu-analytical"
@@ -339,9 +331,7 @@ def test_netlist_with_params_preserves_structure():
     assert rebound.params == PARAM_SET_I
     assert rebound.pbs_count() == netlist.pbs_count()
     assert rebound.primary_inputs == netlist.primary_inputs
-    assert [op.output for op in rebound.operations] == [
-        op.output for op in netlist.operations
-    ]
+    assert [op.output for op in rebound.operations] == [op.output for op in netlist.operations]
 
 
 def test_graph_with_params_preserves_structure():
