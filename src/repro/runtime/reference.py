@@ -24,8 +24,8 @@ from repro.runtime.backend import Backend, register_backend
 from repro.runtime.result import RunResult
 from repro.runtime.session import Session
 from repro.runtime.workload import WorkloadLike, as_netlist
-from repro.sim.compiler import Netlist, Operation
-from repro.tfhe.batch import LweBatch, gate_combination
+from repro.sim.compiler import Netlist
+from repro.tfhe.batch import LweBatch, gate_combination, linear_combination
 from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
 
@@ -232,7 +232,7 @@ def _execute_levels(
                 (
                     operation.name
                     if operation.kind == "gate"
-                    else LookUpTable.from_function(operation.function or (lambda m: m), params),
+                    else LookUpTable.from_function(operation.function, params),
                     tuple(values[wire] for wire in operation.inputs),
                 )
                 for operation in bootstrapped
@@ -246,22 +246,9 @@ def _execute_levels(
                 values[operation.output] = (
                     gate_combination(operation.name, operands, params)
                     if operation.kind == "gate"
-                    else _weighted_sum(operation, operands, params)
+                    else linear_combination(operation.coefficients, operands, params)
                 )
     return rows, calls
-
-
-def _weighted_sum(
-    operation: Operation, operands: tuple[LweBatch, ...], params: TFHEParameters
-) -> LweBatch:
-    """``sum(c_i * operand_i)`` over the operation's coefficients (all ones by default)."""
-    coefficients = operation.coefficients or (1,) * len(operands)
-    masks = np.zeros_like(operands[0].masks)
-    bodies = np.zeros_like(operands[0].bodies)
-    for coefficient, operand in zip(coefficients, operands):
-        masks += int(coefficient) * operand.masks
-        bodies += int(coefficient) * operand.bodies
-    return LweBatch(masks, bodies, params)
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)

@@ -9,8 +9,10 @@ split), and offers the batch APIs (``encrypt_batch`` / ``decrypt_batch`` /
 ``bootstrap_batch`` / ``gate_batch``) whose chunk size mirrors the paper's
 two-level batch geometry; the scalar oracle is ``session.context``.  A
 level's gates and LUTs become stack rows in one place,
-:meth:`Session.bootstrap_level`: the reference backend calls it once per
-netlist level, and a ``gate_batch`` call is a one-gate level.
+:meth:`Session.bootstrap_level`, and rows become ``batch_capacity``-row
+kernel calls in one place under it: the reference backend calls it once per
+netlist level, a ``gate_batch`` call is a one-gate level and a
+``bootstrap_batch`` call a one-LUT level.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from repro.params import TFHEParameters, TOY_PARAMETERS
 from repro.runtime.workload import WorkloadLike, resolve_params
 from repro.tfhe import encoding, torus
 from repro.tfhe.batch import (
+    GATES,
     LweBatch,
     batch_bootstrap_with_test_vector,
     batch_encrypt,
     batch_phase,
     gate_combination,
+    linear_combination,
 )
 from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
 from repro.tfhe.bootstrap import BootstrapResult
 from repro.tfhe.context import ServerKeys, TFHEContext
 from repro.tfhe.gates import GateBootstrapper
-from repro.tfhe.lut import LookUpTable
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.noise import pbs_failure_probability
 
@@ -55,7 +58,8 @@ class Session:
     kernels:
         Not a choice any more: ``"vectorized"`` is the default and the only
         legal value (anything else is a ``ValueError``).  Every batch API
-        stacks each epoch into arrays and runs the batch kernels of
+        stacks its rows into arrays, cuts them into ``batch_capacity``-row
+        epochs in one place and runs the batch kernels of
         :mod:`repro.tfhe.batch`; the scalar reference kernels they are held
         to bit for bit are the per-ciphertext API of ``session.context``
         (reached here through :meth:`programmable_bootstrap` and
@@ -134,12 +138,6 @@ class Session:
         """Ciphertexts of one scheduling epoch (device x core batch)."""
         return self.device_batch_size * self.core_batch_size
 
-    def iter_epochs(self, items: Sequence) -> Iterator[Sequence]:
-        """Split a batch into epoch-sized chunks (the scheduler's unit)."""
-        capacity = self.batch_capacity
-        for start in range(0, len(items), capacity):
-            yield items[start : start + capacity]
-
     # -- per-ciphertext API (delegates to the context) ------------------------------
 
     def programmable_bootstrap(
@@ -201,58 +199,39 @@ class Session:
     def bootstrap_batch(
         self, ciphertexts: Iterable[LweCiphertext], function: Callable[[int], int]
     ) -> list[LweCiphertext]:
-        """Bootstrap a batch of ciphertexts through one function or :class:`LookUpTable`.
+        """Bootstrap a batch of ciphertexts through one function or ``LookUpTable``.
 
-        One stack cut into epochs by :meth:`bootstrap_epochs`, bit-for-bit
-        identical to :meth:`programmable_bootstrap` applied element by element.
+        A one-LUT level of :meth:`bootstrap_level`, bit-for-bit identical to
+        :meth:`programmable_bootstrap` applied element by element.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:  # an empty batch needs no keys
             return []
         stack = LweBatch.from_ciphertexts(ciphertexts)
-        epochs = self.bootstrap_epochs(stack, make_test_vector(function, self.params))
-        return [ciphertext for epoch in epochs for ciphertext in epoch.to_ciphertexts()]
-
-    def bootstrap_epochs(self, stack: LweBatch, test_vector: np.ndarray) -> Iterator[LweBatch]:
-        """Bootstrap and keyswitch a stack one epoch at a time, yielding each epoch's outputs.
-
-        ``test_vector`` is one polynomial for every row or one per row (shape
-        ``(N,)`` or ``(len(stack), N)``).  Each ``batch_capacity`` rows are one
-        pass through the stacked-array PBS chain, as the accelerator would
-        schedule them (the epoch rule ``spec_run`` states).
-        """
-        keys = self.generate_server_keys()
-        for epoch in self.iter_epochs(range(len(stack))):
-            rows = slice(epoch.start, epoch.stop)
-            yield batch_bootstrap_with_test_vector(
-                LweBatch(stack.masks[rows], stack.bodies[rows], self.params),
-                test_vector if test_vector.ndim == 1 else test_vector[rows],
-                keys.bootstrapping_key,
-                self.params,
-                keys.keyswitching_key,
-            ).ciphertexts
+        (outputs,), _, _ = self.bootstrap_level([(function, (stack,))])
+        return outputs.to_ciphertexts()
 
     def bootstrap_level(
-        self, work: Sequence[tuple[str | LookUpTable, tuple[LweBatch, ...]]]
+        self, work: Sequence[tuple[str | Callable[[int], int], tuple[LweBatch, ...]]]
     ) -> tuple[list[LweBatch], int, int]:
-        """Bootstrap a level of ``(gate name | LookUpTable, operands)``: outputs, rows, calls.
+        """Bootstrap a level of ``(gate name | function, operands)``: outputs, rows, calls.
 
         Every bootstrap of the level is a row of one stack with its own test
-        vector: a LUT's operand sum with its table's, a gate's
+        vector: a LUT's operand sum with its function's (any callable, a
+        :class:`~repro.tfhe.lut.LookUpTable` too), a gate's
         ``gate_combination`` with the sign vector, and a mux's ``and`` /
         ``andny`` rows.  The muxes' closing ``or`` rows read two of those, so
-        they are a second stack.  :meth:`bootstrap_epochs` cuts both into
-        kernel calls.  Returns each item's output stack, the rows
-        bootstrapped and the kernel calls made.
+        they are a second stack.  Operand stacks of unequal length are
+        refused.  Returns each item's output stack, the rows bootstrapped and
+        the kernel calls made.
         """
         params = self.params
         sign = make_constant_test_vector(params.q // 8, params)
         first: list[tuple[LweBatch, np.ndarray]] = []
         for function, operands in work:
-            if isinstance(function, LookUpTable):
-                masks = sum(operand.masks for operand in operands)
-                bodies = sum(operand.bodies for operand in operands)
-                first.append((LweBatch(masks, bodies, params), make_test_vector(function, params)))
+            if not isinstance(function, str):
+                summed = linear_combination((1,) * len(operands), operands, params)
+                first.append((summed, make_test_vector(function, params)))
             elif function == "mux":
                 select, if_true, if_false = operands
                 first.append((gate_combination("and", (select, if_true), params), sign))
@@ -274,24 +253,21 @@ class Session:
 
         Every operand batch must have the same length; element ``i`` of the
         result is the gate applied to the ``i``-th element of every batch
-        (three batches for ``"mux"``, one for ``"not"``).  The batch is a
-        one-gate level of :meth:`bootstrap_level`, cut into epoch-sized
-        (``batch_capacity``) kernel calls; ``not`` negates and bootstraps nothing.
+        (:data:`~repro.tfhe.batch.GATES` says how many batches: three for
+        ``"mux"``, one for ``"not"``).  The batch is a one-gate level of
+        :meth:`bootstrap_level`, cut into epoch-sized (``batch_capacity``)
+        kernel calls; ``not`` negates and bootstraps nothing.
         """
-        if gate not in GateBootstrapper.PBS_COST:
-            raise ValueError(
-                f"unknown gate {gate!r}; known gates: {sorted(GateBootstrapper.PBS_COST)}"
-            )
-        if not operand_batches:
-            raise ValueError("gate_batch needs at least one operand batch")
+        if gate not in GATES:
+            raise ValueError(f"unknown gate {gate!r}; known gates: {sorted(GATES)}")
+        arity, bootstraps = GATES[gate]
+        if len(operand_batches) != arity:
+            raise ValueError(f"gate {gate!r} takes {arity} operands, got {len(operand_batches)}")
         operands = [list(batch) for batch in operand_batches]
-        lengths = {len(batch) for batch in operands}
-        if len(lengths) != 1:
-            raise ValueError(f"operand batches have mismatched lengths: {sorted(lengths)}")
-        if not operands[0]:  # an empty batch needs no keys
+        if not any(operands):  # an empty batch needs no keys
             return []
         stacks = tuple(map(LweBatch.from_ciphertexts, operands))
-        if not GateBootstrapper.PBS_COST[gate]:
+        if not bootstraps:
             return gate_combination(gate, stacks, self.params).to_ciphertexts()
         (outputs,), _, _ = self.bootstrap_level([(gate, stacks)])
         return outputs.to_ciphertexts()
@@ -301,17 +277,32 @@ class Session:
     def _bootstrap_stack(
         self, pieces: Sequence[tuple[LweBatch, np.ndarray]]
     ) -> tuple[Iterator[LweBatch], int]:
-        """One epoch-cut stack of ``(rows, test vector)`` pieces: each piece's outputs, calls."""
+        """One stack of ``(rows, test vector)`` pieces: each piece's outputs, and the calls.
+
+        The only epoch cut: each ``batch_capacity`` rows are one pass through
+        the stacked-array PBS chain (bootstrap and keyswitch), as the
+        accelerator would schedule them (the epoch rule ``spec_run`` states).
+        """
         if not pieces:
             return iter(()), 0
+        keys, capacity = self.generate_server_keys(), self.batch_capacity
         batches, vectors = zip(*pieces)
         sizes = [len(batch) for batch in batches]
-        stack = LweBatch(
-            np.concatenate([batch.masks for batch in batches]),
-            np.concatenate([batch.bodies for batch in batches]),
-            self.params,
-        )
-        epochs = list(self.bootstrap_epochs(stack, np.repeat(vectors, sizes, axis=0)))
+        stack_masks = np.concatenate([batch.masks for batch in batches])
+        stack_bodies = np.concatenate([batch.bodies for batch in batches])
+        test_vectors = np.repeat(vectors, sizes, axis=0)
+        epochs = []
+        for start in range(0, len(stack_bodies), capacity):
+            rows = slice(start, start + capacity)
+            epochs.append(
+                batch_bootstrap_with_test_vector(
+                    LweBatch(stack_masks[rows], stack_bodies[rows], self.params),
+                    test_vectors[rows],
+                    keys.bootstrapping_key,
+                    self.params,
+                    keys.keyswitching_key,
+                ).ciphertexts
+            )
         cuts = np.cumsum(sizes)[:-1]
         masks = np.split(np.concatenate([epoch.masks for epoch in epochs]), cuts)
         bodies = np.split(np.concatenate([epoch.bodies for epoch in epochs]), cuts)
@@ -320,19 +311,7 @@ class Session:
     def _phases(self, ciphertexts: list[LweCiphertext]) -> np.ndarray:
         """Noisy phases of a non-empty batch under the key matching its dimension."""
         batch = LweBatch.from_ciphertexts(ciphertexts)
-        return batch_phase(batch, self._key_bits_for(batch.dimension))
-
-    def _key_bits_for(self, dimension: int) -> np.ndarray:
-        """Secret-key bit vector matching an LWE dimension (``n`` or ``k*N``)."""
-        params = self.params
-        if dimension == params.n:
-            return self.context.lwe_key.bits
-        if dimension == params.k * params.N:
-            return self.context.glwe_key.extracted_lwe_key()
-        raise ValueError(
-            f"ciphertext dimension {dimension} matches neither the LWE key "
-            f"({params.n}) nor the extracted key ({params.k * params.N})"
-        )
+        return batch_phase(batch, self.context.key_bits(batch.dimension))
 
     # -- execution facade --------------------------------------------------------------
 

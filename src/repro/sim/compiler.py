@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.params import TFHEParameters
 from repro.sim.graph import ComputationGraph
-from repro.tfhe.gates import GateBootstrapper
+from repro.tfhe.batch.gates import GATES
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,15 @@ class Operation:
     cost:
         For linear operations: multiply-accumulate count.
     function:
-        For LUT operations: the univariate function the PBS evaluates.  Only
-        needed for *functional* execution (the reference backend); the
+        For LUT operations: the univariate function the PBS evaluates (the
+        identity unless :meth:`Netlist.add_lut` is given one).  Only
+        *functional* execution (the reference backend) reads it; the
         simulator and the analytical models cost every LUT as one PBS
         regardless.
     coefficients:
         For linear operations: plaintext coefficients of the combination,
-        one per input wire.  Defaults to all ones (a plain homomorphic sum)
-        when functional execution is requested without them.
+        one per input wire (all ones, a plain homomorphic sum, unless
+        :meth:`Netlist.add_linear` is given them).
     """
 
     kind: str
@@ -59,9 +60,9 @@ class Operation:
 
     @property
     def bootstraps(self) -> int:
-        """PBS the operation costs: a gate's :data:`GateBootstrapper.PBS_COST`, one per LUT."""
+        """PBS the operation costs: a gate's :data:`~repro.tfhe.batch.GATES` row, one per LUT."""
         if self.kind == "gate":
-            return GateBootstrapper.PBS_COST[self.name]
+            return GATES[self.name][1]
         return int(self.kind == "lut")
 
 
@@ -86,12 +87,10 @@ class Netlist:
         return wire
 
     def add_gate(self, gate: str, output: str, *inputs: str) -> str:
-        """Add a boolean gate (costed from :data:`GateBootstrapper.PBS_COST`)."""
-        if gate not in GateBootstrapper.PBS_COST:
-            raise ValueError(
-                f"unknown gate {gate!r}; known gates: {sorted(GateBootstrapper.PBS_COST)}"
-            )
-        arity = {"not": 1, "mux": 3}.get(gate, 2)
+        """Add a boolean gate (shaped and costed by :data:`~repro.tfhe.batch.GATES`)."""
+        if gate not in GATES:
+            raise ValueError(f"unknown gate {gate!r}; known gates: {sorted(GATES)}")
+        arity = GATES[gate][0]
         if len(inputs) != arity:
             raise ValueError(f"gate {gate!r} takes {arity} input(s), got {len(inputs)}")
         return self._add(Operation("gate", output, tuple(inputs), name=gate))
@@ -102,10 +101,11 @@ class Netlist:
         """Add a programmable LUT application (one PBS).
 
         ``function`` is optional and only consumed by functional execution
-        (the runtime's reference backend); when omitted there, the LUT
-        defaults to the identity (a noise-refreshing bootstrap).  Multiple
-        inputs are summed homomorphically before the PBS.
+        (the runtime's reference backend); when omitted, the LUT is the
+        identity (a noise-refreshing bootstrap).  Multiple inputs are summed
+        homomorphically before the PBS.
         """
+        function = (lambda m: m) if function is None else function
         return self._add(Operation("lut", output, tuple(inputs), name="lut", function=function))
 
     def add_linear(
@@ -117,19 +117,15 @@ class Netlist:
     ) -> str:
         """Add a linear combination (adds / plaintext multiplies).
 
-        ``coefficients`` (one per input wire) are only needed for functional
-        execution; the performance models use ``cost`` alone.
+        ``coefficients`` (one per input wire, all ones when omitted) are only
+        read by functional execution; the performance models use ``cost`` alone.
         """
-        if coefficients is not None and len(coefficients) != len(inputs):
+        coefficients = (1,) * len(inputs) if coefficients is None else tuple(coefficients)
+        if len(coefficients) != len(inputs):
             raise ValueError(f"expected {len(inputs)} coefficients, got {len(coefficients)}")
         return self._add(
             Operation(
-                "linear",
-                output,
-                tuple(inputs),
-                name="linear",
-                cost=cost,
-                coefficients=tuple(coefficients) if coefficients is not None else None,
+                "linear", output, tuple(inputs), name="linear", cost=cost, coefficients=coefficients
             )
         )
 

@@ -143,14 +143,18 @@ class TFHEContext:
         keys = self.generate_server_keys()
         return lut.apply(ciphertext, keys.bootstrapping_key, keys.keyswitching_key)
 
+    def key_bits(self, dimension: int) -> np.ndarray:
+        """Key bits for an LWE dimension: the LWE key (``n``) or the extracted key (``k*N``)."""
+        if dimension == self.params.n:
+            return self.lwe_key.bits
+        if dimension == self.params.k * self.params.N:
+            return self._extracted_key
+        raise ValueError(
+            f"ciphertext dimension {dimension} matches neither the LWE "
+            f"key ({self.params.n}) nor the extracted key ({self.params.k * self.params.N})"
+        )
+
     # -- internals -----------------------------------------------------------------
 
     def _phase(self, ciphertext: LweCiphertext) -> int:
-        if ciphertext.dimension == self.params.n:
-            return self.lwe_key.decrypt_phase(ciphertext)
-        if ciphertext.dimension == self.params.k * self.params.N:
-            return ciphertext.phase(self._extracted_key)
-        raise ValueError(
-            f"ciphertext dimension {ciphertext.dimension} matches neither the LWE "
-            f"key ({self.params.n}) nor the extracted key ({self.params.k * self.params.N})"
-        )
+        return ciphertext.phase(self.key_bits(ciphertext.dimension))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro.params import TFHEParameters
 from repro.tfhe.bootstrap import bootstrap_to_sign
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
@@ -100,16 +99,3 @@ class GateBootstrapper:
         first = self.and_(select, if_true)
         second = self.andny(select, if_false)
         return self.or_(first, second)
-
-    #: Number of PBS operations each gate costs, used by the workload models.
-    PBS_COST = {
-        "not": 0,
-        "and": 1,
-        "or": 1,
-        "nand": 1,
-        "nor": 1,
-        "xor": 1,
-        "xnor": 1,
-        "andny": 1,
-        "mux": 3,
-    }

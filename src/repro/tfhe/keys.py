@@ -63,10 +63,6 @@ class LweSecretKey:
         """Encrypt a torus value under this key."""
         return LweCiphertext.encrypt(value, self.bits, self.params, rng, noise_std)
 
-    def decrypt_phase(self, ciphertext: LweCiphertext) -> int:
-        """Return the noisy phase of a ciphertext encrypted under this key."""
-        return ciphertext.phase(self.bits)
-
 
 @dataclass
 class GlweSecretKey:

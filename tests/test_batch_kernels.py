@@ -45,6 +45,7 @@ from repro.runtime.api import run
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, full_adder_netlist
 from repro.tfhe.batch import (
+    GATES,
     GlweBatch,
     LweBatch,
     batch_blind_rotate,
@@ -58,7 +59,6 @@ from repro.tfhe.blind_rotate import blind_rotate, make_constant_test_vector, mak
 from repro.tfhe.bootstrap import programmable_bootstrap
 from repro.tfhe.context import TFHEContext
 from repro.tfhe.decomposition import decompose, decompose_folded
-from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.keyswitch import keyswitch
 from repro.tfhe.lut import LookUpTable, relu_lut
 from repro.tfhe.lwe import LweCiphertext
@@ -537,7 +537,7 @@ class TestBatchGates:
             "andny": gates.andny,
         }
         # With "not" and "mux" below, that is the whole scalar gate set.
-        assert set(scalar_methods) | {"not", "mux"} == set(GateBootstrapper.PBS_COST)
+        assert set(scalar_methods) | {"not", "mux"} == set(GATES)
         for name, method in scalar_methods.items():
             batched = batch_gate(
                 name,
@@ -654,15 +654,14 @@ class TestSessionKernels:
             [session.context.apply_lut(ct, lut) for ct in ciphertexts],
         )
 
-    @pytest.mark.parametrize("gate", sorted(GateBootstrapper.PBS_COST))
+    @pytest.mark.parametrize("gate", sorted(GATES))
     @pytest.mark.parametrize("name, size", SESSION_CASES)
     def test_gate_batch_equals_oracle(self, sessions, name, size, gate):
         session = sessions[name]
         rng = np.random.default_rng([size, 3])
-        arity = {"not": 1, "mux": 3}.get(gate, 2)
         operands = [
             [session.context.encrypt_boolean(bool(b)) for b in rng.integers(0, 2, size)]
-            for _ in range(arity)
+            for _ in range(GATES[gate][0])
         ]
         method = _oracle_gate(session, gate)
         _assert_batch_equals_scalars(
@@ -736,6 +735,20 @@ class TestSessionKernels:
         decrypted = [session.decrypt_batch(batch.to_ciphertexts()) for batch in outputs]
         assert decrypted == [[1, 2], [0], [0, 1, 2]]
         assert (rows, calls) == (6, 1)
+
+    def test_a_level_refuses_operand_stacks_of_unequal_length(self):
+        """A two-row operand beside a one-row one, for a gate, a mux and a LUT: no keys drawn."""
+        session = Session("TOY", seed=49)
+        two_rows = LweBatch.from_ciphertexts(session.encrypt_boolean_batch([True, False]))
+        one_row = LweBatch.from_ciphertexts(session.encrypt_boolean_batch([True]))
+        identity = LookUpTable.from_function(lambda m: m, session.params)
+        for function, arity in (("and", 2), ("mux", 3), (identity, 2)):
+            operands = (two_rows, one_row, two_rows)[:arity]
+            with pytest.raises(ValueError, match=r"mismatched lengths: \[1, 2\]"):
+                session.bootstrap_level([(function, operands)])
+        with pytest.raises(ValueError):
+            session.gate_batch("and", [], one_row.to_ciphertexts())
+        assert session.context._server_keys is None
 
     def test_not_generates_no_server_keys(self):
         session = Session("TOY", seed=32)

@@ -39,10 +39,11 @@ from repro.params import DEEP_NN_N1024, PARAM_SET_I, TOY_PARAMETERS, TFHEParamet
 from repro.sim.compiler import Netlist, Operation, compile_netlist, full_adder_netlist
 from repro.sim.graph import ComputationGraph, NodeKind
 from repro.sim.scheduler import StrixScheduler
+from repro.tfhe.batch import GATES
 from repro.tfhe.lut import LookUpTable
 
 #: Plaintext truth of every gate; ``mux`` is ``(select, if_true, if_false)``.
-GATES = {
+TRUTH = {
     "not": lambda a: not a,
     "and": lambda a, b: a and b,
     "or": lambda a, b: a or b,
@@ -69,13 +70,12 @@ def spec_evaluate(netlist: Netlist, inputs: dict) -> dict:
     for operation in netlist.operations:
         args = [values[wire] for wire in operation.inputs]
         if operation.kind == "gate":
-            value = bool(GATES[operation.name](*args))
+            value = bool(TRUTH[operation.name](*args))
         elif operation.kind == "lut":
-            table = LookUpTable.from_function(operation.function or (lambda m: m), netlist.params)
+            table = LookUpTable.from_function(operation.function, netlist.params)
             value = table.evaluate_torus(sum(args))
         else:
-            coefficients = operation.coefficients or (1,) * len(args)
-            value = sum(c * v for c, v in zip(coefficients, args)) % (2 * p)
+            value = sum(c * v for c, v in zip(operation.coefficients, args)) % (2 * p)
         values[operation.output] = value
     return {
         wire: values[wire] if isinstance(values[wire], bool) else values[wire] % p
@@ -141,7 +141,7 @@ def random_netlist(seed: int, size: int) -> Netlist:
         output, kind = f"w{index}", ("gate", "lut", "linear")[int(rng.integers(3))]
         if kind == "gate":
             gate = sorted(GATES)[int(rng.integers(len(GATES)))]
-            netlist.add_gate(gate, output, *pick({"not": 1, "mux": 3}.get(gate, 2)))
+            netlist.add_gate(gate, output, *pick(GATES[gate][0]))
         elif kind == "lut":
             netlist.add_lut(output, *pick(int(rng.integers(1, 3))))
         else:

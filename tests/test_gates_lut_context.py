@@ -9,8 +9,8 @@ import pytest
 
 from repro.params import TOY_PARAMETERS
 from repro.tfhe import torus
+from repro.tfhe.batch import GATES
 from repro.tfhe.context import TFHEContext
-from repro.tfhe.gates import GateBootstrapper
 from repro.tfhe.lut import LookUpTable, relu_lut, threshold_lut
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.noise import (
@@ -88,9 +88,9 @@ class TestGates:
         assert toy_context.decrypt_boolean(result) is ((True or False) and (False ^ True))
 
     def test_pbs_cost_table(self):
-        assert GateBootstrapper.PBS_COST["not"] == 0
-        assert GateBootstrapper.PBS_COST["mux"] == 3
-        assert all(cost >= 0 for cost in GateBootstrapper.PBS_COST.values())
+        assert GATES["not"][1] == 0
+        assert GATES["mux"][1] == 3
+        assert all(cost >= 0 for _, cost in GATES.values())
 
 
 class TestLookUpTables:

@@ -34,12 +34,12 @@ from repro.runtime.reference import _check_encodings, _execute_levels
 from repro.runtime.session import Session
 from repro.sim.compiler import Netlist, Operation, compile_netlist
 from repro.sim.graph import NodeKind
-from repro.tfhe.batch import LweBatch, batch_bootstrap_with_test_vector, gate_combination
+from repro.tfhe.batch import GATES, LweBatch, batch_bootstrap_with_test_vector, gate_combination
 from repro.tfhe.blind_rotate import make_constant_test_vector, make_test_vector
 from repro.tfhe.keys import BootstrappingKey, KeySwitchingKey
 from repro.tfhe.lut import LookUpTable
 
-from test_compiler import GATES, spec_evaluate
+from test_compiler import spec_evaluate
 
 _BOOLEAN, _MESSAGE = "boolean", "message"
 
@@ -85,7 +85,7 @@ def spec_execute(
     """
     keys = session.generate_server_keys()
     luts = {
-        index: LookUpTable.from_function(operation.function or (lambda m: m), netlist.params)
+        index: LookUpTable.from_function(operation.function, netlist.params)
         for index, operation in enumerate(netlist.operations)
         if operation.kind == "lut"
     }
@@ -133,9 +133,8 @@ def spec_apply(operation: Operation, session, keys, values, tags, lut) -> tuple[
             keys.keyswitching_key,
         )
         return bootstrapped.ciphertexts, _MESSAGE
-    coefficients = operation.coefficients or (1,) * len(operands)
     masks = bodies = None
-    for coefficient, operand in zip(coefficients, operands):
+    for coefficient, operand in zip(operation.coefficients, operands):
         if coefficient == 0:
             continue
         term_masks = operand.masks * int(coefficient)
@@ -178,7 +177,7 @@ def random_toy_netlist(family: str, seed: int, size: int) -> tuple[Netlist, list
         output, kind = f"w{index}", kinds[int(rng.integers(len(kinds)))]
         if kind == "gate":
             gate = sorted(GATES)[int(rng.integers(len(GATES)))]
-            netlist.add_gate(gate, output, *pick({"not": 1, "mux": 3}.get(gate, 2)))
+            netlist.add_gate(gate, output, *pick(GATES[gate][0]))
         elif kind == "lut":
             table = tuple(int(entry) for entry in rng.integers(0, 2 * p, size=p))
             function = None if rng.random() < 0.2 else (lambda m, table=table: table[m % p])
@@ -308,13 +307,13 @@ def test_a_level_of_luts_and_a_mux_is_one_stack_and_the_or_another(tiny_session,
         netlist.add_lut(f"l{index}", a, b, function=lambda m, shift=index: (m + shift) % p)
     netlist.add_gate("mux", "m", *(netlist.add_input(wire) for wire in ("s", "t", "f")))
     stacks = []
-    real = tiny_session.bootstrap_epochs
+    real = tiny_session._bootstrap_stack
 
-    def recording(stack, test_vector):
-        stacks.append(len(stack))
-        return real(stack, test_vector)
+    def recording(pieces):
+        stacks.append(sum(len(batch) for batch, _ in pieces))
+        return real(pieces)
 
-    monkeypatch.setattr(tiny_session, "bootstrap_epochs", recording)
+    monkeypatch.setattr(tiny_session, "_bootstrap_stack", recording)
     inputs = {"a": 1, "b": 2, "s": False, "t": False, "f": True}
     result = run(netlist, backend="reference", session=tiny_session, inputs=inputs)
     assert stacks == [9, 1]

@@ -28,38 +28,38 @@ class TestLwe:
     def test_encrypt_decrypt_phase_close_to_message(self, lwe_key, rng):
         value = encoding.encode(1, PARAMS)
         ciphertext = lwe_key.encrypt(value, rng)
-        phase = lwe_key.decrypt_phase(ciphertext)
+        phase = ciphertext.phase(lwe_key.bits)
         assert torus.absolute_distance(phase, value, PARAMS.q) < PARAMS.delta // 2
 
     def test_trivial_ciphertext_has_exact_phase(self, lwe_key):
         ciphertext = LweCiphertext.trivial(12345, PARAMS.n, PARAMS)
-        assert lwe_key.decrypt_phase(ciphertext) == 12345
+        assert ciphertext.phase(lwe_key.bits) == 12345
 
     def test_homomorphic_addition(self, lwe_key, rng):
         a = lwe_key.encrypt(encoding.encode(1, PARAMS), rng)
         b = lwe_key.encrypt(encoding.encode(2, PARAMS), rng)
         total = a + b
-        decoded = encoding.decode(lwe_key.decrypt_phase(total), PARAMS)
+        decoded = encoding.decode(total.phase(lwe_key.bits), PARAMS)
         assert decoded == 3
 
     def test_homomorphic_subtraction_and_negation(self, lwe_key, rng):
         a = lwe_key.encrypt(encoding.encode(3, PARAMS), rng)
         b = lwe_key.encrypt(encoding.encode(1, PARAMS), rng)
         diff = a - b
-        assert encoding.decode(lwe_key.decrypt_phase(diff), PARAMS) == 2
+        assert encoding.decode(diff.phase(lwe_key.bits), PARAMS) == 2
         neg = -b
         # -1 wraps to 2p - 1 in the padded message space.
-        assert encoding.decode(lwe_key.decrypt_phase(neg), PARAMS) == 2 * PARAMS.message_modulus - 1
+        assert encoding.decode(neg.phase(lwe_key.bits), PARAMS) == 2 * PARAMS.message_modulus - 1
 
     def test_scalar_multiply(self, lwe_key, rng):
         a = lwe_key.encrypt(encoding.encode(1, PARAMS), rng)
         doubled = a.scalar_multiply(2)
-        assert encoding.decode(lwe_key.decrypt_phase(doubled), PARAMS) == 2
+        assert encoding.decode(doubled.phase(lwe_key.bits), PARAMS) == 2
 
     def test_add_plaintext(self, lwe_key, rng):
         a = lwe_key.encrypt(encoding.encode(1, PARAMS), rng)
         shifted = a.add_plaintext(encoding.encode(2, PARAMS))
-        assert encoding.decode(lwe_key.decrypt_phase(shifted), PARAMS) == 3
+        assert encoding.decode(shifted.phase(lwe_key.bits), PARAMS) == 3
 
     def test_dimension_mismatch_rejected(self, lwe_key, rng):
         a = lwe_key.encrypt(0, rng)
@@ -89,8 +89,8 @@ class TestLwe:
         accumulated = singles[0]
         for ciphertext in singles[1:]:
             accumulated = accumulated + ciphertext
-        single_error = abs(torus.to_signed(lwe_key.decrypt_phase(singles[0]) - zero, PARAMS.q))
-        total_error = abs(torus.to_signed(lwe_key.decrypt_phase(accumulated) - zero, PARAMS.q))
+        single_error = abs(torus.to_signed(singles[0].phase(lwe_key.bits) - zero, PARAMS.q))
+        total_error = abs(torus.to_signed(accumulated.phase(lwe_key.bits) - zero, PARAMS.q))
         # Not a strict inequality sample-by-sample, but 64 accumulated fresh
         # noises are overwhelmingly likely to exceed a single one.
         assert total_error >= single_error

@@ -54,7 +54,7 @@ class TestLwePhaseLinearity:
     @settings(max_examples=20, deadline=None)
     def test_homomorphic_addition_decodes_to_sum(self, toy_context, m1, m2):
         total = toy_context.encrypt(m1) + toy_context.encrypt(m2)
-        phase = toy_context.lwe_key.decrypt_phase(total)
+        phase = total.phase(toy_context.lwe_key.bits)
         assert encoding.decode(phase, PARAMS) == (m1 + m2) % (2 * PARAMS.message_modulus)
 
 

@@ -8,11 +8,14 @@ backends against direct model calls.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
 from repro import Netlist, RunResult, Session, TFHEContext, list_backends, run
 from repro.arch.accelerator import StrixAccelerator
+from repro.arch.config import STRIX_DEFAULT
 from repro.apps.workloads import pbs_batch_graph
 from repro.baselines.cpu_model import ConcreteCpuModel
 from repro.baselines.gpu_model import NuFheGpuModel
@@ -28,6 +31,7 @@ from repro.runtime import (
 )
 from repro.sim.compiler import full_adder_netlist
 from repro.sim.scheduler import StrixScheduler
+from repro.tfhe.batch import kernels
 
 
 @pytest.fixture(scope="module")
@@ -127,16 +131,32 @@ def test_gate_batch_validates_inputs(session):
         session.gate_batch("and", lhs, lhs[:1])
 
 
-def test_batch_geometry_matches_paper_epoch_sizing(session):
+def test_batch_geometry_matches_paper_epoch_sizing(session, monkeypatch):
     accelerator = session.accelerator
     assert session.device_batch_size == accelerator.config.tvlp
     assert session.core_batch_size == accelerator.core.core_batch_size(session.params)
     assert session.batch_capacity == session.device_batch_size * session.core_batch_size
-    chunks = list(session.iter_epochs(list(range(2 * session.batch_capacity + 1))))
-    assert [len(chunk) for chunk in chunks] == [
-        session.batch_capacity,
-        session.batch_capacity,
-        1,
+    # Two epochs and one row, on a session whose epoch is three rows.
+    tiny = dataclasses.replace(STRIX_DEFAULT, tvlp=1, local_scratchpad_mb=4 / 1024)
+    small = Session("TOY", seed=98, accelerator=StrixAccelerator(tiny))
+    capacity, p = small.batch_capacity, small.params.message_modulus
+    ciphertexts = small.encrypt_batch(m % p for m in range(2 * capacity + 1))
+    real_switch, switched = kernels.batch_modulus_switch, []
+
+    def recording_switch(batch, params):
+        switched.append(len(batch))
+        return real_switch(batch, params)
+
+    def plus_one(m):
+        return (m + 1) % p
+
+    monkeypatch.setattr(kernels, "batch_modulus_switch", recording_switch)
+    fast = small.bootstrap_batch(ciphertexts, plus_one)
+    monkeypatch.undo()
+    assert switched == [capacity, capacity, 1]
+    oracle = [small.context.programmable_bootstrap(ct, plus_one).ciphertext for ct in ciphertexts]
+    assert [(ct.mask.tolist(), ct.body) for ct in fast] == [
+        (ct.mask.tolist(), ct.body) for ct in oracle
     ]
 
 
