@@ -30,9 +30,11 @@ def main() -> None:
         f"Key generation took {time.perf_counter() - start:.2f} s "
         f"(evaluation keys: {keys.total_bytes / 1024:.0f} KiB)"
     )
+    accelerator = session.accelerator
     print(
-        f"Batch geometry: {session.device_batch_size} cores x "
-        f"{session.core_batch_size} LWEs/core = {session.batch_capacity} LWEs/epoch"
+        f"Batch geometry: {accelerator.config.tvlp} cores x "
+        f"{accelerator.core.core_batch_size(session.params)} LWEs/core = "
+        f"{session.batch_capacity} LWEs/epoch"
     )
     print(f"Predicted per-PBS failure probability: {session.failure_probability:.1e}\n")
 

@@ -39,19 +39,10 @@ class EpochPlan:
     """How a batch of LWEs maps onto one scheduling epoch."""
 
     lwes: int
-    device_batch: int
-    core_batch: int
     lwes_per_core: tuple[int, ...]
     blind_rotation_cycles: int
     keyswitch_cycles: int
     keyswitch_hidden: bool
-
-    @property
-    def epoch_cycles(self) -> int:
-        """Cycles the epoch occupies the PBS clusters (KS hides if possible)."""
-        if self.keyswitch_hidden:
-            return self.blind_rotation_cycles
-        return self.blind_rotation_cycles + self.keyswitch_cycles
 
 
 class StrixAccelerator:
@@ -113,11 +104,7 @@ class StrixAccelerator:
     def required_bandwidth(self, params: TFHEParameters) -> BandwidthDemand:
         """External bandwidth demand at this operating point."""
         timing = self.core.pipeline_timing(params)
-        return self.hbm.bandwidth_demand(
-            params,
-            timing.initiation_interval,
-            core_batch=self.core.core_batch_size(params),
-        )
+        return self.hbm.bandwidth_demand(params, timing.initiation_interval)
 
     def pbs_throughput(self, params: TFHEParameters) -> float:
         """Sustained PBS/s with full two-level batching.
@@ -147,12 +134,17 @@ class StrixAccelerator:
 
     # -- epoch scheduling (Section IV-C) ---------------------------------------------
 
+    def epoch_capacity(self, params: TFHEParameters) -> int:
+        """Ciphertexts of one epoch: device batch (TvLP) x core batch."""
+        return self.config.tvlp * self.core.core_batch_size(params)
+
     def plan_epoch(self, params: TFHEParameters, lwes: int) -> EpochPlan:
         """Map ``lwes`` ciphertexts onto one epoch of the chip.
 
-        Ciphertexts are spread across the ``tvlp`` cores; each core streams
-        its share through the PBS pipeline (core-level batching), then the
-        keyswitch cluster drains while the next epoch's blind rotation runs.
+        Ciphertexts are spread round-robin across the ``tvlp`` cores (the
+        first ``lwes % tvlp`` take one more); each core streams its share
+        through the PBS pipeline (core-level batching), then the keyswitch
+        cluster drains while the next epoch's blind rotation runs.
 
         Plans are memoized per ``(params, lwes)`` — the epoch scheduler and
         ``pbs_batch_cycles`` replan the same epoch sizes constantly — and
@@ -164,15 +156,10 @@ class StrixAccelerator:
         cached = self._epoch_plans.get((params, lwes))
         if cached is not None:
             return cached
-        device_batch = self.config.tvlp
-        core_batch = self.core.core_batch_size(params)
-        capacity = device_batch * core_batch
-        scheduled = min(lwes, capacity)
-        per_core = [0] * device_batch
-        for index in range(scheduled):
-            per_core[index % device_batch] += 1
+        scheduled = min(lwes, self.epoch_capacity(params))
+        each, extra = divmod(scheduled, self.config.tvlp)
         timing = self.core.pipeline_timing(params)
-        busiest = max(per_core)
+        busiest = each + (extra > 0)
         if busiest == 1:
             blind_rotation_cycles = params.n * timing.iteration_latency
         else:
@@ -180,9 +167,7 @@ class StrixAccelerator:
         keyswitch_cycles = busiest * self.core.keyswitch_cycles(params)
         plan = EpochPlan(
             lwes=scheduled,
-            device_batch=device_batch,
-            core_batch=core_batch,
-            lwes_per_core=tuple(per_core),
+            lwes_per_core=tuple(each + (core < extra) for core in range(self.config.tvlp)),
             blind_rotation_cycles=blind_rotation_cycles,
             keyswitch_cycles=keyswitch_cycles,
             keyswitch_hidden=keyswitch_cycles <= blind_rotation_cycles,
@@ -201,7 +186,7 @@ class StrixAccelerator:
         """
         if lwes < 1:
             return 0
-        capacity = self.config.tvlp * self.core.core_batch_size(params)
+        capacity = self.epoch_capacity(params)
         full, rest = divmod(lwes, capacity)
         blind_rotation_end = keyswitch_end = 0
         if full:

@@ -241,7 +241,3 @@ class KeyswitchCluster:
         """Cycles to keyswitch one LWE ciphertext inside one HSC."""
         throughput = self.config.ks_clp * self.config.ks_colp
         return max(math.ceil(self.macs_per_lwe(params) / throughput), 1)
-
-    def is_hidden_behind_pbs(self, params: TFHEParameters, pbs_cycles_per_lwe: int) -> bool:
-        """Whether keyswitching fits inside the PBS time of the next epoch."""
-        return self.busy_cycles_per_lwe(params) <= pbs_cycles_per_lwe

@@ -128,12 +128,6 @@ class HomomorphicStreamingCore:
             self._keyswitch_cycles[params] = cycles
         return cycles
 
-    def keyswitch_hidden(self, params: TFHEParameters) -> bool:
-        """Whether keyswitching hides behind the next epoch's blind rotation."""
-        return self.keyswitch_cluster.is_hidden_behind_pbs(
-            params, self.pbs_cycles_per_lwe_streaming(params)
-        )
-
     # -- occupancy trace ---------------------------------------------------------
 
     def occupancy_trace(

@@ -102,12 +102,7 @@ class HBMModel:
         self.global_scratchpad = GlobalScratchpad(config)
         self.local_scratchpad = LocalScratchpad(config)
 
-    def bandwidth_demand(
-        self,
-        params: TFHEParameters,
-        iteration_cycles: int,
-        core_batch: int | None = None,
-    ) -> BandwidthDemand:
+    def bandwidth_demand(self, params: TFHEParameters, iteration_cycles: int) -> BandwidthDemand:
         """Bandwidth each stream must sustain during blind rotation.
 
         Parameters
@@ -117,12 +112,8 @@ class HBMModel:
         iteration_cycles:
             Cycles one blind-rotation iteration takes for a single LWE in
             steady state (the per-LWE initiation interval).
-        core_batch:
-            LWEs per core per iteration; defaults to the scratchpad-derived
-            core-level batch size.
         """
-        if core_batch is None:
-            core_batch = self.local_scratchpad.core_batch_size(params)
+        core_batch = self.local_scratchpad.core_batch_size(params)
         cycle_s = 1.0 / self.config.clock_hz
         iteration_time_s = iteration_cycles * cycle_s
 
@@ -138,13 +129,13 @@ class HBMModel:
         # The keyswitching key streams once per epoch: every LWE of the epoch
         # reuses the same tile sequence while the keyswitch cluster works in
         # the shadow of the next epoch's blind rotation.
-        epoch_cycles = params.n * iteration_cycles * max(core_batch, 1)
+        epoch_cycles = params.n * iteration_cycles * core_batch
         epoch_time_s = epoch_cycles * cycle_s
         ksk_rate = self.global_scratchpad.keyswitching_key_bytes(params) / epoch_time_s
 
         # Ciphertext traffic: inputs (LWE + initial test vector) in, LWE out,
         # for every ciphertext of the epoch across all cores.
-        epoch_lwes = max(core_batch, 1) * self.config.tvlp
+        epoch_lwes = core_batch * self.config.tvlp
         per_lwe_bytes = (
             (params.n + 1) * COEFFICIENT_BYTES
             + (params.k + 1) * params.N * COEFFICIENT_BYTES

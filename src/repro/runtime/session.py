@@ -124,19 +124,9 @@ class Session:
     # cut one over this machine's cores is their business and independent of it.
 
     @property
-    def device_batch_size(self) -> int:
-        """Ciphertexts batched across cores (the accelerator's TvLP)."""
-        return self.accelerator.config.tvlp
-
-    @property
-    def core_batch_size(self) -> int:
-        """Ciphertexts batched within one core for this parameter set."""
-        return self.accelerator.core.core_batch_size(self.params)
-
-    @property
     def batch_capacity(self) -> int:
-        """Ciphertexts of one scheduling epoch (device x core batch)."""
-        return self.device_batch_size * self.core_batch_size
+        """Ciphertexts of one scheduling epoch (``StrixAccelerator.epoch_capacity``)."""
+        return self.accelerator.epoch_capacity(self.params)
 
     # -- per-ciphertext API (delegates to the context) ------------------------------
 

@@ -223,7 +223,7 @@ class AnalyticalCostModel(CostModel):
         return BatchCost(
             pbs_s + linear_s,
             batch.total_pbs,
-            self._epochs(batch.total_pbs, params, device),
+            -(-batch.total_pbs // accelerator.epoch_capacity(params)),
             {"pbs_s": pbs_s, "linear_s": linear_s},
         )
 
@@ -242,18 +242,9 @@ class AnalyticalCostModel(CostModel):
         return BatchCost(
             compute_s=pbs_s + linear_s,
             pbs=pbs,
-            epochs=self._epochs(pbs, params, device),
+            epochs=-(-pbs // accelerator.epoch_capacity(params)),
             breakdown={"pbs_s": pbs_s, "linear_s": linear_s},
         )
-
-    @staticmethod
-    def _epochs(pbs: int, params: TFHEParameters, device: "StrixDevice") -> int:
-        if pbs <= 0:
-            return 0
-        capacity = device.accelerator.config.tvlp * (
-            device.accelerator.core.core_batch_size(params)
-        )
-        return -(-pbs // capacity)
 
 
 class EventDrivenCostModel(CostModel):

@@ -179,19 +179,6 @@ class StrixCluster:
             return list(range(len(self.devices)))
         return self.faults.schedule.available_indices(now, len(self.devices))
 
-    # -- capacity ---------------------------------------------------------------
-
-    def device_epoch_capacity(self, params: TFHEParameters) -> int:
-        """Ciphertexts one device bootstraps per epoch (device × core batch)."""
-        device = self.devices[0]
-        return device.accelerator.config.tvlp * device.accelerator.core.core_batch_size(
-            params
-        )
-
-    def epoch_capacity(self, params: TFHEParameters) -> int:
-        """Ciphertexts the whole cluster bootstraps per epoch."""
-        return len(self.devices) * self.device_epoch_capacity(params)
-
     # -- sharded workload execution ----------------------------------------------
 
     def run(

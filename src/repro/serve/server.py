@@ -120,8 +120,9 @@ class ServeConfig:
         Deadline bound of the adaptive batcher — the longest a request waits
         before a partial batch flushes (the p99 knob under light load).
     batch_capacity:
-        Items per batch; defaults to one device's epoch capacity so every
-        full batch is exactly one epoch-stream.
+        Items per batch; defaults to one device's
+        ``StrixAccelerator.epoch_capacity`` so every full batch is exactly
+        one epoch-stream.
     seed:
         Base seed for per-tenant key generation.
     cluster:
@@ -574,7 +575,7 @@ class Server:
         self.batch_capacity = (
             config.batch_capacity
             if config.batch_capacity is not None
-            else self.cluster.device_epoch_capacity(self.params)
+            else self.cluster.devices[0].accelerator.epoch_capacity(self.params)
         )
         #: Request tracer (``None`` until :meth:`enable_tracing`).
         self.tracer: Tracer | None = None

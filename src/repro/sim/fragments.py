@@ -13,8 +13,9 @@ the *fragments* whose count drives total execution time:
 Increasing the batch size (the paper's two-level batching) is what shrinks
 the fragment count; this module provides the shared arithmetic used by the
 GPU baseline model and the fragmentation analysis (Fig. 2).  The Strix epoch
-scheduler cuts a PBS node into ``divmod(ciphertexts, epoch capacity)`` full
-and partial epochs, one per pass; ``spec_run`` in
+scheduler cuts a PBS node into ``divmod(ciphertexts, capacity)`` full and
+partial epochs, one per pass, where ``capacity`` is
+``StrixAccelerator.epoch_capacity(params)``; ``spec_run`` in
 ``tests/test_scheduler_spec.py``, the readable definition of that rule, holds
 its epoch count to ``blind_rotation_fragments + 1``.
 """

@@ -75,7 +75,7 @@ class _EpochTimings:
     def __init__(self, accelerator: StrixAccelerator, params: TFHEParameters):
         self._accelerator = accelerator
         self._params = params
-        self.epoch_capacity = accelerator.config.tvlp * accelerator.core.core_batch_size(params)
+        self.epoch_capacity = accelerator.epoch_capacity(params)
         self._epochs: dict[int, tuple[tuple[float, ...], float]] = {}
         self._nodes: dict[int, tuple[tuple[tuple[float, ...], float], ...]] = {}
 

@@ -6,10 +6,16 @@ from dataclasses import replace
 
 import pytest
 
+from repro import Session
+from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
-from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED
+from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED, StrixClusterConfig
 from repro.baselines.reference_platforms import PUBLISHED_PBS_RESULTS
-from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
+from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV, get_parameters
+from repro.sched import AnalyticalCostModel
+from repro.serve import Request, Server
+from repro.serve.batcher import Batch
+from repro.sim.scheduler import StrixScheduler
 
 
 class TestPbsMicrobenchmark:
@@ -31,11 +37,15 @@ class TestPbsMicrobenchmark:
         assert strix.pbs_latency_ms(params) == pytest.approx(expected_latency_ms, rel=tolerance)
 
     def test_latency_ordering_across_sets(self, strix):
-        latencies = [strix.pbs_latency_ms(PAPER_PARAMETER_SETS[name]) for name in ("I", "II", "III", "IV")]
+        latencies = [
+            strix.pbs_latency_ms(PAPER_PARAMETER_SETS[name]) for name in ("I", "II", "III", "IV")
+        ]
         assert latencies == sorted(latencies)
 
     def test_throughput_ordering_across_sets(self, strix):
-        throughputs = [strix.pbs_throughput(PAPER_PARAMETER_SETS[name]) for name in ("I", "II", "III", "IV")]
+        throughputs = [
+            strix.pbs_throughput(PAPER_PARAMETER_SETS[name]) for name in ("I", "II", "III", "IV")
+        ]
         assert throughputs == sorted(throughputs, reverse=True)
 
     def test_performance_summary_fields(self, strix):
@@ -78,14 +88,17 @@ class TestEpochPlanning:
         assert max(plan.lwes_per_core) - min(plan.lwes_per_core) <= 1
 
     def test_epoch_capacity_clamps_oversized_requests(self, strix):
-        capacity = strix.config.tvlp * strix.core.core_batch_size(PARAM_SET_I)
+        capacity = strix.epoch_capacity(PARAM_SET_I)
         plan = strix.plan_epoch(PARAM_SET_I, capacity * 3)
         assert plan.lwes == capacity
 
     def test_keyswitch_hidden_in_full_epoch(self, strix):
         plan = strix.plan_epoch(PARAM_SET_I, 512)
         assert plan.keyswitch_hidden is True
-        assert plan.epoch_cycles == plan.blind_rotation_cycles
+        # The first epoch's keyswitch runs under the second's blind rotation.
+        assert strix.pbs_batch_cycles(PARAM_SET_I, 2 * 512) == (
+            2 * plan.blind_rotation_cycles + plan.keyswitch_cycles
+        )
 
     def test_plan_rejects_empty_epoch(self, strix):
         with pytest.raises(ValueError):
@@ -107,6 +120,46 @@ class TestEpochPlanning:
         time_s = strix.pbs_batch_time_ms(PARAM_SET_I, lwes) / 1e3
         achieved = lwes / time_s
         assert achieved == pytest.approx(strix.pbs_throughput(PARAM_SET_I), rel=0.1)
+
+
+@pytest.mark.parametrize("tvlp", [1, 2, 8])
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "SMALL", "TOY"])
+def test_every_reader_sizes_an_epoch_by_epoch_capacity(name, tvlp):
+    config = STRIX_DEFAULT.with_parallelism(tvlp=tvlp)
+    accelerator, params = StrixAccelerator(config), get_parameters(name)
+    capacity = accelerator.epoch_capacity(params)
+    assert capacity == tvlp * accelerator.core.core_batch_size(params)
+    assert Session(name, seed=0, accelerator=accelerator).batch_capacity == capacity
+    server = Server(devices=1, params=name, cluster=StrixClusterConfig(device=config))
+    assert server.batch_capacity == capacity
+    device = server.cluster.devices[0]
+    for kind, items in [("encrypt", 5), *(("bootstrap", n) for n in (1, capacity, capacity + 1))]:
+        batch = Batch(0, (Request.make(1, "t0", kind, items),), 0.0, "full")
+        epochs = AnalyticalCostModel().batch_cost(batch, params, device).epochs
+        assert epochs == -(-batch.total_pbs // capacity), (kind, items)
+
+
+#: ``plan_epoch`` prices a core holding one LWE at the pipeline's
+#: ``iteration_latency``; the event scheduler prices it at
+#: ``iteration_latency_cycles``, which adds the key-fetch bound.  The two differ
+#: where that bound binds: SMALL on the default chip.
+LONE_LWE_GAP = pytest.mark.xfail(
+    strict=True, reason="plan_epoch prices a lone LWE without the key-fetch bound"
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["I", "II", "III", "IV", "TOY", pytest.param("SMALL", marks=LONE_LWE_GAP)]
+)
+def test_analytical_and_event_models_price_a_bootstrap_node_alike(strix, name):
+    """``pbs_batch_time_ms`` against ``StrixScheduler.run`` over one PBS node: one
+    LWE per core up to a full row, a full epoch ± 1, three full epochs and a part."""
+    params, scheduler = get_parameters(name), StrixScheduler(strix)
+    capacity, tvlp = strix.epoch_capacity(params), strix.config.tvlp
+    for lwes in sorted({*range(1, tvlp + 1), capacity - 1, capacity + 1, 3 * capacity + 5}):
+        analytical = strix.pbs_batch_time_ms(params, lwes) / 1e3
+        event = scheduler.run(pbs_batch_graph(params, lwes)).total_time_s
+        assert event == pytest.approx(analytical, rel=1e-12, abs=0), lwes
 
 
 def epoch_by_epoch_cycles(accelerator, params, lwes):
@@ -143,7 +196,7 @@ class TestBatchCyclesClosedForm:
     def test_equals_the_epoch_by_epoch_recurrence(self, model, name, tvlp):
         accelerator = model(STRIX_DEFAULT.with_parallelism(tvlp=tvlp))
         params = PAPER_PARAMETER_SETS[name]
-        capacity = tvlp * accelerator.core.core_batch_size(params)
+        capacity = accelerator.epoch_capacity(params)
         assert accelerator.plan_epoch(params, capacity).keyswitch_hidden is (
             model is StrixAccelerator
         )  # one regime each: ks <= br as shipped, ks > br stretched
@@ -163,13 +216,14 @@ class TestBatchCyclesClosedForm:
         }
         for name, (throughput, batch_ms) in expected.items():
             params = PAPER_PARAMETER_SETS[name]
-            capacity = strix.config.tvlp * strix.core.core_batch_size(params)
+            capacity = strix.epoch_capacity(params)
             assert strix.pbs_throughput(params) == throughput
             assert [
                 strix.pbs_batch_time_ms(params, lwes) for lwes in (1, capacity, 3 * capacity + 1)
             ] == batch_ms
         assert max(
-            abs(expected[row.parameter_set][0] - row.throughput_pbs_per_s) / row.throughput_pbs_per_s
+            abs(expected[row.parameter_set][0] - row.throughput_pbs_per_s)
+            / row.throughput_pbs_per_s
             for row in PUBLISHED_PBS_RESULTS
             if row.platform == "Strix"
         ) == 0.004069829709756881

@@ -60,7 +60,7 @@ class TestFig2Fragmentation:
 
     def test_strix_batching_removes_fragments(self):
         accelerator = StrixAccelerator()
-        strix_batch = accelerator.config.tvlp * accelerator.core.core_batch_size(PARAM_SET_I)
+        strix_batch = accelerator.epoch_capacity(PARAM_SET_I)
         gpu_sms = NuFheGpuModel().sms
         for count in (288, 784):
             assert blind_rotation_fragments(count, strix_batch) <= blind_rotation_fragments(

@@ -82,9 +82,10 @@ class TestKeyswitchCluster:
         assert cluster.busy_cycles_per_lwe(PARAM_SET_I) == -(-macs // 64)
 
     def test_keyswitch_hidden_behind_pbs_for_paper_sets(self):
-        core = HomomorphicStreamingCore(STRIX_DEFAULT)
+        strix = StrixAccelerator(STRIX_DEFAULT)
         for params in PAPER_PARAMETER_SETS.values():
-            assert core.keyswitch_hidden(params), params.name
+            plan = strix.plan_epoch(params, strix.epoch_capacity(params))
+            assert plan.keyswitch_hidden, params.name
 
 
 class TestHscPipeline:

@@ -20,12 +20,17 @@ from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
 class TestLocalScratchpad:
     def test_capacity_split(self):
         scratchpad = LocalScratchpad(STRIX_DEFAULT)
-        assert scratchpad.capacity_bytes == int(0.625 * 2 ** 20)
-        assert scratchpad.pbs_capacity_bytes + scratchpad.keyswitch_capacity_bytes == scratchpad.capacity_bytes
+        assert scratchpad.capacity_bytes == int(0.625 * 2**20)
+        assert (
+            scratchpad.pbs_capacity_bytes + scratchpad.keyswitch_capacity_bytes
+            == scratchpad.capacity_bytes
+        )
 
     def test_core_batch_decreases_with_degree(self):
         scratchpad = LocalScratchpad(STRIX_DEFAULT)
-        batches = [scratchpad.core_batch_size(PAPER_PARAMETER_SETS[name]) for name in ("I", "III", "IV")]
+        batches = [
+            scratchpad.core_batch_size(PAPER_PARAMETER_SETS[name]) for name in ("I", "III", "IV")
+        ]
         assert batches[0] > batches[1] > batches[2] >= 1
 
     def test_accumulator_bytes(self):
@@ -93,8 +98,8 @@ class TestHbmModel:
             assert not hbm.is_memory_bound(demand), params.name
 
     def test_shorter_iterations_raise_demand(self, hbm):
-        low = hbm.bandwidth_demand(PARAM_SET_IV, 8192, core_batch=1)
-        high = hbm.bandwidth_demand(PARAM_SET_IV, 1024, core_batch=1)
+        low = hbm.bandwidth_demand(PARAM_SET_IV, 8192)
+        high = hbm.bandwidth_demand(PARAM_SET_IV, 1024)
         assert high.bootstrapping_key > low.bootstrapping_key
 
     def test_compute_scaling_capped_at_one(self, hbm, core):

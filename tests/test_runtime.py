@@ -132,10 +132,7 @@ def test_gate_batch_validates_inputs(session):
 
 
 def test_batch_geometry_matches_paper_epoch_sizing(session, monkeypatch):
-    accelerator = session.accelerator
-    assert session.device_batch_size == accelerator.config.tvlp
-    assert session.core_batch_size == accelerator.core.core_batch_size(session.params)
-    assert session.batch_capacity == session.device_batch_size * session.core_batch_size
+    assert session.batch_capacity == session.accelerator.epoch_capacity(session.params)
     # Two epochs and one row, on a session whose epoch is three rows.
     tiny = dataclasses.replace(STRIX_DEFAULT, tvlp=1, local_scratchpad_mb=4 / 1024)
     small = Session("TOY", seed=98, accelerator=StrixAccelerator(tiny))

@@ -126,7 +126,7 @@ def assert_same_schedule(scheduler: StrixScheduler, graph: ComputationGraph) -> 
 
 
 def _capacity(scheduler: StrixScheduler, params) -> int:
-    return scheduler.config.tvlp * scheduler.accelerator.core.core_batch_size(params)
+    return scheduler.accelerator.epoch_capacity(params)
 
 
 @st.composite

@@ -55,7 +55,7 @@ class TestStrixScheduler:
         assert max(values) - min(values) < 0.05
 
     def test_epoch_count_follows_capacity(self, scheduler, strix_module):
-        capacity = strix_module.config.tvlp * strix_module.core.core_batch_size(PARAM_SET_I)
+        capacity = strix_module.epoch_capacity(PARAM_SET_I)
         result = scheduler.run(pbs_batch_graph(PARAM_SET_I, capacity * 2 + 1))
         assert result.total_epochs == 3
 
@@ -90,7 +90,9 @@ class TestOccupancyTrace:
 
     def test_rows_include_compute_and_memory(self, trace):
         rows = trace.rows()
-        for expected in ("rotator", "decomposer", "fft", "vma", "ifft", "accumulator", "local_scratchpad", "hbm"):
+        for expected in (
+            "rotator", "decomposer", "fft", "vma", "ifft", "accumulator", "local_scratchpad", "hbm"
+        ):
             assert expected in rows
 
     def test_wide_units_highly_utilized(self, trace):

@@ -577,7 +577,9 @@ def test_server_sets_each_cluster_knob_from_one_field():
     )
     assert len(server.cluster) == 3
     assert all(device.accelerator.config.tvlp == 4 for device in server.cluster.devices)
-    assert server.batch_capacity == server.cluster.device_epoch_capacity(server.params)
+    assert server.batch_capacity == server.cluster.devices[0].accelerator.epoch_capacity(
+        server.params
+    )
     assert server.cluster.key_residency.budget_bytes == budget
     assert server.cluster.key_residency.policy.name == "lfu"
 

@@ -185,7 +185,7 @@ def test_cluster_config_validation():
 def test_batch_larger_than_cluster_capacity_runs_in_multiple_epochs():
     """Edge case: one batch beyond the whole cluster's epoch capacity."""
     cluster = StrixCluster(devices=2)
-    capacity = cluster.epoch_capacity(PARAM_SET_I)
+    capacity = 2 * cluster.devices[0].accelerator.epoch_capacity(PARAM_SET_I)
     small = cluster.batch_service_s(one_request_batch(16), PARAM_SET_I)
     huge = cluster.batch_service_s(one_request_batch(3 * capacity), PARAM_SET_I)
     # A batch 3x beyond cluster capacity streams through one device in many
