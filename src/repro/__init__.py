@@ -44,7 +44,6 @@ from repro.runtime import (
     Backend,
     RunResult,
     Session,
-    compare,
     get_backend,
     list_backends,
     run,
@@ -86,7 +85,6 @@ __all__ = [
     "Session",
     "StrixCluster",
     "TFHEContext",
-    "compare",
     "get_backend",
     "list_backends",
     "run",

@@ -15,37 +15,12 @@ transform of :mod:`repro.fft`; this class models only its timing and area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.arch.config import StrixConfig
 
 
-@dataclass(frozen=True)
-class FFTStage:
-    """One butterfly stage of the pipelined FFT.
-
-    Attributes
-    ----------
-    index:
-        Stage number (0-based, from the input side).
-    butterflies:
-        Number of butterfly units in the stage (``CLP / 2``).
-    shuffle_delay:
-        Length ``L`` of the shuffle unit delay lines feeding the *next*
-        stage (0 for the final stage).
-    uses_sram_delay:
-        Whether the delay lines are large enough (``L >= 32``) to be built
-        from SRAM rather than flip-flop shift registers.
-    """
-
-    index: int
-    butterflies: int
-    shuffle_delay: int
-    uses_sram_delay: bool
-
-
 class PipelinedFFTUnit:
-    """Timing, structure and area model of one pipelined (I)FFT unit.
+    """Timing and area model of one pipelined (I)FFT unit.
 
     Parameters
     ----------
@@ -85,29 +60,6 @@ class PipelinedFFTUnit:
     def num_stages(self) -> int:
         """Number of butterfly stages: ``log2(points)``."""
         return int(math.log2(self.points))
-
-    @property
-    def butterflies_per_stage(self) -> int:
-        """Butterfly units per stage (``CLP / 2``, at least one)."""
-        return max(self.clp // 2, 1)
-
-    def stages(self) -> list[FFTStage]:
-        """Describe every stage with its shuffle-unit delay length."""
-        described = []
-        for index in range(self.num_stages):
-            # The shuffle network between stage `index` and `index+1` reorders
-            # groups of size points / 2^(index+1), streamed over CLP lanes.
-            remaining = self.points >> (index + 1)
-            delay = max(remaining // self.clp, 1) if index < self.num_stages - 1 else 0
-            described.append(
-                FFTStage(
-                    index=index,
-                    butterflies=self.butterflies_per_stage,
-                    shuffle_delay=delay,
-                    uses_sram_delay=delay >= 32,
-                )
-            )
-        return described
 
     # -- timing ---------------------------------------------------------------
 

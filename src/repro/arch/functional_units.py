@@ -15,13 +15,14 @@ its own lane configuration (Section IV-A: CLP=8, CoLP=8, PLP=1).
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 
 from repro.arch.config import StrixConfig
 from repro.arch.fft_unit import PipelinedFFTUnit
 from repro.params import TFHEParameters
 
 
-class FunctionalUnit:
+class FunctionalUnit(ABC):
     """Base class: a named unit with an area/power footprint."""
 
     name: str = "unit"
@@ -29,24 +30,19 @@ class FunctionalUnit:
     def __init__(self, config: StrixConfig):
         self.config = config
 
+    @abstractmethod
     def busy_cycles_per_lwe(self, params: TFHEParameters) -> int:
         """Cycles the unit is busy per LWE per blind-rotation iteration."""
-        raise NotImplementedError
 
     @property
-    def instances(self) -> int:
-        """Number of physical instances of the unit inside one HSC."""
-        return 1
-
-    @property
+    @abstractmethod
     def area_mm2(self) -> float:
         """Total area of all instances inside one HSC."""
-        raise NotImplementedError
 
     @property
+    @abstractmethod
     def power_w(self) -> float:
         """Total power of all instances inside one HSC."""
-        raise NotImplementedError
 
 
 class RotatorUnit(FunctionalUnit):
@@ -65,10 +61,6 @@ class RotatorUnit(FunctionalUnit):
         coefficients = (params.k + 1) * params.N
         lanes = self.config.effective_lanes * self.config.colp
         return max(math.ceil(coefficients / lanes), 1)
-
-    @property
-    def instances(self) -> int:
-        return self.config.colp
 
     @property
     def area_mm2(self) -> float:
@@ -95,10 +87,6 @@ class DecomposerUnit(FunctionalUnit):
         output_coefficients = (params.k + 1) * params.lb * params.N
         lanes = self.config.effective_lanes * self.config.colp
         return max(math.ceil(output_coefficients / lanes), 1)
-
-    @property
-    def instances(self) -> int:
-        return self.config.colp
 
     @property
     def area_mm2(self) -> float:
@@ -166,10 +154,6 @@ class VMAUnit(FunctionalUnit):
         return max(math.ceil(coefficients / lanes), 1)
 
     @property
-    def instances(self) -> int:
-        return self.config.plp
-
-    @property
     def area_mm2(self) -> float:
         return self._AREA_MM2 * (self.config.clp * self.config.plp) / 8.0
 
@@ -189,10 +173,6 @@ class AccumulatorUnit(FunctionalUnit):
         coefficients = (params.k + 1) * params.lb * params.N
         lanes = self.config.effective_lanes * self.config.colp
         return max(math.ceil(coefficients / lanes), 1)
-
-    @property
-    def instances(self) -> int:
-        return self.config.colp
 
     @property
     def area_mm2(self) -> float:

@@ -37,11 +37,6 @@ class BusyInterval:
     start_cycle: int
     end_cycle: int
 
-    @property
-    def duration(self) -> int:
-        """Interval length in cycles."""
-        return self.end_cycle - self.start_cycle
-
 
 @dataclass
 class PipelineTiming:

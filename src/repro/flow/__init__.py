@@ -1,7 +1,7 @@
 """repro.flow — end-to-end overload protection.
 
 The serving stack survives *device* failures (``repro.faults``); this
-package makes it survive *load*.  Three layers, one control loop:
+package makes it survive *load*.  Two layers, one control loop:
 
 * **Admission** (:mod:`repro.flow.admission`) — pluggable policies that
   decide, per arriving request, admit / shed-queued-work / reject, against
@@ -9,12 +9,13 @@ package makes it survive *load*.  Three layers, one control loop:
 * **Control** (:mod:`repro.flow.control`) — the per-server
   :class:`FlowController` that executes decisions, drops expired work and
   keeps the deterministic overload ledger reports and STATS frames expose.
-* **Retry** (:mod:`repro.flow.retry`) — the client half: capped
-  exponential backoff with seeded jitter and a circuit breaker, driven by
-  the server's typed BUSY replies and retry-after hints.
+
+A client sees the outcome as a typed error (:mod:`repro.flow.retry`):
+:class:`ServerBusyError` for a BUSY reply with its retry-after hint,
+:class:`RequestTimeoutError` for a request that outlived its timeout.
 
 Everything is deterministic by construction: decisions are pure functions
-of queue state, jitter is seeded, the breaker's clock is injected.  A
+of queue state, and the ledger counts on the serving clock.  A
 replayed overload trace sheds bit-for-bit the same requests every run,
 and with the defaults (no admission, no capacities) the layer is inert —
 output stays byte-identical to a stack without it.
@@ -36,10 +37,7 @@ from repro.flow.control import (
     RequestRejectedError,
 )
 from repro.flow.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
     RequestTimeoutError,
-    RetryPolicy,
     ServerBusyError,
 )
 from repro.serve.queue import QueueOverflowError
@@ -48,15 +46,12 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionLimits",
     "AdmissionPolicy",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "DeadlineExceededError",
     "FlowController",
     "QueueOverflowError",
     "RejectNewestPolicy",
     "RequestRejectedError",
     "RequestTimeoutError",
-    "RetryPolicy",
     "ServerBusyError",
     "ShedOldestPolicy",
     "TenantQuotaPolicy",

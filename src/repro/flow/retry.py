@@ -1,24 +1,12 @@
-"""Client-side overload handling: retry backoff and a circuit breaker.
+"""The two typed errors a client raises for a request the server did not answer with a result.
 
-The server half of the flow layer sheds and rejects; this is the client
-half that makes those signals *useful*.  A :class:`RetryPolicy` turns an
-attempt number into a capped exponential delay with seeded deterministic
-jitter (two clients built from the same seed compute the same delays — a
-replayable load test stays replayable even with retries on).  A
-:class:`CircuitBreaker` stops a client from hammering a server that keeps
-refusing it: after enough consecutive failures the circuit opens, calls
-fail fast with :class:`CircuitOpenError`, and after a cool-down one probe
-is let through to test recovery.
-
-Time is always injected (``now_s`` arguments) — the breaker never reads a
-wall clock, so its behaviour in tests and simulations is a pure function
-of the call sequence.
+:class:`ServerBusyError` is the server's BUSY reply (with its retry-after hint) and
+:class:`RequestTimeoutError` a request that outlived its per-request timeout; both are
+what :mod:`repro.net.client` raises and :func:`repro.net.loadgen.closed_loop_async`
+counts as abandoned.
 """
 
 from __future__ import annotations
-
-import random
-from dataclasses import dataclass
 
 
 class RequestTimeoutError(TimeoutError):
@@ -32,158 +20,9 @@ class RequestTimeoutError(TimeoutError):
 class ServerBusyError(RuntimeError):
     """The server answered ``BUSY`` — over capacity, try again later.
 
-    ``retry_after_s`` is the server's deterministic backoff hint;
-    :meth:`RetryPolicy.delay_s` folds it in when retrying.
+    ``retry_after_s`` is the server's deterministic backoff hint.
     """
 
     def __init__(self, message: str, retry_after_s: float = 0.0):
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-class CircuitOpenError(RuntimeError):
-    """The client's circuit breaker is open — failing fast, not sending.
-
-    ``retry_in_s`` is how long until the breaker will let a probe through.
-    """
-
-    def __init__(self, message: str, retry_in_s: float = 0.0):
-        super().__init__(message)
-        self.retry_in_s = retry_in_s
-
-
-@dataclass
-class RetryPolicy:
-    """Capped exponential backoff with seeded deterministic jitter.
-
-    Attempt ``n`` (0-based) waits ``base_delay_s * multiplier**n`` capped
-    at ``max_delay_s``, scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` out of a private ``random.Random(seed)``
-    stream — deterministic per policy instance, decorrelated across
-    instances with different seeds.  A server ``retry_after_s`` hint acts
-    as a floor: the client never retries sooner than the server asked.
-    """
-
-    max_attempts: int = 5
-    base_delay_s: float = 0.05
-    multiplier: float = 2.0
-    max_delay_s: float = 5.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("retry policy needs at least one attempt")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("retry delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("retry multiplier must be at least 1.0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        self._rng = random.Random(self.seed)
-
-    def should_retry(self, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (0-based) may be made."""
-        return attempt < self.max_attempts
-
-    def delay_s(self, attempt: int, hint_s: float = 0.0) -> float:
-        """Backoff before retry attempt ``attempt`` (the first retry is 1).
-
-        ``hint_s`` is a server-supplied retry-after floor (from a BUSY
-        reply); the returned delay is never below it.
-        """
-        backoff = min(
-            self.max_delay_s, self.base_delay_s * self.multiplier ** max(0, attempt - 1)
-        )
-        factor = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        return max(hint_s, backoff * factor)
-
-
-@dataclass
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with injected time.
-
-    Closed (normal) → ``failure_threshold`` consecutive failures → open
-    (fail fast) → after ``reset_timeout_s`` → half-open (one probe
-    allowed) → success closes, failure re-opens.  All transitions are
-    driven by the ``now_s`` the caller passes, never a wall clock.
-    """
-
-    failure_threshold: int = 5
-    reset_timeout_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be at least one")
-        if self.reset_timeout_s < 0:
-            raise ValueError("reset timeout must be non-negative")
-        self._failures = 0
-        self._opened_at_s: float | None = None
-        self._probing = False
-        self._probe_started_s = 0.0
-        #: Times the breaker tripped open (monotone counter, for reports).
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half-open"`` (as of the last call)."""
-        if self._opened_at_s is None:
-            return "closed"
-        return "half-open" if self._probing else "open"
-
-    def check(self, now_s: float) -> None:
-        """Gate a call at time ``now_s``.
-
-        Raises :class:`CircuitOpenError` while open; silently admits the
-        single half-open probe once the cool-down has elapsed.  A probe
-        that never reported a verdict (its caller was cancelled, or died
-        of an error the retry loop does not route back) expires after
-        another ``reset_timeout_s``, so an abandoned probe cannot latch
-        the breaker half-open forever.
-        """
-        if self._opened_at_s is None:
-            return
-        elapsed = now_s - self._opened_at_s
-        if elapsed < self.reset_timeout_s:
-            raise CircuitOpenError(
-                f"circuit breaker is open ({self._failures} consecutive "
-                "failures); failing fast",
-                retry_in_s=self.reset_timeout_s - elapsed,
-            )
-        if self._probing:
-            probe_age = now_s - self._probe_started_s
-            if probe_age < self.reset_timeout_s:
-                raise CircuitOpenError(
-                    "circuit breaker is half-open and its probe is in flight",
-                    retry_in_s=self.reset_timeout_s - probe_age,
-                )
-            # The outstanding probe is stale — treat it as abandoned and
-            # let this call become the new probe.
-        self._probing = True
-        self._probe_started_s = now_s
-
-    def abort_probe(self) -> None:
-        """A gated call ended without a verdict — release the probe slot.
-
-        For failures the breaker should not count (the caller was
-        cancelled, or hit an error that is not the server's overload
-        signal): the circuit returns to open with its cool-down clock
-        untouched instead of staying half-open behind a probe that will
-        never report back.  A no-op while the circuit is closed.
-        """
-        self._probing = False
-
-    def record_success(self) -> None:
-        """A gated call completed — close the circuit."""
-        self._failures = 0
-        self._opened_at_s = None
-        self._probing = False
-
-    def record_failure(self, now_s: float) -> None:
-        """A gated call failed — trip the circuit when the threshold hits."""
-        self._failures += 1
-        if self._probing or self._failures >= self.failure_threshold:
-            if self._opened_at_s is None or self._probing:
-                self.trips += 1
-            self._opened_at_s = now_s
-            self._probing = False

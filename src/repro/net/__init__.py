@@ -21,17 +21,10 @@ WELCOME can advertise a per-connection credit window, RESULT piggy-backs
 replenished credits, a saturated server answers BUSY with a deterministic
 retry-after hint, and the client turns those into typed
 :class:`~repro.flow.retry.ServerBusyError` /
-:class:`~repro.flow.retry.RequestTimeoutError` raises plus a
-retry-with-backoff loop (:meth:`AsyncNetClient.submit_with_retry`).
+:class:`~repro.flow.retry.RequestTimeoutError` raises.
 """
 
-from repro.flow.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RequestTimeoutError,
-    RetryPolicy,
-    ServerBusyError,
-)
+from repro.flow.retry import RequestTimeoutError, ServerBusyError
 from repro.net.client import AsyncNetClient, NetClient, NetError
 from repro.net.codec import (
     ResultMessage,
@@ -77,8 +70,6 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "AsyncNetClient",
     "BusyReply",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "ErrorCode",
     "ErrorReply",
     "Frame",
@@ -91,7 +82,6 @@ __all__ = [
     "ProtocolError",
     "RequestTimeoutError",
     "ResultMessage",
-    "RetryPolicy",
     "ServerBusyError",
     "SubmitMessage",
     "Welcome",

@@ -21,11 +21,9 @@ Typed ``ERROR`` replies surface as :class:`NetError` — carrying the decoded
 :class:`~repro.net.protocol.ErrorReply` — never as silently dropped
 connections.  Overload answers are typed too: a ``BUSY`` frame raises
 :class:`~repro.flow.retry.ServerBusyError` with the server's deterministic
-retry-after hint, a per-request ``timeout_s`` raises
-:class:`~repro.flow.retry.RequestTimeoutError`, and
-:meth:`AsyncNetClient.submit_with_retry` folds both into a capped,
-seeded-jitter backoff loop guarded by a circuit breaker (see
-:mod:`repro.flow.retry`).  When the server's WELCOME advertises a credit
+retry-after hint and a per-request ``timeout_s`` raises
+:class:`~repro.flow.retry.RequestTimeoutError`; what to do about either is
+the caller's choice.  When the server's WELCOME advertises a credit
 window the client self-limits: a ``submit`` past the window parks on a
 credit instead of earning a BUSY round trip.
 """
@@ -37,12 +35,7 @@ import time
 from collections import defaultdict, deque
 from typing import Any, Coroutine, NamedTuple
 
-from repro.flow.retry import (
-    CircuitBreaker,
-    RequestTimeoutError,
-    RetryPolicy,
-    ServerBusyError,
-)
+from repro.flow.retry import RequestTimeoutError, ServerBusyError
 from repro.net import codec, protocol
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -125,8 +118,6 @@ class AsyncNetClient:
         self.server_credits: int | None = None
         #: BUSY replies received (shed work and exhausted windows).
         self.busy_replies = 0
-        #: Re-sends performed by :meth:`submit_with_retry`.
-        self.retries = 0
         #: Round-trip seconds of every awaited ``submit`` call.
         self.rtts_s: list[float] = []
         #: Round-trip seconds of every ``ping`` call.
@@ -229,52 +220,6 @@ class AsyncNetClient:
                 # its late reply frees the credit but is no RTT sample.
                 future.cancel()
             raise
-
-    async def submit_with_retry(
-        self,
-        *args: Any,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        **submit_options: Any,
-    ) -> RequestOutcome:
-        """:meth:`submit` (same arguments) wrapped in capped, seeded-jitter backoff.
-
-        Retries :class:`~repro.flow.retry.ServerBusyError` (honouring the
-        server's retry-after hint as a floor) and
-        :class:`~repro.flow.retry.RequestTimeoutError`; other failures
-        propagate immediately.  An optional ``breaker`` short-circuits the
-        loop with :class:`~repro.flow.retry.CircuitOpenError` once the
-        server looks down, so a saturated backend is not hammered.
-        """
-        retry = retry if retry is not None else RetryPolicy()
-        loop = asyncio.get_running_loop()
-        attempt = 0
-        while True:
-            attempt += 1
-            if breaker is not None:
-                breaker.check(loop.time())
-            try:
-                outcome = await self.submit(*args, **submit_options)
-            except (ServerBusyError, RequestTimeoutError) as error:
-                if breaker is not None:
-                    breaker.record_failure(loop.time())
-                if not retry.should_retry(attempt):
-                    raise
-                hint = error.retry_after_s if isinstance(error, ServerBusyError) else 0.0
-                self.retries += 1
-                await asyncio.sleep(retry.delay_s(attempt, hint))
-                continue
-            except BaseException:
-                # Non-retryable failure (typed ERROR, connection loss,
-                # cancellation): the breaker neither counts it nor may it
-                # keep holding the half-open probe slot — an unreleased
-                # probe would latch every later check() open forever.
-                if breaker is not None:
-                    breaker.abort_probe()
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            return outcome
 
     def submit_nowait(self, request: Request) -> asyncio.Future:
         """Send a trace request without waiting; returns the outcome future.

@@ -23,16 +23,9 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import replace
-from functools import partial
 from typing import Any, Sequence
 
-from repro.flow.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RequestTimeoutError,
-    RetryPolicy,
-    ServerBusyError,
-)
+from repro.flow.retry import RequestTimeoutError, ServerBusyError
 from repro.net.client import AsyncNetClient, NetError
 from repro.net.protocol import ErrorCode
 from repro.net.server import NetServer
@@ -125,8 +118,6 @@ async def closed_loop_async(
     host: str = "127.0.0.1",
     deadline_s: float | None = None,
     timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
-    breaker: CircuitBreaker | None = None,
     **server_options: Any,
 ) -> ServeReport:
     """Drive live traffic through N concurrent closed-loop connections.
@@ -136,12 +127,10 @@ async def closed_loop_async(
     next request the moment the previous outcome returns, which is how real
     clients exercise an online batcher.
 
-    ``deadline_s``/``timeout_s`` apply per request; passing a ``retry``
-    policy switches each loop to :meth:`AsyncNetClient.submit_with_retry`
-    (optionally guarded by a shared ``breaker``).  Requests still failing
-    after retries — typed BUSY, deadline or timeout errors — are counted
-    as abandoned and the loop moves on, exactly how a real closed-loop
-    client behaves under overload.
+    ``deadline_s``/``timeout_s`` apply per request.  A request that fails
+    with a typed BUSY, deadline or timeout error is counted as abandoned
+    and the loop moves on, exactly how a closed-loop client that does not
+    retry behaves under overload.
     """
     if connections < 1:
         raise ValueError("a closed loop needs at least one connection")
@@ -159,13 +148,10 @@ async def closed_loop_async(
 
             async def drive(client: AsyncNetClient, slice_: list[Request]) -> int:
                 nonlocal abandoned
-                submit = client.submit
-                if retry is not None:
-                    submit = partial(client.submit_with_retry, retry=retry, breaker=breaker)
                 done = 0
                 for request in slice_:
                     try:
-                        await submit(
+                        await client.submit(
                             request.tenant,
                             request.kind.value,
                             request.items,
@@ -173,7 +159,7 @@ async def closed_loop_async(
                             deadline_s=deadline_s,
                             timeout_s=timeout_s,
                         )
-                    except (ServerBusyError, RequestTimeoutError, CircuitOpenError):
+                    except (ServerBusyError, RequestTimeoutError):
                         abandoned += 1
                         continue
                     except NetError as error:
@@ -203,7 +189,6 @@ async def closed_loop_async(
             # Overload counters join the wire block only once they fire, so
             # unsaturated runs keep their historical shape.
             overload = {
-                "client_retries": sum(client.retries for client in clients),
                 "client_busy_replies": sum(client.busy_replies for client in clients),
                 "client_credit_stalls": sum(client.credit_stalls for client in clients),
                 "client_abandoned": abandoned,

@@ -224,10 +224,6 @@ class Tracer:
             self._spans.values(), key=lambda span: (span.enqueue_s, span.request_id)
         )
 
-    def get(self, request_id: int) -> Span | None:
-        """One request's span, or ``None`` if the tracer never saw it."""
-        return self._spans.get(request_id)
-
     def clear(self) -> None:
         """Drop every recorded span (e.g. between repeated simulations)."""
         self._spans.clear()

@@ -29,7 +29,7 @@ Quickstart::
 """
 
 from repro.runtime.analytical import AnalyticalBackend
-from repro.runtime.api import compare, run
+from repro.runtime.api import run
 from repro.runtime.backend import (
     Backend,
     UnknownBackendError,
@@ -71,7 +71,6 @@ __all__ = [
     "WorkloadLike",
     "as_graph",
     "as_netlist",
-    "compare",
     "get_backend",
     "list_backends",
     "register_backend",

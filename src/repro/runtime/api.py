@@ -13,7 +13,7 @@ changes.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.params import TFHEParameters
 from repro.runtime.backend import Backend, get_backend
@@ -92,16 +92,3 @@ def run(
         **options,
     )
 
-
-def compare(
-    workload: WorkloadLike,
-    backends: Iterable[str | Backend] = ("strix-sim", "cpu-analytical", "gpu-analytical"),
-    params: TFHEParameters | str | None = None,
-    **run_options: Any,
-) -> list[RunResult]:
-    """Run one workload on several backends and return all results.
-
-    A convenience over calling :func:`run` in a loop; the default backend
-    set is the paper's comparison (Strix vs CPU vs GPU).
-    """
-    return [run(workload, backend=backend, params=params, **run_options) for backend in backends]

@@ -75,8 +75,11 @@ def register_backend(name: str, factory: Callable[..., Backend]) -> None:
     _REGISTRY.register(name, factory)
 
 
-#: Test fixture (undoes :func:`register_backend`): remove a backend, no-op when absent.
-unregister_backend = _REGISTRY.unregister
+def unregister_backend(name: str) -> None:
+    """Test fixture (undoes :func:`register_backend`): remove a backend, no-op when absent."""
+    _REGISTRY.unregister(name)
+
+
 #: Names of all registered backends, sorted.
 list_backends = _REGISTRY.names
 

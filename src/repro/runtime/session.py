@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters, TOY_PARAMETERS
-from repro.runtime.workload import WorkloadLike, resolve_params
+from repro.runtime.workload import resolve_params
 from repro.tfhe import encoding, torus
 from repro.tfhe.batch import (
     GATES,
@@ -302,12 +302,3 @@ class Session:
         """Noisy phases of a non-empty batch under the key matching its dimension."""
         batch = LweBatch.from_ciphertexts(ciphertexts)
         return batch_phase(batch, self.context.key_bits(batch.dimension))
-
-    # -- execution facade --------------------------------------------------------------
-
-    def run(self, workload: WorkloadLike, backend: str = "strix-sim", **options):
-        """Execute a workload with this session's keys; see :func:`repro.runtime.run`."""
-        from repro.runtime.api import run as run_workload
-
-        return run_workload(workload, backend=backend, session=self, **options)
-

@@ -33,13 +33,6 @@ def resolve_params(
     return params
 
 
-def workload_params(workload: WorkloadLike) -> TFHEParameters | None:
-    """The parameter set a workload was built with, when it carries one."""
-    if isinstance(workload, (Netlist, ComputationGraph)):
-        return workload.params
-    return None
-
-
 def as_netlist(workload: WorkloadLike, params: TFHEParameters | str | None = None) -> Netlist:
     """Lower a workload to a :class:`Netlist`, or explain why it cannot be.
 

@@ -250,21 +250,6 @@ class ServeSnapshot:
     #: Per-tenant p99 latency over the trailing outcome window.
     tenant_p99_s: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly representation."""
-        return {
-            "t_s": self.t_s,
-            "requests_done": self.requests_done,
-            "queue_depth": self.queue_depth,
-            "queued_items": self.queued_items,
-            "queued_pbs": self.queued_pbs,
-            "oldest_wait_s": self.oldest_wait_s,
-            "backlog_s": self.backlog_s,
-            "device_utilization": dict(self.device_utilization),
-            "tenant_depths": dict(self.tenant_depths),
-            "tenant_p99_s": dict(self.tenant_p99_s),
-        }
-
 
 class MetricsCollector:
     """Accumulates raw observations during one serving simulation."""

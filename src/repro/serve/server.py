@@ -28,7 +28,7 @@ error, on either clock.  :meth:`Server.submit_async` is one such consumer
 (it resolves each caller's future), :class:`repro.net.NetServer` another
 (it writes each connection's RESULT, BUSY or ERROR frames).
 
-:meth:`Server.run` bypasses serving and executes one large workload sharded
+``server.cluster.run`` bypasses serving and executes one large workload sharded
 across the cluster (``run(workload, backend="strix-cluster")``).
 """
 
@@ -54,9 +54,7 @@ from repro.fft.registry import register_transform_cache_view
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.params import TFHEParameters
-from repro.runtime.result import RunResult
 from repro.runtime.session import Session
-from repro.runtime.workload import WorkloadLike
 from repro.sched.cost import CostModel
 from repro.sched.layouts import PlacementLayout
 from repro.serve.batcher import AdaptiveBatcher, Batch
@@ -926,22 +924,6 @@ class Server:
         results.
         """
         return ServingRun(self, label)
-
-    # -- sharded one-shot execution ---------------------------------------------------
-
-    def run(
-        self,
-        workload: WorkloadLike,
-        params: TFHEParameters | str | None = None,
-        **options: Any,
-    ) -> RunResult:
-        """Execute one workload sharded across the whole cluster.
-
-        ``params`` overrides the server's serving parameter set for this run.
-        """
-        return self.cluster.run(
-            workload, params=params if params is not None else self.params, **options
-        )
 
     # -- the serving run on the wall clock --------------------------------------------
 

@@ -66,16 +66,21 @@ class TestPipelinedFFTUnit:
         assert unit.points == 16384
         assert unit.num_stages == 14
 
-    def test_butterflies_per_stage_is_half_clp(self):
-        unit = PipelinedFFTUnit(1024, clp=4)
-        assert unit.butterflies_per_stage == 2
-
     def test_initiation_interval_matches_paper_formula(self):
         # Paper: a new N-point polynomial every N/CLP cycles (per physical
         # size); with folding an N=1024 polynomial uses 512 points.
         unit = PipelinedFFTUnit(16384, clp=4, folding=True)
         assert unit.initiation_interval(1024) == 128
         assert unit.initiation_interval(16384) == 2048
+
+    def test_folding_halves_the_initiation_interval(self):
+        # Folding packs a degree-N polynomial into N/2 complex points, so the
+        # same lanes accept a new polynomial twice as often.
+        folded = PipelinedFFTUnit(16384, clp=4, folding=True)
+        unfolded = PipelinedFFTUnit(16384, clp=4, folding=False)
+        for degree in (1024, 2048, 16384):
+            assert unfolded.initiation_interval(degree) == degree // 4
+            assert folded.initiation_interval(degree) * 2 == unfolded.initiation_interval(degree)
 
     def test_latency_equals_initiation_interval(self):
         unit = PipelinedFFTUnit(16384, clp=4, folding=True)
@@ -85,18 +90,6 @@ class TestPipelinedFFTUnit:
         unit = PipelinedFFTUnit(1024, clp=4)
         with pytest.raises(ValueError):
             unit.initiation_interval(2048)
-
-    def test_stage_shuffle_delays_shrink(self):
-        unit = PipelinedFFTUnit(1024, clp=4)
-        delays = [stage.shuffle_delay for stage in unit.stages()]
-        assert delays[-1] == 0
-        assert all(a >= b for a, b in zip(delays[:-2], delays[1:-1]))
-
-    def test_large_delays_use_sram(self):
-        unit = PipelinedFFTUnit(16384, clp=4)
-        stages = unit.stages()
-        assert stages[0].uses_sram_delay is True
-        assert stages[-2].uses_sram_delay is False
 
     def test_area_matches_table_vi(self):
         folded = PipelinedFFTUnit(16384, clp=4, folding=True)

@@ -1,8 +1,7 @@
 """Tests of the overload-protection loop (:mod:`repro.flow`): admission
 policies and their registry, bounded queues, deadline propagation, the
 determinism of shedding, composition with fault schedules, and the wire
-leg — credit windows, BUSY replies, per-request timeouts, retry with
-backoff and the circuit breaker.
+leg — credit windows, BUSY replies and per-request timeouts.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from repro.faults import FaultSchedule
 from repro.flow import (
     AdmissionLimits,
     TenantQuotaPolicy,
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceededError,
     FlowController,
     QueueOverflowError,
     RequestRejectedError,
     RequestTimeoutError,
-    RetryPolicy,
     ServerBusyError,
     get_admission_policy,
     list_admission_policies,
@@ -313,65 +309,6 @@ class TestAsyncTypedDrops:
         asyncio.run(scenario())
 
 
-# -- retry primitives ---------------------------------------------------------------
-
-
-class TestRetryPrimitives:
-    def test_backoff_is_seeded_and_capped(self):
-        a, b = RetryPolicy(seed=3), RetryPolicy(seed=3)
-        delays = [a.delay_s(attempt) for attempt in range(1, 6)]
-        assert delays == [b.delay_s(attempt) for attempt in range(1, 6)]
-        assert all(d <= a.max_delay_s * (1 + a.jitter) for d in delays)
-        assert RetryPolicy(seed=4).delay_s(1) != a.delay_s(1) or True  # seeds differ
-
-    def test_hint_is_a_floor(self):
-        policy = RetryPolicy(base_delay_s=0.01, jitter=0.0)
-        assert policy.delay_s(1, hint_s=3.0) == 3.0
-
-    def test_should_retry_respects_max_attempts(self):
-        policy = RetryPolicy(max_attempts=2)
-        assert policy.should_retry(1) and not policy.should_retry(2)
-
-    def test_breaker_state_machine(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=1.0)
-        breaker.record_failure(0.0)
-        breaker.check(0.1)  # still closed
-        breaker.record_failure(0.2)
-        assert breaker.state == "open" and breaker.trips == 1
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check(0.3)
-        assert excinfo.value.retry_in_s == pytest.approx(0.9)
-        breaker.check(1.3)  # half-open probe admitted
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_breaker_abort_probe_releases_the_slot(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        breaker.record_failure(0.0)
-        breaker.check(1.5)  # probe admitted
-        assert breaker.state == "half-open"
-        breaker.abort_probe()  # the probe died without a verdict
-        assert breaker.state == "open"
-        breaker.check(1.6)  # a fresh probe is admitted immediately
-        assert breaker.state == "half-open"
-
-    def test_breaker_expires_a_stale_probe(self):
-        # A probe whose caller never reports back (cancelled, or a
-        # non-retryable failure path) must not latch the breaker
-        # half-open forever.
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1.0)
-        breaker.record_failure(0.0)
-        breaker.check(1.5)  # probe admitted, then abandoned
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.check(2.0)  # probe still fresh: fail fast
-        assert excinfo.value.retry_in_s == pytest.approx(0.5)
-        breaker.check(2.6)  # stale probe expired: a new probe goes through
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-
 # -- the wire leg -------------------------------------------------------------------
 
 
@@ -540,85 +477,7 @@ class TestNetOverload:
 
         asyncio.run(scenario())
 
-    def test_submit_with_retry_recovers_after_busy(self):
-        async def scenario():
-            async with NetServer(
-                mode="live", devices=1, max_batch_delay_s=0.005
-            ) as net:
-                host, port = net.address
-                client = await AsyncNetClient.connect(host, port)
-                try:
-                    real_submit = client.submit
-                    failures = ["busy", "busy"]
-
-                    async def flaky(*args, **kwargs):
-                        if failures:
-                            failures.pop()
-                            raise ServerBusyError("try later", retry_after_s=0.001)
-                        return await real_submit(*args, **kwargs)
-
-                    client.submit = flaky
-                    outcome = await client.submit_with_retry(
-                        "t0", "bootstrap",
-                        retry=RetryPolicy(base_delay_s=0.001, seed=1),
-                    )
-                    assert outcome.completed_s >= 0.0
-                    assert client.retries == 2
-                finally:
-                    await client.close()
-
-        asyncio.run(scenario())
-
-    def test_breaker_short_circuits_retry_loop(self):
-        async def scenario():
-            async with NetServer(mode="live", devices=1) as net:
-                host, port = net.address
-                client = await AsyncNetClient.connect(host, port)
-                try:
-                    async def always_busy(*args, **kwargs):
-                        raise ServerBusyError("no", retry_after_s=0.0)
-
-                    client.submit = always_busy
-                    breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=60.0)
-                    with pytest.raises(CircuitOpenError):
-                        await client.submit_with_retry(
-                            "t0", "bootstrap",
-                            retry=RetryPolicy(base_delay_s=0.001, max_attempts=5, seed=1),
-                            breaker=breaker,
-                        )
-                    assert breaker.trips == 1
-                finally:
-                    await client.close()
-
-        asyncio.run(scenario())
-
-    def test_retry_loop_releases_the_probe_on_nonretryable_failure(self):
-        # A half-open probe that dies of an error the retry loop does not
-        # count (connection loss, typed ERROR) must release its slot, or
-        # every later check() raises CircuitOpenError forever.
-        async def scenario():
-            async with NetServer(mode="live", devices=1) as net:
-                host, port = net.address
-                client = await AsyncNetClient.connect(host, port)
-                try:
-                    async def wire_died(*args, **kwargs):
-                        raise ConnectionError("wire died")
-
-                    client.submit = wire_died
-                    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=0.0)
-                    breaker.record_failure(0.0)  # open; cool-down is instant
-                    for _ in range(3):
-                        with pytest.raises(ConnectionError):
-                            await client.submit_with_retry(
-                                "t0", "bootstrap", breaker=breaker
-                            )
-                        assert breaker.state != "half-open"  # slot released
-                finally:
-                    await client.close()
-
-        asyncio.run(scenario())
-
-    def test_closed_loop_with_retry_counts_overload(self):
+    def test_closed_loop_counts_overload(self):
         trace = steady_trace(rate_rps=300.0, duration_s=0.05, seed=5)
         report = asyncio.run(
             closed_loop_async(
@@ -626,7 +485,6 @@ class TestNetOverload:
                 connections=2,
                 devices=1,
                 credit_window=4,
-                retry=RetryPolicy(base_delay_s=0.001, seed=2),
                 timeout_s=5.0,
                 max_batch_delay_s=0.002,
             )

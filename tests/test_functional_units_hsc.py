@@ -66,7 +66,6 @@ class TestPbsCluster:
     def test_instance_counts_follow_parallelism(self):
         cluster = build_pbs_cluster(STRIX_DEFAULT)
         assert cluster["fft"].instances == STRIX_DEFAULT.plp
-        assert cluster["rotator"].instances == STRIX_DEFAULT.colp
 
 
 class TestKeyswitchCluster:

@@ -261,8 +261,8 @@ def test_an_empty_hello_is_malformed():
 
 def test_a_busy_hint_no_peer_could_write_is_malformed():
     # Shrunk: a splice over the retry hint left it negative.  Its unfuzzed
-    # siblings: an infinite hint would park submit_with_retry forever, and
-    # a NaN one would retry at once.
+    # siblings: an infinite hint would tell a client to wait forever, and
+    # a NaN one no wait at all.
     shrunk = b"\x00\x00\x00\x00\x00\x00\x00\x03\x80\x00?\xd0\x00\x00\x00\x00\x00\x00"
     hints = (-1.0, math.inf, math.nan)
     for payload in (shrunk, *(struct.pack("!Qd", 1, hint) + b"\x00\x00" for hint in hints)):

@@ -19,6 +19,7 @@ Four layers of coverage:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import math
 
@@ -310,7 +311,7 @@ class TestSnapshots:
         assert snapshot.requests_done == resolved
         assert snapshot.queue_depth == len(trace) // 2 - resolved
         assert set(snapshot.tenant_p99_s) <= {r.tenant for r in trace}
-        as_dict = snapshot.to_dict()
+        as_dict = dataclasses.asdict(snapshot)
         assert as_dict["requests_done"] == resolved
         assert isinstance(as_dict["device_utilization"], dict)
         report = run.finish()

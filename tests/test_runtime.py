@@ -334,7 +334,7 @@ def test_session_run_uses_session_accelerator(session):
         accelerator=StrixAccelerator(),
     )
     graph = pbs_batch_graph(TOY_PARAMETERS, 16)
-    result = custom.run(graph, backend="strix-sim")
+    result = run(graph, backend="strix-sim", session=custom)
     assert result.backend == "strix-sim"
     assert result.pbs_count == 16
 

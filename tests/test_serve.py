@@ -536,12 +536,10 @@ def test_repeated_simulations_are_deterministic():
     assert first.metrics.device_utilization == second.metrics.device_utilization
 
 
-def test_server_run_accepts_params_override():
+def test_cluster_run_accepts_params_override():
     server = Server(devices=2, params="I")
-    result = server.run(full_adder_netlist(TOY_PARAMETERS, bits=2), params="II")
+    result = server.cluster.run(full_adder_netlist(TOY_PARAMETERS, bits=2), params="II")
     assert result.parameter_set == "II"
-    default = server.run(full_adder_netlist(TOY_PARAMETERS, bits=2))
-    assert default.parameter_set == "I"
 
 
 def test_server_config_overrides():
