@@ -25,6 +25,7 @@ the same cost model composes with every layout.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import UnknownCostModelError
@@ -43,7 +44,7 @@ class BatchCost(NamedTuple):
     """Compute residency of one batch (or one pipeline stage) on one device.
 
     A named tuple: one is built per priced batch, and the schedule cache
-    hands the same one to every batch of a shape, so nobody may assign to it.
+    hands the same one to many batches, so nobody may assign to it.
 
     Attributes
     ----------
@@ -78,8 +79,9 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     sorted into signature order, classified once per batch).  Request ids,
     tenants and arrival times deliberately do not appear: they never
     influence the graph shape, so the event model's schedule cache
-    (:class:`repro.sched.memo.ScheduleCache`) can key on this signature
-    and reuse one priced schedule across every batch of the same shape.
+    (:class:`repro.sched.memo.ScheduleCache`) keys a batch with inference
+    requests on this whole signature, and a model-free batch on its
+    ``simple_pbs`` alone (its ``linear_items`` are priced, not keyed).
     """
     linear_items, simple_pbs, model_requests = batch.request_mix
     models = tuple((request.model, request.items) for request in model_requests)
@@ -118,11 +120,10 @@ def batch_program(batch: "Batch", params: TFHEParameters) -> ScheduleProgram:
     layer dependencies are exactly what limits batching and produces the
     fragmentation/keyswitch effects the event-driven model exists to see.
 
-    The linear op, the PBS op, then the model requests' nodes interleaved
-    level by level from a per-``(model, params)`` template: the order
-    :meth:`~repro.sim.graph.ComputationGraph.compile` gives the same batch
-    as a graph (:func:`batch_graph`), at no graph's cost — this runs once
-    per schedule-cache miss.
+    The linear op, the PBS op, then the model requests' ops from
+    :func:`_lowered_models`: the order :meth:`~repro.sim.graph.ComputationGraph.compile`
+    gives the same batch as a graph (:func:`batch_graph`), at no graph's
+    cost — this runs once per schedule-cache miss.
     """
     linear_items, simple_pbs, model_requests = batch.request_mix
     names: list[str] = []
@@ -133,19 +134,34 @@ def batch_program(batch: "Batch", params: TFHEParameters) -> ScheduleProgram:
     if simple_pbs:
         names.append("pbs")
         ops.append((NodeKind.PBS_KS.value, simple_pbs, 0, ()))
-    requests = [
-        (f"req{request.request_id}/", request.items, _model_template(request.model, params), [])
-        for request in model_requests
-    ]
-    for level in range(max((len(template) for _, _, template, _ in requests), default=0)):
-        for prefix, items, template, placed in requests:
+    if model_requests:
+        models = tuple((request.model, request.items) for request in model_requests)
+        model_names, model_ops = _lowered_models(models, len(ops), params)
+        prefixes = [f"req{request.request_id}/" for request in model_requests]
+        names += [prefixes[index] + name for index, name in model_names]
+        ops += model_ops
+    return ScheduleProgram(f"batch-{batch.batch_id}", params, names, ops)
+
+
+@functools.lru_cache(maxsize=256)
+def _lowered_models(models: tuple, first: int, params: TFHEParameters) -> tuple[tuple, tuple]:
+    """The ops of a batch's ``(model, items)`` requests, placed from ``first``.
+
+    The requests' template levels interleave level by level; each op comes
+    with ``(request index, template name)`` for its caller to prefix.  Pure
+    derived data, kept for the 256 most recently lowered mixes.
+    """
+    requests = [(items, _model_template(model, params), []) for model, items in models]
+    names, ops = [], []
+    for level in range(max(len(template) for _, template, _ in requests)):
+        for index, (items, template, placed) in enumerate(requests):
             if level < len(template):
                 for name, (kind, ciphertexts, operations, depends_on) in template[level]:
-                    placed.append(len(ops))
-                    names.append(prefix + name)
+                    placed.append(first + len(ops))
+                    names.append((index, name))
                     dependencies = tuple(map(placed.__getitem__, depends_on))
                     ops.append((kind, ciphertexts * items, operations, dependencies))
-    return ScheduleProgram(f"batch-{batch.batch_id}", params, names, ops)
+    return tuple(names), tuple(ops)
 
 
 def batch_graph(batch: "Batch", params: TFHEParameters) -> ComputationGraph:

@@ -8,19 +8,24 @@ Serving traffic, however, repeats a handful of batch *shapes*: the adaptive
 batcher flushes at a fixed capacity over a stationary request mix, so the
 same graphs are re-simulated thousands of times per trace.
 
-:class:`ScheduleCache` exploits that.  It wraps any
-:class:`~repro.sched.cost.CostModel` (the event-driven one in practice)
-and memoizes :class:`~repro.sched.cost.BatchCost` results under an LRU
-policy, keyed on everything the wrapped simulation can observe:
+:class:`ScheduleCache` exploits that.  It memoizes the event-driven
+model's :class:`~repro.sched.cost.BatchCost` results under an LRU policy,
+keyed on everything the simulation can observe:
 
-* the batch's request-mix signature
-  (:func:`~repro.sched.cost.batch_mix_signature`) for whole-batch pricing,
-  or a structural graph signature for pipeline-stage pricing;
+* for a batch with inference requests, its request-mix signature
+  (:func:`~repro.sched.cost.batch_mix_signature`); for a model-free batch,
+  its PBS count alone; for a pipeline stage, a structural graph signature;
 * the TFHE parameter set — the *object*, not its name, so a structurally
   tweaked set under a reused name can never alias a cached schedule;
 * the device geometry (the device's frozen
   :class:`~repro.arch.config.StrixConfig`) — identical chips share
   entries, heterogeneous ones cannot collide.
+
+A model-free batch is at most a LINEAR op and a PBS+KS op that share no unit
+and no dependency, so its makespan is the later of the PBS op's and
+``linear_items * n / linear_macs_per_second`` — the float the scheduler
+books for a LINEAR op from 0.0 — and the linear side is priced on the way
+out of the cache, not keyed.
 
 Equal keys imply bit-for-bit equal schedules because the scheduler is a
 deterministic function of (ordered graph structure, params, config) and
@@ -30,7 +35,7 @@ data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), and eviction can never change a result, only
 cost a recomputation.
 
-The cluster wraps ``cost_model="event"``, given by name, in a
+The cluster replaces ``cost_model="event"``, given by name, with a
 :class:`ScheduleCache` of :data:`DEFAULT_COST_CACHE_CAPACITY` entries
 automatically (a cost-model instance is used as given, so passing
 ``EventDrivenCostModel()`` or a sized ``ScheduleCache`` is how to bypass or
@@ -43,21 +48,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.params import TFHEParameters
-from repro.sched.cost import (
-    BatchCost,
-    CostModel,
-    batch_mix_signature,
-    get_cost_model,
-)
-from repro.sim.graph import ComputationGraph
+from repro.sched.cost import BatchCost, CostModel, EventDrivenCostModel, batch_mix_signature
+from repro.sim.graph import ComputationGraph, NodeKind, ScheduleProgram
+from repro.sim.scheduler import StrixScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serve.batcher import Batch
     from repro.serve.cluster import StrixDevice
 
-#: Default number of priced schedules kept before LRU eviction.  Steady
-#: traffic repeats a handful of shapes; 512 comfortably holds a multi-tenant
-#: mix (per-entry cost is one :class:`BatchCost`, a few hundred bytes).
+#: Default number of priced schedules kept before LRU eviction (per-entry
+#: cost is one :class:`BatchCost`, a few hundred bytes).  It does not hold a
+#: whole multi-tenant trace: ``serve-sim-event``'s three traces at seed 3
+#: still evict 928 times a pass, at a hit share of 0.84.
 DEFAULT_COST_CACHE_CAPACITY = 512
 
 
@@ -83,24 +85,21 @@ def graph_signature(graph: ComputationGraph) -> tuple:
 
 
 class ScheduleCache(CostModel):
-    """LRU-memoized cost model: repeated shapes price as a dict lookup.
+    """LRU-memoized event-driven pricing: repeated shapes price as a dict lookup.
 
-    Wraps ``inner`` (a cost model name or instance; the event-driven model
-    by default) and caches its :class:`BatchCost` results.  The wrapper is
-    transparent — :attr:`name` reports the inner model's registry name, so
-    serving reports and config round-trips are unchanged — and exact:
-    memoized results are bit-for-bit equal to what the inner model would
-    have returned, for every layout (whole batches and pipeline stages).
+    Caches :class:`EventDrivenCostModel` results.  The cache is transparent
+    — :attr:`name` is the event model's registry name, so serving reports
+    and config round-trips are unchanged — and exact: memoized results are
+    bit-for-bit equal to what the event model would have returned, for every
+    layout (whole batches and pipeline stages).
     """
 
-    def __init__(
-        self,
-        inner: "str | CostModel" = "event",
-        capacity: int = DEFAULT_COST_CACHE_CAPACITY,
-    ) -> None:
+    name = EventDrivenCostModel.name
+
+    def __init__(self, capacity: int = DEFAULT_COST_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("a schedule cache needs capacity of at least 1")
-        self.inner = get_cost_model(inner)
+        self._event = EventDrivenCostModel()
         #: Entries kept before the least-recently-used one is evicted.
         self.capacity = capacity
         self._entries: dict[tuple, BatchCost] = {}
@@ -108,11 +107,6 @@ class ScheduleCache(CostModel):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        """The wrapped model's registry name (the cache is transparent)."""
-        return self.inner.name
 
     # -- pricing -----------------------------------------------------------------
 
@@ -135,8 +129,21 @@ class ScheduleCache(CostModel):
     def batch_cost(
         self, batch: "Batch", params: TFHEParameters, device: "StrixDevice"
     ) -> BatchCost:
-        key = ("batch", batch_mix_signature(batch), params, device.accelerator.config)
-        return self._memoized(key, lambda: self.inner.batch_cost(batch, params, device))
+        linear_items, simple_pbs, models = signature = batch_mix_signature(batch)
+        config = device.accelerator.config
+        if models:
+            key = ("batch", signature, params, config)
+            return self._memoized(key, lambda: self._event.batch_cost(batch, params, device))
+        # At most a LINEAR op and a PBS+KS op, sharing no unit: the makespan is
+        # the later of the PBS op's and the LINEAR op's, which starts at 0.0.
+        op = [(NodeKind.PBS_KS.value, simple_pbs, 0, ())] if simple_pbs else []
+        program = ScheduleProgram("pbs", params, ["pbs"] * len(op), op)
+        key = ("pbs", simple_pbs, params, config)
+        pbs = self._memoized(key, lambda: self._event.stage_cost(program, params, device))
+        linear_s = linear_items * params.n / StrixScheduler.linear_macs_per_second(config)
+        if linear_s <= pbs.compute_s:
+            return pbs
+        return BatchCost(linear_s, pbs.pbs, pbs.epochs, {"event_s": linear_s})
 
     def stage_cost(
         self,
@@ -145,15 +152,12 @@ class ScheduleCache(CostModel):
         device: "StrixDevice",
     ) -> BatchCost:
         key = ("stage", graph_signature(stage_graph), params, device.accelerator.config)
-        return self._memoized(
-            key, lambda: self.inner.stage_cost(stage_graph, params, device)
-        )
+        return self._memoized(key, lambda: self._event.stage_cost(stage_graph, params, device))
 
     # -- bookkeeping --------------------------------------------------------------
 
     def reset(self) -> None:
         """Clear per-simulation counters (cached schedules are pure, kept)."""
-        self.inner.reset()
         self.hits = self.misses = self.evictions = 0
 
     @property

@@ -50,7 +50,7 @@ from repro.sched.layouts import (
     PlacementLayout,
     get_layout,
 )
-from repro.sched.memo import DEFAULT_COST_CACHE_CAPACITY, ScheduleCache
+from repro.sched.memo import ScheduleCache
 from repro.serve.batcher import Batch
 from repro.serve.sharding import ShardingPolicy, get_policy
 from repro.sim.scheduler import StrixScheduler
@@ -126,11 +126,11 @@ class StrixCluster:
         set — is used as given.
 
         A ``cost_model`` given by *name* comes from the registry, and
-        ``"event"`` is wrapped in a :class:`~repro.sched.memo.ScheduleCache`
+        ``"event"`` is replaced by a :class:`~repro.sched.memo.ScheduleCache`
         of :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY` entries
         (memoized batch pricing is bit-for-bit identical).  A cost-model
         *instance* is used as given: ``EventDrivenCostModel()`` is the
-        unmemoized model, ``ScheduleCache(inner, capacity=n)`` a sized one.
+        unmemoized model, ``ScheduleCache(capacity=n)`` a sized one.
         """
         if devices < 1:
             raise ValueError("a cluster needs at least one device")
@@ -142,7 +142,7 @@ class StrixCluster:
         self.tracer = None
         self.cost_model = get_cost_model(cost_model)
         if isinstance(cost_model, str) and isinstance(self.cost_model, EventDrivenCostModel):
-            self.cost_model = ScheduleCache(self.cost_model, DEFAULT_COST_CACHE_CAPACITY)
+            self.cost_model = ScheduleCache()
         #: Fault resolver (active only when a non-empty schedule is given).
         self.faults = FaultInjector(
             faults if faults is not None else FaultSchedule.empty(),

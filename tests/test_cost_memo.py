@@ -2,9 +2,11 @@
 
 Covers the exactness contract (memoized pricing is bit-for-bit equal to
 unmemoized pricing, for randomized batch mixes and for every placement
-layout), the LRU capacity/eviction behaviour, the counter accounting the
-serving report surfaces, and the wiring rule (``"event"`` by name gets the
-default cache; a cost-model instance is used as given).
+layout), model-free batches keyed on their PBS count alone (held to the event
+model and to ``spec_run`` on every field), the LRU capacity/eviction
+behaviour, the counter accounting the serving report surfaces, and the wiring
+rule (``"event"`` by name gets the default cache; a cost-model instance is
+used as given).
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_scheduler_spec import spec_run
 
 from repro.apps.traffic import bursty_trace, heavy_tail_trace, steady_trace
-from repro.params import PARAM_SET_I, PARAM_SET_II
+from repro.arch.config import StrixClusterConfig, StrixConfig
+from repro.params import PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
 from repro.sched import (
     DEFAULT_COST_CACHE_CAPACITY,
     EventDrivenCostModel,
@@ -118,6 +124,60 @@ def test_equal_signatures_imply_equal_costs_regardless_of_request_order():
         )
         memoized = memo.batch_cost(batch, PARAM_SET_I, device)
         assert memo.batch_cost(shuffled, PARAM_SET_I, device) is memoized
+
+
+def test_model_free_batches_share_one_entry_per_pbs_count():
+    """Encryption items do not split the key: the linear side is priced on the way out."""
+    device = StrixCluster(devices=1).devices[0]
+    memo = ScheduleCache()
+    for encrypt in (5, 9):
+        batch = make_batch(
+            [Request.make(1, "t", "bootstrap", 40), Request.make(2, "t", "encrypt", encrypt)]
+        )
+        cost = memo.batch_cost(batch, PARAM_SET_I, device)
+        assert cost == EventDrivenCostModel().batch_cost(batch, PARAM_SET_I, device)
+    assert (memo.misses, memo.hits) == (1, 1)
+
+
+#: One cache across every example, so later draws hit entries earlier ones made.
+MODEL_FREE_CACHE = ScheduleCache()
+CHIPS = (
+    StrixCluster(devices=1).devices[0],
+    StrixCluster(devices=1, config=StrixClusterConfig(device=StrixConfig(tvlp=4))).devices[0],
+)
+encrypt_requests = st.lists(
+    st.tuples(st.just("encrypt"), st.integers(1, 10**8)), min_size=1, max_size=3
+)
+pbs_requests = st.lists(
+    st.tuples(st.sampled_from(["gate", "bootstrap"]), st.integers(1, 600)), min_size=1, max_size=3
+)
+model_free_batches = st.one_of(
+    encrypt_requests,
+    pbs_requests,
+    st.tuples(encrypt_requests, pbs_requests).map(lambda both: both[0] + both[1]),
+).map(lambda specs: make_batch(Request.make(i + 1, "t", *spec) for i, spec in enumerate(specs)))
+
+
+@settings(deadline=None)
+@given(
+    batch=model_free_batches,
+    params=st.sampled_from((PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV)),
+    device=st.sampled_from(CHIPS),
+)
+@example(  # the linear unit finishes last
+    batch=make_batch([Request.make(1, "t", "encrypt", 10**7), Request.make(2, "t", "gate", 3)]),
+    params=PARAM_SET_I,
+    device=CHIPS[1],
+)
+def test_model_free_batches_price_as_the_event_model_and_the_spec(batch, params, device):
+    cost = MODEL_FREE_CACHE.batch_cost(batch, params, device)
+    assert cost == EventDrivenCostModel().batch_cost(batch, params, device)
+    spec = spec_run(device.scheduler, batch_graph(batch, params))
+    assert (cost.compute_s, cost.pbs, cost.epochs) == (
+        spec.total_time_s,
+        spec.total_pbs,
+        spec.total_epochs,
+    )
 
 
 @pytest.mark.parametrize("layout", ["data-parallel", "pipeline", "elastic"])
@@ -246,8 +306,6 @@ def test_capacity_must_be_positive():
 
 def test_cache_distinguishes_params_structure_and_geometry():
     import dataclasses
-
-    from repro.arch.config import StrixClusterConfig, StrixConfig
 
     memo = ScheduleCache()
     batch = bootstrap_batch(32)

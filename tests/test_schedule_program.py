@@ -5,9 +5,11 @@ depends_on)`` ops without building a graph, and ``batch_graph`` is that
 lowering turned into nodes.  Both are held to ``spec_run`` — the paper's epoch
 rule in ``test_scheduler_spec.py`` — field for field, in the circlestark
 ``test_fast_fri`` idiom, and to a batch graph built request by request from
-each model's own netlist, compiled.  The serving gate counts
-calls with wrappers the test installs: every schedule-cache miss enters
-``StrixScheduler.run``, and a data-parallel miss builds no graph at all.
+each model's own netlist, compiled; a second lowering of a model mix under
+other request ids comes from the lowering memo and still equals that graph.
+The serving gate counts calls with wrappers the test installs: every
+schedule-cache miss enters ``StrixScheduler.run``, and a data-parallel miss
+builds no graph at all.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.apps.traffic import steady_trace
 from repro.params import PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
 from repro.sched import EventDrivenCostModel, batch_graph, partition_graph_stages
 from repro.sched import layouts
-from repro.sched.cost import batch_program
+from repro.sched.cost import _lowered_models, batch_program
 from repro.serve import Request, Server, StrixCluster
 from repro.serve.batcher import Batch
 from repro.sim.graph import ComputationGraph, ComputationNode
@@ -88,17 +90,37 @@ UNSORTED = make_batch(
 )
 
 
+#: One model mix behind 0, 1 and 2 head ops: the memo keys on the first position.
+MODEL_MIX = (("inference", 2, "NN-20"), ("inference", 1, "NN-50"))
+HEAD_OPS = ((), (("encrypt", 7, None),), (("encrypt", 7, None), ("bootstrap", 9, None)))
+
+
+def renumbered(batch: Batch) -> Batch:
+    """The batch's requests under other ids (the same mix, other node names)."""
+    requests = tuple(
+        Request.make(old.request_id + 100, old.tenant, old.kind, old.items, model=old.model)
+        for old in batch.requests
+    )
+    return Batch(batch_id=batch.batch_id, requests=requests, created_s=0.0, flush_reason="full")
+
+
 @settings(max_examples=50, deadline=None)
 @given(batch=batches, params=st.sampled_from(PAPER_SETS))
 @example(batch=LINEAR_ONLY, params=PARAM_SET_I)
 @example(batch=PBS_ONLY, params=PARAM_SET_IV)
 @example(batch=UNSORTED, params=PARAM_SET_III)
+@example(batch=make_batch(*HEAD_OPS[0], *MODEL_MIX), params=PARAM_SET_I)
+@example(batch=make_batch(*HEAD_OPS[1], *MODEL_MIX), params=PARAM_SET_I)
+@example(batch=make_batch(*HEAD_OPS[2], *MODEL_MIX), params=PARAM_SET_I)
 def test_batch_program_schedules_as_the_spec(batch, params):
     device = StrixCluster(devices=1).devices[0]
     program = batch_program(batch, params)
     graph = batch_graph(batch, params)
     assert graph.compile() == program
     assert graph_from_the_models(batch, params).compile() == program
+    again, hits = renumbered(batch), _lowered_models.cache_info().hits
+    assert batch_program(again, params) == graph_from_the_models(again, params).compile()
+    assert _lowered_models.cache_info().hits == hits + bool(batch.request_mix[2])
 
     fast, spec = device.scheduler.run(program), spec_run(device.scheduler, graph)
     assert fast == spec
@@ -116,6 +138,14 @@ def test_batch_program_schedules_as_the_spec(batch, params):
             assert fast == spec
             assert list(fast.core_utilization) == list(spec.core_utilization)
             assert asdict(fast) == asdict(spec)
+
+
+def test_the_lowering_memo_holds_at_most_its_bound():
+    bound = _lowered_models.cache_info().maxsize
+    for items in range(1, bound + 10):
+        batch_program(make_batch(("inference", items, "NN-20")), PARAM_SET_I)
+        assert _lowered_models.cache_info().currsize <= bound
+    assert _lowered_models.cache_info().currsize == bound
 
 
 def count_calls(monkeypatch, owner, name: str, counts: Counter) -> None:
