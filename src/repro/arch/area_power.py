@@ -84,29 +84,24 @@ class AreaPowerModel:
         self.config = config
 
     def core_cost(self) -> tuple[list[ComponentCost], float, float]:
-        """Per-core component list plus core totals."""
+        """Per-core component list plus core totals.
+
+        One Table III row per PBS-cluster unit in pipeline order, except
+        that the FFT and IFFT groups share the ``I/FFTU`` row.
+        """
         config = self.config
-        cluster = build_pbs_cluster(config)
-        components = [
-            ComponentCost(
-                "Local scratchpad",
+        table_iii_rows = {"fft": "I/FFTU", "vma": "VMA", "ifft": "I/FFTU"}
+        rows = {
+            "Local scratchpad": (
                 LOCAL_SRAM_AREA_PER_MB * config.local_scratchpad_mb,
                 LOCAL_SRAM_POWER_PER_MB * config.local_scratchpad_mb,
-            ),
-            ComponentCost("Rotator", cluster["rotator"].area_mm2, cluster["rotator"].power_w),
-            ComponentCost(
-                "Decomposer", cluster["decomposer"].area_mm2, cluster["decomposer"].power_w
-            ),
-            ComponentCost(
-                "I/FFTU",
-                cluster["fft"].area_mm2 + cluster["ifft"].area_mm2,
-                cluster["fft"].power_w + cluster["ifft"].power_w,
-            ),
-            ComponentCost("VMA", cluster["vma"].area_mm2, cluster["vma"].power_w),
-            ComponentCost(
-                "Accumulator", cluster["accumulator"].area_mm2, cluster["accumulator"].power_w
-            ),
-        ]
+            )
+        }
+        for unit in build_pbs_cluster(config).values():
+            row = table_iii_rows.get(unit.name, unit.name.capitalize())
+            area, power = rows.get(row, (0.0, 0.0))
+            rows[row] = (area + unit.area_mm2, power + unit.power_w)
+        components = [ComponentCost(name, area, power) for name, (area, power) in rows.items()]
         area = sum(component.area_mm2 for component in components)
         power = sum(component.power_w for component in components)
         return components, area, power
@@ -139,5 +134,4 @@ class AreaPowerModel:
 
     def fft_unit_area(self) -> float:
         """Area of a single (I)FFT unit, used by the Table VI ablation."""
-        cluster = build_pbs_cluster(self.config)
-        return cluster["fft"].unit.area_mm2
+        return build_pbs_cluster(self.config)["fft"].fft.area_mm2

@@ -16,7 +16,8 @@ This module implements exactly that bit-level datapath (one lane); it is
 verified against the reference :func:`repro.tfhe.decomposition.decompose` —
 i.e. it demonstrates the paper's claim that the decomposition can be built
 from mask/shift/add alone.  The unit's lane count and throughput live in the
-timing model, :class:`repro.arch.functional_units.DecomposerUnit`.
+timing model, the ``decomposer`` row of
+:func:`repro.arch.functional_units.build_pbs_cluster`.
 """
 
 from __future__ import annotations

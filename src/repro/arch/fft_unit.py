@@ -19,6 +19,15 @@ import math
 from repro.arch.config import StrixConfig
 
 
+def fourier_points(polynomial_degree: int, folding: bool) -> int:
+    """Fourier points an ``N``-coefficient negacyclic polynomial takes on the chip.
+
+    The folding scheme computes the ``N``-point transform on ``N/2``
+    complex points; without it the transform keeps all ``N``.
+    """
+    return polynomial_degree // 2 if folding else polynomial_degree
+
+
 class PipelinedFFTUnit:
     """Timing and area model of one pipelined (I)FFT unit.
 
@@ -50,7 +59,7 @@ class PipelinedFFTUnit:
         self.max_polynomial_degree = max_polynomial_degree
         self.clp = clp
         self.folding = folding
-        self.points = max_polynomial_degree // 2 if folding else max_polynomial_degree
+        self.points = fourier_points(max_polynomial_degree, folding)
         if self.clp > self.points:
             raise ValueError("clp cannot exceed the number of FFT points")
 
@@ -85,7 +94,7 @@ class PipelinedFFTUnit:
                 f"polynomial degree {polynomial_degree} exceeds the unit's maximum "
                 f"{self.max_polynomial_degree}"
             )
-        return polynomial_degree // 2 if self.folding else polynomial_degree
+        return fourier_points(polynomial_degree, self.folding)
 
     # -- cost -----------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Homomorphic Streaming Core (HSC) model.
 
 One HSC contains the six-stage fully pipelined PBS cluster, the keyswitch
-cluster and a local scratchpad (Fig. 4).  The model answers the questions the
-evaluation needs:
+cluster and a local scratchpad (Fig. 4).  The clusters' units are rows of
+:mod:`repro.arch.functional_units`, the PBS cluster's in pipeline order,
+which is the order every stage loop here walks.  The model answers the
+questions the evaluation needs:
 
 * the per-LWE **initiation interval** of the PBS pipeline in steady state
   (which sets throughput under core-level batching);
@@ -18,11 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import StrixConfig
-from repro.arch.functional_units import (
-    PBS_PIPELINE_ORDER,
-    KeyswitchCluster,
-    build_pbs_cluster,
-)
+from repro.arch.functional_units import build_keyswitch_cluster, build_pbs_cluster
 from repro.arch.memory import LocalScratchpad
 from repro.params import TFHEParameters
 
@@ -61,7 +59,7 @@ class HomomorphicStreamingCore:
     def __init__(self, config: StrixConfig):
         self.config = config
         self.pbs_cluster = build_pbs_cluster(config)
-        self.keyswitch_cluster = KeyswitchCluster(config)
+        self.keyswitch_cluster = build_keyswitch_cluster(config)
         self.local_scratchpad = LocalScratchpad(config)
         # Per-parameter-set memos.  Everything below is a pure function of
         # (params, config) and config is frozen at construction, so caching
@@ -89,8 +87,8 @@ class HomomorphicStreamingCore:
         # iteration can start (the accumulator feeds the rotator of the next
         # iteration): the dominant fill component is the FFT latency on top of
         # the initiation interval.
-        fft_unit = self.pbs_cluster["fft"].unit
-        iteration_latency = initiation_interval + fft_unit.latency(params.N)
+        fft_latency = self.pbs_cluster["fft"].fft.latency(params.N)
+        iteration_latency = initiation_interval + fft_latency
         timing = PipelineTiming(
             initiation_interval=initiation_interval,
             iteration_latency=iteration_latency,
@@ -142,8 +140,8 @@ class HomomorphicStreamingCore:
         if lwes_per_core < 1 or iterations < 1:
             raise ValueError("lwes_per_core and iterations must be positive")
         timing = self.pipeline_timing(params)
-        stage_names = list(PBS_PIPELINE_ORDER)
         busy = timing.stage_busy_cycles
+        stage_names = list(busy)
 
         # Offsets of each stage relative to the moment its LWE enters the
         # pipeline: a stage can only start once the previous one has produced

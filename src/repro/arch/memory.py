@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import StrixConfig
+from repro.arch.fft_unit import fourier_points
 from repro.params import TFHEParameters
 
 #: Bytes of one Fourier-domain point of a bootstrapping-key polynomial
@@ -75,7 +76,7 @@ class GlobalScratchpad:
     def bootstrapping_key_fragment_bytes(self, params: TFHEParameters) -> int:
         """Bytes of one GGSW (the bootstrapping-key share of one BR iteration)."""
         polynomials = (params.k + 1) * params.lb * (params.k + 1)
-        points = params.N // 2 if self.config.fft_folding else params.N
+        points = fourier_points(params.N, self.config.fft_folding)
         return polynomials * points * FOURIER_POINT_BYTES
 
     def keyswitching_key_bytes(self, params: TFHEParameters) -> int:

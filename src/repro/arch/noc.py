@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.config import StrixConfig
+from repro.arch.memory import FOURIER_POINT_BYTES, GlobalScratchpad
 from repro.params import TFHEParameters
 
 
@@ -41,15 +42,16 @@ class MulticastNetwork:
         self.config = config
         self.bsk_link = NocLink("bsk-multicast", self.BSK_BUS_BITS)
         self.ksk_link = NocLink("ksk-multicast", self.KSK_BUS_BITS)
+        self._scratchpad = GlobalScratchpad(config)
 
     def bsk_words_per_cycle(self) -> int:
-        """Fourier-domain bsk points (8 bytes each) delivered per cycle."""
-        return self.bsk_link.bytes_per_cycle // 8
+        """Fourier-domain bsk points delivered per cycle."""
+        return self.bsk_link.bytes_per_cycle // FOURIER_POINT_BYTES
 
     def can_sustain_pbs(self, params: TFHEParameters, iteration_cycles: int) -> bool:
         """Whether one GGSW fragment can be broadcast within one iteration."""
-        points = params.N // 2 if self.config.fft_folding else params.N
-        fragment_points = (params.k + 1) * params.lb * (params.k + 1) * points
+        fragment_bytes = self._scratchpad.bootstrapping_key_fragment_bytes(params)
+        fragment_points = fragment_bytes // FOURIER_POINT_BYTES
         cycles_needed = fragment_points / max(self.bsk_words_per_cycle(), 1)
         return cycles_needed <= iteration_cycles
 

@@ -223,11 +223,26 @@ class PlacementLayout(abc.ABC):
 # -- data-parallel shard execution (shared by data-parallel and elastic runs) --------
 
 
+def _balanced_shares(items: int, devices: int, offset: int = 0) -> list[int]:
+    """Per-device item counts for sharding one workload (sums to ``items``).
+
+    Identical devices have identical throughput and one workload has no
+    tenant axis, so the split is ``devices`` near-equal shares.  The
+    remainder lands on consecutive devices starting at ``offset`` so
+    repeated splits (one per graph node) do not pile every leftover
+    ciphertext onto device 0.
+    """
+    base, remainder = divmod(items, devices)
+    return [
+        base + (1 if (index - offset) % devices < remainder else 0) for index in range(devices)
+    ]
+
+
 def _shard_netlist(
     cluster: "StrixCluster", netlist: Netlist, instances: int
 ) -> list[ComputationGraph | None]:
     """Shard a replicated netlist at instance granularity."""
-    shares = cluster.policy.partition(instances, len(cluster.devices))
+    shares = _balanced_shares(instances, len(cluster.devices))
     return [
         compile_netlist(netlist, share) if share > 0 else None for share in shares
     ]
@@ -249,9 +264,7 @@ def _shard_graph(
     ]
     totals = [0] * device_count
     for node_index, node in enumerate(graph.nodes):
-        shares = cluster.policy.partition(
-            node.ciphertexts, device_count, offset=node_index
-        )
+        shares = _balanced_shares(node.ciphertexts, device_count, node_index)
         for device_index, share in enumerate(shares):
             totals[device_index] += share
             shards[device_index].add_node(

@@ -106,7 +106,6 @@ from repro.serve.server import (
     ServeConfig,
     ServeReport,
     ServingRun,
-    TenantState,
 )
 from repro.serve.sharding import (
     AffinityPolicy,
@@ -160,7 +159,6 @@ __all__ = [
     "StrixCluster",
     "StrixClusterBackend",
     "StrixDevice",
-    "TenantState",
     "get_admission_policy",
     "get_cost_model",
     "get_layout",

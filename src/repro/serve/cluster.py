@@ -192,7 +192,7 @@ class StrixCluster:
         Under the data-parallel (and elastic) layout, netlists replicated
         over ``instances`` shard at instance granularity and everything
         else lowers to a computation graph whose per-node ciphertexts are
-        partitioned by the sharding policy; the pipeline layout instead
+        split into balanced per-device shares; the pipeline layout instead
         cuts the graph's dependency levels into one stage per device.
         """
         return self.layout.run_workload(self, workload, params, instances)

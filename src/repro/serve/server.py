@@ -176,17 +176,6 @@ class ServeConfig:
     tenant_capacity: int | None = None
 
 
-@dataclass
-class TenantState:
-    """Book-keeping for one logical tenant."""
-
-    tenant: str
-    session: Session | None = None
-    requests: int = 0
-    items: int = 0
-    pbs: int = 0
-
-
 @dataclass(frozen=True)
 class ServeReport:
     """Outcome of one serving simulation.
@@ -435,25 +424,17 @@ class ServingRun:
         self._last_completion = max(self._last_completion, dispatch.end_s)
         if dispatch.lost:
             # The batch died with its device and the on_death policy did
-            # not replay it: no outcomes, no tenant accounting, no serving
-            # counters — the loss is charged to the fault injector, which
-            # the report's availability block and the conservation law
-            # (completed + lost == submitted) read it back from.
+            # not replay it: no outcomes, no serving counters — the loss is
+            # charged to the fault injector, which the report's availability
+            # block and the conservation law (completed + lost == submitted)
+            # read it back from.
             for request in batch.requests:
                 self._drop(request, RequestLostError, "was lost to a device fault")
             return
         batch_id, device = batch.batch_id, dispatch.device
         start_s, end_s = dispatch.start_s, dispatch.end_s
-        tenants = server._tenants
         outcomes, latencies, delays = [], [], []
         for request in batch.requests:
-            # Charged at dispatch, not submission, so TenantState counts work
-            # that actually executed (repeated simulations accumulate,
-            # discarded queue contents do not).
-            state = tenants.get(request.tenant) or server.tenant(request.tenant)
-            state.requests += 1
-            state.items += request.items
-            state.pbs += request.items * request.pbs_per_item
             outcomes.append(RequestOutcome(request, batch_id, device, start_s, end_s))
             latencies.append(end_s - request.arrival_s)
             delays.append(start_s - request.arrival_s)
@@ -643,7 +624,7 @@ class Server:
         self.batcher = self._make_batcher()
         #: The run currently serving (``None`` between runs).
         self.active_run: ServingRun | None = None
-        self._tenants: dict[str, TenantState] = {}
+        self._sessions: dict[str, Session] = {}
         self._request_counter = 0
         self._clock = 0.0
         # The async context's submitters: request id -> the future awaiting it.
@@ -814,12 +795,6 @@ class Server:
 
     # -- tenants -----------------------------------------------------------------
 
-    def tenant(self, name: str) -> TenantState:
-        """State for one tenant (created on first use)."""
-        if name not in self._tenants:
-            self._tenants[name] = TenantState(tenant=name)
-        return self._tenants[name]
-
     def session_for(self, tenant: str) -> Session:
         """The tenant's key-owning session (created and cached on first use).
 
@@ -827,16 +802,11 @@ class Server:
         name, so distinct tenants get distinct key material and re-creating a
         server reproduces it.
         """
-        state = self.tenant(tenant)
-        if state.session is None:
+        session = self._sessions.get(tenant)
+        if session is None:
             seed = self.config.seed + zlib.crc32(tenant.encode())
-            state.session = Session(self.params, seed=seed)
-        return state.session
-
-    @property
-    def tenants(self) -> dict[str, TenantState]:
-        """All tenants seen so far, by name."""
-        return dict(self._tenants)
+            session = self._sessions[tenant] = Session(self.params, seed=seed)
+        return session
 
     # -- submission --------------------------------------------------------------
 

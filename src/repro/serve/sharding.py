@@ -1,13 +1,10 @@
-"""Sharding policies: how work spreads over the cluster's devices.
+"""Sharding policies: which device runs each flushed serving batch.
 
-Two decisions are delegated to a policy:
-
-* :meth:`ShardingPolicy.partition` — splitting one large workload's
-  ciphertexts across **all** devices (data-parallel sharding of a
-  computation graph); the base class's balanced split is the one value
-  in use, a policy may override it;
-* :meth:`ShardingPolicy.select` — picking **one** device for a flushed
-  serving batch (each batch is a single device's epoch stream).
+A policy makes one decision, :meth:`ShardingPolicy.select`: picking **one**
+device for a flushed serving batch (each batch is a single device's epoch
+stream).  Splitting one large workload's ciphertexts across **all** devices
+is no policy's choice: identical devices take balanced shares
+(``repro.sched.layouts``).
 
 Four policies ship: ``round-robin`` (rotating dispatch), ``least-loaded``
 (dispatch to the device that frees up first), ``affinity`` (tenant-sticky
@@ -34,25 +31,10 @@ from repro.serve.batcher import Batch
 
 
 class ShardingPolicy(abc.ABC):
-    """Strategy for partitioning and dispatching work across devices."""
+    """Strategy for dispatching serving batches across devices."""
 
     #: Registry name of the policy.
     name: str = ""
-
-    def partition(self, items: int, devices: int, *, offset: int = 0) -> list[int]:
-        """Per-device item counts for sharding one workload (sums to ``items``).
-
-        The default — what every shipped policy uses, since identical
-        devices have identical throughput and one workload has no tenant
-        axis — is ``devices`` near-equal shares.  The remainder lands on
-        consecutive devices starting at ``offset`` so repeated splits (one
-        per graph node) do not pile every leftover ciphertext onto device 0.
-        """
-        base, remainder = divmod(items, devices)
-        return [
-            base + (1 if (index - offset) % devices < remainder else 0)
-            for index in range(devices)
-        ]
 
     @abc.abstractmethod
     def select(

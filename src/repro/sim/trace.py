@@ -30,19 +30,9 @@ class OccupancyTrace:
     cycle_time_ns: float
 
     def rows(self) -> list[str]:
-        """The resource rows of the trace, in display order."""
-        order = [
-            "rotator",
-            "decomposer",
-            "fft",
-            "vma",
-            "ifft",
-            "accumulator",
-            "local_scratchpad",
-            "hbm",
-        ]
-        present = {interval.unit for interval in self.intervals}
-        return [row for row in order if row in present]
+        """The resource rows of the trace, in the order they first appear
+        (the PBS pipeline's stages, then the scratchpad and HBM)."""
+        return list(dict.fromkeys(interval.unit for interval in self.intervals))
 
     def horizon_cycles(self) -> int:
         """Last busy cycle of the trace."""

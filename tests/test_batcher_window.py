@@ -268,8 +268,8 @@ def test_take_hands_the_batch_the_totals_a_fresh_batch_derives(qos, pushes, late
 @pytest.mark.parametrize("qos", ["fifo", "fair"])
 def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
     """``simulate(trace)`` against ``begin_run`` + one ``offer`` per request +
-    ``finish``: the one ``_dispatch`` loop feeds the tenant ledger, both
-    latency histograms and the report, and all of them must read the same."""
+    ``finish``: the one ``_dispatch`` loop feeds the outcomes, both latency
+    histograms and the report, and all of them must read the same."""
     trace = heavy_tail_trace(3000.0, 0.2, seed=11, tenants=5)
     config = dict(
         devices=2, params="I", qos=qos, admission="reject-newest", queue_capacity=48
@@ -282,17 +282,20 @@ def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
             run.offer(request)
         except RequestRejectedError:
             pass
-    assert run.finish().to_dict() == report.to_dict()
-    assert report.metrics.requests > 0
-    for server in (whole, streamed):
-        served = [outcome.request for outcome in report.outcomes]
-        for name, state in server.tenants.items():
-            mine = [r for r in served if r.tenant == name]
-            assert (state.requests, state.items, state.pbs) == (
-                len(mine),
-                sum(r.items for r in mine),
-                sum(r.total_pbs for r in mine),
-            )
+    streamed_report = run.finish()
+    assert streamed_report.to_dict() == report.to_dict()
+    assert len(report.outcomes) == report.metrics.requests > 0
+
+    def per_tenant(outcomes):
+        served: dict[str, list[int]] = {}
+        for request in (outcome.request for outcome in outcomes):
+            counts = served.setdefault(request.tenant, [0, 0, 0])
+            counts[0] += 1
+            counts[1] += request.items
+            counts[2] += request.total_pbs
+        return served
+
+    assert per_tenant(streamed_report.outcomes) == per_tenant(report.outcomes)
     for name in ("_latency_hist", "_queue_delay_hist"):
         one, other = getattr(whole, name), getattr(streamed, name)
         assert one.count == other.count == report.metrics.requests

@@ -2,25 +2,33 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arch.accelerator import StrixAccelerator
-from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED
-from repro.arch.functional_units import (
-    PBS_PIPELINE_ORDER,
-    KeyswitchCluster,
-    build_pbs_cluster,
-)
+from repro.arch.config import STRIX_DEFAULT, STRIX_UNFOLDED, StrixConfig
+from repro.arch.fft_unit import PipelinedFFTUnit
+from repro.arch.functional_units import build_keyswitch_cluster, build_pbs_cluster
 from repro.arch.hsc import HomomorphicStreamingCore
-from repro.params import PAPER_PARAMETER_SETS, PARAM_SET_I, PARAM_SET_IV
+from repro.params import (
+    DEEP_NN_PARAMETER_SETS,
+    PAPER_PARAMETER_SETS,
+    PARAM_SET_I,
+    PARAM_SET_IV,
+    SMALL_PARAMETERS,
+    TOY_PARAMETERS,
+)
 from repro.sim.trace import build_occupancy_trace
+
+PIPELINE = ("rotator", "decomposer", "fft", "vma", "ifft", "accumulator")
 
 
 class TestPbsCluster:
     def test_cluster_has_six_stages_in_order(self):
-        cluster = build_pbs_cluster(STRIX_DEFAULT)
-        assert tuple(cluster) == PBS_PIPELINE_ORDER
-        assert len(cluster) == 6
+        assert tuple(build_pbs_cluster(STRIX_DEFAULT)) == PIPELINE
 
     def test_rotator_busy_half_of_fft(self):
         """The rotator handles (k+1) polys vs (k+1)*lb for the wide units, so
@@ -48,7 +56,7 @@ class TestPbsCluster:
     def test_unfolded_units_are_slower(self):
         folded = build_pbs_cluster(STRIX_DEFAULT)
         unfolded = build_pbs_cluster(STRIX_UNFOLDED)
-        for name in PBS_PIPELINE_ORDER:
+        for name in PIPELINE:
             assert (
                 unfolded[name].busy_cycles_per_lwe(PARAM_SET_I)
                 >= folded[name].busy_cycles_per_lwe(PARAM_SET_I)
@@ -65,19 +73,19 @@ class TestPbsCluster:
 
     def test_instance_counts_follow_parallelism(self):
         cluster = build_pbs_cluster(STRIX_DEFAULT)
-        assert cluster["fft"].instances == STRIX_DEFAULT.plp
+        assert cluster["fft"].lanes == STRIX_DEFAULT.plp
 
 
 class TestKeyswitchCluster:
     def test_mac_count_matches_algorithm_2(self):
-        cluster = KeyswitchCluster(STRIX_DEFAULT)
+        cluster = build_keyswitch_cluster(STRIX_DEFAULT)
         params = PARAM_SET_I
         expected = params.k * params.N * params.lk * (params.n + 1)
-        assert cluster.macs_per_lwe(params) == expected
+        assert cluster.items(params) == expected
 
     def test_busy_cycles_divide_by_lane_product(self):
-        cluster = KeyswitchCluster(STRIX_DEFAULT)
-        macs = cluster.macs_per_lwe(PARAM_SET_I)
+        cluster = build_keyswitch_cluster(STRIX_DEFAULT)
+        macs = cluster.items(PARAM_SET_I)
         assert cluster.busy_cycles_per_lwe(PARAM_SET_I) == -(-macs // 64)
 
     def test_keyswitch_hidden_behind_pbs_for_paper_sets(self):
@@ -127,7 +135,7 @@ class TestHscPipeline:
     def test_occupancy_trace_structure(self, core):
         intervals = core.occupancy_trace(PARAM_SET_I, lwes_per_core=3, iterations=2)
         units = {interval.unit for interval in intervals}
-        assert units == set(PBS_PIPELINE_ORDER)
+        assert units == set(PIPELINE)
         assert len(intervals) == 6 * 3 * 2
         for interval in intervals:
             assert interval.end_cycle > interval.start_cycle
@@ -155,3 +163,58 @@ class TestHscPipeline:
             core.occupancy_trace(PARAM_SET_I, 0, 1)
         with pytest.raises(ValueError):
             core.occupancy_trace(PARAM_SET_I, 1, 0)
+
+
+# -- Section V's per-unit formulas, stated once more -------------------------------
+
+SETS = [*PAPER_PARAMETER_SETS.values(), *DEEP_NN_PARAMETER_SETS.values()]
+SETS += [TOY_PARAMETERS, SMALL_PARAMETERS]
+TABLE_VII = [STRIX_DEFAULT.with_parallelism(tvlp=32 // clp, clp=clp) for clp in (2, 4, 8, 16, 32)]
+CHIPS = [STRIX_DEFAULT, STRIX_UNFOLDED, *TABLE_VII, replace(STRIX_DEFAULT, plp=4, colp=1)]
+
+
+def section_v(config: StrixConfig, params) -> dict[str, tuple[int, float, float]]:
+    """(busy cycles per LWE per iteration, area, power) of every unit of one HSC."""
+    k1, lb, n_coeffs, folded = params.k + 1, params.lb, params.N, config.fft_folding
+    lanes, points = (2 * config.clp, n_coeffs // 2) if folded else (config.clp, n_coeffs)
+    fft = PipelinedFFTUnit(config.max_fft_points, config.clp, folded)
+    vma = config.clp * config.plp
+
+    def cycles(items, width):
+        return max(-(-items // width), 1)
+
+    def column(items, area, power):
+        scale = [a * lanes / 8.0 * config.colp / 2.0 for a in (area, power)]
+        return (cycles(items, lanes * config.colp), *scale)
+
+    transform = -(-k1 * lb // config.plp) * max(points // config.clp, 1)
+    transform = (transform, fft.area_mm2 * config.plp, fft.power_w * config.plp)
+    keyswitch = params.k * n_coeffs * params.lk * (params.n + 1)
+    return {
+        "rotator": column(k1 * n_coeffs, 0.02, 0.01),
+        "decomposer": column(k1 * lb * n_coeffs, 0.28, 0.02),
+        "fft": transform,
+        "vma": (cycles(k1 * lb * points, vma), 0.63 * vma / 8.0, 0.10 * vma / 8.0),
+        "ifft": transform,
+        "accumulator": column(k1 * lb * n_coeffs, 0.32, 0.13),
+        "keyswitch": (cycles(keyswitch, config.ks_clp * config.ks_colp), 0.0, 0.0),
+    }
+
+
+def assert_table_is_section_v(config: StrixConfig) -> None:
+    core = HomomorphicStreamingCore(config)
+    units = [*core.pbs_cluster.values(), core.keyswitch_cluster]
+    for params in SETS:
+        table = {u.name: (u.busy_cycles_per_lwe(params), u.area_mm2, u.power_w) for u in units}
+        assert table == section_v(config, params), params.name
+
+
+@pytest.mark.parametrize("config", CHIPS)
+def test_the_unit_table_is_section_v(config):
+    assert_table_is_section_v(config)
+
+
+@given(st.sampled_from([1, 2, 4, 8, 16]), *[st.integers(1, 8)] * 4, st.booleans())
+def test_the_unit_table_is_section_v_on_any_chip(clp, plp, colp, ks_clp, ks_colp, folding):
+    lanes = dict(clp=clp, plp=plp, colp=colp, ks_clp=ks_clp, ks_colp=ks_colp)
+    assert_table_is_section_v(StrixConfig(fft_folding=folding, **lanes))

@@ -85,7 +85,6 @@ REFERENCES = {
     "repro.obs.metrics.Metric.samples": "interface every instrument overrides",
     "repro.obs.trace.Span.latency_s": "span latency the tracing tests read",
     "repro.sched.partition.StagePlan.stages": "stage count the partition tests read",
-    "repro.serve.server.Server.tenants": "tenant ledger the serving tests read",
     "repro.sim.graph.ComputationGraph.node": "node lookup of the graph tests",
     "repro.sim.scheduler.NodeSchedule.duration_s": "node time the scheduler tests read",
     "repro.sim.scheduler.ScheduleResult.pbs_throughput": "PBS/s the scheduler tests read",

@@ -509,8 +509,8 @@ def test_submit_then_simulate_uses_the_serving_clock():
     server.submit("bob", "gate", items=4, at=0.01)
     report = server.simulate()
     assert report.metrics.requests == 2
-    assert server.tenants["alice"].pbs == 8
-    assert server.tenants["bob"].pbs == 4
+    pbs = {outcome.request.tenant: outcome.request.total_pbs for outcome in report.outcomes}
+    assert pbs == {"alice": 8, "bob": 4}
 
 
 def test_affinity_policy_pins_tenants_to_devices():

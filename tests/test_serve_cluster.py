@@ -16,6 +16,7 @@ from repro.apps.workloads import lut_pipeline_graph, pbs_batch_graph
 from repro.arch.config import StrixClusterConfig, StrixConfig
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.runtime import UnknownBackendError, get_backend
+from repro.sched.layouts import _balanced_shares
 from repro.serve import (
     AffinityPolicy,
     Batch,
@@ -50,20 +51,17 @@ def test_policy_registry():
         get_policy("random")
 
 
-@pytest.mark.parametrize("policy_name", ["round-robin", "least-loaded", "affinity"])
-def test_partition_is_balanced_and_exact(policy_name):
-    policy = get_policy(policy_name)
+def test_partition_is_balanced_and_exact():
     for items, devices in ((100, 4), (7, 4), (3, 8), (0, 2), (1, 1)):
-        shares = policy.partition(items, devices)
+        shares = _balanced_shares(items, devices)
         assert sum(shares) == items
         assert len(shares) == devices
         assert max(shares) - min(shares) <= 1
 
 
 def test_partition_offset_rotates_the_remainder():
-    policy = RoundRobinPolicy()
-    assert policy.partition(5, 4, offset=0) == [2, 1, 1, 1]
-    assert policy.partition(5, 4, offset=2) == [1, 1, 2, 1]
+    assert _balanced_shares(5, 4, offset=0) == [2, 1, 1, 1]
+    assert _balanced_shares(5, 4, offset=2) == [1, 1, 2, 1]
 
 
 def test_round_robin_select_cycles():
