@@ -76,12 +76,12 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     counts, per-ciphertext operations, dependencies *and node order* —
     because both functions read the same
     :attr:`~repro.serve.batcher.Batch.request_mix` buckets (model requests
-    sorted into signature order, classified once per batch).  Request ids,
-    tenants and arrival times deliberately do not appear: they never
-    influence the graph shape, so the event model's schedule cache
+    sorted into signature order, classified once per batch by the batcher).
+    Request ids, tenants and arrival times deliberately do not appear: they
+    never influence the graph shape, so the event model's schedule cache
     (:class:`repro.sched.memo.ScheduleCache`) keys a batch with inference
-    requests on this whole signature, and a model-free batch on its
-    ``simple_pbs`` alone (its ``linear_items`` are priced, not keyed).
+    requests on this signature or its linear-free twin's, a model-free batch
+    on its ``simple_pbs`` alone (its ``linear_items`` are priced, not keyed).
     """
     linear_items, simple_pbs, model_requests = batch.request_mix
     models = tuple((request.model, request.items) for request in model_requests)
@@ -162,6 +162,19 @@ def _lowered_models(models: tuple, first: int, params: TFHEParameters) -> tuple[
                     dependencies = tuple(map(placed.__getitem__, depends_on))
                     ops.append((kind, ciphertexts * items, operations, dependencies))
     return tuple(names), tuple(ops)
+
+
+@functools.lru_cache(maxsize=256)
+def _model_linear_seconds(models: tuple, params: TFHEParameters, macs_per_s: float) -> tuple:
+    """What each of the models' LINEAR ops with no PBS ancestor adds to the
+    linear unit's free time, in booking order (each starts when the unit frees)."""
+    after_pbs: list[bool] = []
+    seconds = []
+    for kind, ciphertexts, operations, depends_on in _lowered_models(models, 0, params)[1]:
+        after_pbs.append(kind != "linear" or any(map(after_pbs.__getitem__, depends_on)))
+        if not after_pbs[-1]:
+            seconds.append(ciphertexts * (operations if operations > 1 else 1) / macs_per_s)
+    return tuple(seconds)
 
 
 def batch_graph(batch: "Batch", params: TFHEParameters) -> ComputationGraph:

@@ -13,8 +13,9 @@ model's :class:`~repro.sched.cost.BatchCost` results under an LRU policy,
 keyed on everything the simulation can observe:
 
 * for a batch with inference requests, its request-mix signature
-  (:func:`~repro.sched.cost.batch_mix_signature`); for a model-free batch,
-  its PBS count alone; for a pipeline stage, a structural graph signature;
+  (:func:`~repro.sched.cost.batch_mix_signature`), or its linear-free twin's
+  (below); for a model-free batch, its PBS count alone; for a pipeline
+  stage, a structural graph signature;
 * the TFHE parameter set — the *object*, not its name, so a structurally
   tweaked set under a reused name can never alias a cached schedule;
 * the device geometry (the device's frozen
@@ -25,12 +26,14 @@ A model-free batch is at most a LINEAR op and a PBS+KS op that share no unit
 and no dependency, so its makespan is the later of the PBS op's and
 ``linear_items * n / linear_macs_per_second`` — the float the scheduler
 books for a LINEAR op from 0.0 — and the linear side is priced on the way
-out of the cache, not keyed.
+out of the cache, not keyed.  A batch with inference requests is keyed as its
+linear-free twin ``(0, simple_pbs, models)`` when its linear side ends before
+any core ends its share of the PBS+KS op's first epoch, which fills every core.
 
-Equal keys imply bit-for-bit equal schedules because the scheduler is a
-deterministic function of (ordered graph structure, params, config) and
-:func:`~repro.sched.cost.batch_program` lowers equal signatures to equal
-op lists.  Cached entries are therefore pure derived
+Equal keys imply bit-for-bit equal costs because the scheduler is a
+deterministic function of (ordered graph structure, params, config),
+:func:`~repro.sched.cost.batch_program` lowers equal signatures to equal op
+lists and both rules above are exact.  Cached entries are therefore pure derived
 data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), and eviction can never change a result, only
 cost a recomputation.
@@ -49,6 +52,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.params import TFHEParameters
 from repro.sched.cost import BatchCost, CostModel, EventDrivenCostModel, batch_mix_signature
+from repro.sched.cost import _model_linear_seconds
 from repro.sim.graph import ComputationGraph, NodeKind, ScheduleProgram
 from repro.sim.scheduler import StrixScheduler
 
@@ -57,9 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.serve.cluster import StrixDevice
 
 #: Default number of priced schedules kept before LRU eviction (per-entry
-#: cost is one :class:`BatchCost`, a few hundred bytes).  It does not hold a
-#: whole multi-tenant trace: ``serve-sim-event``'s three traces at seed 3
-#: still evict 928 times a pass, at a hit share of 0.84.
+#: cost is one :class:`BatchCost`, a few hundred bytes).  ``serve-sim-event``'s
+#: three traces at seed 3 fill at most 480 entries each and never evict, at a
+#: hit share of 0.92.
 DEFAULT_COST_CACHE_CAPACITY = 512
 
 
@@ -110,7 +114,7 @@ class ScheduleCache(CostModel):
 
     # -- pricing -----------------------------------------------------------------
 
-    def _memoized(self, key: tuple, price: "Callable[[], BatchCost]") -> BatchCost:
+    def _memoized(self, key: tuple, price: "Callable[..., BatchCost]", *args) -> BatchCost:
         cost = self._entries.pop(key, None)
         if cost is not None:
             self.hits += 1
@@ -119,7 +123,7 @@ class ScheduleCache(CostModel):
             self._entries[key] = cost
             return cost
         self.misses += 1
-        cost = price()
+        cost = price(*args)
         if len(self._entries) >= self.capacity:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1
@@ -131,19 +135,34 @@ class ScheduleCache(CostModel):
     ) -> BatchCost:
         linear_items, simple_pbs, models = signature = batch_mix_signature(batch)
         config = device.accelerator.config
+        linear_macs_per_second = StrixScheduler.linear_macs_per_second(config)
+        linear_s = linear_items * params.n / linear_macs_per_second  # booked from 0.0
         if models:
+            if linear_items and simple_pbs >= config.tvlp:
+                # Once the models' PBS-free LINEAR ops are booked too: if no core
+                # has ended its share of the PBS op's first epoch by then, the batch
+                # costs what its linear-free twin does (a miss prices the batch).
+                for seconds in _model_linear_seconds(models, params, linear_macs_per_second):
+                    linear_s += seconds
+                durations = device.scheduler.epoch_timings(params).node(simple_pbs)[0][0]
+                if linear_s <= min(durations):
+                    signature = (0, simple_pbs, models)
             key = ("batch", signature, params, config)
-            return self._memoized(key, lambda: self._event.batch_cost(batch, params, device))
+            return self._memoized(key, self._event.batch_cost, batch, params, device)
         # At most a LINEAR op and a PBS+KS op, sharing no unit: the makespan is
-        # the later of the PBS op's and the LINEAR op's, which starts at 0.0.
-        op = [(NodeKind.PBS_KS.value, simple_pbs, 0, ())] if simple_pbs else []
-        program = ScheduleProgram("pbs", params, ["pbs"] * len(op), op)
+        # the later of the PBS op's and the LINEAR op's.
         key = ("pbs", simple_pbs, params, config)
-        pbs = self._memoized(key, lambda: self._event.stage_cost(program, params, device))
-        linear_s = linear_items * params.n / StrixScheduler.linear_macs_per_second(config)
+        pbs = self._memoized(key, self._pbs_cost, simple_pbs, params, device)
         if linear_s <= pbs.compute_s:
             return pbs
         return BatchCost(linear_s, pbs.pbs, pbs.epochs, {"event_s": linear_s})
+
+    def _pbs_cost(
+        self, simple_pbs: int, params: TFHEParameters, device: "StrixDevice"
+    ) -> BatchCost:
+        op = [(NodeKind.PBS_KS.value, simple_pbs, 0, ())] if simple_pbs else []
+        program = ScheduleProgram("pbs", params, ["pbs"] * len(op), op)
+        return self._event.stage_cost(program, params, device)
 
     def stage_cost(
         self,
@@ -152,7 +171,7 @@ class ScheduleCache(CostModel):
         device: "StrixDevice",
     ) -> BatchCost:
         key = ("stage", graph_signature(stage_graph), params, device.accelerator.config)
-        return self._memoized(key, lambda: self._event.stage_cost(stage_graph, params, device))
+        return self._memoized(key, self._event.stage_cost, stage_graph, params, device)
 
     # -- bookkeeping --------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.serve.queue import RequestQueue
@@ -44,6 +45,9 @@ from repro.serve.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs.trace import Tracer
+
+#: The order of a batch's model requests in its request mix: by ``(model, items)``.
+_mix_order = attrgetter("model", "items")
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,12 @@ class Batch:
     copy with ``attempt`` incremented, so retries are distinguishable in
     traces without a new identity.
 
-    The derived totals below are computed on first read and kept (the
-    batch is frozen and its requests are a tuple) — or handed over by
-    :meth:`AdaptiveBatcher._take`, which summed them while popping; they
-    are not fields, so ``==``, ``repr`` and ``dataclasses.replace`` see only
-    the five fields and a replaced copy derives its own.
+    The derived totals and the request mix below are computed on first read
+    and kept (the batch is frozen and its requests are a tuple) — or handed
+    over by :meth:`AdaptiveBatcher._take`, which summed and bucketed them
+    while popping; they are not fields, so ``==``, ``repr`` and
+    ``dataclasses.replace`` see only the five fields and a replaced copy
+    derives its own.
     """
 
     batch_id: int
@@ -128,7 +133,7 @@ class Batch:
                 simple_pbs += request.total_pbs
             else:
                 model_requests.append(request)
-        model_requests.sort(key=lambda request: (request.model, request.items))
+        model_requests.sort(key=_mix_order)
         return linear_items, simple_pbs, tuple(model_requests)
 
     def fill_fraction(self, capacity: int) -> float:
@@ -307,7 +312,8 @@ class AdaptiveBatcher:
         taken: list[Request] = []
         in_batch: dict[str, int] = {}
         caps = self._tenant_caps(queue) if fair else {}
-        items = pbs = linear_items = 0
+        items = pbs = linear_items = model_pbs = 0
+        model_requests: list[Request] = []
         for _ in range(len(queue)):  # every pass pops one request or closes the batch
             head = self._fair_head(queue, in_batch, caps) if fair else queue.oldest()
             if head is None:
@@ -332,6 +338,9 @@ class AdaptiveBatcher:
             items += size
             if head.pbs_per_item:
                 pbs += size * head.pbs_per_item
+                if head.model is not None:
+                    model_requests.append(head)
+                    model_pbs += size * head.pbs_per_item
             else:
                 linear_items += size
             if items >= capacity:
@@ -346,13 +355,16 @@ class AdaptiveBatcher:
             created_s=now,
             flush_reason=reason,
         )
-        # The loop above already summed what the cached properties would
-        # walk the batch again for, one first read each.
+        # The loop above already summed and bucketed what the cached
+        # properties would walk the batch again for, one first read each.
+        if len(model_requests) > 1:
+            model_requests.sort(key=_mix_order)
         vars(batch).update(
             total_items=items,
             total_pbs=pbs,
             linear_items=linear_items,
             tenants=frozenset(in_batch),
+            request_mix=(linear_items, pbs - model_pbs, tuple(model_requests)),
         )
         self.batches_flushed += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1

@@ -139,6 +139,13 @@ class StrixScheduler:
 
     # -- public API -----------------------------------------------------------
 
+    def epoch_timings(self, params: TFHEParameters) -> _EpochTimings:
+        """The epoch capacity and per-core epoch durations :meth:`run` books."""
+        timings = self._timings.get(params)
+        if timings is None:
+            timings = self._timings[params] = _EpochTimings(self.accelerator, params)
+        return timings
+
     def run(self, graph: ComputationGraph | ScheduleProgram) -> ScheduleResult:
         """Execute a computation graph (or its compiled op list); return its schedule.
 
@@ -147,9 +154,7 @@ class StrixScheduler:
         op order and, within a PBS node, epoch by epoch and core by core.
         """
         name, params, names, ops = graph.compile()
-        timings = self._timings.get(params)
-        if timings is None:
-            timings = self._timings[params] = _EpochTimings(self.accelerator, params)
+        timings = self.epoch_timings(params)
         linear_macs_per_second = self._linear_macs_per_second
         core_free = [0.0] * self.config.tvlp
         core_busy = [0.0] * self.config.tvlp

@@ -265,6 +265,62 @@ def test_take_hands_the_batch_the_totals_a_fresh_batch_derives(qos, pushes, late
         )
 
 
+#: What `_take` hands a batch instead of leaving it to the cached properties.
+HANDED_OVER = ("total_items", "total_pbs", "linear_items", "tenants", "request_mix")
+
+
+@settings(deadline=None)
+@given(
+    qos=_QOS,
+    steps=st.lists(
+        st.tuples(
+            _TENANTS,
+            st.integers(1, 6),
+            _GAPS,
+            st.sampled_from([None, 0.5e-3, 5e-3]),  # relative deadline_s
+            st.sampled_from(
+                [
+                    ("encrypt", None),
+                    ("gate", None),
+                    ("bootstrap", None),
+                    ("inference", "NN-20"),
+                    ("inference", "NN-50"),
+                ]
+            ),
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    late=st.sampled_from([0.0, 1e-3, 1.0]),
+)
+def test_take_hands_over_what_a_replaced_batch_derives(qos, steps, late):
+    """Every batch `_take` flushes, by a full queue, a deadline or the drain,
+    carries the request mix and totals a copy of it derives for itself."""
+    queue, batcher = RequestQueue(), _batcher(qos)
+    batches: list[Batch] = []
+    now = 0.0
+    for request_id, (tenant, items, gap, budget, (kind, model)) in enumerate(steps):
+        now += gap
+        batches += batcher.poll(queue, now)
+        queue.push(
+            Request.make(
+                request_id,
+                tenant,
+                kind,
+                items=items,
+                arrival_s=now,
+                model=model,
+                deadline_s=None if budget is None else now + budget,
+            )
+        )
+    batches += batcher.drain(queue, now + late)
+    for batch in batches:
+        handed = {name: vars(batch)[name] for name in HANDED_OVER}
+        derived = replace(batch)
+        assert not set(HANDED_OVER) & set(vars(derived))
+        assert handed == {name: getattr(derived, name) for name in HANDED_OVER}
+
+
 @pytest.mark.parametrize("qos", ["fifo", "fair"])
 def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
     """``simulate(trace)`` against ``begin_run`` + one ``offer`` per request +

@@ -2,11 +2,11 @@
 
 Covers the exactness contract (memoized pricing is bit-for-bit equal to
 unmemoized pricing, for randomized batch mixes and for every placement
-layout), model-free batches keyed on their PBS count alone (held to the event
-model and to ``spec_run`` on every field), the LRU capacity/eviction
-behaviour, the counter accounting the serving report surfaces, and the wiring
-rule (``"event"`` by name gets the default cache; a cost-model instance is
-used as given).
+layout), model-free batches keyed on their PBS count alone and model-bearing
+ones on their linear-free twin (held to the event model and to ``spec_run`` on
+every field), the LRU capacity/eviction behaviour, the counter accounting the
+serving report surfaces, and the wiring rule (``"event"`` by name gets the
+default cache; a cost-model instance is used as given).
 """
 
 from __future__ import annotations
@@ -178,6 +178,94 @@ def test_model_free_batches_price_as_the_event_model_and_the_spec(batch, params,
         spec.total_pbs,
         spec.total_epochs,
     )
+
+
+def test_model_bearing_batches_share_their_linear_free_twins_entry():
+    """Encryption items that end before every core's first epoch do not split the key."""
+    device = StrixCluster(devices=1).devices[0]
+    memo = ScheduleCache()
+    for encrypt in (5, 9):
+        batch = make_batch(
+            [
+                Request.make(1, "t", "bootstrap", 40),
+                Request.make(2, "t", "encrypt", encrypt),
+                Request.make(3, "t", "inference", 1, model="NN-20"),
+            ]
+        )
+        cost = memo.batch_cost(batch, PARAM_SET_I, device)
+        assert cost == EventDrivenCostModel().batch_cost(batch, PARAM_SET_I, device)
+    assert (memo.misses, memo.hits) == (1, 1)
+
+
+def make_requests(specs):
+    """One tenant's requests from ``(kind, items, model)`` specs."""
+    return [
+        Request.make(i + 1, "t", kind, items, model=model)
+        for i, (kind, items, model) in enumerate(specs)
+    ]
+
+
+#: One cache across every example, so a batch can hit its twin's entry.
+MODEL_BEARING_CACHE = ScheduleCache()
+#: 16 cores fetching keys at 20 GB/s: a lone LWE waits on its key fragments and
+#: outlasts a core streaming two, so the first epoch's cores need not shrink in
+#: core order, and the shortest one is not always the last.
+KEY_FETCH_BOUND_CHIP = StrixCluster(
+    devices=1,
+    config=StrixClusterConfig(device=StrixConfig(tvlp=16, hbm_bandwidth_gbps=20.0)),
+).devices[0]
+model_bearing_batches = st.tuples(
+    st.tuples(st.just("encrypt"), st.integers(1, 10**8), st.none()).map(lambda spec: [spec]),
+    st.lists(  # simple PBS 0-600
+        st.tuples(st.sampled_from(["gate", "bootstrap"]), st.integers(1, 600), st.none()),
+        max_size=1,
+    ),
+    st.lists(
+        st.tuples(st.just("inference"), st.integers(1, 3), st.sampled_from(["NN-20", "NN-50"])),
+        min_size=1,
+        max_size=2,
+    ),
+).map(lambda kinds: make_batch(make_requests(kinds[0] + kinds[1] + kinds[2])))
+
+
+@settings(deadline=None)
+@given(
+    batch=model_bearing_batches,
+    params=st.sampled_from((PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV)),
+    device=st.sampled_from((*CHIPS, KEY_FETCH_BOUND_CHIP)),
+)
+@example(  # simple PBS below tvlp: idle cores start the model's bootstrap when it is ready
+    batch=make_batch(
+        make_requests([("encrypt", 10**7, None), ("gate", 1, None), ("inference", 3, "NN-20")])
+    ),
+    params=PARAM_SET_IV,
+    device=KEY_FETCH_BOUND_CHIP,
+)
+@example(  # the linear side outlasts the shortest first-epoch core, not the longest
+    batch=make_batch(
+        make_requests([("encrypt", 10**6, None), ("gate", 24, None), ("inference", 1, "NN-20")])
+    ),
+    params=PARAM_SET_I,
+    device=KEY_FETCH_BOUND_CHIP,
+)
+@example(  # simple_pbs == tvlp: one LWE on every core
+    batch=make_batch(
+        make_requests([("encrypt", 5, None), ("gate", 8, None), ("inference", 1, "NN-20")])
+    ),
+    params=PARAM_SET_I,
+    device=CHIPS[0],
+)
+def test_model_bearing_batches_price_as_the_event_model_and_the_spec(batch, params, device):
+    twin = make_batch(request for request in batch.requests if request.pbs_per_item)
+    for priced in (twin, batch):  # the twin first, so the batch may find its entry
+        cost = MODEL_BEARING_CACHE.batch_cost(priced, params, device)
+        assert cost == EventDrivenCostModel().batch_cost(priced, params, device)
+        spec = spec_run(device.scheduler, batch_graph(priced, params))
+        assert (cost.compute_s, cost.pbs, cost.epochs) == (
+            spec.total_time_s,
+            spec.total_pbs,
+            spec.total_epochs,
+        )
 
 
 @pytest.mark.parametrize("layout", ["data-parallel", "pipeline", "elastic"])
