@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.params import PARAM_SET_I, TFHEParameters
-from repro.sim.graph import ComputationGraph, NodeKind
+from repro.sim.graph import ComputationGraph, NodeKind, linear_macs
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ class ConcreteCpuModel:
             level_time = 0.0
             for node in level:
                 if node.kind is NodeKind.LINEAR:
-                    operations = node.ciphertexts * max(node.operations_per_ciphertext, 1)
+                    operations = linear_macs(node.ciphertexts, node.operations_per_ciphertext)
                     node_time = operations * self.INTEGER_MAC_COST * (params.n + 1) / linear_rate
                 else:
                     per_item = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.params import PARAM_SET_I, TFHEParameters
 from repro.sim.fragments import blind_rotation_fragments, fragmented_execution_time
-from repro.sim.graph import ComputationGraph, NodeKind
+from repro.sim.graph import ComputationGraph, NodeKind, linear_macs
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class NuFheGpuModel:
             level_time = 0.0
             for node in level:
                 if node.kind is NodeKind.LINEAR:
-                    operations = node.ciphertexts * max(node.operations_per_ciphertext, 1)
+                    operations = linear_macs(node.ciphertexts, node.operations_per_ciphertext)
                     node_time = operations * (params.n + 1) / linear_rate
                 else:
                     node_time = fragmented_execution_time(

@@ -11,8 +11,8 @@ Two orthogonal seams, both string-registered and pluggable:
   keyswitch overlap and epoch fragmentation become visible in serving
   latency.  :class:`ScheduleCache` (:mod:`repro.sched.memo`) memoizes the
   event model by request-mix signature × parameter set × device geometry,
-  so repeated batch shapes price in dictionary-lookup time — the cluster
-  wraps ``cost_model="event"`` in it automatically.
+  so repeated batch shapes price in dictionary-lookup time — it is what
+  the registry builds for ``"event"``.
 * **Placement layouts** (:mod:`repro.sched.layouts`) decide *where* work
   lands on the cluster: :class:`DataParallelLayout` (every device runs every
   layer; one batch → one device), :class:`PipelineLayout` (stage-per-device

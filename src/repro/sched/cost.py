@@ -32,7 +32,13 @@ from repro.errors import UnknownCostModelError
 from repro.params import TFHEParameters
 from repro.registry import Registry
 from repro.sim.compiler import compile_netlist
-from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind, ScheduleProgram
+from repro.sim.graph import (
+    ComputationGraph,
+    ComputationNode,
+    NodeKind,
+    ScheduleProgram,
+    linear_macs,
+)
 from repro.sim.scheduler import StrixScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -76,7 +82,7 @@ def batch_mix_signature(batch: "Batch") -> tuple:
     counts, per-ciphertext operations, dependencies *and node order* —
     because both functions read the same
     :attr:`~repro.serve.batcher.Batch.request_mix` buckets (model requests
-    sorted into signature order, classified once per batch by the batcher).
+    sorted into signature order, classified once, when the batch is built).
     Request ids, tenants and arrival times deliberately do not appear: they
     never influence the graph shape, so the event model's schedule cache
     (:class:`repro.sched.memo.ScheduleCache`) keys a batch with inference
@@ -173,7 +179,7 @@ def _model_linear_seconds(models: tuple, params: TFHEParameters, macs_per_s: flo
     for kind, ciphertexts, operations, depends_on in _lowered_models(models, 0, params)[1]:
         after_pbs.append(kind != "linear" or any(map(after_pbs.__getitem__, depends_on)))
         if not after_pbs[-1]:
-            seconds.append(ciphertexts * (operations if operations > 1 else 1) / macs_per_s)
+            seconds.append(linear_macs(ciphertexts, operations) / macs_per_s)
     return tuple(seconds)
 
 
@@ -242,18 +248,8 @@ class AnalyticalCostModel(CostModel):
     def batch_cost(
         self, batch: "Batch", params: TFHEParameters, device: "StrixDevice"
     ) -> BatchCost:
-        accelerator = device.accelerator
-        pbs_s = accelerator.pbs_batch_time_ms(params, batch.total_pbs) / 1e3
-        linear_s = (
-            batch.linear_items
-            * params.n
-            / StrixScheduler.linear_macs_per_second(accelerator.config)
-        )
-        return BatchCost(
-            pbs_s + linear_s,
-            batch.total_pbs,
-            -(-batch.total_pbs // accelerator.epoch_capacity(params)),
-            {"pbs_s": pbs_s, "linear_s": linear_s},
+        return self._closed_form(
+            batch.total_pbs, linear_macs(batch.request_mix[0], params.n), params, device
         )
 
     def stage_cost(
@@ -262,17 +258,23 @@ class AnalyticalCostModel(CostModel):
         params: TFHEParameters,
         device: "StrixDevice",
     ) -> BatchCost:
-        accelerator = device.accelerator
-        pbs = stage_graph.total_pbs()
-        pbs_s = accelerator.pbs_batch_time_ms(params, pbs) / 1e3 if pbs else 0.0
-        linear_s = stage_graph.total_linear_operations() / (
-            StrixScheduler.linear_macs_per_second(accelerator.config)
+        return self._closed_form(
+            stage_graph.total_pbs(), stage_graph.total_linear_operations(), params, device
         )
+
+    @staticmethod
+    def _closed_form(
+        pbs: int, macs: int, params: TFHEParameters, device: "StrixDevice"
+    ) -> BatchCost:
+        """``pbs`` bootstraps streamed as epochs, then ``macs`` on the linear unit."""
+        accelerator = device.accelerator
+        pbs_s = accelerator.pbs_batch_time_ms(params, pbs) / 1e3
+        linear_s = macs / StrixScheduler.linear_macs_per_second(accelerator.config)
         return BatchCost(
-            compute_s=pbs_s + linear_s,
-            pbs=pbs,
-            epochs=-(-pbs // accelerator.epoch_capacity(params)),
-            breakdown={"pbs_s": pbs_s, "linear_s": linear_s},
+            pbs_s + linear_s,
+            pbs,
+            -(-pbs // accelerator.epoch_capacity(params)),
+            {"pbs_s": pbs_s, "linear_s": linear_s},
         )
 
 
@@ -284,6 +286,11 @@ class EventDrivenCostModel(CostModel):
     fragmentation across a model's dependency levels, and linear work
     overlapping blind rotation on its own resource — at the cost of one
     scheduler run per batch.
+
+    This is the unmemoized oracle: ``"event"`` by name resolves to the
+    memoized :class:`~repro.sched.memo.ScheduleCache`, which prices its
+    misses with one of these, and an instance passed as a cost model
+    bypasses the cache.
     """
 
     name = "event"
@@ -310,8 +317,10 @@ class EventDrivenCostModel(CostModel):
         )
 
 
+#: ``"event"`` is registered by :mod:`repro.sched.memo`, as the memoized
+#: :class:`~repro.sched.memo.ScheduleCache`.
 _COST_MODELS: Registry[CostModel] = Registry(
-    UnknownCostModelError, CostModel, (AnalyticalCostModel, EventDrivenCostModel)
+    UnknownCostModelError, CostModel, (AnalyticalCostModel,)
 )
 
 #: Names of all registered cost models, sorted.

@@ -24,9 +24,9 @@ keyed on everything the simulation can observe:
 
 A model-free batch is at most a LINEAR op and a PBS+KS op that share no unit
 and no dependency, so its makespan is the later of the PBS op's and
-``linear_items * n / linear_macs_per_second`` — the float the scheduler
-books for a LINEAR op from 0.0 — and the linear side is priced on the way
-out of the cache, not keyed.  A batch with inference requests is keyed as its
+``linear_macs(linear_items, n) / linear_macs_per_second`` — the float the
+scheduler books for a LINEAR op from 0.0 — and the linear side is priced on
+the way out of the cache, not keyed.  A batch with inference requests is keyed as its
 linear-free twin ``(0, simple_pbs, models)`` when its linear side ends before
 any core ends its share of the PBS+KS op's first epoch, which fills every core.
 
@@ -38,12 +38,13 @@ data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), and eviction can never change a result, only
 cost a recomputation.
 
-The cluster replaces ``cost_model="event"``, given by name, with a
-:class:`ScheduleCache` of :data:`DEFAULT_COST_CACHE_CAPACITY` entries
-automatically (a cost-model instance is used as given, so passing
-``EventDrivenCostModel()`` or a sized ``ScheduleCache`` is how to bypass or
-size it), which is what makes the faithful model affordable as a serving
-default — see ``docs/performance.md``.
+This module registers :class:`ScheduleCache` as the cost model named
+``"event"``, so ``get_cost_model("event")`` — and every ``cost_model="event"``
+given by name — is already memoized, in :data:`DEFAULT_COST_CACHE_CAPACITY`
+entries.  A cost-model instance is used as given: ``EventDrivenCostModel()``
+is the unmemoized bypass and ``ScheduleCache(capacity=n)`` a sized cache.
+That is what makes the faithful model affordable as a serving default — see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.params import TFHEParameters
 from repro.sched.cost import BatchCost, CostModel, EventDrivenCostModel, batch_mix_signature
-from repro.sched.cost import _model_linear_seconds
-from repro.sim.graph import ComputationGraph, NodeKind, ScheduleProgram
+from repro.sched.cost import _COST_MODELS, _model_linear_seconds
+from repro.sim.graph import ComputationGraph, NodeKind, ScheduleProgram, linear_macs
 from repro.sim.scheduler import StrixScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -91,9 +92,10 @@ def graph_signature(graph: ComputationGraph) -> tuple:
 class ScheduleCache(CostModel):
     """LRU-memoized event-driven pricing: repeated shapes price as a dict lookup.
 
-    Caches :class:`EventDrivenCostModel` results.  The cache is transparent
-    — :attr:`name` is the event model's registry name, so serving reports
-    and config round-trips are unchanged — and exact: memoized results are
+    Caches :class:`EventDrivenCostModel` results, and is what the registry
+    builds for ``"event"``.  The cache is transparent — :attr:`name` is the
+    event model's, so serving reports and config round-trips read
+    ``"event"`` either way — and exact: memoized results are
     bit-for-bit equal to what the event model would have returned, for every
     layout (whole batches and pipeline stages).
     """
@@ -136,7 +138,7 @@ class ScheduleCache(CostModel):
         linear_items, simple_pbs, models = signature = batch_mix_signature(batch)
         config = device.accelerator.config
         linear_macs_per_second = StrixScheduler.linear_macs_per_second(config)
-        linear_s = linear_items * params.n / linear_macs_per_second  # booked from 0.0
+        linear_s = linear_macs(linear_items, params.n) / linear_macs_per_second  # from 0.0
         if models:
             if linear_items and simple_pbs >= config.tvlp:
                 # Once the models' PBS-free LINEAR ops are booked too: if no core
@@ -188,3 +190,6 @@ class ScheduleCache(CostModel):
             "evictions": self.evictions,
             "entries": len(self._entries),
         }
+
+
+_COST_MODELS.register(ScheduleCache.name, ScheduleCache)

@@ -35,8 +35,7 @@ completion tracking without saving any cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -65,12 +64,25 @@ class Batch:
     copy with ``attempt`` incremented, so retries are distinguishable in
     traces without a new identity.
 
-    The derived totals and the request mix below are computed on first read
-    and kept (the batch is frozen and its requests are a tuple) — or handed
-    over by :meth:`AdaptiveBatcher._take`, which summed and bucketed them
-    while popping; they are not fields, so ``==``, ``repr`` and
-    ``dataclasses.replace`` see only the five fields and a replaced copy
-    derives its own.
+    The batch's shape is derived once, at construction, in one pass over its
+    requests: ``total_items`` (batchable items), ``total_pbs`` (bootstraps
+    on the accelerator), ``tenants`` (distinct tenants) and ``request_mix``.
+    They are not ``__init__`` arguments and take no part in ``==`` or
+    ``repr``, so a ``dataclasses.replace`` copy derives its own.
+
+    ``request_mix`` is ``(PBS-free items, fixed-cost PBS, model requests)``:
+    the buckets the cost models lower to one LINEAR node, one fused PBS+KS
+    node and a layer subgraph per model request.
+    :func:`repro.sched.cost.batch_program` and its cache signature
+    :func:`repro.sched.cost.batch_mix_signature` both read them, so the key
+    cannot drift from the ops it stands for.  The model requests are sorted
+    by ``(model, items)``, which makes the signature → schedule mapping a
+    *function*: the cycle-level scheduler books shared resources in op
+    order, so two batches whose inference requests arrived in different
+    orders would otherwise schedule to (slightly) different makespans
+    despite equal signatures.  The sort is stable, so batches whose model
+    requests share one ``(model, items)`` shape — every trace the benchmarks
+    replay — are lowered in arrival order.
     """
 
     batch_id: int
@@ -78,63 +90,39 @@ class Batch:
     created_s: float
     flush_reason: str
     attempt: int = 0
+    total_items: int = field(init=False, repr=False, compare=False)
+    total_pbs: int = field(init=False, repr=False, compare=False)
+    tenants: frozenset[str] = field(init=False, repr=False, compare=False)
+    request_mix: tuple[int, int, tuple[Request, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a batch must contain at least one request")
-
-    @cached_property
-    def total_items(self) -> int:
-        """Batchable items across the batch's requests."""
-        return sum(request.items for request in self.requests)
-
-    @cached_property
-    def total_pbs(self) -> int:
-        """Bootstraps the batch costs on the accelerator."""
-        return sum(request.total_pbs for request in self.requests)
-
-    @cached_property
-    def linear_items(self) -> int:
-        """Items of the PBS-free requests (host-side linear work only)."""
-        return sum(request.items for request in self.requests if request.pbs_per_item == 0)
-
-    @cached_property
-    def tenants(self) -> frozenset[str]:
-        """Distinct tenants sharing the batch."""
-        return frozenset(request.tenant for request in self.requests)
-
-    @cached_property
-    def request_mix(self) -> tuple[int, int, tuple[Request, ...]]:
-        """The requests bucketed the way the cost models lower them.
-
-        Total PBS-free items (→ one LINEAR node), total fixed-cost PBS (→
-        one fused PBS+KS node), and the model-carrying requests that each
-        expand to a per-request layer subgraph, sorted by ``(model, items)``.
-        :func:`repro.sched.cost.batch_program` and its cache signature
-        :func:`repro.sched.cost.batch_mix_signature` both read these buckets,
-        so the key cannot drift from the ops it stands for.
-
-        The sort is what makes the signature → schedule mapping a
-        *function*: the cycle-level scheduler books shared resources in
-        op order, so two batches whose inference requests arrived in
-        different orders would otherwise lower to differently-ordered
-        op lists and schedule to (slightly) different
-        makespans despite equal signatures.  Sorting is stable, so batches
-        whose model requests already share one ``(model, items)`` shape —
-        every trace the benchmarks replay — are lowered in arrival order.
-        """
-        linear_items = 0
-        simple_pbs = 0
+        items = pbs = linear_items = simple_pbs = 0
+        tenants = set()
         model_requests = []
         for request in self.requests:
+            items += request.items
+            tenants.add(request.tenant)
             if request.pbs_per_item == 0:
                 linear_items += request.items
-            elif request.model is None:
-                simple_pbs += request.total_pbs
+                continue
+            request_pbs = request.total_pbs
+            pbs += request_pbs
+            if request.model is None:
+                simple_pbs += request_pbs
             else:
                 model_requests.append(request)
         model_requests.sort(key=_mix_order)
-        return linear_items, simple_pbs, tuple(model_requests)
+        # The dataclass is frozen: the derived shape bypasses its __setattr__.
+        self.__dict__.update(
+            total_items=items,
+            total_pbs=pbs,
+            tenants=frozenset(tenants),
+            request_mix=(linear_items, simple_pbs, tuple(model_requests)),
+        )
 
     def fill_fraction(self, capacity: int) -> float:
         """Occupancy of the batch relative to a capacity (may exceed 1)."""
@@ -310,10 +298,9 @@ class AdaptiveBatcher:
         """
         fair, capacity = self.qos == "fair", self.capacity_items
         taken: list[Request] = []
-        in_batch: dict[str, int] = {}
+        items = 0
+        in_batch: dict[str, int] = {}  # items per tenant, kept under fair queuing
         caps = self._tenant_caps(queue) if fair else {}
-        items = pbs = linear_items = model_pbs = 0
-        model_requests: list[Request] = []
         for _ in range(len(queue)):  # every pass pops one request or closes the batch
             head = self._fair_head(queue, in_batch, caps) if fair else queue.oldest()
             if head is None:
@@ -333,16 +320,9 @@ class AdaptiveBatcher:
                 start = max(self._virtual_finish.get(tenant, 0.0), self._virtual_clock)
                 self._virtual_clock = start
                 self._virtual_finish[tenant] = start + size / self._weight(tenant)
+                in_batch[tenant] = in_batch.get(tenant, 0) + size
             taken.append(head)
-            in_batch[tenant] = in_batch.get(tenant, 0) + size
             items += size
-            if head.pbs_per_item:
-                pbs += size * head.pbs_per_item
-                if head.model is not None:
-                    model_requests.append(head)
-                    model_pbs += size * head.pbs_per_item
-            else:
-                linear_items += size
             if items >= capacity:
                 break
         left = queue.oldest() if queue else None
@@ -354,17 +334,6 @@ class AdaptiveBatcher:
             requests=tuple(taken),
             created_s=now,
             flush_reason=reason,
-        )
-        # The loop above already summed and bucketed what the cached
-        # properties would walk the batch again for, one first read each.
-        if len(model_requests) > 1:
-            model_requests.sort(key=_mix_order)
-        vars(batch).update(
-            total_items=items,
-            total_pbs=pbs,
-            linear_items=linear_items,
-            tenants=frozenset(in_batch),
-            request_mix=(linear_items, pbs - model_pbs, tuple(model_requests)),
         )
         self.batches_flushed += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1

@@ -43,14 +43,13 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.params import PARAM_SET_I, TFHEParameters
 from repro.runtime.result import RunResult
 from repro.runtime.workload import WorkloadLike, resolve_params
-from repro.sched.cost import CostModel, EventDrivenCostModel, get_cost_model
+from repro.sched.cost import CostModel, get_cost_model
 from repro.sched.layouts import (
     DeviceShardResult,
     Dispatch,
     PlacementLayout,
     get_layout,
 )
-from repro.sched.memo import ScheduleCache
 from repro.serve.batcher import Batch
 from repro.serve.sharding import ShardingPolicy, get_policy
 from repro.sim.scheduler import StrixScheduler
@@ -125,12 +124,13 @@ class StrixCluster:
         :class:`~repro.arch.key_cache.PinnedTenantPolicy` with a pinned
         set — is used as given.
 
-        A ``cost_model`` given by *name* comes from the registry, and
-        ``"event"`` is replaced by a :class:`~repro.sched.memo.ScheduleCache`
-        of :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY` entries
+        A ``cost_model`` given by *name* comes from the registry, where
+        ``"event"`` is already memoized: a
+        :class:`~repro.sched.memo.ScheduleCache` of
+        :data:`~repro.sched.memo.DEFAULT_COST_CACHE_CAPACITY` entries
         (memoized batch pricing is bit-for-bit identical).  A cost-model
         *instance* is used as given: ``EventDrivenCostModel()`` is the
-        unmemoized model, ``ScheduleCache(capacity=n)`` a sized one.
+        unmemoized bypass, ``ScheduleCache(capacity=n)`` a sized cache.
         """
         if devices < 1:
             raise ValueError("a cluster needs at least one device")
@@ -141,8 +141,6 @@ class StrixCluster:
         #: installed by :meth:`repro.serve.Server.enable_tracing`.
         self.tracer = None
         self.cost_model = get_cost_model(cost_model)
-        if isinstance(cost_model, str) and isinstance(self.cost_model, EventDrivenCostModel):
-            self.cost_model = ScheduleCache()
         #: Fault resolver (active only when a non-empty schedule is given).
         self.faults = FaultInjector(
             faults if faults is not None else FaultSchedule.empty(),

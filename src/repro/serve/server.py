@@ -92,9 +92,11 @@ class ServeConfig:
         :class:`~repro.sched.cost.CostModel` instance — ``"event"`` runs
         the cycle-level scheduler on every batch's real graph, so keyswitch
         overlap and epoch fragmentation show up in serving latency.  By
-        name, ``"event"`` is memoized (the report's ``cost_cache`` counters
-        surface hits/misses/evictions); an instance is used as given — see
-        :class:`~repro.serve.cluster.StrixCluster` and
+        name, ``"event"`` comes from the registry already memoized, as a
+        :class:`~repro.sched.memo.ScheduleCache` (the report's
+        ``cost_cache`` counters surface hits/misses/evictions); an instance
+        is used as given, so ``EventDrivenCostModel()`` is the unmemoized
+        bypass — see :class:`~repro.serve.cluster.StrixCluster` and
         ``docs/performance.md``.
     key_budget_bytes:
         Per-device HBM budget for resident tenant key sets; ``None``

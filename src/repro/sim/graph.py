@@ -61,6 +61,16 @@ class ComputationNode:
         return 0
 
 
+def linear_macs(ciphertexts: int, operations: int) -> int:
+    """Multiply-accumulates of a ``LINEAR`` op: ``operations`` per ciphertext, at least one.
+
+    A 0-operation node (a copy or a sum of one) still streams each ciphertext
+    through the vector pipeline once.  The scheduler books this, and every
+    closed form that prices linear work reads it.
+    """
+    return ciphertexts * (operations if operations > 1 else 1)
+
+
 class ScheduleProgram(NamedTuple):
     """A workload as the op list :class:`~repro.sim.scheduler.StrixScheduler` books.
 
@@ -187,9 +197,9 @@ class ComputationGraph:
         return sum(node.pbs_count() for node in self._nodes.values())
 
     def total_linear_operations(self) -> int:
-        """Total linear multiply-accumulate operations across the graph."""
+        """Total linear multiply-accumulate operations across the graph (:func:`linear_macs`)."""
         return sum(
-            node.ciphertexts * node.operations_per_ciphertext
+            linear_macs(node.ciphertexts, node.operations_per_ciphertext)
             for node in self._nodes.values()
             if node.kind is NodeKind.LINEAR
         )

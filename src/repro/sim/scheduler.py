@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import TFHEParameters
-from repro.sim.graph import ComputationGraph, ScheduleProgram
+from repro.sim.graph import ComputationGraph, ScheduleProgram, linear_macs
 
 _new_tuple = tuple.__new__
 
@@ -170,7 +170,7 @@ class StrixScheduler:
                     ready = finish[dependency]
             if kind == "linear":
                 start = ready if ready > linear_free else linear_free
-                macs = ciphertexts * (operations if operations > 1 else 1)
+                macs = linear_macs(ciphertexts, operations)
                 end = linear_free = start + macs / linear_macs_per_second
                 epochs = 0
             else:

@@ -7,8 +7,9 @@ it is now a stored window the batcher owns.  While nothing but a flush
 removes the head the two are the same number (the first machine), and where
 they differ — something else evicts the head — the old rule's deadline ran
 away from the flush and the new one may not (the second machine).  Likewise
-a batch's totals used to be summed from its requests on first read; `_take`
-now hands over what it summed while popping, and both must agree.
+a batch's shape (its totals, tenants and request mix) is derived once, when
+the batch is built; every batch the batcher flushes must carry what summing its
+requests one total at a time gives.
 """
 
 from __future__ import annotations
@@ -214,59 +215,19 @@ def test_shed_oldest_sustains_goodput_under_sustained_overload():
 # -- one walk, same numbers ---------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    qos=_QOS,
-    pushes=st.lists(
-        st.tuples(
-            _TENANTS,
-            st.sampled_from([1, 2, 3, 5, 40]),  # 40 > CAPACITY: ships alone
-            st.sampled_from([None, 0.5e-3, 5e-3]),
-            _KINDS,
+def spec_shape(requests):
+    """A batch's shape from its requests, one sum per total: what `Batch` derives."""
+    models = [r for r in requests if r.pbs_per_item and r.model is not None]
+    return {
+        "total_items": sum(r.items for r in requests),
+        "total_pbs": sum(r.total_pbs for r in requests),
+        "tenants": frozenset(r.tenant for r in requests),
+        "request_mix": (
+            sum(r.items for r in requests if not r.pbs_per_item),
+            sum(r.total_pbs for r in requests if r.pbs_per_item and r.model is None),
+            tuple(sorted(models, key=lambda r: (r.model, r.items))),
         ),
-        min_size=1,
-        max_size=12,
-    ),
-    late=st.sampled_from([0.0, 1e-3, 1.0]),
-)
-def test_take_hands_the_batch_the_totals_a_fresh_batch_derives(qos, pushes, late):
-    expired: list[Request] = []
-    queue, batcher = RequestQueue(), _batcher(qos, on_expired=expired.append)
-    for request_id, (tenant, items, budget, kind) in enumerate(pushes):
-        queue.push(_request(request_id, tenant, items, 0.0, budget, kind))
-    batches = batcher.drain(queue, now=late)
-    assert sorted(
-        [r.request_id for b in batches for r in b.requests] + [r.request_id for r in expired]
-    ) == list(range(len(pushes)))
-    if late == 1.0 and all(budget is not None for _, _, budget, _ in pushes):
-        assert batches == []  # every take expired all its candidates
-    for batch in batches:
-        handed = vars(batch)
-        assert {"total_items", "total_pbs", "linear_items", "tenants"} <= set(handed)
-        fresh = Batch(batch.batch_id, batch.requests, batch.created_s, batch.flush_reason)
-        assert batch == fresh and repr(batch) == repr(fresh)
-        assert handed["total_items"] == sum(r.items for r in batch.requests)
-        assert handed["total_pbs"] == sum(r.total_pbs for r in batch.requests)
-        assert handed["tenants"] == frozenset(r.tenant for r in batch.requests)
-        assert handed["linear_items"] == fresh.linear_items == fresh.request_mix[0]
-        assert batch.request_mix == fresh.request_mix
-        if len(batch.requests) > 1:
-            assert batch.total_items <= CAPACITY
-
-        # The fault injector's retry path: the copy carries the five fields
-        # only and derives its own totals.
-        replayed = replace(batch, attempt=1)
-        assert replayed == replace(fresh, attempt=1)
-        assert not {"total_items", "total_pbs", "linear_items", "tenants"} & set(vars(replayed))
-        assert (replayed.total_items, replayed.total_pbs, replayed.tenants) == (
-            batch.total_items,
-            batch.total_pbs,
-            batch.tenants,
-        )
-
-
-#: What `_take` hands a batch instead of leaving it to the cached properties.
-HANDED_OVER = ("total_items", "total_pbs", "linear_items", "tenants", "request_mix")
+    }
 
 
 @settings(deadline=None)
@@ -275,7 +236,7 @@ HANDED_OVER = ("total_items", "total_pbs", "linear_items", "tenants", "request_m
     steps=st.lists(
         st.tuples(
             _TENANTS,
-            st.integers(1, 6),
+            st.sampled_from([1, 2, 3, 5, 40]),  # 40 > CAPACITY: ships alone
             _GAPS,
             st.sampled_from([None, 0.5e-3, 5e-3]),  # relative deadline_s
             st.sampled_from(
@@ -293,10 +254,12 @@ HANDED_OVER = ("total_items", "total_pbs", "linear_items", "tenants", "request_m
     ),
     late=st.sampled_from([0.0, 1e-3, 1.0]),
 )
-def test_take_hands_over_what_a_replaced_batch_derives(qos, steps, late):
+def test_every_flushed_batch_carries_what_its_requests_derive(qos, steps, late):
     """Every batch `_take` flushes, by a full queue, a deadline or the drain,
-    carries the request mix and totals a copy of it derives for itself."""
-    queue, batcher = RequestQueue(), _batcher(qos)
+    carries the shape its requests derive, as does a `Batch` built from them
+    and a `dataclasses.replace` copy; every request ships or expires once."""
+    expired: list[Request] = []
+    queue, batcher = RequestQueue(), _batcher(qos, on_expired=expired.append)
     batches: list[Batch] = []
     now = 0.0
     for request_id, (tenant, items, gap, budget, (kind, model)) in enumerate(steps):
@@ -314,11 +277,23 @@ def test_take_hands_over_what_a_replaced_batch_derives(qos, steps, late):
             )
         )
     batches += batcher.drain(queue, now + late)
+    assert sorted(
+        [r.request_id for b in batches for r in b.requests] + [r.request_id for r in expired]
+    ) == list(range(len(steps)))
+    if late == 1.0 and all(budget is not None for _, _, _, budget, _ in steps):
+        # Every request still queued has expired: the drain ships nothing.
+        assert all(batch.flush_reason != "drain" for batch in batches)
     for batch in batches:
-        handed = {name: vars(batch)[name] for name in HANDED_OVER}
-        derived = replace(batch)
-        assert not set(HANDED_OVER) & set(vars(derived))
-        assert handed == {name: getattr(derived, name) for name in HANDED_OVER}
+        spec = spec_shape(batch.requests)
+        fresh = Batch(batch.batch_id, batch.requests, batch.created_s, batch.flush_reason)
+        # The fault injector's retry path: the copy derives its own shape.
+        replayed = replace(batch, attempt=1)
+        assert batch == fresh and repr(batch) == repr(fresh)
+        assert replayed == replace(fresh, attempt=1)
+        for derived in (batch, fresh, replayed):
+            assert {name: getattr(derived, name) for name in spec} == spec
+        if len(batch.requests) > 1:
+            assert batch.total_items <= CAPACITY
 
 
 @pytest.mark.parametrize("qos", ["fifo", "fair"])

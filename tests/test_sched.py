@@ -39,6 +39,7 @@ from repro.sched import (
 from repro.serve import Request, Server, StrixCluster
 from repro.serve.batcher import Batch
 from repro.serve.sharding import get_policy
+from repro.sim.graph import ComputationGraph
 from repro.sim.scheduler import StrixScheduler
 
 
@@ -170,6 +171,24 @@ def test_analytical_batch_cost_matches_closed_form():
     assert cost.pbs == 48
     assert cost.breakdown["pbs_s"] == pbs_s
     assert cost.breakdown["linear_s"] == linear_s
+
+
+def test_analytical_stage_prices_linear_ops_as_the_scheduler_books_them():
+    """A LINEAR op is ``ciphertexts × max(operations, 1)`` MACs in every pricer:
+    a 0-operation node still streams each ciphertext through the linear unit."""
+    params = PARAM_SET_I
+    device = StrixCluster(devices=1).devices[0]
+    graph = ComputationGraph(params, name="linear-only")
+    graph.add_linear_layer("copy", ciphertexts=7, operations_per_ciphertext=0)
+    graph.add_linear_layer("dot", ciphertexts=5, operations_per_ciphertext=3)
+    booked = device.scheduler.run(graph)
+    assert [node.duration_s > 0 for node in booked.node_schedules] == [True, True]
+    cost = AnalyticalCostModel().stage_cost(graph, params, device)
+    assert cost.pbs == cost.epochs == 0
+    assert cost.breakdown["pbs_s"] == 0.0
+    assert cost.breakdown["linear_s"] == pytest.approx(booked.total_time_s, rel=1e-12)
+    macs_per_s = StrixScheduler.linear_macs_per_second(device.accelerator.config)
+    assert cost.breakdown["linear_s"] == (7 * 1 + 5 * 3) / macs_per_s
 
 
 def test_event_cost_equals_scheduler_on_batch_graph():
