@@ -35,9 +35,12 @@ completion tracking without saving any cycles.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate, islice
+from operator import attrgetter, le
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.serve.queue import RequestQueue
 from repro.serve.request import Request
@@ -214,6 +217,71 @@ class AdaptiveBatcher:
                 batches.append(batch)
         return batches
 
+    def replay(self, queue: RequestQueue, requests: Sequence[Request]) -> Iterator[Batch]:
+        """Flush a whole trace one window at a time: every batch :meth:`poll`
+        would flush, in order, were each request pushed onto the empty
+        ``queue`` at its arrival and polled there and at each deadline, with
+        nothing but the two triggers deciding (no admission, no queue bound).
+
+        Under FIFO the queue is then always a contiguous slice ``[head,
+        tail)`` of the trace, so each flush is found from two columns — the
+        arrival times and the prefix sums of ``items`` — with no push per
+        request.  The next ``full`` flush is at the first arrival whose push
+        brings the slice to capacity, counted from the head (an oversized
+        head fills a batch alone); the next ``deadline`` flush is at the
+        window's anchor plus ``max_delay_s``, unless that arrival comes
+        first.  Each take walks its own slice as :meth:`_take` does, handing
+        expired requests to ``on_expired``.  The queue ends empty with the
+        depth statistics the pushes would have left.
+        """
+        if self.qos != "fifo" or queue:
+            raise ValueError("a whole-trace replay takes FIFO batching and an empty queue")
+        arrivals = array("d", map(attrgetter("arrival_s"), requests))
+        if requests and not (
+            0.0 <= arrivals[0]
+            and arrivals[-1] < math.inf
+            and all(map(le, arrivals, islice(arrivals, 1, None)))
+        ):  # written so that a NaN fails it too
+            raise ValueError(
+                "a simulated run takes requests in non-decreasing, finite arrival_s order from 0"
+            )
+        ends = array("q", accumulate(map(attrgetter("items"), requests), initial=0))
+        count, capacity, delay = len(requests), self.capacity_items, self.max_delay_s
+        head = tail = peak = 0
+        while head < count:
+            tail = max(tail, head + 1)  # an empty queue: the next arrival opens the window
+            deadline = arrivals[head] + delay
+            full = bisect_left(ends, ends[head] + capacity, tail) - 1
+            if full < count and (arrivals[full] < deadline or full == head):
+                now, reason, tail = arrivals[full], "full", full + 1
+            else:  # every arrival before the deadline joins the window
+                now, reason = deadline, "deadline"
+                tail = bisect_left(arrivals, deadline, tail)
+            peak = max(peak, tail - head)
+            while True:  # what a full take left may be full again
+                taken, items = [], 0
+                for head in range(head, tail):
+                    if items >= capacity:
+                        break
+                    request = requests[head]
+                    if request.expired(now):
+                        if self.on_expired is not None:
+                            self.on_expired(request)
+                    elif taken and items + request.items > capacity:
+                        break
+                    else:
+                        taken.append(request)
+                        items += request.items
+                else:
+                    head = tail
+                batch = self._flush(tuple(taken), now, reason)
+                if batch is not None:
+                    yield batch
+                if ends[tail] - ends[head] < capacity:
+                    break
+        queue.total_enqueued += count
+        queue.peak_depth = max(queue.peak_depth, peak)
+
     def drain(self, queue: RequestQueue, now: float) -> list[Batch]:
         """Flush everything still queued (end of a simulation / shutdown)."""
         batches: list[Batch] = []
@@ -327,11 +395,17 @@ class AdaptiveBatcher:
                 break
         left = queue.oldest() if queue else None
         self.deadline_s = math.inf if left is None else left.arrival_s + self.max_delay_s
-        if not taken:
+        return self._flush(tuple(taken), now, reason)
+
+    def _flush(self, requests: tuple[Request, ...], now: float, reason: str) -> Batch | None:
+        """Number, count and announce the batch of ``requests`` flushed at
+        ``now`` (``None`` when every candidate had expired) — the end of
+        every take, :meth:`_take`'s and :meth:`replay`'s."""
+        if not requests:
             return None
         batch = Batch(
             batch_id=self.batches_flushed,
-            requests=tuple(taken),
+            requests=requests,
             created_s=now,
             flush_reason=reason,
         )

@@ -39,7 +39,7 @@ import math
 import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.arch.config import StrixClusterConfig
 from repro.arch.key_cache import KeyEvictionPolicy
@@ -362,6 +362,17 @@ class ServingRun:
             self._serve(batcher.poll, arrival)
         if self.clock is not None:
             self._arm()
+
+    def _replay(self, requests: Sequence[Request]) -> None:
+        """Dispatch what :meth:`AdaptiveBatcher.replay` flushes from a whole
+        trace sorted by arrival — the pass :meth:`Server.simulate` takes on
+        the fresh run it opened when nothing but the batcher's two triggers
+        decides a flush."""
+        for batch in self.batcher.replay(self.queue, requests):
+            self._dispatch(batch)
+        if requests:
+            self._last_arrival = requests[-1].arrival_s
+            self.server._clock = max(self.server._clock, self._last_arrival)
 
     def drain(self) -> None:
         """Empty the queue: the end-of-trace step, also allowed mid-stream.
@@ -863,7 +874,10 @@ class Server:
         flushed batch goes to the device the sharding policy picks and
         occupies it for the batch's service time.  Requests the admission
         policy rejects are counted in the report's ``overload`` block and
-        the trace moves on.
+        the trace moves on.  A FIFO server with no admission policy, queue
+        bound, fault schedule or tracer serves the trace one flush window at
+        a time (:meth:`AdaptiveBatcher.replay`); every other configuration
+        offers it request by request, with the same report.
         """
         self._require_idle()
         staged = []
@@ -872,12 +886,23 @@ class Server:
         if trace is None:
             trace = staged
         run = ServingRun(self, label)
+        config = self.config
         try:
-            for request in sorted(trace, key=lambda request: request.arrival_s):
-                try:
-                    run.offer(request)
-                except RequestRejectedError:
-                    pass
+            requests = sorted(trace, key=lambda request: request.arrival_s)
+            if (
+                config.qos == "fifo"
+                and not self.flow.enabled
+                and config.queue_capacity is None
+                and not self.cluster.faults.active
+                and self.tracer is None
+            ):
+                run._replay(requests)
+            else:
+                for request in requests:
+                    try:
+                        run.offer(request)
+                    except RequestRejectedError:
+                        pass
             return run.finish()
         finally:
             # A crash mid-trace (e.g. a user policy raising in ``select``)

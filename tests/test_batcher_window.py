@@ -15,6 +15,7 @@ requests one total at a time gives.
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.flow import RequestRejectedError
 from repro.serve import AdaptiveBatcher, Request, RequestQueue, Server
 from repro.serve.batcher import Batch
 from repro.serve.request import RequestKind
+from repro.serve.server import ServingRun
 
 MAX_DELAY_S = 2e-3
 CAPACITY = 8
@@ -296,37 +298,34 @@ def test_every_flushed_batch_carries_what_its_requests_derive(qos, steps, late):
             assert batch.total_items <= CAPACITY
 
 
-@pytest.mark.parametrize("qos", ["fifo", "fair"])
-def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
+def assert_whole_trace_equals_streamed_offers(trace, **config):
     """``simulate(trace)`` against ``begin_run`` + one ``offer`` per request +
-    ``finish``: the one ``_dispatch`` loop feeds the outcomes, both latency
-    histograms and the report, and all of them must read the same."""
-    trace = heavy_tail_trace(3000.0, 0.2, seed=11, tenants=5)
-    config = dict(
-        devices=2, params="I", qos=qos, admission="reject-newest", queue_capacity=48
-    )
+    ``finish`` on a twin server: the report, every outcome tuple, every drop
+    (with its kind and reason) and the whole metrics registry must read the
+    same, whichever pass ``simulate`` takes.  ``NetServer`` replays a trace
+    through ``offer``, so this is also a trace over TCP against the same trace
+    in process."""
+    drops: dict[str, list] = {"whole": [], "streamed": []}
+    drop = ServingRun._drop
+
+    def recording_drop(run, request, kind, what):
+        drops[run.label].append((request, kind, what))
+        drop(run, request, kind, what)
+
     whole, streamed = Server(**config), Server(**config)
-    report = whole.simulate(trace, label="t")
-    run = streamed.begin_run("t")
-    for request in sorted(trace, key=lambda request: request.arrival_s):
-        try:
-            run.offer(request)
-        except RequestRejectedError:
-            pass
-    streamed_report = run.finish()
-    assert streamed_report.to_dict() == report.to_dict()
-    assert len(report.outcomes) == report.metrics.requests > 0
-
-    def per_tenant(outcomes):
-        served: dict[str, list[int]] = {}
-        for request in (outcome.request for outcome in outcomes):
-            counts = served.setdefault(request.tenant, [0, 0, 0])
-            counts[0] += 1
-            counts[1] += request.items
-            counts[2] += request.total_pbs
-        return served
-
-    assert per_tenant(streamed_report.outcomes) == per_tenant(report.outcomes)
+    with patch.object(ServingRun, "_drop", recording_drop):
+        report = whole.simulate(trace, label="whole")
+        run = streamed.begin_run("streamed")
+        for request in sorted(trace, key=lambda request: request.arrival_s):
+            try:
+                run.offer(request)
+            except RequestRejectedError:
+                pass
+        streamed_report = run.finish()
+    assert streamed_report.to_dict() == {**report.to_dict(), "label": "streamed"}
+    assert [tuple(o) for o in streamed_report.outcomes] == [tuple(o) for o in report.outcomes]
+    assert drops["streamed"] == drops["whole"]
+    assert streamed.metrics() == whole.metrics()
     for name in ("_latency_hist", "_queue_delay_hist"):
         one, other = getattr(whole, name), getattr(streamed, name)
         assert one.count == other.count == report.metrics.requests
@@ -335,3 +334,73 @@ def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
     assert whole._latency_hist.sum == pytest.approx(
         sum(outcome.latency_s for outcome in report.outcomes)
     )
+    return report
+
+
+@pytest.mark.parametrize("qos", ["fifo", "fair"])
+def test_whole_trace_and_streamed_offers_agree_field_by_field(qos):
+    """Out of the windowed pass's scope: admission, a queue bound, fair QoS."""
+    trace = heavy_tail_trace(3000.0, 0.2, seed=11, tenants=5)
+    config = dict(
+        devices=2, params="I", qos=qos, admission="reject-newest", queue_capacity=48
+    )
+    report = assert_whole_trace_equals_streamed_offers(trace, **config)
+    assert len(report.outcomes) == report.metrics.requests > 0
+
+
+@settings(deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            _TENANTS,
+            st.sampled_from([1, 2, 3, 5, 40]),  # 40 > every capacity drawn: ships alone
+            _GAPS,
+            st.sampled_from([None, 0.5e-3, 5e-3]),  # relative deadline_s
+            _KINDS,
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    cost_model=st.sampled_from(["analytical", "event"]),
+    max_batch_delay_s=st.sampled_from([0.0, 1e-3, 2e-3]),
+    batch_capacity=st.sampled_from([4, 8, 32]),
+    devices=st.integers(1, 3),
+    policy=st.sampled_from(["round-robin", "least-loaded"]),
+    layout=st.sampled_from(["data-parallel", "pipeline", "elastic"]),
+)
+def test_whole_trace_and_streamed_offers_agree_on_every_in_scope_trace(
+    steps, cost_model, max_batch_delay_s, batch_capacity, devices, policy, layout
+):
+    """The configurations ``simulate`` serves one flush window at a time,
+    with full and deadline flushes, oversized requests and expiring ones."""
+    trace, now = [], 0.0
+    for request_id, (tenant, items, gap, budget, kind) in enumerate(steps):
+        now += gap
+        trace.append(_request(request_id, tenant, items, now, budget, kind))
+    assert_whole_trace_equals_streamed_offers(
+        trace,
+        params="I",
+        cost_model=cost_model,
+        max_batch_delay_s=max_batch_delay_s,
+        batch_capacity=batch_capacity,
+        devices=devices,
+        policy=policy,
+        layout=layout,
+    )
+
+
+def test_replay_refuses_what_it_cannot_window():
+    """``replay`` windows a FIFO trace onto an empty queue, sorted by finite
+    arrivals from 0; anything else is refused before a batch is flushed."""
+    first, second = _request(0, "a", 2, 1e-3, None), _request(1, "a", 2, 2e-3, None)
+    queue = RequestQueue()
+    with pytest.raises(ValueError, match="FIFO"):
+        next(_batcher("fair").replay(queue, [first]))
+    queue.push(first)
+    with pytest.raises(ValueError, match="empty queue"):
+        next(_batcher("fifo").replay(queue, [second]))
+    for trace in ([second, first], [_request(0, "a", 2, -1e-3, None)]):
+        batcher = _batcher("fifo")
+        with pytest.raises(ValueError, match="non-decreasing, finite"):
+            next(batcher.replay(RequestQueue(), trace))
+        assert batcher.batches_flushed == 0

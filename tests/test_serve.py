@@ -640,6 +640,19 @@ def test_simulated_run_refuses_out_of_order_offers(arrival):
     assert server.queue.total_enqueued == 2
 
 
+@pytest.mark.parametrize("arrival", [-0.001, math.nan, math.inf])
+@pytest.mark.parametrize("bound", [None, 64])  # None: the pass one flush window at a time
+def test_simulate_refuses_what_the_simulated_clock_cannot_take(arrival, bound):
+    """Both of ``simulate``'s passes refuse a negative, NaN or infinite arrival
+    as ``offer`` does, and the server serves its next trace."""
+    server = Server(devices=1, params="I", queue_capacity=bound)
+    trace = [make_request(1, items=2, arrival_s=0.010), make_request(2, arrival_s=arrival)]
+    with pytest.raises(ValueError, match="non-decreasing, finite"):
+        server.simulate(trace)
+    assert server.active_run is None
+    assert server.simulate(trace[:1]).metrics.requests == 1
+
+
 def test_simulate_crashing_mid_trace_leaves_the_server_reusable():
     class ExplodesOnce(RoundRobinPolicy):
         armed = True
