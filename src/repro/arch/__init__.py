@@ -24,7 +24,6 @@ from repro.arch.key_cache import (
     KeyCacheStats,
     KeyEvictionPolicy,
     KeyResidencyManager,
-    LFUEvictionPolicy,
     LRUEvictionPolicy,
     PinnedTenantPolicy,
     get_key_policy,
@@ -45,7 +44,6 @@ __all__ = [
     "KeyCacheStats",
     "KeyEvictionPolicy",
     "KeyResidencyManager",
-    "LFUEvictionPolicy",
     "LRUEvictionPolicy",
     "PinnedTenantPolicy",
     "get_key_policy",

@@ -59,8 +59,6 @@ class StrixConfig:
     max_fft_points:
         Largest transform the physical FFT unit supports (the paper's unit
         handles 16,384-point polynomials, 8,192 after folding).
-    ks_clp / ks_colp:
-        Lanes and column replication of the keyswitch cluster.
     bsk_channels / ksk_channels / ciphertext_channels:
         HBM channel allocation (out of 16 total for one stack).
     """
@@ -77,8 +75,6 @@ class StrixConfig:
     local_scratchpad_pbs_fraction: float = 0.8
     fft_folding: bool = True
     max_fft_points: int = 16384
-    ks_clp: int = 8
-    ks_colp: int = 8
     bsk_channels: int = 8
     ksk_channels: int = 4
     ciphertext_channels: int = 4

@@ -10,7 +10,7 @@ of each unit's busy time to that interval is its utilization (the quantities
 plotted in the paper's Fig. 8 discussion).
 
 The keyswitch cluster is a row too: a plain integer matrix-vector product on
-its own lanes (Section IV-A: CLP=8, CoLP=8).
+its own :data:`KEYSWITCH_LANES` lanes (Section IV-A: CLP=8, CoLP=8).
 """
 
 from __future__ import annotations
@@ -105,8 +105,14 @@ def build_pbs_cluster(config: StrixConfig) -> dict[str, FunctionalUnit]:
     return {unit.name: unit for unit in units}
 
 
-def build_keyswitch_cluster(config: StrixConfig) -> FunctionalUnit:
-    """The keyswitch cluster: ``k*N*lk*(n+1)`` MACs over ``ks_clp * ks_colp`` lanes.
+#: Lanes of the keyswitch cluster: Section IV-A's CLP=8 times CoLP=8.  A
+#: fixed figure, because Table III prices no keyswitch lanes, so no other
+#: count could be given an area or a power.
+KEYSWITCH_LANES = 64
+
+
+def build_keyswitch_cluster() -> FunctionalUnit:
+    """The keyswitch cluster: ``k*N*lk*(n+1)`` MACs over :data:`KEYSWITCH_LANES` lanes.
 
     Every one of the ``k*N`` input coefficients is decomposed into ``lk``
     digits, each multiplying an ``(n+1)``-element row of the keyswitching
@@ -115,7 +121,7 @@ def build_keyswitch_cluster(config: StrixConfig) -> FunctionalUnit:
     return FunctionalUnit(
         "keyswitch",
         lambda p: p.k * p.N * p.lk * (p.n + 1),
-        config.ks_clp * config.ks_colp,
+        KEYSWITCH_LANES,
         0.0,
         0.0,
     )

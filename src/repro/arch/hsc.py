@@ -59,7 +59,7 @@ class HomomorphicStreamingCore:
     def __init__(self, config: StrixConfig):
         self.config = config
         self.pbs_cluster = build_pbs_cluster(config)
-        self.keyswitch_cluster = build_keyswitch_cluster(config)
+        self.keyswitch_cluster = build_keyswitch_cluster()
         self.local_scratchpad = LocalScratchpad(config)
         # Per-parameter-set memos.  Everything below is a pure function of
         # (params, config) and config is frozen at construction, so caching

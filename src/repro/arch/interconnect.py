@@ -21,11 +21,9 @@ All byte counts derive from the same :class:`~repro.arch.memory
 .GlobalScratchpad` arithmetic the bandwidth model uses, so on-chip and
 inter-device accounting can never disagree about key sizes.
 
-Link *failure* is modelled one level up: a :mod:`repro.faults` PARTITION
-event makes a device unreachable for new placement (work in flight
-completes, keys stay resident, the healed device rejoins warm), and a
-DEVICE_DEATH forces the key re-shipping priced here when evicted tenants
-land again — the injector attributes those bytes to the causing event.
+Device *failure* is modelled one level up: a :mod:`repro.faults` death
+forces the key re-shipping priced here when evicted tenants land again —
+the injector attributes those bytes to the causing event.
 """
 
 from __future__ import annotations

@@ -7,17 +7,14 @@ tenants, not millions.  This module is the subsystem that makes the
 serving tier honest about it:
 
 * :class:`DeviceKeyCache` — the one owner of a device's key facts: its
-  ``resident`` map is the eviction order (least recently used first, each
-  tenant mapped to its uses since its keys landed) and ``ever_held`` tells
-  a re-ship from a first ship;
+  ``resident`` tenants are the eviction order (least recently used first)
+  and ``ever_held`` tells a re-ship from a first ship;
 * :class:`KeyEvictionPolicy` — a stateless chooser of *which* tenant loses
   residency when a device runs out of key memory, behind the same
   registry/did-you-mean shape as layouts and cost models:
 
   - ``"lru"`` — evict the least-recently-used tenant (the default: serving
     traffic is bursty per tenant, so recency predicts re-use);
-  - ``"lfu"`` — evict the tenant with the fewest uses since it landed, ties
-    broken toward the least recent;
   - ``"pinned"`` — LRU over the *unpinned* tenants only; pinned tenants
     (premium / latency-SLA customers) never lose residency.
 
@@ -69,23 +66,25 @@ class DeviceKeyCache:
 
     index: int
     budget_bytes: float | None
-    #: Resident tenants, least recently used first, each mapped to its uses
-    #: since its keys landed: the device's eviction order.
-    resident: dict[str, int] = field(default_factory=dict)
+    #: Resident tenants, least recently used first: the device's eviction
+    #: order (a dict used as an ordered set; every value is ``None``).
+    resident: dict[str, None] = field(default_factory=dict)
     used_bytes: int = 0
     #: Tenants this device ever held: landing again is a re-ship.
     ever_held: set[str] = field(default_factory=set)
 
     def touch(self, tenant: str) -> bool:
-        """Count a use of a resident tenant, now the most recent; ``False`` if not resident."""
-        uses = self.resident.pop(tenant, 0)
-        if uses:
-            self.resident[tenant] = uses + 1
-        return uses > 0
+        """Make a resident tenant the most recent; ``False`` if not resident."""
+        resident = self.resident
+        if tenant not in resident:
+            return False
+        del resident[tenant]
+        resident[tenant] = None
+        return True
 
     def insert(self, tenant: str, key_bytes: int) -> None:
-        """Make a non-resident tenant's key set resident, as its first use."""
-        self.resident[tenant] = 1
+        """Make a non-resident tenant's key set resident, as the most recent."""
+        self.resident[tenant] = None
         self.used_bytes += key_bytes
         self.ever_held.add(tenant)
 
@@ -110,7 +109,7 @@ class DeviceKeyCache:
 class KeyEvictionPolicy(abc.ABC):
     """Strategy choosing which resident tenant a full device evicts.
 
-    Stateless: the order and the use counts live in the :class:`DeviceKeyCache`.
+    Stateless: the recency order lives in the :class:`DeviceKeyCache`.
     """
 
     #: Registry name of the policy.
@@ -133,21 +132,6 @@ class LRUEvictionPolicy(KeyEvictionPolicy):
 
     def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
         return candidates[0] if candidates else None
-
-
-class LFUEvictionPolicy(KeyEvictionPolicy):
-    """Evict the tenant whose keys were used least often (ties: least recent).
-
-    Uses count the *current* residency only — they restart when a tenant's
-    keys land again, so a historically chatty tenant cannot squat on key
-    memory through a quiet spell the way a cumulative count would let it.
-    """
-
-    name = "lfu"
-
-    def victim(self, cache: DeviceKeyCache, candidates: Sequence[str]) -> str | None:
-        # ``min`` keeps the first of equal uses, and the first is the least recent.
-        return min(candidates, key=cache.resident.__getitem__, default=None)
 
 
 def _tenant_set(tenants: Iterable[str]) -> frozenset[str]:
@@ -201,7 +185,7 @@ class PinnedTenantPolicy(LRUEvictionPolicy):
 _KEY_POLICIES: Registry[KeyEvictionPolicy] = Registry(
     UnknownKeyPolicyError,
     KeyEvictionPolicy,
-    (LRUEvictionPolicy, LFUEvictionPolicy, PinnedTenantPolicy),
+    (LRUEvictionPolicy, PinnedTenantPolicy),
 )
 
 #: Names of all key-cache eviction policies, sorted.

@@ -4,15 +4,14 @@ Production clusters lose devices mid-trace; this package makes the serving
 tier model it without giving up a single bit of reproducibility:
 
 * :class:`FaultSchedule` — an immutable, time-sorted plan of
-  :class:`FaultEvent`\\ s (device death, slow-device thermal throttle,
-  interconnect partition), every availability question a pure function of
-  time;
-* :class:`FaultInjector` — the per-cluster resolver: excludes unreachable
+  device-death :class:`FaultEvent`\\ s, every availability question a
+  pure function of time;
+* :class:`FaultInjector` — the per-cluster resolver: excludes dead
   devices from placement, reclaims a dead device's key memory through
   :class:`~repro.arch.key_cache.KeyResidencyManager`, replays (or drops)
   batches whose device dies under them per ``on_death="retry"|"drop"``,
-  throttles service on slowed devices, and accounts the impact the
-  :class:`~repro.serve.server.ServeReport` ``availability`` block reports;
+  and accounts the impact the :class:`~repro.serve.server.ServeReport`
+  ``availability`` block reports;
 * :class:`RequestLostError` — what an async submitter awaits into when its
   request dies with its device and is not replayed.
 
@@ -41,14 +40,13 @@ from repro.faults.injector import (
     FaultInjector,
     RequestLostError,
 )
-from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.schedule import FaultEvent, FaultSchedule
 
 __all__ = [
     "MAX_RETRIES",
     "ON_DEATH_POLICIES",
     "FaultEvent",
     "FaultInjector",
-    "FaultKind",
     "FaultSchedule",
     "RequestLostError",
 ]

@@ -21,11 +21,11 @@ owns every stateful consequence of the schedule:
   batch is replayed from the failure time onto the survivors
   (``"retry"``, the default) or counted as lost (``"drop"``).
 * **impact accounting** — requests lost and retried, batches deferred,
-  wasted and throttle-extra seconds, per-event recovery time and key
-  re-ship bytes.  :meth:`availability` folds it into the report block and
-  returns ``{}`` when nothing was ever impacted, so a schedule that heals
-  before the first flush leaves every report byte-identical to no faults
-  at all — the invariant the chaos suite pins.
+  wasted seconds, per-event recovery time and key re-ship bytes.
+  :meth:`availability` folds it into the report block and returns ``{}``
+  when nothing was ever impacted, so a schedule that heals before the
+  first flush leaves every report byte-identical to no faults at all —
+  the invariant the chaos suite pins.
 
 Determinism: the injector adds no randomness and reads no wall clock.
 Failure times come off the schedule, retry times off the failure times,
@@ -77,7 +77,6 @@ class FaultInjector:
         self.on_death = on_death
         #: Whether any fault is scheduled (``False`` keeps every fast path).
         self.active = bool(schedule)
-        self._has_slowdowns = bool(schedule.slowdowns)
         self.reset()
 
     def reset(self) -> None:
@@ -94,7 +93,6 @@ class FaultInjector:
         self.batches_deferred = 0
         self.deferred_s = 0.0
         self.wasted_s = 0.0
-        self.throttle_extra_s = 0.0
 
     # -- per-event impact records --------------------------------------------------
 
@@ -110,8 +108,6 @@ class FaultInjector:
                 "wasted_s": 0.0,
                 "evicted_tenants": 0,
                 "reship_bytes": 0,
-                "throttled_batches": 0,
-                "throttle_extra_s": 0.0,
             }
             self._impacts[event] = record
         return record
@@ -127,7 +123,7 @@ class FaultInjector:
         flushed — leaves no impact record, which is what keeps zero-impact
         schedules byte-identical to no faults.
         """
-        for event in self.schedule.deaths:
+        for event in self.schedule.events:
             if event.inject_s > now:
                 break
             if event not in self._deaths_applied:
@@ -151,7 +147,7 @@ class FaultInjector:
         flushed before that instant may still land on the device.  A healed device
         may also hold keys a replay shipped after the heal, so it is left alone.
         """
-        for event in self.schedule.deaths:
+        for event in self.schedule.events:
             permanent = event.heal_s == math.inf
             if permanent and event.device in devices and event in self._deaths_applied:
                 self._reclaim(cluster, event)
@@ -169,30 +165,6 @@ class FaultInjector:
             key_bytes = cluster.interconnect.key_set_bytes(params)
             for tenant in regained:
                 self._impacts[self._orphans.pop(tenant)]["reship_bytes"] += key_bytes
-
-    # -- slow-device throttling ------------------------------------------------------
-
-    def adjust_service(self, device: int, start_s: float, service_s: float) -> float:
-        """Service time after thermal throttling on ``device`` at ``start_s``.
-
-        The multiplier of every slow-device event active at the *start* of
-        the work applies to the whole window (a batch does not re-price
-        mid-flight); the extra seconds are charged to each event's impact
-        record.  Returns ``service_s`` unchanged — the same float — when no
-        slowdown is scheduled, so the no-fault path stays bit-identical.
-        """
-        if not self._has_slowdowns:
-            return service_s
-        adjusted = service_s
-        for event in self.schedule.slowdowns:
-            if event.device == device and event.active_at(start_s):
-                extra = adjusted * (event.slow_factor - 1.0)
-                adjusted += extra
-                record = self._impact(event)
-                record["throttled_batches"] += 1
-                record["throttle_extra_s"] += extra
-                self.throttle_extra_s += extra
-        return adjusted
 
     # -- dispatch resolution -----------------------------------------------------------
 
@@ -277,7 +249,7 @@ class FaultInjector:
         """
         windows = dispatch.windows()
         best: tuple[FaultEvent, float] | None = None
-        for event in self.schedule.deaths:
+        for event in self.schedule.events:
             for device, start, end in windows:
                 if (
                     event.device == device
@@ -338,7 +310,6 @@ class FaultInjector:
             or self.requests_lost
             or self.batches_deferred
             or self.wasted_s
-            or self.throttle_extra_s
         )
 
     def availability(self, horizon_s: float) -> dict[str, Any]:
@@ -374,7 +345,6 @@ class FaultInjector:
             "batches_deferred": self.batches_deferred,
             "deferred_s": self.deferred_s,
             "wasted_s": self.wasted_s,
-            "throttle_extra_s": self.throttle_extra_s,
             "key_reship_bytes": sum(
                 record["reship_bytes"] for record in self._impacts.values()
             ),
@@ -399,5 +369,4 @@ class FaultInjector:
             "batches_retried": float(self.batches_retried),
             "batches_deferred": float(self.batches_deferred),
             "wasted_s": self.wasted_s,
-            "throttle_extra_s": self.throttle_extra_s,
         }

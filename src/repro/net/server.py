@@ -354,7 +354,7 @@ class NetServer:
 
         When the server runs under a fault schedule the snapshot carries
         the ``serve_faults_*`` gauges (deaths applied, requests lost /
-        retried, throttle seconds...), so a remote scraper sees degraded-
+        retried, wasted seconds...), so a remote scraper sees degraded-
         mode state without a new frame type; fault-free servers emit no
         such gauges and the STATS payload is unchanged.
         """

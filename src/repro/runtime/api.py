@@ -72,7 +72,7 @@ def run(
 
         * ``devices=N`` — number of simulated Strix chips (default 4);
         * ``policy=`` — sharding policy: ``"round-robin"`` /
-          ``"least-loaded"`` / ``"affinity"`` / ``"key-affinity"``
+          ``"least-loaded"`` / ``"key-affinity"``
           (:mod:`repro.serve.sharding`);
         * ``layout=`` — placement layout: ``"data-parallel"`` (per-node
           ciphertext splits), ``"pipeline"`` (stage-per-device with

@@ -203,9 +203,6 @@ class PlacementLayout(abc.ABC):
         shipping_s = cluster.key_residency.place(batch.tenants, (index,), params)
         service = cost.compute_s + transfer_s + overhead_s + shipping_s
         start = max(now, effective_busy)
-        # Thermal throttling under a fault schedule; returns the same float
-        # when no slowdown is scheduled, keeping the no-fault path bit-exact.
-        service = cluster.faults.adjust_service(index, start, service)
         end = start + service
         device.busy_until = end
         device.busy_s += service
@@ -406,9 +403,7 @@ class PipelineLayout(PlacementLayout):
                 transfer_in = input_transfer_s
             cost = cluster.cost_model.stage_cost(stage_graph, params, device)
             start = max(entry, device.busy_until)
-            compute_s = cluster.faults.adjust_service(
-                device.index, start, cost.compute_s
-            )
+            compute_s = cost.compute_s
             end = start + compute_s
             device.busy_until = end
             device.busy_s += compute_s

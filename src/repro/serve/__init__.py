@@ -15,16 +15,16 @@ from many tenants.  This package is the layer in between::
   (:meth:`Server.begin_run`) on the simulated clock, ``asyncio``
   submissions (:meth:`Server.submit_async`) on the wall clock;
 * :class:`StrixCluster` — N simulated Strix devices with round-robin /
-  least-loaded / affinity / key-affinity sharding, aggregating per-device
-  results into one cluster-level :class:`~repro.runtime.result.RunResult`.
+  least-loaded / key-affinity sharding, aggregating per-device results
+  into one cluster-level :class:`~repro.runtime.result.RunResult`.
   *Where* work lands and *how long* it runs are pluggable through
   :mod:`repro.sched`: placement layouts (``"data-parallel"`` /
   ``"pipeline"`` / ``"elastic"``) and batch cost models (``"analytical"`` /
   ``"event"``).  Each device's HBM holds a *bounded* number of tenant
   BSK/KSK sets when ``key_budget_bytes`` is finite: the cluster's
   :class:`~repro.arch.key_cache.KeyResidencyManager` evicts under a
-  pluggable policy (``"lru"`` / ``"lfu"`` / ``"pinned"``) and charges key
-  re-shipping on the interconnect;
+  pluggable policy (``"lru"`` / ``"pinned"``) and charges key re-shipping
+  on the interconnect;
 * :class:`AdaptiveBatcher` / :class:`RequestQueue` — epoch-sized coalescing
   with bounded tail latency and an optional weighted-fair-queuing QoS
   discipline (``qos="fair"``) so one flooding tenant cannot inflate every
@@ -33,10 +33,9 @@ from many tenants.  This package is the layer in between::
   throughput, queue depth, device utilization and dispatch-cost breakdowns
   (interconnect transfer, BSK/KSK key shipping);
 * fault injection — pass ``faults=FaultSchedule.of(...)`` (see
-  :mod:`repro.faults`) to serve through seeded device deaths, thermal
-  throttles and interconnect partitions; the report grows an
-  ``availability`` block and ``on_death="retry"|"drop"`` picks what
-  happens to batches whose device dies under them;
+  :mod:`repro.faults`) to serve through scheduled device deaths; the
+  report grows an ``availability`` block and ``on_death="retry"|"drop"``
+  picks what happens to batches whose device dies under them;
 * overload protection — pass ``admission="shed-oldest"`` (or
   ``"reject-newest"`` / ``"tenant-quota"``) with ``queue_capacity`` /
   ``tenant_capacity`` (see :mod:`repro.flow`) to shed or reject work a
@@ -72,7 +71,7 @@ from repro.sched import (
     list_cost_models,
     list_layouts,
 )
-from repro.faults import FaultEvent, FaultKind, FaultSchedule, RequestLostError
+from repro.faults import FaultEvent, FaultSchedule, RequestLostError
 # Imported from the submodules (not the repro.flow package) so that
 # ``import repro.flow`` as the *first* repro import works: flow's package
 # __init__ pulls QueueOverflowError from repro.serve.queue, which runs this
@@ -108,7 +107,6 @@ from repro.serve.server import (
     ServingRun,
 )
 from repro.serve.sharding import (
-    AffinityPolicy,
     KeyAffinityPolicy,
     LeastLoadedPolicy,
     RoundRobinPolicy,
@@ -120,7 +118,6 @@ from repro.serve.sharding import (
 __all__ = [
     "AdaptiveBatcher",
     "AdmissionPolicy",
-    "AffinityPolicy",
     "AnalyticalCostModel",
     "Batch",
     "CLUSTER_BACKEND_NAME",
@@ -132,7 +129,6 @@ __all__ = [
     "ElasticLayout",
     "EventDrivenCostModel",
     "FaultEvent",
-    "FaultKind",
     "FaultSchedule",
     "KeyAffinityPolicy",
     "LatencySummary",

@@ -170,8 +170,8 @@ class StrixCluster:
         """Device indices accepting placement at ``now``.
 
         Every index when no fault is scheduled (the common case — one list
-        build, no schedule scan); under a schedule, dead and partitioned
-        devices are excluded for the duration of their events.
+        build, no schedule scan); under a schedule, dead devices are
+        excluded for the duration of their deaths.
         """
         if not self.faults.active:
             return list(range(len(self.devices)))
@@ -218,7 +218,7 @@ class StrixCluster:
 
         With a non-empty fault schedule the dispatch routes through the
         cluster's :class:`~repro.faults.FaultInjector`, which excludes
-        unreachable devices, replays (or drops) batches killed by a
+        dead devices, replays (or drops) batches killed by a
         device death, and accounts the availability impact; the returned
         dispatch then carries ``retried`` / ``lost`` flags.
         """

@@ -81,8 +81,9 @@ class ServeConfig:
     devices:
         Strix chips in the cluster.
     policy:
-        Sharding policy name (``"round-robin"`` / ``"least-loaded"`` /
-        ``"affinity"``) or instance.
+        Sharding policy name (``"key-affinity"`` / ``"least-loaded"`` /
+        ``"round-robin"``, exactly
+        :func:`~repro.serve.sharding.list_policies`) or instance.
     layout:
         Placement layout name (``"data-parallel"`` / ``"pipeline"`` /
         ``"elastic"``) or :class:`~repro.sched.layouts.PlacementLayout`
@@ -107,7 +108,7 @@ class ServeConfig:
         :func:`repro.arch.key_cache.hbm_key_budget_bytes` derives a
         hardware-honest value from the device's HBM capacity.
     key_policy:
-        Key-cache eviction policy name (``"lru"`` by default, ``"lfu"`` or
+        Key-cache eviction policy name (``"lru"`` by default, or
         ``"pinned"``) or a
         :class:`~repro.arch.key_cache.KeyEvictionPolicy` instance (e.g. a
         pinned-tenant policy with an explicit pin set).
@@ -130,8 +131,8 @@ class ServeConfig:
         shares: its architecture, interconnect bandwidth and dispatch
         overhead.
     faults:
-        A :class:`~repro.faults.FaultSchedule` of device deaths, thermal
-        throttles and interconnect partitions to inject during the run;
+        A :class:`~repro.faults.FaultSchedule` of device deaths to inject
+        during the run;
         ``None`` (default) serves fault-free and stays byte-identical to
         the pre-fault-subsystem behaviour.  See ``docs/resilience.md``.
     on_death:

@@ -6,13 +6,11 @@ stream).  Splitting one large workload's ciphertexts across **all** devices
 is no policy's choice: identical devices take balanced shares
 (``repro.sched.layouts``).
 
-Four policies ship: ``round-robin`` (rotating dispatch), ``least-loaded``
-(dispatch to the device that frees up first), ``affinity`` (tenant-sticky
-dispatch so a tenant's bootstrapping keys stay resident on one device's
-HBM) and ``key-affinity`` (dispatch to the least-loaded device *currently
-holding* the tenant's keys, read from the cluster's key-residency manager —
-the policy that stays cheap when a finite key-memory budget starts
-evicting).
+Three policies ship: ``round-robin`` (rotating dispatch), ``least-loaded``
+(dispatch to the device that frees up first) and ``key-affinity``
+(dispatch to the least-loaded device *currently holding* the tenant's
+keys, read from the cluster's key-residency manager — the policy that
+stays cheap when a finite key-memory budget starts evicting).
 
 Dispatch decisions may consult key residency: the placement layout passes
 ``select`` a ``resident`` mask — one flag per candidate device, true where
@@ -23,7 +21,6 @@ are free to ignore it (all but ``key-affinity`` do).
 from __future__ import annotations
 
 import abc
-import zlib
 
 from repro.errors import UnknownPolicyError
 from repro.registry import Registry
@@ -95,38 +92,16 @@ class LeastLoadedPolicy(ShardingPolicy):
         return min(range(len(busy_until)), key=busy_until.__getitem__)
 
 
-class AffinityPolicy(ShardingPolicy):
-    """Tenant-sticky dispatch: one tenant's batches land on one device.
-
-    Keeps a tenant's bootstrapping/keyswitching keys resident in a single
-    device's HBM instead of replicating them cluster-wide.  Multi-tenant
-    batches follow the first (oldest) request's tenant.
-    """
-
-    name = "affinity"
-
-    def select(
-        self,
-        busy_until: list[float],
-        batch: Batch,
-        resident: list[bool] | None = None,
-    ) -> int:
-        tenant = batch.requests[0].tenant
-        return zlib.crc32(tenant.encode()) % len(busy_until)
-
-
 class KeyAffinityPolicy(ShardingPolicy):
     """Prefer devices where the tenant's keys are already resident.
 
-    The residency-aware refinement of ``affinity``: instead of a static
-    tenant→device hash, dispatch follows the *actual* key placement the
-    cluster's :class:`~repro.arch.key_cache.KeyResidencyManager` tracks —
-    the least-loaded device among those already holding the lead tenant's
+    Dispatch follows the *actual* key placement the cluster's
+    :class:`~repro.arch.key_cache.KeyResidencyManager` tracks — the
+    least-loaded device among those already holding the lead tenant's
     BSK/KSK set.  When no device holds them (first placement, or the budget
     evicted them everywhere) it falls back to plain least-loaded, pays the
     one ship, and subsequent batches stick to that device.  Under a finite
-    key-memory budget this is the policy that keeps hit rates high without
-    hard-pinning tenants the way the hash policy does.
+    key-memory budget this is the policy that keeps hit rates high.
     """
 
     name = "key-affinity"
@@ -146,7 +121,7 @@ class KeyAffinityPolicy(ShardingPolicy):
 _POLICIES: Registry[ShardingPolicy] = Registry(
     UnknownPolicyError,
     ShardingPolicy,
-    (RoundRobinPolicy, LeastLoadedPolicy, AffinityPolicy, KeyAffinityPolicy),
+    (RoundRobinPolicy, LeastLoadedPolicy, KeyAffinityPolicy),
 )
 
 #: Names of all sharding policies, sorted.

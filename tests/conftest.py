@@ -8,7 +8,9 @@ per session and shared.  Tests never mutate the contexts' key material.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
+import random
 import threading
 
 import numpy as np
@@ -77,6 +79,28 @@ def ledger(report) -> dict[str, int]:
         "shed": overload.get("shed", 0),
         "expired": overload.get("expired", 0),
     }
+
+
+def random_fault_schedule(
+    devices: int, duration_s: float, seed: int, events: int = 3
+) -> FaultSchedule:
+    """A seeded random schedule of ``events`` deaths over ``[0, duration_s)``.
+
+    The chaos suite's generator: about three deaths in four heal within the
+    run.  Device 0 never dies permanently — on one device every death heals,
+    on more device 0 never dies — so ``on_death="retry"`` runs always keep a
+    survivor.  Everything else comes off ``random.Random(seed)``, so one seed
+    is one schedule.
+    """
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(events):
+        inject = rng.uniform(0.0, duration_s * 0.9)
+        heals = rng.random() < 0.75 or devices == 1
+        heal = inject + rng.uniform(duration_s * 0.05, duration_s * 0.5)
+        device = rng.randrange(1, devices) if devices > 1 else 0
+        drawn.append(FaultSchedule.death(device, inject, heal if heals else math.inf))
+    return FaultSchedule.of(*drawn)
 
 
 def with_deadline(request: Request, deadline_s: float) -> Request:

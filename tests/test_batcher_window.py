@@ -9,7 +9,8 @@ they differ — something else evicts the head — the old rule's deadline ran
 away from the flush and the new one may not (the second machine).  Likewise
 a batch's shape (its totals, tenants and request mix) is derived once, when
 the batch is built; every batch the batcher flushes must carry what summing its
-requests one total at a time gives.
+requests one total at a time gives.  Last, the per-request pass is held to a
+bounded number of queue-head reads and polls per arrival.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.traffic import heavy_tail_trace, steady_trace
+from repro.apps.traffic import bursty_trace, heavy_tail_trace, steady_trace
 from repro.flow import RequestRejectedError
 from repro.serve import AdaptiveBatcher, Request, RequestQueue, Server
 from repro.serve.batcher import Batch
@@ -404,3 +405,48 @@ def test_replay_refuses_what_it_cannot_window():
         with pytest.raises(ValueError, match="non-decreasing, finite"):
             next(batcher.replay(RequestQueue(), trace))
         assert batcher.batches_flushed == 0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"trace": True},
+        {"qos": "fair"},
+        {"admission": "reject-newest", "queue_capacity": 8},
+    ],
+    ids=["traced", "fair", "reject-newest"],
+)
+def test_the_per_request_pass_costs_a_bounded_number_of_calls_per_arrival(options):
+    """Each configuration is out of the windowed pass's scope, so ``simulate``
+    offers request by request, as ``begin_run``, async and ``NetServer``
+    always do.  There, ``RequestQueue.oldest`` runs at most once per request
+    and once per batch, and ``AdaptiveBatcher.poll`` once per batch: a queue
+    walk per arrival shows as a count far past either bound."""
+    options = dict(options)
+    traced = options.pop("trace", False)
+    traces = [
+        steady_trace(1500.0, 2.0, seed=3),
+        bursty_trace(6000.0, 2.0, seed=4),
+        heavy_tail_trace(1200.0, 2.0, seed=5, tenants=12),
+    ]
+    for trace in traces:
+        calls = {"oldest": 0, "poll": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return patch.object(owner, name, count)
+
+        server = Server(devices=4, params="I", **options)
+        if traced:
+            server.enable_tracing()
+        with counted(RequestQueue, "oldest"), counted(AdaptiveBatcher, "poll"):
+            report = server.simulate(trace)
+        batches = report.metrics.batches
+        assert batches > 0
+        assert calls["oldest"] <= len(trace) + batches
+        assert calls["poll"] == batches

@@ -11,18 +11,19 @@ mixes:
   heals before the first batch flushes, leave the report byte-identical
   to a fault-free run.
 
-One more property ties faults to key memory: under random schedules, key
-budgets and policies, a permanently dead device holds no keys and every
+One more property ties faults to key memory: under random schedules of
+deaths, key budgets and policies, a permanently dead device holds no keys and every
 orphaned tenant's re-ship is charged once.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 import re
 
 import pytest
-from conftest import ledger
+from conftest import ledger, random_fault_schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,6 @@ from repro.faults import (
     ON_DEATH_POLICIES,
     FaultEvent,
     FaultInjector,
-    FaultKind,
     FaultSchedule,
     RequestLostError,
 )
@@ -85,7 +85,7 @@ MID_DEATH = FaultSchedule.of(FaultSchedule.death(device=1, at_s=DURATION / 2))
 
 def test_schedule_sorts_and_sizes():
     late = FaultSchedule.death(device=0, at_s=0.9)
-    early = FaultSchedule.partition(device=1, at_s=0.1, heal_s=0.2)
+    early = FaultSchedule.death(device=1, at_s=0.1, heal_s=0.2)
     schedule = FaultSchedule.of(late, early)
     assert schedule.events == (early, late)
     assert len(schedule) == 2 and bool(schedule)
@@ -96,59 +96,46 @@ def test_schedule_sorts_and_sizes():
 def test_schedule_refuses_an_event_listed_twice():
     death = FaultSchedule.death(device=1, at_s=0.05)
     with pytest.raises(ValueError, match=re.escape(str(death))):
-        FaultSchedule.of(death, FaultSchedule.partition(device=2, at_s=0.01), death)
+        FaultSchedule.of(death, FaultSchedule.death(device=2, at_s=0.01), death)
     # Equal fields are one event; a different heal time is another.
     assert len(FaultSchedule.of(death, FaultSchedule.death(device=1, at_s=0.05, heal_s=0.1))) == 2
 
 
 def test_event_validation():
     with pytest.raises(ValueError):
-        FaultEvent(FaultKind.DEVICE_DEATH, device=-1, inject_s=0.0)
+        FaultEvent(device=-1, inject_s=0.0)
     with pytest.raises(ValueError):
-        FaultEvent(FaultKind.DEVICE_DEATH, device=0, inject_s=-1.0)
+        FaultEvent(device=0, inject_s=-1.0)
     with pytest.raises(ValueError):
-        FaultEvent(FaultKind.DEVICE_DEATH, device=0, inject_s=0.5, heal_s=0.5)
-    with pytest.raises(ValueError):
-        FaultSchedule.slowdown(device=0, factor=1.0, at_s=0.0)
-    with pytest.raises(ValueError):
-        FaultEvent(FaultKind.DEVICE_DEATH, device=0, inject_s=0.0, slow_factor=2.0)
-    # String kinds coerce.
-    assert FaultEvent("death", 0, 0.0).kind is FaultKind.DEVICE_DEATH
+        FaultEvent(device=0, inject_s=0.5, heal_s=0.5)
+
+
+def test_every_fault_is_a_death():
+    """Death is the one fault kind: no slowdown or partition helper, no kind field."""
+    assert not hasattr(FaultSchedule, "slowdown")
+    assert not hasattr(FaultSchedule, "partition")
+    fields = [field.name for field in dataclasses.fields(FaultEvent)]
+    assert fields == ["device", "inject_s", "heal_s"]
 
 
 def test_event_to_dict():
     death = FaultSchedule.death(device=2, at_s=0.25)
-    assert death.to_dict() == {
-        "kind": "death",
-        "device": 2,
-        "inject_s": 0.25,
-        "heal_s": None,
-    }
-    slow = FaultSchedule.slowdown(device=1, factor=2.5, at_s=0.1, heal_s=0.2)
-    assert slow.to_dict()["slow_factor"] == 2.5
-    assert slow.to_dict()["heal_s"] == 0.2
+    assert death.to_dict() == {"device": 2, "inject_s": 0.25, "heal_s": None}
+    assert FaultSchedule.death(device=1, at_s=0.1, heal_s=0.2).to_dict()["heal_s"] == 0.2
 
 
 def test_time_indexed_queries():
     schedule = FaultSchedule.of(
         FaultSchedule.death(device=1, at_s=0.1, heal_s=0.3),
-        FaultSchedule.partition(device=2, at_s=0.2, heal_s=0.4),
-        FaultSchedule.slowdown(device=0, factor=2.0, at_s=0.0, heal_s=0.5),
-        FaultSchedule.slowdown(device=0, factor=3.0, at_s=0.1, heal_s=0.2),
+        FaultSchedule.death(device=2, at_s=0.2, heal_s=0.4),
     )
     assert not schedule.dead_at(1, 0.05)
     assert schedule.dead_at(1, 0.1) and schedule.dead_at(1, 0.29)
     assert not schedule.dead_at(1, 0.3)  # heal boundary is exclusive
-    assert schedule.partitioned_at(2, 0.25)
     assert not schedule.placeable_at(2, 0.25)
-    assert schedule.placeable_at(0, 0.25)  # slow devices still place
+    assert schedule.placeable_at(0, 0.25)
     assert schedule.available_indices(0.25, 4) == [0, 3]
     assert schedule.available_indices(0.45, 4) == [0, 1, 2, 3]
-    # Overlapping slowdowns compose multiplicatively.
-    injector = FaultInjector(schedule)
-    assert injector.adjust_service(0, 0.15, 1.0) == pytest.approx(6.0)
-    assert injector.adjust_service(0, 0.45, 1.0) == pytest.approx(2.0)
-    assert injector.adjust_service(0, 0.6, 1.0) == 1.0
 
 
 def test_first_available_s():
@@ -166,14 +153,15 @@ def test_first_available_s():
 
 
 def test_random_schedule_is_seeded():
-    a = FaultSchedule.random(devices=4, duration_s=0.1, seed=11)
-    b = FaultSchedule.random(devices=4, duration_s=0.1, seed=11)
+    a = random_fault_schedule(devices=4, duration_s=0.1, seed=11)
+    b = random_fault_schedule(devices=4, duration_s=0.1, seed=11)
     assert a == b
-    assert a != FaultSchedule.random(devices=4, duration_s=0.1, seed=12)
-    # Device 0 never permanently dies or partitions: a survivor always exists.
-    for seed in range(50):
-        schedule = FaultSchedule.random(devices=4, duration_s=0.1, seed=seed)
-        assert schedule.first_available_s(1e9, 4) is not None
+    assert a != random_fault_schedule(devices=4, duration_s=0.1, seed=12)
+    # Device 0 never permanently dies: a survivor always exists.
+    for devices in (1, 4):
+        for seed in range(50):
+            schedule = random_fault_schedule(devices=devices, duration_s=0.1, seed=seed)
+            assert schedule.first_available_s(1e9, devices) is not None
 
 
 def test_injector_rejects_unknown_policy():
@@ -197,11 +185,7 @@ def test_empty_schedule_is_byte_identical(layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_heal_before_first_flush_is_byte_identical(layout):
     """Satellite (c): a schedule healed before any batch flushes is a no-op."""
-    ghost = FaultSchedule.of(
-        FaultSchedule.death(device=1, at_s=1e-7, heal_s=2e-7),
-        FaultSchedule.partition(device=2, at_s=1e-7, heal_s=2e-7),
-        FaultSchedule.slowdown(device=3, factor=4.0, at_s=1e-7, heal_s=2e-7),
-    )
+    ghost = FaultSchedule.of(FaultSchedule.death(device=1, at_s=1e-7, heal_s=2e-7))
     base = Server(devices=4, layout=layout).simulate(_trace(), label="chaos")
     _, faulted = _serve(ghost, layout=layout)
     assert _report_blob(base) == _report_blob(faulted)
@@ -214,11 +198,7 @@ def test_heal_before_first_flush_is_byte_identical(layout):
 @pytest.mark.parametrize("on_death", ON_DEATH_POLICIES)
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_same_seed_same_schedule_bitwise_identical(layout, on_death):
-    schedule = FaultSchedule.of(
-        FaultSchedule.death(device=1, at_s=DURATION / 2),
-        FaultSchedule.slowdown(device=0, factor=2.0, at_s=0.01, heal_s=0.05),
-        FaultSchedule.partition(device=3, at_s=0.02, heal_s=0.06),
-    )
+    schedule = FaultSchedule.of(FaultSchedule.death(device=1, at_s=DURATION / 2))
     _, first = _serve(schedule, layout=layout, on_death=on_death)
     _, second = _serve(schedule, layout=layout, on_death=on_death)
     assert _report_blob(first) == _report_blob(second)
@@ -237,9 +217,7 @@ def _assert_conserved(report, submitted):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("fault_seed", range(6))
 def test_conservation_under_random_faults(layout, on_death, fault_seed):
-    schedule = FaultSchedule.random(
-        devices=4, duration_s=DURATION, seed=fault_seed, events=4
-    )
+    schedule = random_fault_schedule(devices=4, duration_s=DURATION, seed=fault_seed, events=4)
     _, report = _serve(schedule, layout=layout, on_death=on_death)
     _assert_conserved(report, _submitted())
 
@@ -247,9 +225,7 @@ def test_conservation_under_random_faults(layout, on_death, fault_seed):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(fault_seed=st.integers(min_value=0, max_value=10**6))
 def test_conservation_hypothesis_sweep(fault_seed):
-    schedule = FaultSchedule.random(
-        devices=4, duration_s=DURATION, seed=fault_seed, events=5
-    )
+    schedule = random_fault_schedule(devices=4, duration_s=DURATION, seed=fault_seed, events=5)
     _, report = _serve(schedule, on_death="drop")
     _assert_conserved(report, _submitted())
 
@@ -263,14 +239,14 @@ def test_conservation_hypothesis_sweep(fault_seed):
     on_death=st.sampled_from(ON_DEATH_POLICIES),
 )
 def test_key_residency_under_random_faults(fault_seed, tenants, budget_sets, key_policy, on_death):
-    """Random schedules × key budgets × policies: the ledger balances, a device
+    """Random deaths × key budgets × policies: the ledger balances, a device
     whose permanent death was applied holds no keys, and re-ship attribution sums
     to whole key sets of evicted tenants that were really shipped."""
     probe = Server(devices=4)
     key_set = probe.cluster.interconnect.key_set_bytes(probe.params)
     server = Server(
         devices=4,
-        faults=FaultSchedule.random(devices=4, duration_s=DURATION, seed=fault_seed, events=5),
+        faults=random_fault_schedule(devices=4, duration_s=DURATION, seed=fault_seed, events=5),
         on_death=on_death,
         key_budget_bytes=None if budget_sets is None else budget_sets * key_set,
         key_policy=key_policy,
@@ -328,7 +304,7 @@ def test_availability_block_shape():
     events = availability["events"]
     assert len(events) == 1
     event = events[0]
-    assert event["kind"] == "death" and event["device"] == 1
+    assert event["device"] == 1
     assert event["recovery_s"] > 0
     assert event["heal_s"] is None
     # The block survives JSON round-trips (what BENCH records embed).
@@ -389,44 +365,6 @@ def test_dead_device_keeps_no_keys_a_late_flush_shipped():
     trace = steady_trace(rate_rps=RATE, duration_s=DURATION, seed=7, tenants=1)
     server.simulate(trace, label="chaos")
     assert server.cluster.key_residency.devices[1].resident == {}
-
-
-# -- slow-device semantics -------------------------------------------------------------
-
-
-def test_slowdown_inflates_latency_and_accounts_extra():
-    slow = FaultSchedule.of(
-        FaultSchedule.slowdown(device=0, factor=3.0, at_s=0.0, heal_s=0.05)
-    )
-    base = Server(devices=4).simulate(_trace(), label="chaos")
-    _, throttled = _serve(slow)
-    assert len(throttled.outcomes) == _submitted()
-    availability = throttled.metrics.availability
-    assert availability["throttle_extra_s"] > 0
-    assert availability["requests_lost"] == 0
-    assert throttled.metrics.latency.p99_s > base.metrics.latency.p99_s
-    event = availability["events"][0]
-    assert event["throttled_batches"] > 0
-    assert event["throttle_extra_s"] == pytest.approx(
-        availability["throttle_extra_s"]
-    )
-
-
-# -- partition semantics ---------------------------------------------------------------
-
-
-def test_partition_excludes_placement_but_keeps_keys():
-    window = (0.03, 0.07)
-    part = FaultSchedule.of(FaultSchedule.partition(device=1, at_s=window[0], heal_s=window[1]))
-    server, report = _serve(part)
-    _assert_conserved(report, _submitted())
-    for outcome in report.outcomes:
-        if window[0] <= outcome.dispatched_s < window[1]:
-            assert outcome.device != 1
-    # The healed device rejoins warm: no eviction happened, so nothing was
-    # orphaned and no re-shipping is attributed.
-    assert report.metrics.availability.get("key_reship_bytes", 0) == 0
-    assert server.cluster.faults._deaths_applied == set()
 
 
 # -- layout-specific degraded modes ----------------------------------------------------
@@ -549,7 +487,7 @@ def test_degraded_window_clips_to_horizon():
     # Overlapping impact windows union, they do not double-count.
     both = FaultSchedule.of(
         FaultSchedule.death(device=1, at_s=0.02, heal_s=0.06),
-        FaultSchedule.partition(device=2, at_s=0.04, heal_s=0.08),
+        FaultSchedule.death(device=2, at_s=0.04, heal_s=0.08),
     )
     injector = FaultInjector(both)
     for event in both.events:

@@ -1,6 +1,6 @@
 """Tests for key residency under a per-device HBM budget.
 
-Covers the eviction policies (LRU / LFU / pinned) and their registry, the
+Covers the eviction policies (LRU / pinned) and their registry, the
 budget-enforcement and re-shipping arithmetic of the residency manager, the
 compatibility contract (unbounded budget — and a budget large enough for
 every key set — stay bit-for-bit with the pre-eviction serving numbers),
@@ -10,7 +10,7 @@ schedule cache keys on.
 The policies are stateless choosers over a device's recency-ordered resident
 map.  Like circlestark's ``fft`` beside ``fast_fft``, ``spec_victim`` and
 ``SpecResidency`` keep the tick-based bookkeeping they replaced — a global
-clock and a use count per (device, tenant) — and the manager must equal
+clock per (device, tenant) — and the manager must equal
 them after every step of random placement and device-death sequences.
 """
 
@@ -70,7 +70,7 @@ def budget_for(cluster, key_sets):
 
 
 def test_key_policy_registry():
-    assert list_key_policies() == ["lfu", "lru", "pinned"]
+    assert list_key_policies() == ["lru", "pinned"]
     assert isinstance(get_key_policy("lru"), LRUEvictionPolicy)
     instance = PinnedTenantPolicy(pinned={"vip"})
     assert get_key_policy(instance) is instance
@@ -85,6 +85,12 @@ def test_unknown_key_policy_shares_did_you_mean_shape():
     assert "unknown key-cache policy 'lrru'" in message
     assert "did you mean 'lru'?" in message
     assert str(pickle.loads(pickle.dumps(error))) == message
+
+
+def test_lfu_is_not_a_key_policy():
+    with pytest.raises(UnknownKeyPolicyError) as excinfo:
+        get_key_policy("lfu")
+    assert "registered key-cache policies: ['lru', 'pinned']" in str(excinfo.value)
 
 
 def test_hbm_key_budget_derivation():
@@ -127,19 +133,6 @@ def test_lru_evicts_least_recently_used():
     assert residency.resident_devices("b") == frozenset()
     assert residency.resident_devices("c") == frozenset({0})
     assert residency.stats.evictions == 1
-
-
-def test_lfu_evicts_least_frequent():
-    cluster = StrixCluster(devices=1)
-    residency = manager(cluster, key_sets=2, policy="lfu")
-    residency.place(["a"], (0,), PARAM_SET_I)
-    residency.place(["b"], (0,), PARAM_SET_I)
-    for _ in range(3):
-        residency.place(["a"], (0,), PARAM_SET_I)
-    residency.place(["b"], (0,), PARAM_SET_I)  # a used 4x, b used 2x
-    residency.place(["c"], (0,), PARAM_SET_I)
-    assert residency.resident_devices("a") == frozenset({0})
-    assert residency.resident_devices("b") == frozenset()
 
 
 def test_pinned_tenants_survive_churn():
@@ -353,8 +346,8 @@ def test_batch_mix_signature_ignores_ids_and_tenants():
 
 
 def test_key_knobs_land_in_the_residency_manager():
-    cluster = StrixCluster(devices=2, key_budget_bytes=1024, key_policy="lfu")
-    assert cluster.key_residency.policy.name == "lfu"
+    cluster = StrixCluster(devices=2, key_budget_bytes=1024, key_policy="pinned")
+    assert cluster.key_residency.policy.name == "pinned"
     assert cluster.key_residency.budget_bytes == 1024
 
 
@@ -437,33 +430,27 @@ INTERCONNECT = InterconnectModel(StrixClusterConfig())
 KEY_BYTES = INTERCONNECT.key_set_bytes(PARAM_SET_I)
 
 
-def spec_victim(policy, ticks, uses, device, candidates):
-    """LRU: the oldest last use.  LFU: the fewest uses, then the oldest.  Pinned: LRU
-    over the unpinned.  Every tick is distinct, so the candidates' order never matters."""
+def spec_victim(policy, ticks, device, candidates):
+    """LRU: the oldest last use.  Pinned: LRU over the unpinned.  Every tick is
+    distinct, so the candidates' order never matters."""
     if policy.name == "pinned":
         candidates = [tenant for tenant in candidates if not policy.is_pinned(device, tenant)]
-
-    def rank(tenant):
-        tick = ticks[device, tenant]
-        return (uses[device, tenant], tick) if policy.name == "lfu" else tick
-
-    return min(candidates, key=rank, default=None)
+    return min(candidates, key=lambda tenant: ticks[device, tenant], default=None)
 
 
 class SpecResidency:
-    """Per-device resident sets, a tick and a use count per (device, tenant), and
-    every (device, tenant) pair ever held — what the policies' hooks used to mirror."""
+    """Per-device resident sets, a tick per (device, tenant), and every
+    (device, tenant) pair ever held — what the policies' hooks used to mirror."""
 
     def __init__(self, devices, budget_sets, policy):
         self.resident = [set() for _ in range(devices)]
-        self.ticks, self.uses, self.held, self.onboarded = {}, {}, set(), set()
+        self.ticks, self.held, self.onboarded = {}, set(), set()
         self.budget_sets, self.policy, self.clock = budget_sets, policy, 0
         self.stats = KeyCacheStats()
 
-    def use(self, device, tenant, landed):
+    def use(self, device, tenant):
         self.clock += 1
         self.ticks[device, tenant] = self.clock
-        self.uses[device, tenant] = 1 if landed else self.uses[device, tenant] + 1
 
     def place(self, tenants, targets):
         for tenant in sorted(tenants):
@@ -474,7 +461,7 @@ class SpecResidency:
                 resident = self.resident[device]
                 if tenant in resident:
                     self.stats.hits += not onboarding
-                    self.use(device, tenant, landed=False)
+                    self.use(device, tenant)
                     continue
                 if not onboarding:
                     self.stats.misses += 1
@@ -482,11 +469,9 @@ class SpecResidency:
                     self.stats.reships += (device, tenant) in self.held
                 resident.add(tenant)
                 self.held.add((device, tenant))
-                self.use(device, tenant, landed=True)
+                self.use(device, tenant)
                 while len(resident) > self.budget_sets:
-                    victim = spec_victim(
-                        self.policy, self.ticks, self.uses, device, resident - tenants
-                    )
+                    victim = spec_victim(self.policy, self.ticks, device, resident - tenants)
                     if victim is None:
                         break
                     resident.remove(victim)
@@ -531,8 +516,6 @@ def test_residency_equals_the_tick_based_spec(policy_name, data):
             spec.place(*step)
         for cache, resident in zip(manager.devices, spec.resident):
             by_age = sorted(resident, key=lambda tenant: spec.ticks[cache.index, tenant])
-            assert list(cache.resident.items()) == [
-                (tenant, spec.uses[cache.index, tenant]) for tenant in by_age
-            ]
+            assert list(cache.resident) == by_age
             assert cache.used_bytes == len(resident) * KEY_BYTES
         assert manager.stats == spec.stats

@@ -67,7 +67,6 @@ REFERENCES = {
     "repro.apps.workloads.gate_workload_graph": "graph fixture of the scheduler and layout tests",
     "repro.apps.workloads.lut_pipeline_graph": "graph fixture of the scheduler and partition tests",
     "repro.apps.workloads.random_layered_graph": "seeded graph fixture of the property tests",
-    "repro.faults.schedule.FaultSchedule.random": "seeded fault mix of the chaos suite",
     "repro.fft.registry.clear_transform_caches": "fixture: the cache-counter tests start from zero",
     "repro.obs.trace.Tracer.clear": "fixture: empties a tracer between runs",
     "repro.registry.Registry.unregister": "fixture: unregister_backend undoes register_backend",
@@ -94,16 +93,25 @@ REFERENCES = {
     "repro.net.protocol.decode_error": "refusal-only: no entry point is sent an ERROR frame",
     "repro.net.protocol.encode_error": "refusal-only: no entry point sends an ERROR frame",
     "repro.tfhe.serialization.lwe_batch_from_bytes": "outside-input parser, the one-datapath item",
-    # -- option values no pass selects yet (ROADMAP "The benchmark PR", slice (g)) ---------
-    "repro.arch.key_cache.LFUEvictionPolicy": "option value: key_eviction='lfu'",
-    "repro.faults.schedule.FaultSchedule.partition": "option value: a partition fault",
-    "repro.faults.schedule.FaultSchedule.slowdown": "option value: a slowdown fault",
-    "repro.obs.trace.StageSpan.to_dict": "option value: layout='pipeline' with tracing",
-    "repro.sched.layouts.ElasticLayout.runtime_stats": "option value: layout='elastic' stats",
-    "repro.sched.memo.ScheduleCache.stage_cost": "option value: layout='pipeline' priced by event",
-    "repro.sched.memo.graph_signature": "option value: layout='pipeline' priced by event",
-    "repro.serve.queue.RequestQueue.oldest_for_tenant": "option value: shed-oldest per tenant",
-    "repro.serve.sharding.AffinityPolicy": "option value: policy='affinity'",
+    # -- option values no pass selects yet, each kept for the ROADMAP item it names -------
+    "repro.obs.trace.StageSpan.to_dict": (
+        "option value: layout='pipeline' with tracing; kept for 'The benchmark PR', slice (g)"
+    ),
+    "repro.sched.layouts.ElasticLayout.runtime_stats": (
+        "option value: layout='elastic' stats; kept for 'The benchmark PR', slice (g)"
+    ),
+    "repro.sched.memo.ScheduleCache.stage_cost": (
+        "option value: layout='pipeline' priced by event; kept for 'Serving prices what the "
+        "scheduler prices'"
+    ),
+    "repro.sched.memo.graph_signature": (
+        "option value: layout='pipeline' priced by event; kept for 'Serving prices what the "
+        "scheduler prices'"
+    ),
+    "repro.serve.queue.RequestQueue.oldest_for_tenant": (
+        "option value: shed-oldest per tenant; kept for 'The benchmark PR', since the "
+        "observatory's traced serve pass wraps it by name"
+    ),
 }
 
 

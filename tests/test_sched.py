@@ -263,16 +263,6 @@ def test_key_shipping_charged_on_migration_only():
         assert again.breakdown["key_shipping_s"] == 0.0
 
 
-def test_affinity_policy_never_ships_keys():
-    params = PARAM_SET_I
-    cluster = StrixCluster(devices=4, policy="affinity")
-    for batch_id in range(6):
-        dispatch = cluster.dispatch(
-            bootstrap_batch(8, tenant="sticky", batch_id=batch_id), 0.0, params
-        )
-        assert dispatch.breakdown["key_shipping_s"] == 0.0
-
-
 def test_reset_serving_state_clears_key_residency():
     params = PARAM_SET_I
     cluster = StrixCluster(devices=2, policy="round-robin")

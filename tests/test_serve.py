@@ -512,18 +512,6 @@ def test_submit_then_simulate_uses_the_serving_clock():
     assert pbs == {"alice": 8, "bob": 4}
 
 
-def test_affinity_policy_pins_tenants_to_devices():
-    server = Server(
-        devices=4, params="I", policy="affinity", max_batch_delay_s=1e-4
-    )
-    trace = [
-        make_request(index, items=2, arrival_s=index * 0.01, tenant="sticky")
-        for index in range(8)
-    ]
-    report = server.simulate(trace)
-    assert len({outcome.device for outcome in report.outcomes}) == 1
-
-
 def test_repeated_simulations_are_deterministic():
     """Cluster, batcher and policy state all reset between simulations."""
     server = Server(devices=3, params="I", policy="round-robin")
@@ -570,7 +558,7 @@ def test_server_sets_each_cluster_knob_from_one_field():
         params="I",
         cluster=StrixClusterConfig(device=StrixConfig(tvlp=4)),
         key_budget_bytes=budget,
-        key_policy="lfu",
+        key_policy="pinned",
     )
     assert len(server.cluster) == 3
     assert all(device.accelerator.config.tvlp == 4 for device in server.cluster.devices)
@@ -578,7 +566,7 @@ def test_server_sets_each_cluster_knob_from_one_field():
         server.params
     )
     assert server.cluster.key_residency.budget_bytes == budget
-    assert server.cluster.key_residency.policy.name == "lfu"
+    assert server.cluster.key_residency.policy.name == "pinned"
 
 
 def test_sync_paths_refused_inside_async_context():

@@ -14,11 +14,11 @@ import pytest
 from repro import list_backends, run
 from repro.apps.workloads import lut_pipeline_graph, pbs_batch_graph
 from repro.arch.config import StrixClusterConfig, StrixConfig
+from repro.errors import UnknownPolicyError
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
 from repro.runtime import UnknownBackendError, get_backend
 from repro.sched.layouts import _balanced_shares
 from repro.serve import (
-    AffinityPolicy,
     Batch,
     LeastLoadedPolicy,
     Request,
@@ -43,12 +43,21 @@ def one_request_batch(items: int, tenant: str = "t0") -> Batch:
 
 
 def test_policy_registry():
-    assert list_policies() == ["affinity", "key-affinity", "least-loaded", "round-robin"]
+    assert list_policies() == ["key-affinity", "least-loaded", "round-robin"]
     assert isinstance(get_policy("round-robin"), RoundRobinPolicy)
     instance = LeastLoadedPolicy()
     assert get_policy(instance) is instance
     with pytest.raises(ValueError, match="unknown sharding policy"):
         get_policy("random")
+
+
+def test_affinity_is_not_a_sharding_policy():
+    with pytest.raises(UnknownPolicyError) as excinfo:
+        get_policy("affinity")
+    message = str(excinfo.value)
+    names = "registered sharding policies: ['key-affinity', 'least-loaded', 'round-robin']"
+    assert names in message
+    assert "did you mean 'key-affinity'?" in message
 
 
 def test_partition_is_balanced_and_exact():
@@ -74,18 +83,6 @@ def test_round_robin_select_cycles():
 def test_least_loaded_select_picks_earliest_free_device():
     policy = LeastLoadedPolicy()
     assert policy.select([5.0, 1.0, 3.0], one_request_batch(4)) == 1
-
-
-def test_affinity_select_is_sticky_per_tenant():
-    policy = AffinityPolicy()
-    loads = [0.0] * 4
-    first = policy.select(loads, one_request_batch(4, tenant="alice"))
-    assert all(
-        policy.select(loads, one_request_batch(s, tenant="alice")) == first for s in (1, 2, 3)
-    )
-    assert any(
-        policy.select(loads, one_request_batch(4, tenant=f"tenant{i}")) != first for i in range(8)
-    )
 
 
 # -- cluster: sharded workload execution ----------------------------------------------

@@ -2,7 +2,7 @@
 
 Hypothesis draws a server (tenants 1-8, devices 1-4, FIFO or ``fair`` QoS,
 no admission or one of the three policies with small capacities, per-request
-deadlines, a ``FaultSchedule.random`` of deaths, slowdowns and partitions)
+deadlines, a seeded ``random_fault_schedule`` of deaths)
 and then any interleaving of ``offer`` at a non-decreasing arrival,
 ``resolved()``, a mid-stream ``drain()``, ``close()`` and ``finish()``, on
 the simulated clock.  After every step:
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from conftest import random_fault_schedule
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -35,7 +36,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.faults import FaultSchedule
 from repro.faults.injector import RequestLostError
 from repro.flow import DeadlineExceededError, RequestRejectedError, list_admission_policies
 from repro.serve import Request, Server
@@ -68,7 +68,7 @@ class ServingRunMachine(RuleBasedStateMachine):
                 tenant_capacity=tenant_capacity,
             )
         if faults is not None:
-            options["faults"] = FaultSchedule.random(devices, FAULT_SPAN_S, seed=faults)
+            options["faults"] = random_fault_schedule(devices, FAULT_SPAN_S, seed=faults)
         self.server = Server(**options)
         self.run = self.server.begin_run(label="machine")
         self.tenants = tenants
