@@ -111,15 +111,9 @@ class FaultSchedule:
         """Whether ``device`` is dead at time ``t_s``."""
         return any(event.device == device and event.active_at(t_s) for event in self.events)
 
-    def placeable_at(self, device: int, t_s: float) -> bool:
-        """Whether new work may land on ``device`` at time ``t_s`` (it is not dead)."""
-        return not self.dead_at(device, t_s)
-
     def available_indices(self, t_s: float, devices: int) -> list[int]:
         """Indices accepting placement at ``t_s``, ascending."""
-        return [
-            index for index in range(devices) if self.placeable_at(index, t_s)
-        ]
+        return [index for index in range(devices) if not self.dead_at(index, t_s)]
 
     def first_available_s(self, t_s: float, devices: int) -> float | None:
         """Earliest time ``>= t_s`` at which *some* device accepts placement.

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import UnknownMetricError
 
@@ -176,13 +178,24 @@ class Histogram(Metric):
         """Sum of every observed value."""
         return self._sum
 
-    def observe(self, *values: float) -> None:
-        """Record one observation — or one batch's, in order, in one call."""
-        counts, bounds, total = self._counts, self.bounds, self._sum
-        for value in values:
-            counts[bisect.bisect_left(bounds, value)] += 1
-            total += value
-        self._sum = total
+    def observe(self, values: Sequence[float] | np.ndarray) -> None:
+        """Record observations in order: each in bucket ``bisect_left(bounds, value)``
+        and added to the sum in turn, so any split into calls agrees bit for bit.
+        An array or a long list goes through NumPy: ``searchsorted(side="left")``
+        (NaN aside) and ``add.accumulate``, in order as a pairwise ``sum`` is not."""
+        if len(values) < 64 and not isinstance(values, np.ndarray):  # a short loop wins
+            counts, bounds, total = self._counts, self.bounds, self._sum
+            for value in values:
+                counts[bisect.bisect_left(bounds, value)] += 1
+                total += value
+            self._sum = total
+        else:
+            values = np.asarray(values, dtype=np.float64)
+            buckets = np.searchsorted(self.bounds, values, side="left")
+            counts = np.bincount(buckets, minlength=len(self._counts))
+            self._counts = (counts + self._counts).tolist()
+            with np.errstate(over="ignore"):  # a float overflows to inf silently
+                self._sum = float(np.add.accumulate(np.append(self._sum, values))[-1])
         self._count += len(values)
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:

@@ -14,8 +14,8 @@ keyed on everything the simulation can observe:
 
 * for a batch with inference requests, its request-mix signature
   (:func:`~repro.sched.cost.batch_mix_signature`), or its linear-free twin's
-  (below); for a model-free batch, its PBS count alone; for a pipeline
-  stage, a structural graph signature;
+  (below); for a model-free batch, its PBS count alone (both below); for a
+  pipeline stage, a structural graph signature;
 * the TFHE parameter set — the *object*, not its name, so a structurally
   tweaked set under a reused name can never alias a cached schedule;
 * the device geometry (the device's frozen
@@ -30,10 +30,14 @@ the way out of the cache, not keyed.  A batch with inference requests is keyed a
 linear-free twin ``(0, simple_pbs, models)`` when its linear side ends before
 any core ends its share of the PBS+KS op's first epoch, which fills every core.
 
+Both read ``simple_pbs`` as ``ceil(simple_pbs / tvlp)`` where
+``_EpochTimings.busiest_core_bounds`` proves the schedule reads no more of it;
+a hit then returns the batch's own ``total_pbs``, the one field that differs.
+
 Equal keys imply bit-for-bit equal costs because the scheduler is a
 deterministic function of (ordered graph structure, params, config),
 :func:`~repro.sched.cost.batch_program` lowers equal signatures to equal op
-lists and both rules above are exact.  Cached entries are therefore pure derived
+lists and the rules above are exact.  Cached entries are therefore pure derived
 data: they survive :meth:`ScheduleCache.reset` (only the per-simulation
 hit/miss counters clear), and eviction can never change a result, only
 cost a recomputation.
@@ -97,7 +101,8 @@ class ScheduleCache(CostModel):
     event model's, so serving reports and config round-trips read
     ``"event"`` either way — and exact: memoized results are
     bit-for-bit equal to what the event model would have returned, for every
-    layout (whole batches and pipeline stages).
+    layout (whole batches and pipeline stages), with the ``ceil(simple_pbs /
+    tvlp)`` key where the chip's epoch timings prove it exact.
     """
 
     name = EventDrivenCostModel.name
@@ -135,29 +140,34 @@ class ScheduleCache(CostModel):
     def batch_cost(
         self, batch: "Batch", params: TFHEParameters, device: "StrixDevice"
     ) -> BatchCost:
-        linear_items, simple_pbs, models = signature = batch_mix_signature(batch)
+        linear_items, simple_pbs, models = batch_mix_signature(batch)
         config = device.accelerator.config
+        timings = device.scheduler.epoch_timings(params)
+        # Where core 0 is provably the busiest core, ceil(simple_pbs / tvlp)
+        # prices the PBS op; its own count only sets ``pbs``, filled in below.
+        group = -(-simple_pbs // config.tvlp) if timings.busiest_core_bounds else simple_pbs
         linear_macs_per_second = StrixScheduler.linear_macs_per_second(config)
         linear_s = linear_macs(linear_items, params.n) / linear_macs_per_second  # from 0.0
         if models:
+            signature = (linear_items, group, models)
             if linear_items and simple_pbs >= config.tvlp:
                 # Once the models' PBS-free LINEAR ops are booked too: if no core
                 # has ended its share of the PBS op's first epoch by then, the batch
                 # costs what its linear-free twin does (a miss prices the batch).
                 for seconds in _model_linear_seconds(models, params, linear_macs_per_second):
                     linear_s += seconds
-                durations = device.scheduler.epoch_timings(params).node(simple_pbs)[0][0]
-                if linear_s <= min(durations):
-                    signature = (0, simple_pbs, models)
+                if linear_s <= min(timings.node(simple_pbs)[0][0]):
+                    signature = (0, group, models)
             key = ("batch", signature, params, config)
-            return self._memoized(key, self._event.batch_cost, batch, params, device)
-        # At most a LINEAR op and a PBS+KS op, sharing no unit: the makespan is
-        # the later of the PBS op's and the LINEAR op's.
-        key = ("pbs", simple_pbs, params, config)
-        pbs = self._memoized(key, self._pbs_cost, simple_pbs, params, device)
-        if linear_s <= pbs.compute_s:
-            return pbs
-        return BatchCost(linear_s, pbs.pbs, pbs.epochs, {"event_s": linear_s})
+            cost = self._memoized(key, self._event.batch_cost, batch, params, device)
+        else:
+            # At most a LINEAR op and a PBS+KS op, sharing no unit: the makespan
+            # is the later of the PBS op's and the LINEAR op's.
+            key = ("pbs", group, params, config)
+            cost = self._memoized(key, self._pbs_cost, simple_pbs, params, device)
+            if linear_s > cost.compute_s:
+                return BatchCost(linear_s, batch.total_pbs, cost.epochs, {"event_s": linear_s})
+        return cost if cost.pbs == batch.total_pbs else cost._replace(pbs=batch.total_pbs)
 
     def _pbs_cost(
         self, simple_pbs: int, params: TFHEParameters, device: "StrixDevice"

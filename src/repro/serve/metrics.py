@@ -11,12 +11,17 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import sub
 from typing import Any
 
 import numpy as np
 
+from repro.sched.layouts import Dispatch
 from repro.serve.batcher import Batch
 from repro.serve.request import RequestOutcome
+
+_new_tuple = tuple.__new__
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -260,7 +265,7 @@ class MetricsCollector:
         self.outcomes: list[RequestOutcome] = []
         #: What the summary and a snapshot read, 32 bytes per recorded request
         #: in dispatch order: ``latency_s``, ``queue_delay_s`` and
-        #: ``completed_s`` as computed at dispatch, and the tenant's shared name.
+        #: ``completed_s`` as its outcome has them, and the tenant's shared name.
         self.latencies = array("d")
         self.delays = array("d")
         self.completions = array("d")
@@ -270,38 +275,40 @@ class MetricsCollector:
         self._batches = 0
         self._cost_breakdown: dict[str, float] = {}
 
-    def record_batch(
-        self,
-        batch: Batch,
-        outcomes: list[RequestOutcome],
-        latencies: list[float],
-        delays: list[float],
-        completed_s: float,
-        breakdown: dict[str, float],
-    ) -> None:
-        """Record one dispatched batch, its outcomes and its cost breakdown.
-
-        ``latencies`` / ``delays`` are the outcomes' ``latency_s`` /
-        ``queue_delay_s``, which the caller has already computed for its
-        histograms, and ``completed_s`` is when the batch completed.
-        ``*_s`` breakdown components accumulate (seconds of transfer, key
-        shipping, dispatch overhead across the run); any other component
-        keeps its peak (e.g. the elastic layout's ``active_devices``).
+    def record(self, dispatched: list[tuple[Batch, Dispatch]]) -> tuple[list, list]:
+        """Record dispatched batches in order; return their requests' latencies
+        and queue delays.  ``*_s`` breakdown components accumulate (seconds of
+        transfer, key shipping, dispatch overhead across the run); any other
+        component keeps its peak (e.g. the elastic layout's ``active_devices``).
         """
-        self._batches += 1
-        self._total_pbs += batch.total_pbs
-        self._batch_fills.append(batch.fill_fraction(self.batch_capacity))
-        self.outcomes += outcomes
+        requests, batch_ids, devices, starts, ends = [], [], [], [], []
+        fills, totals = self._batch_fills, self._cost_breakdown
+        for batch, dispatch in dispatched:
+            size = len(batch.requests)
+            requests += batch.requests
+            batch_ids += [batch.batch_id] * size
+            devices += [dispatch.device] * size
+            starts += [dispatch.start_s] * size
+            ends += [dispatch.end_s] * size
+            self._total_pbs += batch.total_pbs
+            fills.append(batch.fill_fraction(self.batch_capacity))
+            for key, value in dispatch.breakdown.items():
+                if key.endswith("_s"):
+                    totals[key] = totals.get(key, 0.0) + value
+                else:
+                    totals[key] = max(totals.get(key, value), value)
+        self._batches += len(dispatched)
+        arrivals = [request.arrival_s for request in requests]
+        latencies = list(map(sub, ends, arrivals))
+        delays = list(map(sub, starts, arrivals))
+        # RequestOutcome(...) minus the named tuple's Python-level __new__.
+        columns = zip(requests, batch_ids, devices, starts, ends)
+        self.outcomes += map(_new_tuple, repeat(RequestOutcome), columns)
         self.latencies.extend(latencies)
         self.delays.extend(delays)
-        self.completions += array("d", (completed_s,)) * len(outcomes)
-        self.tenants += [request.tenant for request in batch.requests]
-        totals = self._cost_breakdown
-        for key, value in breakdown.items():
-            if key.endswith("_s"):
-                totals[key] = totals.get(key, 0.0) + value
-            else:
-                totals[key] = max(totals.get(key, value), value)
+        self.completions.extend(ends)
+        self.tenants += [request.tenant for request in requests]
+        return latencies, delays
 
     def summarize(
         self,

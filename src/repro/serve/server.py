@@ -56,7 +56,7 @@ from repro.obs.trace import Tracer
 from repro.params import TFHEParameters
 from repro.runtime.session import Session
 from repro.sched.cost import CostModel
-from repro.sched.layouts import PlacementLayout
+from repro.sched.layouts import Dispatch, PlacementLayout
 from repro.serve.batcher import AdaptiveBatcher, Batch
 from repro.serve.cluster import StrixCluster, resolve_cluster_params
 from repro.serve.metrics import (
@@ -68,6 +68,9 @@ from repro.serve.metrics import (
 from repro.serve.queue import RequestQueue
 from repro.serve.request import Request, RequestKind, RequestOutcome
 from repro.serve.sharding import ShardingPolicy
+
+#: Dispatched batches a run holds before it records them (see ServingRun.metrics).
+FOLD_BATCHES = 256
 
 
 @dataclass(frozen=True)
@@ -291,7 +294,9 @@ class ServingRun:
         # polluted by earlier runs on this server.
         self.queue = server.queue = server._make_queue()
         self.batcher = server.batcher = server._make_batcher(self._expire)
-        self.metrics = MetricsCollector(server.batch_capacity)
+        self._metrics = MetricsCollector(server.batch_capacity)
+        #: Batches dispatched and not yet recorded, with their dispatches.
+        self._dispatched: list[tuple[Batch, Dispatch]] = []
         #: Called with the run after each flush its wall-clock timer fires,
         #: so the consumer answers what :meth:`resolved` now reports.
         self.on_flush: Callable[["ServingRun"], None] | None = None
@@ -432,7 +437,7 @@ class ServingRun:
             raise
 
     def _dispatch(self, batch: Batch) -> None:
-        """Send one batch to the cluster and record its outcomes."""
+        """Send one batch to the cluster; :attr:`metrics` records it."""
         server = self.server
         dispatch = server.cluster.dispatch(batch, batch.created_s, server.params)
         self._last_completion = max(self._last_completion, dispatch.end_s)
@@ -445,20 +450,29 @@ class ServingRun:
             for request in batch.requests:
                 self._drop(request, RequestLostError, "was lost to a device fault")
             return
-        batch_id, device = batch.batch_id, dispatch.device
-        start_s, end_s = dispatch.start_s, dispatch.end_s
-        outcomes, latencies, delays = [], [], []
-        for request in batch.requests:
-            outcomes.append(RequestOutcome(request, batch_id, device, start_s, end_s))
-            latencies.append(end_s - request.arrival_s)
-            delays.append(start_s - request.arrival_s)
-        server._latency_hist.observe(*latencies)
-        server._queue_delay_hist.observe(*delays)
-        self.metrics.record_batch(batch, outcomes, latencies, delays, end_s, dispatch.breakdown)
-        server._requests_total.inc(len(outcomes))
-        server._batches_total.inc()
-        server._items_total.inc(batch.total_items)
-        server._pbs_total.inc(batch.total_pbs)
+        self._dispatched.append((batch, dispatch))
+        if len(self._dispatched) == FOLD_BATCHES:
+            self._fold()
+
+    @property
+    def metrics(self) -> MetricsCollector:
+        """The run's collector, every batch dispatched so far recorded in it."""
+        self._fold()
+        return self._metrics
+
+    def _fold(self) -> None:
+        """Record the held batches in the collector and the serving instruments."""
+        dispatched = self._dispatched
+        if dispatched:
+            self._dispatched = []
+            latencies, delays = self._metrics.record(dispatched)
+            server = self.server
+            server._latency_hist.observe(latencies)
+            server._queue_delay_hist.observe(delays)
+            server._requests_total.inc(len(latencies))
+            server._batches_total.inc(len(dispatched))
+            server._items_total.inc(sum(batch.total_items for batch, _ in dispatched))
+            server._pbs_total.inc(sum(batch.total_pbs for batch, _ in dispatched))
 
     # -- drops and failures -----------------------------------------------------------
 
@@ -491,7 +505,8 @@ class ServingRun:
     # -- the report -------------------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the server so another run can begin (idempotent)."""
+        """Fold, then detach from the server so another run can begin (idempotent)."""
+        self._fold()
         if self.server.active_run is self:
             self.server.active_run = None
         # The batcher outlives the run as ``server.batcher``; unhooking it
@@ -738,6 +753,8 @@ class Server:
         a :class:`~repro.net.NetServer` — the wire).  This is exactly what
         the net protocol's ``STATS`` frame serializes.
         """
+        if self.active_run is not None:
+            self.active_run._fold()
         return self.registry.collect()
 
     def snapshot(

@@ -78,6 +78,14 @@ class _EpochTimings:
         self.epoch_capacity = accelerator.epoch_capacity(params)
         self._epochs: dict[int, tuple[tuple[float, ...], float]] = {}
         self._nodes: dict[int, tuple[tuple[tuple[float, ...], float], ...]] = {}
+        step = accelerator.config.tvlp  # core 0's seconds at 1 .. core batch LWEs:
+        seconds = [self.epoch(lwes)[0][0] for lwes in range(step, self.epoch_capacity + 1, step)]
+        #: Whether a core's epoch seconds never fall as its LWE count grows.  Epochs
+        #: are dealt round-robin from core 0, so then core 0 is the last core free
+        #: after every epoch of every op (by induction over the op list), and the
+        #: ends, keyswitch chain, makespan and epoch count read a PBS op's
+        #: ciphertexts only through ``ceil(ciphertexts / tvlp)``.
+        self.busiest_core_bounds = all(map(float.__le__, seconds, seconds[1:]))
 
     def node(self, ciphertexts: int) -> tuple[tuple[tuple[float, ...], float], ...]:
         """:meth:`epoch` of each epoch of a PBS node: full ones, then the rest."""

@@ -2,9 +2,10 @@
 
 Covers the exactness contract (memoized pricing is bit-for-bit equal to
 unmemoized pricing, for randomized batch mixes and for every placement
-layout), model-free batches keyed on their PBS count alone and model-bearing
-ones on their linear-free twin (held to the event model and to ``spec_run`` on
-every field), the LRU capacity/eviction behaviour, the counter accounting the
+layout), model-free batches keyed on their PBS count, model-bearing ones on
+their linear-free twin and both on their busiest core's share of the simple
+PBS where a core's epoch time grows with its LWEs (held to the event model and
+to ``spec_run`` on every field), the LRU capacity/eviction behaviour, the counter accounting the
 serving report surfaces, and the wiring rule (``"event"`` by name gets the
 default cache; a cost-model instance is used as given).
 """
@@ -126,7 +127,7 @@ def test_equal_signatures_imply_equal_costs_regardless_of_request_order():
         assert memo.batch_cost(shuffled, PARAM_SET_I, device) is memoized
 
 
-def test_model_free_batches_share_one_entry_per_pbs_count():
+def test_model_free_batches_share_one_entry_per_busiest_core_count():
     """Encryption items do not split the key: the linear side is priced on the way out."""
     device = StrixCluster(devices=1).devices[0]
     memo = ScheduleCache()
@@ -266,6 +267,59 @@ def test_model_bearing_batches_price_as_the_event_model_and_the_spec(batch, para
             spec.total_pbs,
             spec.total_epochs,
         )
+
+
+def chip(**device):
+    return StrixCluster(devices=1, config=StrixClusterConfig(device=StrixConfig(**device))).devices[0]
+
+
+#: Two chips where a core's epoch time grows with its LWE count, and two memory-wall
+#: chips where a lone LWE outlasts two streamed ones, so the cache keys exact counts.
+GROUP_CHIPS = (CHIPS[0], chip(tvlp=16, clp=2), KEY_FETCH_BOUND_CHIP, chip(tvlp=2, clp=16))
+#: What rides along with the simple PBS: nothing, encryption items, models.
+RIDERS = (("encrypt", 5, None), ("encrypt", 10**7, None), ("inference", 1, "NN-20"),
+          ("inference", 2, "NN-50"))
+
+
+@settings(deadline=None)
+@given(
+    group=st.integers(1, 80),
+    slots=st.tuples(st.integers(0, 31), st.integers(0, 31)),
+    riders=st.lists(st.sampled_from(RIDERS), max_size=2),
+    params=st.sampled_from((PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV)),
+    device=st.sampled_from(GROUP_CHIPS),
+)
+@example(  # tvlp + 1 gates, then tvlp + 2: a core holding one LWE outlasts core 0
+    group=2, slots=(0, 1), riders=[], params=PARAM_SET_I, device=KEY_FETCH_BOUND_CHIP
+)
+def test_batches_in_one_busiest_core_group_price_as_the_event_model_and_the_spec(
+    group, slots, riders, params, device
+):
+    """A cache primed with one batch prices a second whose simple PBS count shares
+    its ``ceil(simple_pbs / tvlp)``: both equal the uncached model and ``spec_run``."""
+    tvlp = device.accelerator.config.tvlp
+    cache = ScheduleCache()
+    for slot in slots:  # the first primes the entry the second may hit
+        gates = (group - 1) * tvlp + 1 + slot % tvlp
+        batch = make_batch(make_requests([("gate", gates, None), *riders]))
+        cost = cache.batch_cost(batch, params, device)
+        assert cost == EventDrivenCostModel().batch_cost(batch, params, device)
+        spec = spec_run(device.scheduler, batch_graph(batch, params))
+        assert (cost.compute_s, cost.pbs, cost.epochs) == (
+            spec.total_time_s,
+            spec.total_pbs,
+            spec.total_epochs,
+        )
+
+
+@pytest.mark.parametrize(("device", "misses"), [(CHIPS[0], 1), (KEY_FETCH_BOUND_CHIP, 8)])
+def test_simple_pbs_keys_on_the_busiest_core_where_core_time_grows(device, misses):
+    """On the default chip (8 cores) simple PBS 9-16 all put two LWEs on core 0:
+    one entry.  On a memory-wall chip a lone LWE outlasts two, so the count is the key."""
+    cache = ScheduleCache()
+    for gates in range(9, 17):
+        cache.batch_cost(make_batch(make_requests([("gate", gates, None)])), PARAM_SET_I, device)
+    assert (cache.misses, cache.hits) == (misses, 8 - misses)
 
 
 @pytest.mark.parametrize("layout", ["data-parallel", "pipeline", "elastic"])

@@ -132,8 +132,8 @@ def test_time_indexed_queries():
     assert not schedule.dead_at(1, 0.05)
     assert schedule.dead_at(1, 0.1) and schedule.dead_at(1, 0.29)
     assert not schedule.dead_at(1, 0.3)  # heal boundary is exclusive
-    assert not schedule.placeable_at(2, 0.25)
-    assert schedule.placeable_at(0, 0.25)
+    assert schedule.dead_at(2, 0.25)
+    assert not schedule.dead_at(0, 0.25)
     assert schedule.available_indices(0.25, 4) == [0, 3]
     assert schedule.available_indices(0.45, 4) == [0, 1, 2, 3]
 

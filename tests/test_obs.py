@@ -19,10 +19,12 @@ Four layers of coverage:
 from __future__ import annotations
 
 import asyncio
+import bisect
 import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -54,11 +56,31 @@ from repro.serve.server import Server
 
 
 def fed_one_by_one(values) -> Histogram:
-    """The reference feed: one ``observe(value)`` call per value."""
+    """The reference feed: one ``observe([value])`` call per value."""
     hist = Histogram("one_by_one")
     for value in values:
-        hist.observe(value)
+        hist.observe([value])
     return hist
+
+
+def spec_observe(values, bounds=DEFAULT_LATENCY_BUCKETS_S) -> tuple[list[int], int, float]:
+    """What a histogram holds after ``values``, one value at a time: each in
+    bucket ``bisect_left(bounds, value)``, each added to the sum in turn."""
+    counts, total = [0] * (len(bounds) + 1), 0.0
+    for value in values:
+        counts[bisect.bisect_left(bounds, value)] += 1
+        total += value
+    return counts, len(values), total
+
+
+#: Values a histogram is fed: exactly on a bound, a hair either side of one, or any finite float.
+observed_values = (
+    st.sampled_from(DEFAULT_LATENCY_BUCKETS_S)
+    | st.sampled_from(DEFAULT_LATENCY_BUCKETS_S).map(lambda bound: math.nextafter(bound, 0.0))
+    | st.sampled_from(DEFAULT_LATENCY_BUCKETS_S).map(lambda bound: math.nextafter(bound, 2.0))
+    | st.floats(min_value=0.0, max_value=2.0)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
 
 
 class TestInstruments:
@@ -86,7 +108,7 @@ class TestInstruments:
     def test_histogram_buckets_are_cumulative(self):
         hist = Histogram("latency", "Latency", buckets=(0.01, 0.1, 1.0))
         for value in (0.005, 0.05, 0.05, 0.5, 5.0):
-            hist.observe(value)
+            hist.observe([value])
         assert hist.count == 5
         assert hist.sum == pytest.approx(5.605)
         cumulative = hist.cumulative_buckets()
@@ -104,10 +126,24 @@ class TestInstruments:
     @example([1.0, 1.0000000000000002, 7.5, 0.1 + 0.2])  # past the last bound
     def test_histogram_fed_a_batch_equals_fed_one_by_one(self, values):
         batched, single = Histogram("batched"), fed_one_by_one(values)
-        batched.observe(*values)
+        batched.observe(values)
         assert batched.cumulative_buckets() == single.cumulative_buckets()
         assert batched.count == single.count == len(values)
         assert batched.sum.hex() == single.sum.hex()  # same additions, same order
+
+    @given(st.lists(st.lists(observed_values, max_size=200), max_size=4), st.booleans())
+    @example([[0.1] * 100], False)  # a pairwise sum rounds this one differently
+    @example([list(DEFAULT_LATENCY_BUCKETS_S) * 6], True)  # a long run exactly on every bound
+    def test_histogram_observe_equals_a_one_value_at_a_time_loop(self, calls, as_array):
+        """Sequences short and long (the vectorized path), lists or arrays, fed
+        in several calls: the buckets, count and sum of the spec loop, bit for bit."""
+        hist = Histogram("observed")
+        for values in calls:
+            hist.observe(np.array(values, dtype=float) if as_array else values)
+        counts, count, total = spec_observe([value for values in calls for value in values])
+        assert hist._counts == counts
+        assert hist.count == count
+        assert hist.sum.hex() == total.hex()
 
     @pytest.mark.parametrize("cost_model", ["analytical", "event"])
     @pytest.mark.parametrize("layout", ["data-parallel", "pipeline", "elastic"])
@@ -124,6 +160,35 @@ class TestInstruments:
             assert served.count == len(report.outcomes)
             assert served.sum.hex() == one_by_one.sum.hex()
             assert served.cumulative_buckets() == one_by_one.cumulative_buckets()
+
+    def test_server_metrics_read_a_streamed_runs_unread_batches(self):
+        """What the STATS frame serializes: ``Server.metrics()`` mid-run holds every
+        batch dispatched so far, though nothing has read the run's outcomes yet."""
+        server = Server(devices=2, params="I")
+        run = server.begin_run()
+        for request in steady_trace(1500.0, 0.05, seed=5):
+            run.offer(request)
+        stats = server.metrics()
+        outcomes, _ = run.resolved()
+        run.finish()
+        assert len({outcome.batch_id for outcome in outcomes}) == 20  # fewer than the run folds at: only the read folds them
+        reference = MetricsRegistry()
+        for name, value in (
+            ("serve_requests_total", len(outcomes)),
+            ("serve_batches_total", 20),
+            ("serve_items_total", sum(outcome.request.items for outcome in outcomes)),
+            ("serve_pbs_total", sum(outcome.request.total_pbs for outcome in outcomes)),
+        ):
+            reference.counter(name).inc(value)
+        for name, samples in (
+            ("serve_latency_seconds", [outcome.latency_s for outcome in outcomes]),
+            ("serve_queue_delay_seconds", [outcome.queue_delay_s for outcome in outcomes]),
+        ):
+            histogram = reference.histogram(name)
+            for sample in samples:
+                histogram.observe([sample])
+        expected = reference.collect()
+        assert {key: stats[key] for key in expected} == expected
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -170,7 +235,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("requests_total", "Requests served").inc(3)
         hist = registry.histogram("latency_seconds", "Latency", buckets=(0.01, 0.1))
-        hist.observe(0.05)
+        hist.observe([0.05])
         text = registry.render_prometheus(namespace="repro")
         assert "# HELP repro_requests_total Requests served" in text
         assert "# TYPE repro_requests_total counter" in text
