@@ -31,8 +31,6 @@ import bisect
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import UnknownMetricError
 
 #: Default :class:`Histogram` bucket bounds (seconds), spanning the
@@ -178,24 +176,14 @@ class Histogram(Metric):
         """Sum of every observed value."""
         return self._sum
 
-    def observe(self, values: Sequence[float] | np.ndarray) -> None:
+    def observe(self, values: Sequence[float]) -> None:
         """Record observations in order: each in bucket ``bisect_left(bounds, value)``
-        and added to the sum in turn, so any split into calls agrees bit for bit.
-        An array or a long list goes through NumPy: ``searchsorted(side="left")``
-        (NaN aside) and ``add.accumulate``, in order as a pairwise ``sum`` is not."""
-        if len(values) < 64 and not isinstance(values, np.ndarray):  # a short loop wins
-            counts, bounds, total = self._counts, self.bounds, self._sum
-            for value in values:
-                counts[bisect.bisect_left(bounds, value)] += 1
-                total += value
-            self._sum = total
-        else:
-            values = np.asarray(values, dtype=np.float64)
-            buckets = np.searchsorted(self.bounds, values, side="left")
-            counts = np.bincount(buckets, minlength=len(self._counts))
-            self._counts = (counts + self._counts).tolist()
-            with np.errstate(over="ignore"):  # a float overflows to inf silently
-                self._sum = float(np.add.accumulate(np.append(self._sum, values))[-1])
+        and added to the sum in turn, so any split into calls agrees bit for bit."""
+        counts, bounds, total = self._counts, self.bounds, self._sum
+        for value in values:
+            counts[bisect.bisect_left(bounds, value)] += 1
+            total += value
+        self._sum = total
         self._count += len(values)
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
@@ -231,6 +219,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._views: dict[str, Callable[[], Mapping[str, float]]] = {}
+        #: Called before every read (:meth:`get`, :meth:`collect`,
+        #: :meth:`render_prometheus`), so an owner that holds back updates (a
+        #: serving run's unrecorded batches) brings its instruments up to date.
+        self.before_read: Callable[[], None] | None = None
 
     # -- creation ----------------------------------------------------------------
 
@@ -304,6 +296,8 @@ class MetricsRegistry:
         did-you-mean shape — for unknown names (view prefixes are listed in
         the message but are not instruments and cannot be returned).
         """
+        if self.before_read is not None:
+            self.before_read()
         try:
             return self._metrics[name]
         except KeyError:
@@ -326,6 +320,8 @@ class MetricsRegistry:
         serializes, so a scrape over the socket and an in-process read see
         the same numbers.
         """
+        if self.before_read is not None:
+            self.before_read()
         flat: dict[str, float] = {}
         for metric in self._metrics.values():
             flat.update(metric.samples())
@@ -344,6 +340,8 @@ class MetricsRegistry:
         def full(name: str) -> str:
             return f"{namespace}_{name}" if namespace else name
 
+        if self.before_read is not None:
+            self.before_read()
         lines: list[str] = []
         for name in sorted(self._metrics):
             metric = self._metrics[name]

@@ -308,6 +308,7 @@ class ServingRun:
         self._timer: asyncio.TimerHandle | None = None
         self._timer_s: float | None = None
         server.active_run = self
+        server.registry.before_read = self._fold
 
     def now(self) -> float:
         """The run's current time: the wall clock, else the serving clock."""
@@ -508,7 +509,7 @@ class ServingRun:
         """Fold, then detach from the server so another run can begin (idempotent)."""
         self._fold()
         if self.server.active_run is self:
-            self.server.active_run = None
+            self.server.active_run = self.server.registry.before_read = None
         # The batcher outlives the run as ``server.batcher``; unhooking it
         # breaks the server → batcher → run cycle, so a finished run's
         # collector is freed with its last reference instead of waiting for
@@ -753,8 +754,6 @@ class Server:
         a :class:`~repro.net.NetServer` — the wire).  This is exactly what
         the net protocol's ``STATS`` frame serializes.
         """
-        if self.active_run is not None:
-            self.active_run._fold()
         return self.registry.collect()
 
     def snapshot(

@@ -270,15 +270,20 @@ def test_model_bearing_batches_price_as_the_event_model_and_the_spec(batch, para
 
 
 def chip(**device):
-    return StrixCluster(devices=1, config=StrixClusterConfig(device=StrixConfig(**device))).devices[0]
+    config = StrixClusterConfig(device=StrixConfig(**device))
+    return StrixCluster(devices=1, config=config).devices[0]
 
 
 #: Two chips where a core's epoch time grows with its LWE count, and two memory-wall
 #: chips where a lone LWE outlasts two streamed ones, so the cache keys exact counts.
 GROUP_CHIPS = (CHIPS[0], chip(tvlp=16, clp=2), KEY_FETCH_BOUND_CHIP, chip(tvlp=2, clp=16))
 #: What rides along with the simple PBS: nothing, encryption items, models.
-RIDERS = (("encrypt", 5, None), ("encrypt", 10**7, None), ("inference", 1, "NN-20"),
-          ("inference", 2, "NN-50"))
+RIDERS = (
+    ("encrypt", 5, None),
+    ("encrypt", 10**7, None),
+    ("inference", 1, "NN-20"),
+    ("inference", 2, "NN-50"),
+)
 
 
 @settings(deadline=None)

@@ -24,7 +24,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -73,13 +72,24 @@ def spec_observe(values, bounds=DEFAULT_LATENCY_BUCKETS_S) -> tuple[list[int], i
     return counts, len(values), total
 
 
-#: Values a histogram is fed: exactly on a bound, a hair either side of one, or any finite float.
+#: Values a histogram is fed: exactly on a bound, a hair either side of one, any float.
 observed_values = (
     st.sampled_from(DEFAULT_LATENCY_BUCKETS_S)
     | st.sampled_from(DEFAULT_LATENCY_BUCKETS_S).map(lambda bound: math.nextafter(bound, 0.0))
     | st.sampled_from(DEFAULT_LATENCY_BUCKETS_S).map(lambda bound: math.nextafter(bound, 2.0))
     | st.floats(min_value=0.0, max_value=2.0)
-    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats()  # NaN lands in bucket 0, as bisect_left puts it
+)
+
+
+#: The instruments every dispatched batch feeds.
+SERVE_INSTRUMENTS = (
+    "serve_requests_total",
+    "serve_batches_total",
+    "serve_items_total",
+    "serve_pbs_total",
+    "serve_latency_seconds",
+    "serve_queue_delay_seconds",
 )
 
 
@@ -131,15 +141,16 @@ class TestInstruments:
         assert batched.count == single.count == len(values)
         assert batched.sum.hex() == single.sum.hex()  # same additions, same order
 
-    @given(st.lists(st.lists(observed_values, max_size=200), max_size=4), st.booleans())
-    @example([[0.1] * 100], False)  # a pairwise sum rounds this one differently
-    @example([list(DEFAULT_LATENCY_BUCKETS_S) * 6], True)  # a long run exactly on every bound
-    def test_histogram_observe_equals_a_one_value_at_a_time_loop(self, calls, as_array):
-        """Sequences short and long (the vectorized path), lists or arrays, fed
-        in several calls: the buckets, count and sum of the spec loop, bit for bit."""
+    @given(st.lists(st.lists(observed_values, max_size=200), max_size=4))
+    @example([[0.1] * 100])  # a pairwise sum rounds this one differently
+    @example([list(DEFAULT_LATENCY_BUCKETS_S) * 6])  # a long run exactly on every bound
+    @example([[math.nan, 1e-4, math.inf]])
+    def test_histogram_observe_equals_a_one_value_at_a_time_loop(self, calls):
+        """Sequences short and long, fed in several calls: the buckets, count and
+        sum of the spec loop, bit for bit."""
         hist = Histogram("observed")
         for values in calls:
-            hist.observe(np.array(values, dtype=float) if as_array else values)
+            hist.observe(values)
         counts, count, total = spec_observe([value for values in calls for value in values])
         assert hist._counts == counts
         assert hist.count == count
@@ -161,14 +172,28 @@ class TestInstruments:
             assert served.sum.hex() == one_by_one.sum.hex()
             assert served.cumulative_buckets() == one_by_one.cumulative_buckets()
 
-    def test_server_metrics_read_a_streamed_runs_unread_batches(self):
-        """What the STATS frame serializes: ``Server.metrics()`` mid-run holds every
-        batch dispatched so far, though nothing has read the run's outcomes yet."""
+    @pytest.mark.parametrize(
+        "read",
+        [
+            Server.metrics,  # what the STATS frame serializes
+            lambda server: server.registry.collect(),
+            lambda server: {
+                key: value
+                for name in SERVE_INSTRUMENTS
+                for key, value in server.registry.get(name).samples().items()
+            },
+            lambda server: server.registry.render_prometheus(namespace=""),
+        ],
+        ids=["metrics", "collect", "get", "render_prometheus"],
+    )
+    def test_every_registry_read_holds_a_streamed_runs_unread_batches(self, read):
+        """Read mid-run, before anything reads the run's outcomes, the ``serve_*``
+        counters and histograms hold every batch dispatched so far."""
         server = Server(devices=2, params="I")
         run = server.begin_run()
         for request in steady_trace(1500.0, 0.05, seed=5):
             run.offer(request)
-        stats = server.metrics()
+        stats = read(server)
         outcomes, _ = run.resolved()
         run.finish()
         assert len({outcome.batch_id for outcome in outcomes}) == 20  # fewer than the run folds at: only the read folds them
@@ -187,8 +212,12 @@ class TestInstruments:
             histogram = reference.histogram(name)
             for sample in samples:
                 histogram.observe([sample])
-        expected = reference.collect()
-        assert {key: stats[key] for key in expected} == expected
+        if isinstance(stats, str):
+            expected = reference.render_prometheus(namespace="").splitlines()
+            assert set(expected) <= set(stats.splitlines())
+        else:
+            expected = reference.collect()
+            assert {key: stats[key] for key in expected} == expected
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
