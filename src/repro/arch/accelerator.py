@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.arch.area_power import AreaPowerModel, ChipCost
 from repro.arch.config import STRIX_DEFAULT, StrixConfig
-from repro.arch.hsc import HomomorphicStreamingCore, PipelineTiming
+from repro.arch.hsc import HomomorphicStreamingCore
 from repro.arch.memory import BandwidthDemand, HBMModel
 from repro.arch.noc import MulticastNetwork
 from repro.params import TFHEParameters
@@ -58,48 +58,34 @@ class StrixAccelerator:
         # per-epoch hot path; config is frozen, so entries can never go
         # stale.  Epoch plans are keyed per (params, lwes) — at most
         # epoch-capacity distinct sizes per parameter set.
-        self._iteration_latency: dict[TFHEParameters, int] = {}
+        self._compute_scaling: dict[TFHEParameters, float] = {}
         self._epoch_plans: dict[tuple[TFHEParameters, int], EpochPlan] = {}
 
     # -- microbenchmark (Table V) -------------------------------------------------
 
-    def pipeline_timing(self, params: TFHEParameters) -> PipelineTiming:
-        """Per-iteration PBS-cluster timing for the parameter set."""
-        return self.core.pipeline_timing(params)
+    def core_iteration_cycles(self, params: TFHEParameters, lwes: int) -> int:
+        """Cycles one blind-rotation iteration takes on a core streaming ``lwes`` LWEs.
 
-    def iteration_latency_cycles(self, params: TFHEParameters) -> int:
-        """Latency of one blind-rotation iteration for a single LWE.
-
-        The compute latency is the pipeline traversal; when the operating
-        point is memory bound the iteration additionally cannot complete
-        faster than the next bootstrapping-key fragment can be fetched over
-        the HBM channels allocated to it.  Memoized per parameter set — the
-        epoch scheduler asks once per single-LWE core booking.
+        The longer of two times.  The pipeline's: a lone LWE traverses the
+        whole pipeline (``iteration_latency``), more stream one initiation
+        interval apart.  The memory wall's (Table VII): the streamed cycles
+        stretched by :meth:`~repro.arch.memory.HBMModel.compute_scaling`, the
+        chip's whole demand (bootstrapping key, keyswitching key, ciphertexts)
+        set against its whole bandwidth.  The scaling is memoized per
+        parameter set, off the epoch scheduler's per-epoch path.
         """
-        cached = self._iteration_latency.get(params)
-        if cached is not None:
-            return cached
         timing = self.core.pipeline_timing(params)
-        fragment_bytes = self.hbm.global_scratchpad.bootstrapping_key_fragment_bytes(params)
-        bsk_bandwidth = (
-            self.config.hbm_bandwidth_gbps
-            * self.config.bsk_channels
-            / (
-                self.config.bsk_channels
-                + self.config.ksk_channels
-                + self.config.ciphertext_channels
-            )
-        )
-        fetch_seconds = fragment_bytes / (bsk_bandwidth * 1e9)
-        fetch_cycles = math.ceil(fetch_seconds * self.config.clock_hz)
-        latency = max(timing.iteration_latency, fetch_cycles)
-        self._iteration_latency[params] = latency
-        return latency
+        streamed = lwes * timing.initiation_interval
+        scaling = self._compute_scaling.get(params)
+        if scaling is None:
+            demand = self.required_bandwidth(params)
+            scaling = self._compute_scaling[params] = self.hbm.compute_scaling(demand)
+        pipeline = timing.iteration_latency if lwes == 1 else streamed
+        return max(pipeline, math.ceil(streamed / scaling))
 
     def pbs_latency_ms(self, params: TFHEParameters) -> float:
         """Latency of a single PBS (one LWE, no batching)."""
-        cycles = params.n * self.iteration_latency_cycles(params)
-        return self.config.cycles_to_ms(cycles)
+        return self.config.cycles_to_ms(params.n * self.core_iteration_cycles(params, 1))
 
     def required_bandwidth(self, params: TFHEParameters) -> BandwidthDemand:
         """External bandwidth demand at this operating point."""
@@ -109,15 +95,15 @@ class StrixAccelerator:
     def pbs_throughput(self, params: TFHEParameters) -> float:
         """Sustained PBS/s with full two-level batching.
 
-        The compute-bound throughput is one LWE per ``n * initiation interval``
-        cycles per core times the number of cores; when the bandwidth demand
-        exceeds the HBM capability the throughput scales down proportionally
-        (the memory-bound regime of Table VII).
+        Every core streams a full core batch: ``n`` iterations of
+        :meth:`core_iteration_cycles` per batch, times the number of cores.
+        Where the bandwidth demand exceeds the HBM capability the iterations
+        stretch, and throughput falls with them (the memory-bound regime of
+        Table VII).
         """
-        per_core_cycles = self.core.pbs_cycles_per_lwe_streaming(params)
-        compute_bound = self.config.clock_hz / per_core_cycles * self.config.tvlp
-        scaling = self.hbm.compute_scaling(self.required_bandwidth(params))
-        return compute_bound * scaling
+        core_batch = self.core.core_batch_size(params)
+        cycles_per_lwe = params.n * self.core_iteration_cycles(params, core_batch) / core_batch
+        return self.config.clock_hz / cycles_per_lwe * self.config.tvlp
 
     def pbs_performance(self, params: TFHEParameters) -> PbsPerformance:
         """Full PBS microbenchmark summary (one Table V row)."""
@@ -158,12 +144,8 @@ class StrixAccelerator:
             return cached
         scheduled = min(lwes, self.epoch_capacity(params))
         each, extra = divmod(scheduled, self.config.tvlp)
-        timing = self.core.pipeline_timing(params)
         busiest = each + (extra > 0)
-        if busiest == 1:
-            blind_rotation_cycles = params.n * timing.iteration_latency
-        else:
-            blind_rotation_cycles = params.n * busiest * timing.initiation_interval
+        blind_rotation_cycles = params.n * self.core_iteration_cycles(params, busiest)
         keyswitch_cycles = busiest * self.core.keyswitch_cycles(params)
         plan = EpochPlan(
             lwes=scheduled,

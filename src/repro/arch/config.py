@@ -59,8 +59,6 @@ class StrixConfig:
     max_fft_points:
         Largest transform the physical FFT unit supports (the paper's unit
         handles 16,384-point polynomials, 8,192 after folding).
-    bsk_channels / ksk_channels / ciphertext_channels:
-        HBM channel allocation (out of 16 total for one stack).
     """
 
     tvlp: int = 8
@@ -75,9 +73,6 @@ class StrixConfig:
     local_scratchpad_pbs_fraction: float = 0.8
     fft_folding: bool = True
     max_fft_points: int = 16384
-    bsk_channels: int = 8
-    ksk_channels: int = 4
-    ciphertext_channels: int = 4
 
     def __post_init__(self) -> None:
         if self.tvlp < 1 or self.clp < 1 or self.plp < 1 or self.colp < 1:
@@ -88,13 +83,6 @@ class StrixConfig:
             raise ValueError("HBM bandwidth must be positive")
         if self.hbm_capacity_gb <= 0:
             raise ValueError("HBM capacity must be positive")
-        total_channels = (
-            self.bsk_channels + self.ksk_channels + self.ciphertext_channels
-        )
-        if total_channels != 16:
-            raise ValueError(
-                f"HBM channel allocation must total 16, got {total_channels}"
-            )
 
     # -- derived quantities -------------------------------------------------
 

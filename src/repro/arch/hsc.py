@@ -106,11 +106,6 @@ class HomomorphicStreamingCore:
             self._core_batch_size[params] = size
         return size
 
-    def pbs_cycles_per_lwe_streaming(self, params: TFHEParameters) -> int:
-        """Amortized cycles per LWE when the core streams a full batch."""
-        timing = self.pipeline_timing(params)
-        return params.n * timing.initiation_interval
-
     # -- keyswitch cluster ------------------------------------------------------
 
     def keyswitch_cycles(self, params: TFHEParameters) -> int:

@@ -30,9 +30,14 @@ the way out of the cache, not keyed.  A batch with inference requests is keyed a
 linear-free twin ``(0, simple_pbs, models)`` when its linear side ends before
 any core ends its share of the PBS+KS op's first epoch, which fills every core.
 
-Both read ``simple_pbs`` as ``ceil(simple_pbs / tvlp)`` where
-``_EpochTimings.busiest_core_bounds`` proves the schedule reads no more of it;
-a hit then returns the batch's own ``total_pbs``, the one field that differs.
+Both read ``simple_pbs`` as ``ceil(simple_pbs / tvlp)``, on every chip: a
+core's iteration is the longer of its pipeline time and its memory wall
+(:meth:`~repro.arch.accelerator.StrixAccelerator.core_iteration_cycles`), and
+neither falls as its LWE count grows (a lone LWE's pipeline latency is at most
+two initiation intervals).  Epochs are dealt round-robin from core 0, so core 0
+is the last core free after every epoch of every op, and the schedule reads a
+PBS op's count only through its share.  A hit returns the batch's own
+``total_pbs``, the one field that differs.
 
 Equal keys imply bit-for-bit equal costs because the scheduler is a
 deterministic function of (ordered graph structure, params, config),
@@ -102,7 +107,7 @@ class ScheduleCache(CostModel):
     ``"event"`` either way — and exact: memoized results are
     bit-for-bit equal to what the event model would have returned, for every
     layout (whole batches and pipeline stages), with the ``ceil(simple_pbs /
-    tvlp)`` key where the chip's epoch timings prove it exact.
+    tvlp)`` key.
     """
 
     name = EventDrivenCostModel.name
@@ -142,10 +147,9 @@ class ScheduleCache(CostModel):
     ) -> BatchCost:
         linear_items, simple_pbs, models = batch_mix_signature(batch)
         config = device.accelerator.config
-        timings = device.scheduler.epoch_timings(params)
-        # Where core 0 is provably the busiest core, ceil(simple_pbs / tvlp)
-        # prices the PBS op; its own count only sets ``pbs``, filled in below.
-        group = -(-simple_pbs // config.tvlp) if timings.busiest_core_bounds else simple_pbs
+        # Core 0 is the busiest core, so ceil(simple_pbs / tvlp) prices the
+        # PBS op; its own count only sets ``pbs``, filled in below.
+        group = -(-simple_pbs // config.tvlp)
         linear_macs_per_second = StrixScheduler.linear_macs_per_second(config)
         linear_s = linear_macs(linear_items, params.n) / linear_macs_per_second  # from 0.0
         if models:
@@ -156,6 +160,7 @@ class ScheduleCache(CostModel):
                 # costs what its linear-free twin does (a miss prices the batch).
                 for seconds in _model_linear_seconds(models, params, linear_macs_per_second):
                     linear_s += seconds
+                timings = device.scheduler.epoch_timings(params)
                 if linear_s <= min(timings.node(simple_pbs)[0][0]):
                     signature = (0, group, models)
             key = ("batch", signature, params, config)

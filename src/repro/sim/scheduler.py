@@ -37,11 +37,6 @@ class NodeSchedule(NamedTuple):
     end_s: float
     epochs: int
 
-    @property
-    def duration_s(self) -> float:
-        """Node execution time in seconds."""
-        return self.end_s - self.start_s
-
 
 @dataclass
 class ScheduleResult:
@@ -54,13 +49,6 @@ class ScheduleResult:
     total_pbs: int
     total_epochs: int
     core_utilization: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def pbs_throughput(self) -> float:
-        """Achieved PBS/s over the whole workload."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.total_pbs / self.total_time_s
 
 
 class _EpochTimings:
@@ -78,14 +66,6 @@ class _EpochTimings:
         self.epoch_capacity = accelerator.epoch_capacity(params)
         self._epochs: dict[int, tuple[tuple[float, ...], float]] = {}
         self._nodes: dict[int, tuple[tuple[tuple[float, ...], float], ...]] = {}
-        step = accelerator.config.tvlp  # core 0's seconds at 1 .. core batch LWEs:
-        seconds = [self.epoch(lwes)[0][0] for lwes in range(step, self.epoch_capacity + 1, step)]
-        #: Whether a core's epoch seconds never fall as its LWE count grows.  Epochs
-        #: are dealt round-robin from core 0, so then core 0 is the last core free
-        #: after every epoch of every op (by induction over the op list), and the
-        #: ends, keyswitch chain, makespan and epoch count read a PBS op's
-        #: ciphertexts only through ``ceil(ciphertexts / tvlp)``.
-        self.busiest_core_bounds = all(map(float.__le__, seconds, seconds[1:]))
 
     def node(self, ciphertexts: int) -> tuple[tuple[tuple[float, ...], float], ...]:
         """:meth:`epoch` of each epoch of a PBS node: full ones, then the rest."""
@@ -106,12 +86,10 @@ class _EpochTimings:
         if timing is None:
             accelerator, params = self._accelerator, self._params
             plan = accelerator.plan_epoch(params, lwes)
-            lone_lwe = params.n * accelerator.iteration_latency_cycles(params)
-            per_streamed_lwe = params.n * accelerator.pipeline_timing(params).initiation_interval
             clock_hz = accelerator.config.clock_hz
             timing = self._epochs[lwes] = (
                 tuple(
-                    (lone_lwe if core_lwes == 1 else core_lwes * per_streamed_lwe) / clock_hz
+                    params.n * accelerator.core_iteration_cycles(params, core_lwes) / clock_hz
                     for core_lwes in plan.lwes_per_core
                     if core_lwes
                 ),

@@ -86,17 +86,12 @@ def build_occupancy_trace(
         if interval.unit in ("rotator", "accumulator")
     ]
 
-    # HBM: one bootstrapping-key fragment fetched per iteration, overlapped
-    # with compute (double buffering): it occupies the bus for
-    # fragment_bytes / allocated bandwidth at the start of each iteration.
-    fragment_bytes = accelerator.hbm.global_scratchpad.bootstrapping_key_fragment_bytes(params)
-    bsk_bandwidth_gbps = (
-        accelerator.config.hbm_bandwidth_gbps
-        * accelerator.config.bsk_channels
-        / 16.0
-    )
-    fetch_cycles = int(fragment_bytes / (bsk_bandwidth_gbps * 1e9) * accelerator.config.clock_hz)
+    # HBM: the chip's whole demand (bootstrapping key, keyswitching key,
+    # ciphertexts) overlaps compute (double buffering): it occupies the bus
+    # for demand / bandwidth of each iteration, from the iteration's start.
+    demand = accelerator.required_bandwidth(params).total
     iteration_span = lwes_per_core * timing.initiation_interval
+    fetch_cycles = int(min(1.0, demand / accelerator.config.hbm_bandwidth_gbps) * iteration_span)
     hbm_intervals = [
         BusyInterval(
             unit="hbm",

@@ -76,8 +76,8 @@ class TestPbsMicrobenchmark:
 
     def test_iteration_latency_floor_applies_when_memory_bound(self):
         fast = StrixAccelerator(STRIX_DEFAULT.with_parallelism(tvlp=1, clp=32))
-        timing = fast.pipeline_timing(PARAM_SET_IV)
-        assert fast.iteration_latency_cycles(PARAM_SET_IV) > timing.iteration_latency
+        timing = fast.core.pipeline_timing(PARAM_SET_IV)
+        assert fast.core_iteration_cycles(PARAM_SET_IV, 1) > timing.iteration_latency
 
 
 class TestEpochPlanning:
@@ -139,18 +139,7 @@ def test_every_reader_sizes_an_epoch_by_epoch_capacity(name, tvlp):
         assert epochs == -(-batch.total_pbs // capacity), (kind, items)
 
 
-#: ``plan_epoch`` prices a core holding one LWE at the pipeline's
-#: ``iteration_latency``; the event scheduler prices it at
-#: ``iteration_latency_cycles``, which adds the key-fetch bound.  The two differ
-#: where that bound binds: SMALL on the default chip.
-LONE_LWE_GAP = pytest.mark.xfail(
-    strict=True, reason="plan_epoch prices a lone LWE without the key-fetch bound"
-)
-
-
-@pytest.mark.parametrize(
-    "name", ["I", "II", "III", "IV", "TOY", pytest.param("SMALL", marks=LONE_LWE_GAP)]
-)
+@pytest.mark.parametrize("name", ["I", "II", "III", "IV", "TOY", "SMALL"])
 def test_analytical_and_event_models_price_a_bootstrap_node_alike(strix, name):
     """``pbs_batch_time_ms`` against ``StrixScheduler.run`` over one PBS node: one
     LWE per core up to a full row, a full epoch ± 1, three full epochs and a part."""

@@ -47,8 +47,6 @@ class TestStrixConfig:
             StrixConfig(tvlp=0)
         with pytest.raises(ValueError):
             StrixConfig(clock_ghz=0)
-        with pytest.raises(ValueError):
-            StrixConfig(bsk_channels=10, ksk_channels=10, ciphertext_channels=10)
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1060,18 +1060,22 @@ class TestSubBatches:
             rotated = batch_blind_rotate(test_vector, stacked, key, params)
             return time.perf_counter() - start, rotated
 
-        monkeypatch.setattr(kernels, "_available_cores", lambda: 1)
-        unsplit_s, unsplit = timed()
-        monkeypatch.undo()
+        unsplit_s, split_s = [], []
+        for _ in range(3):  # interleaved, so a slow spell of the machine falls on both
+            monkeypatch.setattr(kernels, "_available_cores", lambda: 1)
+            seconds, unsplit = timed()
+            unsplit_s.append(seconds)
+            monkeypatch.undo()
+            seconds, split = timed()
+            split_s.append(seconds)
         assert len(kernels._sub_batches(64, 4096)) > 1
-        (split_s, split), (again_s, _) = timed(), timed()  # the first split call can be slow
         _assert_glwe_batches_equal(split, unsplit)
         ciphertexts = stacked.to_ciphertexts()
         ends = (0, 31, 32, 63)  # of both sub-batches, on two cores
         _assert_rotations_equal_scalars(
             split, {i: blind_rotate(test_vector, ciphertexts[i], key, params) for i in ends}
         )
-        assert min(split_s, again_s) < unsplit_s
+        assert min(split_s) < min(unsplit_s)
 
 
 # -- the reference backend: N instances are one stack --------------------------------

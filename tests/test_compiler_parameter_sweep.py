@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from test_scheduler_spec import pbs_per_second
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.params import PARAM_SET_I, TOY_PARAMETERS
@@ -93,5 +94,5 @@ class TestCompileNetlist:
         netlist = full_adder_netlist(PARAM_SET_I, 8)
         small = scheduler.run(compile_netlist(netlist, instances=8))
         large = scheduler.run(compile_netlist(netlist, instances=512))
-        assert large.pbs_throughput >= small.pbs_throughput
+        assert pbs_per_second(large) >= pbs_per_second(small)
 

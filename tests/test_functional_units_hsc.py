@@ -135,8 +135,10 @@ class TestHscPipeline:
         assert core.core_batch_size(PARAM_SET_IV) == 4
 
     def test_streaming_beats_single_latency(self, core):
-        single = PARAM_SET_I.n * core.pipeline_timing(PARAM_SET_I).iteration_latency
-        assert core.pbs_cycles_per_lwe_streaming(PARAM_SET_I) < single
+        timing = core.pipeline_timing(PARAM_SET_I)
+        batch = core.core_batch_size(PARAM_SET_I)
+        streamed = StrixAccelerator().core_iteration_cycles(PARAM_SET_I, batch)
+        assert streamed < batch * timing.iteration_latency
 
     def test_occupancy_trace_structure(self, core):
         intervals = core.occupancy_trace(PARAM_SET_I, lwes_per_core=3, iterations=2)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_scheduler_spec import pbs_per_second
 
 from repro.arch.accelerator import StrixAccelerator
 from repro.arch.config import STRIX_DEFAULT
@@ -92,7 +93,7 @@ class TestArchitectureScalingLaws:
     def test_iteration_interval_linear_in_degree(self, degree):
         accelerator = StrixAccelerator()
         params = dataclasses.replace(PARAM_SET_I, N=degree)
-        timing = accelerator.pipeline_timing(params)
+        timing = accelerator.core.pipeline_timing(params)
         expected = (
             -(-(params.k + 1) * params.lb // STRIX_DEFAULT.plp)
             * degree
@@ -133,7 +134,7 @@ class TestSchedulerConservation:
         scheduler = StrixScheduler(accelerator)
         result = scheduler.run(pbs_batch_graph(PARAM_SET_I, ciphertexts))
         peak = accelerator.pbs_throughput(PARAM_SET_I)
-        assert result.pbs_throughput <= peak * 1.001
+        assert pbs_per_second(result) <= peak * 1.001
 
 
 class TestEncodingProperties:

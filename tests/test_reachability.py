@@ -85,8 +85,6 @@ REFERENCES = {
     "repro.obs.trace.Span.latency_s": "span latency the tracing tests read",
     "repro.sched.partition.StagePlan.stages": "stage count the partition tests read",
     "repro.sim.graph.ComputationGraph.node": "node lookup of the graph tests",
-    "repro.sim.scheduler.NodeSchedule.duration_s": "node time the scheduler tests read",
-    "repro.sim.scheduler.ScheduleResult.pbs_throughput": "PBS/s the scheduler tests read",
     # -- refusal-only: run when a peer sends what the protocol refuses --------------------
     "repro.net.protocol.ErrorReply.code_name": "refusal-only: names an ERROR reply's code",
     "repro.net.protocol.Frame.type_name": "refusal-only: names a refused frame's type",

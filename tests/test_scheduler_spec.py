@@ -14,6 +14,7 @@ alone reproduce ``BENCH_sim.json``'s scheduler records and Table V rates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,12 +26,23 @@ from test_compiler import model_graph
 from repro.apps.deep_nn import ZAMA_DEEP_NN_MODELS
 from repro.apps.workloads import pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
-from repro.params import DEEP_NN_N1024, PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV
+from repro.arch.config import STRIX_DEFAULT, StrixConfig
+from repro.params import (
+    DEEP_NN_N1024,
+    DEEP_NN_PARAMETER_SETS,
+    PARAM_SET_I,
+    PARAM_SET_II,
+    PARAM_SET_III,
+    PARAM_SET_IV,
+    SMALL_PARAMETERS,
+    TOY_PARAMETERS,
+)
 from repro.sim.fragments import blind_rotation_fragments
 from repro.sim.graph import ComputationGraph, ComputationNode, NodeKind
 from repro.sim.scheduler import NodeSchedule, ScheduleResult, StrixScheduler
 
 PAPER_SETS = (PARAM_SET_I, PARAM_SET_II, PARAM_SET_III, PARAM_SET_IV)
+DEFINED_SETS = (*PAPER_SETS, *DEEP_NN_PARAMETER_SETS.values(), TOY_PARAMETERS, SMALL_PARAMETERS)
 _BENCH_SIM = json.loads((Path(__file__).resolve().parent.parent / "BENCH_sim.json").read_text())
 BENCH_SIM = {record["name"]: record["value"] for record in _BENCH_SIM["records"]}
 
@@ -66,8 +78,15 @@ def spec_run(scheduler, graph):
         return free[unit]
 
     capacity = config.tvlp * accelerator.core.core_batch_size(params)
-    lone_lwe = params.n * accelerator.iteration_latency_cycles(params)
-    streamed_lwe = params.n * accelerator.pipeline_timing(params).initiation_interval
+    timing = accelerator.core.pipeline_timing(params)
+    scaling = accelerator.hbm.compute_scaling(accelerator.required_bandwidth(params))
+
+    def core_cycles(share):
+        """Table VII's rule: the pipeline's time or the memory wall's, the longer."""
+        streamed = share * timing.initiation_interval
+        pipeline = timing.iteration_latency if share == 1 else streamed
+        return params.n * max(pipeline, math.ceil(streamed / scaling))
+
     keyswitch_lwe = accelerator.core.keyswitch_cycles(params)
     finish, schedules, total_epochs = {}, [], 0
     for node in spec_order(graph):
@@ -85,8 +104,8 @@ def spec_run(scheduler, graph):
                 epoch_end = ready
                 for core, share in zip(cores, shares):
                     if share:
-                        cycles = lone_lwe if share == 1 else share * streamed_lwe
-                        epoch_end = max(epoch_end, book(core, ready, cycles / config.clock_hz))
+                        seconds = core_cycles(share) / config.clock_hz
+                        epoch_end = max(epoch_end, book(core, ready, seconds))
                 if node.kind is not NodeKind.PBS:
                     seconds = max(shares) * keyswitch_lwe / config.clock_hz
                     keyswitch_end = book("keyswitch", epoch_end, seconds)
@@ -107,6 +126,16 @@ def spec_run(scheduler, graph):
         total_epochs=total_epochs,
         core_utilization={core: busy[core] / makespan if makespan > 0 else 0.0 for core in cores},
     )
+
+
+def node_seconds(node: NodeSchedule) -> float:
+    """A node's time on the accelerator, from its ready time to its end."""
+    return node.end_s - node.start_s
+
+
+def pbs_per_second(result: ScheduleResult) -> float:
+    """PBS/s achieved over a whole schedule (0 for an empty one)."""
+    return result.total_pbs / result.total_time_s if result.total_time_s > 0 else 0.0
 
 
 # -- the fast path == the spec -----------------------------------------------------------
@@ -204,6 +233,49 @@ class TestSpecIsThePaper:
         marginal = capacity / (makespan(65) - makespan(64))
         published = BENCH_SIM[f"sim/pbs_throughput/{params.name}"]
         assert marginal == pytest.approx(published, rel=1e-12)
+
+
+# -- one memory wall: every reader of a core's iteration time agrees --------------------
+
+#: Table VII's TvLP x CLP splits of the default chip, compute bound to memory bound.
+TABLE_VII_CHIPS = tuple(
+    STRIX_DEFAULT.with_parallelism(tvlp=tvlp, clp=clp)
+    for tvlp, clp in ((16, 2), (8, 4), (4, 8), (2, 16), (1, 32))
+)
+chips = st.one_of(
+    st.sampled_from(TABLE_VII_CHIPS),
+    st.builds(
+        StrixConfig,
+        tvlp=st.integers(1, 16),
+        clp=st.sampled_from((1, 2, 4, 8, 16, 32)),
+        plp=st.integers(1, 4),
+        colp=st.integers(1, 4),
+        fft_folding=st.booleans(),
+        hbm_bandwidth_gbps=st.floats(5.0, 1000.0),
+    ),
+)
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(config=chips, params=st.sampled_from(DEFINED_SETS))
+def test_a_core_iterates_at_one_memory_wall_on_any_chip(config, params):
+    """The scheduler's full epoch streams at ``pbs_throughput``, its lone LWE takes
+    ``pbs_latency_ms``, ``plan_epoch`` books its busiest core, and a core's epoch
+    seconds never fall as its LWE count grows (what the ``ceil(simple_pbs / tvlp)``
+    schedule-cache key stands on)."""
+    accelerator = StrixAccelerator(config)
+    timings = StrixScheduler(accelerator).epoch_timings(params)
+    capacity, tvlp = timings.epoch_capacity, config.tvlp
+    full_epoch = max(timings.epoch(capacity)[0])
+    assert capacity / full_epoch == pytest.approx(accelerator.pbs_throughput(params), rel=1e-12)
+    assert timings.epoch(1)[0][0] * 1e3 == accelerator.pbs_latency_ms(params)
+    seconds = []
+    for lwes in (1, *range(tvlp, capacity + 1, tvlp)):  # core 0 holds 1, 1, 2, .. core batch
+        cores, _ = timings.epoch(lwes)
+        plan = accelerator.plan_epoch(params, lwes)
+        assert config.cycles_to_seconds(plan.blind_rotation_cycles) == cores[0] == max(cores)
+        seconds.append(cores[0])
+    assert seconds == sorted(seconds)
 
 
 # -- Kahn's levels == the round scan ------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from test_scheduler_spec import pbs_per_second
 
 from repro.apps.workloads import gate_workload_graph, lut_pipeline_graph, pbs_batch_graph
 from repro.arch.accelerator import StrixAccelerator
@@ -35,7 +36,7 @@ class TestStrixScheduler:
     def test_large_batch_achieves_peak_throughput(self, scheduler, strix_module):
         lwes = 4096
         result = scheduler.run(pbs_batch_graph(PARAM_SET_I, lwes))
-        assert result.pbs_throughput == pytest.approx(
+        assert pbs_per_second(result) == pytest.approx(
             strix_module.pbs_throughput(PARAM_SET_I), rel=0.1
         )
 
